@@ -18,9 +18,8 @@ from .galerkin import (DiffusionModel, GalerkinOperator, SourceSpec, TimeProfile
                        h_norm, linear_profile, operator_matrix, rhs_mean,
                        rotating_diffusion, separable_source, v_dual_norm, v_norm,
                        validate_diffusion, zero_source)
-from .manifold import (LowRankState, RankDeficiencyError, TangentVector, factorize,
-                       gauge_tangent, reorthonormalize, singular_values,
-                       smallest_singular, tangent_project, to_dense)
+from .manifold import (LowRankState, RankDeficiencyError, factorize, reorthonormalize,
+                       singular_values, smallest_singular, tangent_project, to_dense)
 from .stepping import (HaltRecord, InnerSolveError, StepDiagnostics, StepOptions,
                        Trajectory, als_variational_step, galerkin_residual, integrate,
                        reference_step, splitting_euler_step, step_objective)
@@ -31,11 +30,11 @@ __all__ = [
     "ConvergenceRow", "ConvergenceTable", "DiffusionModel", "EnergyReport",
     "GalerkinOperator", "HaltRecord", "InnerSolveError", "LowRankState",
     "PropertyReport", "RankDeficiencyError", "SourceSpec", "StepDiagnostics",
-    "StepOptions", "TangentVector", "TimeProfile", "Trajectory",
+    "StepOptions", "TimeProfile", "Trajectory",
     "als_variational_step", "apply_operator", "bilinear_a", "build_operator",
     "constant_diffusion", "constant_profile", "convergence_study", "cosine_profile",
     "curvature_suite", "energy_audit", "equivalence_test", "exact_diagonal_solution",
-    "factorize", "galerkin_residual", "gauge_tangent", "h_norm", "integrate",
+    "factorize", "galerkin_residual", "h_norm", "integrate",
     "interpolant_gap", "linear_profile", "operator_matrix",
     "projection_regularity_suite", "reference_step", "reorthonormalize", "rhs_mean",
     "rotating_diffusion", "sample_nearby_state", "sample_state", "separable_source",

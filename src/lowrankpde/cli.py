@@ -15,6 +15,7 @@ Exit status: 0 all asserted properties passed, 1 a property was violated,
 from __future__ import annotations
 
 import argparse
+import logging
 import math
 import sys
 from dataclasses import dataclass, field, replace
@@ -404,8 +405,41 @@ def _suite_rows(report, prefix):
     return rows
 
 
+class _WarningLog(logging.Handler):
+    """Collects the package's warnings for run.log; echoes them to stderr
+    unless quiet."""
+
+    def __init__(self, quiet: bool):
+        super().__init__(logging.WARNING)
+        self.quiet = quiet
+        self.lines: list = []
+
+    def emit(self, record):
+        line = f"warning: {record.getMessage()}"
+        self.lines.append(line)
+        if not self.quiet:
+            print(line, file=sys.stderr)
+
+
 def run(cfg: RunConfig, quiet: bool = False, gnuplot: bool = False) -> int:
-    """Execute one experiment; writes artifacts into cfg.output_dir."""
+    """Execute one experiment; writes artifacts into cfg.output_dir.
+
+    Warnings the package logs during the run are written to run.log, and to
+    stderr unless ``quiet``; they do not propagate to other log handlers.
+    """
+    logger = logging.getLogger(__package__)
+    warnings = _WarningLog(quiet)
+    propagate = logger.propagate
+    logger.addHandler(warnings)
+    logger.propagate = False
+    try:
+        return _run(cfg, quiet, gnuplot, warnings.lines)
+    finally:
+        logger.removeHandler(warnings)
+        logger.propagate = propagate
+
+
+def _run(cfg: RunConfig, quiet: bool, gnuplot: bool, warnings: list) -> int:
     out = Path(cfg.output_dir)
     log_lines = ["config:"]
     # the output path is where the log lives, not a run parameter; leaving it
@@ -527,6 +561,7 @@ def run(cfg: RunConfig, quiet: bool = False, gnuplot: bool = False) -> int:
 
     except (RankDeficiencyError, InnerSolveError, np.linalg.LinAlgError) as exc:
         out.mkdir(parents=True, exist_ok=True)
+        log_lines += warnings
         log_lines.append(f"numerical failure: {exc}")
         log_lines.append("status: 3")
         (out / "run.log").write_text("\n".join(log_lines) + "\n")
@@ -543,6 +578,7 @@ def run(cfg: RunConfig, quiet: bool = False, gnuplot: bool = False) -> int:
     _write_csv(out / "report.csv", report_header, report_rows)
     for row in report_rows:
         log_lines.append("  ".join(_fmt(x) if not isinstance(x, str) else x for x in row))
+    log_lines += warnings
     status = 1 if failures else 0
     for f in failures:
         log_lines.append(f"violation: {f}")

@@ -17,9 +17,7 @@ __all__ = [
     "DEFAULT_RANK_FLOOR",
     "LowRankState",
     "RankDeficiencyError",
-    "TangentVector",
     "factorize",
-    "gauge_tangent",
     "qr_nonneg",
     "reorthonormalize",
     "singular_values",
@@ -75,50 +73,6 @@ class LowRankState:
     @property
     def basis_dim(self) -> int:
         return self.u1_factors.shape[0]
-
-
-@dataclass(frozen=True, eq=False)
-class TangentVector:
-    """Element of the tangent space at ``base``.
-
-    Dense form is ``v1_parts @ u2.T + u1 @ v2_parts.T``.  The gauge used
-    here constrains the first block only: ``u1.T @ v1_parts = 0``; the
-    second block is left unconstrained.  ``gauge_satisfied`` records whether
-    the stored blocks satisfy that constraint.
-    """
-
-    base: LowRankState
-    v1_parts: np.ndarray
-    v2_parts: np.ndarray
-    gauge_satisfied: bool
-
-    def to_dense(self) -> np.ndarray:
-        return (self.v1_parts @ self.base.u2_factors.T
-                + self.base.u1_factors @ self.v2_parts.T)
-
-    @classmethod
-    def from_parts(cls, base: LowRankState, v1: np.ndarray, v2: np.ndarray) -> "TangentVector":
-        v1 = np.asarray(v1, dtype=float)
-        v2 = np.asarray(v2, dtype=float)
-        if v1.shape != base.u1_factors.shape or v2.shape != base.u2_factors.shape:
-            raise ValueError("tangent blocks must match the factor shapes")
-        overlap = np.linalg.norm(base.u1_factors.T @ v1)
-        gauge = overlap <= 1e-12 * max(1.0, float(np.linalg.norm(v1)))
-        return cls(base, v1, v2, gauge)
-
-
-def gauge_tangent(vec: TangentVector) -> TangentVector:
-    """Re-express a tangent vector so the first block is orthogonal to u1.
-
-    The dense value is unchanged: the overlap removed from ``v1_parts`` is
-    folded into ``v2_parts``.
-    """
-    u1 = vec.base.u1_factors
-    u2 = vec.base.u2_factors
-    overlap = u1.T @ vec.v1_parts                      # (r, r)
-    v1 = vec.v1_parts - u1 @ overlap
-    v2 = vec.v2_parts + u2 @ overlap.T
-    return TangentVector(vec.base, v1, v2, True)
 
 
 def qr_nonneg(a: np.ndarray):

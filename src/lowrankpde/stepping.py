@@ -16,19 +16,18 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .galerkin import (DiffusionModel, GalerkinOperator, SourceSpec, apply_operator,
-                       build_operator, h_norm, operator_matrix, rhs_mean)
+                       build_operator, h_norm, rhs_mean)
 from .manifold import (LowRankState, RankDeficiencyError, qr_nonneg, singular_values,
                        smallest_singular, tangent_project, to_dense)
 
 __all__ = [
-    "DENSE_SOLVE_LIMIT",
     "HaltRecord",
     "InnerSolveError",
     "StepDiagnostics",
@@ -44,8 +43,9 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-#: Largest unknown count still solved by dense factorization.
-DENSE_SOLVE_LIMIT = 2048
+# Relative residual at which the inner conjugate gradient stops; tight
+# enough that converged steps keep their Galerkin residual at roundoff.
+_CG_RTOL = 1e-14
 
 # Hard floor for the triangular blocks produced inside a step; deliberately
 # far below any trajectory-level rank floor so the integration monitor gets
@@ -61,15 +61,11 @@ class InnerSolveError(RuntimeError):
 class StepOptions:
     """Knobs shared by all steppers.
 
-    inner_solver: "auto" picks a dense solve up to DENSE_SOLVE_LIMIT
-    unknowns and conjugate gradient above; "direct"/"cg" force a path.
     single_sweep_mode stops the alternating solver after exactly one sweep.
     """
 
     als_tol: float = 1e-11
     als_max_sweeps: int = 100
-    inner_solver: str = "auto"
-    cg_tol: float = 1e-12
     rank_floor_rel: float = 1e-12
     single_sweep_mode: bool = False
 
@@ -126,26 +122,23 @@ def step_objective(u, u_prev, h: float, t_next: float, f_mean: np.ndarray,
 # inner solves
 
 
-def _use_direct(opts: StepOptions, n_unknowns: int) -> bool:
-    if opts.inner_solver == "direct":
-        return True
-    if opts.inner_solver == "cg":
-        return False
-    if opts.inner_solver == "auto":
-        return n_unknowns <= DENSE_SOLVE_LIMIT
-    raise ValueError(f"unknown inner_solver {opts.inner_solver!r}")
+def _pcg(apply, precondition, rhs: np.ndarray) -> np.ndarray:
+    """Solve the SPD system ``apply(X) = rhs`` by preconditioned conjugate
+    gradient; ``precondition`` applies an SPD approximate inverse."""
+    shape, n = rhs.shape, rhs.size
 
+    def linear(fn):
+        return LinearOperator((n, n), matvec=lambda v: fn(v.reshape(shape)).ravel())
 
-def _cg_solve(matvec, rhs_vec: np.ndarray, opts: StepOptions) -> np.ndarray:
-    n = rhs_vec.size
-    lin = LinearOperator((n, n), matvec=matvec)
-    x, info = cg(lin, rhs_vec, rtol=opts.cg_tol, atol=0.0, maxiter=max(1000, 20 * n))
+    x, info = cg(linear(apply), rhs.ravel(), rtol=_CG_RTOL, atol=0.0,
+                 maxiter=max(1000, 20 * n), M=linear(precondition))
     if info != 0:
         raise InnerSolveError(f"conjugate gradient stopped with info={info}")
-    return x
+    return x.reshape(shape)
+
 
 def _solve_projected(op: GalerkinOperator, alpha: np.ndarray, h: float, own_axis: int,
-                     basis: np.ndarray, rhs: np.ndarray, opts: StepOptions) -> np.ndarray:
+                     basis: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """Solve one half-sweep system  X + h * A_red(X) = rhs  for X (N, r).
 
     ``own_axis`` selects which coordinate keeps its full 1D stiffness
@@ -155,35 +148,31 @@ def _solve_projected(op: GalerkinOperator, alpha: np.ndarray, h: float, own_axis
         A_red(X) = own * L X + other * X (B^T L B) + c * G X (B^T G B)
 
     is symmetric positive definite as a compression of the full operator.
+    Without the mixed term it is a Sylvester equation with diagonal L,
+    solved exactly in the eigenbasis of the (r, r) block; with it, that
+    solve preconditions conjugate gradient.
     """
-    n, r = rhs.shape
-    stiff = op.stiffness_1d
+    lam = op.stiffness_1d
     g = op.grad_coupling_1d
     own = alpha[0, 0] if own_axis == 0 else alpha[1, 1]
     other = alpha[1, 1] if own_axis == 0 else alpha[0, 0]
     c = alpha[0, 1] + alpha[1, 0]
-    b_block = basis.T @ stiff @ basis            # (r, r) symmetric
-    h_block = basis.T @ g @ basis                # (r, r) skew
+    b_block = (basis.T * lam) @ basis             # (r, r) symmetric
+    evals, evecs = np.linalg.eigh(b_block)
+    denom = 1.0 + h * (own * lam[:, None] + other * evals[None, :])
 
-    if _use_direct(opts, n * r):
-        mat = np.kron(np.eye(r), own * stiff) + np.kron(other * b_block.T, np.eye(n))
-        if c != 0.0:
-            mat += c * np.kron(h_block.T, g)
-        mat *= h
-        mat += np.eye(n * r)
-        x = np.linalg.solve(mat, rhs.ravel(order="F"))
-        return x.reshape((n, r), order="F")
+    def sylvester(x):
+        return ((x @ evecs) / denom) @ evecs.T
 
-    lam = np.diagonal(stiff)
+    if c == 0.0:
+        return sylvester(rhs)
+    h_block = basis.T @ g @ basis                 # (r, r) skew
 
-    def matvec(vec):
-        x = vec.reshape((n, r), order="F")
-        y = x + h * (own * lam[:, None] * x + other * (x @ b_block))
-        if c != 0.0:
-            y += (h * c) * (g @ x @ h_block)
-        return y.ravel(order="F")
+    def apply(x):
+        return x + h * (own * lam[:, None] * x + other * (x @ b_block)
+                        + c * (g @ x @ h_block))
 
-    return _cg_solve(matvec, rhs.ravel(order="F"), opts).reshape((n, r), order="F")
+    return _pcg(apply, sylvester, rhs)
 
 
 def _check_collapse(r_block: np.ndarray, what: str):
@@ -200,23 +189,21 @@ def _check_collapse(r_block: np.ndarray, what: str):
 
 
 def reference_step(y_prev: np.ndarray, h: float, t_next: float, f_mean: np.ndarray,
-                   op: GalerkinOperator, model: DiffusionModel,
-                   opts: Optional[StepOptions] = None) -> np.ndarray:
-    """Unconstrained backward-Euler step: solve (I + h A(t_next)) Y = Y_i + h f_mean."""
-    opts = opts or StepOptions()
-    y_prev = np.asarray(y_prev, dtype=float)
-    n = op.basis_dim
-    rhs = y_prev + h * f_mean
-    if _use_direct(opts, n * n):
-        mat = np.eye(n * n) + h * operator_matrix(op, model, t_next)
-        y = np.linalg.solve(mat, rhs.ravel(order="F"))
-        return y.reshape((n, n), order="F")
+                   op: GalerkinOperator, model: DiffusionModel) -> np.ndarray:
+    """Unconstrained backward-Euler step: solve (I + h A(t_next)) Y = Y_i + h f_mean.
 
-    def matvec(vec):
-        x = vec.reshape((n, n), order="F")
-        return (x + h * apply_operator(op, model, t_next, x)).ravel(order="F")
-
-    return _cg_solve(matvec, rhs.ravel(order="F"), opts).reshape((n, n), order="F")
+    The divergence part of A is diagonal in the coefficients, so its exact
+    inverse solves the step without a mixed term and preconditions
+    conjugate gradient with one.
+    """
+    alpha = model.alpha(t_next)
+    lam = op.stiffness_1d
+    denom = 1.0 + h * (alpha[0, 0] * lam[:, None] + alpha[1, 1] * lam[None, :])
+    rhs = np.asarray(y_prev, dtype=float) + h * f_mean
+    if alpha[0, 1] + alpha[1, 0] == 0.0:
+        return rhs / denom
+    return _pcg(lambda x: x + h * apply_operator(op, model, t_next, x),
+                lambda x: x / denom, rhs)
 
 
 def galerkin_residual(u_next: LowRankState, u_prev, h: float, t_next: float,
@@ -262,14 +249,14 @@ def als_variational_step(u_prev: LowRankState, h: float, t_next: float,
         sweeps += 1
         # left half-sweep: unknown K = U S with the right basis frozen
         rhs_k = u0 @ (s0 @ (v0.T @ v_basis)) + h * (f_mean @ v_basis)
-        k = _solve_projected(op, alpha, h, 0, v_basis, rhs_k, opts)
+        k = _solve_projected(op, alpha, h, 0, v_basis, rhs_k)
         u_basis, r_k = qr_nonneg(k)
         _check_collapse(r_k, "left")
         state = LowRankState(u_basis, r_k, v_basis)
         trace.append(step_objective(state, u_prev, h, t_next, f_mean, op, model))
         # right half-sweep: unknown W = V S^T with the new left basis frozen
         rhs_w = v0 @ (s0.T @ (u0.T @ u_basis)) + h * (f_mean.T @ u_basis)
-        w = _solve_projected(op, alpha, h, 1, u_basis, rhs_w, opts)
+        w = _solve_projected(op, alpha, h, 1, u_basis, rhs_w)
         v_basis, r_w = qr_nonneg(w)
         _check_collapse(r_w, "right")
         state = LowRankState(u_basis, r_w.T, v_basis)
@@ -297,7 +284,6 @@ def als_variational_step(u_prev: LowRankState, h: float, t_next: float,
 def splitting_euler_step(u_prev: LowRankState, h: float, t_next: float,
                          f_mean: np.ndarray, op: GalerkinOperator,
                          model: DiffusionModel,
-                         opts: Optional[StepOptions] = None,
                          s_step: str = "projection") -> LowRankState:
     """Projector-splitting backward-Euler step.
 
@@ -307,12 +293,11 @@ def splitting_euler_step(u_prev: LowRankState, h: float, t_next: float,
     algebraically equivalent explicit-Euler form, which reproduces the
     projection exactly whenever the first solve is exact.
     """
-    opts = opts or StepOptions()
     alpha = model.alpha(t_next)
     u0, s0, v0 = u_prev.u1_factors, u_prev.core, u_prev.u2_factors
 
     rhs_k = u0 @ s0 + h * (f_mean @ v0)
-    k = _solve_projected(op, alpha, h, 0, v0, rhs_k, opts)
+    k = _solve_projected(op, alpha, h, 0, v0, rhs_k)
     u1, s1_plus = qr_nonneg(k)
     _check_collapse(s1_plus, "left")
 
@@ -320,9 +305,9 @@ def splitting_euler_step(u_prev: LowRankState, h: float, t_next: float,
         s0_plus = (u1.T @ u0) @ s0
     elif s_step == "forward":
         # S0+ = S1+ + h * A_red(S1+) - h * U1^T f V0 with both directions compressed
-        stiff, g = op.stiffness_1d, op.grad_coupling_1d
-        bu = u1.T @ stiff @ u1
-        bv = v0.T @ stiff @ v0
+        lam, g = op.stiffness_1d, op.grad_coupling_1d
+        bu = (u1.T * lam) @ u1
+        bv = (v0.T * lam) @ v0
         hu = u1.T @ g @ u1
         hv = v0.T @ g @ v0
         c = alpha[0, 1] + alpha[1, 0]
@@ -334,7 +319,7 @@ def splitting_euler_step(u_prev: LowRankState, h: float, t_next: float,
         raise ValueError(f"unknown s_step {s_step!r}")
 
     rhs_w = v0 @ s0_plus.T + h * (f_mean.T @ u1)
-    w = _solve_projected(op, alpha, h, 1, u1, rhs_w, opts)
+    w = _solve_projected(op, alpha, h, 1, u1, rhs_w)
     v1, r_w = qr_nonneg(w)
     _check_collapse(r_w, "right")
     return LowRankState(u1, r_w.T, v1)
@@ -356,6 +341,8 @@ def integrate(method: str, u0, T: float, n_steps: int, model: DiffusionModel,
     opts = opts or StepOptions()
     if method not in ("reference", "als", "splitting"):
         raise ValueError(f"unknown method {method!r}")
+    if not isinstance(source, SourceSpec):
+        raise TypeError("source must be a SourceSpec; pass zero_source(N) for no source")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
     if not T > 0:
@@ -388,7 +375,7 @@ def integrate(method: str, u0, T: float, n_steps: int, model: DiffusionModel,
             if method == "als":
                 state, diag = als_variational_step(states[-1], h, t1, f_bar, op, model, opts)
             elif method == "splitting":
-                state = splitting_euler_step(states[-1], h, t1, f_bar, op, model, opts)
+                state = splitting_euler_step(states[-1], h, t1, f_bar, op, model)
                 f_prev = step_objective(states[-1], states[-1], h, t1, f_bar, op, model)
                 f_new = step_objective(state, states[-1], h, t1, f_bar, op, model)
                 diag = StepDiagnostics(
@@ -400,7 +387,7 @@ def integrate(method: str, u0, T: float, n_steps: int, model: DiffusionModel,
                     objective_decreased=bool(f_new <= f_prev + 1e-12 * abs(f_prev) + 1e-300),
                     objective_trace=(f_prev, f_new))
             else:
-                y = reference_step(states[-1], h, t1, f_bar, op, model, opts)
+                y = reference_step(states[-1], h, t1, f_bar, op, model)
                 defect = (y - states[-1]) / h + apply_operator(op, model, t1, y) - f_bar
                 f_prev = step_objective(states[-1], states[-1], h, t1, f_bar, op, model)
                 f_new = step_objective(y, states[-1], h, t1, f_bar, op, model)

@@ -260,7 +260,7 @@ def test_projection_ratios_scale_invariant():
     op = build_operator(8)
     u = sample_state(rng, 8, 3, sigma_range=(0.05, 1.0))
     z = rng.standard_normal((8, 8))
-    lam = np.diagonal(op.stiffness_1d)
+    lam = op.stiffness_1d
 
     def ratios(state):
         y = to_dense(state)
@@ -282,7 +282,7 @@ def test_factor_regularity_explicit_single_mode():
     # pi sqrt(2), so the measured ratio is exactly 1/sqrt(2)
     from lowrankpde.galerkin import v_norm
     op = build_operator(6)
-    lam = np.diagonal(op.stiffness_1d)
+    lam = op.stiffness_1d
     u = mode_state(6, [(0, 1.0)])
     semi = np.sqrt(np.sum(lam * u.u1_factors[:, 0] ** 2))
     assert semi == pytest.approx(np.pi, rel=1e-13)
@@ -346,11 +346,10 @@ def test_full_rank_both_methods_match_reference():
     model = constant_diffusion([[0.9, 0.3], [0.3, 0.7]])
     u0 = factorize(rng.standard_normal((n, n)), n, rank_floor=0.0)
     f = rng.standard_normal((n, n))
-    opts = StepOptions(inner_solver="direct")
-    dense = reference_step(to_dense(u0), h, h, f, op, model, opts)
+    dense = reference_step(to_dense(u0), h, h, f, op, model)
     scale = np.linalg.norm(dense)
-    als, _ = als_variational_step(u0, h, h, f, op, model, opts)
-    split = splitting_euler_step(u0, h, h, f, op, model, opts)
+    als, _ = als_variational_step(u0, h, h, f, op, model)
+    split = splitting_euler_step(u0, h, h, f, op, model)
     assert np.linalg.norm(to_dense(als) - dense) <= 1e-10 * scale
     assert np.linalg.norm(to_dense(split) - dense) <= 1e-10 * scale
 
@@ -363,11 +362,10 @@ def test_equivalence_vanishing_step_returns_start():
     model = constant_diffusion([[1.0, 0.3], [0.3, 0.8]])
     u0 = sample_state(rng, n, r, sigma_range=(0.5, 1.0))
     f = rng.standard_normal((n, n))
-    opts = StepOptions(inner_solver="direct", single_sweep_mode=True)
+    opts = StepOptions(single_sweep_mode=True)
     y0 = to_dense(u0)
     a, _ = als_variational_step(u0, h, h, f, op, model, opts)
-    b = splitting_euler_step(u0, h, h, f, op, model,
-                             StepOptions(inner_solver="direct"))
+    b = splitting_euler_step(u0, h, h, f, op, model)
     # the drift of one implicit step is at most h times the defect scale
     from lowrankpde.galerkin import apply_operator
     budget = 10.0 * h * (np.linalg.norm(apply_operator(op, model, h, y0))

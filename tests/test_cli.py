@@ -195,6 +195,27 @@ def test_run_numerical_failure_exit_code(tmp_path, monkeypatch):
     assert not (out / "trajectory.csv").exists()
 
 
+@pytest.mark.parametrize("quiet", [True, False])
+def test_run_logs_package_warnings(tmp_path, monkeypatch, capsys, quiet):
+    import logging
+
+    import lowrankpde.cli as cli_mod
+    integrate = cli_mod.integrate
+
+    def warn_then_integrate(*args, **kwargs):
+        logging.getLogger("lowrankpde.stepping").warning("sweep cap %d reached", 100)
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "integrate", warn_then_integrate)
+    out = tmp_path / "warned"
+    assert run(parse_config(_quick_heat(out)), quiet=quiet) == 0
+    assert "warning: sweep cap 100 reached" in (out / "run.log").read_text().splitlines()
+    err = capsys.readouterr().err
+    assert ("sweep cap" in err) != quiet
+    logger = logging.getLogger("lowrankpde")
+    assert logger.propagate and not logger.handlers
+
+
 def test_run_detects_violation(tmp_path):
     # a single huge step cannot meet the preset error bound
     out = tmp_path / "coarse"

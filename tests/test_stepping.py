@@ -10,12 +10,9 @@ from lowrankpde.galerkin import (bilinear_a, build_operator, constant_diffusion,
                                  separable_source, constant_profile, zero_source)
 from lowrankpde.manifold import (LowRankState, RankDeficiencyError, factorize,
                                  tangent_project, to_dense)
-from lowrankpde.stepping import (StepOptions, als_variational_step, galerkin_residual,
-                                 integrate, reference_step, splitting_euler_step,
-                                 step_objective)
-
-DIRECT = StepOptions(inner_solver="direct")
-
+from lowrankpde.stepping import (StepOptions, _solve_projected, als_variational_step,
+                                 galerkin_residual, integrate, reference_step,
+                                 splitting_euler_step, step_objective)
 
 def mode_state(n, entries):
     """Rank-len(entries) state with coefficient c on the (i, i) mode pair."""
@@ -57,7 +54,7 @@ def test_reference_step_single_mode_resolvent():
     model = constant_diffusion(np.eye(2))
     y0 = np.zeros((n, n))
     y0[0, 0] = 1.0
-    y1 = reference_step(y0, h, h, np.zeros((n, n)), op, model, DIRECT)
+    y1 = reference_step(y0, h, h, np.zeros((n, n)), op, model)
     expected = np.zeros((n, n))
     expected[0, 0] = 1.0 / (1.0 + 2.0 * np.pi ** 2 * h)
     np.testing.assert_allclose(y1, expected, atol=1e-13)
@@ -70,22 +67,23 @@ def test_reference_step_matches_dense_solve_with_source():
     model = constant_diffusion([[0.7, 0.25], [0.25, 0.9]])
     y0 = rng.standard_normal((n, n))
     f = rng.standard_normal((n, n))
-    got = reference_step(y0, h, h, f, op, model, DIRECT)
+    got = reference_step(y0, h, h, f, op, model)
     np.testing.assert_allclose(got, dense_backward_euler(op, model, h, h, y0, f),
                                atol=1e-11)
 
 
-def test_reference_step_cg_agrees_with_direct():
+def test_reference_step_matches_dense_oracle_with_mixed_term():
+    # N^2 = 2304 unknowns: the mixed term makes the step a preconditioned
+    # conjugate gradient solve at a size the dense oracle still handles
     rng = np.random.default_rng(32)
-    n, h = 6, 0.02
+    n, h = 48, 0.02
     op = build_operator(n)
     model = constant_diffusion([[1.0, 0.3], [0.3, 0.8]])
     y0 = rng.standard_normal((n, n))
     f = rng.standard_normal((n, n))
-    direct = reference_step(y0, h, h, f, op, model, DIRECT)
-    cg = reference_step(y0, h, h, f, op, model,
-                        StepOptions(inner_solver="cg", cg_tol=1e-13))
-    np.testing.assert_allclose(cg, direct, atol=1e-9)
+    got = reference_step(y0, h, h, f, op, model)
+    oracle = dense_backward_euler(op, model, h, h, y0, f)
+    assert np.linalg.norm(got - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
 
 def test_reference_step_minimises_objective():
@@ -95,7 +93,7 @@ def test_reference_step_minimises_objective():
     model = constant_diffusion([[0.6, 0.1], [0.1, 0.6]])
     y0 = rng.standard_normal((n, n))
     f = rng.standard_normal((n, n))
-    star = reference_step(y0, h, h, f, op, model, DIRECT)
+    star = reference_step(y0, h, h, f, op, model)
     f_star = step_objective(star, y0, h, h, f, op, model)
     for _ in range(10):
         other = star + 1e-3 * rng.standard_normal((n, n))
@@ -112,7 +110,7 @@ def test_als_single_mode_resolvent():
     op = build_operator(n)
     model = constant_diffusion(np.eye(2))
     u0 = mode_state(n, [(0, 1.0)])
-    u1, diag = als_variational_step(u0, h, h, np.zeros((n, n)), op, model, DIRECT)
+    u1, diag = als_variational_step(u0, h, h, np.zeros((n, n)), op, model)
     expected = np.zeros((n, n))
     expected[0, 0] = 1.0 / (1.0 + 2.0 * np.pi ** 2 * h)
     np.testing.assert_allclose(to_dense(u1), expected, atol=1e-12)
@@ -136,7 +134,7 @@ def test_als_recovers_constructed_minimiser():
     target = random_state(rng, n, r)
     yt = to_dense(target)
     f = (yt - to_dense(u0)) / h + _apply_full(op, model, h, yt)
-    u1, diag = als_variational_step(u0, h, h, f, op, model, DIRECT)
+    u1, diag = als_variational_step(u0, h, h, f, op, model)
     np.testing.assert_allclose(to_dense(u1), yt,
                                atol=1e-9 * np.linalg.norm(yt))
     assert diag.galerkin_residual < 1e-8
@@ -156,8 +154,8 @@ def test_als_full_rank_matches_reference():
     model = constant_diffusion([[0.9, 0.2], [0.2, 0.6]])
     u0 = factorize(rng.standard_normal((n, n)), n, rank_floor=0.0)
     f = rng.standard_normal((n, n))
-    dense = reference_step(to_dense(u0), h, h, f, op, model, DIRECT)
-    u1, _ = als_variational_step(u0, h, h, f, op, model, DIRECT)
+    dense = reference_step(to_dense(u0), h, h, f, op, model)
+    u1, _ = als_variational_step(u0, h, h, f, op, model)
     np.testing.assert_allclose(to_dense(u1), dense, atol=1e-9)
 
 
@@ -169,7 +167,7 @@ def test_als_small_step_stays_close():
     u0 = random_state(rng, n, r)
     norms = []
     for h in (1e-3, 1e-4, 1e-5):
-        u1, _ = als_variational_step(u0, h, h, np.zeros((n, n)), op, model, DIRECT)
+        u1, _ = als_variational_step(u0, h, h, np.zeros((n, n)), op, model)
         norms.append(np.linalg.norm(to_dense(u1) - to_dense(u0)))
     # drift shrinks linearly with h
     assert norms[1] < 0.2 * norms[0]
@@ -183,7 +181,7 @@ def test_als_objective_trace_monotone():
     model = rotating_diffusion(1.0, 0.2, 1.5)
     u0 = random_state(rng, n, r)
     f = rng.standard_normal((n, n))
-    u1, diag = als_variational_step(u0, h, h, f, op, model, DIRECT)
+    u1, diag = als_variational_step(u0, h, h, f, op, model)
     trace = np.asarray(diag.objective_trace)
     assert trace.size >= 2
     tol = 1e-12 * max(1.0, abs(trace[0]))
@@ -204,7 +202,7 @@ def test_als_beats_anchor_objective():
     u0 = random_state(rng, n, r)
     f = rng.standard_normal((n, n))
     start = step_objective(u0, u0, h, h, f, op, model)
-    for opts in (DIRECT, StepOptions(inner_solver="direct", single_sweep_mode=True)):
+    for opts in (StepOptions(), StepOptions(single_sweep_mode=True)):
         u1, _ = als_variational_step(u0, h, h, f, op, model, opts)
         assert step_objective(u1, u0, h, h, f, op, model) < start
 
@@ -216,7 +214,7 @@ def test_galerkin_residual_is_projected_defect():
     model = constant_diffusion([[1.0, 0.25], [0.25, 0.7]])
     u0 = random_state(rng, n, 2)
     f = rng.standard_normal((n, n))
-    u1, _ = als_variational_step(u0, h, h, f, op, model, DIRECT)
+    u1, _ = als_variational_step(u0, h, h, f, op, model)
     defect = (to_dense(u1) - to_dense(u0)) / h + _apply_full(op, model, h,
                                                              to_dense(u1)) - f
     oracle = np.linalg.norm(tangent_project(u1, defect))
@@ -245,10 +243,33 @@ def test_step_linearity_under_scaling():
     f = rng.standard_normal((n, n))
     c = 37.5
     scaled = LowRankState(u0.u1_factors, c * u0.core, u0.u2_factors)
-    u1, _ = als_variational_step(u0, h, h, f, op, model, DIRECT)
-    u1c, _ = als_variational_step(scaled, h, h, c * f, op, model, DIRECT)
+    u1, _ = als_variational_step(u0, h, h, f, op, model)
+    u1c, _ = als_variational_step(scaled, h, h, c * f, op, model)
     np.testing.assert_allclose(to_dense(u1c), c * to_dense(u1),
                                rtol=1e-11, atol=1e-11 * c)
+
+
+@pytest.mark.parametrize("a12", [0.0, 0.3])
+@pytest.mark.parametrize("own_axis", [0, 1])
+def test_half_sweep_solve_matches_kronecker_oracle(a12, own_axis):
+    # N r = 2400 unknowns; a12 = 0 is the exact Sylvester solve, a12 != 0 the
+    # preconditioned conjugate gradient
+    rng = np.random.default_rng(45)
+    n, r, h = 300, 8, 0.05
+    op = build_operator(n)
+    alpha = np.array([[1.0, a12], [a12, 0.7]])
+    basis, _ = np.linalg.qr(rng.standard_normal((n, r)))
+    rhs = rng.standard_normal((n, r))
+    own, other = (alpha[0, 0], alpha[1, 1]) if own_axis == 0 else (alpha[1, 1], alpha[0, 0])
+    stiff = np.diag(op.stiffness_1d)
+    g = op.grad_coupling_1d
+    mat = (np.eye(n * r)
+           + h * (np.kron(np.eye(r), own * stiff)
+                  + np.kron(other * basis.T @ stiff @ basis, np.eye(n))
+                  + 2 * a12 * np.kron((basis.T @ g @ basis).T, g)))
+    oracle = np.linalg.solve(mat, rhs.ravel(order="F")).reshape((n, r), order="F")
+    got = _solve_projected(op, alpha, h, own_axis, basis, rhs)
+    assert np.linalg.norm(got - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
 # ---------------------------------------------------------------------------
@@ -260,7 +281,7 @@ def test_splitting_single_mode_resolvent():
     op = build_operator(n)
     model = constant_diffusion(np.eye(2))
     u1 = splitting_euler_step(mode_state(n, [(0, 1.0)]), h, h, np.zeros((n, n)),
-                              op, model, DIRECT)
+                              op, model)
     expected = np.zeros((n, n))
     expected[0, 0] = 1.0 / (1.0 + 2.0 * np.pi ** 2 * h)
     np.testing.assert_allclose(to_dense(u1), expected, atol=1e-13)
@@ -276,15 +297,15 @@ def test_splitting_s_step_forms_agree():
         model = constant_diffusion([[1.0, 0.3], [0.3, 0.8]])
         u0 = random_state(rng, n, r)
         f = rng.standard_normal((n, n))
-        a = splitting_euler_step(u0, h, h, f, op, model, DIRECT)
-        b = splitting_euler_step(u0, h, h, f, op, model, DIRECT, s_step="forward")
+        a = splitting_euler_step(u0, h, h, f, op, model)
+        b = splitting_euler_step(u0, h, h, f, op, model, s_step="forward")
         gap = np.linalg.norm(to_dense(a) - to_dense(b))
         assert gap <= 1e-12 * np.linalg.norm(to_dense(a))
 
 
 def test_single_sweep_als_equals_splitting():
     rng = np.random.default_rng(42)
-    single = StepOptions(inner_solver="direct", single_sweep_mode=True)
+    single = StepOptions(single_sweep_mode=True)
     for trial in range(8):
         n = int(rng.integers(3, 12))
         r = int(rng.integers(1, min(5, n) + 1))
@@ -295,7 +316,7 @@ def test_single_sweep_als_equals_splitting():
         f = rng.standard_normal((n, n)) if trial % 2 else np.zeros((n, n))
         a, diag = als_variational_step(u0, h, h, f, op, model, single)
         assert diag.sweeps_used == 1
-        b = splitting_euler_step(u0, h, h, f, op, model, DIRECT)
+        b = splitting_euler_step(u0, h, h, f, op, model)
         scale = max(np.linalg.norm(to_dense(a)), 1e-30)
         assert np.linalg.norm(to_dense(a) - to_dense(b)) / scale < 1e-12
 
@@ -305,7 +326,7 @@ def test_splitting_rejects_unknown_s_step():
     model = constant_diffusion(np.eye(2))
     u0 = mode_state(4, [(0, 1.0)])
     with pytest.raises(ValueError):
-        splitting_euler_step(u0, 0.01, 0.01, np.zeros((4, 4)), op, model, DIRECT,
+        splitting_euler_step(u0, 0.01, 0.01, np.zeros((4, 4)), op, model,
                              s_step="midpoint")
 
 
@@ -345,7 +366,7 @@ def test_integrate_reference_matches_dense_oracle_each_step():
     f_q = rng.standard_normal(n)
     src = separable_source(n, [(constant_profile(1.0), f_p, f_q)])
     n_steps, T = 12, 0.12
-    traj = integrate("reference", y0, T, n_steps, model, src, DIRECT)
+    traj = integrate("reference", y0, T, n_steps, model, src)
     h = T / n_steps
     y = y0.copy()
     f = np.outer(f_p, f_q)
@@ -366,6 +387,14 @@ def test_integrate_validation_errors():
         integrate("als", u0, -0.1, 10, model, src)
     with pytest.raises(ValueError):
         integrate("als", u0, 0.1, 10, model, zero_source(7))   # dim mismatch
+
+
+def test_integrate_rejects_missing_source():
+    u0 = mode_state(6, [(0, 1.0)])
+    model = constant_diffusion(np.eye(2))
+    for method, start in (("als", u0), ("reference", to_dense(u0))):
+        with pytest.raises(TypeError, match="zero_source"):
+            integrate(method, start, 0.1, 10, model, None)
 
 
 def test_integrate_rejects_collapsed_start():
@@ -412,7 +441,6 @@ def test_integrate_with_source_matches_reference_at_full_rank():
     src = separable_source(n, [(constant_profile(1.0), rng.standard_normal(n),
                                 rng.standard_normal(n))])
     traj_r = integrate("reference", to_dense(u0), 0.1, 20, model, src)
-    traj_a = integrate("als", u0, 0.1, 20, model, src,
-                       StepOptions(inner_solver="direct"))
+    traj_a = integrate("als", u0, 0.1, 20, model, src)
     np.testing.assert_allclose(to_dense(traj_a.states[-1]), traj_r.states[-1],
                                atol=1e-8)
