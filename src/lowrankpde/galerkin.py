@@ -138,7 +138,7 @@ def validate_diffusion(model: DiffusionModel, times) -> None:
 class GalerkinOperator:
     """Precomputed 1D matrices of the sine basis.
 
-    stiffness_1d : (N,) diagonal of the 1D stiffness matrix, (n pi)^2.
+    stiffness_1d : (N, N) diagonal matrix with entries (n pi)^2.
     grad_coupling_1d : (N, N) skew-symmetric matrix of first-derivative
         couplings, entry (i, j) = integral( phi_j' phi_i ).
     v_weights : (N, N) grid of (n1 pi)^2 + (n2 pi)^2 used by the V-norms.
@@ -167,20 +167,21 @@ def build_operator(basis_dim: int, verify: bool = False) -> GalerkinOperator:
         raise ValueError("basis_dim must be >= 1")
     n = np.arange(1, basis_dim + 1)
     lam = (n * np.pi) ** 2
+    stiff = np.diag(lam)
     i = n[:, None].astype(float)
     j = n[None, :].astype(float)
     with np.errstate(divide="ignore", invalid="ignore"):
         grad = 4.0 * i * j / (i * i - j * j)
     grad[(n[:, None] + n[None, :]) % 2 == 0] = 0.0
     weights = lam[:, None] + lam[None, :]
-    op = GalerkinOperator(basis_dim, lam, grad, weights)
+    op = GalerkinOperator(basis_dim, stiff, grad, weights)
     if verify:
         x, w = _gauss_01(max(256, 8 * basis_dim))
         phi = np.sqrt(2.0) * np.sin(np.outer(n, np.pi * x))          # (N, q)
         dphi = np.sqrt(2.0) * (n[:, None] * np.pi) * np.cos(np.outer(n, np.pi * x))
         stiff_q = (dphi * w) @ dphi.T
         grad_q = (phi * w) @ dphi.T                                   # (i, j) = int phi_j' phi_i
-        if not np.allclose(stiff_q, np.diag(lam), atol=1e-10 * max(1.0, lam.max())):
+        if not np.allclose(stiff_q, stiff, atol=1e-10 * max(1.0, lam.max())):
             raise ValueError("stiffness block disagrees with quadrature")
         if not np.allclose(grad_q, grad, atol=1e-10 * max(1.0, np.abs(grad).max())):
             raise ValueError("gradient coupling disagrees with quadrature")
@@ -190,7 +191,7 @@ def build_operator(basis_dim: int, verify: bool = False) -> GalerkinOperator:
 def apply_a1(op: GalerkinOperator, model: DiffusionModel, t: float, coeffs: np.ndarray) -> np.ndarray:
     """Divergence part: ``a11 L Y + a22 Y L`` (acts on rows / columns only)."""
     a = model.alpha(t)
-    lam = op.stiffness_1d
+    lam = np.diagonal(op.stiffness_1d)
     return a[0, 0] * lam[:, None] * coeffs + a[1, 1] * coeffs * lam[None, :]
 
 
@@ -213,8 +214,9 @@ def operator_matrix(op: GalerkinOperator, model: DiffusionModel, t: float) -> np
     """Dense N^2-by-N^2 matrix of :func:`apply_operator` acting on
     column-major vectorized coefficients."""
     a = model.alpha(t)
-    eye = np.eye(op.basis_dim)
-    stiff = np.diag(op.stiffness_1d)
+    n = op.basis_dim
+    eye = np.eye(n)
+    stiff = op.stiffness_1d
     g = op.grad_coupling_1d
     mat = a[0, 0] * np.kron(eye, stiff) + a[1, 1] * np.kron(stiff, eye)
     c = a[0, 1] + a[1, 0]
@@ -352,7 +354,7 @@ def exact_diagonal_solution(op: GalerkinOperator, model: DiffusionModel,
     if model.time_dependent or not model.diagonal:
         raise ValueError("closed form requires a constant diagonal tensor")
     a = model.alpha(0.0)
-    lam = op.stiffness_1d
+    lam = np.diagonal(op.stiffness_1d)
     decay1 = np.exp(-t * a[0, 0] * lam)
     decay2 = np.exp(-t * a[1, 1] * lam)
     scaled = LowRankState(decay1[:, None] * u0.u1_factors, u0.core.copy(),

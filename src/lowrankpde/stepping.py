@@ -152,7 +152,7 @@ def _solve_projected(op: GalerkinOperator, alpha: np.ndarray, h: float, own_axis
     solved exactly in the eigenbasis of the (r, r) block; with it, that
     solve preconditions conjugate gradient.
     """
-    lam = op.stiffness_1d
+    lam = np.diagonal(op.stiffness_1d)
     g = op.grad_coupling_1d
     own = alpha[0, 0] if own_axis == 0 else alpha[1, 1]
     other = alpha[1, 1] if own_axis == 0 else alpha[0, 0]
@@ -197,7 +197,7 @@ def reference_step(y_prev: np.ndarray, h: float, t_next: float, f_mean: np.ndarr
     conjugate gradient with one.
     """
     alpha = model.alpha(t_next)
-    lam = op.stiffness_1d
+    lam = np.diagonal(op.stiffness_1d)
     denom = 1.0 + h * (alpha[0, 0] * lam[:, None] + alpha[1, 1] * lam[None, :])
     rhs = np.asarray(y_prev, dtype=float) + h * f_mean
     if alpha[0, 1] + alpha[1, 0] == 0.0:
@@ -283,7 +283,7 @@ def als_variational_step(u_prev: LowRankState, h: float, t_next: float,
 
 def splitting_euler_step(u_prev: LowRankState, h: float, t_next: float,
                          f_mean: np.ndarray, op: GalerkinOperator,
-                         model: DiffusionModel,
+                         model: DiffusionModel, *,
                          s_step: str = "projection") -> LowRankState:
     """Projector-splitting backward-Euler step.
 
@@ -305,7 +305,7 @@ def splitting_euler_step(u_prev: LowRankState, h: float, t_next: float,
         s0_plus = (u1.T @ u0) @ s0
     elif s_step == "forward":
         # S0+ = S1+ + h * A_red(S1+) - h * U1^T f V0 with both directions compressed
-        lam, g = op.stiffness_1d, op.grad_coupling_1d
+        lam, g = np.diagonal(op.stiffness_1d), op.grad_coupling_1d
         bu = (u1.T * lam) @ u1
         bv = (v0.T * lam) @ v0
         hu = u1.T @ g @ u1

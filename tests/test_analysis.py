@@ -260,7 +260,7 @@ def test_projection_ratios_scale_invariant():
     op = build_operator(8)
     u = sample_state(rng, 8, 3, sigma_range=(0.05, 1.0))
     z = rng.standard_normal((8, 8))
-    lam = op.stiffness_1d
+    lam = np.diagonal(op.stiffness_1d)
 
     def ratios(state):
         y = to_dense(state)
@@ -282,7 +282,7 @@ def test_factor_regularity_explicit_single_mode():
     # pi sqrt(2), so the measured ratio is exactly 1/sqrt(2)
     from lowrankpde.galerkin import v_norm
     op = build_operator(6)
-    lam = op.stiffness_1d
+    lam = np.diagonal(op.stiffness_1d)
     u = mode_state(6, [(0, 1.0)])
     semi = np.sqrt(np.sum(lam * u.u1_factors[:, 0] ** 2))
     assert semi == pytest.approx(np.pi, rel=1e-13)

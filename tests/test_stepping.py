@@ -261,7 +261,7 @@ def test_half_sweep_solve_matches_kronecker_oracle(a12, own_axis):
     basis, _ = np.linalg.qr(rng.standard_normal((n, r)))
     rhs = rng.standard_normal((n, r))
     own, other = (alpha[0, 0], alpha[1, 1]) if own_axis == 0 else (alpha[1, 1], alpha[0, 0])
-    stiff = np.diag(op.stiffness_1d)
+    stiff = op.stiffness_1d
     g = op.grad_coupling_1d
     mat = (np.eye(n * r)
            + h * (np.kron(np.eye(r), own * stiff)
@@ -328,6 +328,15 @@ def test_splitting_rejects_unknown_s_step():
     with pytest.raises(ValueError):
         splitting_euler_step(u0, 0.01, 0.01, np.zeros((4, 4)), op, model,
                              s_step="midpoint")
+
+
+def test_splitting_s_step_is_keyword_only():
+    op = build_operator(4)
+    model = constant_diffusion(np.eye(2))
+    u0 = mode_state(4, [(0, 1.0)])
+    with pytest.raises(TypeError):
+        splitting_euler_step(u0, 0.01, 0.01, np.zeros((4, 4)), op, model,
+                             StepOptions())
 
 
 # ---------------------------------------------------------------------------
