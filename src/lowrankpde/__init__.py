@@ -16,8 +16,8 @@ from .galerkin import (DiffusionModel, GalerkinOperator, SourceSpec, TimeProfile
                        apply_operator, bilinear_a, build_operator, constant_diffusion,
                        constant_profile, cosine_profile, exact_diagonal_solution,
                        h_norm, linear_profile, operator_matrix, rhs_mean,
-                       rotating_diffusion, separable_source, v_dual_norm, v_norm,
-                       validate_diffusion, zero_source)
+                       rhs_mean_factors, rotating_diffusion, separable_source,
+                       v_dual_norm, v_norm, validate_diffusion, zero_source)
 from .manifold import (LowRankState, RankDeficiencyError, factorize, reorthonormalize,
                        singular_values, smallest_singular, tangent_project, to_dense)
 from .stepping import (HaltRecord, InnerSolveError, StepDiagnostics, StepOptions,
@@ -37,7 +37,8 @@ __all__ = [
     "factorize", "galerkin_residual", "h_norm", "integrate",
     "interpolant_gap", "linear_profile", "operator_matrix",
     "projection_regularity_suite", "reference_step", "reorthonormalize", "rhs_mean",
-    "rotating_diffusion", "sample_nearby_state", "sample_state", "separable_source",
+    "rhs_mean_factors", "rotating_diffusion", "sample_nearby_state", "sample_state",
+    "separable_source",
     "singular_values", "smallest_singular", "splitting_euler_step", "step_objective",
     "tangency_suite", "tangent_project", "to_dense", "v_dual_norm", "v_norm",
     "validate_diffusion", "zero_source",

@@ -37,6 +37,7 @@ __all__ = [
     "linear_profile",
     "operator_matrix",
     "rhs_mean",
+    "rhs_mean_factors",
     "rotating_diffusion",
     "separable_source",
     "v_dual_norm",
@@ -331,12 +332,23 @@ def separable_source(basis_dim: int, terms) -> SourceSpec:
     return SourceSpec(basis_dim, tuple(packed))
 
 
+def rhs_mean_factors(source: SourceSpec, t_a: float, t_b: float):
+    """Factor pair ``(P, Q)`` of the source's exact interval mean, which is
+    ``P @ Q.T``.  Both are (N, m) for m terms: column k of P is the left
+    vector of term k times its profile mean, column k of Q its right vector.
+    A source without terms gives (N, 0) factors."""
+    n, m = source.basis_dim, len(source.terms)
+    p_mat, q_mat = np.empty((n, m)), np.empty((n, m))
+    for k, (profile, p, q) in enumerate(source.terms):
+        p_mat[:, k] = profile.mean(t_a, t_b) * p
+        q_mat[:, k] = q
+    return p_mat, q_mat
+
+
 def rhs_mean(source: SourceSpec, t_a: float, t_b: float) -> np.ndarray:
-    """Exact interval mean of the source, term by term."""
-    out = np.zeros((source.basis_dim, source.basis_dim))
-    for profile, p, q in source.terms:
-        out += profile.mean(t_a, t_b) * np.outer(p, q)
-    return out
+    """Exact interval mean of the source as a dense (N, N) matrix."""
+    p, q = rhs_mean_factors(source, t_a, t_b)
+    return p @ q.T
 
 
 # ---------------------------------------------------------------------------

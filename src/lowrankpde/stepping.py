@@ -9,7 +9,11 @@ Each implicit step minimizes
 over the admissible set: all matrices for the reference solver, the rank-r
 set for the manifold methods.  The coefficient tensor is frozen at t_next
 for the whole step (all sweeps), and f_mean is the exact interval mean of
-the source.
+the source.  The manifold methods take f_mean as its factor pair (P, Q),
+f_mean = P Q^T, and evaluate F, the Galerkin residual and the ALS stop test
+from the state's factors and r-by-r blocks, so a step costs O(N r^2) plus
+O(N^2 r) for applying the dense coupling G to (N, r) blocks when the
+mixed term is on; no N-by-N matrix is formed.
 """
 
 from __future__ import annotations
@@ -17,15 +21,15 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 from scipy.sparse.linalg import LinearOperator, cg
 
 from .galerkin import (DiffusionModel, GalerkinOperator, SourceSpec, apply_operator,
-                       build_operator, h_norm, rhs_mean)
+                       build_operator, h_norm, rhs_mean_factors)
 from .manifold import (LowRankState, RankDeficiencyError, qr_nonneg, singular_values,
-                       smallest_singular, tangent_project, to_dense)
+                       smallest_singular, to_dense)
 
 __all__ = [
     "HaltRecord",
@@ -105,17 +109,123 @@ class Trajectory:
         return float(self.times[1] - self.times[0])
 
 
-def _dense(u) -> np.ndarray:
-    return to_dense(u) if isinstance(u, LowRankState) else np.asarray(u, dtype=float)
+# ---------------------------------------------------------------------------
+# the step objective on factored states
 
 
-def step_objective(u, u_prev, h: float, t_next: float, f_mean: np.ndarray,
-                   op: GalerkinOperator, model: DiffusionModel) -> float:
-    """Value of the implicit-step objective F at ``u`` anchored at ``u_prev``."""
-    y = _dense(u)
-    d = y - _dense(u_prev)
-    quad = float(np.sum(apply_operator(op, model, t_next, y) * y))
-    return float(np.sum(d * d)) / (2.0 * h) + 0.5 * quad - float(np.sum(f_mean * y))
+class _Frame(NamedTuple):
+    """An orthonormal (N, r) factor block of one axis with its r-by-r
+    compressions and overlaps.
+
+    lam = basis^T L basis; g_basis = G basis and g = basis^T G basis (None
+    without a mixed term); anchor and source are basis^T times the anchor's
+    and the source's factor of the same axis.
+    """
+
+    basis: np.ndarray
+    lam: np.ndarray
+    g_basis: Optional[np.ndarray]
+    g: Optional[np.ndarray]
+    anchor: np.ndarray
+    source: np.ndarray
+
+
+class _Step:
+    """One implicit step: anchor Y0, tensor alpha (at t_next), step size h
+    and source mean P Q^T.  Evaluates F and the Galerkin residual at
+    ``U S V^T`` from the frames of U (axis 0) and V (axis 1)."""
+
+    def __init__(self, op: GalerkinOperator, alpha: np.ndarray, h: float,
+                 anchor: LowRankState, p: np.ndarray, q: np.ndarray):
+        self.op, self.alpha, self.h, self.anchor, self.p, self.q = op, alpha, h, anchor, p, q
+        self.mixed = alpha[0, 1] + alpha[1, 0]
+
+    def frame(self, basis: np.ndarray, axis: int) -> _Frame:
+        lam = np.diagonal(self.op.stiffness_1d)
+        g_basis = g = None
+        if self.mixed != 0.0:
+            g_basis = self.op.grad_coupling_1d @ basis
+            g = basis.T @ g_basis
+        anchor = self.anchor.u1_factors if axis == 0 else self.anchor.u2_factors
+        source = self.p if axis == 0 else self.q
+        return _Frame(basis, (basis.T * lam) @ basis, g_basis, g,
+                      basis.T @ anchor, basis.T @ source)
+
+    def reduced(self, s: np.ndarray, left: _Frame, right: _Frame) -> np.ndarray:
+        """U^T A(U S V^T) V: the operator compressed onto both frames."""
+        out = self.alpha[0, 0] * (left.lam @ s) + self.alpha[1, 1] * (s @ right.lam)
+        if self.mixed != 0.0:
+            out += self.mixed * (left.g @ s @ right.g)
+        return out
+
+    def objective(self, s: np.ndarray, left: _Frame, right: _Frame) -> float:
+        """F at U S V^T: |Y - Y0|^2 from the factor overlaps, a(Y, Y) from
+        the compressed operator, <P Q^T, Y> from U^T P and V^T Q."""
+        s0 = self.anchor.core
+        cross = np.sum(s * (left.anchor @ s0 @ right.anchor.T))
+        dist2 = max(np.sum(s * s) + np.sum(s0 * s0) - 2.0 * cross, 0.0)
+        quad = np.sum(s * self.reduced(s, left, right))
+        lin = np.sum(left.source * (s @ right.source))
+        return float(dist2 / (2.0 * self.h) + 0.5 * quad - lin)
+
+    def residual(self, s: np.ndarray, left: _Frame, right: _Frame) -> float:
+        """Norm of the defect D = (Y - Y0)/h + A Y - P Q^T projected onto the
+        tangent space at Y = U S V^T: |U^T D|^2 + |D V - U (U^T D) V|^2, with
+        U^T D (r, N) and D V (N, r) assembled term by term."""
+        a, h = self.alpha, self.h
+        lam = np.diagonal(self.op.stiffness_1d)[:, None]
+        u, v = left.basis, right.basis
+        u0, s0, v0 = self.anchor.u1_factors, self.anchor.core, self.anchor.u2_factors
+        ut_d = ((s / h + a[0, 0] * (left.lam @ s)) @ v.T + a[1, 1] * (s @ (lam * v).T)
+                - (left.anchor @ s0 / h) @ v0.T - left.source @ self.q.T)
+        d_v = (u @ (s / h + a[1, 1] * (s @ right.lam)) + a[0, 0] * ((lam * u) @ s)
+               - u0 @ (s0 @ right.anchor.T / h) - self.p @ right.source.T)
+        if self.mixed != 0.0:
+            # G^T = -G, so V^T G = -(G V)^T
+            ut_d -= self.mixed * ((left.g @ s) @ right.g_basis.T)
+            d_v += self.mixed * (left.g_basis @ (s @ right.g))
+        normal = d_v - u @ (ut_d @ v)
+        return math.sqrt(np.sum(ut_d * ut_d) + np.sum(normal * normal))
+
+
+def _step_at(u: LowRankState, u_prev: LowRankState, h: float, t_next: float,
+             f_factors, op: GalerkinOperator, model: DiffusionModel):
+    step = _Step(op, model.alpha(t_next), h, u_prev, *f_factors)
+    return step, step.frame(u.u1_factors, 0), step.frame(u.u2_factors, 1)
+
+
+def step_objective(u: LowRankState, u_prev: LowRankState, h: float, t_next: float,
+                   f_factors, op: GalerkinOperator, model: DiffusionModel) -> float:
+    """Value of the implicit-step objective F at ``u`` anchored at ``u_prev``,
+    for the source mean ``P @ Q.T`` given as ``f_factors = (P, Q)``."""
+    step, left, right = _step_at(u, u_prev, h, t_next, f_factors, op, model)
+    return step.objective(u.core, left, right)
+
+
+def galerkin_residual(u_next: LowRankState, u_prev: LowRankState, h: float,
+                      t_next: float, f_factors, op: GalerkinOperator,
+                      model: DiffusionModel) -> float:
+    """Norm of the step defect tested against the tangent space at u_next.
+
+    The defect (u_next - u_prev)/h + A(t_next) u_next - P Q^T is projected
+    onto the tangent space of the new state; its Frobenius norm equals the
+    norm of the residual functional in any orthonormal tangent basis.
+    """
+    step, left, right = _step_at(u_next, u_prev, h, t_next, f_factors, op, model)
+    return step.residual(u_next.core, left, right)
+
+
+def _state_change(old: LowRankState, mid: LowRankState, new: LowRankState) -> float:
+    """Frobenius distance between ``old`` and ``new`` through the half-sweep
+    state ``mid``, which shares its right factor with ``old`` and its left
+    factor with ``new``.  Both increments are then differences of (N, r)
+    blocks, mid - old = dk V_old^T and new - mid = U_new dw^T, so the result
+    keeps its relative accuracy however close the states are; no difference
+    of squared norms enters."""
+    dk = mid.u1_factors @ mid.core - old.u1_factors @ old.core
+    dw = new.u2_factors @ new.core.T - mid.u2_factors @ mid.core.T
+    cross = np.sum((mid.u2_factors.T @ dw) * (new.u1_factors.T @ dk).T)
+    return math.sqrt(max(np.sum(dk * dk) + np.sum(dw * dw) + 2.0 * cross, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +238,8 @@ def _pcg(apply, precondition, rhs: np.ndarray) -> np.ndarray:
     shape, n = rhs.shape, rhs.size
 
     def linear(fn):
-        return LinearOperator((n, n), matvec=lambda v: fn(v.reshape(shape)).ravel())
+        return LinearOperator((n, n), matvec=lambda v: fn(v.reshape(shape)).ravel(),
+                              dtype=float)
 
     x, info = cg(linear(apply), rhs.ravel(), rtol=_CG_RTOL, atol=0.0,
                  maxiter=max(1000, 20 * n), M=linear(precondition))
@@ -138,12 +249,15 @@ def _pcg(apply, precondition, rhs: np.ndarray) -> np.ndarray:
 
 
 def _solve_projected(op: GalerkinOperator, alpha: np.ndarray, h: float, own_axis: int,
-                     basis: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+                     b_block: np.ndarray, h_block: Optional[np.ndarray],
+                     rhs: np.ndarray) -> np.ndarray:
     """Solve one half-sweep system  X + h * A_red(X) = rhs  for X (N, r).
 
     ``own_axis`` selects which coordinate keeps its full 1D stiffness
     (0: left factor update, 1: right factor update); the other direction is
-    compressed onto ``basis``.  The reduced operator
+    compressed onto a basis B, given by its (r, r) blocks
+    ``b_block = B^T L B`` and ``h_block = B^T G B`` (read only with a mixed
+    term).  The reduced operator
 
         A_red(X) = own * L X + other * X (B^T L B) + c * G X (B^T G B)
 
@@ -157,7 +271,6 @@ def _solve_projected(op: GalerkinOperator, alpha: np.ndarray, h: float, own_axis
     own = alpha[0, 0] if own_axis == 0 else alpha[1, 1]
     other = alpha[1, 1] if own_axis == 0 else alpha[0, 0]
     c = alpha[0, 1] + alpha[1, 0]
-    b_block = (basis.T * lam) @ basis             # (r, r) symmetric
     evals, evecs = np.linalg.eigh(b_block)
     denom = 1.0 + h * (own * lam[:, None] + other * evals[None, :])
 
@@ -166,7 +279,6 @@ def _solve_projected(op: GalerkinOperator, alpha: np.ndarray, h: float, own_axis
 
     if c == 0.0:
         return sylvester(rhs)
-    h_block = basis.T @ g @ basis                 # (r, r) skew
 
     def apply(x):
         return x + h * (own * lam[:, None] * x + other * (x @ b_block)
@@ -206,23 +318,8 @@ def reference_step(y_prev: np.ndarray, h: float, t_next: float, f_mean: np.ndarr
                 lambda x: x / denom, rhs)
 
 
-def galerkin_residual(u_next: LowRankState, u_prev, h: float, t_next: float,
-                      f_mean: np.ndarray, op: GalerkinOperator,
-                      model: DiffusionModel) -> float:
-    """Norm of the step defect tested against the tangent space at u_next.
-
-    The defect (u_next - u_prev)/h + A(t_next) u_next - f_mean is projected
-    onto the tangent space of the new state; its Frobenius norm equals the
-    norm of the residual functional in any orthonormal tangent basis.
-    """
-    y = to_dense(u_next)
-    defect = (y - _dense(u_prev)) / h + apply_operator(op, model, t_next, y) - f_mean
-    return h_norm(tangent_project(u_next, defect))
-
-
 def als_variational_step(u_prev: LowRankState, h: float, t_next: float,
-                         f_mean: np.ndarray, op: GalerkinOperator,
-                         model: DiffusionModel,
+                         f_factors, op: GalerkinOperator, model: DiffusionModel,
                          opts: Optional[StepOptions] = None):
     """Rank-constrained backward-Euler step by alternating half-sweeps.
 
@@ -231,45 +328,47 @@ def als_variational_step(u_prev: LowRankState, h: float, t_next: float,
     factor-with-core (new left basis frozen).  The anchor u_prev stays fixed
     across sweeps, so each half-sweep can only decrease F.  Sweeping stops
     when the relative state change drops under ``als_tol``, after one sweep
-    in single-sweep mode, or at the sweep cap (flagged in the log).
+    in single-sweep mode, or at the sweep cap (flagged in the log).  The
+    source mean is ``P @ Q.T`` for ``f_factors = (P, Q)``.
 
     Returns (state, diagnostics).
     """
     opts = opts or StepOptions()
     alpha = model.alpha(t_next)
+    step = _Step(op, alpha, h, u_prev, *f_factors)
     u0, s0, v0 = u_prev.u1_factors, u_prev.core, u_prev.u2_factors
-    u_basis, v_basis = u0, v0
+    left, right = step.frame(u0, 0), step.frame(v0, 1)
     state = u_prev
-    trace = [step_objective(u_prev, u_prev, h, t_next, f_mean, op, model)]
-    dense_old = to_dense(u_prev)
+    trace = [step.objective(s0, left, right)]
     sweeps = 0
     converged = False
     rel_change = math.inf
     for _ in range(opts.als_max_sweeps):
         sweeps += 1
+        old = state
         # left half-sweep: unknown K = U S with the right basis frozen
-        rhs_k = u0 @ (s0 @ (v0.T @ v_basis)) + h * (f_mean @ v_basis)
-        k = _solve_projected(op, alpha, h, 0, v_basis, rhs_k)
+        rhs_k = u0 @ (s0 @ right.anchor.T) + h * (step.p @ right.source.T)
+        k = _solve_projected(op, alpha, h, 0, right.lam, right.g, rhs_k)
         u_basis, r_k = qr_nonneg(k)
         _check_collapse(r_k, "left")
-        state = LowRankState(u_basis, r_k, v_basis)
-        trace.append(step_objective(state, u_prev, h, t_next, f_mean, op, model))
+        left = step.frame(u_basis, 0)
+        mid = LowRankState(u_basis, r_k, right.basis)
+        trace.append(step.objective(r_k, left, right))
         # right half-sweep: unknown W = V S^T with the new left basis frozen
-        rhs_w = v0 @ (s0.T @ (u0.T @ u_basis)) + h * (f_mean.T @ u_basis)
-        w = _solve_projected(op, alpha, h, 1, u_basis, rhs_w)
+        rhs_w = v0 @ (s0.T @ left.anchor.T) + h * (step.q @ left.source.T)
+        w = _solve_projected(op, alpha, h, 1, left.lam, left.g, rhs_w)
         v_basis, r_w = qr_nonneg(w)
         _check_collapse(r_w, "right")
+        right = step.frame(v_basis, 1)
         state = LowRankState(u_basis, r_w.T, v_basis)
-        trace.append(step_objective(state, u_prev, h, t_next, f_mean, op, model))
-        dense_new = to_dense(state)
-        rel_change = h_norm(dense_new - dense_old) / max(h_norm(dense_new),
-                                                         np.finfo(float).tiny)
-        dense_old = dense_new
+        trace.append(step.objective(state.core, left, right))
+        rel_change = _state_change(old, mid, state) / max(h_norm(state.core),
+                                                          np.finfo(float).tiny)
         if opts.single_sweep_mode or rel_change <= opts.als_tol:
             converged = True
             break
-    residual = galerkin_residual(state, u_prev, h, t_next, f_mean, op, model)
-    if not converged and residual > 1e3 * opts.als_tol * max(1.0, h_norm(dense_old)):
+    residual = step.residual(state.core, left, right)
+    if not converged and residual > 1e3 * opts.als_tol * max(1.0, h_norm(state.core)):
         log.warning("sweep cap %d reached at t=%.6g with residual %.3e",
                     opts.als_max_sweeps, t_next, residual)
     decreased = trace[-1] <= trace[0] + 1e-12 * abs(trace[0]) + 1e-300
@@ -282,7 +381,7 @@ def als_variational_step(u_prev: LowRankState, h: float, t_next: float,
 
 
 def splitting_euler_step(u_prev: LowRankState, h: float, t_next: float,
-                         f_mean: np.ndarray, op: GalerkinOperator,
+                         f_factors, op: GalerkinOperator,
                          model: DiffusionModel, *,
                          s_step: str = "projection") -> LowRankState:
     """Projector-splitting backward-Euler step.
@@ -291,35 +390,31 @@ def splitting_euler_step(u_prev: LowRankState, h: float, t_next: float,
     solve for the right factor-with-core.  The core update defaults to the
     projection form ``S <- U_new^T U_old S``; ``s_step="forward"`` uses the
     algebraically equivalent explicit-Euler form, which reproduces the
-    projection exactly whenever the first solve is exact.
+    projection exactly whenever the first solve is exact.  The source mean
+    is ``P @ Q.T`` for ``f_factors = (P, Q)``.
     """
     alpha = model.alpha(t_next)
+    step = _Step(op, alpha, h, u_prev, *f_factors)
     u0, s0, v0 = u_prev.u1_factors, u_prev.core, u_prev.u2_factors
+    right = step.frame(v0, 1)
 
-    rhs_k = u0 @ s0 + h * (f_mean @ v0)
-    k = _solve_projected(op, alpha, h, 0, v0, rhs_k)
+    rhs_k = u0 @ s0 + h * (step.p @ right.source.T)
+    k = _solve_projected(op, alpha, h, 0, right.lam, right.g, rhs_k)
     u1, s1_plus = qr_nonneg(k)
     _check_collapse(s1_plus, "left")
+    left = step.frame(u1, 0)
 
     if s_step == "projection":
-        s0_plus = (u1.T @ u0) @ s0
+        s0_plus = left.anchor @ s0
     elif s_step == "forward":
         # S0+ = S1+ + h * A_red(S1+) - h * U1^T f V0 with both directions compressed
-        lam, g = np.diagonal(op.stiffness_1d), op.grad_coupling_1d
-        bu = (u1.T * lam) @ u1
-        bv = (v0.T * lam) @ v0
-        hu = u1.T @ g @ u1
-        hv = v0.T @ g @ v0
-        c = alpha[0, 1] + alpha[1, 0]
-        a_red = alpha[0, 0] * bu @ s1_plus + alpha[1, 1] * s1_plus @ bv
-        if c != 0.0:
-            a_red += c * (hu @ s1_plus @ hv)
-        s0_plus = s1_plus + h * a_red - h * (u1.T @ f_mean @ v0)
+        s0_plus = (s1_plus + h * step.reduced(s1_plus, left, right)
+                   - h * (left.source @ right.source.T))
     else:
         raise ValueError(f"unknown s_step {s_step!r}")
 
-    rhs_w = v0 @ s0_plus.T + h * (f_mean.T @ u1)
-    w = _solve_projected(op, alpha, h, 1, u1, rhs_w)
+    rhs_w = v0 @ s0_plus.T + h * (step.q @ left.source.T)
+    w = _solve_projected(op, alpha, h, 1, left.lam, left.g, rhs_w)
     v1, r_w = qr_nonneg(w)
     _check_collapse(r_w, "right")
     return LowRankState(u1, r_w.T, v1)
@@ -370,27 +465,34 @@ def integrate(method: str, u0, T: float, n_steps: int, model: DiffusionModel,
     halted = None
     for i in range(n_steps):
         t0, t1 = i * h, (i + 1) * h
-        f_bar = rhs_mean(source, t0, t1)
+        f_pair = rhs_mean_factors(source, t0, t1)
         try:
             if method == "als":
-                state, diag = als_variational_step(states[-1], h, t1, f_bar, op, model, opts)
+                state, diag = als_variational_step(states[-1], h, t1, f_pair, op, model, opts)
             elif method == "splitting":
-                state = splitting_euler_step(states[-1], h, t1, f_bar, op, model)
-                f_prev = step_objective(states[-1], states[-1], h, t1, f_bar, op, model)
-                f_new = step_objective(state, states[-1], h, t1, f_bar, op, model)
+                state = splitting_euler_step(states[-1], h, t1, f_pair, op, model)
+                f_prev = step_objective(states[-1], states[-1], h, t1, f_pair, op, model)
+                f_new = step_objective(state, states[-1], h, t1, f_pair, op, model)
                 diag = StepDiagnostics(
                     sweeps_used=1,
                     galerkin_residual=galerkin_residual(state, states[-1], h, t1,
-                                                        f_bar, op, model),
+                                                        f_pair, op, model),
                     objective_value=f_new,
                     sigma_r=smallest_singular(state),
                     objective_decreased=bool(f_new <= f_prev + 1e-12 * abs(f_prev) + 1e-300),
                     objective_trace=(f_prev, f_new))
             else:
-                y = reference_step(states[-1], h, t1, f_bar, op, model)
-                defect = (y - states[-1]) / h + apply_operator(op, model, t1, y) - f_bar
-                f_prev = step_objective(states[-1], states[-1], h, t1, f_bar, op, model)
-                f_new = step_objective(y, states[-1], h, t1, f_bar, op, model)
+                # the full-rank step is dense: so are its source, objective and defect
+                f_bar = f_pair[0] @ f_pair[1].T
+                y_prev = states[-1]
+                y = reference_step(y_prev, h, t1, f_bar, op, model)
+                a_y = apply_operator(op, model, t1, y)
+                d = y - y_prev
+                defect = d / h + a_y - f_bar
+                f_prev = (0.5 * float(np.sum(apply_operator(op, model, t1, y_prev) * y_prev))
+                          - float(np.sum(f_bar * y_prev)))
+                f_new = (float(np.sum(d * d)) / (2.0 * h) + 0.5 * float(np.sum(a_y * y))
+                         - float(np.sum(f_bar * y)))
                 diag = StepDiagnostics(
                     sweeps_used=0, galerkin_residual=h_norm(defect),
                     objective_value=f_new, sigma_r=math.nan,

@@ -186,7 +186,7 @@ def test_criterion_7_reference_solver_oracle():
         u0 = factorize(rng_k.standard_normal((n, n)), n, rank_floor=0.0)
         f = rng_k.standard_normal((n, n))
         dense = reference_step(to_dense(u0), h, h, f, op, model)
-        approx, _ = als_variational_step(u0, h, h, f, op, model)
+        approx, _ = als_variational_step(u0, h, h, (f, np.eye(n)), op, model)
         worst_als = max(worst_als,
                         np.linalg.norm(to_dense(approx) - dense)
                         / np.linalg.norm(dense))

@@ -348,8 +348,8 @@ def test_full_rank_both_methods_match_reference():
     f = rng.standard_normal((n, n))
     dense = reference_step(to_dense(u0), h, h, f, op, model)
     scale = np.linalg.norm(dense)
-    als, _ = als_variational_step(u0, h, h, f, op, model)
-    split = splitting_euler_step(u0, h, h, f, op, model)
+    als, _ = als_variational_step(u0, h, h, (f, np.eye(n)), op, model)
+    split = splitting_euler_step(u0, h, h, (f, np.eye(n)), op, model)
     assert np.linalg.norm(to_dense(als) - dense) <= 1e-10 * scale
     assert np.linalg.norm(to_dense(split) - dense) <= 1e-10 * scale
 
@@ -364,8 +364,8 @@ def test_equivalence_vanishing_step_returns_start():
     f = rng.standard_normal((n, n))
     opts = StepOptions(single_sweep_mode=True)
     y0 = to_dense(u0)
-    a, _ = als_variational_step(u0, h, h, f, op, model, opts)
-    b = splitting_euler_step(u0, h, h, f, op, model)
+    a, _ = als_variational_step(u0, h, h, (f, np.eye(n)), op, model, opts)
+    b = splitting_euler_step(u0, h, h, (f, np.eye(n)), op, model)
     # the drift of one implicit step is at most h times the defect scale
     from lowrankpde.galerkin import apply_operator
     budget = 10.0 * h * (np.linalg.norm(apply_operator(op, model, h, y0))

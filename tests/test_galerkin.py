@@ -15,7 +15,8 @@ from lowrankpde.galerkin import (DiffusionModel, apply_a1, apply_a2, apply_opera
                                  bilinear_a, build_operator, constant_diffusion,
                                  constant_profile, cosine_profile,
                                  exact_diagonal_solution, h_norm, linear_profile,
-                                 operator_matrix, rhs_mean, rotating_diffusion,
+                                 operator_matrix, rhs_mean, rhs_mean_factors,
+                                 rotating_diffusion,
                                  separable_source, v_dual_norm, v_norm,
                                  validate_diffusion, zero_source)
 from lowrankpde.manifold import factorize, to_dense
@@ -315,6 +316,21 @@ def test_source_value_and_mean():
     oracle = quad(lambda s: 1.5 * np.cos(2.0 * s), a, b)[0] / (b - a)
     np.testing.assert_allclose(rhs_mean(src, a, b), oracle * np.outer(p, q),
                                atol=1e-12)
+
+
+def test_rhs_mean_factors_reproduce_the_interval_mean():
+    rng = np.random.default_rng(3)
+    n = 6
+    profiles = [constant_profile(1.3), linear_profile(0.8), cosine_profile(2.0, 3.5)]
+    vectors = [(rng.standard_normal(n), rng.standard_normal(n)) for _ in profiles]
+    src = separable_source(n, [(pr, p, q) for pr, (p, q) in zip(profiles, vectors)])
+    a, b = 0.3, 0.9
+    p_mat, q_mat = rhs_mean_factors(src, a, b)
+    assert p_mat.shape == q_mat.shape == (n, 3)
+    oracle = sum(quad(lambda t: pr.value(t), a, b)[0] / (b - a) * np.outer(p, q)
+                 for pr, (p, q) in zip(profiles, vectors))
+    np.testing.assert_allclose(p_mat @ q_mat.T, oracle, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(rhs_mean(src, a, b), p_mat @ q_mat.T)
 
 
 def test_zero_source():

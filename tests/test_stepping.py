@@ -2,17 +2,22 @@
 oracles, plus the exact single-pass equivalence between the two rank-constrained
 updates."""
 
+import math
+import tracemalloc
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from lowrankpde.galerkin import (bilinear_a, build_operator, constant_diffusion,
-                                 operator_matrix, rotating_diffusion,
+                                 cosine_profile, operator_matrix, rhs_mean_factors,
+                                 rotating_diffusion,
                                  separable_source, constant_profile, zero_source)
 from lowrankpde.manifold import (LowRankState, RankDeficiencyError, factorize,
-                                 tangent_project, to_dense)
-from lowrankpde.stepping import (StepOptions, _solve_projected, als_variational_step,
-                                 galerkin_residual, integrate, reference_step,
-                                 splitting_euler_step, step_objective)
+                                 qr_nonneg, tangent_project, to_dense)
+from lowrankpde.stepping import (StepOptions, _solve_projected, _state_change,
+                                 als_variational_step, galerkin_residual, integrate,
+                                 reference_step, splitting_euler_step, step_objective)
 
 def mode_state(n, entries):
     """Rank-len(entries) state with coefficient c on the (i, i) mode pair."""
@@ -94,10 +99,16 @@ def test_reference_step_minimises_objective():
     y0 = rng.standard_normal((n, n))
     f = rng.standard_normal((n, n))
     star = reference_step(y0, h, h, f, op, model)
-    f_star = step_objective(star, y0, h, h, f, op, model)
+
+    def objective(y):
+        d = y - y0
+        return (np.sum(d * d) / (2 * h) + 0.5 * np.sum(_apply_full(op, model, h, y) * y)
+                - np.sum(f * y))
+
+    f_star = objective(star)
     for _ in range(10):
         other = star + 1e-3 * rng.standard_normal((n, n))
-        assert step_objective(other, y0, h, h, f, op, model) >= f_star - 1e-12
+        assert objective(other) >= f_star - 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +121,7 @@ def test_als_single_mode_resolvent():
     op = build_operator(n)
     model = constant_diffusion(np.eye(2))
     u0 = mode_state(n, [(0, 1.0)])
-    u1, diag = als_variational_step(u0, h, h, np.zeros((n, n)), op, model)
+    u1, diag = als_variational_step(u0, h, h, (np.zeros((n, n)), np.eye(n)), op, model)
     expected = np.zeros((n, n))
     expected[0, 0] = 1.0 / (1.0 + 2.0 * np.pi ** 2 * h)
     np.testing.assert_allclose(to_dense(u1), expected, atol=1e-12)
@@ -134,7 +145,7 @@ def test_als_recovers_constructed_minimiser():
     target = random_state(rng, n, r)
     yt = to_dense(target)
     f = (yt - to_dense(u0)) / h + _apply_full(op, model, h, yt)
-    u1, diag = als_variational_step(u0, h, h, f, op, model)
+    u1, diag = als_variational_step(u0, h, h, (f, np.eye(n)), op, model)
     np.testing.assert_allclose(to_dense(u1), yt,
                                atol=1e-9 * np.linalg.norm(yt))
     assert diag.galerkin_residual < 1e-8
@@ -155,7 +166,7 @@ def test_als_full_rank_matches_reference():
     u0 = factorize(rng.standard_normal((n, n)), n, rank_floor=0.0)
     f = rng.standard_normal((n, n))
     dense = reference_step(to_dense(u0), h, h, f, op, model)
-    u1, _ = als_variational_step(u0, h, h, f, op, model)
+    u1, _ = als_variational_step(u0, h, h, (f, np.eye(n)), op, model)
     np.testing.assert_allclose(to_dense(u1), dense, atol=1e-9)
 
 
@@ -167,7 +178,7 @@ def test_als_small_step_stays_close():
     u0 = random_state(rng, n, r)
     norms = []
     for h in (1e-3, 1e-4, 1e-5):
-        u1, _ = als_variational_step(u0, h, h, np.zeros((n, n)), op, model)
+        u1, _ = als_variational_step(u0, h, h, (np.zeros((n, n)), np.eye(n)), op, model)
         norms.append(np.linalg.norm(to_dense(u1) - to_dense(u0)))
     # drift shrinks linearly with h
     assert norms[1] < 0.2 * norms[0]
@@ -181,7 +192,7 @@ def test_als_objective_trace_monotone():
     model = rotating_diffusion(1.0, 0.2, 1.5)
     u0 = random_state(rng, n, r)
     f = rng.standard_normal((n, n))
-    u1, diag = als_variational_step(u0, h, h, f, op, model)
+    u1, diag = als_variational_step(u0, h, h, (f, np.eye(n)), op, model)
     trace = np.asarray(diag.objective_trace)
     assert trace.size >= 2
     tol = 1e-12 * max(1.0, abs(trace[0]))
@@ -190,7 +201,7 @@ def test_als_objective_trace_monotone():
     # the final trace entry is the reported objective
     assert trace[-1] == pytest.approx(diag.objective_value, rel=1e-12)
     assert trace[-1] == pytest.approx(
-        step_objective(u1, u0, h, h, f, op, model), rel=1e-10)
+        step_objective(u1, u0, h, h, (f, np.eye(n)), op, model), rel=1e-10)
 
 
 def test_als_beats_anchor_objective():
@@ -201,10 +212,10 @@ def test_als_beats_anchor_objective():
     model = constant_diffusion([[0.8, 0.3], [0.3, 0.9]])
     u0 = random_state(rng, n, r)
     f = rng.standard_normal((n, n))
-    start = step_objective(u0, u0, h, h, f, op, model)
+    start = step_objective(u0, u0, h, h, (f, np.eye(n)), op, model)
     for opts in (StepOptions(), StepOptions(single_sweep_mode=True)):
-        u1, _ = als_variational_step(u0, h, h, f, op, model, opts)
-        assert step_objective(u1, u0, h, h, f, op, model) < start
+        u1, _ = als_variational_step(u0, h, h, (f, np.eye(n)), op, model, opts)
+        assert step_objective(u1, u0, h, h, (f, np.eye(n)), op, model) < start
 
 
 def test_galerkin_residual_is_projected_defect():
@@ -214,11 +225,11 @@ def test_galerkin_residual_is_projected_defect():
     model = constant_diffusion([[1.0, 0.25], [0.25, 0.7]])
     u0 = random_state(rng, n, 2)
     f = rng.standard_normal((n, n))
-    u1, _ = als_variational_step(u0, h, h, f, op, model)
+    u1, _ = als_variational_step(u0, h, h, (f, np.eye(n)), op, model)
     defect = (to_dense(u1) - to_dense(u0)) / h + _apply_full(op, model, h,
                                                              to_dense(u1)) - f
     oracle = np.linalg.norm(tangent_project(u1, defect))
-    assert galerkin_residual(u1, u0, h, h, f, op, model) == pytest.approx(
+    assert galerkin_residual(u1, u0, h, h, (f, np.eye(n)), op, model) == pytest.approx(
         oracle, abs=1e-12)
     assert oracle < 1e-9                      # converged step is near-stationary
 
@@ -231,7 +242,75 @@ def test_galerkin_residual_at_analytic_step():
     model = constant_diffusion(np.eye(2))
     u0 = mode_state(n, [(0, 1.0)])
     u1 = mode_state(n, [(0, 1.0 / (1.0 + 2.0 * np.pi ** 2 * h))])
-    assert galerkin_residual(u1, u0, h, h, np.zeros((n, n)), op, model) <= 1e-11
+    assert galerkin_residual(u1, u0, h, h, (np.zeros((n, n)), np.eye(n)), op,
+                             model) <= 1e-11
+
+
+# ---------------------------------------------------------------------------
+# factored evaluation against dense formulas
+
+
+def smooth_state(rng, n, r, scale):
+    """Orthonormal factors of n^-2-weighted Gaussian blocks and a random,
+    non-diagonal core: a state whose defect stays O(1) at any N."""
+    weight = np.arange(1, n + 1, dtype=float)[:, None] ** -2.0
+    q1, _ = np.linalg.qr(rng.standard_normal((n, r)) * weight)
+    q2, _ = np.linalg.qr(rng.standard_normal((n, r)) * weight)
+    return LowRankState(q1, scale * rng.standard_normal((r, r)), q2)
+
+
+@pytest.mark.parametrize("n", [7, 40])
+def test_factored_objective_and_residual_match_dense_formulas(n):
+    rng = np.random.default_rng(46 + n)
+    r, h = 3, 0.05
+    op = build_operator(n)
+    model = constant_diffusion([[1.0, 0.3], [0.3, 0.7]])
+    weight = np.arange(1, n + 1, dtype=float) ** -2.0
+    src = separable_source(n, [(cosine_profile(0.5, 2.0), rng.standard_normal(n) * weight,
+                                rng.standard_normal(n) * weight),
+                               (constant_profile(0.2), rng.standard_normal(n) * weight,
+                                rng.standard_normal(n) * weight)])
+    pair = rhs_mean_factors(src, 0.0, h)
+    f = sum(prof.mean(0.0, h) * np.outer(p, q) for prof, p, q in src.terms)
+    u_prev = smooth_state(rng, n, r, 0.1)
+    u = smooth_state(rng, n, r, 0.1)
+    y, y_prev = to_dense(u), to_dense(u_prev)
+    a_y = _apply_full(op, model, h, y)
+    d = y - y_prev
+    objective = np.sum(d * d) / (2 * h) + 0.5 * np.sum(a_y * y) - np.sum(f * y)
+    defect = d / h + a_y - f
+    p1 = u.u1_factors @ u.u1_factors.T
+    p2 = u.u2_factors @ u.u2_factors.T
+    residual = np.linalg.norm(p1 @ defect + defect @ p2 - p1 @ defect @ p2)
+    assert residual > 0.1                     # the comparison is not of two zeros
+    got = step_objective(u, u_prev, h, h, pair, op, model)
+    assert abs(got - objective) <= 1e-12 * max(1.0, abs(objective))
+    got = galerkin_residual(u, u_prev, h, h, pair, op, model)
+    assert abs(got - residual) <= 1e-12
+
+
+def test_sweep_change_resolves_nearby_states():
+    # old -> mid changes the left factor-with-core, mid -> new the right one;
+    # the states are 1e-13 apart relative to their norm, where a difference
+    # of squared norms only sees roundoff of order sqrt(eps) |Y|
+    rng = np.random.default_rng(47)
+    n, r, delta = 12, 3, 1e-13
+    old = random_state(rng, n, r)
+    u_new, r_k = qr_nonneg(old.u1_factors @ old.core
+                           + delta * rng.standard_normal((n, r)))
+    mid = LowRankState(u_new, r_k, old.u2_factors)
+    v_new, r_w = qr_nonneg(old.u2_factors @ r_k.T + delta * rng.standard_normal((n, r)))
+    new = LowRankState(u_new, r_w.T, v_new)
+
+    exact = np.vectorize(Fraction, otypes=[object])
+
+    def exact_dense(state):
+        return exact(state.u1_factors) @ exact(state.core) @ exact(state.u2_factors).T
+
+    gap = exact_dense(new) - exact_dense(old)
+    oracle = math.sqrt(float(np.sum(gap * gap)))
+    assert 1e-14 < oracle / np.linalg.norm(old.core) < 1e-12
+    assert _state_change(old, mid, new) == pytest.approx(oracle, rel=1e-2)
 
 
 def test_step_linearity_under_scaling():
@@ -243,8 +322,8 @@ def test_step_linearity_under_scaling():
     f = rng.standard_normal((n, n))
     c = 37.5
     scaled = LowRankState(u0.u1_factors, c * u0.core, u0.u2_factors)
-    u1, _ = als_variational_step(u0, h, h, f, op, model)
-    u1c, _ = als_variational_step(scaled, h, h, c * f, op, model)
+    u1, _ = als_variational_step(u0, h, h, (f, np.eye(n)), op, model)
+    u1c, _ = als_variational_step(scaled, h, h, (c * f, np.eye(n)), op, model)
     np.testing.assert_allclose(to_dense(u1c), c * to_dense(u1),
                                rtol=1e-11, atol=1e-11 * c)
 
@@ -268,8 +347,52 @@ def test_half_sweep_solve_matches_kronecker_oracle(a12, own_axis):
                   + np.kron(other * basis.T @ stiff @ basis, np.eye(n))
                   + 2 * a12 * np.kron((basis.T @ g @ basis).T, g)))
     oracle = np.linalg.solve(mat, rhs.ravel(order="F")).reshape((n, r), order="F")
-    got = _solve_projected(op, alpha, h, own_axis, basis, rhs)
+    got = _solve_projected(op, alpha, h, own_axis, basis.T @ stiff @ basis,
+                           basis.T @ g @ basis, rhs)
     assert np.linalg.norm(got - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
+def test_zero_source_factors_are_accepted():
+    rng = np.random.default_rng(48)
+    n, r, h = 8, 2, 0.02
+    op = build_operator(n)
+    model = rotating_diffusion(1.0, 0.3, 1.0)
+    u0 = random_state(rng, n, r)
+    pair = rhs_mean_factors(zero_source(n), 0.0, h)
+    assert pair[0].shape == pair[1].shape == (n, 0)
+    dense_zero = (np.zeros((n, n)), np.eye(n))
+    a, _ = als_variational_step(u0, h, h, pair, op, model)
+    b, _ = als_variational_step(u0, h, h, dense_zero, op, model)
+    np.testing.assert_allclose(to_dense(a), to_dense(b), rtol=0, atol=1e-13)
+    a = splitting_euler_step(u0, h, h, pair, op, model)
+    b = splitting_euler_step(u0, h, h, dense_zero, op, model)
+    np.testing.assert_allclose(to_dense(a), to_dense(b), rtol=0, atol=1e-13)
+
+
+def test_manifold_step_allocates_no_dense_matrix():
+    # one ALS step and one splitting step with its diagnostics at N = 1024
+    # must stay far under the 8 MB of a single N x N array; the operator
+    # itself (dense G included) is built before tracing starts
+    n, r, h = 1024, 4, 1e-3
+    rng = np.random.default_rng(49)
+    op = build_operator(n)
+    u0 = smooth_state(rng, n, r, 1.0)
+    weight = np.arange(1, n + 1, dtype=float) ** -2.0
+    src = separable_source(n, [(cosine_profile(1.0, 3.0), rng.standard_normal(n) * weight,
+                                rng.standard_normal(n) * weight) for _ in range(2)])
+    for a12 in (0.0, 0.3):
+        model = constant_diffusion([[1.0, a12], [a12, 0.5]])
+        tracemalloc.start()
+        try:
+            pair = rhs_mean_factors(src, 0.0, h)
+            als_variational_step(u0, h, h, pair, op, model)
+            u1 = splitting_euler_step(u0, h, h, pair, op, model)
+            step_objective(u1, u0, h, h, pair, op, model)
+            galerkin_residual(u1, u0, h, h, pair, op, model)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4, (a12, peak)
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +403,8 @@ def test_splitting_single_mode_resolvent():
     n, h = 6, 0.01
     op = build_operator(n)
     model = constant_diffusion(np.eye(2))
-    u1 = splitting_euler_step(mode_state(n, [(0, 1.0)]), h, h, np.zeros((n, n)),
+    u1 = splitting_euler_step(mode_state(n, [(0, 1.0)]), h, h,
+                              (np.zeros((n, n)), np.eye(n)),
                               op, model)
     expected = np.zeros((n, n))
     expected[0, 0] = 1.0 / (1.0 + 2.0 * np.pi ** 2 * h)
@@ -297,8 +421,8 @@ def test_splitting_s_step_forms_agree():
         model = constant_diffusion([[1.0, 0.3], [0.3, 0.8]])
         u0 = random_state(rng, n, r)
         f = rng.standard_normal((n, n))
-        a = splitting_euler_step(u0, h, h, f, op, model)
-        b = splitting_euler_step(u0, h, h, f, op, model, s_step="forward")
+        a = splitting_euler_step(u0, h, h, (f, np.eye(n)), op, model)
+        b = splitting_euler_step(u0, h, h, (f, np.eye(n)), op, model, s_step="forward")
         gap = np.linalg.norm(to_dense(a) - to_dense(b))
         assert gap <= 1e-12 * np.linalg.norm(to_dense(a))
 
@@ -314,9 +438,9 @@ def test_single_sweep_als_equals_splitting():
         model = rotating_diffusion(1.0, 0.4, 0.8)
         u0 = random_state(rng, n, r)
         f = rng.standard_normal((n, n)) if trial % 2 else np.zeros((n, n))
-        a, diag = als_variational_step(u0, h, h, f, op, model, single)
+        a, diag = als_variational_step(u0, h, h, (f, np.eye(n)), op, model, single)
         assert diag.sweeps_used == 1
-        b = splitting_euler_step(u0, h, h, f, op, model)
+        b = splitting_euler_step(u0, h, h, (f, np.eye(n)), op, model)
         scale = max(np.linalg.norm(to_dense(a)), 1e-30)
         assert np.linalg.norm(to_dense(a) - to_dense(b)) / scale < 1e-12
 
@@ -326,7 +450,7 @@ def test_splitting_rejects_unknown_s_step():
     model = constant_diffusion(np.eye(2))
     u0 = mode_state(4, [(0, 1.0)])
     with pytest.raises(ValueError):
-        splitting_euler_step(u0, 0.01, 0.01, np.zeros((4, 4)), op, model,
+        splitting_euler_step(u0, 0.01, 0.01, (np.zeros((4, 4)), np.eye(4)), op, model,
                              s_step="midpoint")
 
 
@@ -335,7 +459,7 @@ def test_splitting_s_step_is_keyword_only():
     model = constant_diffusion(np.eye(2))
     u0 = mode_state(4, [(0, 1.0)])
     with pytest.raises(TypeError):
-        splitting_euler_step(u0, 0.01, 0.01, np.zeros((4, 4)), op, model,
+        splitting_euler_step(u0, 0.01, 0.01, (np.zeros((4, 4)), np.eye(4)), op, model,
                              StepOptions())
 
 
