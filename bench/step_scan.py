@@ -1,0 +1,150 @@
+"""Per-step cost scan of the rank-r integrators.
+
+Times ``integrate`` for the ALS and splitting methods at rank r = 8 over a
+grid of basis sizes N and mixed coefficients a12, and writes the result as
+JSON (default ``BENCH_step_scan.json`` at the repository root):
+
+    python3 bench/step_scan.py [--out PATH]
+
+Each row records, for one (method, N, a12):
+
+- ``ms_per_step``: wall time of one ``integrate`` call divided by its step
+  count, the best of ``REPEATS`` timed calls after one warm-up call.  The
+  call includes ``build_operator``, as it does for every caller.
+- ``sweeps_per_step`` and ``ms_per_sweep`` (ALS sweeps; 1 for splitting).
+- ``peak_traced_mb``: peak allocation traced by ``tracemalloc`` over one
+  further, untimed call.  An N x N array of floats is 8 N^2 bytes, so a
+  peak far below that shows that no dense matrix was formed.
+
+Inputs are seeded: a smooth rank-r start (Gaussian factor blocks weighted
+by n^-2, orthonormalised, singular values geometric from 1 to 1e-2) and two
+smooth separable cosine sources.  BLAS is pinned to one thread.  The timings
+are not deterministic: they vary from run to run and machine to machine,
+which is why the JSON records the machine.  ALS with a12 != 0 stops at
+N = 1024, where one call already takes seconds.
+"""
+
+import os
+
+# pin BLAS before numpy is imported anywhere in this process
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse
+import json
+import platform
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+import numpy as np
+import scipy
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from lowrankpde import (LowRankState, constant_diffusion, cosine_profile,  # noqa: E402
+                        integrate, separable_source)
+
+RANK = 8
+SIZES = (128, 256, 512, 1024, 2048)
+MIXED = (0.0, 0.25)
+METHODS = ("als", "splitting")
+#: Largest N scanned for ALS with a mixed term.
+ALS_MIXED_MAX_N = 1024
+STEP = 1e-3
+N_STEPS = 5
+REPEATS = 3
+SEED = 2020
+
+
+def smooth_inputs(n: int, r: int, seed: int):
+    """Seeded smooth start and two-term source for basis size ``n``."""
+    rng = np.random.default_rng([seed, n])
+    weight = np.arange(1, n + 1, dtype=float) ** -2.0
+    u, _ = np.linalg.qr(rng.standard_normal((n, r)) * weight[:, None])
+    v, _ = np.linalg.qr(rng.standard_normal((n, r)) * weight[:, None])
+    start = LowRankState(u, np.diag(np.geomspace(1.0, 1e-2, r)), v)
+    source = separable_source(n, [(cosine_profile(1.0, 3.0), rng.standard_normal(n) * weight,
+                                   rng.standard_normal(n) * weight) for _ in range(2)])
+    return start, source
+
+
+def scan_row(method: str, n: int, a12: float) -> dict:
+    start, source = smooth_inputs(n, RANK, SEED)
+    model = constant_diffusion([[1.0, a12], [a12, 0.5]])
+
+    def call():
+        return integrate(method, start, STEP * N_STEPS, N_STEPS, model, source)
+
+    call()
+    best = float("inf")
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        traj = call()
+        best = min(best, time.perf_counter() - t0)
+    tracemalloc.start()
+    try:
+        call()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    steps = len(traj.diagnostics)
+    sweeps = sum(d.sweeps_used for d in traj.diagnostics) / steps
+    ms_per_step = 1e3 * best / steps
+    return {"method": method, "N": n, "r": RANK, "a12": a12,
+            "ms_per_step": round(ms_per_step, 4),
+            "sweeps_per_step": sweeps,
+            "ms_per_sweep": round(ms_per_step / sweeps, 4),
+            "peak_traced_mb": round(peak / 1e6, 4),
+            "dense_matrix_mb": round(8.0 * n * n / 1e6, 4)}
+
+
+def machine() -> dict:
+    cpu = platform.processor() or platform.machine()
+    try:
+        with open("/proc/cpuinfo") as fh:
+            cpu = next((line.split(":", 1)[1].strip() for line in fh
+                        if line.startswith("model name")), cpu)
+    except OSError:
+        pass
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"cpu": cpu, "nproc": os.cpu_count(), "python": platform.python_version(),
+            "numpy": np.__version__, "scipy": scipy.__version__,
+            "blas": f"{blas.get('name')}-{blas.get('version')}",
+            "blas_threads": int(os.environ["OPENBLAS_NUM_THREADS"])}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_step_scan.json")
+    args = parser.parse_args(argv)
+    rows = []
+    for method in METHODS:
+        for a12 in MIXED:
+            for n in SIZES:
+                if method == "als" and a12 != 0.0 and n > ALS_MIXED_MAX_N:
+                    continue
+                row = scan_row(method, n, a12)
+                print(f"{method:9s} N={n:5d} a12={a12:4.2f}  {row['ms_per_step']:10.3f} ms/step"
+                      f"  {row['sweeps_per_step']:5.1f} sweeps/step"
+                      f"  peak {row['peak_traced_mb']:8.3f} MB", flush=True)
+                rows.append(row)
+    result = {
+        "what": "ms/step of integrate for the rank-r methods over N and a12",
+        "deterministic": False,
+        "note": "wall-clock timings; they vary between runs and machines",
+        "machine": machine(),
+        "settings": {"rank": RANK, "h": STEP, "n_steps": N_STEPS, "warmup": 1,
+                     "repeats": REPEATS, "statistic": "best of repeats",
+                     "seed": SEED, "als_mixed_max_n": ALS_MIXED_MAX_N},
+        "rows": rows,
+    }
+    args.out.write_text(json.dumps(result, indent=1) + "\n")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

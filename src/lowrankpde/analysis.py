@@ -295,7 +295,7 @@ def projection_regularity_suite(basis_dim: int, rank: int, trials: int,
     """
     op = build_operator(basis_dim)
     model = rotating_diffusion(1.0, 0.25, 1.0)
-    lam = np.diagonal(op.stiffness_1d)
+    lam = op.stiffness_diag
     mixed_w = np.outer(lam, lam)
     worst = {"projection_v_bound": 0.0, "factor_regularity": 0.0,
              "mixed_seminorm": 0.0, "a2_h_norm": 0.0}

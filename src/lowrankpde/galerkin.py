@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -137,18 +138,45 @@ def validate_diffusion(model: DiffusionModel, times) -> None:
 
 @dataclass(frozen=True, eq=False)
 class GalerkinOperator:
-    """Precomputed 1D matrices of the sine basis.
+    """1D matrices of the sine basis for modes 1..basis_dim.
 
-    stiffness_1d : (N, N) diagonal matrix with entries (n pi)^2.
-    grad_coupling_1d : (N, N) skew-symmetric matrix of first-derivative
-        couplings, entry (i, j) = integral( phi_j' phi_i ).
-    v_weights : (N, N) grid of (n1 pi)^2 + (n2 pi)^2 used by the V-norms.
+    Built eagerly, in O(N):
+
+    stiffness_diag : (N,) vector (n pi)^2, the diagonal of the 1D stiffness.
+
+    Built on first read and kept for the operator's lifetime, each (N, N):
+
+    stiffness_1d : diagonal matrix with entries (n pi)^2.
+    grad_coupling_1d : skew-symmetric matrix of first-derivative couplings,
+        entry (i, j) = integral( phi_j' phi_i ) = 4 i j / (i^2 - j^2) for
+        i + j odd, 0 otherwise.
+    v_weights : grid of (n1 pi)^2 + (n2 pi)^2 used by the V-norms.
+
+    A caller that reads only the vector, such as a rank-r step with a
+    diagonal tensor, never pays for the dense blocks.
     """
 
     basis_dim: int
-    stiffness_1d: np.ndarray
-    grad_coupling_1d: np.ndarray
-    v_weights: np.ndarray
+    stiffness_diag: np.ndarray
+
+    @cached_property
+    def stiffness_1d(self) -> np.ndarray:
+        return np.diag(self.stiffness_diag)
+
+    @cached_property
+    def grad_coupling_1d(self) -> np.ndarray:
+        n = np.arange(1, self.basis_dim + 1)
+        i = n[:, None].astype(float)
+        j = n[None, :].astype(float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            grad = 4.0 * i * j / (i * i - j * j)
+        grad[(n[:, None] + n[None, :]) % 2 == 0] = 0.0
+        return grad
+
+    @cached_property
+    def v_weights(self) -> np.ndarray:
+        lam = self.stiffness_diag
+        return lam[:, None] + lam[None, :]
 
 
 def _gauss_01(n: int = 256):
@@ -157,32 +185,25 @@ def _gauss_01(n: int = 256):
 
 
 def build_operator(basis_dim: int, verify: bool = False) -> GalerkinOperator:
-    """Assemble the 1D blocks for modes 1..basis_dim.
+    """Operator for modes 1..basis_dim; only the stiffness vector is built
+    here, the dense blocks on first read (see :class:`GalerkinOperator`).
 
-    The derivative couplings have the closed form
-    ``4 i j / (i^2 - j^2)`` for ``i + j`` odd and vanish otherwise.  With
-    ``verify=True`` both matrices are re-derived by Gauss-Legendre quadrature
-    of the defining integrals and compared to 1e-10.
+    With ``verify=True`` both dense 1D matrices are built and re-derived by
+    Gauss-Legendre quadrature of the defining integrals, compared to 1e-10.
     """
     if basis_dim < 1:
         raise ValueError("basis_dim must be >= 1")
     n = np.arange(1, basis_dim + 1)
     lam = (n * np.pi) ** 2
-    stiff = np.diag(lam)
-    i = n[:, None].astype(float)
-    j = n[None, :].astype(float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        grad = 4.0 * i * j / (i * i - j * j)
-    grad[(n[:, None] + n[None, :]) % 2 == 0] = 0.0
-    weights = lam[:, None] + lam[None, :]
-    op = GalerkinOperator(basis_dim, stiff, grad, weights)
+    op = GalerkinOperator(basis_dim, lam)
     if verify:
         x, w = _gauss_01(max(256, 8 * basis_dim))
         phi = np.sqrt(2.0) * np.sin(np.outer(n, np.pi * x))          # (N, q)
         dphi = np.sqrt(2.0) * (n[:, None] * np.pi) * np.cos(np.outer(n, np.pi * x))
         stiff_q = (dphi * w) @ dphi.T
         grad_q = (phi * w) @ dphi.T                                   # (i, j) = int phi_j' phi_i
-        if not np.allclose(stiff_q, stiff, atol=1e-10 * max(1.0, lam.max())):
+        grad = op.grad_coupling_1d
+        if not np.allclose(stiff_q, op.stiffness_1d, atol=1e-10 * max(1.0, lam.max())):
             raise ValueError("stiffness block disagrees with quadrature")
         if not np.allclose(grad_q, grad, atol=1e-10 * max(1.0, np.abs(grad).max())):
             raise ValueError("gradient coupling disagrees with quadrature")
@@ -192,7 +213,7 @@ def build_operator(basis_dim: int, verify: bool = False) -> GalerkinOperator:
 def apply_a1(op: GalerkinOperator, model: DiffusionModel, t: float, coeffs: np.ndarray) -> np.ndarray:
     """Divergence part: ``a11 L Y + a22 Y L`` (acts on rows / columns only)."""
     a = model.alpha(t)
-    lam = np.diagonal(op.stiffness_1d)
+    lam = op.stiffness_diag
     return a[0, 0] * lam[:, None] * coeffs + a[1, 1] * coeffs * lam[None, :]
 
 
@@ -366,7 +387,7 @@ def exact_diagonal_solution(op: GalerkinOperator, model: DiffusionModel,
     if model.time_dependent or not model.diagonal:
         raise ValueError("closed form requires a constant diagonal tensor")
     a = model.alpha(0.0)
-    lam = np.diagonal(op.stiffness_1d)
+    lam = op.stiffness_diag
     decay1 = np.exp(-t * a[0, 0] * lam)
     decay2 = np.exp(-t * a[1, 1] * lam)
     scaled = LowRankState(decay1[:, None] * u0.u1_factors, u0.core.copy(),

@@ -13,7 +13,10 @@ the source.  The manifold methods take f_mean as its factor pair (P, Q),
 f_mean = P Q^T, and evaluate F, the Galerkin residual and the ALS stop test
 from the state's factors and r-by-r blocks, so a step costs O(N r^2) plus
 O(N^2 r) for applying the dense coupling G to (N, r) blocks when the
-mixed term is on; no N-by-N matrix is formed.
+mixed term is on; no N-by-N matrix is formed.  ``build_operator`` is O(N)
+and builds G on first use, so a rank-r ``integrate`` with a diagonal tensor
+allocates no N-by-N array at all; with a mixed term G is built once per
+operator.
 """
 
 from __future__ import annotations
@@ -141,7 +144,7 @@ class _Step:
         self.mixed = alpha[0, 1] + alpha[1, 0]
 
     def frame(self, basis: np.ndarray, axis: int) -> _Frame:
-        lam = np.diagonal(self.op.stiffness_1d)
+        lam = self.op.stiffness_diag
         g_basis = g = None
         if self.mixed != 0.0:
             g_basis = self.op.grad_coupling_1d @ basis
@@ -173,7 +176,7 @@ class _Step:
         tangent space at Y = U S V^T: |U^T D|^2 + |D V - U (U^T D) V|^2, with
         U^T D (r, N) and D V (N, r) assembled term by term."""
         a, h = self.alpha, self.h
-        lam = np.diagonal(self.op.stiffness_1d)[:, None]
+        lam = self.op.stiffness_diag[:, None]
         u, v = left.basis, right.basis
         u0, s0, v0 = self.anchor.u1_factors, self.anchor.core, self.anchor.u2_factors
         ut_d = ((s / h + a[0, 0] * (left.lam @ s)) @ v.T + a[1, 1] * (s @ (lam * v).T)
@@ -266,8 +269,7 @@ def _solve_projected(op: GalerkinOperator, alpha: np.ndarray, h: float, own_axis
     solved exactly in the eigenbasis of the (r, r) block; with it, that
     solve preconditions conjugate gradient.
     """
-    lam = np.diagonal(op.stiffness_1d)
-    g = op.grad_coupling_1d
+    lam = op.stiffness_diag
     own = alpha[0, 0] if own_axis == 0 else alpha[1, 1]
     other = alpha[1, 1] if own_axis == 0 else alpha[0, 0]
     c = alpha[0, 1] + alpha[1, 0]
@@ -279,6 +281,7 @@ def _solve_projected(op: GalerkinOperator, alpha: np.ndarray, h: float, own_axis
 
     if c == 0.0:
         return sylvester(rhs)
+    g = op.grad_coupling_1d
 
     def apply(x):
         return x + h * (own * lam[:, None] * x + other * (x @ b_block)
@@ -309,7 +312,7 @@ def reference_step(y_prev: np.ndarray, h: float, t_next: float, f_mean: np.ndarr
     conjugate gradient with one.
     """
     alpha = model.alpha(t_next)
-    lam = np.diagonal(op.stiffness_1d)
+    lam = op.stiffness_diag
     denom = 1.0 + h * (alpha[0, 0] * lam[:, None] + alpha[1, 1] * lam[None, :])
     rhs = np.asarray(y_prev, dtype=float) + h * f_mean
     if alpha[0, 1] + alpha[1, 0] == 0.0:

@@ -107,6 +107,18 @@ def test_build_operator_verify_mode():
     build_operator(5, verify=True)           # should not raise
 
 
+def test_stiffness_vector_is_the_dense_diagonal():
+    op = build_operator(7)
+    assert op.stiffness_diag.shape == (7,)
+    assert np.array_equal(op.stiffness_diag, np.diagonal(op.stiffness_1d))
+
+
+def test_dense_blocks_are_built_once():
+    op = build_operator(5)
+    for name in ("stiffness_1d", "grad_coupling_1d", "v_weights"):
+        assert getattr(op, name) is getattr(op, name), name
+
+
 def test_mixed_application_single_mode():
     # off-diagonal coupling applied to the (1,1) mode with unit coefficient:
     # only the (2,2) entry survives at N=2 and equals -64/9

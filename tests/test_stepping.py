@@ -382,6 +382,8 @@ def test_manifold_step_allocates_no_dense_matrix():
                                 rng.standard_normal(n) * weight) for _ in range(2)])
     for a12 in (0.0, 0.3):
         model = constant_diffusion([[1.0, a12], [a12, 0.5]])
+        if a12 != 0.0:
+            op.grad_coupling_1d   # G stays a dense N x N block until it has a fast apply
         tracemalloc.start()
         try:
             pair = rhs_mean_factors(src, 0.0, h)
@@ -393,6 +395,18 @@ def test_manifold_step_allocates_no_dense_matrix():
         finally:
             tracemalloc.stop()
         assert peak < n * n * 8 / 4, (a12, peak)
+    # with a diagonal tensor nothing allocates an N x N array: neither
+    # building the operator nor a 3-step integrate with either method
+    diagonal = constant_diffusion([[1.0, 0.0], [0.0, 0.5]])
+    for method in ("als", "splitting"):
+        tracemalloc.start()
+        try:
+            build_operator(n)
+            integrate(method, u0, 3 * h, 3, diagonal, src)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4, (method, peak)
 
 
 # ---------------------------------------------------------------------------
