@@ -13,11 +13,11 @@ from .analysis import (ConvergenceRow, ConvergenceTable, EnergyReport, PropertyR
                        projection_regularity_suite, sample_nearby_state, sample_state,
                        tangency_suite)
 from .galerkin import (DiffusionModel, GalerkinOperator, SourceSpec, TimeProfile,
-                       apply_operator, bilinear_a, build_operator, constant_diffusion,
+                       apply_operator, build_operator, constant_diffusion,
                        constant_profile, cosine_profile, exact_diagonal_solution,
                        h_norm, linear_profile, operator_matrix, rhs_mean,
                        rhs_mean_factors, rotating_diffusion, separable_source,
-                       v_dual_norm, v_norm, validate_diffusion, zero_source)
+                       v_dual_norm, v_norm, zero_source)
 from .manifold import (LowRankState, RankDeficiencyError, factorize, reorthonormalize,
                        singular_values, smallest_singular, tangent_project, to_dense)
 from .stepping import (HaltRecord, InnerSolveError, StepDiagnostics, StepOptions,
@@ -31,7 +31,7 @@ __all__ = [
     "GalerkinOperator", "HaltRecord", "InnerSolveError", "LowRankState",
     "PropertyReport", "RankDeficiencyError", "SourceSpec", "StepDiagnostics",
     "StepOptions", "TimeProfile", "Trajectory",
-    "als_variational_step", "apply_operator", "bilinear_a", "build_operator",
+    "als_variational_step", "apply_operator", "build_operator",
     "constant_diffusion", "constant_profile", "convergence_study", "cosine_profile",
     "curvature_suite", "energy_audit", "equivalence_test", "exact_diagonal_solution",
     "factorize", "galerkin_residual", "h_norm", "integrate",
@@ -41,5 +41,5 @@ __all__ = [
     "separable_source",
     "singular_values", "smallest_singular", "splitting_euler_step", "step_objective",
     "tangency_suite", "tangent_project", "to_dense", "v_dual_norm", "v_norm",
-    "validate_diffusion", "zero_source",
+    "zero_source",
 ]

@@ -28,7 +28,6 @@ __all__ = [
     "apply_a1",
     "apply_a2",
     "apply_operator",
-    "bilinear_a",
     "build_operator",
     "constant_diffusion",
     "constant_profile",
@@ -43,7 +42,6 @@ __all__ = [
     "separable_source",
     "v_dual_norm",
     "v_norm",
-    "validate_diffusion",
     "zero_source",
 ]
 
@@ -109,29 +107,6 @@ def rotating_diffusion(lambda1: float, lambda2: float, omega: float) -> Diffusio
                           diagonal=steady)
 
 
-def validate_diffusion(model: DiffusionModel, times) -> None:
-    """Sampled consistency check of the declared bounds.
-
-    Verifies symmetry, eigenvalue range [mu, beta] and finite-difference
-    Lipschitz quotients against ``lipschitz_t`` on the given time grid.
-    """
-    times = np.asarray(times, dtype=float)
-    prev_a, prev_t = None, None
-    for t in times:
-        a = model.alpha(float(t))
-        if not np.allclose(a, a.T, atol=1e-13 * max(1.0, np.abs(a).max())):
-            raise ValueError(f"alpha({t}) is not symmetric")
-        eigs = np.linalg.eigvalsh(a)
-        if eigs[0] < model.mu * (1 - 1e-9) or eigs[-1] > model.beta * (1 + 1e-9):
-            raise ValueError(f"alpha({t}) eigenvalues {eigs} leave [mu, beta]")
-        if prev_a is not None and t != prev_t:
-            quot = np.linalg.norm(a - prev_a, 2) / abs(t - prev_t)
-            if quot > model.lipschitz_t * (1 + 1e-6) + 1e-12:
-                raise ValueError(
-                    f"Lipschitz quotient {quot:.6e} exceeds declared {model.lipschitz_t:.6e}")
-        prev_a, prev_t = a, t
-
-
 # ---------------------------------------------------------------------------
 # discrete operator
 
@@ -165,12 +140,13 @@ class GalerkinOperator:
 
     @cached_property
     def grad_coupling_1d(self) -> np.ndarray:
-        n = np.arange(1, self.basis_dim + 1)
-        i = n[:, None].astype(float)
-        j = n[None, :].astype(float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            grad = 4.0 * i * j / (i * i - j * j)
-        grad[(n[:, None] + n[None, :]) % 2 == 0] = 0.0
+        # only the two opposite-parity quarter blocks are nonzero; filling
+        # them in place keeps the temporaries at a quarter of G each
+        modes = np.arange(1, self.basis_dim + 1, dtype=float)
+        grad = np.zeros((self.basis_dim, self.basis_dim))
+        for a, b in ((0, 1), (1, 0)):
+            i, j = modes[a::2, None], modes[None, b::2]
+            grad[a::2, b::2] = 4.0 * i * j / (i * i - j * j)
         return grad
 
     @cached_property
@@ -245,12 +221,6 @@ def operator_matrix(op: GalerkinOperator, model: DiffusionModel, t: float) -> np
     if c != 0.0:
         mat -= c * np.kron(g, g)   # vec(G Y G) = (G^T kron G) vec(Y), G skew
     return mat
-
-
-def bilinear_a(op: GalerkinOperator, model: DiffusionModel, t: float,
-               y: np.ndarray, z: np.ndarray) -> float:
-    """Weak form a(y, z; t) = <A(t) y, z>_F."""
-    return float(np.sum(apply_operator(op, model, t, y) * z))
 
 
 def h_norm(coeffs: np.ndarray) -> float:

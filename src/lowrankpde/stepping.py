@@ -1,6 +1,6 @@
 """Backward-Euler time steppers: unconstrained reference solve, the
 rank-constrained variational step solved by alternating half-sweeps, and the
-projector-splitting step (one half-sweep plus a core update).
+projector-splitting step, which is exactly one sweep of those half-sweeps.
 
 Each implicit step minimizes
 
@@ -66,23 +66,20 @@ class InnerSolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepOptions:
-    """Knobs shared by all steppers.
-
-    single_sweep_mode stops the alternating solver after exactly one sweep.
-    """
+    """Knobs shared by all steppers."""
 
     als_tol: float = 1e-11
     als_max_sweeps: int = 100
     rank_floor_rel: float = 1e-12
-    single_sweep_mode: bool = False
 
 
 @dataclass(frozen=True)
 class StepDiagnostics:
-    """Per-step record emitted by the manifold steppers.
+    """Per-step record emitted by every stepper.
 
     objective_trace holds the objective after the warm start and after each
-    half-sweep, so monotonicity of the alternating solver is observable.
+    half-sweep (for the reference step: before and after), so monotonicity
+    of the alternating solver is observable.
     """
 
     sweeps_used: int
@@ -303,55 +300,63 @@ def _check_collapse(r_block: np.ndarray, what: str):
 # steppers
 
 
+def _diagnostics(sweeps: int, residual: float, trace, sigma_r: float) -> StepDiagnostics:
+    """Step record from the objective trace; F decreased if its last value
+    is at most its first, up to roundoff."""
+    return StepDiagnostics(
+        sweeps_used=sweeps, galerkin_residual=residual, objective_value=trace[-1],
+        sigma_r=sigma_r, objective_trace=tuple(trace),
+        objective_decreased=bool(trace[-1] <= trace[0] + 1e-12 * abs(trace[0]) + 1e-300))
+
+
 def reference_step(y_prev: np.ndarray, h: float, t_next: float, f_mean: np.ndarray,
-                   op: GalerkinOperator, model: DiffusionModel) -> np.ndarray:
+                   op: GalerkinOperator, model: DiffusionModel):
     """Unconstrained backward-Euler step: solve (I + h A(t_next)) Y = Y_i + h f_mean.
 
     The divergence part of A is diagonal in the coefficients, so its exact
     inverse solves the step without a mixed term and preconditions
     conjugate gradient with one.
+
+    Returns (state, diagnostics); the objective and the defect norm of
+    this dense step are evaluated densely, and ``sigma_r`` is NaN.
     """
     alpha = model.alpha(t_next)
     lam = op.stiffness_diag
     denom = 1.0 + h * (alpha[0, 0] * lam[:, None] + alpha[1, 1] * lam[None, :])
-    rhs = np.asarray(y_prev, dtype=float) + h * f_mean
+    y_prev = np.asarray(y_prev, dtype=float)
+    rhs = y_prev + h * f_mean
     if alpha[0, 1] + alpha[1, 0] == 0.0:
-        return rhs / denom
-    return _pcg(lambda x: x + h * apply_operator(op, model, t_next, x),
-                lambda x: x / denom, rhs)
+        y = rhs / denom
+    else:
+        y = _pcg(lambda x: x + h * apply_operator(op, model, t_next, x),
+                 lambda x: x / denom, rhs)
+    a_y = apply_operator(op, model, t_next, y)
+    d = y - y_prev
+    f_prev = (0.5 * float(np.sum(apply_operator(op, model, t_next, y_prev) * y_prev))
+              - float(np.sum(f_mean * y_prev)))
+    f_new = (float(np.sum(d * d)) / (2.0 * h) + 0.5 * float(np.sum(a_y * y))
+             - float(np.sum(f_mean * y)))
+    return y, _diagnostics(0, h_norm(d / h + a_y - f_mean), (f_prev, f_new), math.nan)
 
 
-def als_variational_step(u_prev: LowRankState, h: float, t_next: float,
-                         f_factors, op: GalerkinOperator, model: DiffusionModel,
-                         opts: Optional[StepOptions] = None):
-    """Rank-constrained backward-Euler step by alternating half-sweeps.
-
-    Starting from the previous state, each sweep exactly minimizes F over
-    the left factor-with-core (right basis frozen), then over the right
-    factor-with-core (new left basis frozen).  The anchor u_prev stays fixed
-    across sweeps, so each half-sweep can only decrease F.  Sweeping stops
-    when the relative state change drops under ``als_tol``, after one sweep
-    in single-sweep mode, or at the sweep cap (flagged in the log).  The
-    source mean is ``P @ Q.T`` for ``f_factors = (P, Q)``.
-
-    Returns (state, diagnostics).
+def _alternating_step(u_prev: LowRankState, h: float, t_next: float, f_factors,
+                      op: GalerkinOperator, model: DiffusionModel,
+                      max_sweeps: int, tol: float):
+    """Up to ``max_sweeps`` sweeps from u_prev, each exactly minimizing F
+    over the left factor-with-core (right basis frozen), then over the right
+    one (new left basis frozen); the anchor stays fixed, so no half-sweep
+    raises F.  A sweep that another may follow stops the step once the
+    relative state change is at most ``tol``.  Returns (state, diagnostics).
     """
-    opts = opts or StepOptions()
-    alpha = model.alpha(t_next)
-    step = _Step(op, alpha, h, u_prev, *f_factors)
+    step, left, right = _step_at(u_prev, u_prev, h, t_next, f_factors, op, model)
     u0, s0, v0 = u_prev.u1_factors, u_prev.core, u_prev.u2_factors
-    left, right = step.frame(u0, 0), step.frame(v0, 1)
-    state = u_prev
+    state, sweeps = u_prev, 0
     trace = [step.objective(s0, left, right)]
-    sweeps = 0
-    converged = False
-    rel_change = math.inf
-    for _ in range(opts.als_max_sweeps):
-        sweeps += 1
+    for sweeps in range(1, max_sweeps + 1):
         old = state
         # left half-sweep: unknown K = U S with the right basis frozen
         rhs_k = u0 @ (s0 @ right.anchor.T) + h * (step.p @ right.source.T)
-        k = _solve_projected(op, alpha, h, 0, right.lam, right.g, rhs_k)
+        k = _solve_projected(op, step.alpha, h, 0, right.lam, right.g, rhs_k)
         u_basis, r_k = qr_nonneg(k)
         _check_collapse(r_k, "left")
         left = step.frame(u_basis, 0)
@@ -359,43 +364,59 @@ def als_variational_step(u_prev: LowRankState, h: float, t_next: float,
         trace.append(step.objective(r_k, left, right))
         # right half-sweep: unknown W = V S^T with the new left basis frozen
         rhs_w = v0 @ (s0.T @ left.anchor.T) + h * (step.q @ left.source.T)
-        w = _solve_projected(op, alpha, h, 1, left.lam, left.g, rhs_w)
+        w = _solve_projected(op, step.alpha, h, 1, left.lam, left.g, rhs_w)
         v_basis, r_w = qr_nonneg(w)
         _check_collapse(r_w, "right")
         right = step.frame(v_basis, 1)
         state = LowRankState(u_basis, r_w.T, v_basis)
         trace.append(step.objective(state.core, left, right))
-        rel_change = _state_change(old, mid, state) / max(h_norm(state.core),
-                                                          np.finfo(float).tiny)
-        if opts.single_sweep_mode or rel_change <= opts.als_tol:
-            converged = True
+        if sweeps < max_sweeps and _state_change(old, mid, state) / max(
+                h_norm(state.core), np.finfo(float).tiny) <= tol:
             break
-    residual = step.residual(state.core, left, right)
-    if not converged and residual > 1e3 * opts.als_tol * max(1.0, h_norm(state.core)):
+    return state, _diagnostics(sweeps, step.residual(state.core, left, right), trace,
+                               smallest_singular(state))
+
+
+def als_variational_step(u_prev: LowRankState, h: float, t_next: float,
+                         f_factors, op: GalerkinOperator, model: DiffusionModel,
+                         opts: Optional[StepOptions] = None):
+    """Rank-constrained backward-Euler step by alternating half-sweeps.
+
+    Sweeps until the relative state change drops under ``als_tol`` or at the
+    sweep cap, which is flagged in the log unless the residual is at
+    roundoff.  The source mean is ``P @ Q.T`` for ``f_factors = (P, Q)``.
+    Returns (state, diagnostics).
+    """
+    opts = opts or StepOptions()
+    state, diag = _alternating_step(u_prev, h, t_next, f_factors, op, model,
+                                    opts.als_max_sweeps, opts.als_tol)
+    if (diag.sweeps_used >= opts.als_max_sweeps
+            and diag.galerkin_residual > 1e3 * opts.als_tol * max(1.0, h_norm(state.core))):
         log.warning("sweep cap %d reached at t=%.6g with residual %.3e",
-                    opts.als_max_sweeps, t_next, residual)
-    decreased = trace[-1] <= trace[0] + 1e-12 * abs(trace[0]) + 1e-300
-    diag = StepDiagnostics(sweeps_used=sweeps, galerkin_residual=residual,
-                           objective_value=trace[-1],
-                           sigma_r=smallest_singular(state),
-                           objective_decreased=bool(decreased),
-                           objective_trace=tuple(trace))
+                    opts.als_max_sweeps, t_next, diag.galerkin_residual)
     return state, diag
 
 
 def splitting_euler_step(u_prev: LowRankState, h: float, t_next: float,
-                         f_factors, op: GalerkinOperator,
-                         model: DiffusionModel, *,
-                         s_step: str = "projection") -> LowRankState:
-    """Projector-splitting backward-Euler step.
+                         f_factors, op: GalerkinOperator, model: DiffusionModel):
+    """Projector-splitting backward-Euler step (Lubich & Oseledets, 2014).
 
-    Implicit solve for the left factor-with-core, core update, implicit
-    solve for the right factor-with-core.  The core update defaults to the
-    projection form ``S <- U_new^T U_old S``; ``s_step="forward"`` uses the
-    algebraically equivalent explicit-Euler form, which reproduces the
-    projection exactly whenever the first solve is exact.  The source mean
-    is ``P @ Q.T`` for ``f_factors = (P, Q)``.
+    Implicit solve for the left factor-with-core, core update
+    ``S <- U_new^T U_old S``, implicit solve for the right factor-with-core:
+    exactly one sweep of the alternating solver, run as one.  The
+    equivalence suite checks it against :func:`_forward_splitting_step`.
+    Returns (state, diagnostics).
     """
+    return _alternating_step(u_prev, h, t_next, f_factors, op, model, max_sweeps=1, tol=0.0)
+
+
+def _forward_splitting_step(u_prev: LowRankState, h: float, t_next: float,
+                            f_factors, op: GalerkinOperator,
+                            model: DiffusionModel) -> LowRankState:
+    """Projector-splitting step with the explicit-Euler core update
+    ``S0+ = S1+ + h A_red(S1+) - h U1^T f V0`` (both directions compressed)
+    in place of the projection ``U1^T U0 S0``; the two agree whenever the
+    first solve is exact.  The independent check of the one-sweep step."""
     alpha = model.alpha(t_next)
     step = _Step(op, alpha, h, u_prev, *f_factors)
     u0, s0, v0 = u_prev.u1_factors, u_prev.core, u_prev.u2_factors
@@ -406,15 +427,8 @@ def splitting_euler_step(u_prev: LowRankState, h: float, t_next: float,
     u1, s1_plus = qr_nonneg(k)
     _check_collapse(s1_plus, "left")
     left = step.frame(u1, 0)
-
-    if s_step == "projection":
-        s0_plus = left.anchor @ s0
-    elif s_step == "forward":
-        # S0+ = S1+ + h * A_red(S1+) - h * U1^T f V0 with both directions compressed
-        s0_plus = (s1_plus + h * step.reduced(s1_plus, left, right)
-                   - h * (left.source @ right.source.T))
-    else:
-        raise ValueError(f"unknown s_step {s_step!r}")
+    s0_plus = (s1_plus + h * step.reduced(s1_plus, left, right)
+               - h * (left.source @ right.source.T))
 
     rhs_w = v0 @ s0_plus.T + h * (step.q @ left.source.T)
     w = _solve_projected(op, alpha, h, 1, left.lam, left.g, rhs_w)
@@ -473,35 +487,10 @@ def integrate(method: str, u0, T: float, n_steps: int, model: DiffusionModel,
             if method == "als":
                 state, diag = als_variational_step(states[-1], h, t1, f_pair, op, model, opts)
             elif method == "splitting":
-                state = splitting_euler_step(states[-1], h, t1, f_pair, op, model)
-                f_prev = step_objective(states[-1], states[-1], h, t1, f_pair, op, model)
-                f_new = step_objective(state, states[-1], h, t1, f_pair, op, model)
-                diag = StepDiagnostics(
-                    sweeps_used=1,
-                    galerkin_residual=galerkin_residual(state, states[-1], h, t1,
-                                                        f_pair, op, model),
-                    objective_value=f_new,
-                    sigma_r=smallest_singular(state),
-                    objective_decreased=bool(f_new <= f_prev + 1e-12 * abs(f_prev) + 1e-300),
-                    objective_trace=(f_prev, f_new))
+                state, diag = splitting_euler_step(states[-1], h, t1, f_pair, op, model)
             else:
-                # the full-rank step is dense: so are its source, objective and defect
-                f_bar = f_pair[0] @ f_pair[1].T
-                y_prev = states[-1]
-                y = reference_step(y_prev, h, t1, f_bar, op, model)
-                a_y = apply_operator(op, model, t1, y)
-                d = y - y_prev
-                defect = d / h + a_y - f_bar
-                f_prev = (0.5 * float(np.sum(apply_operator(op, model, t1, y_prev) * y_prev))
-                          - float(np.sum(f_bar * y_prev)))
-                f_new = (float(np.sum(d * d)) / (2.0 * h) + 0.5 * float(np.sum(a_y * y))
-                         - float(np.sum(f_bar * y)))
-                diag = StepDiagnostics(
-                    sweeps_used=0, galerkin_residual=h_norm(defect),
-                    objective_value=f_new, sigma_r=math.nan,
-                    objective_decreased=bool(f_new <= f_prev + 1e-12 * abs(f_prev) + 1e-300),
-                    objective_trace=(f_prev, f_new))
-                state = y
+                state, diag = reference_step(states[-1], h, t1, f_pair[0] @ f_pair[1].T,
+                                             op, model)
         except (RankDeficiencyError, InnerSolveError) as exc:
             exc.args = (f"step {i + 1} (t = {t1:.6g}): {exc.args[0] if exc.args else ''}",)
             raise

@@ -172,7 +172,7 @@ def test_criterion_7_reference_solver_oracle():
         rhs = (y0 + h * f).reshape(-1, order="F")
         oracle = np.linalg.solve(np.eye(n * n) + h * a_mat, rhs).reshape((n, n),
                                                                          order="F")
-        got = reference_step(y0, h, h, f, op, model)
+        got, _ = reference_step(y0, h, h, f, op, model)
         worst = max(worst, np.linalg.norm(got - oracle) / np.linalg.norm(oracle))
     ok = worst <= 1e-10
 
@@ -185,7 +185,7 @@ def test_criterion_7_reference_solver_oracle():
         op = build_operator(n)
         u0 = factorize(rng_k.standard_normal((n, n)), n, rank_floor=0.0)
         f = rng_k.standard_normal((n, n))
-        dense = reference_step(to_dense(u0), h, h, f, op, model)
+        dense, _ = reference_step(to_dense(u0), h, h, f, op, model)
         approx, _ = als_variational_step(u0, h, h, (f, np.eye(n)), op, model)
         worst_als = max(worst_als,
                         np.linalg.norm(to_dense(approx) - dense)

@@ -15,7 +15,7 @@ from lowrankpde.analysis import (PropertyReport, convergence_study, curvature_su
 from lowrankpde.galerkin import (build_operator, constant_diffusion, constant_profile,
                                  rotating_diffusion, separable_source, zero_source)
 from lowrankpde.manifold import LowRankState, smallest_singular, to_dense
-from lowrankpde.stepping import StepOptions, integrate
+from lowrankpde.stepping import integrate
 
 
 def mode_state(n, entries):
@@ -346,26 +346,25 @@ def test_full_rank_both_methods_match_reference():
     model = constant_diffusion([[0.9, 0.3], [0.3, 0.7]])
     u0 = factorize(rng.standard_normal((n, n)), n, rank_floor=0.0)
     f = rng.standard_normal((n, n))
-    dense = reference_step(to_dense(u0), h, h, f, op, model)
+    dense, _ = reference_step(to_dense(u0), h, h, f, op, model)
     scale = np.linalg.norm(dense)
     als, _ = als_variational_step(u0, h, h, (f, np.eye(n)), op, model)
-    split = splitting_euler_step(u0, h, h, (f, np.eye(n)), op, model)
+    split, _ = splitting_euler_step(u0, h, h, (f, np.eye(n)), op, model)
     assert np.linalg.norm(to_dense(als) - dense) <= 1e-10 * scale
     assert np.linalg.norm(to_dense(split) - dense) <= 1e-10 * scale
 
 
 def test_equivalence_vanishing_step_returns_start():
-    from lowrankpde.stepping import als_variational_step, splitting_euler_step
+    from lowrankpde.stepping import _forward_splitting_step, splitting_euler_step
     rng = np.random.default_rng(58)
     n, r, h = 8, 3, 1e-10
     op = build_operator(n)
     model = constant_diffusion([[1.0, 0.3], [0.3, 0.8]])
     u0 = sample_state(rng, n, r, sigma_range=(0.5, 1.0))
     f = rng.standard_normal((n, n))
-    opts = StepOptions(single_sweep_mode=True)
     y0 = to_dense(u0)
-    a, _ = als_variational_step(u0, h, h, (f, np.eye(n)), op, model, opts)
-    b = splitting_euler_step(u0, h, h, (f, np.eye(n)), op, model)
+    a, _ = splitting_euler_step(u0, h, h, (f, np.eye(n)), op, model)
+    b = _forward_splitting_step(u0, h, h, (f, np.eye(n)), op, model)
     # the drift of one implicit step is at most h times the defect scale
     from lowrankpde.galerkin import apply_operator
     budget = 10.0 * h * (np.linalg.norm(apply_operator(op, model, h, y0))

@@ -6,19 +6,20 @@ Gauss-Legendre quadrature of the defining integrals, never through the
 closed forms the module uses internally.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
 from lowrankpde.galerkin import (DiffusionModel, apply_a1, apply_a2, apply_operator,
-                                 bilinear_a, build_operator, constant_diffusion,
+                                 build_operator, constant_diffusion,
                                  constant_profile, cosine_profile,
                                  exact_diagonal_solution, h_norm, linear_profile,
                                  operator_matrix, rhs_mean, rhs_mean_factors,
                                  rotating_diffusion,
-                                 separable_source, v_dual_norm, v_norm,
-                                 validate_diffusion, zero_source)
+                                 separable_source, v_dual_norm, v_norm, zero_source)
 from lowrankpde.manifold import factorize, to_dense
 
 # one-dimensional Gauss nodes on (0, 1); 200 points integrate products of
@@ -62,6 +63,31 @@ def bilinear_oracle(alpha, y, z):
     integrand = (alpha[0, 0] * ux * vx + alpha[0, 1] * uy * vx
                  + alpha[1, 0] * ux * vy + alpha[1, 1] * uy * vy)
     return quad_2d(integrand)
+
+
+def bilinear_a(op, model, t, y, z):
+    """Weak form a(y, z; t) = <A(t) y, z>_F through the package's operator."""
+    return float(np.sum(apply_operator(op, model, t, y) * z))
+
+
+def validate_diffusion(model, times):
+    """Sampled consistency check of a model's declared bounds: symmetry,
+    eigenvalues in [mu, beta] and finite-difference Lipschitz quotients
+    against ``lipschitz_t`` on the given time grid."""
+    prev_a, prev_t = None, None
+    for t in np.asarray(times, dtype=float):
+        a = model.alpha(float(t))
+        if not np.allclose(a, a.T, atol=1e-13 * max(1.0, np.abs(a).max())):
+            raise ValueError(f"alpha({t}) is not symmetric")
+        eigs = np.linalg.eigvalsh(a)
+        if eigs[0] < model.mu * (1 - 1e-9) or eigs[-1] > model.beta * (1 + 1e-9):
+            raise ValueError(f"alpha({t}) eigenvalues {eigs} leave [mu, beta]")
+        if prev_a is not None and t != prev_t:
+            quot = np.linalg.norm(a - prev_a, 2) / abs(t - prev_t)
+            if quot > model.lipschitz_t * (1 + 1e-6) + 1e-12:
+                raise ValueError(
+                    f"Lipschitz quotient {quot:.6e} exceeds declared {model.lipschitz_t:.6e}")
+        prev_a, prev_t = a, t
 
 
 # ---------------------------------------------------------------------------
@@ -117,6 +143,19 @@ def test_dense_blocks_are_built_once():
     op = build_operator(5)
     for name in ("stiffness_1d", "grad_coupling_1d", "v_weights"):
         assert getattr(op, name) is getattr(op, name), name
+
+
+def test_grad_coupling_builds_without_full_size_temporaries():
+    # G itself is 8 N^2 bytes; building it may add only quarter-size blocks
+    n = 1024
+    op = build_operator(n)
+    tracemalloc.start()
+    try:
+        op.grad_coupling_1d
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.6 * 8 * n * n, peak
 
 
 def test_mixed_application_single_mode():

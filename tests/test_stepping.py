@@ -9,15 +9,16 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lowrankpde.galerkin import (bilinear_a, build_operator, constant_diffusion,
+from lowrankpde.galerkin import (build_operator, constant_diffusion,
                                  cosine_profile, operator_matrix, rhs_mean_factors,
                                  rotating_diffusion,
                                  separable_source, constant_profile, zero_source)
 from lowrankpde.manifold import (LowRankState, RankDeficiencyError, factorize,
                                  qr_nonneg, tangent_project, to_dense)
-from lowrankpde.stepping import (StepOptions, _solve_projected, _state_change,
-                                 als_variational_step, galerkin_residual, integrate,
-                                 reference_step, splitting_euler_step, step_objective)
+from lowrankpde.stepping import (StepOptions, _forward_splitting_step, _solve_projected,
+                                 _state_change, als_variational_step, galerkin_residual,
+                                 integrate, reference_step, splitting_euler_step,
+                                 step_objective)
 
 def mode_state(n, entries):
     """Rank-len(entries) state with coefficient c on the (i, i) mode pair."""
@@ -59,7 +60,7 @@ def test_reference_step_single_mode_resolvent():
     model = constant_diffusion(np.eye(2))
     y0 = np.zeros((n, n))
     y0[0, 0] = 1.0
-    y1 = reference_step(y0, h, h, np.zeros((n, n)), op, model)
+    y1, _ = reference_step(y0, h, h, np.zeros((n, n)), op, model)
     expected = np.zeros((n, n))
     expected[0, 0] = 1.0 / (1.0 + 2.0 * np.pi ** 2 * h)
     np.testing.assert_allclose(y1, expected, atol=1e-13)
@@ -72,7 +73,7 @@ def test_reference_step_matches_dense_solve_with_source():
     model = constant_diffusion([[0.7, 0.25], [0.25, 0.9]])
     y0 = rng.standard_normal((n, n))
     f = rng.standard_normal((n, n))
-    got = reference_step(y0, h, h, f, op, model)
+    got, _ = reference_step(y0, h, h, f, op, model)
     np.testing.assert_allclose(got, dense_backward_euler(op, model, h, h, y0, f),
                                atol=1e-11)
 
@@ -86,7 +87,7 @@ def test_reference_step_matches_dense_oracle_with_mixed_term():
     model = constant_diffusion([[1.0, 0.3], [0.3, 0.8]])
     y0 = rng.standard_normal((n, n))
     f = rng.standard_normal((n, n))
-    got = reference_step(y0, h, h, f, op, model)
+    got, _ = reference_step(y0, h, h, f, op, model)
     oracle = dense_backward_euler(op, model, h, h, y0, f)
     assert np.linalg.norm(got - oracle) <= 1e-10 * np.linalg.norm(oracle)
 
@@ -98,7 +99,7 @@ def test_reference_step_minimises_objective():
     model = constant_diffusion([[0.6, 0.1], [0.1, 0.6]])
     y0 = rng.standard_normal((n, n))
     f = rng.standard_normal((n, n))
-    star = reference_step(y0, h, h, f, op, model)
+    star, _ = reference_step(y0, h, h, f, op, model)
 
     def objective(y):
         d = y - y0
@@ -165,7 +166,7 @@ def test_als_full_rank_matches_reference():
     model = constant_diffusion([[0.9, 0.2], [0.2, 0.6]])
     u0 = factorize(rng.standard_normal((n, n)), n, rank_floor=0.0)
     f = rng.standard_normal((n, n))
-    dense = reference_step(to_dense(u0), h, h, f, op, model)
+    dense, _ = reference_step(to_dense(u0), h, h, f, op, model)
     u1, _ = als_variational_step(u0, h, h, (f, np.eye(n)), op, model)
     np.testing.assert_allclose(to_dense(u1), dense, atol=1e-9)
 
@@ -213,7 +214,7 @@ def test_als_beats_anchor_objective():
     u0 = random_state(rng, n, r)
     f = rng.standard_normal((n, n))
     start = step_objective(u0, u0, h, h, (f, np.eye(n)), op, model)
-    for opts in (StepOptions(), StepOptions(single_sweep_mode=True)):
+    for opts in (StepOptions(), StepOptions(als_max_sweeps=1)):
         u1, _ = als_variational_step(u0, h, h, (f, np.eye(n)), op, model, opts)
         assert step_objective(u1, u0, h, h, (f, np.eye(n)), op, model) < start
 
@@ -364,8 +365,8 @@ def test_zero_source_factors_are_accepted():
     a, _ = als_variational_step(u0, h, h, pair, op, model)
     b, _ = als_variational_step(u0, h, h, dense_zero, op, model)
     np.testing.assert_allclose(to_dense(a), to_dense(b), rtol=0, atol=1e-13)
-    a = splitting_euler_step(u0, h, h, pair, op, model)
-    b = splitting_euler_step(u0, h, h, dense_zero, op, model)
+    a, _ = splitting_euler_step(u0, h, h, pair, op, model)
+    b, _ = splitting_euler_step(u0, h, h, dense_zero, op, model)
     np.testing.assert_allclose(to_dense(a), to_dense(b), rtol=0, atol=1e-13)
 
 
@@ -388,7 +389,7 @@ def test_manifold_step_allocates_no_dense_matrix():
         try:
             pair = rhs_mean_factors(src, 0.0, h)
             als_variational_step(u0, h, h, pair, op, model)
-            u1 = splitting_euler_step(u0, h, h, pair, op, model)
+            u1, _ = splitting_euler_step(u0, h, h, pair, op, model)
             step_objective(u1, u0, h, h, pair, op, model)
             galerkin_residual(u1, u0, h, h, pair, op, model)
             peak = tracemalloc.get_traced_memory()[1]
@@ -417,12 +418,37 @@ def test_splitting_single_mode_resolvent():
     n, h = 6, 0.01
     op = build_operator(n)
     model = constant_diffusion(np.eye(2))
-    u1 = splitting_euler_step(mode_state(n, [(0, 1.0)]), h, h,
-                              (np.zeros((n, n)), np.eye(n)),
-                              op, model)
+    u1, _ = splitting_euler_step(mode_state(n, [(0, 1.0)]), h, h,
+                                 (np.zeros((n, n)), np.eye(n)), op, model)
     expected = np.zeros((n, n))
     expected[0, 0] = 1.0 / (1.0 + 2.0 * np.pi ** 2 * h)
     np.testing.assert_allclose(to_dense(u1), expected, atol=1e-13)
+
+
+@pytest.mark.parametrize("a12", [0.0, 0.3])
+def test_integrate_splitting_reports_the_step_diagnostics(a12):
+    # the one-sweep step reports what step_objective and galerkin_residual
+    # evaluate at its anchor and its result
+    rng = np.random.default_rng(50)
+    n, r, h, steps = 16, 3, 0.01, 4
+    op = build_operator(n)
+    model = constant_diffusion([[1.0, a12], [a12, 0.5]])
+    src = separable_source(n, [(cosine_profile(1.0, 3.0), rng.standard_normal(n),
+                                rng.standard_normal(n)) for _ in range(2)])
+    traj = integrate("splitting", smooth_state(rng, n, r, 1.0), steps * h, steps, model, src)
+    assert len(traj.diagnostics) == steps
+    for i, diag in enumerate(traj.diagnostics):
+        prev, state = traj.states[i], traj.states[i + 1]
+        pair = rhs_mean_factors(src, i * h, (i + 1) * h)
+        t1 = traj.times[i + 1]
+        assert diag.sweeps_used == 1
+        assert diag.objective_trace[0] == pytest.approx(
+            step_objective(prev, prev, h, t1, pair, op, model), rel=1e-12)
+        assert diag.objective_value == pytest.approx(
+            step_objective(state, prev, h, t1, pair, op, model), rel=1e-12)
+        assert diag.galerkin_residual == pytest.approx(
+            galerkin_residual(state, prev, h, t1, pair, op, model), rel=1e-12)
+        assert diag.objective_decreased
 
 
 def test_splitting_s_step_forms_agree():
@@ -435,46 +461,10 @@ def test_splitting_s_step_forms_agree():
         model = constant_diffusion([[1.0, 0.3], [0.3, 0.8]])
         u0 = random_state(rng, n, r)
         f = rng.standard_normal((n, n))
-        a = splitting_euler_step(u0, h, h, (f, np.eye(n)), op, model)
-        b = splitting_euler_step(u0, h, h, (f, np.eye(n)), op, model, s_step="forward")
+        a, _ = splitting_euler_step(u0, h, h, (f, np.eye(n)), op, model)
+        b = _forward_splitting_step(u0, h, h, (f, np.eye(n)), op, model)
         gap = np.linalg.norm(to_dense(a) - to_dense(b))
         assert gap <= 1e-12 * np.linalg.norm(to_dense(a))
-
-
-def test_single_sweep_als_equals_splitting():
-    rng = np.random.default_rng(42)
-    single = StepOptions(single_sweep_mode=True)
-    for trial in range(8):
-        n = int(rng.integers(3, 12))
-        r = int(rng.integers(1, min(5, n) + 1))
-        h = 10.0 ** rng.uniform(-4, -1)
-        op = build_operator(n)
-        model = rotating_diffusion(1.0, 0.4, 0.8)
-        u0 = random_state(rng, n, r)
-        f = rng.standard_normal((n, n)) if trial % 2 else np.zeros((n, n))
-        a, diag = als_variational_step(u0, h, h, (f, np.eye(n)), op, model, single)
-        assert diag.sweeps_used == 1
-        b = splitting_euler_step(u0, h, h, (f, np.eye(n)), op, model)
-        scale = max(np.linalg.norm(to_dense(a)), 1e-30)
-        assert np.linalg.norm(to_dense(a) - to_dense(b)) / scale < 1e-12
-
-
-def test_splitting_rejects_unknown_s_step():
-    op = build_operator(4)
-    model = constant_diffusion(np.eye(2))
-    u0 = mode_state(4, [(0, 1.0)])
-    with pytest.raises(ValueError):
-        splitting_euler_step(u0, 0.01, 0.01, (np.zeros((4, 4)), np.eye(4)), op, model,
-                             s_step="midpoint")
-
-
-def test_splitting_s_step_is_keyword_only():
-    op = build_operator(4)
-    model = constant_diffusion(np.eye(2))
-    u0 = mode_state(4, [(0, 1.0)])
-    with pytest.raises(TypeError):
-        splitting_euler_step(u0, 0.01, 0.01, (np.zeros((4, 4)), np.eye(4)), op, model,
-                             StepOptions())
 
 
 # ---------------------------------------------------------------------------
