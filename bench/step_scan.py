@@ -12,6 +12,9 @@ Each row records, for one (method, N, a12):
   count, the best of ``REPEATS`` timed calls after one warm-up call.  The
   call includes ``build_operator``, as it does for every caller.
 - ``sweeps_per_step`` and ``ms_per_sweep`` (ALS sweeps; 1 for splitting).
+- ``inner_iterations_per_half_sweep``: conjugate-gradient iterations of the
+  half-sweep solves (``StepDiagnostics.inner_iterations``) over the two
+  half-sweeps of every sweep; 0 without a mixed term.
 - ``peak_traced_mb``: peak allocation traced by ``tracemalloc`` over one
   further, untimed call.  An N x N array of floats is 8 N^2 bytes, so a
   peak far below that shows that no dense matrix was formed.
@@ -39,7 +42,6 @@ import tracemalloc
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
@@ -92,11 +94,13 @@ def scan_row(method: str, n: int, a12: float) -> dict:
         tracemalloc.stop()
     steps = len(traj.diagnostics)
     sweeps = sum(d.sweeps_used for d in traj.diagnostics) / steps
+    iterations = sum(d.inner_iterations for d in traj.diagnostics) / steps
     ms_per_step = 1e3 * best / steps
     return {"method": method, "N": n, "r": RANK, "a12": a12,
             "ms_per_step": round(ms_per_step, 4),
             "sweeps_per_step": sweeps,
             "ms_per_sweep": round(ms_per_step / sweeps, 4),
+            "inner_iterations_per_half_sweep": round(iterations / (2.0 * sweeps), 4),
             "peak_traced_mb": round(peak / 1e6, 4),
             "dense_matrix_mb": round(8.0 * n * n / 1e6, 4)}
 
@@ -111,7 +115,7 @@ def machine() -> dict:
         pass
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"cpu": cpu, "nproc": os.cpu_count(), "python": platform.python_version(),
-            "numpy": np.__version__, "scipy": scipy.__version__,
+            "numpy": np.__version__,
             "blas": f"{blas.get('name')}-{blas.get('version')}",
             "blas_threads": int(os.environ["OPENBLAS_NUM_THREADS"])}
 
@@ -129,6 +133,7 @@ def main(argv=None) -> int:
                 row = scan_row(method, n, a12)
                 print(f"{method:9s} N={n:5d} a12={a12:4.2f}  {row['ms_per_step']:10.3f} ms/step"
                       f"  {row['sweeps_per_step']:5.1f} sweeps/step"
+                      f"  {row['inner_iterations_per_half_sweep']:5.1f} CG its/half-sweep"
                       f"  peak {row['peak_traced_mb']:8.3f} MB", flush=True)
                 rows.append(row)
     result = {

@@ -17,17 +17,23 @@ mixed term is on; no N-by-N matrix is formed.  ``build_operator`` is O(N)
 and builds G on first use, so a rank-r ``integrate`` with a diagonal tensor
 allocates no N-by-N array at all; with a mixed term G is built once per
 operator.
+
+Each half-sweep is an SPD solve for one factor-with-core.  Without the mixed
+term it is an exact Sylvester solve; with it, that solve preconditions a
+conjugate-gradient loop on (N, r) blocks, which from the second sweep on
+starts at the current factor-with-core.  The first sweep starts from zero,
+so the splitting step is unaffected by the warm start.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
-from scipy.sparse.linalg import LinearOperator, cg
 
 from .galerkin import (DiffusionModel, GalerkinOperator, SourceSpec, apply_operator,
                        build_operator, h_norm, rhs_mean_factors)
@@ -50,8 +56,10 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# Relative residual at which the inner conjugate gradient stops; tight
-# enough that converged steps keep their Galerkin residual at roundoff.
+# Residual at which the inner conjugate gradient stops, relative to the norm
+# of the right-hand side; tight enough that converged steps keep their
+# Galerkin residual at roundoff.  It does not depend on the start, so a warm
+# start cannot loosen the stop test: it only begins nearer to it.
 _CG_RTOL = 1e-14
 
 # Hard floor for the triangular blocks produced inside a step; deliberately
@@ -66,11 +74,20 @@ class InnerSolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepOptions:
-    """Knobs shared by all steppers."""
+    """Knobs shared by all steppers; bad values raise ValueError on creation."""
 
     als_tol: float = 1e-11
     als_max_sweeps: int = 100
     rank_floor_rel: float = 1e-12
+
+    def __post_init__(self):
+        sweeps, tol, floor = self.als_max_sweeps, self.als_tol, self.rank_floor_rel
+        if isinstance(sweeps, bool) or not isinstance(sweeps, numbers.Integral) or sweeps < 1:
+            raise ValueError(f"als_max_sweeps must be an integer >= 1, got {sweeps!r}")
+        if not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
+            raise ValueError(f"als_tol must be finite and >= 0, got {tol!r}")
+        if not (isinstance(floor, numbers.Real) and 0.0 <= floor < 1.0):
+            raise ValueError(f"rank_floor_rel must lie in [0, 1), got {floor!r}")
 
 
 @dataclass(frozen=True)
@@ -79,7 +96,9 @@ class StepDiagnostics:
 
     objective_trace holds the objective after the warm start and after each
     half-sweep (for the reference step: before and after), so monotonicity
-    of the alternating solver is observable.
+    of the alternating solver is observable.  inner_iterations is the total
+    number of conjugate-gradient iterations of the step, 0 without a mixed
+    term.
     """
 
     sweeps_used: int
@@ -88,6 +107,7 @@ class StepDiagnostics:
     sigma_r: float
     objective_decreased: bool
     objective_trace: tuple = ()
+    inner_iterations: int = 0
 
 
 @dataclass(frozen=True)
@@ -232,25 +252,43 @@ def _state_change(old: LowRankState, mid: LowRankState, new: LowRankState) -> fl
 # inner solves
 
 
-def _pcg(apply, precondition, rhs: np.ndarray) -> np.ndarray:
-    """Solve the SPD system ``apply(X) = rhs`` by preconditioned conjugate
-    gradient; ``precondition`` applies an SPD approximate inverse."""
-    shape, n = rhs.shape, rhs.size
-
-    def linear(fn):
-        return LinearOperator((n, n), matvec=lambda v: fn(v.reshape(shape)).ravel(),
-                              dtype=float)
-
-    x, info = cg(linear(apply), rhs.ravel(), rtol=_CG_RTOL, atol=0.0,
-                 maxiter=max(1000, 20 * n), M=linear(precondition))
-    if info != 0:
-        raise InnerSolveError(f"conjugate gradient stopped with info={info}")
-    return x.reshape(shape)
+def _pcg(apply, precondition, rhs: np.ndarray, x0: Optional[np.ndarray] = None):
+    """Solve the SPD system ``apply(X) = rhs`` for a block X by preconditioned
+    conjugate gradient from ``x0`` (zero if None); ``precondition`` applies
+    an SPD approximate inverse.  Step for step the arithmetic of scipy's
+    ``cg`` on the row-major flattened blocks (the reductions run over
+    ``ravel()``), so a cold start reproduces it bitwise.
+    Returns (X, iterations).
+    """
+    rhs_norm = math.sqrt(np.dot(rhs.ravel(), rhs.ravel()))
+    if rhs_norm == 0.0:
+        return np.zeros_like(rhs), 0
+    stop = _CG_RTOL * rhs_norm
+    if x0 is None:
+        x, r = np.zeros_like(rhs), rhs.copy()
+    else:
+        x = np.array(x0, dtype=float)
+        r = rhs - apply(x)
+    maxiter = max(1000, 20 * rhs.size)
+    p = rho_prev = None
+    for iterations in range(maxiter):
+        r_flat = r.ravel()
+        if math.sqrt(np.dot(r_flat, r_flat)) < stop:
+            return x, iterations
+        z = precondition(r)
+        rho = np.dot(r_flat, z.ravel())
+        p = z if p is None else z + (rho / rho_prev) * p
+        q = apply(p)
+        step = rho / np.dot(p.ravel(), q.ravel())
+        x += step * p
+        r -= step * q
+        rho_prev = rho
+    raise InnerSolveError(f"conjugate gradient did not converge in {maxiter} iterations")
 
 
 def _solve_projected(op: GalerkinOperator, alpha: np.ndarray, h: float, own_axis: int,
                      b_block: np.ndarray, h_block: Optional[np.ndarray],
-                     rhs: np.ndarray) -> np.ndarray:
+                     rhs: np.ndarray, x0: Optional[np.ndarray] = None):
     """Solve one half-sweep system  X + h * A_red(X) = rhs  for X (N, r).
 
     ``own_axis`` selects which coordinate keeps its full 1D stiffness
@@ -264,27 +302,28 @@ def _solve_projected(op: GalerkinOperator, alpha: np.ndarray, h: float, own_axis
     is symmetric positive definite as a compression of the full operator.
     Without the mixed term it is a Sylvester equation with diagonal L,
     solved exactly in the eigenbasis of the (r, r) block; with it, that
-    solve preconditions conjugate gradient.
+    solve preconditions conjugate gradient started at ``x0`` (zero if None).
+    Returns (X, conjugate-gradient iterations), the count 0 without the
+    mixed term.
     """
-    lam = op.stiffness_diag
     own = alpha[0, 0] if own_axis == 0 else alpha[1, 1]
     other = alpha[1, 1] if own_axis == 0 else alpha[0, 0]
     c = alpha[0, 1] + alpha[1, 0]
+    own_lam = own * op.stiffness_diag[:, None]
     evals, evecs = np.linalg.eigh(b_block)
-    denom = 1.0 + h * (own * lam[:, None] + other * evals[None, :])
+    denom = 1.0 + h * (own_lam + other * evals[None, :])
 
     def sylvester(x):
         return ((x @ evecs) / denom) @ evecs.T
 
     if c == 0.0:
-        return sylvester(rhs)
+        return sylvester(rhs), 0
     g = op.grad_coupling_1d
 
     def apply(x):
-        return x + h * (own * lam[:, None] * x + other * (x @ b_block)
-                        + c * (g @ x @ h_block))
+        return x + h * (own_lam * x + other * (x @ b_block) + c * (g @ x @ h_block))
 
-    return _pcg(apply, sylvester, rhs)
+    return _pcg(apply, sylvester, rhs, x0)
 
 
 def _check_collapse(r_block: np.ndarray, what: str):
@@ -300,12 +339,13 @@ def _check_collapse(r_block: np.ndarray, what: str):
 # steppers
 
 
-def _diagnostics(sweeps: int, residual: float, trace, sigma_r: float) -> StepDiagnostics:
+def _diagnostics(sweeps: int, residual: float, trace, sigma_r: float,
+                 iterations: int) -> StepDiagnostics:
     """Step record from the objective trace; F decreased if its last value
     is at most its first, up to roundoff."""
     return StepDiagnostics(
         sweeps_used=sweeps, galerkin_residual=residual, objective_value=trace[-1],
-        sigma_r=sigma_r, objective_trace=tuple(trace),
+        sigma_r=sigma_r, objective_trace=tuple(trace), inner_iterations=iterations,
         objective_decreased=bool(trace[-1] <= trace[0] + 1e-12 * abs(trace[0]) + 1e-300))
 
 
@@ -326,17 +366,18 @@ def reference_step(y_prev: np.ndarray, h: float, t_next: float, f_mean: np.ndarr
     y_prev = np.asarray(y_prev, dtype=float)
     rhs = y_prev + h * f_mean
     if alpha[0, 1] + alpha[1, 0] == 0.0:
-        y = rhs / denom
+        y, iterations = rhs / denom, 0
     else:
-        y = _pcg(lambda x: x + h * apply_operator(op, model, t_next, x),
-                 lambda x: x / denom, rhs)
+        y, iterations = _pcg(lambda x: x + h * apply_operator(op, model, t_next, x),
+                             lambda x: x / denom, rhs)
     a_y = apply_operator(op, model, t_next, y)
     d = y - y_prev
     f_prev = (0.5 * float(np.sum(apply_operator(op, model, t_next, y_prev) * y_prev))
               - float(np.sum(f_mean * y_prev)))
     f_new = (float(np.sum(d * d)) / (2.0 * h) + 0.5 * float(np.sum(a_y * y))
              - float(np.sum(f_mean * y)))
-    return y, _diagnostics(0, h_norm(d / h + a_y - f_mean), (f_prev, f_new), math.nan)
+    return y, _diagnostics(0, h_norm(d / h + a_y - f_mean), (f_prev, f_new), math.nan,
+                           iterations)
 
 
 def _alternating_step(u_prev: LowRankState, h: float, t_next: float, f_factors,
@@ -346,17 +387,23 @@ def _alternating_step(u_prev: LowRankState, h: float, t_next: float, f_factors,
     over the left factor-with-core (right basis frozen), then over the right
     one (new left basis frozen); the anchor stays fixed, so no half-sweep
     raises F.  A sweep that another may follow stops the step once the
-    relative state change is at most ``tol``.  Returns (state, diagnostics).
+    relative state change is at most ``tol``.  From the second sweep on, the
+    conjugate gradient of a mixed term starts at the current factor-with-core,
+    where its quadratic equals the current F, so it cannot raise F either.
+    Returns (state, diagnostics).
     """
     step, left, right = _step_at(u_prev, u_prev, h, t_next, f_factors, op, model)
     u0, s0, v0 = u_prev.u1_factors, u_prev.core, u_prev.u2_factors
-    state, sweeps = u_prev, 0
+    state, sweeps, iterations = u_prev, 0, 0
     trace = [step.objective(s0, left, right)]
     for sweeps in range(1, max_sweeps + 1):
         old = state
+        warm = sweeps > 1 and step.mixed != 0.0
         # left half-sweep: unknown K = U S with the right basis frozen
         rhs_k = u0 @ (s0 @ right.anchor.T) + h * (step.p @ right.source.T)
-        k = _solve_projected(op, step.alpha, h, 0, right.lam, right.g, rhs_k)
+        k, its = _solve_projected(op, step.alpha, h, 0, right.lam, right.g, rhs_k,
+                                  state.u1_factors @ state.core if warm else None)
+        iterations += its
         u_basis, r_k = qr_nonneg(k)
         _check_collapse(r_k, "left")
         left = step.frame(u_basis, 0)
@@ -364,7 +411,9 @@ def _alternating_step(u_prev: LowRankState, h: float, t_next: float, f_factors,
         trace.append(step.objective(r_k, left, right))
         # right half-sweep: unknown W = V S^T with the new left basis frozen
         rhs_w = v0 @ (s0.T @ left.anchor.T) + h * (step.q @ left.source.T)
-        w = _solve_projected(op, step.alpha, h, 1, left.lam, left.g, rhs_w)
+        w, its = _solve_projected(op, step.alpha, h, 1, left.lam, left.g, rhs_w,
+                                  mid.u2_factors @ mid.core.T if warm else None)
+        iterations += its
         v_basis, r_w = qr_nonneg(w)
         _check_collapse(r_w, "right")
         right = step.frame(v_basis, 1)
@@ -374,7 +423,7 @@ def _alternating_step(u_prev: LowRankState, h: float, t_next: float, f_factors,
                 h_norm(state.core), np.finfo(float).tiny) <= tol:
             break
     return state, _diagnostics(sweeps, step.residual(state.core, left, right), trace,
-                               smallest_singular(state))
+                               smallest_singular(state), iterations)
 
 
 def als_variational_step(u_prev: LowRankState, h: float, t_next: float,
@@ -423,7 +472,7 @@ def _forward_splitting_step(u_prev: LowRankState, h: float, t_next: float,
     right = step.frame(v0, 1)
 
     rhs_k = u0 @ s0 + h * (step.p @ right.source.T)
-    k = _solve_projected(op, alpha, h, 0, right.lam, right.g, rhs_k)
+    k, _ = _solve_projected(op, alpha, h, 0, right.lam, right.g, rhs_k)
     u1, s1_plus = qr_nonneg(k)
     _check_collapse(s1_plus, "left")
     left = step.frame(u1, 0)
@@ -431,7 +480,7 @@ def _forward_splitting_step(u_prev: LowRankState, h: float, t_next: float,
                - h * (left.source @ right.source.T))
 
     rhs_w = v0 @ s0_plus.T + h * (step.q @ left.source.T)
-    w = _solve_projected(op, alpha, h, 1, left.lam, left.g, rhs_w)
+    w, _ = _solve_projected(op, alpha, h, 1, left.lam, left.g, rhs_w)
     v1, r_w = qr_nonneg(w)
     _check_collapse(r_w, "right")
     return LowRankState(u1, r_w.T, v1)

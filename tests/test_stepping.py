@@ -8,7 +8,9 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import LinearOperator, cg
 
+from lowrankpde import stepping
 from lowrankpde.galerkin import (build_operator, constant_diffusion,
                                  cosine_profile, operator_matrix, rhs_mean_factors,
                                  rotating_diffusion,
@@ -205,6 +207,57 @@ def test_als_objective_trace_monotone():
         step_objective(u1, u0, h, h, (f, np.eye(n)), op, model), rel=1e-10)
 
 
+def test_als_warm_start_saves_inner_iterations(monkeypatch):
+    # from the second sweep on, CG starts at the current factor-with-core:
+    # fewer iterations than cold starts, the same step up to the solve
+    # tolerance, and F still decreases at every half-sweep
+    rng = np.random.default_rng(51)
+    n, r, h = 32, 4, 0.01
+    op = build_operator(n)
+    model = rotating_diffusion(1.0, 0.3, 1.0)
+    u0 = smooth_state(rng, n, r, 1.0)
+    pair = (rng.standard_normal((n, 2)), rng.standard_normal((n, 2)))
+    warm, warm_diag = als_variational_step(u0, h, h, pair, op, model)
+    solve = stepping._solve_projected
+    monkeypatch.setattr(stepping, "_solve_projected",
+                        lambda *args: solve(*args[:7]))
+    cold, cold_diag = als_variational_step(u0, h, h, pair, op, model)
+    assert warm_diag.sweeps_used == cold_diag.sweeps_used > 2
+    assert 0 < warm_diag.inner_iterations < cold_diag.inner_iterations
+    gap = np.linalg.norm(to_dense(warm) - to_dense(cold))
+    assert gap <= 1e-10 * np.linalg.norm(to_dense(cold))
+    trace = np.asarray(warm_diag.objective_trace)
+    assert np.all(np.diff(trace) <= 1e-12 * max(1.0, abs(trace[0])))
+
+
+def test_inner_iterations_are_recorded():
+    # counted only when a mixed term makes the solve iterative
+    rng = np.random.default_rng(52)
+    n, r, h = 12, 3, 0.01
+    op = build_operator(n)
+    u0 = random_state(rng, n, r)
+    pair = (rng.standard_normal((n, 1)), rng.standard_normal((n, 1)))
+    for a12 in (0.0, 0.3):
+        model = constant_diffusion([[1.0, a12], [a12, 0.6]])
+        records = [als_variational_step(u0, h, h, pair, op, model)[1],
+                   splitting_euler_step(u0, h, h, pair, op, model)[1],
+                   reference_step(to_dense(u0), h, h, pair[0] @ pair[1].T, op, model)[1]]
+        for diag in records:
+            assert (diag.inner_iterations > 0) == (a12 != 0.0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("als_max_sweeps", 0), ("als_max_sweeps", -3), ("als_max_sweeps", 2.0),
+    ("als_max_sweeps", True), ("als_max_sweeps", "5"), ("als_tol", -1e-12),
+    ("als_tol", math.nan), ("als_tol", math.inf), ("als_tol", "1e-11"),
+    ("rank_floor_rel", -1e-12), ("rank_floor_rel", 1.0), ("rank_floor_rel", math.nan)])
+def test_step_options_reject_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        StepOptions(**{field: value})
+    # the edges that stay allowed
+    StepOptions(als_max_sweeps=np.int64(1), als_tol=0.0, rank_floor_rel=0.0)
+
+
 def test_als_beats_anchor_objective():
     # default- and single-sweep runs both end below the starting objective
     rng = np.random.default_rng(38)
@@ -329,11 +382,13 @@ def test_step_linearity_under_scaling():
                                rtol=1e-11, atol=1e-11 * c)
 
 
-@pytest.mark.parametrize("a12", [0.0, 0.3])
-@pytest.mark.parametrize("own_axis", [0, 1])
-def test_half_sweep_solve_matches_kronecker_oracle(a12, own_axis):
+@pytest.mark.parametrize("own_axis, a12, warm", [
+    pytest.param(own_axis, a12, warm, id=f"{own_axis}-{a12}" + ("-warm" if warm else ""))
+    for warm in (False, True) for own_axis in (0, 1) for a12 in (0.0, 0.3)])
+def test_half_sweep_solve_matches_kronecker_oracle(own_axis, a12, warm):
     # N r = 2400 unknowns; a12 = 0 is the exact Sylvester solve, a12 != 0 the
-    # preconditioned conjugate gradient
+    # preconditioned conjugate gradient, started cold or from a perturbed
+    # solution
     rng = np.random.default_rng(45)
     n, r, h = 300, 8, 0.05
     op = build_operator(n)
@@ -348,9 +403,55 @@ def test_half_sweep_solve_matches_kronecker_oracle(a12, own_axis):
                   + np.kron(other * basis.T @ stiff @ basis, np.eye(n))
                   + 2 * a12 * np.kron((basis.T @ g @ basis).T, g)))
     oracle = np.linalg.solve(mat, rhs.ravel(order="F")).reshape((n, r), order="F")
-    got = _solve_projected(op, alpha, h, own_axis, basis.T @ stiff @ basis,
-                           basis.T @ g @ basis, rhs)
+    x0 = oracle + 1e-3 * rng.standard_normal((n, r)) if warm else None
+    got, _ = _solve_projected(op, alpha, h, own_axis, basis.T @ stiff @ basis,
+                              basis.T @ g @ basis, rhs, x0)
     assert np.linalg.norm(got - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
+def half_sweep_system(monkeypatch, seed):
+    """A left half-sweep system with a12 = 0.3 as the (apply, precondition,
+    rhs) that ``_solve_projected`` hands to ``_pcg``."""
+    rng = np.random.default_rng(seed)
+    n, r, h = 60, 4, 0.01
+    op = build_operator(n)
+    alpha = np.array([[1.0, 0.3], [0.3, 0.7]])
+    basis, _ = np.linalg.qr(rng.standard_normal((n, r)))
+    rhs = rng.standard_normal((n, r))
+    seen = []
+    monkeypatch.setattr(stepping, "_pcg", lambda *args: seen.append(args) or (rhs, 0))
+    _solve_projected(op, alpha, h, 0, (basis.T * op.stiffness_diag) @ basis,
+                     basis.T @ op.grad_coupling_1d @ basis, rhs)
+    monkeypatch.undo()
+    apply, precondition, got_rhs, x0 = seen[0]
+    assert got_rhs is rhs and x0 is None
+    return apply, precondition, rhs
+
+
+def test_pcg_cold_start_is_scipy_cg_bitwise(monkeypatch):
+    apply, precondition, rhs = half_sweep_system(monkeypatch, 46)
+    shape, size = rhs.shape, rhs.size
+
+    def linear(fn):
+        return LinearOperator((size, size), matvec=lambda v: fn(v.reshape(shape)).ravel(),
+                              dtype=float)
+
+    seen = []
+    want, info = cg(linear(apply), rhs.ravel(), rtol=stepping._CG_RTOL, atol=0.0,
+                    maxiter=max(1000, 20 * size), M=linear(precondition),
+                    callback=seen.append)
+    assert info == 0
+    got, iterations = stepping._pcg(apply, precondition, rhs)
+    assert np.array_equal(got, want.reshape(shape))
+    assert iterations == len(seen) > 0
+
+
+def test_pcg_from_the_exact_solution_takes_no_iteration(monkeypatch):
+    apply, precondition, _ = half_sweep_system(monkeypatch, 47)
+    exact = np.random.default_rng(48).standard_normal((60, 4))
+    got, iterations = stepping._pcg(apply, precondition, apply(exact), exact.copy())
+    assert iterations == 0
+    assert np.array_equal(got, exact)
 
 
 def test_zero_source_factors_are_accepted():
