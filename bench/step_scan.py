@@ -8,9 +8,12 @@ JSON (default ``BENCH_step_scan.json`` at the repository root):
 
 Each row records, for one (method, N, a12):
 
-- ``ms_per_step``: wall time of one ``integrate`` call divided by its step
-  count, the best of ``REPEATS`` timed calls after one warm-up call.  The
-  call includes ``build_operator``, as it does for every caller.
+- ``ms_per_step``: process CPU time (``time.process_time``) of one
+  ``integrate`` call divided by its step count, the median of ``REPEATS``
+  timed calls after one warm-up call.  The call includes
+  ``build_operator``, as it does for every caller.  CPU time leaves out the
+  time the process waits for a core on a shared host; BLAS runs on one
+  thread, so it is the time of that thread.
 - ``sweeps_per_step`` and ``ms_per_sweep`` (ALS sweeps; 1 for splitting).
 - ``inner_iterations_per_half_sweep``: conjugate-gradient iterations of the
   half-sweep solves (``StepDiagnostics.inner_iterations``) over the two
@@ -23,7 +26,7 @@ Inputs are seeded: a smooth rank-r start (Gaussian factor blocks weighted
 by n^-2, orthonormalised, singular values geometric from 1 to 1e-2) and two
 smooth separable cosine sources.  BLAS is pinned to one thread.  The timings
 are not deterministic: they vary from run to run and machine to machine,
-which is why the JSON records the machine.  ALS with a12 != 0 stops at
+which is why the JSON records the machine and the clock.  ALS with a12 != 0 stops at
 N = 1024, where one call already takes seconds.
 """
 
@@ -36,6 +39,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import json
 import platform
+import statistics
 import sys
 import time
 import tracemalloc
@@ -57,7 +61,7 @@ METHODS = ("als", "splitting")
 ALS_MIXED_MAX_N = 1024
 STEP = 1e-3
 N_STEPS = 5
-REPEATS = 3
+REPEATS = 5
 SEED = 2020
 
 
@@ -81,11 +85,11 @@ def scan_row(method: str, n: int, a12: float) -> dict:
         return integrate(method, start, STEP * N_STEPS, N_STEPS, model, source)
 
     call()
-    best = float("inf")
+    times = []
     for _ in range(REPEATS):
-        t0 = time.perf_counter()
+        t0 = time.process_time()
         traj = call()
-        best = min(best, time.perf_counter() - t0)
+        times.append(time.process_time() - t0)
     tracemalloc.start()
     try:
         call()
@@ -95,7 +99,7 @@ def scan_row(method: str, n: int, a12: float) -> dict:
     steps = len(traj.diagnostics)
     sweeps = sum(d.sweeps_used for d in traj.diagnostics) / steps
     iterations = sum(d.inner_iterations for d in traj.diagnostics) / steps
-    ms_per_step = 1e3 * best / steps
+    ms_per_step = 1e3 * statistics.median(times) / steps
     return {"method": method, "N": n, "r": RANK, "a12": a12,
             "ms_per_step": round(ms_per_step, 4),
             "sweeps_per_step": sweeps,
@@ -139,10 +143,11 @@ def main(argv=None) -> int:
     result = {
         "what": "ms/step of integrate for the rank-r methods over N and a12",
         "deterministic": False,
-        "note": "wall-clock timings; they vary between runs and machines",
+        "clock": "time.process_time (process CPU time)",
+        "note": "CPU timings; they vary between runs and machines",
         "machine": machine(),
         "settings": {"rank": RANK, "h": STEP, "n_steps": N_STEPS, "warmup": 1,
-                     "repeats": REPEATS, "statistic": "best of repeats",
+                     "repeats": REPEATS, "statistic": "median of repeats",
                      "seed": SEED, "als_mixed_max_n": ALS_MIXED_MAX_N},
         "rows": rows,
     }

@@ -1,0 +1,107 @@
+"""CPU cost and traced peak of the geometry suites.
+
+Times ``curvature_suite``, ``projection_regularity_suite`` and
+``tangency_suite`` at rank r = 4 with 1000 trials over a grid of basis
+sizes N, and writes the result as JSON (default ``BENCH_suite_scan.json``
+at the repository root):
+
+    python3 bench/suite_scan.py [--out PATH]
+
+Each row records, for one (suite, N):
+
+- ``cpu_ms``: process CPU time (``time.process_time``) of one suite call,
+  the median of ``REPEATS`` timed calls after one warm-up call.  BLAS is
+  pinned to one thread, so this is the time of that thread.
+- ``peak_traced_mb``: peak allocation traced by ``tracemalloc`` over one
+  further, untimed call.
+- ``violations`` and ``worst_ratio``: the suite's report, which depends only
+  on (N, r, trials, seed), so a change of speed cannot hide a change of
+  result.
+
+One more row per N, ``geometry-suites``, times the three suites as the
+``geometry-suites`` CLI experiment calls them (tangency on half the
+trials).  The timings are not deterministic: they vary from run to run and
+machine to machine, which is why the JSON records the machine and the clock.
+"""
+
+import argparse
+import json
+import statistics
+import sys
+import time
+import tracemalloc
+from pathlib import Path
+
+from step_scan import ROOT, machine  # pins BLAS and puts src/ on the path first
+
+from lowrankpde import (curvature_suite, projection_regularity_suite,  # noqa: E402
+                        rotating_diffusion, tangency_suite)
+
+RANK = 4
+TRIALS = 1000
+SIZES = (16, 32, 64)
+REPEATS = 5
+SEED = 2020
+MODEL = rotating_diffusion(1.0, 0.25, 1.0)
+
+SUITES = {
+    "curvature": lambda n: curvature_suite(n, RANK, TRIALS, SEED),
+    "projection": lambda n: projection_regularity_suite(n, RANK, TRIALS, SEED),
+    "tangency": lambda n: tangency_suite(n, RANK, TRIALS, SEED, MODEL),
+    "geometry-suites": lambda n: (curvature_suite(n, RANK, TRIALS, SEED),
+                                  projection_regularity_suite(n, RANK, TRIALS, SEED),
+                                  tangency_suite(n, RANK, TRIALS // 2, SEED, MODEL)),
+}
+
+
+def scan_row(name: str, n: int) -> dict:
+    call = SUITES[name]
+    report = call(n)
+    times = []
+    for _ in range(REPEATS):
+        t0 = time.process_time()
+        call(n)
+        times.append(time.process_time() - t0)
+    tracemalloc.start()
+    try:
+        call(n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    row = {"suite": name, "N": n, "r": RANK, "trials": TRIALS,
+           "cpu_ms": round(1e3 * statistics.median(times), 2),
+           "peak_traced_mb": round(peak / 1e6, 3)}
+    if not isinstance(report, tuple):
+        row["violations"] = report.violations
+        row["worst_ratio"] = {k: float(v) for k, v in report.worst_ratio.items()}
+    return row
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_suite_scan.json")
+    args = parser.parse_args(argv)
+    rows = []
+    for n in SIZES:
+        for name in SUITES:
+            row = scan_row(name, n)
+            print(f"{name:16s} N={n:3d}  {row['cpu_ms']:9.1f} ms CPU"
+                  f"  peak {row['peak_traced_mb']:7.3f} MB", flush=True)
+            rows.append(row)
+    result = {
+        "what": "CPU ms per call of the geometry suites over N",
+        "deterministic": False,
+        "clock": "time.process_time (process CPU time)",
+        "note": "CPU timings; they vary between runs and machines",
+        "machine": machine(),
+        "settings": {"rank": RANK, "trials": TRIALS, "seed": SEED, "warmup": 1,
+                     "repeats": REPEATS, "statistic": "median of repeats"},
+        "rows": rows,
+    }
+    args.out.write_text(json.dumps(result, indent=1) + "\n")
+    print(f"wrote {args.out}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -2,9 +2,14 @@
 
 Every suite draws each trial from its own RNG stream seeded by
 ``(seed, trial_index)``, so results are reproducible and independent of
-trial order.  Reports carry the worst observed ratio (observed quantity over
-its proven bound); a passing suite has every ratio at most 1 up to a 1e-9
-slack for roundoff.
+trial order.  The geometry suites draw trial by trial but do their linear
+algebra on stacks of trials, a chunk at a time; numpy runs a stacked call
+slice by slice through the same LAPACK/BLAS routine, so a report is the same
+to the last bit for any chunking.  Norms stay one BLAS dot per trial, and a
+chunk of trials stays within a fixed memory budget (``_CHUNK_BYTES``).
+Reports carry the worst observed ratio (observed quantity over its proven
+bound); a passing suite has every ratio at most 1 up to a 1e-9 slack for
+roundoff.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ from .galerkin import (DiffusionModel, GalerkinOperator, SourceSpec, apply_a1, a
                        build_operator, constant_diffusion, exact_diagonal_solution,
                        h_norm, rhs_mean, rhs_mean_factors, rotating_diffusion,
                        separable_source, v_dual_norm, v_norm, zero_source)
-from .manifold import (LowRankState, factorize, qr_nonneg, smallest_singular,
-                       tangent_project, to_dense)
+from .manifold import (LowRankState, factorize, qr_nonneg, singular_values, tangent_project,
+                       to_dense)
 from .stepping import (StepOptions, Trajectory, _forward_splitting_step, integrate,
                        splitting_euler_step, step_objective)
 
@@ -48,24 +53,33 @@ _RATIO_SLACK = 1e-9
 # sampling helpers
 
 
-def sample_state(rng: np.random.Generator, basis_dim: int, rank: int,
+def _each(rng, draw):
+    """``draw(rng)``, or ``draw`` of each generator of a list, stacked."""
+    return np.array([draw(g) for g in rng]) if isinstance(rng, list) else draw(rng)
+
+
+def sample_state(rng: np.random.Generator | list, basis_dim: int, rank: int,
                  sigma_range=(1e-3, 1.0)) -> LowRankState:
     """Random rank-r state: orthonormal factors from QR of Gaussian blocks,
-    log-uniform singular values over ``sigma_range``."""
-    q1, _ = qr_nonneg(rng.standard_normal((basis_dim, rank)))
-    q2, _ = qr_nonneg(rng.standard_normal((basis_dim, rank)))
+    log-uniform singular values over ``sigma_range``.  A list of generators
+    gives the stack of one state per generator, each drawn as alone."""
     lo, hi = np.log(sigma_range[0]), np.log(sigma_range[1])
-    sig = np.sort(np.exp(rng.uniform(lo, hi, rank)))[::-1]
-    return LowRankState(q1, np.diag(sig), q2)
+    g1 = _each(rng, lambda g: g.standard_normal((basis_dim, rank)))
+    g2 = _each(rng, lambda g: g.standard_normal((basis_dim, rank)))
+    sig = np.sort(np.exp(_each(rng, lambda g: g.uniform(lo, hi, rank))), axis=-1)[..., ::-1]
+    (q1, _), (q2, _) = qr_nonneg(g1), qr_nonneg(g2)
+    return LowRankState(q1, sig[..., None] * np.eye(rank), q2)
 
 
-def sample_nearby_state(rng: np.random.Generator, state: LowRankState,
+def sample_nearby_state(rng: np.random.Generator | list, state: LowRankState,
                         max_rel: float = 1.0) -> LowRankState:
-    """Rank-preserving perturbation of ``state`` at a random small distance."""
+    """Rank-preserving perturbation of ``state`` at a random small distance;
+    stacked for a list of generators and a stack of states."""
     n = state.basis_dim
-    scale = smallest_singular(state) / (3.0 * math.sqrt(n))
-    delta = scale * math.exp(rng.uniform(math.log(1e-3), math.log(max_rel)))
-    return factorize(to_dense(state) + delta * rng.standard_normal((n, n)), state.rank)
+    factor = _each(rng, lambda g: math.exp(g.uniform(math.log(1e-3), math.log(max_rel))))
+    noise = _each(rng, lambda g: g.standard_normal((n, n)))
+    delta = singular_values(state)[..., -1] / (3.0 * math.sqrt(n)) * factor
+    return factorize(to_dense(state) + delta[..., None, None] * noise, state.rank)
 
 
 def sample_spd_tensor(rng: np.random.Generator, eig_range=(0.2, 2.0)) -> np.ndarray:
@@ -247,6 +261,46 @@ def interpolant_gap(traj: Trajectory) -> float:
 # geometry suites
 
 
+#: Memory budget, in bytes, of one chunk of trials: per trial at most _STACKED_PER_TRIAL
+#: stacked N x N arrays at once, plus _TRIAL_BYTES for its generator and ratios.
+_CHUNK_BYTES = 16 * 2 ** 20
+_STACKED_PER_TRIAL = 12
+_TRIAL_BYTES = 4096
+
+
+def _chunks(basis_dim: int, rank: int, trials: int, seed: int, groups: int = 1):
+    """Check a geometry suite's arguments, then yield ``(group, rngs)`` over
+    chunks of the trials k with k % groups == group; ``rngs`` holds each
+    trial's stream ``default_rng([seed, k])``."""
+    if basis_dim < 1:
+        raise ValueError(f"basis_dim must be >= 1, got {basis_dim}")
+    if not 1 <= rank <= basis_dim:
+        raise ValueError(f"rank must lie in [1, basis_dim={basis_dim}], got {rank}")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    per_trial = _STACKED_PER_TRIAL * 8 * basis_dim ** 2 + _TRIAL_BYTES
+    step = groups * max(1, _CHUNK_BYTES // per_trial)
+    for group in range(groups):
+        for start in range(group, trials, step):
+            yield group, [np.random.default_rng([seed, k])
+                          for k in range(start, min(start + step, trials), groups)]
+
+
+def _h_norms(stack: np.ndarray) -> np.ndarray:
+    """:func:`h_norm` of each matrix of a stack, one BLAS dot per matrix."""
+    flat = stack.reshape(len(stack), 1, -1)
+    return np.sqrt(flat @ flat.mT).ravel()
+
+
+def _tally(report: PropertyReport, rows: list) -> None:
+    """Fold per-trial ratio dicts into ``report``; max and count ignore trial order."""
+    for ratios in rows:
+        for name, r in ratios.items():
+            report.worst_ratio[name] = max(report.worst_ratio[name], r)
+            if r > 1.0 + _RATIO_SLACK:
+                report.violations += 1
+
+
 def curvature_suite(basis_dim: int, rank: int, trials: int, seed: int) -> PropertyReport:
     """Projector-difference and normal-component bounds on random state pairs.
 
@@ -254,33 +308,27 @@ def curvature_suite(basis_dim: int, rank: int, trials: int, seed: int) -> Proper
       * |(P_u - P_v) Z|_F <= (2 / sigma_r(u)) |u - v|_2   |Z|_F
       * |(P_u - P_v) Z|_F <= (2 / sigma_r(u)) |u - v|_F   |Z|_F (weaker form)
       * |(I - P_v)(u - v)|_F <= |u - v|_F^2 / sigma_r(u)
-    Half the trials use an independent second state, half a nearby
-    rank-preserving perturbation where the bounds get tight.
+    Even trials use a nearby rank-preserving perturbation, where the bounds
+    get tight, odd ones an independent second state.
     """
-    worst = {"projector_diff_spectral": 0.0, "projector_diff_frobenius": 0.0,
-             "normal_component": 0.0}
-    violations = 0
-    for k in range(trials):
-        rng = np.random.default_rng([seed, k])
-        u = sample_state(rng, basis_dim, rank)
-        v = sample_nearby_state(rng, u) if k % 2 == 0 else sample_state(rng, basis_dim, rank)
-        z = rng.standard_normal((basis_dim, basis_dim))
+    n = basis_dim
+    report = PropertyReport(trials, 0, dict.fromkeys(
+        ("projector_diff_spectral", "projector_diff_frobenius", "normal_component"), 0.0), seed)
+    for odd, rngs in _chunks(n, rank, trials, seed, groups=2):
+        u = sample_state(rngs, n, rank)
+        v = sample_state(rngs, n, rank) if odd else sample_nearby_state(rngs, u)
+        z = _each(rngs, lambda g: g.standard_normal((n, n)))
         du = to_dense(u) - to_dense(v)
-        sig = smallest_singular(u)
-        diff = tangent_project(u, z) - tangent_project(v, z)
-        lhs = h_norm(diff)
-        zn = h_norm(z)
-        ratios = {
-            "projector_diff_spectral": _ratio(lhs, 2.0 / sig * np.linalg.norm(du, 2) * zn),
-            "projector_diff_frobenius": _ratio(lhs, 2.0 / sig * h_norm(du) * zn),
-            "normal_component": _ratio(h_norm(du - tangent_project(v, du)),
-                                       h_norm(du) ** 2 / sig),
-        }
-        for name, r in ratios.items():
-            worst[name] = max(worst[name], r)
-            if r > 1.0 + _RATIO_SLACK:
-                violations += 1
-    return PropertyReport(trials=trials, violations=violations, worst_ratio=worst, seed=seed)
+        cols = (singular_values(u)[:, -1],
+                _h_norms(tangent_project(u, z) - tangent_project(v, z)), _h_norms(z),
+                np.linalg.norm(du, 2, axis=(-2, -1)), _h_norms(du),
+                _h_norms(du - tangent_project(v, du)))
+        _tally(report, [
+            {"projector_diff_spectral": _ratio(lhs, 2.0 / sig * spec * zn),
+             "projector_diff_frobenius": _ratio(lhs, 2.0 / sig * dn * zn),
+             "normal_component": _ratio(normal, dn ** 2 / sig)}
+            for sig, lhs, zn, spec, dn, normal in zip(*(c.tolist() for c in cols))])
+    return report
 
 
 def projection_regularity_suite(basis_dim: int, rank: int, trials: int,
@@ -293,45 +341,42 @@ def projection_regularity_suite(basis_dim: int, rank: int, trials: int,
     (2 r |a12| / sigma_r) |u|_V^2, sampling the mixed coefficient from a
     rotating tensor.
     """
-    op = build_operator(basis_dim)
+    n = basis_dim
+    op = build_operator(n)
     model = rotating_diffusion(1.0, 0.25, 1.0)
     lam = op.stiffness_diag
     mixed_w = np.outer(lam, lam)
-    worst = {"projection_v_bound": 0.0, "factor_regularity": 0.0,
-             "mixed_seminorm": 0.0, "a2_h_norm": 0.0}
-    violations = 0
-    for k in range(trials):
-        rng = np.random.default_rng([seed, k])
-        u = sample_state(rng, basis_dim, rank)
+    report = PropertyReport(trials, 0, dict.fromkeys(
+        ("projection_v_bound", "factor_regularity", "mixed_seminorm", "a2_h_norm"), 0.0), seed)
+    for _, rngs in _chunks(n, rank, trials, seed):
+        u = sample_state(rngs, n, rank)
         y = to_dense(u)
-        z = rng.standard_normal((basis_dim, basis_dim))
-        t = rng.uniform(0.0, 2.0 * math.pi)
-        sig = smallest_singular(u)
-        vn = v_norm(op, y)
-        ratios = {}
-        bound = math.sqrt(1.0 + rank * vn ** 2 / sig ** 2) * v_norm(op, z)
-        ratios["projection_v_bound"] = _ratio(v_norm(op, tangent_project(u, z)), bound)
-        # per singular triple: gradient seminorm of the factor <= |u|_V / sigma_k
+        z = _each(rngs, lambda g: g.standard_normal((n, n)))
+        t = [g.uniform(0.0, 2.0 * math.pi) for g in rngs]
+        # singular factors as rows, so each seminorm sums one contiguous row
         w1, svals, w2t = np.linalg.svd(u.core)
-        left = u.u1_factors @ w1
-        right = u.u2_factors @ w2t.T
-        fr = 0.0
-        for j in range(rank):
-            semi1 = math.sqrt(float(np.sum(lam * left[:, j] ** 2)))
-            semi2 = math.sqrt(float(np.sum(lam * right[:, j] ** 2)))
-            fr = max(fr, _ratio(semi1, vn / svals[j]), _ratio(semi2, vn / svals[j]))
-        ratios["factor_regularity"] = fr
-        mixed = math.sqrt(float(np.sum(mixed_w * y * y)))
-        ratios["mixed_seminorm"] = _ratio(mixed, rank * vn ** 2 / sig)
-        a12 = model.alpha(t)[0, 1]
-        if abs(a12) > 1e-12:
-            ratios["a2_h_norm"] = _ratio(h_norm(apply_a2(op, model, t, y)),
-                                         2.0 * rank * abs(a12) / sig * vn ** 2)
-        for name, r in ratios.items():
-            worst[name] = max(worst[name], r)
-            if r > 1.0 + _RATIO_SLACK:
-                violations += 1
-    return PropertyReport(trials=trials, violations=violations, worst_ratio=worst, seed=seed)
+        left = np.ascontiguousarray((u.u1_factors @ w1).mT)
+        right = np.ascontiguousarray((u.u2_factors @ w2t.mT).mT)
+        cols = (singular_values(u)[:, -1], v_norm(op, y), v_norm(op, z),
+                v_norm(op, tangent_project(u, z)), svals,
+                np.sqrt(np.sum(lam * left ** 2, axis=-1)),
+                np.sqrt(np.sum(lam * right ** 2, axis=-1)),
+                np.sqrt(np.sum(mixed_w * y * y, axis=(-2, -1))),
+                np.array([model.alpha(s)[0, 1] for s in t]), _h_norms(apply_a2(op, model, t, y)))
+        rows = []
+        for sig, vn, vz, vp, sv, semi1, semi2, mixed, a12, a2n in zip(
+                *(c.tolist() for c in cols)):
+            # per singular triple: gradient seminorm of the factor <= |u|_V / sigma_k
+            fr = max([0.0] + [_ratio(s, vn / sv[j]) for j in range(rank)
+                              for s in (semi1[j], semi2[j])])
+            rows.append({"projection_v_bound": _ratio(
+                             vp, math.sqrt(1.0 + rank * vn ** 2 / sig ** 2) * vz),
+                         "factor_regularity": fr,
+                         "mixed_seminorm": _ratio(mixed, rank * vn ** 2 / sig)})
+            if abs(a12) > 1e-12:
+                rows[-1]["a2_h_norm"] = _ratio(a2n, 2.0 * rank * abs(a12) / sig * vn ** 2)
+        _tally(report, rows)
+    return report
 
 
 def tangency_suite(basis_dim: int, rank: int, trials: int, seed: int,
@@ -343,28 +388,26 @@ def tangency_suite(basis_dim: int, rank: int, trials: int, seed: int,
     its tangent projector (1e-12), and agreement of a1(u, v) with
     a1(u, P_u v) on random directions (1e-10 relative).
     """
-    op = build_operator(basis_dim)
-    worst = {"a1_tangency": 0.0, "state_reproduction": 0.0, "a1_projected_pairing": 0.0}
-    violations = 0
-    for k in range(trials):
-        rng = np.random.default_rng([seed, k])
-        u = sample_state(rng, basis_dim, rank)
-        t = rng.uniform(0.0, 1.0)
+    n = basis_dim
+    op = build_operator(n)
+    report = PropertyReport(trials, 0, dict.fromkeys(
+        ("a1_tangency", "state_reproduction", "a1_projected_pairing"), 0.0), seed)
+    for _, rngs in _chunks(n, rank, trials, seed):
+        u = sample_state(rngs, n, rank)
+        t = [g.uniform(0.0, 1.0) for g in rngs]
+        z = _each(rngs, lambda g: g.standard_normal((n, n)))
         y = to_dense(u)
         a1u = apply_a1(op, model, t, y)
-        defect = h_norm(a1u - tangent_project(u, a1u))
-        r1 = _ratio(defect / max(h_norm(a1u), np.finfo(float).tiny), 1e-10)
-        r2 = _ratio(h_norm(tangent_project(u, y) - y) / max(h_norm(y), 1e-300), 1e-12)
-        z = rng.standard_normal((basis_dim, basis_dim))
-        pair_full = float(np.sum(a1u * z))
-        pair_proj = float(np.sum(a1u * tangent_project(u, z)))
-        r3 = _ratio(abs(pair_full - pair_proj) / max(abs(pair_full), 1e-300), 1e-10)
-        for name, r in (("a1_tangency", r1), ("state_reproduction", r2),
-                        ("a1_projected_pairing", r3)):
-            worst[name] = max(worst[name], r)
-            if r > 1.0 + _RATIO_SLACK:
-                violations += 1
-    return PropertyReport(trials=trials, violations=violations, worst_ratio=worst, seed=seed)
+        cols = (_h_norms(a1u - tangent_project(u, a1u)), _h_norms(a1u),
+                _h_norms(tangent_project(u, y) - y), _h_norms(y),
+                np.sum(a1u * z, axis=(-2, -1)),
+                np.sum(a1u * tangent_project(u, z), axis=(-2, -1)))
+        _tally(report, [
+            {"a1_tangency": _ratio(defect / max(a1n, np.finfo(float).tiny), 1e-10),
+             "state_reproduction": _ratio(rep / max(yn, 1e-300), 1e-12),
+             "a1_projected_pairing": _ratio(abs(full - proj) / max(abs(full), 1e-300), 1e-10)}
+            for defect, a1n, rep, yn, full, proj in zip(*(c.tolist() for c in cols))])
+    return report
 
 
 # ---------------------------------------------------------------------------

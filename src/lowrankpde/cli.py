@@ -398,11 +398,8 @@ plot 'trajectory.csv' using 2:3 with lines, \\
 
 
 def _suite_rows(report, prefix):
-    rows = []
-    for name in sorted(report.worst_ratio):
-        rows.append((f"{prefix}.{name}", report.trials, report.violations,
-                     report.worst_ratio[name]))
-    return rows
+    return [(f"{prefix}.{name}", report.trials, report.violations, report.worst_ratio[name])
+            for name in sorted(report.worst_ratio)]
 
 
 class _WarningLog(logging.Handler):

@@ -187,17 +187,19 @@ def build_operator(basis_dim: int, verify: bool = False) -> GalerkinOperator:
 
 
 def apply_a1(op: GalerkinOperator, model: DiffusionModel, t: float, coeffs: np.ndarray) -> np.ndarray:
-    """Divergence part: ``a11 L Y + a22 Y L`` (acts on rows / columns only)."""
-    a = model.alpha(t)
+    """Divergence part: ``a11 L Y + a22 Y L`` (acts on rows / columns only).
+    A list of K times acts on a stack (K, N, N), time k on matrix k."""
+    a = np.array([model.alpha(s) for s in t]) if isinstance(t, list) else model.alpha(t)
     lam = op.stiffness_diag
-    return a[0, 0] * lam[:, None] * coeffs + a[1, 1] * coeffs * lam[None, :]
+    return (a[..., 0, 0, None, None] * lam[:, None] * coeffs
+            + a[..., 1, 1, None, None] * coeffs * lam[None, :])
 
 
 def apply_a2(op: GalerkinOperator, model: DiffusionModel, t: float, coeffs: np.ndarray) -> np.ndarray:
-    """Mixed-derivative part: ``(a12 + a21) G Y G``."""
-    a = model.alpha(t)
-    c = a[0, 1] + a[1, 0]
-    if c == 0.0:
+    """Mixed-derivative part: ``(a12 + a21) G Y G``; stacked as in :func:`apply_a1`."""
+    a = np.array([model.alpha(s) for s in t]) if isinstance(t, list) else model.alpha(t)
+    c = a[..., 0, 1, None, None] + a[..., 1, 0, None, None]
+    if not c.any():
         return np.zeros_like(coeffs)
     g = op.grad_coupling_1d
     return c * (g @ coeffs @ g)
@@ -228,9 +230,11 @@ def h_norm(coeffs: np.ndarray) -> float:
     return float(np.linalg.norm(coeffs))
 
 
-def v_norm(op: GalerkinOperator, coeffs: np.ndarray) -> float:
-    """Gradient seminorm of the represented function (exact in this basis)."""
-    return float(np.sqrt(np.sum(op.v_weights * coeffs * coeffs)))
+def v_norm(op: GalerkinOperator, coeffs: np.ndarray):
+    """Gradient seminorm of the represented function (exact in this basis);
+    an array of them for a stack (K, N, N) of coefficient matrices."""
+    norms = np.sqrt(np.sum(op.v_weights * coeffs * coeffs, axis=(-2, -1)))
+    return float(norms) if norms.ndim == 0 else norms
 
 
 def v_dual_norm(op: GalerkinOperator, coeffs: np.ndarray) -> float:

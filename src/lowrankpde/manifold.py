@@ -50,7 +50,8 @@ class LowRankState:
 
     ``u1_factors`` and ``u2_factors`` are (N, r) with orthonormal columns,
     one block per coordinate direction; ``core`` is (r, r) and invertible
-    but in general not diagonal.
+    but in general not diagonal.  Leading axes, as in (K, N, r) and (K, r, r),
+    hold a stack of K states; the functions below act on each state alone.
     """
 
     u1_factors: np.ndarray
@@ -58,45 +59,38 @@ class LowRankState:
     u2_factors: np.ndarray
 
     def __post_init__(self):
-        n1, r1 = self.u1_factors.shape
-        if self.core.shape != (r1, r1) or self.u2_factors.shape[1] != r1:
+        n1, r1 = self.u1_factors.shape[-2:]
+        if self.core.shape[-2:] != (r1, r1) or self.u2_factors.shape[-1] != r1:
             raise ValueError("inconsistent rank between factors and core")
-        if self.u2_factors.shape[0] != n1:
+        if self.u2_factors.shape[-2] != n1:
             raise ValueError("factor blocks must share the basis dimension")
         if not 1 <= r1 <= n1:
             raise ValueError("rank must satisfy 1 <= r <= N")
 
     @property
     def rank(self) -> int:
-        return self.core.shape[0]
+        return self.core.shape[-1]
 
     @property
     def basis_dim(self) -> int:
-        return self.u1_factors.shape[0]
+        return self.u1_factors.shape[-2]
 
 
 def qr_nonneg(a: np.ndarray):
-    """Reduced QR with the sign convention diag(R) >= 0."""
+    """Reduced QR with the sign convention diag(R) >= 0 (an exact zero keeps
+    sign +1); a stack (..., N, r) of blocks is factored block by block."""
     q, r = np.linalg.qr(a)
-    signs = np.sign(np.diagonal(r)).copy()
-    signs[signs == 0] = 1.0
-    return q * signs, signs[:, None] * r
+    signs = np.where(r.diagonal(0, -2, -1) < 0.0, -1.0, 1.0)
+    return q * signs[..., None, :], signs[..., None] * r
 
 
 def _fix_svd_signs(u, v):
     """Flip singular-vector pairs so each left vector's first nonzero entry
     (relative to its largest entry) is nonnegative."""
-    for k in range(u.shape[1]):
-        col = u[:, k]
-        peak = np.abs(col).max()
-        if peak == 0.0:
-            continue
-        nz = np.flatnonzero(np.abs(col) > 1e-12 * peak)
-        lead = col[nz[0]] if nz.size else col[0]
-        if lead < 0:
-            u[:, k] = -u[:, k]
-            v[:, k] = -v[:, k]
-    return u, v
+    mag = np.abs(u)
+    lead = np.argmax(mag > 1e-12 * mag.max(axis=-2, keepdims=True), axis=-2)
+    flip = np.take_along_axis(u, lead[..., None, :], axis=-2) < 0
+    return np.where(flip, -u, u), np.where(flip, -v, v)
 
 
 def factorize(coeffs: np.ndarray, rank: int, rank_floor: float = DEFAULT_RANK_FLOOR) -> LowRankState:
@@ -104,35 +98,35 @@ def factorize(coeffs: np.ndarray, rank: int, rank_floor: float = DEFAULT_RANK_FL
 
     Parameters
     ----------
-    coeffs : (N, N) array
+    coeffs : (N, N) array, or a stack (K, N, N) factored matrix by matrix
     rank : requested rank, ``1 <= rank <= N``.
     rank_floor : relative floor; fails if ``sigma_rank < rank_floor * sigma_1``.
 
-    Returns the truncated SVD packaged as a :class:`LowRankState` with a
-    diagonal core, using the deterministic sign convention of
-    :func:`_fix_svd_signs`.  The reconstruction error equals the Frobenius
-    norm of the discarded singular values.
+    Returns the truncated SVD packaged as a :class:`LowRankState` (a stack
+    for a stack) with a diagonal core, using the deterministic sign
+    convention of :func:`_fix_svd_signs`.  The reconstruction error equals
+    the Frobenius norm of the discarded singular values.
     """
     y = np.asarray(coeffs, dtype=float)
-    if y.ndim != 2:
-        raise ValueError("coefficient matrix must be 2-D")
-    if not 1 <= rank <= min(y.shape):
+    if y.ndim not in (2, 3):
+        raise ValueError("coefficient matrix must be 2-D, or a 3-D stack")
+    if not 1 <= rank <= min(y.shape[-2:]):
         raise ValueError(f"rank {rank} out of range for shape {y.shape}")
     u, s, vt = np.linalg.svd(y, full_matrices=False)
-    floor = rank_floor * (s[0] if s.size else 0.0)
-    if s[rank - 1] <= 0.0 or s[rank - 1] < floor:
+    sigma, floor = s[..., rank - 1], rank_floor * s[..., 0]
+    low = np.flatnonzero((sigma <= 0.0) | (sigma < floor))
+    if low.size:
+        sigma, floor = sigma.flat[low[0]], floor.flat[low[0]]
         raise RankDeficiencyError(
-            f"sigma_{rank} = {s[rank - 1]:.3e} under the rank floor {floor:.3e}",
-            rank=rank, sigma=float(s[rank - 1]), floor=float(floor))
-    u = u[:, :rank].copy()
-    v = vt[:rank].T.copy()
-    u, v = _fix_svd_signs(u, v)
-    return LowRankState(u, np.diag(s[:rank]), v)
+            f"sigma_{rank} = {sigma:.3e} under the rank floor {floor:.3e}",
+            rank=rank, sigma=float(sigma), floor=float(floor))
+    u, v = _fix_svd_signs(u[..., :rank].copy(), vt[..., :rank, :].mT.copy())
+    return LowRankState(u, s[..., :rank, None] * np.eye(rank), v)
 
 
 def to_dense(state: LowRankState) -> np.ndarray:
-    """Dense N-by-N coefficient matrix of a factored state."""
-    return state.u1_factors @ state.core @ state.u2_factors.T
+    """Dense N-by-N coefficient matrix of a factored state, one per state of a stack."""
+    return state.u1_factors @ state.core @ state.u2_factors.mT
 
 
 def tangent_project(state: LowRankState, matrix: np.ndarray) -> np.ndarray:
@@ -144,13 +138,14 @@ def tangent_project(state: LowRankState, matrix: np.ndarray) -> np.ndarray:
     """
     u1 = state.u1_factors
     u2 = state.u2_factors
-    left = u1.T @ matrix                # (r, N)
+    left = u1.mT @ matrix               # (r, N)
     right = matrix @ u2                 # (N, r)
-    return u1 @ left + (right - u1 @ (left @ u2)) @ u2.T
+    return u1 @ left + (right - u1 @ (left @ u2)) @ u2.mT
 
 
 def singular_values(state: LowRankState) -> np.ndarray:
-    """Singular values of the state (descending); equals svd of the core."""
+    """Singular values of the state (descending); equals svd of the core.
+    A stack of states gives one row per state."""
     return np.linalg.svd(state.core, compute_uv=False)
 
 

@@ -268,3 +268,48 @@ def test_factorize_of_own_dense_reproduces(state_rng):
     again = factorize(d, state.rank, rank_floor=0.0)
     np.testing.assert_allclose(to_dense(again), d,
                                atol=1e-10 * max(1.0, np.linalg.norm(d)))
+
+
+# ---------------------------------------------------------------------------
+# stacks of blocks and states: each slice as if alone, to the last bit
+
+
+def test_qr_nonneg_stack_equals_per_block_calls():
+    rng = np.random.default_rng(21)
+    a = rng.standard_normal((5, 9, 3))
+    a[2, :, 1] = 0.0                      # R of block 2 gets an exact-zero diagonal
+    q, r = qr_nonneg(a)
+    for k in range(5):
+        qk, rk = qr_nonneg(a[k])
+        assert np.array_equal(q[k], qk) and np.array_equal(r[k], rk)
+    q_raw, r_raw = np.linalg.qr(a[2])
+    assert r_raw[1, 1] == 0.0
+    # a zero diagonal entry keeps sign +1: column and row stay as LAPACK left them
+    assert np.array_equal(q[2][:, 1], q_raw[:, 1]) and np.array_equal(r[2][1], r_raw[1])
+    assert np.all(np.diagonal(r, axis1=-2, axis2=-1) >= 0)
+
+
+def test_state_stack_ops_equal_per_state_calls():
+    rng = np.random.default_rng(22)
+    k, n, r = 6, 9, 3
+    q1, _ = qr_nonneg(rng.standard_normal((k, n, r)))
+    q2, _ = qr_nonneg(rng.standard_normal((k, n, r)))
+    stack = LowRankState(q1, rng.standard_normal((k, r, r)), q2)
+    assert stack.rank == r and stack.basis_dim == n
+    z = rng.standard_normal((k, n, n))
+    projected = tangent_project(stack, z)
+    dense = to_dense(stack)
+    svals = singular_values(stack)
+    for i in range(k):
+        one = LowRankState(q1[i], stack.core[i], q2[i])
+        assert np.array_equal(projected[i], tangent_project(one, z[i]))
+        assert np.array_equal(dense[i], to_dense(one))
+        assert np.array_equal(svals[i], singular_values(one))
+    factored = factorize(dense, r)
+    for i in range(k):
+        one = factorize(dense[i], r)
+        for name in ("u1_factors", "core", "u2_factors"):
+            assert np.array_equal(getattr(factored, name)[i], getattr(one, name))
+    dense[4] = np.outer(dense[4][:, 0], dense[4][0])          # one rank-1 slice
+    with pytest.raises(RankDeficiencyError):
+        factorize(dense, r)
