@@ -10,7 +10,7 @@ Each row records, for one (method, N, a12):
 
 - ``ms_per_step``: process CPU time (``time.process_time``) of one
   ``integrate`` call divided by its step count, the median of ``REPEATS``
-  timed calls after one warm-up call.  The call includes
+  timed calls after one warm-up call (``measuring.measure``).  The call includes
   ``build_operator``, as it does for every caller.  CPU time leaves out the
   time the process waits for a core on a shared host; BLAS runs on one
   thread, so it is the time of that thread.
@@ -30,25 +30,13 @@ which is why the JSON records the machine and the clock.  ALS with a12 != 0 stop
 N = 1024, where one call already takes seconds.
 """
 
-import os
-
-# pin BLAS before numpy is imported anywhere in this process
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
 import argparse
-import json
-import platform
-import statistics
 import sys
-import time
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
+from measuring import ROOT, TIMING, measure, write_json  # pins BLAS, puts src/ on the path
 
 from lowrankpde import (LowRankState, constant_diffusion, cosine_profile,  # noqa: E402
                         integrate, separable_source)
@@ -61,7 +49,6 @@ METHODS = ("als", "splitting")
 ALS_MIXED_MAX_N = 1024
 STEP = 1e-3
 N_STEPS = 5
-REPEATS = 5
 SEED = 2020
 
 
@@ -84,22 +71,11 @@ def scan_row(method: str, n: int, a12: float) -> dict:
     def call():
         return integrate(method, start, STEP * N_STEPS, N_STEPS, model, source)
 
-    call()
-    times = []
-    for _ in range(REPEATS):
-        t0 = time.process_time()
-        traj = call()
-        times.append(time.process_time() - t0)
-    tracemalloc.start()
-    try:
-        call()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    traj, cpu_s, peak = measure(call)
     steps = len(traj.diagnostics)
     sweeps = sum(d.sweeps_used for d in traj.diagnostics) / steps
     iterations = sum(d.inner_iterations for d in traj.diagnostics) / steps
-    ms_per_step = 1e3 * statistics.median(times) / steps
+    ms_per_step = 1e3 * cpu_s / steps
     return {"method": method, "N": n, "r": RANK, "a12": a12,
             "ms_per_step": round(ms_per_step, 4),
             "sweeps_per_step": sweeps,
@@ -107,21 +83,6 @@ def scan_row(method: str, n: int, a12: float) -> dict:
             "inner_iterations_per_half_sweep": round(iterations / (2.0 * sweeps), 4),
             "peak_traced_mb": round(peak / 1e6, 4),
             "dense_matrix_mb": round(8.0 * n * n / 1e6, 4)}
-
-
-def machine() -> dict:
-    cpu = platform.processor() or platform.machine()
-    try:
-        with open("/proc/cpuinfo") as fh:
-            cpu = next((line.split(":", 1)[1].strip() for line in fh
-                        if line.startswith("model name")), cpu)
-    except OSError:
-        pass
-    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    return {"cpu": cpu, "nproc": os.cpu_count(), "python": platform.python_version(),
-            "numpy": np.__version__,
-            "blas": f"{blas.get('name')}-{blas.get('version')}",
-            "blas_threads": int(os.environ["OPENBLAS_NUM_THREADS"])}
 
 
 def main(argv=None) -> int:
@@ -140,19 +101,9 @@ def main(argv=None) -> int:
                       f"  {row['inner_iterations_per_half_sweep']:5.1f} CG its/half-sweep"
                       f"  peak {row['peak_traced_mb']:8.3f} MB", flush=True)
                 rows.append(row)
-    result = {
-        "what": "ms/step of integrate for the rank-r methods over N and a12",
-        "deterministic": False,
-        "clock": "time.process_time (process CPU time)",
-        "note": "CPU timings; they vary between runs and machines",
-        "machine": machine(),
-        "settings": {"rank": RANK, "h": STEP, "n_steps": N_STEPS, "warmup": 1,
-                     "repeats": REPEATS, "statistic": "median of repeats",
-                     "seed": SEED, "als_mixed_max_n": ALS_MIXED_MAX_N},
-        "rows": rows,
-    }
-    args.out.write_text(json.dumps(result, indent=1) + "\n")
-    print(f"wrote {args.out}")
+    write_json(args.out, "ms/step of integrate for the rank-r methods over N and a12",
+               {"rank": RANK, "h": STEP, "n_steps": N_STEPS, **TIMING,
+                "seed": SEED, "als_mixed_max_n": ALS_MIXED_MAX_N}, rows)
     return 0
 
 

@@ -10,8 +10,9 @@ at the repository root):
 Each row records, for one (suite, N):
 
 - ``cpu_ms``: process CPU time (``time.process_time``) of one suite call,
-  the median of ``REPEATS`` timed calls after one warm-up call.  BLAS is
-  pinned to one thread, so this is the time of that thread.
+  the median of ``REPEATS`` timed calls after one warm-up call
+  (``measuring.measure``).  BLAS is pinned to one thread, so this is the
+  time of that thread.
 - ``peak_traced_mb``: peak allocation traced by ``tracemalloc`` over one
   further, untimed call.
 - ``violations`` and ``worst_ratio``: the suite's report, which depends only
@@ -25,14 +26,10 @@ machine to machine, which is why the JSON records the machine and the clock.
 """
 
 import argparse
-import json
-import statistics
 import sys
-import time
-import tracemalloc
 from pathlib import Path
 
-from step_scan import ROOT, machine  # pins BLAS and puts src/ on the path first
+from measuring import ROOT, TIMING, measure, write_json  # pins BLAS, puts src/ on the path
 
 from lowrankpde import (curvature_suite, projection_regularity_suite,  # noqa: E402
                         rotating_diffusion, tangency_suite)
@@ -40,7 +37,6 @@ from lowrankpde import (curvature_suite, projection_regularity_suite,  # noqa: E
 RANK = 4
 TRIALS = 1000
 SIZES = (16, 32, 64)
-REPEATS = 5
 SEED = 2020
 MODEL = rotating_diffusion(1.0, 0.25, 1.0)
 
@@ -55,21 +51,9 @@ SUITES = {
 
 
 def scan_row(name: str, n: int) -> dict:
-    call = SUITES[name]
-    report = call(n)
-    times = []
-    for _ in range(REPEATS):
-        t0 = time.process_time()
-        call(n)
-        times.append(time.process_time() - t0)
-    tracemalloc.start()
-    try:
-        call(n)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    report, cpu_s, peak = measure(lambda: SUITES[name](n))
     row = {"suite": name, "N": n, "r": RANK, "trials": TRIALS,
-           "cpu_ms": round(1e3 * statistics.median(times), 2),
+           "cpu_ms": round(1e3 * cpu_s, 2),
            "peak_traced_mb": round(peak / 1e6, 3)}
     if not isinstance(report, tuple):
         row["violations"] = report.violations
@@ -88,18 +72,8 @@ def main(argv=None) -> int:
             print(f"{name:16s} N={n:3d}  {row['cpu_ms']:9.1f} ms CPU"
                   f"  peak {row['peak_traced_mb']:7.3f} MB", flush=True)
             rows.append(row)
-    result = {
-        "what": "CPU ms per call of the geometry suites over N",
-        "deterministic": False,
-        "clock": "time.process_time (process CPU time)",
-        "note": "CPU timings; they vary between runs and machines",
-        "machine": machine(),
-        "settings": {"rank": RANK, "trials": TRIALS, "seed": SEED, "warmup": 1,
-                     "repeats": REPEATS, "statistic": "median of repeats"},
-        "rows": rows,
-    }
-    args.out.write_text(json.dumps(result, indent=1) + "\n")
-    print(f"wrote {args.out}")
+    write_json(args.out, "CPU ms per call of the geometry suites over N",
+               {"rank": RANK, "trials": TRIALS, "seed": SEED, **TIMING}, rows)
     return 0
 
 

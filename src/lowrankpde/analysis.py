@@ -20,8 +20,8 @@ from typing import Optional
 
 import numpy as np
 
-from .galerkin import (DiffusionModel, GalerkinOperator, SourceSpec, apply_a1, apply_a2,
-                       build_operator, constant_diffusion, exact_diagonal_solution,
+from .galerkin import (DiffusionModel, GalerkinOperator, SourceSpec, TimeProfile, apply_a1,
+                       apply_a2, build_operator, constant_diffusion, exact_diagonal_solution,
                        h_norm, rhs_mean, rhs_mean_factors, rotating_diffusion,
                        separable_source, v_dual_norm, v_norm, zero_source)
 from .manifold import (LowRankState, factorize, qr_nonneg, singular_values, tangent_project,
@@ -246,10 +246,7 @@ def interpolant_gap(traj: Trajectory) -> float:
     h = traj.step_size
     total = 0.0
     for i in range(1, len(traj.states)):
-        a = to_dense(traj.states[i - 1]) if isinstance(traj.states[i - 1], LowRankState) \
-            else np.asarray(traj.states[i - 1])
-        b = to_dense(traj.states[i]) if isinstance(traj.states[i], LowRankState) \
-            else np.asarray(traj.states[i])
+        a, b = traj.dense(i - 1), traj.dense(i)
         at0 = h_norm(a - b) ** 2                      # s = 0
         at_half = h_norm(0.5 * (a + b) - b) ** 2      # s = 1/2
         at1 = 0.0                                     # s = 1
@@ -415,7 +412,6 @@ def tangency_suite(basis_dim: int, rank: int, trials: int, seed: int,
 
 
 def _random_source(rng: np.random.Generator, basis_dim: int) -> SourceSpec:
-    from .galerkin import TimeProfile
     n_terms = int(rng.integers(0, 3))
     terms = []
     for _ in range(n_terms):
@@ -434,8 +430,7 @@ def equivalence_test(trials: int = 50, seed: int = 0) -> PropertyReport:
     below the bound), so their results must agree to roundoff; the audited
     bound is a relative Frobenius gap of 1e-10 per randomized configuration.
     """
-    worst = {"single_sweep_vs_splitting": 0.0}
-    violations = 0
+    report = PropertyReport(trials, 0, {"single_sweep_vs_splitting": 0.0}, seed)
     for k in range(trials):
         rng = np.random.default_rng([seed, k])
         basis_dim = int(rng.integers(4, 17))
@@ -457,11 +452,8 @@ def equivalence_test(trials: int = 50, seed: int = 0) -> PropertyReport:
         forward_state = _forward_splitting_step(u0, h, t1, f_pair, op, model)
         gap = h_norm(to_dense(split_state) - to_dense(forward_state)) \
             / max(h_norm(to_dense(forward_state)), np.finfo(float).tiny)
-        r = _ratio(gap, 1e-10)
-        worst["single_sweep_vs_splitting"] = max(worst["single_sweep_vs_splitting"], r)
-        if r > 1.0 + _RATIO_SLACK:
-            violations += 1
-    return PropertyReport(trials=trials, violations=violations, worst_ratio=worst, seed=seed)
+        _tally(report, [{"single_sweep_vs_splitting": _ratio(gap, 1e-10)}])
+    return report
 
 
 def convergence_study(axis: str, u0: LowRankState, T: float, model: DiffusionModel,
@@ -491,15 +483,11 @@ def convergence_study(axis: str, u0: LowRankState, T: float, model: DiffusionMod
         ref = integrate("reference", to_dense(u0), T, fine, model, source, opts)
         oracle = ref.states[-1]
 
-    def final_dense(traj):
-        last = traj.states[-1]
-        return to_dense(last) if isinstance(last, LowRankState) else last
-
     rows = []
     if axis == "step":
         for count in step_counts:
             traj = integrate(method, u0, T, count, model, source, opts)
-            rows.append(ConvergenceRow(T / count, h_norm(final_dense(traj) - oracle)))
+            rows.append(ConvergenceRow(T / count, h_norm(traj.dense(-1) - oracle)))
         for i in range(1, len(rows)):
             e0, e1 = rows[i - 1].error, rows[i].error
             h0, h1 = rows[i - 1].parameter, rows[i].parameter
@@ -514,5 +502,5 @@ def convergence_study(axis: str, u0: LowRankState, T: float, model: DiffusionMod
             # the best available point (the extra directions start empty)
             u0_r = factorize(dense0, min(int(rank), available))
             traj = integrate(method, u0_r, T, n_steps, model, source, opts)
-            rows.append(ConvergenceRow(float(rank), h_norm(final_dense(traj) - oracle)))
+            rows.append(ConvergenceRow(float(rank), h_norm(traj.dense(-1) - oracle)))
     return ConvergenceTable(axis, rows)

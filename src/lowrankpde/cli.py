@@ -29,7 +29,7 @@ from .analysis import (convergence_study, curvature_suite, energy_audit, equival
 from .galerkin import (DiffusionModel, SourceSpec, TimeProfile, build_operator,
                        constant_diffusion, exact_diagonal_solution, h_norm,
                        rotating_diffusion, separable_source, v_norm, zero_source)
-from .manifold import LowRankState, RankDeficiencyError, to_dense
+from .manifold import LowRankState, RankDeficiencyError, smallest_singular, to_dense
 from .stepping import InnerSolveError, StepOptions, Trajectory, integrate
 
 __all__ = ["AlphaSpec", "ConfigError", "RunConfig", "SourceTermSpec", "main",
@@ -90,6 +90,14 @@ _GLOBAL_KEYS = {"experiment", "N", "r", "T", "n_steps", "method", "seed",
 _ALPHA_KEYS = {"kind", "a11", "a12", "a22", "lambda1", "lambda2", "omega"}
 
 
+def _finite(text: str) -> float:
+    """The config's one float converter: ValueError unless finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"not a finite number: {text!r}")
+    return value
+
+
 def _parse_modes(text: str, line: int) -> tuple:
     pairs = []
     for chunk in text.split(","):
@@ -100,7 +108,7 @@ def _parse_modes(text: str, line: int) -> tuple:
             raise ConfigError(f"mode entry {chunk!r} must look like index:coeff", line)
         idx_s, coeff_s = chunk.split(":", 1)
         try:
-            pairs.append((int(idx_s), float(coeff_s)))
+            pairs.append((int(idx_s), _finite(coeff_s)))
         except ValueError:
             raise ConfigError(f"bad mode entry {chunk!r}", line) from None
     if not pairs:
@@ -120,9 +128,9 @@ def _parse_term(value: str, line: int) -> SourceTermSpec:
     kind = prof[0].strip()
     try:
         if kind in ("constant", "linear") and len(prof) == 2:
-            scale, omega = float(prof[1]), 0.0
+            scale, omega = _finite(prof[1]), 0.0
         elif kind == "cosine" and len(prof) == 3:
-            scale, omega = float(prof[1]), float(prof[2])
+            scale, omega = _finite(prof[1]), _finite(prof[2])
         else:
             raise ValueError
     except ValueError:
@@ -192,7 +200,7 @@ def parse_config(text: str) -> RunConfig:
         experiment=take("experiment", str, "heat-diagonal"),
         N=take("N", int, 32),
         r=take("r", int, 2),
-        T=take("T", float, 0.1),
+        T=take("T", _finite, 0.1),
         n_steps=take("n_steps", int, 100),
         method=take("method", str, "als"),
         seed=take("seed", int, 0),
@@ -211,7 +219,7 @@ def _build_alpha(raw: dict) -> AlphaSpec:
             return default
         value, lineno = raw[name]
         try:
-            return float(value) if name != "kind" else value
+            return _finite(value) if name != "kind" else value
         except ValueError:
             raise ConfigError(f"bad value for {name}: {value!r}", lineno) from None
 
@@ -359,12 +367,10 @@ def _write_csv(path: Path, header: str, rows):
 def _write_trajectory(out: Path, traj: Trajectory, op):
     rows = []
     for i, t in enumerate(traj.times):
-        y = to_dense(traj.states[i]) if isinstance(traj.states[i], LowRankState) \
-            else traj.states[i]
+        y = traj.dense(i)
         if i == 0:
             resid, obj = math.nan, math.nan
-            sigma = (float(np.linalg.svd(traj.states[i].core, compute_uv=False)[-1])
-                     if isinstance(traj.states[i], LowRankState) else math.nan)
+            sigma = math.nan if traj.method == "reference" else smallest_singular(traj.states[0])
         else:
             d = traj.diagnostics[i - 1]
             resid, obj, sigma = d.galerkin_residual, d.objective_value, d.sigma_r
@@ -456,9 +462,7 @@ def _run(cfg: RunConfig, quiet: bool, gnuplot: bool, warnings: list) -> int:
             u0 = initial_state(cfg)
             traj = integrate(cfg.method, u0, cfg.T, cfg.n_steps, model, source)
             oracle = to_dense(exact_diagonal_solution(op, model, u0, cfg.T))
-            final = to_dense(traj.states[-1]) if isinstance(traj.states[-1], LowRankState) \
-                else traj.states[-1]
-            err = h_norm(final - oracle)
+            err = h_norm(traj.dense(-1) - oracle)
             threshold = 5e-3
             if err > threshold:
                 failures.append(f"final error {err:.3e} above {threshold:.1e}")
@@ -475,7 +479,7 @@ def _run(cfg: RunConfig, quiet: bool, gnuplot: bool, warnings: list) -> int:
             gap = interpolant_gap(traj)
             h = traj.step_size
             increments = sum(
-                h_norm(to_dense(traj.states[i]) - to_dense(traj.states[i - 1])) ** 2
+                h_norm(traj.dense(i) - traj.dense(i - 1)) ** 2
                 for i in range(1, len(traj.states)))
             identity_gap = abs(gap - h / 3.0 * increments)
             if identity_gap > 1e-12 * max(gap, 1.0):

@@ -155,35 +155,13 @@ class GalerkinOperator:
         return lam[:, None] + lam[None, :]
 
 
-def _gauss_01(n: int = 256):
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
-def build_operator(basis_dim: int, verify: bool = False) -> GalerkinOperator:
+def build_operator(basis_dim: int) -> GalerkinOperator:
     """Operator for modes 1..basis_dim; only the stiffness vector is built
-    here, the dense blocks on first read (see :class:`GalerkinOperator`).
-
-    With ``verify=True`` both dense 1D matrices are built and re-derived by
-    Gauss-Legendre quadrature of the defining integrals, compared to 1e-10.
-    """
+    here, the dense blocks on first read (see :class:`GalerkinOperator`)."""
     if basis_dim < 1:
         raise ValueError("basis_dim must be >= 1")
     n = np.arange(1, basis_dim + 1)
-    lam = (n * np.pi) ** 2
-    op = GalerkinOperator(basis_dim, lam)
-    if verify:
-        x, w = _gauss_01(max(256, 8 * basis_dim))
-        phi = np.sqrt(2.0) * np.sin(np.outer(n, np.pi * x))          # (N, q)
-        dphi = np.sqrt(2.0) * (n[:, None] * np.pi) * np.cos(np.outer(n, np.pi * x))
-        stiff_q = (dphi * w) @ dphi.T
-        grad_q = (phi * w) @ dphi.T                                   # (i, j) = int phi_j' phi_i
-        grad = op.grad_coupling_1d
-        if not np.allclose(stiff_q, op.stiffness_1d, atol=1e-10 * max(1.0, lam.max())):
-            raise ValueError("stiffness block disagrees with quadrature")
-        if not np.allclose(grad_q, grad, atol=1e-10 * max(1.0, np.abs(grad).max())):
-            raise ValueError("gradient coupling disagrees with quadrature")
-    return op
+    return GalerkinOperator(basis_dim, (n * np.pi) ** 2)
 
 
 def apply_a1(op: GalerkinOperator, model: DiffusionModel, t: float, coeffs: np.ndarray) -> np.ndarray:
@@ -303,12 +281,6 @@ class SourceSpec:
         for profile, p, q in self.terms:
             out += profile.value(t) * np.outer(p, q)
         return out
-
-    def scaled(self, c: float) -> "SourceSpec":
-        terms = tuple(
-            (TimeProfile(pr.kind, pr.scale * c, pr.omega), p, q)
-            for pr, p, q in self.terms)
-        return SourceSpec(self.basis_dim, terms)
 
 
 def zero_source(basis_dim: int) -> SourceSpec:

@@ -18,8 +18,11 @@ and builds G on first use, so a rank-r ``integrate`` with a diagonal tensor
 allocates no N-by-N array at all; with a mixed term G is built once per
 operator.
 
-Each half-sweep is an SPD solve for one factor-with-core.  Without the mixed
-term it is an exact Sylvester solve; with it, that solve preconditions a
+One object, ``_Step``, owns a rank-r step: it holds the anchor, the tensor
+at t_next, h and the source factors, evaluates F and the residual, and runs
+every half-sweep: the SPD solve for one factor-with-core, its QR, the
+collapse check and the new frame.  Without the mixed term the solve is an
+exact Sylvester solve; with it, that solve preconditions a
 conjugate-gradient loop on (N, r) blocks, which from the second sweep on
 starts at the current factor-with-core.  The first sweep starts from zero,
 so the splitting step is unaffected by the warm start.
@@ -128,9 +131,15 @@ class Trajectory:
     def step_size(self) -> float:
         return float(self.times[1] - self.times[0])
 
+    def dense(self, i: int) -> np.ndarray:
+        """State ``i`` as an N-by-N coefficient array; the reference method
+        keeps its states dense, the manifold methods factored."""
+        state = self.states[i]
+        return np.asarray(state) if self.method == "reference" else to_dense(state)
+
 
 # ---------------------------------------------------------------------------
-# the step objective on factored states
+# one implicit step on factored states
 
 
 class _Frame(NamedTuple):
@@ -151,14 +160,20 @@ class _Frame(NamedTuple):
 
 
 class _Step:
-    """One implicit step: anchor Y0, tensor alpha (at t_next), step size h
-    and source mean P Q^T.  Evaluates F and the Galerkin residual at
-    ``U S V^T`` from the frames of U (axis 0) and V (axis 1)."""
+    """The owner of one implicit step: anchor Y0, tensor alpha (frozen at
+    t_next), step size h and source mean P Q^T.
 
-    def __init__(self, op: GalerkinOperator, alpha: np.ndarray, h: float,
-                 anchor: LowRankState, p: np.ndarray, q: np.ndarray):
-        self.op, self.alpha, self.h, self.anchor, self.p, self.q = op, alpha, h, anchor, p, q
-        self.mixed = alpha[0, 1] + alpha[1, 0]
+    Evaluates F and the Galerkin residual at ``U S V^T`` from the frames of U
+    (axis 0) and V (axis 1), and runs the half-sweeps that minimize F over
+    one factor-with-core while the other axis keeps a frozen frame.
+    """
+
+    def __init__(self, op: GalerkinOperator, model: DiffusionModel, h: float,
+                 t_next: float, anchor: LowRankState, f_factors):
+        self.op, self.h, self.anchor = op, h, anchor
+        self.alpha = model.alpha(t_next)
+        self.p, self.q = f_factors
+        self.mixed = self.alpha[0, 1] + self.alpha[1, 0]
 
     def frame(self, basis: np.ndarray, axis: int) -> _Frame:
         lam = self.op.stiffness_diag
@@ -170,6 +185,10 @@ class _Step:
         source = self.p if axis == 0 else self.q
         return _Frame(basis, (basis.T * lam) @ basis, g_basis, g,
                       basis.T @ anchor, basis.T @ source)
+
+    def frames(self, u: LowRankState):
+        """The frames (left, right) of the state's two factor blocks."""
+        return self.frame(u.u1_factors, 0), self.frame(u.u2_factors, 1)
 
     def reduced(self, s: np.ndarray, left: _Frame, right: _Frame) -> np.ndarray:
         """U^T A(U S V^T) V: the operator compressed onto both frames."""
@@ -207,19 +226,57 @@ class _Step:
         normal = d_v - u @ (ut_d @ v)
         return math.sqrt(np.sum(ut_d * ut_d) + np.sum(normal * normal))
 
+    def half_sweep(self, own_axis: int, frozen: _Frame, rhs: np.ndarray,
+                   x0: Optional[np.ndarray] = None):
+        """One half-sweep: minimize F over the factor-with-core X (N, r) of
+        ``own_axis`` (0: left, 1: right) with the other axis frozen to the
+        basis B of ``frozen``.  X solves  X + h A_red(X) = rhs, where
 
-def _step_at(u: LowRankState, u_prev: LowRankState, h: float, t_next: float,
-             f_factors, op: GalerkinOperator, model: DiffusionModel):
-    step = _Step(op, model.alpha(t_next), h, u_prev, *f_factors)
-    return step, step.frame(u.u1_factors, 0), step.frame(u.u2_factors, 1)
+            A_red(X) = own * L X + other * X (B^T L B) + c * G X (B^T G B)
+
+        is symmetric positive definite as a compression of the full operator.
+        Without the mixed term it is a Sylvester equation with diagonal L,
+        solved exactly in the eigenbasis of B^T L B; with it, that solve
+        preconditions conjugate gradient started at ``x0`` (zero if None).
+        Then X = basis R by QR, and a diagonal entry of R under
+        ``_QR_COLLAPSE_REL`` times the largest raises RankDeficiencyError.
+        Returns (frame of the new basis, R, conjugate-gradient iterations).
+        """
+        a, h = self.alpha, self.h
+        own, other = (a[0, 0], a[1, 1]) if own_axis == 0 else (a[1, 1], a[0, 0])
+        own_lam = own * self.op.stiffness_diag[:, None]
+        evals, evecs = np.linalg.eigh(frozen.lam)
+        denom = 1.0 + h * (own_lam + other * evals[None, :])
+
+        def sylvester(x):
+            return ((x @ evecs) / denom) @ evecs.T
+
+        if self.mixed == 0.0:
+            x, iterations = sylvester(rhs), 0
+        else:
+            c, g = self.mixed, self.op.grad_coupling_1d
+
+            def apply(x):
+                return x + h * (own_lam * x + other * (x @ frozen.lam) + c * (g @ x @ frozen.g))
+
+            x, iterations = _pcg(apply, sylvester, rhs, x0)
+        basis, r_block = qr_nonneg(x)
+        diag = np.abs(np.diagonal(r_block))
+        if diag.min() < _QR_COLLAPSE_REL * max(diag.max(), np.finfo(float).tiny):
+            side = "left" if own_axis == 0 else "right"
+            raise RankDeficiencyError(
+                f"rank collapse during {side} refactorization",
+                rank=r_block.shape[0], sigma=float(diag.min()),
+                floor=float(_QR_COLLAPSE_REL * diag.max()))
+        return self.frame(basis, own_axis), r_block, iterations
 
 
 def step_objective(u: LowRankState, u_prev: LowRankState, h: float, t_next: float,
                    f_factors, op: GalerkinOperator, model: DiffusionModel) -> float:
     """Value of the implicit-step objective F at ``u`` anchored at ``u_prev``,
     for the source mean ``P @ Q.T`` given as ``f_factors = (P, Q)``."""
-    step, left, right = _step_at(u, u_prev, h, t_next, f_factors, op, model)
-    return step.objective(u.core, left, right)
+    step = _Step(op, model, h, t_next, u_prev, f_factors)
+    return step.objective(u.core, *step.frames(u))
 
 
 def galerkin_residual(u_next: LowRankState, u_prev: LowRankState, h: float,
@@ -231,8 +288,8 @@ def galerkin_residual(u_next: LowRankState, u_prev: LowRankState, h: float,
     onto the tangent space of the new state; its Frobenius norm equals the
     norm of the residual functional in any orthonormal tangent basis.
     """
-    step, left, right = _step_at(u_next, u_prev, h, t_next, f_factors, op, model)
-    return step.residual(u_next.core, left, right)
+    step = _Step(op, model, h, t_next, u_prev, f_factors)
+    return step.residual(u_next.core, *step.frames(u_next))
 
 
 def _state_change(old: LowRankState, mid: LowRankState, new: LowRankState) -> float:
@@ -249,7 +306,7 @@ def _state_change(old: LowRankState, mid: LowRankState, new: LowRankState) -> fl
 
 
 # ---------------------------------------------------------------------------
-# inner solves
+# the inner conjugate gradient
 
 
 def _pcg(apply, precondition, rhs: np.ndarray, x0: Optional[np.ndarray] = None):
@@ -284,55 +341,6 @@ def _pcg(apply, precondition, rhs: np.ndarray, x0: Optional[np.ndarray] = None):
         r -= step * q
         rho_prev = rho
     raise InnerSolveError(f"conjugate gradient did not converge in {maxiter} iterations")
-
-
-def _solve_projected(op: GalerkinOperator, alpha: np.ndarray, h: float, own_axis: int,
-                     b_block: np.ndarray, h_block: Optional[np.ndarray],
-                     rhs: np.ndarray, x0: Optional[np.ndarray] = None):
-    """Solve one half-sweep system  X + h * A_red(X) = rhs  for X (N, r).
-
-    ``own_axis`` selects which coordinate keeps its full 1D stiffness
-    (0: left factor update, 1: right factor update); the other direction is
-    compressed onto a basis B, given by its (r, r) blocks
-    ``b_block = B^T L B`` and ``h_block = B^T G B`` (read only with a mixed
-    term).  The reduced operator
-
-        A_red(X) = own * L X + other * X (B^T L B) + c * G X (B^T G B)
-
-    is symmetric positive definite as a compression of the full operator.
-    Without the mixed term it is a Sylvester equation with diagonal L,
-    solved exactly in the eigenbasis of the (r, r) block; with it, that
-    solve preconditions conjugate gradient started at ``x0`` (zero if None).
-    Returns (X, conjugate-gradient iterations), the count 0 without the
-    mixed term.
-    """
-    own = alpha[0, 0] if own_axis == 0 else alpha[1, 1]
-    other = alpha[1, 1] if own_axis == 0 else alpha[0, 0]
-    c = alpha[0, 1] + alpha[1, 0]
-    own_lam = own * op.stiffness_diag[:, None]
-    evals, evecs = np.linalg.eigh(b_block)
-    denom = 1.0 + h * (own_lam + other * evals[None, :])
-
-    def sylvester(x):
-        return ((x @ evecs) / denom) @ evecs.T
-
-    if c == 0.0:
-        return sylvester(rhs), 0
-    g = op.grad_coupling_1d
-
-    def apply(x):
-        return x + h * (own_lam * x + other * (x @ b_block) + c * (g @ x @ h_block))
-
-    return _pcg(apply, sylvester, rhs, x0)
-
-
-def _check_collapse(r_block: np.ndarray, what: str):
-    diag = np.abs(np.diagonal(r_block))
-    if diag.min() < _QR_COLLAPSE_REL * max(diag.max(), np.finfo(float).tiny):
-        raise RankDeficiencyError(
-            f"rank collapse during {what} refactorization",
-            rank=r_block.shape[0], sigma=float(diag.min()),
-            floor=float(_QR_COLLAPSE_REL * diag.max()))
 
 
 # ---------------------------------------------------------------------------
@@ -392,7 +400,8 @@ def _alternating_step(u_prev: LowRankState, h: float, t_next: float, f_factors,
     where its quadratic equals the current F, so it cannot raise F either.
     Returns (state, diagnostics).
     """
-    step, left, right = _step_at(u_prev, u_prev, h, t_next, f_factors, op, model)
+    step = _Step(op, model, h, t_next, u_prev, f_factors)
+    left, right = step.frames(u_prev)
     u0, s0, v0 = u_prev.u1_factors, u_prev.core, u_prev.u2_factors
     state, sweeps, iterations = u_prev, 0, 0
     trace = [step.objective(s0, left, right)]
@@ -401,23 +410,17 @@ def _alternating_step(u_prev: LowRankState, h: float, t_next: float, f_factors,
         warm = sweeps > 1 and step.mixed != 0.0
         # left half-sweep: unknown K = U S with the right basis frozen
         rhs_k = u0 @ (s0 @ right.anchor.T) + h * (step.p @ right.source.T)
-        k, its = _solve_projected(op, step.alpha, h, 0, right.lam, right.g, rhs_k,
-                                  state.u1_factors @ state.core if warm else None)
+        left, r_k, its = step.half_sweep(0, right, rhs_k,
+                                         state.u1_factors @ state.core if warm else None)
         iterations += its
-        u_basis, r_k = qr_nonneg(k)
-        _check_collapse(r_k, "left")
-        left = step.frame(u_basis, 0)
-        mid = LowRankState(u_basis, r_k, right.basis)
+        mid = LowRankState(left.basis, r_k, right.basis)
         trace.append(step.objective(r_k, left, right))
         # right half-sweep: unknown W = V S^T with the new left basis frozen
         rhs_w = v0 @ (s0.T @ left.anchor.T) + h * (step.q @ left.source.T)
-        w, its = _solve_projected(op, step.alpha, h, 1, left.lam, left.g, rhs_w,
-                                  mid.u2_factors @ mid.core.T if warm else None)
+        right, r_w, its = step.half_sweep(1, left, rhs_w,
+                                          mid.u2_factors @ mid.core.T if warm else None)
         iterations += its
-        v_basis, r_w = qr_nonneg(w)
-        _check_collapse(r_w, "right")
-        right = step.frame(v_basis, 1)
-        state = LowRankState(u_basis, r_w.T, v_basis)
+        state = LowRankState(left.basis, r_w.T, right.basis)
         trace.append(step.objective(state.core, left, right))
         if sweeps < max_sweeps and _state_change(old, mid, state) / max(
                 h_norm(state.core), np.finfo(float).tiny) <= tol:
@@ -466,24 +469,18 @@ def _forward_splitting_step(u_prev: LowRankState, h: float, t_next: float,
     ``S0+ = S1+ + h A_red(S1+) - h U1^T f V0`` (both directions compressed)
     in place of the projection ``U1^T U0 S0``; the two agree whenever the
     first solve is exact.  The independent check of the one-sweep step."""
-    alpha = model.alpha(t_next)
-    step = _Step(op, alpha, h, u_prev, *f_factors)
+    step = _Step(op, model, h, t_next, u_prev, f_factors)
     u0, s0, v0 = u_prev.u1_factors, u_prev.core, u_prev.u2_factors
     right = step.frame(v0, 1)
 
     rhs_k = u0 @ s0 + h * (step.p @ right.source.T)
-    k, _ = _solve_projected(op, alpha, h, 0, right.lam, right.g, rhs_k)
-    u1, s1_plus = qr_nonneg(k)
-    _check_collapse(s1_plus, "left")
-    left = step.frame(u1, 0)
+    left, s1_plus, _ = step.half_sweep(0, right, rhs_k)
     s0_plus = (s1_plus + h * step.reduced(s1_plus, left, right)
                - h * (left.source @ right.source.T))
 
     rhs_w = v0 @ s0_plus.T + h * (step.q @ left.source.T)
-    w, _ = _solve_projected(op, alpha, h, 1, left.lam, left.g, rhs_w)
-    v1, r_w = qr_nonneg(w)
-    _check_collapse(r_w, "right")
-    return LowRankState(u1, r_w.T, v1)
+    right, r_w, _ = step.half_sweep(1, left, rhs_w)
+    return LowRankState(left.basis, r_w.T, right.basis)
 
 
 # ---------------------------------------------------------------------------
@@ -506,8 +503,8 @@ def integrate(method: str, u0, T: float, n_steps: int, model: DiffusionModel,
         raise TypeError("source must be a SourceSpec; pass zero_source(N) for no source")
     if n_steps < 1:
         raise ValueError("n_steps must be >= 1")
-    if not T > 0:
-        raise ValueError("final time must be positive")
+    if not 0 < T < math.inf:
+        raise ValueError(f"final time must be positive and finite, got {T!r}")
     manifold = method != "reference"
     if manifold:
         if not isinstance(u0, LowRankState):

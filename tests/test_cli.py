@@ -157,6 +157,17 @@ def test_run_writes_artifacts(tmp_path):
     assert "status: 0" in log and "passed" in log
 
 
+def test_run_anisotropic_reference(tmp_path):
+    # the reference method keeps dense states, which the interpolant
+    # identity and the trajectory writer read as they are
+    out = tmp_path / "reference"
+    cfg = parse_config(f"experiment = anisotropic\nN = 8\nr = 2\nT = 0.05\nn_steps = 5\n"
+                       f"method = reference\noutput_dir = {out}\n")
+    assert run(cfg, quiet=True) == 0
+    rows = (out / "trajectory.csv").read_text().splitlines()
+    assert len(rows) == 7 and rows[1].split(",")[4] == "nan"     # no sigma_r when dense
+
+
 def test_run_is_byte_reproducible(tmp_path):
     cfg_a = parse_config(_quick_heat(tmp_path / "a"))
     cfg_b = parse_config(_quick_heat(tmp_path / "b"))
@@ -234,6 +245,27 @@ def test_main_config_errors(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "line 2" in err
     assert not (tmp_path / "out").exists()       # nothing written on exit 2
+
+
+@pytest.mark.parametrize("body, line, what", [
+    pytest.param("[alpha]\nkind = constant\na11 = nan\n", 5, "bad value for a11", id="a11"),
+    pytest.param("T = inf\n", 3, "bad value for T", id="T"),
+    pytest.param("[alpha]\nkind = rotation\nomega = nan\n", 5, "bad value for omega",
+                 id="omega"),
+    pytest.param("[source]\nterm = cosine:nan:1 | p = 1:1 | q = 1:1\n", 4, "bad time profile",
+                 id="profile"),
+    pytest.param("[source]\nterm = constant:1 | p = 1:-inf | q = 1:1\n", 4, "bad mode entry",
+                 id="mode"),
+])
+def test_main_rejects_non_finite_numbers(tmp_path, capsys, body, line, what):
+    # nan and inf fail to parse, with the line, before anything runs or is
+    # written; a11 = nan used to pass the positivity checks and crash later
+    out = tmp_path / "out"
+    path = _write(tmp_path, f"experiment = anisotropic\noutput_dir = {out}\n{body}")
+    assert main(["run", path]) == 2
+    err = capsys.readouterr().err
+    assert f"line {line}: {what}" in err
+    assert not out.exists()
 
 
 def test_main_overrides_and_gnuplot(tmp_path):

@@ -129,10 +129,6 @@ def test_grad_coupling_skew_and_12_entry():
     assert op.grad_coupling_1d[1, 3] == 0.0
 
 
-def test_build_operator_verify_mode():
-    build_operator(5, verify=True)           # should not raise
-
-
 def test_stiffness_vector_is_the_dense_diagonal():
     op = build_operator(7)
     assert op.stiffness_diag.shape == (7,)
@@ -394,12 +390,6 @@ def test_zero_source():
 def test_separable_source_shape_validation():
     with pytest.raises(ValueError):
         separable_source(4, [(constant_profile(1.0), np.ones(3), np.ones(4))])
-
-
-def test_source_scaling():
-    src = separable_source(3, [(linear_profile(2.0), np.ones(3), np.ones(3))])
-    np.testing.assert_allclose(src.scaled(0.5).value(1.0), 0.5 * src.value(1.0),
-                               atol=1e-14)
 
 
 # ---------------------------------------------------------------------------

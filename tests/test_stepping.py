@@ -17,10 +17,9 @@ from lowrankpde.galerkin import (build_operator, constant_diffusion,
                                  separable_source, constant_profile, zero_source)
 from lowrankpde.manifold import (LowRankState, RankDeficiencyError, factorize,
                                  qr_nonneg, tangent_project, to_dense)
-from lowrankpde.stepping import (StepOptions, _forward_splitting_step, _solve_projected,
-                                 _state_change, als_variational_step, galerkin_residual,
-                                 integrate, reference_step, splitting_euler_step,
-                                 step_objective)
+from lowrankpde.stepping import (StepOptions, _forward_splitting_step, _state_change, _Step,
+                                 als_variational_step, galerkin_residual, integrate,
+                                 reference_step, splitting_euler_step, step_objective)
 
 def mode_state(n, entries):
     """Rank-len(entries) state with coefficient c on the (i, i) mode pair."""
@@ -218,9 +217,9 @@ def test_als_warm_start_saves_inner_iterations(monkeypatch):
     u0 = smooth_state(rng, n, r, 1.0)
     pair = (rng.standard_normal((n, 2)), rng.standard_normal((n, 2)))
     warm, warm_diag = als_variational_step(u0, h, h, pair, op, model)
-    solve = stepping._solve_projected
-    monkeypatch.setattr(stepping, "_solve_projected",
-                        lambda *args: solve(*args[:7]))
+    pcg = stepping._pcg
+    monkeypatch.setattr(stepping, "_pcg",
+                        lambda apply, precondition, rhs, x0=None: pcg(apply, precondition, rhs))
     cold, cold_diag = als_variational_step(u0, h, h, pair, op, model)
     assert warm_diag.sweeps_used == cold_diag.sweeps_used > 2
     assert 0 < warm_diag.inner_iterations < cold_diag.inner_iterations
@@ -395,6 +394,8 @@ def test_half_sweep_solve_matches_kronecker_oracle(own_axis, a12, warm):
     alpha = np.array([[1.0, a12], [a12, 0.7]])
     basis, _ = np.linalg.qr(rng.standard_normal((n, r)))
     rhs = rng.standard_normal((n, r))
+    step = _Step(op, constant_diffusion(alpha), h, h, LowRankState(basis, np.eye(r), basis),
+                 (np.zeros((n, 0)), np.zeros((n, 0))))
     own, other = (alpha[0, 0], alpha[1, 1]) if own_axis == 0 else (alpha[1, 1], alpha[0, 0])
     stiff = op.stiffness_1d
     g = op.grad_coupling_1d
@@ -404,24 +405,24 @@ def test_half_sweep_solve_matches_kronecker_oracle(own_axis, a12, warm):
                   + 2 * a12 * np.kron((basis.T @ g @ basis).T, g)))
     oracle = np.linalg.solve(mat, rhs.ravel(order="F")).reshape((n, r), order="F")
     x0 = oracle + 1e-3 * rng.standard_normal((n, r)) if warm else None
-    got, _ = _solve_projected(op, alpha, h, own_axis, basis.T @ stiff @ basis,
-                              basis.T @ g @ basis, rhs, x0)
-    assert np.linalg.norm(got - oracle) <= 1e-12 * np.linalg.norm(oracle)
+    frame, r_block, _ = step.half_sweep(own_axis, step.frame(basis, 1 - own_axis), rhs, x0)
+    assert np.linalg.norm(frame.basis @ r_block - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
 def half_sweep_system(monkeypatch, seed):
     """A left half-sweep system with a12 = 0.3 as the (apply, precondition,
-    rhs) that ``_solve_projected`` hands to ``_pcg``."""
+    rhs) that ``_Step.half_sweep`` hands to ``_pcg``."""
     rng = np.random.default_rng(seed)
     n, r, h = 60, 4, 0.01
     op = build_operator(n)
-    alpha = np.array([[1.0, 0.3], [0.3, 0.7]])
+    model = constant_diffusion([[1.0, 0.3], [0.3, 0.7]])
     basis, _ = np.linalg.qr(rng.standard_normal((n, r)))
     rhs = rng.standard_normal((n, r))
+    step = _Step(op, model, h, h, LowRankState(basis, np.eye(r), basis),
+                 (np.zeros((n, 0)), np.zeros((n, 0))))
     seen = []
     monkeypatch.setattr(stepping, "_pcg", lambda *args: seen.append(args) or (rhs, 0))
-    _solve_projected(op, alpha, h, 0, (basis.T * op.stiffness_diag) @ basis,
-                     basis.T @ op.grad_coupling_1d @ basis, rhs)
+    step.half_sweep(0, step.frame(basis, 1), rhs)
     monkeypatch.undo()
     apply, precondition, got_rhs, x0 = seen[0]
     assert got_rhs is rhs and x0 is None
@@ -623,6 +624,9 @@ def test_integrate_validation_errors():
         integrate("als", u0, 0.1, 0, model, src)
     with pytest.raises(ValueError):
         integrate("als", u0, -0.1, 10, model, src)
+    for T in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="final time"):
+            integrate("als", u0, T, 10, model, src)
     with pytest.raises(ValueError):
         integrate("als", u0, 0.1, 10, model, zero_source(7))   # dim mismatch
 
@@ -667,7 +671,7 @@ def test_integrate_error_mentions_step():
     u0 = mode_state(8, [(0, 1.0), (1, 1.0)])
     model = constant_diffusion(np.eye(2))
     opts = StepOptions(rank_floor_rel=0.0)    # disable the graceful monitor
-    with pytest.raises(RankDeficiencyError, match="step "):
+    with pytest.raises(RankDeficiencyError, match="step .*rank collapse during"):
         integrate("als", u0, 40.0, 200, model, zero_source(8), opts)
 
 
