@@ -22,8 +22,8 @@ import numpy as np
 
 from .galerkin import (DiffusionModel, GalerkinOperator, SourceSpec, TimeProfile, apply_a1,
                        apply_a2, build_operator, constant_diffusion, exact_diagonal_solution,
-                       h_norm, rhs_mean, rhs_mean_factors, rotating_diffusion,
-                       separable_source, v_dual_norm, v_norm, zero_source)
+                       h_norm, rhs_mean_factors, rotating_diffusion, separable_source,
+                       v_dual_norm, v_norm, zero_source)
 from .manifold import (LowRankState, factorize, qr_nonneg, singular_values, tangent_project,
                        to_dense)
 from .stepping import (StepOptions, Trajectory, _forward_splitting_step, integrate,
@@ -176,9 +176,9 @@ def energy_audit(traj: Trajectory, source: SourceSpec, model: DiffusionModel,
     hn2 = np.array([h_norm(y) ** 2 for y in dense])
     vn2 = np.array([v_norm(op, y) ** 2 for y in dense])
     dq2 = np.array([h_norm((dense[i] - dense[i - 1]) / h) ** 2 for i in range(1, n + 1)])
-    f_means = [rhs_mean(source, traj.times[i - 1], traj.times[i]) for i in range(1, n + 1)]
     f_pairs = [rhs_mean_factors(source, traj.times[i - 1], traj.times[i])
                for i in range(1, n + 1)]
+    f_means = [p @ q.T for p, q in f_pairs]
     fd2 = np.array([v_dual_norm(op, f) ** 2 for f in f_means])
     fh2 = np.array([h_norm(f) ** 2 for f in f_means])
     objectives = np.array([

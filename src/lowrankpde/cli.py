@@ -3,10 +3,13 @@
 Usage:  lowrankpde run CONFIG [--seed S] [--out DIR] [--quiet] [--gnuplot]
 
 Configs are line-oriented ``key = value`` files with optional ``[alpha]``
-and ``[source]`` sections; unknown keys are rejected with their line
-number.  Runs are bit-reproducible for a fixed (config, seed) pair: every
-artifact (trajectory.csv, diagnostics.csv, report.csv, run.log) is written
-deterministically, floats at 17 significant digits, no timestamps.
+and ``[source]`` sections.  The dataclasses below are the schema: their
+fields are the keys, their types the converters and their defaults the
+defaults.  Unknown keys, and ``[alpha]`` keys of the other kind, are rejected
+with their line number.  ``EXPERIMENTS`` maps each experiment name to the
+function that runs it.  Runs are bit-reproducible for a fixed (config, seed)
+pair: every artifact (trajectory.csv, diagnostics.csv, report.csv, run.log)
+is written deterministically, floats at 17 significant digits, no timestamps.
 
 Exit status: 0 all asserted properties passed, 1 a property was violated,
 2 the config failed to parse or validate, 3 a numerical failure occurred.
@@ -18,7 +21,7 @@ import argparse
 import logging
 import math
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -35,8 +38,6 @@ from .stepping import InnerSolveError, StepOptions, Trajectory, integrate
 __all__ = ["AlphaSpec", "ConfigError", "RunConfig", "SourceTermSpec", "main",
            "parse_config", "run", "serialize_config"]
 
-EXPERIMENTS = ("heat-diagonal", "anisotropic", "convergence-h", "convergence-rank",
-               "equivalence", "energy-audit", "geometry-suites")
 METHODS = ("als", "splitting", "reference")
 
 
@@ -85,10 +86,6 @@ class RunConfig:
 # ---------------------------------------------------------------------------
 # parsing
 
-_GLOBAL_KEYS = {"experiment", "N", "r", "T", "n_steps", "method", "seed",
-                "trials", "output_dir"}
-_ALPHA_KEYS = {"kind", "a11", "a12", "a22", "lambda1", "lambda2", "omega"}
-
 
 def _finite(text: str) -> float:
     """The config's one float converter: ValueError unless finite."""
@@ -96,6 +93,31 @@ def _finite(text: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"not a finite number: {text!r}")
     return value
+
+
+def _schema(cls) -> dict:
+    """``{key: converter}`` for the scalar fields of ``cls``, in field order."""
+    converters = {"int": int, "float": _finite, "str": str}
+    return {f.name: converters[f.type] for f in fields(cls) if f.type in converters}
+
+
+_GLOBALS = _schema(RunConfig)
+_ALPHA = _schema(AlphaSpec)
+#: The [alpha] keys each kind reads, besides ``kind`` itself.
+_ALPHA_KINDS = {"constant": ("a11", "a12", "a22"), "rotation": ("lambda1", "lambda2", "omega")}
+
+
+def _convert(schema: dict, raw: dict) -> dict:
+    """Convert the ``(text, line)`` values of ``raw`` in field order; the first bad one raises."""
+    values = {}
+    for name, conv in schema.items():
+        if name in raw:
+            text, lineno = raw[name]
+            try:
+                values[name] = conv(text)
+            except ValueError:
+                raise ConfigError(f"bad value for {name}: {text!r}", lineno) from None
+    return values
 
 
 def _parse_modes(text: str, line: int) -> tuple:
@@ -120,11 +142,11 @@ def _parse_term(value: str, line: int) -> SourceTermSpec:
     """term syntax:  <profile> | p = <modes> | q = <modes>
     profile: constant:<c> | linear:<c> | cosine:<c>:<omega>
     modes:   comma list of  index:coeff"""
-    fields = [f.strip() for f in value.split("|")]
-    if len(fields) != 3:
+    pieces = [f.strip() for f in value.split("|")]
+    if len(pieces) != 3:
         raise ConfigError("term needs three |-separated fields: profile | p = ... | q = ...",
                           line)
-    prof = fields[0].split(":")
+    prof = pieces[0].split(":")
     kind = prof[0].strip()
     try:
         if kind in ("constant", "linear") and len(prof) == 2:
@@ -134,9 +156,9 @@ def _parse_term(value: str, line: int) -> SourceTermSpec:
         else:
             raise ValueError
     except ValueError:
-        raise ConfigError(f"bad time profile {fields[0]!r}", line) from None
+        raise ConfigError(f"bad time profile {pieces[0]!r}", line) from None
     sides = {}
-    for part in fields[1:]:
+    for part in pieces[1:]:
         if "=" not in part:
             raise ConfigError(f"expected p = ... or q = ..., got {part!r}", line)
         name, modes = part.split("=", 1)
@@ -151,13 +173,11 @@ def _parse_term(value: str, line: int) -> SourceTermSpec:
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a config; raises ConfigError with a line number."""
-    values: dict = {}
-    alpha_values: dict = {}
+    raw: dict = {None: {}, "alpha": {}}          # section -> {key: (text, line)}
     terms: list = []
     section = None
-    seen = set()
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
@@ -168,74 +188,36 @@ def parse_config(text: str) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"expected key = value, got {line!r}", lineno)
         key, value = (s.strip() for s in line.split("=", 1))
-        if section is None:
-            if key not in _GLOBAL_KEYS:
-                raise ConfigError(f"unknown key {key!r}", lineno)
-            if key in seen:
-                raise ConfigError(f"duplicate key {key!r}", lineno)
-            seen.add(key)
-            values[key] = (value, lineno)
-        elif section == "alpha":
-            if key not in _ALPHA_KEYS:
-                raise ConfigError(f"unknown key {key!r} in [alpha]", lineno)
-            if ("alpha", key) in seen:
-                raise ConfigError(f"duplicate key {key!r} in [alpha]", lineno)
-            seen.add(("alpha", key))
-            alpha_values[key] = (value, lineno)
-        else:
+        where = "" if section is None else f" in [{section}]"
+        if section == "source":
             if key != "term":
-                raise ConfigError(f"unknown key {key!r} in [source]", lineno)
+                raise ConfigError(f"unknown key {key!r}{where}", lineno)
             terms.append(_parse_term(value, lineno))
+            continue
+        if key not in (_GLOBALS if section is None else _ALPHA):
+            raise ConfigError(f"unknown key {key!r}{where}", lineno)
+        if key in raw[section]:
+            raise ConfigError(f"duplicate key {key!r}{where}", lineno)
+        raw[section][key] = (value, lineno)
 
-    def take(name, conv, default):
-        if name not in values:
-            return default
-        value, lineno = values.pop(name)
-        try:
-            return conv(value)
-        except ValueError:
-            raise ConfigError(f"bad value for {name}: {value!r}", lineno) from None
-
-    cfg = RunConfig(
-        experiment=take("experiment", str, "heat-diagonal"),
-        N=take("N", int, 32),
-        r=take("r", int, 2),
-        T=take("T", _finite, 0.1),
-        n_steps=take("n_steps", int, 100),
-        method=take("method", str, "als"),
-        seed=take("seed", int, 0),
-        trials=take("trials", int, 0),
-        output_dir=take("output_dir", str, "out"),
-        alpha=_build_alpha(alpha_values),
-        source=tuple(terms),
-    )
+    cfg = RunConfig(**_convert(_GLOBALS, raw[None]), alpha=_build_alpha(raw["alpha"]),
+                    source=tuple(terms))
     _validate(cfg)
     return cfg
 
 
 def _build_alpha(raw: dict) -> AlphaSpec:
-    def take(name, default):
-        if name not in raw:
-            return default
-        value, lineno = raw[name]
-        try:
-            return _finite(value) if name != "kind" else value
-        except ValueError:
-            raise ConfigError(f"bad value for {name}: {value!r}", lineno) from None
-
-    kind = take("kind", "constant")
-    spec = AlphaSpec(kind=kind, a11=take("a11", 0.02), a12=take("a12", 0.0),
-                     a22=take("a22", 0.02), lambda1=take("lambda1", 1.0),
-                     lambda2=take("lambda2", 1.0), omega=take("omega", 0.0))
+    spec = AlphaSpec(**_convert(_ALPHA, raw))
     first_line = min((l for _, l in raw.values()), default=None)
-    if kind not in ("constant", "rotation"):
-        raise ConfigError(f"unknown alpha kind {kind!r}", first_line)
-    if kind == "constant":
-        if spec.a11 <= 0 or spec.a11 * spec.a22 - spec.a12 ** 2 <= 0:
-            raise ConfigError("alpha is not positive definite", first_line)
-    else:
-        if spec.lambda1 <= 0 or spec.lambda2 <= 0:
-            raise ConfigError("alpha is not positive definite", first_line)
+    if spec.kind not in _ALPHA_KINDS:
+        raise ConfigError(f"unknown alpha kind {spec.kind!r}", first_line)
+    for key, (_, lineno) in raw.items():
+        if key != "kind" and key not in _ALPHA_KINDS[spec.kind]:
+            raise ConfigError(f"{key!r} is not a parameter of alpha kind {spec.kind!r}", lineno)
+    try:
+        _diffusion(spec)
+    except ValueError:
+        raise ConfigError("alpha is not positive definite", first_line) from None
     return spec
 
 
@@ -252,6 +234,8 @@ def _validate(cfg: RunConfig):
         raise ConfigError("T must be positive")
     if cfg.n_steps < 1:
         raise ConfigError("n_steps must be >= 1")
+    if cfg.seed < 0:
+        raise ConfigError("seed must be >= 0")
     if cfg.trials < 0:
         raise ConfigError("trials must be >= 0")
     for term in cfg.source:
@@ -268,27 +252,10 @@ def _validate(cfg: RunConfig):
 
 def serialize_config(cfg: RunConfig) -> str:
     """Canonical text form; parse(serialize(parse(s))) == parse(s)."""
-    out = [
-        f"experiment = {cfg.experiment}",
-        f"N = {cfg.N}",
-        f"r = {cfg.r}",
-        f"T = {_fmt(cfg.T)}",
-        f"n_steps = {cfg.n_steps}",
-        f"method = {cfg.method}",
-        f"seed = {cfg.seed}",
-        f"trials = {cfg.trials}",
-        f"output_dir = {cfg.output_dir}",
-        "",
-        "[alpha]",
-        f"kind = {cfg.alpha.kind}",
-    ]
-    if cfg.alpha.kind == "constant":
-        out += [f"a11 = {_fmt(cfg.alpha.a11)}", f"a12 = {_fmt(cfg.alpha.a12)}",
-                f"a22 = {_fmt(cfg.alpha.a22)}"]
-    else:
-        out += [f"lambda1 = {_fmt(cfg.alpha.lambda1)}",
-                f"lambda2 = {_fmt(cfg.alpha.lambda2)}",
-                f"omega = {_fmt(cfg.alpha.omega)}"]
+    out = [f"{name} = {_fmt(getattr(cfg, name))}" for name in _GLOBALS]
+    out += ["", "[alpha]", f"kind = {cfg.alpha.kind}"]
+    out += [f"{name} = {_fmt(getattr(cfg.alpha, name))}"
+            for name in _ALPHA_KINDS[cfg.alpha.kind]]
     if cfg.source:
         out += ["", "[source]"]
         for term in cfg.source:
@@ -307,21 +274,24 @@ def serialize_config(cfg: RunConfig) -> str:
 
 
 def _fmt(x) -> str:
+    if isinstance(x, str):
+        return x
     if isinstance(x, (bool, np.bool_)):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    x = float(x)
-    if math.isnan(x):
-        return "nan"
-    return f"{x:.17g}"
+    return f"{float(x):.17g}"
 
 
-def config_model(cfg: RunConfig) -> DiffusionModel:
-    a = cfg.alpha
+def _diffusion(a: AlphaSpec) -> DiffusionModel:
+    """The model of ``a``; ValueError unless its tensor is positive definite."""
     if a.kind == "constant":
         return constant_diffusion([[a.a11, a.a12], [a.a12, a.a22]])
     return rotating_diffusion(a.lambda1, a.lambda2, a.omega)
+
+
+def config_model(cfg: RunConfig) -> DiffusionModel:
+    return _diffusion(cfg.alpha)
 
 
 def config_source(cfg: RunConfig) -> SourceSpec:
@@ -329,12 +299,10 @@ def config_source(cfg: RunConfig) -> SourceSpec:
         return zero_source(cfg.N)
     terms = []
     for term in cfg.source:
-        p = np.zeros(cfg.N)
-        q = np.zeros(cfg.N)
-        for mode, coeff in term.p:
-            p[mode - 1] += coeff
-        for mode, coeff in term.q:
-            q[mode - 1] += coeff
+        p, q = np.zeros(cfg.N), np.zeros(cfg.N)
+        for vec, side in ((p, term.p), (q, term.q)):
+            for mode, coeff in side:
+                vec[mode - 1] += coeff
         terms.append((TimeProfile(term.profile, term.scale, term.omega), p, q))
     return separable_source(cfg.N, terms)
 
@@ -343,12 +311,7 @@ def initial_state(cfg: RunConfig) -> LowRankState:
     """Experiment-defined start: mode-diagonal for the diagonal presets and
     the convergence sweeps, a seeded random state otherwise."""
     if cfg.experiment in ("heat-diagonal", "convergence-h", "convergence-rank"):
-        u1 = np.zeros((cfg.N, cfg.r))
-        u2 = np.zeros((cfg.N, cfg.r))
-        for k in range(cfg.r):
-            u1[k, k] = 1.0
-            u2[k, k] = 1.0
-        return LowRankState(u1, np.eye(cfg.r), u2)
+        return LowRankState(np.eye(cfg.N, cfg.r), np.eye(cfg.r), np.eye(cfg.N, cfg.r))
     rng = np.random.default_rng([cfg.seed, 0])
     return sample_state(rng, cfg.N, cfg.r, sigma_range=(1e-2, 1.0))
 
@@ -360,7 +323,7 @@ def initial_state(cfg: RunConfig) -> LowRankState:
 def _write_csv(path: Path, header: str, rows):
     lines = [header]
     for row in rows:
-        lines.append(",".join(_fmt(x) if not isinstance(x, str) else x for x in row))
+        lines.append(",".join(_fmt(x) for x in row))
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -381,8 +344,7 @@ def _write_trajectory(out: Path, traj: Trajectory, op):
 
 def _write_diagnostics(out: Path, traj: Trajectory):
     rows = [(i + 1, d.sweeps_used, d.galerkin_residual, d.objective_value, d.sigma_r,
-             "true" if d.objective_decreased else "false")
-            for i, d in enumerate(traj.diagnostics)]
+             d.objective_decreased) for i, d in enumerate(traj.diagnostics)]
     _write_csv(out / "diagnostics.csv",
                "step,sweeps_used,galerkin_residual,objective_value,sigma_r,objective_decreased",
                rows)
@@ -403,14 +365,129 @@ plot 'trajectory.csv' using 2:3 with lines, \\
 # experiments
 
 
+def _problem(cfg: RunConfig):
+    """The model, source and start that the trajectory experiments run from."""
+    return config_model(cfg), config_source(cfg), initial_state(cfg)
+
+
 def _suite_rows(report, prefix):
     return [(f"{prefix}.{name}", report.trials, report.violations, report.worst_ratio[name])
             for name in sorted(report.worst_ratio)]
 
 
+def _heat_diagonal(cfg: RunConfig, op):
+    model, source, u0 = _problem(cfg)
+    traj = integrate(cfg.method, u0, cfg.T, cfg.n_steps, model, source)
+    oracle = to_dense(exact_diagonal_solution(op, model, u0, cfg.T))
+    err = h_norm(traj.dense(-1) - oracle)
+    threshold = 5e-3
+    failures = []
+    if err > threshold:
+        failures.append(f"final error {err:.3e} above {threshold:.1e}")
+    rows = [("experiment", cfg.experiment), ("method", cfg.method), ("n_steps", cfg.n_steps),
+            ("final_error", err), ("error_threshold", threshold), ("passed", not failures)]
+    return "key,value", rows, failures, traj
+
+
+def _anisotropic(cfg: RunConfig, op):
+    model, source, u0 = _problem(cfg)
+    traj = integrate(cfg.method, u0, cfg.T, cfg.n_steps, model, source)
+    gap = interpolant_gap(traj)
+    increments = sum(h_norm(traj.dense(i) - traj.dense(i - 1)) ** 2
+                     for i in range(1, len(traj.states)))
+    identity_gap = abs(gap - traj.step_size / 3.0 * increments)
+    failures = []
+    if identity_gap > 1e-12 * max(gap, 1.0):
+        failures.append(f"interpolant identity off by {identity_gap:.3e}")
+    not_monotone = [i + 1 for i, d in enumerate(traj.diagnostics) if not d.objective_decreased]
+    if not_monotone and cfg.method != "reference":
+        failures.append(f"objective increased at steps {not_monotone}")
+    rows = [("experiment", cfg.experiment), ("method", cfg.method), ("interpolant_gap", gap),
+            ("interpolant_identity_error", identity_gap),
+            ("objective_monotone", not not_monotone),
+            ("halted_early", traj.halted_early is not None), ("passed", not failures)]
+    return "key,value", rows, failures, traj
+
+
+def _convergence(cfg: RunConfig, op):
+    """convergence-h (five step counts) and convergence-rank (ranks 1..r)."""
+    model, source, u0 = _problem(cfg)
+    failures = []
+    if cfg.experiment == "convergence-h":
+        counts = tuple(max(1, cfg.n_steps // 2 ** k) for k in range(4, -1, -1))
+        table = convergence_study("step", u0, cfg.T, model, source,
+                                  method=cfg.method, step_counts=counts)
+        model_exact = model.diagonal and not model.time_dependent and not source.terms
+        if model_exact and len(table.rows) >= 2:
+            order = table.rows[-1].observed_order
+            if order is None or not 0.8 <= order <= 1.2:
+                failures.append(f"observed order {order} outside [0.8, 1.2]")
+    else:
+        table = convergence_study("rank", u0, cfg.T, model, source, method=cfg.method,
+                                  ranks=range(1, cfg.r + 1), n_steps=cfg.n_steps)
+    rows = [(_fmt(row.parameter), row.error,
+             "" if row.observed_order is None else _fmt(row.observed_order))
+            for row in table.rows]
+    return "parameter,error,observed_order", rows, failures, None
+
+
+def _equivalence(cfg: RunConfig, op):
+    rep = equivalence_test(trials=cfg.trials or 50, seed=cfg.seed)
+    failures = []
+    if not rep.passed:
+        failures.append(f"{rep.violations} equivalence violations")
+    return "property,trials,violations,worst_ratio", _suite_rows(rep, "equivalence"), failures, None
+
+
+def _energy_audit(cfg: RunConfig, op):
+    model, source, u0 = _problem(cfg)
+    method = cfg.method if cfg.method != "reference" else "als"
+    traj = integrate(method, u0, cfg.T, cfg.n_steps, model, source)
+    rep = energy_audit(traj, source, model, op)
+    rows = [("experiment", cfg.experiment), ("method", method),
+            ("slack_energy_sum", rep.slack["energy_sum"]),
+            ("slack_objective_monotonicity", rep.slack["objective_monotonicity"]),
+            ("slack_v_bound", rep.slack["v_bound"]), ("budget", rep.budget),
+            ("passed", rep.passed)]
+    failures = []
+    if not rep.passed:
+        failures.append(f"energy audit violations: {rep.violations}")
+    if not source.terms:
+        hn = [h_norm(to_dense(u)) for u in traj.states]
+        if any(hn[i] > hn[i - 1] * (1 + 1e-12) for i in range(1, len(hn))):
+            failures.append("h-norm increased on a homogeneous run")
+        rows.append(("h_norm_nonincreasing", not failures))
+    return "key,value", rows, failures, traj
+
+
+def _geometry_suites(cfg: RunConfig, op):
+    trials = cfg.trials or 1000
+    curv = curvature_suite(cfg.N, cfg.r, trials, cfg.seed)
+    proj = projection_regularity_suite(cfg.N, cfg.r, trials, cfg.seed)
+    model = rotating_diffusion(1.0, 0.25, 1.0)
+    tang = tangency_suite(cfg.N, cfg.r, max(1, trials // 2), cfg.seed, model)
+    rows, failures = [], []
+    for name, rep in (("curvature", curv), ("projection", proj), ("tangency", tang)):
+        rows += _suite_rows(rep, name)
+        if not rep.passed:
+            failures.append(f"{name} suite: {rep.violations} violations")
+    return "property,trials,violations,worst_ratio", rows, failures, None
+
+
+#: name -> function(cfg, op) -> (report header, rows, failures, trajectory or None)
+EXPERIMENTS = {
+    "heat-diagonal": _heat_diagonal,
+    "anisotropic": _anisotropic,
+    "convergence-h": _convergence,
+    "convergence-rank": _convergence,
+    "equivalence": _equivalence,
+    "energy-audit": _energy_audit,
+    "geometry-suites": _geometry_suites,
+}
+
+
 class _WarningLog(logging.Handler):
-    """Collects the package's warnings for run.log; echoes them to stderr
-    unless quiet."""
+    """Collects the package's warnings for run.log; echoes them to stderr unless quiet."""
 
     def __init__(self, quiet: bool):
         super().__init__(logging.WARNING)
@@ -430,145 +507,32 @@ def run(cfg: RunConfig, quiet: bool = False, gnuplot: bool = False) -> int:
     Warnings the package logs during the run are written to run.log, and to
     stderr unless ``quiet``; they do not propagate to other log handlers.
     """
-    logger = logging.getLogger(__package__)
-    warnings = _WarningLog(quiet)
-    propagate = logger.propagate
-    logger.addHandler(warnings)
-    logger.propagate = False
-    try:
-        return _run(cfg, quiet, gnuplot, warnings.lines)
-    finally:
-        logger.removeHandler(warnings)
-        logger.propagate = propagate
-
-
-def _run(cfg: RunConfig, quiet: bool, gnuplot: bool, warnings: list) -> int:
     out = Path(cfg.output_dir)
     log_lines = ["config:"]
     # the output path is where the log lives, not a run parameter; leaving it
     # out keeps logs byte-identical across relocated reruns
     log_lines += ["  " + line for line in serialize_config(cfg).strip().splitlines()
                   if not line.startswith("output_dir")]
-    report_rows: list = []
-    report_header = "key,value"
-    failures: list = []
-    traj = None
     op = build_operator(cfg.N)
-
+    logger = logging.getLogger(__package__)
+    warnings = _WarningLog(quiet)
+    propagate = logger.propagate
+    logger.addHandler(warnings)
+    logger.propagate = False
     try:
-        if cfg.experiment == "heat-diagonal":
-            model = config_model(cfg)
-            source = config_source(cfg)
-            u0 = initial_state(cfg)
-            traj = integrate(cfg.method, u0, cfg.T, cfg.n_steps, model, source)
-            oracle = to_dense(exact_diagonal_solution(op, model, u0, cfg.T))
-            err = h_norm(traj.dense(-1) - oracle)
-            threshold = 5e-3
-            if err > threshold:
-                failures.append(f"final error {err:.3e} above {threshold:.1e}")
-            report_rows = [("experiment", cfg.experiment), ("method", cfg.method),
-                           ("n_steps", cfg.n_steps), ("final_error", err),
-                           ("error_threshold", threshold),
-                           ("passed", not failures)]
-
-        elif cfg.experiment == "anisotropic":
-            model = config_model(cfg)
-            source = config_source(cfg)
-            u0 = initial_state(cfg)
-            traj = integrate(cfg.method, u0, cfg.T, cfg.n_steps, model, source)
-            gap = interpolant_gap(traj)
-            h = traj.step_size
-            increments = sum(
-                h_norm(traj.dense(i) - traj.dense(i - 1)) ** 2
-                for i in range(1, len(traj.states)))
-            identity_gap = abs(gap - h / 3.0 * increments)
-            if identity_gap > 1e-12 * max(gap, 1.0):
-                failures.append(f"interpolant identity off by {identity_gap:.3e}")
-            not_monotone = [i + 1 for i, d in enumerate(traj.diagnostics)
-                            if not d.objective_decreased]
-            if not_monotone and cfg.method != "reference":
-                failures.append(f"objective increased at steps {not_monotone}")
-            report_rows = [("experiment", cfg.experiment), ("method", cfg.method),
-                           ("interpolant_gap", gap),
-                           ("interpolant_identity_error", identity_gap),
-                           ("objective_monotone", not not_monotone),
-                           ("halted_early", traj.halted_early is not None),
-                           ("passed", not failures)]
-
-        elif cfg.experiment in ("convergence-h", "convergence-rank"):
-            model = config_model(cfg)
-            source = config_source(cfg)
-            u0 = initial_state(cfg)
-            report_header = "parameter,error,observed_order"
-            if cfg.experiment == "convergence-h":
-                counts = tuple(max(1, cfg.n_steps // 2 ** k) for k in range(4, -1, -1))
-                table = convergence_study("step", u0, cfg.T, model, source,
-                                          method=cfg.method, step_counts=counts)
-                model_exact = model.diagonal and not model.time_dependent and not source.terms
-                if model_exact and len(table.rows) >= 2:
-                    order = table.rows[-1].observed_order
-                    if order is None or not 0.8 <= order <= 1.2:
-                        failures.append(f"observed order {order} outside [0.8, 1.2]")
-            else:
-                table = convergence_study("rank", u0, cfg.T, model, source,
-                                          method=cfg.method,
-                                          ranks=range(1, cfg.r + 1), n_steps=cfg.n_steps)
-            report_rows = [(_fmt(row.parameter), row.error,
-                            "" if row.observed_order is None else _fmt(row.observed_order))
-                           for row in table.rows]
-
-        elif cfg.experiment == "equivalence":
-            trials = cfg.trials or 50
-            rep = equivalence_test(trials=trials, seed=cfg.seed)
-            report_header = "property,trials,violations,worst_ratio"
-            report_rows = _suite_rows(rep, "equivalence")
-            if not rep.passed:
-                failures.append(f"{rep.violations} equivalence violations")
-
-        elif cfg.experiment == "energy-audit":
-            model = config_model(cfg)
-            source = config_source(cfg)
-            u0 = initial_state(cfg)
-            method = cfg.method if cfg.method != "reference" else "als"
-            traj = integrate(method, u0, cfg.T, cfg.n_steps, model, source)
-            rep = energy_audit(traj, source, model, op)
-            report_header = "key,value"
-            report_rows = [("experiment", cfg.experiment), ("method", method),
-                           ("slack_energy_sum", rep.slack["energy_sum"]),
-                           ("slack_objective_monotonicity",
-                            rep.slack["objective_monotonicity"]),
-                           ("slack_v_bound", rep.slack["v_bound"]),
-                           ("budget", rep.budget), ("passed", rep.passed)]
-            if not rep.passed:
-                failures.append(f"energy audit violations: {rep.violations}")
-            if not source.terms:
-                hn = [h_norm(to_dense(u)) for u in traj.states]
-                if any(hn[i] > hn[i - 1] * (1 + 1e-12) for i in range(1, len(hn))):
-                    failures.append("h-norm increased on a homogeneous run")
-                report_rows.append(("h_norm_nonincreasing", not failures))
-
-        elif cfg.experiment == "geometry-suites":
-            trials = cfg.trials or 1000
-            report_header = "property,trials,violations,worst_ratio"
-            curv = curvature_suite(cfg.N, cfg.r, trials, cfg.seed)
-            proj = projection_regularity_suite(cfg.N, cfg.r, trials, cfg.seed)
-            model = rotating_diffusion(1.0, 0.25, 1.0)
-            tang = tangency_suite(cfg.N, cfg.r, max(1, trials // 2), cfg.seed, model)
-            report_rows = (_suite_rows(curv, "curvature") + _suite_rows(proj, "projection")
-                           + _suite_rows(tang, "tangency"))
-            for name, rep in (("curvature", curv), ("projection", proj), ("tangency", tang)):
-                if not rep.passed:
-                    failures.append(f"{name} suite: {rep.violations} violations")
-
+        report_header, report_rows, failures, traj = EXPERIMENTS[cfg.experiment](cfg, op)
     except (RankDeficiencyError, InnerSolveError, np.linalg.LinAlgError) as exc:
         out.mkdir(parents=True, exist_ok=True)
-        log_lines += warnings
+        log_lines += warnings.lines
         log_lines.append(f"numerical failure: {exc}")
         log_lines.append("status: 3")
         (out / "run.log").write_text("\n".join(log_lines) + "\n")
         if not quiet:
             print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
+    finally:
+        logger.removeHandler(warnings)
+        logger.propagate = propagate
 
     out.mkdir(parents=True, exist_ok=True)
     if traj is not None:
@@ -578,8 +542,8 @@ def _run(cfg: RunConfig, quiet: bool, gnuplot: bool, warnings: list) -> int:
             _write_gnuplot(out)
     _write_csv(out / "report.csv", report_header, report_rows)
     for row in report_rows:
-        log_lines.append("  ".join(_fmt(x) if not isinstance(x, str) else x for x in row))
-    log_lines += warnings
+        log_lines.append("  ".join(_fmt(x) for x in row))
+    log_lines += warnings.lines
     status = 1 if failures else 0
     for f in failures:
         log_lines.append(f"violation: {f}")
@@ -588,8 +552,7 @@ def _run(cfg: RunConfig, quiet: bool, gnuplot: bool, warnings: list) -> int:
     if not quiet:
         for f in failures:
             print(f"violation: {f}", file=sys.stderr)
-        print(f"{cfg.experiment}: {'ok' if status == 0 else 'FAILED'} "
-              f"(artifacts in {out})")
+        print(f"{cfg.experiment}: {'ok' if status == 0 else 'FAILED'} (artifacts in {out})")
     return status
 
 
@@ -617,13 +580,14 @@ def main(argv=None) -> int:
         return 2
     try:
         cfg = parse_config(text)
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
+        if args.out is not None:
+            cfg = replace(cfg, output_dir=args.out)
+        _validate(cfg)                           # the overrides are input too
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-    if args.out is not None:
-        cfg = replace(cfg, output_dir=args.out)
     return run(cfg, quiet=args.quiet, gnuplot=args.gnuplot)
 
 

@@ -84,6 +84,15 @@ def qr_nonneg(a: np.ndarray):
     return q * signs[..., None, :], signs[..., None] * r
 
 
+def _check_qr_collapse(r_block: np.ndarray, rel: float, message: str):
+    """Raise RankDeficiencyError(message) if a diagonal entry of the QR factor
+    ``r_block`` is under ``rel`` times its largest (the block lost rank)."""
+    diag = np.abs(np.diagonal(r_block))
+    if diag.min() < rel * max(diag.max(), np.finfo(float).tiny):
+        raise RankDeficiencyError(message, rank=r_block.shape[0], sigma=float(diag.min()),
+                                  floor=float(rel * diag.max()))
+
+
 def _fix_svd_signs(u, v):
     """Flip singular-vector pairs so each left vector's first nonzero entry
     (relative to its largest entry) is nonnegative."""
@@ -164,10 +173,6 @@ def reorthonormalize(state: LowRankState, rank_floor: float = DEFAULT_RANK_FLOOR
     q1, r1 = qr_nonneg(state.u1_factors)
     q2, r2 = qr_nonneg(state.u2_factors)
     for r_block in (r1, r2):
-        diag = np.abs(np.diagonal(r_block))
-        if diag.min() < rank_floor * max(diag.max(), np.finfo(float).tiny):
-            raise RankDeficiencyError(
-                "factor block lost rank during reorthonormalization",
-                rank=state.rank, sigma=float(diag.min()),
-                floor=float(rank_floor * diag.max()))
+        _check_qr_collapse(r_block, rank_floor,
+                           "factor block lost rank during reorthonormalization")
     return LowRankState(q1, r1 @ state.core @ r2.T, q2)

@@ -40,8 +40,8 @@ import numpy as np
 
 from .galerkin import (DiffusionModel, GalerkinOperator, SourceSpec, apply_operator,
                        build_operator, h_norm, rhs_mean_factors)
-from .manifold import (LowRankState, RankDeficiencyError, qr_nonneg, singular_values,
-                       smallest_singular, to_dense)
+from .manifold import (LowRankState, RankDeficiencyError, _check_qr_collapse, qr_nonneg,
+                       singular_values, smallest_singular, to_dense)
 
 __all__ = [
     "HaltRecord",
@@ -261,13 +261,9 @@ class _Step:
 
             x, iterations = _pcg(apply, sylvester, rhs, x0)
         basis, r_block = qr_nonneg(x)
-        diag = np.abs(np.diagonal(r_block))
-        if diag.min() < _QR_COLLAPSE_REL * max(diag.max(), np.finfo(float).tiny):
-            side = "left" if own_axis == 0 else "right"
-            raise RankDeficiencyError(
-                f"rank collapse during {side} refactorization",
-                rank=r_block.shape[0], sigma=float(diag.min()),
-                floor=float(_QR_COLLAPSE_REL * diag.max()))
+        side = "left" if own_axis == 0 else "right"
+        _check_qr_collapse(r_block, _QR_COLLAPSE_REL,
+                           f"rank collapse during {side} refactorization")
         return self.frame(basis, own_axis), r_block, iterations
 
 

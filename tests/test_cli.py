@@ -1,11 +1,18 @@
 """Config parsing, artifact layout, and reproducibility of the runner."""
 
+import dataclasses
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from lowrankpde.cli import (AlphaSpec, ConfigError, RunConfig, config_model,
+from lowrankpde.cli import (EXPERIMENTS, AlphaSpec, ConfigError, RunConfig, config_model,
                             config_source, main, parse_config, run,
                             serialize_config)
+
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text()
 
 MINIMAL = "experiment = heat-diagonal\n"
 
@@ -85,6 +92,27 @@ def test_alpha_must_be_positive_definite():
         parse_config(bad)
 
 
+def test_alpha_accepted_only_if_the_model_accepts_it():
+    # near-singular tensors, where a11 > 0 and a11 a22 > a12^2 can hold in
+    # floating point while the smallest eigenvalue rounds to <= 0: a config
+    # that parses must give a model, not a ValueError once the run starts
+    rng = np.random.default_rng(3)
+    cases = [(5153.462622521849, 590.2493817367771, 67.60393121278926)]
+    for _ in range(300):
+        a11, a22 = 10.0 ** rng.uniform(-4, 4, size=2)
+        a12 = np.sqrt(a11 * a22) * (1.0 + rng.choice([-1.0, 1.0]) * 10.0 ** rng.uniform(-17, -13))
+        cases.append((a11, a12, a22))
+    for a11, a12, a22 in cases:
+        text = ("experiment = anisotropic\n[alpha]\nkind = constant\n"
+                f"a11 = {float(a11)!r}\na12 = {float(a12)!r}\na22 = {float(a22)!r}\n")
+        try:
+            cfg = parse_config(text)
+        except ConfigError as err:
+            assert str(err) == "line 3: alpha is not positive definite"
+        else:
+            config_model(cfg)
+
+
 def test_bad_term_syntax():
     with pytest.raises(ConfigError, match="line 3"):   # three fields required
         parse_config("experiment = anisotropic\n[source]\nterm = constant:1.0 | p = 1:1.0\n")
@@ -126,6 +154,87 @@ def test_serialize_round_trip():
     for text in (MINIMAL, ROTATION):
         cfg = parse_config(text)
         assert parse_config(serialize_config(cfg)) == cfg
+
+
+EVERY_KEY = """\
+experiment = convergence-h
+N = 12
+r = 3
+T = 0.25
+n_steps = 40
+method = splitting
+seed = 5
+trials = 7
+output_dir = somewhere/else
+
+[alpha]
+kind = constant
+a11 = 0.5
+a12 = -0.125
+a22 = 0.3
+
+[source]
+term = constant:1.5 | p = 1:1.0 | q = 2:0.5
+term = linear:-0.75 | p = 3:0.25,1:2.0 | q = 12:1.0
+term = cosine:0.5:2.0 | p = 2:1.0 | q = 1:-1.0
+"""
+
+
+def test_round_trip_covers_every_key():
+    cfg = parse_config(EVERY_KEY)
+    default = RunConfig()
+    for f in dataclasses.fields(RunConfig):
+        assert getattr(cfg, f.name) != getattr(default, f.name), f.name
+    assert cfg.alpha.a12 != 0.0
+    assert [t.profile for t in cfg.source] == ["constant", "linear", "cosine"]
+    text = serialize_config(cfg)
+    assert parse_config(text) == cfg
+    assert serialize_config(parse_config(text)) == text
+
+
+def _readme_complete_config():
+    blocks = re.findall(r"^```\n(experiment = .*?)^```", README, re.M | re.S)
+    return next(b for b in blocks if "[source]" in b)
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "perfbench" / "configs").glob("*.cfg")),
+                         ids=lambda p: p.stem)
+def test_benchmark_configs_parse_and_round_trip(path):
+    cfg = parse_config(path.read_text())
+    assert cfg.experiment == path.stem
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_readme_complete_config_parses_and_round_trips():
+    cfg = parse_config(_readme_complete_config())
+    assert cfg.experiment == "energy-audit" and cfg.alpha.kind == "rotation"
+    assert parse_config(serialize_config(cfg)) == cfg
+
+
+def test_readme_experiment_table_matches_the_runner():
+    table = README.split("Experiments:", 1)[1].split("\n\n", 2)[1]
+    names = re.findall(r"^\| `([^`]+)` \|", table, re.M)
+    assert names == list(EXPERIMENTS)
+
+
+@pytest.mark.parametrize("alpha, line, key, kind", [
+    pytest.param("kind = rotation\nlambda1 = 1.0\na11 = 0.5\n", 5, "a11", "rotation",
+                 id="constant-key-under-rotation"),
+    pytest.param("omega = 3.0\n", 3, "omega", "constant", id="rotation-key-by-default"),
+    pytest.param("a11 = 1.0\nkind = constant\nlambda2 = 0.5\n", 5, "lambda2", "constant",
+                 id="rotation-key-under-constant"),
+])
+def test_alpha_key_of_the_other_kind_rejected(alpha, line, key, kind):
+    # the model would ignore the key and the run.log echo would drop it
+    with pytest.raises(ConfigError) as err:
+        parse_config(f"experiment = anisotropic\n[alpha]\n{alpha}")
+    assert err.value.line == line
+    assert str(err.value) == f"line {line}: {key!r} is not a parameter of alpha kind {kind!r}"
+
+
+def test_negative_seed_rejected():
+    with pytest.raises(ConfigError, match="seed must be >= 0"):
+        parse_config("experiment = anisotropic\nseed = -1\n")
 
 
 # ---------------------------------------------------------------------------
@@ -274,6 +383,16 @@ def test_main_overrides_and_gnuplot(tmp_path):
     assert main(["run", cfg_path, "--out", str(out), "--quiet", "--gnuplot"]) == 0
     assert (out / "trajectory.gp").exists()
     assert not (tmp_path / "ignored").exists()
+
+
+def test_main_validates_seed_override(tmp_path, capsys):
+    # the override is validated like the config: exit 2, nothing written,
+    # instead of a traceback from the random generator
+    out = tmp_path / "out"
+    path = _write(tmp_path, f"experiment = anisotropic\nN = 8\nr = 2\noutput_dir = {out}\n")
+    assert main(["run", path, "--quiet", "--seed", "-1"]) == 2
+    assert "config error: seed must be >= 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_seed_override_changes_random_experiment(tmp_path):

@@ -226,6 +226,18 @@ def test_reorthonormalize_rejects_collapsed_factor():
         reorthonormalize(bad)
 
 
+def test_reorthonormalize_collapse_names_rank_sigma_and_floor():
+    rng = np.random.default_rng(15)
+    s = random_state(rng, 6, 2)
+    bad = LowRankState(np.column_stack([s.u1_factors[:, 0], s.u1_factors[:, 0]]),
+                       s.core, s.u2_factors)
+    with pytest.raises(RankDeficiencyError, match="factor block lost rank") as err:
+        reorthonormalize(bad, rank_floor=1e-10)
+    assert err.value.rank == 2
+    assert 0.0 <= err.value.sigma < err.value.floor
+    assert err.value.floor == pytest.approx(1e-10)     # the unit first column sets the scale
+
+
 # ---------------------------------------------------------------------------
 # property tests
 
