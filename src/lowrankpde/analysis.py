@@ -24,8 +24,8 @@ from .galerkin import (DiffusionModel, GalerkinOperator, SourceSpec, TimeProfile
                        apply_a2, build_operator, constant_diffusion, exact_diagonal_solution,
                        h_norm, rhs_mean_factors, rotating_diffusion, separable_source,
                        v_dual_norm, v_norm, zero_source)
-from .manifold import (LowRankState, factorize, qr_nonneg, singular_values, tangent_project,
-                       to_dense)
+from .manifold import (DEFAULT_RANK_FLOOR, LowRankState, factorize, qr_nonneg,
+                       singular_values, tangent_project, to_dense)
 from .stepping import (StepOptions, Trajectory, _forward_splitting_step, integrate,
                        splitting_euler_step, step_objective)
 
@@ -471,10 +471,6 @@ def convergence_study(axis: str, u0: LowRankState, T: float, model: DiffusionMod
     if axis not in ("step", "rank"):
         raise ValueError(f"unknown axis {axis!r}")
     op = build_operator(u0.basis_dim)
-    if T == 0.0:
-        params = list(step_counts) if axis == "step" else list(ranks or range(1, u0.rank + 1))
-        return ConvergenceTable(axis, [ConvergenceRow(float(p), 0.0) for p in params])
-
     closed_form = model.diagonal and not model.time_dependent and not source.terms
     if closed_form:
         oracle = to_dense(exact_diagonal_solution(op, model, u0, T))
@@ -496,7 +492,7 @@ def convergence_study(axis: str, u0: LowRankState, T: float, model: DiffusionMod
     else:
         dense0 = to_dense(u0)
         svals = np.linalg.svd(dense0, compute_uv=False)
-        available = int(np.sum(svals > 1e-12 * svals[0]))
+        available = int(np.sum(svals > DEFAULT_RANK_FLOOR * svals[0]))
         for rank in (ranks or range(1, u0.rank + 1)):
             # requesting more rank than the start actually has just reproduces
             # the best available point (the extra directions start empty)

@@ -33,12 +33,10 @@ from .galerkin import (DiffusionModel, SourceSpec, TimeProfile, build_operator,
                        constant_diffusion, exact_diagonal_solution, h_norm,
                        rotating_diffusion, separable_source, v_norm, zero_source)
 from .manifold import LowRankState, RankDeficiencyError, smallest_singular, to_dense
-from .stepping import InnerSolveError, StepOptions, Trajectory, integrate
+from .stepping import METHODS, InnerSolveError, Trajectory, integrate
 
 __all__ = ["AlphaSpec", "ConfigError", "RunConfig", "SourceTermSpec", "main",
            "parse_config", "run", "serialize_config"]
-
-METHODS = ("als", "splitting", "reference")
 
 
 class ConfigError(ValueError):
@@ -238,6 +236,8 @@ def _validate(cfg: RunConfig):
         raise ConfigError("seed must be >= 0")
     if cfg.trials < 0:
         raise ConfigError("trials must be >= 0")
+    if not cfg.output_dir.strip():
+        raise ConfigError("output_dir must not be empty")
     for term in cfg.source:
         for side in (term.p, term.q):
             for mode, _ in side:

@@ -36,7 +36,6 @@ __all__ = [
     "h_norm",
     "linear_profile",
     "operator_matrix",
-    "rhs_mean",
     "rhs_mean_factors",
     "rotating_diffusion",
     "separable_source",
@@ -60,8 +59,8 @@ class DiffusionModel:
     lipschitz_t : Lipschitz constant of t -> alpha(t) in the spectral norm
         (the constant that multiplies |t - s| * |u|_V * |v|_V when the weak
         form is shifted in time).
-    time_dependent / diagonal : structure flags used to pick fast paths and
-        to guard closed-form solutions.
+    time_dependent / diagonal : structure flags that guard closed-form
+        solutions; the steppers read alpha(t) itself.
     """
 
     alpha: Callable[[float], np.ndarray]
@@ -232,14 +231,17 @@ class TimeProfile:
     scale: float
     omega: float = 0.0
 
+    def __post_init__(self):
+        if self.kind not in ("constant", "linear", "cosine"):
+            raise ValueError(f"unknown time profile {self.kind!r}; "
+                             "expected 'constant', 'linear' or 'cosine'")
+
     def value(self, t: float) -> float:
         if self.kind == "constant":
             return self.scale
         if self.kind == "linear":
             return self.scale * t
-        if self.kind == "cosine":
-            return self.scale * math.cos(self.omega * t)
-        raise ValueError(f"unknown time profile {self.kind!r}")
+        return self.scale * math.cos(self.omega * t)
 
     def mean(self, t_a: float, t_b: float) -> float:
         """Exact average over [t_a, t_b] (midpoint value for linear)."""
@@ -249,12 +251,10 @@ class TimeProfile:
             return self.scale
         if self.kind == "linear":
             return self.scale * 0.5 * (t_a + t_b)
-        if self.kind == "cosine":
-            if self.omega == 0.0:
-                return self.scale
-            return self.scale * (math.sin(self.omega * t_b) - math.sin(self.omega * t_a)) \
-                / (self.omega * (t_b - t_a))
-        raise ValueError(f"unknown time profile {self.kind!r}")
+        if self.omega == 0.0:
+            return self.scale
+        return self.scale * (math.sin(self.omega * t_b) - math.sin(self.omega * t_a)) \
+            / (self.omega * (t_b - t_a))
 
 
 def constant_profile(c: float) -> TimeProfile:
@@ -275,12 +275,6 @@ class SourceSpec:
 
     basis_dim: int
     terms: tuple
-
-    def value(self, t: float) -> np.ndarray:
-        out = np.zeros((self.basis_dim, self.basis_dim))
-        for profile, p, q in self.terms:
-            out += profile.value(t) * np.outer(p, q)
-        return out
 
 
 def zero_source(basis_dim: int) -> SourceSpec:
@@ -310,12 +304,6 @@ def rhs_mean_factors(source: SourceSpec, t_a: float, t_b: float):
         p_mat[:, k] = profile.mean(t_a, t_b) * p
         q_mat[:, k] = q
     return p_mat, q_mat
-
-
-def rhs_mean(source: SourceSpec, t_a: float, t_b: float) -> np.ndarray:
-    """Exact interval mean of the source as a dense (N, N) matrix."""
-    p, q = rhs_mean_factors(source, t_a, t_b)
-    return p @ q.T
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,8 @@ __all__ = [
     "to_dense",
 ]
 
-#: Relative floor under which a rank-r factorization counts as degenerate.
+#: Relative floor of sigma_r / sigma_1 under which a rank-r state counts as degenerate;
+#: also the default of the integration monitor, ``StepOptions.rank_floor_rel``.
 DEFAULT_RANK_FLOOR = 1e-12
 
 
@@ -102,14 +103,14 @@ def _fix_svd_signs(u, v):
     return np.where(flip, -u, u), np.where(flip, -v, v)
 
 
-def factorize(coeffs: np.ndarray, rank: int, rank_floor: float = DEFAULT_RANK_FLOOR) -> LowRankState:
+def factorize(coeffs: np.ndarray, rank: int) -> LowRankState:
     """Best rank-``rank`` factorization of a dense coefficient matrix.
 
     Parameters
     ----------
     coeffs : (N, N) array, or a stack (K, N, N) factored matrix by matrix
-    rank : requested rank, ``1 <= rank <= N``.
-    rank_floor : relative floor; fails if ``sigma_rank < rank_floor * sigma_1``.
+    rank : requested rank, ``1 <= rank <= N``; fails if ``sigma_rank`` is zero
+        or under ``DEFAULT_RANK_FLOOR * sigma_1``.
 
     Returns the truncated SVD packaged as a :class:`LowRankState` (a stack
     for a stack) with a diagonal core, using the deterministic sign
@@ -122,7 +123,7 @@ def factorize(coeffs: np.ndarray, rank: int, rank_floor: float = DEFAULT_RANK_FL
     if not 1 <= rank <= min(y.shape[-2:]):
         raise ValueError(f"rank {rank} out of range for shape {y.shape}")
     u, s, vt = np.linalg.svd(y, full_matrices=False)
-    sigma, floor = s[..., rank - 1], rank_floor * s[..., 0]
+    sigma, floor = s[..., rank - 1], DEFAULT_RANK_FLOOR * s[..., 0]
     low = np.flatnonzero((sigma <= 0.0) | (sigma < floor))
     if low.size:
         sigma, floor = sigma.flat[low[0]], floor.flat[low[0]]
@@ -163,16 +164,16 @@ def smallest_singular(state: LowRankState) -> float:
     return float(singular_values(state)[-1])
 
 
-def reorthonormalize(state: LowRankState, rank_floor: float = DEFAULT_RANK_FLOOR) -> LowRankState:
+def reorthonormalize(state: LowRankState) -> LowRankState:
     """Restore orthonormal factor columns by QR on both sides.
 
     The R blocks are absorbed into the core, so the dense value is
     unchanged up to roundoff.  Fails if either R has a diagonal entry under
-    ``rank_floor`` relative to its largest one (loss of factor rank).
+    ``DEFAULT_RANK_FLOOR`` relative to its largest one (loss of factor rank).
     """
     q1, r1 = qr_nonneg(state.u1_factors)
     q2, r2 = qr_nonneg(state.u2_factors)
     for r_block in (r1, r2):
-        _check_qr_collapse(r_block, rank_floor,
+        _check_qr_collapse(r_block, DEFAULT_RANK_FLOOR,
                            "factor block lost rank during reorthonormalization")
     return LowRankState(q1, r1 @ state.core @ r2.T, q2)

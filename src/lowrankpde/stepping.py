@@ -40,10 +40,12 @@ import numpy as np
 
 from .galerkin import (DiffusionModel, GalerkinOperator, SourceSpec, apply_operator,
                        build_operator, h_norm, rhs_mean_factors)
-from .manifold import (LowRankState, RankDeficiencyError, _check_qr_collapse, qr_nonneg,
-                       singular_values, smallest_singular, to_dense)
+from .manifold import (DEFAULT_RANK_FLOOR, LowRankState, RankDeficiencyError,
+                       _check_qr_collapse, qr_nonneg, singular_values, smallest_singular,
+                       to_dense)
 
 __all__ = [
+    "METHODS",
     "HaltRecord",
     "InnerSolveError",
     "StepDiagnostics",
@@ -58,6 +60,12 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+
+#: The integrators :func:`integrate` runs.
+METHODS = ("als", "splitting", "reference")
+
+# Relative state change at which ALS stops sweeping.
+_ALS_TOL = 1e-11
 
 # Residual at which the inner conjugate gradient stops, relative to the norm
 # of the right-hand side; tight enough that converged steps keep their
@@ -79,16 +87,13 @@ class InnerSolveError(RuntimeError):
 class StepOptions:
     """Knobs shared by all steppers; bad values raise ValueError on creation."""
 
-    als_tol: float = 1e-11
     als_max_sweeps: int = 100
-    rank_floor_rel: float = 1e-12
+    rank_floor_rel: float = DEFAULT_RANK_FLOOR
 
     def __post_init__(self):
-        sweeps, tol, floor = self.als_max_sweeps, self.als_tol, self.rank_floor_rel
+        sweeps, floor = self.als_max_sweeps, self.rank_floor_rel
         if isinstance(sweeps, bool) or not isinstance(sweeps, numbers.Integral) or sweeps < 1:
             raise ValueError(f"als_max_sweeps must be an integer >= 1, got {sweeps!r}")
-        if not (isinstance(tol, numbers.Real) and 0.0 <= tol < math.inf):
-            raise ValueError(f"als_tol must be finite and >= 0, got {tol!r}")
         if not (isinstance(floor, numbers.Real) and 0.0 <= floor < 1.0):
             raise ValueError(f"rank_floor_rel must lie in [0, 1), got {floor!r}")
 
@@ -106,11 +111,20 @@ class StepDiagnostics:
 
     sweeps_used: int
     galerkin_residual: float
-    objective_value: float
     sigma_r: float
-    objective_decreased: bool
-    objective_trace: tuple = ()
+    objective_trace: tuple
     inner_iterations: int = 0
+
+    @property
+    def objective_value(self) -> float:
+        """F at the step's result: the last entry of the trace."""
+        return self.objective_trace[-1]
+
+    @property
+    def objective_decreased(self) -> bool:
+        """Whether F ended at most where it started, up to roundoff."""
+        first, last = self.objective_trace[0], self.objective_trace[-1]
+        return bool(last <= first + 1e-12 * abs(first) + 1e-300)
 
 
 @dataclass(frozen=True)
@@ -343,16 +357,6 @@ def _pcg(apply, precondition, rhs: np.ndarray, x0: Optional[np.ndarray] = None):
 # steppers
 
 
-def _diagnostics(sweeps: int, residual: float, trace, sigma_r: float,
-                 iterations: int) -> StepDiagnostics:
-    """Step record from the objective trace; F decreased if its last value
-    is at most its first, up to roundoff."""
-    return StepDiagnostics(
-        sweeps_used=sweeps, galerkin_residual=residual, objective_value=trace[-1],
-        sigma_r=sigma_r, objective_trace=tuple(trace), inner_iterations=iterations,
-        objective_decreased=bool(trace[-1] <= trace[0] + 1e-12 * abs(trace[0]) + 1e-300))
-
-
 def reference_step(y_prev: np.ndarray, h: float, t_next: float, f_mean: np.ndarray,
                    op: GalerkinOperator, model: DiffusionModel):
     """Unconstrained backward-Euler step: solve (I + h A(t_next)) Y = Y_i + h f_mean.
@@ -380,20 +384,20 @@ def reference_step(y_prev: np.ndarray, h: float, t_next: float, f_mean: np.ndarr
               - float(np.sum(f_mean * y_prev)))
     f_new = (float(np.sum(d * d)) / (2.0 * h) + 0.5 * float(np.sum(a_y * y))
              - float(np.sum(f_mean * y)))
-    return y, _diagnostics(0, h_norm(d / h + a_y - f_mean), (f_prev, f_new), math.nan,
-                           iterations)
+    return y, StepDiagnostics(0, h_norm(d / h + a_y - f_mean), math.nan, (f_prev, f_new),
+                              iterations)
 
 
 def _alternating_step(u_prev: LowRankState, h: float, t_next: float, f_factors,
-                      op: GalerkinOperator, model: DiffusionModel,
-                      max_sweeps: int, tol: float):
+                      op: GalerkinOperator, model: DiffusionModel, max_sweeps: int):
     """Up to ``max_sweeps`` sweeps from u_prev, each exactly minimizing F
     over the left factor-with-core (right basis frozen), then over the right
     one (new left basis frozen); the anchor stays fixed, so no half-sweep
     raises F.  A sweep that another may follow stops the step once the
-    relative state change is at most ``tol``.  From the second sweep on, the
-    conjugate gradient of a mixed term starts at the current factor-with-core,
-    where its quadratic equals the current F, so it cannot raise F either.
+    relative state change is at most ``_ALS_TOL``.  From the second sweep on,
+    the conjugate gradient of a mixed term starts at the current
+    factor-with-core, where its quadratic equals the current F, so it cannot
+    raise F either.
     Returns (state, diagnostics).
     """
     step = _Step(op, model, h, t_next, u_prev, f_factors)
@@ -419,10 +423,10 @@ def _alternating_step(u_prev: LowRankState, h: float, t_next: float, f_factors,
         state = LowRankState(left.basis, r_w.T, right.basis)
         trace.append(step.objective(state.core, left, right))
         if sweeps < max_sweeps and _state_change(old, mid, state) / max(
-                h_norm(state.core), np.finfo(float).tiny) <= tol:
+                h_norm(state.core), np.finfo(float).tiny) <= _ALS_TOL:
             break
-    return state, _diagnostics(sweeps, step.residual(state.core, left, right), trace,
-                               smallest_singular(state), iterations)
+    return state, StepDiagnostics(sweeps, step.residual(state.core, left, right),
+                                  smallest_singular(state), tuple(trace), iterations)
 
 
 def als_variational_step(u_prev: LowRankState, h: float, t_next: float,
@@ -430,16 +434,15 @@ def als_variational_step(u_prev: LowRankState, h: float, t_next: float,
                          opts: Optional[StepOptions] = None):
     """Rank-constrained backward-Euler step by alternating half-sweeps.
 
-    Sweeps until the relative state change drops under ``als_tol`` or at the
+    Sweeps until the relative state change drops under ``_ALS_TOL`` or at the
     sweep cap, which is flagged in the log unless the residual is at
     roundoff.  The source mean is ``P @ Q.T`` for ``f_factors = (P, Q)``.
     Returns (state, diagnostics).
     """
     opts = opts or StepOptions()
-    state, diag = _alternating_step(u_prev, h, t_next, f_factors, op, model,
-                                    opts.als_max_sweeps, opts.als_tol)
+    state, diag = _alternating_step(u_prev, h, t_next, f_factors, op, model, opts.als_max_sweeps)
     if (diag.sweeps_used >= opts.als_max_sweeps
-            and diag.galerkin_residual > 1e3 * opts.als_tol * max(1.0, h_norm(state.core))):
+            and diag.galerkin_residual > 1e3 * _ALS_TOL * max(1.0, h_norm(state.core))):
         log.warning("sweep cap %d reached at t=%.6g with residual %.3e",
                     opts.als_max_sweeps, t_next, diag.galerkin_residual)
     return state, diag
@@ -455,7 +458,7 @@ def splitting_euler_step(u_prev: LowRankState, h: float, t_next: float,
     equivalence suite checks it against :func:`_forward_splitting_step`.
     Returns (state, diagnostics).
     """
-    return _alternating_step(u_prev, h, t_next, f_factors, op, model, max_sweeps=1, tol=0.0)
+    return _alternating_step(u_prev, h, t_next, f_factors, op, model, max_sweeps=1)
 
 
 def _forward_splitting_step(u_prev: LowRankState, h: float, t_next: float,
@@ -493,7 +496,7 @@ def integrate(method: str, u0, T: float, n_steps: int, model: DiffusionModel,
     initial state must sit safely above that floor.
     """
     opts = opts or StepOptions()
-    if method not in ("reference", "als", "splitting"):
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if not isinstance(source, SourceSpec):
         raise TypeError("source must be a SourceSpec; pass zero_source(N) for no source")

@@ -183,7 +183,7 @@ def test_criterion_7_reference_solver_oracle():
         n, h = 6, 0.05
         model = constant_diffusion(sample_spd_tensor(rng_k))
         op = build_operator(n)
-        u0 = factorize(rng_k.standard_normal((n, n)), n, rank_floor=0.0)
+        u0 = factorize(rng_k.standard_normal((n, n)), n)
         f = rng_k.standard_normal((n, n))
         dense, _ = reference_step(to_dense(u0), h, h, f, op, model)
         approx, _ = als_variational_step(u0, h, h, (f, np.eye(n)), op, model)

@@ -112,7 +112,7 @@ def test_energy_audit_inequality_recomputed_from_trajectory():
     rep = energy_audit(traj, src, model, op)
     assert rep.passed, rep.violations
 
-    from lowrankpde.galerkin import h_norm, rhs_mean, v_dual_norm, v_norm
+    from lowrankpde.galerkin import h_norm, rhs_mean_factors, v_dual_norm, v_norm
     h = traj.step_size
     dense = [to_dense(s) for s in traj.states]
     lhs = h_norm(dense[-1]) ** 2
@@ -120,8 +120,8 @@ def test_energy_audit_inequality_recomputed_from_trajectory():
     for k in range(1, len(dense)):
         lhs += h_norm(dense[k] - dense[k - 1]) ** 2
         lhs += h * model.mu * v_norm(op, dense[k]) ** 2
-        fbar = rhs_mean(src, traj.times[k - 1], traj.times[k])
-        rhs += (h / model.mu) * v_dual_norm(op, fbar) ** 2
+        p_mat, q_mat = rhs_mean_factors(src, traj.times[k - 1], traj.times[k])
+        rhs += (h / model.mu) * v_dual_norm(op, p_mat @ q_mat.T) ** 2
     assert lhs <= rhs
     assert rep.slack["energy_sum"] == 0.0
 
@@ -344,7 +344,7 @@ def test_full_rank_both_methods_match_reference():
     n, h = 6, 0.04
     op = build_operator(n)
     model = constant_diffusion([[0.9, 0.3], [0.3, 0.7]])
-    u0 = factorize(rng.standard_normal((n, n)), n, rank_floor=0.0)
+    u0 = factorize(rng.standard_normal((n, n)), n)
     f = rng.standard_normal((n, n))
     dense, _ = reference_step(to_dense(u0), h, h, f, op, model)
     scale = np.linalg.norm(dense)
@@ -430,7 +430,7 @@ def test_convergence_step_axis_reference_oracle():
     rng = np.random.default_rng(55)
     model = constant_diffusion([[0.05, 0.02], [0.02, 0.05]])
     from lowrankpde.manifold import factorize
-    u0 = factorize(rng.standard_normal((6, 6)), 6, rank_floor=0.0)
+    u0 = factorize(rng.standard_normal((6, 6)), 6)
     table = convergence_study("step", u0, 0.1, model, zero_source(6),
                               step_counts=(5, 10, 20))
     errors = [row.error for row in table.rows]
@@ -481,11 +481,11 @@ def test_convergence_rank_axis_truncation_structure():
 
 
 def test_convergence_zero_horizon():
+    # a zero horizon is rejected like any non-positive T, not tabulated as exact
     model = constant_diffusion(0.02 * np.eye(2))
     u0 = mode_state(6, [(0, 1.0)])
-    table = convergence_study("step", u0, 0.0, model, zero_source(6),
-                              step_counts=(4, 8))
-    assert [row.error for row in table.rows] == [0.0, 0.0]
+    with pytest.raises(ValueError, match="final time must be positive"):
+        convergence_study("step", u0, 0.0, model, zero_source(6), step_counts=(4, 8))
 
 
 def test_convergence_rejects_unknown_axis():

@@ -10,6 +10,7 @@ import pytest
 from lowrankpde.cli import (EXPERIMENTS, AlphaSpec, ConfigError, RunConfig, config_model,
                             config_source, main, parse_config, run,
                             serialize_config)
+from lowrankpde.galerkin import rhs_mean_factors
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
@@ -64,10 +65,10 @@ def test_parse_rotation_and_source():
     assert term.p == ((1, 1.0), (3, 0.25)) and term.q == ((2, 1.0),)
     model = config_model(cfg)
     assert model.mu == pytest.approx(0.25)
-    src = config_source(cfg)
-    value = src.value(0.0)
-    assert value[0, 1] == pytest.approx(0.5 * 1.0)      # cosine term at t=0
-    assert value[1, 0] == pytest.approx(-0.5)           # constant term
+    p_mat, q_mat = rhs_mean_factors(config_source(cfg), 0.0, 0.5)
+    mean = p_mat @ q_mat.T
+    assert mean[0, 1] == pytest.approx(0.5 * np.sin(1.0))   # cosine term, mean over [0, 0.5]
+    assert mean[1, 0] == pytest.approx(-0.5)                # constant term
 
 
 def test_unknown_key_reports_line():
@@ -393,6 +394,24 @@ def test_main_validates_seed_override(tmp_path, capsys):
     assert main(["run", path, "--quiet", "--seed", "-1"]) == 2
     assert "config error: seed must be >= 0" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_empty_output_dir_rejected(tmp_path, monkeypatch, capsys):
+    # an empty output_dir would put the artifacts into the working directory
+    monkeypatch.chdir(tmp_path)
+    path = _write(tmp_path, "experiment = heat-diagonal\nN = 8\nr = 2\noutput_dir =\n")
+    assert main(["run", path, "--quiet"]) == 2
+    assert "config error: output_dir must not be empty" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
+
+
+@pytest.mark.parametrize("out", ["", "  "])
+def test_main_validates_out_override(tmp_path, monkeypatch, capsys, out):
+    monkeypatch.chdir(tmp_path)
+    path = _write(tmp_path, "experiment = heat-diagonal\nN = 8\nr = 2\n")
+    assert main(["run", path, "--quiet", "--out", out]) == 2
+    assert "config error: output_dir must not be empty" in capsys.readouterr().err
+    assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
 def test_main_seed_override_changes_random_experiment(tmp_path):

@@ -13,12 +13,11 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from lowrankpde.galerkin import (DiffusionModel, apply_a1, apply_a2, apply_operator,
-                                 build_operator, constant_diffusion,
+from lowrankpde.galerkin import (DiffusionModel, TimeProfile, apply_a1, apply_a2,
+                                 apply_operator, build_operator, constant_diffusion,
                                  constant_profile, cosine_profile,
                                  exact_diagonal_solution, h_norm, linear_profile,
-                                 operator_matrix, rhs_mean, rhs_mean_factors,
-                                 rotating_diffusion,
+                                 operator_matrix, rhs_mean_factors, rotating_diffusion,
                                  separable_source, v_dual_norm, v_norm, zero_source)
 from lowrankpde.manifold import factorize, to_dense
 
@@ -357,12 +356,13 @@ def test_source_value_and_mean():
     q = np.array([0.0, 1.0, 0.0, 0.0])
     src = separable_source(n, [(cosine_profile(1.5, 2.0), p, q)])
     t = 0.25
-    np.testing.assert_allclose(src.value(t), 1.5 * np.cos(2.0 * t) * np.outer(p, q),
-                               atol=1e-13)
+    profile, p_term, q_term = src.terms[0]
+    np.testing.assert_allclose(profile.value(t) * np.outer(p_term, q_term),
+                               1.5 * np.cos(2.0 * t) * np.outer(p, q), atol=1e-13)
     a, b = 0.1, 0.4
     oracle = quad(lambda s: 1.5 * np.cos(2.0 * s), a, b)[0] / (b - a)
-    np.testing.assert_allclose(rhs_mean(src, a, b), oracle * np.outer(p, q),
-                               atol=1e-12)
+    p_mat, q_mat = rhs_mean_factors(src, a, b)
+    np.testing.assert_allclose(p_mat @ q_mat.T, oracle * np.outer(p, q), atol=1e-12)
 
 
 def test_rhs_mean_factors_reproduce_the_interval_mean():
@@ -377,14 +377,21 @@ def test_rhs_mean_factors_reproduce_the_interval_mean():
     oracle = sum(quad(lambda t: pr.value(t), a, b)[0] / (b - a) * np.outer(p, q)
                  for pr, (p, q) in zip(profiles, vectors))
     np.testing.assert_allclose(p_mat @ q_mat.T, oracle, rtol=0, atol=1e-12)
-    np.testing.assert_array_equal(rhs_mean(src, a, b), p_mat @ q_mat.T)
 
 
 def test_zero_source():
     src = zero_source(5)
     assert src.terms == ()
-    np.testing.assert_array_equal(src.value(0.3), np.zeros((5, 5)))
-    np.testing.assert_array_equal(rhs_mean(src, 0.0, 1.0), np.zeros((5, 5)))
+    p_mat, q_mat = rhs_mean_factors(src, 0.0, 1.0)
+    assert p_mat.shape == q_mat.shape == (5, 0)
+    np.testing.assert_array_equal(p_mat @ q_mat.T, np.zeros((5, 5)))
+
+
+def test_time_profile_rejects_unknown_kind():
+    # caught where the profile is built, not at the first step that reads it
+    with pytest.raises(ValueError, match="unknown time profile 'quadratic'; "
+                                         "expected 'constant', 'linear' or 'cosine'"):
+        TimeProfile("quadratic", 1.0)
 
 
 def test_separable_source_shape_validation():
@@ -401,7 +408,7 @@ def test_exact_diagonal_solution_matches_expm():
     n = 5
     op = build_operator(n)
     model = constant_diffusion([[0.03, 0.0], [0.0, 0.08]])
-    u0 = factorize(rng.standard_normal((n, n)), n, rank_floor=0.0)
+    u0 = factorize(rng.standard_normal((n, n)), n)
     t = 0.7
     flow = expm(-t * operator_matrix(op, model, 0.0))
     oracle = (flow @ to_dense(u0).reshape(-1, order="F")).reshape((n, n), order="F")
@@ -434,6 +441,6 @@ def test_exact_diagonal_solution_mode_decay_rates():
 def test_exact_diagonal_solution_rejects_coupled_tensor():
     op = build_operator(4)
     model = constant_diffusion([[1.0, 0.2], [0.2, 1.0]])
-    u0 = factorize(np.eye(4), 2, rank_floor=0.0)
+    u0 = factorize(np.eye(4), 2)
     with pytest.raises(ValueError):
         exact_diagonal_solution(op, model, u0, 0.1)

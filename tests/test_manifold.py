@@ -118,11 +118,11 @@ def test_factorize_rejects_deficient_rank():
 
 
 def test_factorize_relative_floor():
-    a = np.diag([1.0, 1e-14, 0.0, 0.0])
+    # DEFAULT_RANK_FLOOR = 1e-12 relative to sigma_1
     with pytest.raises(RankDeficiencyError):
-        factorize(a, 2, rank_floor=1e-12)
-    s = factorize(a, 2, rank_floor=1e-16)
-    assert smallest_singular(s) == pytest.approx(1e-14)
+        factorize(np.diag([1.0, 1e-14, 0.0, 0.0]), 2)
+    s = factorize(np.diag([1.0, 1e-11, 0.0, 0.0]), 2)
+    assert smallest_singular(s) == pytest.approx(1e-11)
 
 
 # ---------------------------------------------------------------------------
@@ -232,10 +232,10 @@ def test_reorthonormalize_collapse_names_rank_sigma_and_floor():
     bad = LowRankState(np.column_stack([s.u1_factors[:, 0], s.u1_factors[:, 0]]),
                        s.core, s.u2_factors)
     with pytest.raises(RankDeficiencyError, match="factor block lost rank") as err:
-        reorthonormalize(bad, rank_floor=1e-10)
+        reorthonormalize(bad)
     assert err.value.rank == 2
     assert 0.0 <= err.value.sigma < err.value.floor
-    assert err.value.floor == pytest.approx(1e-10)     # the unit first column sets the scale
+    assert err.value.floor == pytest.approx(1e-12)     # the unit first column sets the scale
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +277,7 @@ def test_singular_values_match_dense_svd(state_rng):
 def test_factorize_of_own_dense_reproduces(state_rng):
     state, _ = state_rng
     d = to_dense(state)
-    again = factorize(d, state.rank, rank_floor=0.0)
+    again = factorize(d, state.rank)
     np.testing.assert_allclose(to_dense(again), d,
                                atol=1e-10 * max(1.0, np.linalg.norm(d)))
 
