@@ -430,6 +430,8 @@ def equivalence_test(trials: int = 50, seed: int = 0) -> PropertyReport:
     below the bound), so their results must agree to roundoff; the audited
     bound is a relative Frobenius gap of 1e-10 per randomized configuration.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
     report = PropertyReport(trials, 0, {"single_sweep_vs_splitting": 0.0}, seed)
     for k in range(trials):
         rng = np.random.default_rng([seed, k])
@@ -470,6 +472,8 @@ def convergence_study(axis: str, u0: LowRankState, T: float, model: DiffusionMod
     """
     if axis not in ("step", "rank"):
         raise ValueError(f"unknown axis {axis!r}")
+    if axis == "step" and len(set(step_counts)) < len(step_counts):
+        raise ValueError(f"step_counts must be distinct, got {tuple(step_counts)}")
     op = build_operator(u0.basis_dim)
     closed_form = model.diagonal and not model.time_dependent and not source.terms
     if closed_form:

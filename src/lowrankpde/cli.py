@@ -5,14 +5,18 @@ Usage:  lowrankpde run CONFIG [--seed S] [--out DIR] [--quiet] [--gnuplot]
 Configs are line-oriented ``key = value`` files with optional ``[alpha]``
 and ``[source]`` sections.  The dataclasses below are the schema: their
 fields are the keys, their types the converters and their defaults the
-defaults.  Unknown keys, and ``[alpha]`` keys of the other kind, are rejected
-with their line number.  ``EXPERIMENTS`` maps each experiment name to the
-function that runs it.  Runs are bit-reproducible for a fixed (config, seed)
-pair: every artifact (trajectory.csv, diagnostics.csv, report.csv, run.log)
-is written deterministically, floats at 17 significant digits, no timestamps.
+defaults.  ``EXPERIMENTS`` declares, for each experiment, the function that
+runs it, the global keys it reads (with its own defaults where they differ),
+whether it reads ``[alpha]`` and ``[source]``, and its own restrictions.
+Unknown keys, keys or sections the experiment does not read, and ``[alpha]``
+keys of the other kind are rejected with their line number.  Runs are
+bit-reproducible for a fixed (config, seed) pair: every artifact
+(trajectory.csv, diagnostics.csv, report.csv, run.log) is written
+deterministically, floats at 17 significant digits, no timestamps.
 
 Exit status: 0 all asserted properties passed, 1 a property was violated,
-2 the config failed to parse or validate, 3 a numerical failure occurred.
+2 the config failed to parse or validate or the output directory cannot be
+made, 3 a numerical failure occurred.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import math
 import sys
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -75,7 +80,7 @@ class RunConfig:
     n_steps: int = 100
     method: str = "als"
     seed: int = 0
-    trials: int = 0                        # 0 = experiment default
+    trials: int = 50
     output_dir: str = "out"
     alpha: AlphaSpec = field(default_factory=AlphaSpec)
     source: tuple = ()
@@ -103,6 +108,8 @@ _GLOBALS = _schema(RunConfig)
 _ALPHA = _schema(AlphaSpec)
 #: The [alpha] keys each kind reads, besides ``kind`` itself.
 _ALPHA_KINDS = {"constant": ("a11", "a12", "a22"), "rotation": ("lambda1", "lambda2", "omega")}
+#: The global keys every experiment reads; ``Experiment.reads`` lists the others.
+_READ_BY_ALL = ("experiment", "output_dir")
 
 
 def _convert(schema: dict, raw: dict) -> dict:
@@ -172,6 +179,7 @@ def _parse_term(value: str, line: int) -> SourceTermSpec:
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a config; raises ConfigError with a line number."""
     raw: dict = {None: {}, "alpha": {}}          # section -> {key: (text, line)}
+    headers: dict = {}                           # section -> line of its first header
     terms: list = []
     section = None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -182,6 +190,7 @@ def parse_config(text: str) -> RunConfig:
             section = line[1:-1].strip()
             if section not in ("alpha", "source"):
                 raise ConfigError(f"unknown section [{section}]", lineno)
+            headers.setdefault(section, lineno)
             continue
         if "=" not in line:
             raise ConfigError(f"expected key = value, got {line!r}", lineno)
@@ -198,10 +207,25 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"duplicate key {key!r}{where}", lineno)
         raw[section][key] = (value, lineno)
 
-    cfg = RunConfig(**_convert(_GLOBALS, raw[None]), alpha=_build_alpha(raw["alpha"]),
-                    source=tuple(terms))
+    name, lineno = raw[None].get("experiment", (RunConfig.experiment, None))
+    if name not in EXPERIMENTS:
+        raise ConfigError(f"unknown experiment {name!r}", lineno)
+    exp = EXPERIMENTS[name]
+    for key, (_, lineno) in raw[None].items():
+        if key not in exp.reads and key not in _READ_BY_ALL:
+            raise ConfigError(_unread(repr(key), name), lineno)
+    for section, lineno in headers.items():
+        if not getattr(exp, section):
+            raise ConfigError(_unread(f"[{section}]", name), lineno)
+
+    cfg = RunConfig(**{**exp.reads, **_convert(_GLOBALS, raw[None])},
+                    alpha=_build_alpha(raw["alpha"]), source=tuple(terms))
     _validate(cfg)
     return cfg
+
+
+def _unread(what: str, experiment: str) -> str:
+    return f"{what} is not read by experiment {experiment!r}"
 
 
 def _build_alpha(raw: dict) -> AlphaSpec:
@@ -220,8 +244,6 @@ def _build_alpha(raw: dict) -> AlphaSpec:
 
 
 def _validate(cfg: RunConfig):
-    if cfg.experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {cfg.experiment!r}")
     if cfg.method not in METHODS:
         raise ConfigError(f"unknown method {cfg.method!r}")
     if cfg.N < 1:
@@ -234,8 +256,8 @@ def _validate(cfg: RunConfig):
         raise ConfigError("n_steps must be >= 1")
     if cfg.seed < 0:
         raise ConfigError("seed must be >= 0")
-    if cfg.trials < 0:
-        raise ConfigError("trials must be >= 0")
+    if cfg.trials < 1:
+        raise ConfigError("trials must be >= 1")
     if not cfg.output_dir.strip():
         raise ConfigError("output_dir must not be empty")
     for term in cfg.source:
@@ -243,20 +265,20 @@ def _validate(cfg: RunConfig):
             for mode, _ in side:
                 if not 1 <= mode <= cfg.N:
                     raise ConfigError(f"source mode {mode} outside 1..{cfg.N}")
-    if cfg.experiment == "heat-diagonal":
-        if cfg.alpha.kind != "constant" or cfg.alpha.a12 != 0.0:
-            raise ConfigError("heat-diagonal needs a constant diagonal alpha")
-        if cfg.source:
-            raise ConfigError("heat-diagonal is a homogeneous preset (no source terms)")
+    EXPERIMENTS[cfg.experiment].check(cfg)
 
 
 def serialize_config(cfg: RunConfig) -> str:
-    """Canonical text form; parse(serialize(parse(s))) == parse(s)."""
-    out = [f"{name} = {_fmt(getattr(cfg, name))}" for name in _GLOBALS]
-    out += ["", "[alpha]", f"kind = {cfg.alpha.kind}"]
-    out += [f"{name} = {_fmt(getattr(cfg.alpha, name))}"
-            for name in _ALPHA_KINDS[cfg.alpha.kind]]
-    if cfg.source:
+    """Canonical text form of the keys and sections the experiment reads;
+    parse(serialize(parse(s))) == parse(s)."""
+    exp = EXPERIMENTS[cfg.experiment]
+    out = [f"{name} = {_fmt(getattr(cfg, name))}" for name in _GLOBALS
+           if name in exp.reads or name in _READ_BY_ALL]
+    if exp.alpha:
+        out += ["", "[alpha]", f"kind = {cfg.alpha.kind}"]
+        out += [f"{name} = {_fmt(getattr(cfg.alpha, name))}"
+                for name in _ALPHA_KINDS[cfg.alpha.kind]]
+    if exp.source and cfg.source:
         out += ["", "[source]"]
         for term in cfg.source:
             if term.profile == "cosine":
@@ -308,9 +330,9 @@ def config_source(cfg: RunConfig) -> SourceSpec:
 
 
 def initial_state(cfg: RunConfig) -> LowRankState:
-    """Experiment-defined start: mode-diagonal for the diagonal presets and
-    the convergence sweeps, a seeded random state otherwise."""
-    if cfg.experiment in ("heat-diagonal", "convergence-h", "convergence-rank"):
+    """Experiment-defined start: a seeded random state if the experiment
+    reads a seed, mode-diagonal otherwise."""
+    if "seed" not in EXPERIMENTS[cfg.experiment].reads:
         return LowRankState(np.eye(cfg.N, cfg.r), np.eye(cfg.r), np.eye(cfg.N, cfg.r))
     rng = np.random.default_rng([cfg.seed, 0])
     return sample_state(rng, cfg.N, cfg.r, sigma_range=(1e-2, 1.0))
@@ -409,30 +431,38 @@ def _anisotropic(cfg: RunConfig, op):
     return "key,value", rows, failures, traj
 
 
-def _convergence(cfg: RunConfig, op):
-    """convergence-h (five step counts) and convergence-rank (ranks 1..r)."""
-    model, source, u0 = _problem(cfg)
-    failures = []
-    if cfg.experiment == "convergence-h":
-        counts = tuple(max(1, cfg.n_steps // 2 ** k) for k in range(4, -1, -1))
-        table = convergence_study("step", u0, cfg.T, model, source,
-                                  method=cfg.method, step_counts=counts)
-        model_exact = model.diagonal and not model.time_dependent and not source.terms
-        if model_exact and len(table.rows) >= 2:
-            order = table.rows[-1].observed_order
-            if order is None or not 0.8 <= order <= 1.2:
-                failures.append(f"observed order {order} outside [0.8, 1.2]")
-    else:
-        table = convergence_study("rank", u0, cfg.T, model, source, method=cfg.method,
-                                  ranks=range(1, cfg.r + 1), n_steps=cfg.n_steps)
+def _convergence_report(table, failures):
     rows = [(_fmt(row.parameter), row.error,
              "" if row.observed_order is None else _fmt(row.observed_order))
             for row in table.rows]
     return "parameter,error,observed_order", rows, failures, None
 
 
+def _convergence_h(cfg: RunConfig, op):
+    """Five step counts, n_steps / 16 up to n_steps; the observed order is
+    gated where the closed form is the oracle."""
+    model, source, u0 = _problem(cfg)
+    counts = tuple(cfg.n_steps // 2 ** k for k in range(4, -1, -1))
+    table = convergence_study("step", u0, cfg.T, model, source,
+                              method=cfg.method, step_counts=counts)
+    failures = []
+    if model.diagonal and not model.time_dependent and not source.terms:
+        order = table.rows[-1].observed_order
+        if order is None or not 0.8 <= order <= 1.2:
+            failures.append(f"observed order {order} outside [0.8, 1.2]")
+    return _convergence_report(table, failures)
+
+
+def _convergence_rank(cfg: RunConfig, op):
+    """Ranks 1 .. r at fixed step."""
+    model, source, u0 = _problem(cfg)
+    table = convergence_study("rank", u0, cfg.T, model, source, method=cfg.method,
+                              ranks=range(1, cfg.r + 1), n_steps=cfg.n_steps)
+    return _convergence_report(table, [])
+
+
 def _equivalence(cfg: RunConfig, op):
-    rep = equivalence_test(trials=cfg.trials or 50, seed=cfg.seed)
+    rep = equivalence_test(trials=cfg.trials, seed=cfg.seed)
     failures = []
     if not rep.passed:
         failures.append(f"{rep.violations} equivalence violations")
@@ -441,10 +471,9 @@ def _equivalence(cfg: RunConfig, op):
 
 def _energy_audit(cfg: RunConfig, op):
     model, source, u0 = _problem(cfg)
-    method = cfg.method if cfg.method != "reference" else "als"
-    traj = integrate(method, u0, cfg.T, cfg.n_steps, model, source)
+    traj = integrate(cfg.method, u0, cfg.T, cfg.n_steps, model, source)
     rep = energy_audit(traj, source, model, op)
-    rows = [("experiment", cfg.experiment), ("method", method),
+    rows = [("experiment", cfg.experiment), ("method", cfg.method),
             ("slack_energy_sum", rep.slack["energy_sum"]),
             ("slack_objective_monotonicity", rep.slack["objective_monotonicity"]),
             ("slack_v_bound", rep.slack["v_bound"]), ("budget", rep.budget),
@@ -461,11 +490,10 @@ def _energy_audit(cfg: RunConfig, op):
 
 
 def _geometry_suites(cfg: RunConfig, op):
-    trials = cfg.trials or 1000
-    curv = curvature_suite(cfg.N, cfg.r, trials, cfg.seed)
-    proj = projection_regularity_suite(cfg.N, cfg.r, trials, cfg.seed)
+    curv = curvature_suite(cfg.N, cfg.r, cfg.trials, cfg.seed)
+    proj = projection_regularity_suite(cfg.N, cfg.r, cfg.trials, cfg.seed)
     model = rotating_diffusion(1.0, 0.25, 1.0)
-    tang = tangency_suite(cfg.N, cfg.r, max(1, trials // 2), cfg.seed, model)
+    tang = tangency_suite(cfg.N, cfg.r, max(1, cfg.trials // 2), cfg.seed, model)
     rows, failures = [], []
     for name, rep in (("curvature", curv), ("projection", proj), ("tangency", tang)):
         rows += _suite_rows(rep, name)
@@ -474,15 +502,53 @@ def _geometry_suites(cfg: RunConfig, op):
     return "property,trials,violations,worst_ratio", rows, failures, None
 
 
-#: name -> function(cfg, op) -> (report header, rows, failures, trajectory or None)
+def _diagonal_alpha(cfg: RunConfig):
+    if cfg.alpha.kind != "constant" or cfg.alpha.a12 != 0.0:
+        raise ConfigError("heat-diagonal needs a constant diagonal alpha")
+
+
+def _distinct_step_counts(cfg: RunConfig):
+    if cfg.n_steps < 16:
+        raise ConfigError("convergence-h needs n_steps >= 16 (it also runs n_steps / 16)")
+
+
+def _rank_r_method(cfg: RunConfig):
+    if cfg.method == "reference":
+        raise ConfigError("energy-audit audits a rank-r run: method must be als or splitting")
+
+
+class Experiment(NamedTuple):
+    """What an experiment reads: ``run(cfg, op)`` returns (report header,
+    rows, failures, trajectory or None); ``reads`` maps each global key it
+    reads, besides ``_READ_BY_ALL``, to its default; ``check`` raises
+    ConfigError for a config outside its own restrictions."""
+    run: Callable
+    reads: dict
+    alpha: bool = True
+    source: bool = True
+    check: Callable = lambda cfg: None
+
+
+def _reads(*keys, **defaults) -> dict:
+    """``{key: default}``, RunConfig's default for each key not given one."""
+    return {key: getattr(RunConfig, key) for key in keys} | defaults
+
+
+_TRAJECTORY = ("N", "r", "T", "n_steps", "method")
+
 EXPERIMENTS = {
-    "heat-diagonal": _heat_diagonal,
-    "anisotropic": _anisotropic,
-    "convergence-h": _convergence,
-    "convergence-rank": _convergence,
-    "equivalence": _equivalence,
-    "energy-audit": _energy_audit,
-    "geometry-suites": _geometry_suites,
+    "heat-diagonal": Experiment(_heat_diagonal, _reads(*_TRAJECTORY), source=False,
+                                check=_diagonal_alpha),
+    "anisotropic": Experiment(_anisotropic, _reads(*_TRAJECTORY, "seed")),
+    "convergence-h": Experiment(_convergence_h, _reads(*_TRAJECTORY),
+                                check=_distinct_step_counts),
+    "convergence-rank": Experiment(_convergence_rank, _reads(*_TRAJECTORY)),
+    "equivalence": Experiment(_equivalence, _reads("seed", "trials"), alpha=False,
+                              source=False),
+    "energy-audit": Experiment(_energy_audit, _reads(*_TRAJECTORY, "seed"),
+                               check=_rank_r_method),
+    "geometry-suites": Experiment(_geometry_suites, _reads("N", "r", "seed", trials=1000),
+                                  alpha=False, source=False),
 }
 
 
@@ -506,8 +572,14 @@ def run(cfg: RunConfig, quiet: bool = False, gnuplot: bool = False) -> int:
 
     Warnings the package logs during the run are written to run.log, and to
     stderr unless ``quiet``; they do not propagate to other log handlers.
+    Returns 2, and runs nothing, if the output directory cannot be made.
     """
     out = Path(cfg.output_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot make the output directory: {exc}", file=sys.stderr)
+        return 2
     log_lines = ["config:"]
     # the output path is where the log lives, not a run parameter; leaving it
     # out keeps logs byte-identical across relocated reruns
@@ -520,9 +592,8 @@ def run(cfg: RunConfig, quiet: bool = False, gnuplot: bool = False) -> int:
     logger.addHandler(warnings)
     logger.propagate = False
     try:
-        report_header, report_rows, failures, traj = EXPERIMENTS[cfg.experiment](cfg, op)
+        report_header, report_rows, failures, traj = EXPERIMENTS[cfg.experiment].run(cfg, op)
     except (RankDeficiencyError, InnerSolveError, np.linalg.LinAlgError) as exc:
-        out.mkdir(parents=True, exist_ok=True)
         log_lines += warnings.lines
         log_lines.append(f"numerical failure: {exc}")
         log_lines.append("status: 3")
@@ -534,7 +605,6 @@ def run(cfg: RunConfig, quiet: bool = False, gnuplot: bool = False) -> int:
         logger.removeHandler(warnings)
         logger.propagate = propagate
 
-    out.mkdir(parents=True, exist_ok=True)
     if traj is not None:
         _write_trajectory(out, traj, op)
         _write_diagnostics(out, traj)
@@ -581,6 +651,8 @@ def main(argv=None) -> int:
     try:
         cfg = parse_config(text)
         if args.seed is not None:
+            if "seed" not in EXPERIMENTS[cfg.experiment].reads:
+                raise ConfigError(_unread("--seed", cfg.experiment))
             cfg = replace(cfg, seed=args.seed)
         if args.out is not None:
             cfg = replace(cfg, output_dir=args.out)

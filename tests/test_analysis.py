@@ -488,6 +488,14 @@ def test_convergence_zero_horizon():
         convergence_study("step", u0, 0.0, model, zero_source(6), step_counts=(4, 8))
 
 
+def test_convergence_rejects_repeated_step_counts():
+    # a repeated count would divide the observed order by log(1) = 0
+    model = constant_diffusion(0.02 * np.eye(2))
+    u0 = mode_state(6, [(0, 1.0)])
+    with pytest.raises(ValueError, match="step_counts must be distinct"):
+        convergence_study("step", u0, 0.05, model, zero_source(6), step_counts=(1, 1, 2))
+
+
 def test_convergence_rejects_unknown_axis():
     model = constant_diffusion(0.02 * np.eye(2))
     u0 = mode_state(6, [(0, 1.0)])

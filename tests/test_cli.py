@@ -133,7 +133,7 @@ def test_heat_diagonal_preset_restrictions():
     with pytest.raises(ConfigError, match="diagonal"):
         parse_config("experiment = heat-diagonal\n[alpha]\nkind = constant\n"
                      "a11 = 1.0\na12 = 0.1\na22 = 1.0\n")
-    with pytest.raises(ConfigError, match="homogeneous"):
+    with pytest.raises(ConfigError, match="line 2: \\[source\\] is not read by experiment"):
         parse_config("experiment = heat-diagonal\n[source]\n"
                      "term = constant:1.0 | p = 1:1.0 | q = 1:1.0\n")
 
@@ -157,15 +157,14 @@ def test_serialize_round_trip():
         assert parse_config(serialize_config(cfg)) == cfg
 
 
-EVERY_KEY = """\
-experiment = convergence-h
+EVERY_KEY = ["""\
+experiment = anisotropic
 N = 12
 r = 3
 T = 0.25
 n_steps = 40
 method = splitting
 seed = 5
-trials = 7
 output_dir = somewhere/else
 
 [alpha]
@@ -178,19 +177,35 @@ a22 = 0.3
 term = constant:1.5 | p = 1:1.0 | q = 2:0.5
 term = linear:-0.75 | p = 3:0.25,1:2.0 | q = 12:1.0
 term = cosine:0.5:2.0 | p = 2:1.0 | q = 1:-1.0
-"""
+""", """\
+experiment = equivalence
+seed = 3
+trials = 7
+""", """\
+experiment = energy-audit
+N = 8
+
+[alpha]
+kind = rotation
+lambda1 = 2.0
+lambda2 = 0.25
+omega = 1.5
+"""]
 
 
 def test_round_trip_covers_every_key():
-    cfg = parse_config(EVERY_KEY)
-    default = RunConfig()
-    for f in dataclasses.fields(RunConfig):
-        assert getattr(cfg, f.name) != getattr(default, f.name), f.name
-    assert cfg.alpha.a12 != 0.0
-    assert [t.profile for t in cfg.source] == ["constant", "linear", "cosine"]
-    text = serialize_config(cfg)
-    assert parse_config(text) == cfg
-    assert serialize_config(parse_config(text)) == text
+    # between them the configs set every global key, every [alpha] key of
+    # both kinds and all three profiles to a non-default value
+    configs = [parse_config(text) for text in EVERY_KEY]
+    for cls, specs in ((RunConfig, configs), (AlphaSpec, [cfg.alpha for cfg in configs])):
+        for f in dataclasses.fields(cls):
+            assert any(getattr(spec, f.name) != getattr(cls(), f.name) for spec in specs), f.name
+    assert configs[0].alpha.a12 != 0.0
+    assert [t.profile for t in configs[0].source] == ["constant", "linear", "cosine"]
+    for cfg in configs:
+        text = serialize_config(cfg)
+        assert parse_config(text) == cfg
+        assert serialize_config(parse_config(text)) == text
 
 
 def _readme_complete_config():
@@ -213,9 +228,17 @@ def test_readme_complete_config_parses_and_round_trips():
 
 
 def test_readme_experiment_table_matches_the_runner():
+    # the "reads" column lists each experiment's declared keys, with their
+    # defaults, and the sections it reads
     table = README.split("Experiments:", 1)[1].split("\n\n", 2)[1]
-    names = re.findall(r"^\| `([^`]+)` \|", table, re.M)
-    assert names == list(EXPERIMENTS)
+    rows = re.findall(r"^\| `([^`]+)` \| ([^|]*) \|", table, re.M)
+    assert [name for name, _ in rows] == list(EXPERIMENTS)
+    for name, reads in rows:
+        exp = EXPERIMENTS[name]
+        declared = [f"`{key} = {default}`" for key, default in exp.reads.items()]
+        declared += [f"`[{section}]`" for section in ("alpha", "source")
+                     if getattr(exp, section)]
+        assert reads == ", ".join(declared), name
 
 
 @pytest.mark.parametrize("alpha, line, key, kind", [
@@ -231,6 +254,37 @@ def test_alpha_key_of_the_other_kind_rejected(alpha, line, key, kind):
         parse_config(f"experiment = anisotropic\n[alpha]\n{alpha}")
     assert err.value.line == line
     assert str(err.value) == f"line {line}: {key!r} is not a parameter of alpha kind {kind!r}"
+
+
+@pytest.mark.parametrize("body, argv, message", [
+    pytest.param("experiment = convergence-h\nN = 8\ntrials = 7\n", [],
+                 "line 4: 'trials' is not read by experiment 'convergence-h'",
+                 id="trials-convergence-h"),
+    pytest.param("experiment = geometry-suites\nN = 8\nmethod = als\n", [],
+                 "line 4: 'method' is not read by experiment 'geometry-suites'",
+                 id="method-geometry-suites"),
+    pytest.param("experiment = equivalence\n[alpha]\nkind = constant\n", [],
+                 "line 3: [alpha] is not read by experiment 'equivalence'",
+                 id="alpha-equivalence"),
+    pytest.param("experiment = heat-diagonal\nN = 8\n", ["--seed", "5"],
+                 "--seed is not read by experiment 'heat-diagonal'", id="seed-heat-diagonal"),
+    pytest.param("experiment = energy-audit\nN = 8\nmethod = reference\n", [],
+                 "energy-audit audits a rank-r run: method must be als or splitting",
+                 id="reference-energy-audit"),
+    # fewer steps would repeat step counts, and the observed order would
+    # divide by log(1)
+    pytest.param("experiment = convergence-h\nN = 8\nn_steps = 4\n", [],
+                 "convergence-h needs n_steps >= 16 (it also runs n_steps / 16)",
+                 id="few-steps-convergence-h"),
+])
+def test_main_rejects_what_the_experiment_does_not_read(tmp_path, capsys, body, argv, message):
+    # input the experiment would ignore, replace or crash on exits 2 before
+    # anything runs or is written
+    out = tmp_path / "out"
+    path = _write(tmp_path, f"output_dir = {out}\n{body}")
+    assert main(["run", path, "--quiet", *argv]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 def test_negative_seed_rejected():
@@ -459,3 +513,24 @@ def test_convergence_experiment_report(tmp_path):
     assert len(lines) == 6                       # five step counts
     errors = [float(line.split(",")[1]) for line in lines[1:]]
     assert all(b < a for a, b in zip(errors, errors[1:]))
+
+
+@pytest.mark.parametrize("override", [True, False], ids=["out", "output_dir"])
+def test_main_output_path_that_is_a_file(tmp_path, monkeypatch, capsys, override):
+    # the directory is made before the experiment runs: a path that cannot
+    # be one exits 2 with one line, runs nothing and leaves the file alone
+    import lowrankpde.cli as cli_mod
+
+    def must_not_run(*args, **kwargs):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(cli_mod, "integrate", must_not_run)
+    blocker = tmp_path / "afile"
+    blocker.write_text("keep\n")
+    text = "experiment = heat-diagonal\nN = 8\n"
+    argv = ["--out", str(blocker)] if override else []
+    path = _write(tmp_path, text + ("" if override else f"output_dir = {blocker}\n"))
+    assert main(["run", path, "--quiet", *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("cannot make the output directory: ") and err.count("\n") == 1
+    assert blocker.read_text() == "keep\n"

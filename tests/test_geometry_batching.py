@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from lowrankpde import analysis
-from lowrankpde.analysis import (curvature_suite, projection_regularity_suite,
-                                 sample_nearby_state, sample_state, tangency_suite)
+from lowrankpde.analysis import (curvature_suite, equivalence_test,
+                                 projection_regularity_suite, sample_nearby_state,
+                                 sample_state, tangency_suite)
 from lowrankpde.galerkin import (apply_a1, apply_a2, build_operator, h_norm,
                                  rotating_diffusion, v_norm)
 from lowrankpde.manifold import smallest_singular, tangent_project, to_dense
@@ -170,6 +171,9 @@ SUITES = {
 def test_suites_reject_bad_arguments(suite, args, name):
     with pytest.raises(ValueError, match=name):
         SUITES[suite](*args)
+    if name == "trials":                         # the equivalence harness says the same
+        with pytest.raises(ValueError, match=f"^trials must be >= 1, got {args[2]}$"):
+            equivalence_test(trials=args[2])
 
 
 @pytest.mark.parametrize("n, trials", [(128, 24), (4, 6000)])
