@@ -79,6 +79,8 @@ def constant_diffusion(matrix) -> DiffusionModel:
     if abs(a[0, 1] - a[1, 0]) > 1e-14 * max(1.0, np.abs(a).max()):
         raise ValueError("diffusion tensor must be symmetric")
     eigs = np.linalg.eigvalsh(a)
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(eigs))):
+        raise ValueError(f"matrix must have finite entries and eigenvalues, got {a.tolist()}")
     if eigs[0] <= 0:
         raise ValueError("diffusion tensor is not positive definite")
     diag = abs(a[0, 1]) <= 1e-14 * np.abs(np.diagonal(a)).max()
@@ -90,6 +92,9 @@ def constant_diffusion(matrix) -> DiffusionModel:
 def rotating_diffusion(lambda1: float, lambda2: float, omega: float) -> DiffusionModel:
     """Tensor with fixed eigenvalues whose eigenframe rotates at rate omega:
     ``alpha(t) = R(omega t)^T diag(lambda1, lambda2) R(omega t)``."""
+    for name, value in (("lambda1", lambda1), ("lambda2", lambda2), ("omega", omega)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
     if lambda1 <= 0 or lambda2 <= 0:
         raise ValueError("diffusion tensor is not positive definite")
     lam = np.array([lambda1, lambda2], dtype=float)

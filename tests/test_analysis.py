@@ -15,7 +15,7 @@ from lowrankpde.analysis import (PropertyReport, convergence_study, curvature_su
 from lowrankpde.galerkin import (build_operator, constant_diffusion, constant_profile,
                                  rotating_diffusion, separable_source, zero_source)
 from lowrankpde.manifold import LowRankState, smallest_singular, to_dense
-from lowrankpde.stepping import integrate
+from lowrankpde.stepping import Trajectory, integrate
 
 
 def mode_state(n, entries):
@@ -73,29 +73,30 @@ def test_sample_spd_tensor():
 
 
 def test_energy_audit_single_mode_closed_form():
-    # u0 = (1,1) mode, alpha = a I: each backward step divides the coefficient
-    # by 1 + 2 a pi^2 h, so every ledger column has an explicit formula
+    # u0 = (1,1) mode, alpha = a I: each backward step of every method
+    # divides the coefficient by 1 + 2 a pi^2 h, so every ledger column has
+    # an explicit formula
     a, n_steps, T, n = 0.02, 25, 0.25, 6
     h = T / n_steps
     rho = 1.0 / (1.0 + 2.0 * a * np.pi ** 2 * h)
     model = constant_diffusion(a * np.eye(2))
     op = build_operator(n)
-    traj = integrate("als", mode_state(n, [(0, 1.0)]), T, n_steps, model,
-                     zero_source(n))
-    rep = energy_audit(traj, zero_source(n), model, op)
-
     i = np.arange(n_steps + 1)
-    np.testing.assert_allclose(rep.h_norms_sq, rho ** (2 * i), rtol=1e-10)
-    np.testing.assert_allclose(rep.v_norms_sq, 2.0 * np.pi ** 2 * rho ** (2 * i),
-                               rtol=1e-10)
     dq = rho ** np.arange(n_steps) * (rho - 1.0) / h
-    np.testing.assert_allclose(rep.diff_quotients_sq, dq ** 2, rtol=1e-10)
-    np.testing.assert_array_equal(rep.f_dual_norms_sq, np.zeros(n_steps))
     obj = (rho ** (2 * np.arange(n_steps)) * (rho - 1.0) ** 2 / (2 * h)
            + a * np.pi ** 2 * rho ** (2 * np.arange(1, n_steps + 1)))
-    np.testing.assert_allclose(rep.objectives, obj, rtol=1e-9)
-    assert rep.passed and not rep.violations
-    assert rep.step_size == pytest.approx(h)
+    for method in ("als", "splitting", "reference"):
+        traj = integrate(method, mode_state(n, [(0, 1.0)]), T, n_steps, model,
+                         zero_source(n))
+        rep = energy_audit(traj, zero_source(n), model, op)
+        np.testing.assert_allclose(rep.h_norms_sq, rho ** (2 * i), rtol=1e-10)
+        np.testing.assert_allclose(rep.v_norms_sq, 2.0 * np.pi ** 2 * rho ** (2 * i),
+                                   rtol=1e-10)
+        np.testing.assert_allclose(rep.diff_quotients_sq, dq ** 2, rtol=1e-10)
+        np.testing.assert_array_equal(rep.f_dual_norms_sq, np.zeros(n_steps))
+        np.testing.assert_allclose(rep.objectives, obj, rtol=1e-9)
+        assert rep.passed and not rep.violations
+        assert rep.step_size == pytest.approx(h)
 
 
 def test_energy_audit_inequality_recomputed_from_trajectory():
@@ -126,14 +127,27 @@ def test_energy_audit_inequality_recomputed_from_trajectory():
     assert rep.slack["energy_sum"] == 0.0
 
 
-def test_energy_audit_rejects_reference_and_short_runs():
+def test_energy_audit_rejects_short_runs():
     n = 6
     model = constant_diffusion(0.05 * np.eye(2))
+    traj = Trajectory(times=np.array([0.0]), states=[mode_state(n, [(0, 1.0)])],
+                      diagnostics=[], method="als")
+    with pytest.raises(ValueError, match="need at least one step"):
+        energy_audit(traj, zero_source(n), model, build_operator(n))
+
+
+def test_energy_audit_builds_no_dense_coupling():
+    # F and the residual come from the step record, so auditing a
+    # mixed-term run on a fresh operator never builds the N x N matrix G
+    rng = np.random.default_rng(55)
+    n, r = 12, 3
+    model = constant_diffusion([[1.0, 0.25], [0.25, 0.5]])
+    traj = integrate("splitting", sample_state(rng, n, r, sigma_range=(0.1, 1.0)), 0.05, 5,
+                     model, zero_source(n))
     op = build_operator(n)
-    traj = integrate("reference", mode_state(n, [(0, 1.0)]), 0.1, 5, model,
-                     zero_source(n))
-    with pytest.raises(ValueError):
-        energy_audit(traj, zero_source(n), model, op)
+    rep = energy_audit(traj, zero_source(n), model, op)
+    assert rep.passed, rep.violations
+    assert "grad_coupling_1d" not in op.__dict__
 
 
 def test_energy_audit_objective_anchors():
@@ -192,7 +206,6 @@ def test_interpolant_gap_matches_time_quadrature():
 def test_interpolant_gap_two_state_closed_form():
     # from the zero state to a state of norm c in one step of size h the gap
     # is (h/3) c^2; a constant trajectory has no gap at all
-    from lowrankpde.stepping import Trajectory
     h = 0.05
     u1 = np.zeros((4, 4))
     u1[0, 0] = 3.0

@@ -268,9 +268,6 @@ def test_alpha_key_of_the_other_kind_rejected(alpha, line, key, kind):
                  id="alpha-equivalence"),
     pytest.param("experiment = heat-diagonal\nN = 8\n", ["--seed", "5"],
                  "--seed is not read by experiment 'heat-diagonal'", id="seed-heat-diagonal"),
-    pytest.param("experiment = energy-audit\nN = 8\nmethod = reference\n", [],
-                 "energy-audit audits a rank-r run: method must be als or splitting",
-                 id="reference-energy-audit"),
     # fewer steps would repeat step counts, and the observed order would
     # divide by log(1)
     pytest.param("experiment = convergence-h\nN = 8\nn_steps = 4\n", [],
@@ -330,6 +327,29 @@ def test_run_anisotropic_reference(tmp_path):
     assert run(cfg, quiet=True) == 0
     rows = (out / "trajectory.csv").read_text().splitlines()
     assert len(rows) == 7 and rows[1].split(",")[4] == "nan"     # no sigma_r when dense
+
+
+def test_run_energy_audit_reference(tmp_path):
+    # the audit reads F and the residual from each step's record, which the
+    # dense reference step writes as well
+    out = tmp_path / "reference"
+    path = _write(tmp_path, ROTATION.replace("seed = 11\n", "seed = 11\nmethod = reference\n"))
+    assert main(["run", path, "--quiet", "--out", str(out)]) == 0
+    assert "passed,true" in (out / "report.csv").read_text().splitlines()
+
+
+@pytest.mark.parametrize("cfg, message", [
+    (RunConfig(experiment="heat-diagonal", N=8, r=2, method="rk4"), "unknown method 'rk4'"),
+    (RunConfig(experiment="geometry-suites", N=8, r=2, trials=0), "trials must be >= 1"),
+    (RunConfig(experiment="heat-diagnoal"), "unknown experiment 'heat-diagnoal'"),
+], ids=["method", "trials", "experiment"])
+def test_run_validates_the_config(tmp_path, capsys, cfg, message):
+    # a config built in code is checked like a parsed one: exit 2, even
+    # when quiet, before the output directory is made
+    out = tmp_path / "out"
+    assert run(dataclasses.replace(cfg, output_dir=str(out)), quiet=True) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
 
 
 def test_run_is_byte_reproducible(tmp_path):

@@ -6,6 +6,7 @@ Gauss-Legendre quadrature of the defining integrals, never through the
 closed forms the module uses internally.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -298,6 +299,25 @@ def test_constant_diffusion_validation():
     model = constant_diffusion([[2.0, 0.0], [0.0, 3.0]])
     assert model.diagonal and not model.time_dependent
     assert model.lipschitz_t == 0.0
+
+
+@pytest.mark.parametrize("build, args, message", [
+    (constant_diffusion, ([[math.inf, 0.0], [0.0, 1.0]],), "matrix must have finite entries"),
+    (constant_diffusion, ([[1.0, math.nan], [math.nan, 1.0]],),
+     "matrix must have finite entries"),
+    (constant_diffusion, ([[1e308, 1e308], [1e308, 1e308]],),
+     "matrix must have finite entries and eigenvalues"),
+    (rotating_diffusion, (math.nan, 1.0, 0.0), "lambda1 must be finite"),
+    (rotating_diffusion, (1.0, math.inf, 0.0), "lambda2 must be finite"),
+    (rotating_diffusion, (1.0, 0.5, math.nan), "omega must be finite"),
+    (rotating_diffusion, (1.0, 0.5, math.inf), "omega must be finite"),
+], ids=["inf-entry", "nan-entries", "inf-eigenvalue", "nan-lambda1", "inf-lambda2",
+        "nan-omega", "inf-omega"])
+def test_diffusion_models_reject_non_finite_input(build, args, message):
+    # a NaN tensor would otherwise pass the definiteness test and surface
+    # only as a failed inner solve at step 1
+    with pytest.raises(ValueError, match=message):
+        build(*args)
 
 
 def test_rotating_diffusion_spectrum_and_lipschitz():

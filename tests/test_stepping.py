@@ -528,28 +528,31 @@ def test_splitting_single_mode_resolvent():
 
 @pytest.mark.parametrize("a12", [0.0, 0.3])
 def test_integrate_splitting_reports_the_step_diagnostics(a12):
-    # the one-sweep step reports what step_objective and galerkin_residual
-    # evaluate at its anchor and its result
+    # the one-sweep step, and ALS, report what step_objective and
+    # galerkin_residual evaluate at the anchor and the result of each step;
+    # the energy audit reads F from this record
     rng = np.random.default_rng(50)
     n, r, h, steps = 16, 3, 0.01, 4
     op = build_operator(n)
     model = constant_diffusion([[1.0, a12], [a12, 0.5]])
     src = separable_source(n, [(cosine_profile(1.0, 3.0), rng.standard_normal(n),
                                 rng.standard_normal(n)) for _ in range(2)])
-    traj = integrate("splitting", smooth_state(rng, n, r, 1.0), steps * h, steps, model, src)
-    assert len(traj.diagnostics) == steps
-    for i, diag in enumerate(traj.diagnostics):
-        prev, state = traj.states[i], traj.states[i + 1]
-        pair = rhs_mean_factors(src, i * h, (i + 1) * h)
-        t1 = traj.times[i + 1]
-        assert diag.sweeps_used == 1
-        assert diag.objective_trace[0] == pytest.approx(
-            step_objective(prev, prev, h, t1, pair, op, model), rel=1e-12)
-        assert diag.objective_value == pytest.approx(
-            step_objective(state, prev, h, t1, pair, op, model), rel=1e-12)
-        assert diag.galerkin_residual == pytest.approx(
-            galerkin_residual(state, prev, h, t1, pair, op, model), rel=1e-12)
-        assert diag.objective_decreased
+    u0 = smooth_state(rng, n, r, 1.0)
+    for method in ("splitting", "als"):
+        traj = integrate(method, u0, steps * h, steps, model, src)
+        assert len(traj.diagnostics) == steps
+        for i, diag in enumerate(traj.diagnostics):
+            prev, state = traj.states[i], traj.states[i + 1]
+            pair = rhs_mean_factors(src, i * h, (i + 1) * h)
+            t1 = traj.times[i + 1]
+            assert diag.sweeps_used == 1 or method == "als"
+            assert diag.objective_trace[0] == pytest.approx(
+                step_objective(prev, prev, h, t1, pair, op, model), rel=1e-12)
+            assert diag.objective_value == pytest.approx(
+                step_objective(state, prev, h, t1, pair, op, model), rel=1e-12)
+            assert diag.galerkin_residual == pytest.approx(
+                galerkin_residual(state, prev, h, t1, pair, op, model), rel=1e-12)
+            assert diag.objective_decreased
 
 
 def test_splitting_s_step_forms_agree():
