@@ -21,6 +21,10 @@ Each row records, for one (method, N, a12):
 - ``peak_traced_mb``: peak allocation traced by ``tracemalloc`` over one
   further, untimed call.  An N x N array of floats is 8 N^2 bytes, so a
   peak far below that shows that no dense matrix was formed.
+- splitting rows only, ``post_ms`` and ``post_peak_traced_mb``: the same
+  two measures of the post-processing of the scanned trajectory,
+  ``energy_audit`` plus ``interpolant_gap``, on an operator built outside
+  the timed call.  With a source the audit's V* Gram holds one N x N array.
 
 Inputs are seeded: a smooth rank-r start (Gaussian factor blocks weighted
 by n^-2, orthonormalised, singular values geometric from 1 to 1e-2) and two
@@ -38,8 +42,9 @@ import numpy as np
 
 from measuring import ROOT, TIMING, measure, write_json  # pins BLAS, puts src/ on the path
 
-from lowrankpde import (LowRankState, constant_diffusion, cosine_profile,  # noqa: E402
-                        integrate, separable_source)
+from lowrankpde import (LowRankState, build_operator, constant_diffusion,  # noqa: E402
+                        cosine_profile, energy_audit, integrate, interpolant_gap,
+                        separable_source)
 
 RANK = 8
 SIZES = (128, 256, 512, 1024, 2048)
@@ -76,13 +81,19 @@ def scan_row(method: str, n: int, a12: float) -> dict:
     sweeps = sum(d.sweeps_used for d in traj.diagnostics) / steps
     iterations = sum(d.inner_iterations for d in traj.diagnostics) / steps
     ms_per_step = 1e3 * cpu_s / steps
-    return {"method": method, "N": n, "r": RANK, "a12": a12,
-            "ms_per_step": round(ms_per_step, 4),
-            "sweeps_per_step": sweeps,
-            "ms_per_sweep": round(ms_per_step / sweeps, 4),
-            "inner_iterations_per_half_sweep": round(iterations / (2.0 * sweeps), 4),
-            "peak_traced_mb": round(peak / 1e6, 4),
-            "dense_matrix_mb": round(8.0 * n * n / 1e6, 4)}
+    row = {"method": method, "N": n, "r": RANK, "a12": a12,
+           "ms_per_step": round(ms_per_step, 4),
+           "sweeps_per_step": sweeps,
+           "ms_per_sweep": round(ms_per_step / sweeps, 4),
+           "inner_iterations_per_half_sweep": round(iterations / (2.0 * sweeps), 4),
+           "peak_traced_mb": round(peak / 1e6, 4),
+           "dense_matrix_mb": round(8.0 * n * n / 1e6, 4)}
+    if method == "splitting":
+        op = build_operator(n)
+        _, post_s, post_peak = measure(lambda: (energy_audit(traj, source, model, op),
+                                                interpolant_gap(traj)))
+        row.update(post_ms=round(1e3 * post_s, 4), post_peak_traced_mb=round(post_peak / 1e6, 4))
+    return row
 
 
 def main(argv=None) -> int:
@@ -99,9 +110,12 @@ def main(argv=None) -> int:
                 print(f"{method:9s} N={n:5d} a12={a12:4.2f}  {row['ms_per_step']:10.3f} ms/step"
                       f"  {row['sweeps_per_step']:5.1f} sweeps/step"
                       f"  {row['inner_iterations_per_half_sweep']:5.1f} CG its/half-sweep"
-                      f"  peak {row['peak_traced_mb']:8.3f} MB", flush=True)
+                      f"  peak {row['peak_traced_mb']:8.3f} MB"
+                      + (f"  post {row['post_ms']:8.3f} ms" if "post_ms" in row else ""),
+                      flush=True)
                 rows.append(row)
-    write_json(args.out, "ms/step of integrate for the rank-r methods over N and a12",
+    write_json(args.out, "ms/step of integrate for the rank-r methods over N and a12, "
+               "and ms of post-processing the splitting runs",
                {"rank": RANK, "h": STEP, "n_steps": N_STEPS, **TIMING,
                 "seed": SEED, "als_mixed_max_n": ALS_MIXED_MAX_N}, rows)
     return 0

@@ -33,6 +33,7 @@ __all__ = [
     "constant_profile",
     "cosine_profile",
     "exact_diagonal_solution",
+    "h_distance",
     "h_norm",
     "linear_profile",
     "operator_matrix",
@@ -44,7 +45,7 @@ __all__ = [
     "zero_source",
 ]
 
-from .manifold import LowRankState, reorthonormalize
+from .manifold import LowRankState, reorthonormalize, to_dense
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +130,6 @@ class GalerkinOperator:
     grad_coupling_1d : skew-symmetric matrix of first-derivative couplings,
         entry (i, j) = integral( phi_j' phi_i ) = 4 i j / (i^2 - j^2) for
         i + j odd, 0 otherwise.
-    v_weights : grid of (n1 pi)^2 + (n2 pi)^2 used by the V-norms.
 
     A caller that reads only the vector, such as a rank-r step with a
     diagonal tensor, never pays for the dense blocks.
@@ -152,11 +152,6 @@ class GalerkinOperator:
             i, j = modes[a::2, None], modes[None, b::2]
             grad[a::2, b::2] = 4.0 * i * j / (i * i - j * j)
         return grad
-
-    @cached_property
-    def v_weights(self) -> np.ndarray:
-        lam = self.stiffness_diag
-        return lam[:, None] + lam[None, :]
 
 
 def build_operator(basis_dim: int) -> GalerkinOperator:
@@ -207,21 +202,45 @@ def operator_matrix(op: GalerkinOperator, model: DiffusionModel, t: float) -> np
     return mat
 
 
-def h_norm(coeffs: np.ndarray) -> float:
-    """L2 norm of the represented function = Frobenius norm of coefficients."""
-    return float(np.linalg.norm(coeffs))
+def h_norm(state) -> float:
+    """L2 norm of the represented function = Frobenius norm of coefficients,
+    the core's for a ``LowRankState`` (its factors are orthonormal)."""
+    return float(np.linalg.norm(state.core if isinstance(state, LowRankState) else state))
 
 
-def v_norm(op: GalerkinOperator, coeffs: np.ndarray):
-    """Gradient seminorm of the represented function (exact in this basis);
-    an array of them for a stack (K, N, N) of coefficient matrices."""
-    norms = np.sqrt(np.sum(op.v_weights * coeffs * coeffs, axis=(-2, -1)))
+def h_distance(a, b) -> float:
+    """:func:`h_norm` of ``a - b``, each a ``LowRankState`` or a dense array.
+    Two states are compared from their factors: with ``M = U_b^T U_a``,
+    ``A - B = (U_a - U_b M) S_a V_a^T + U_b (M S_a V_a^T - S_b V_b^T)`` is an
+    orthogonal sum, so its norm is that of an (N, r_a) and an (r_b, N) block.
+    Any other pair is densified and subtracted."""
+    if isinstance(a, LowRankState) and isinstance(b, LowRankState):
+        m = b.u1_factors.T @ a.u1_factors
+        across = (a.u1_factors - b.u1_factors @ m) @ a.core
+        along = m @ a.core @ a.u2_factors.T - b.core @ b.u2_factors.T
+        return math.sqrt(np.vdot(across, across) + np.vdot(along, along))
+    dense = [to_dense(x) if isinstance(x, LowRankState) else np.asarray(x) for x in (a, b)]
+    return h_norm(dense[0] - dense[1])
+
+
+def v_norm(op: GalerkinOperator, state):
+    """Gradient seminorm of the represented function (exact in this basis), an
+    array of them for a stack; ``sqrt(lam . rowsum((U S)^2 + (V S^T)^2))`` for
+    a ``LowRankState`` ``U S V^T``, with ``lam = stiffness_diag``."""
+    lam = op.stiffness_diag
+    if isinstance(state, LowRankState):
+        us = state.u1_factors @ state.core
+        vs = state.u2_factors @ state.core.mT
+        norms = np.sqrt(np.sum(us * us + vs * vs, axis=-1) @ lam)
+    else:
+        norms = np.sqrt(np.sum((lam[:, None] + lam) * state * state, axis=(-2, -1)))
     return float(norms) if norms.ndim == 0 else norms
 
 
 def v_dual_norm(op: GalerkinOperator, coeffs: np.ndarray) -> float:
     """Dual norm with reciprocal gradient weights."""
-    return float(np.sqrt(np.sum(coeffs * coeffs / op.v_weights)))
+    lam = op.stiffness_diag
+    return float(np.sqrt(np.sum(coeffs * coeffs / (lam[:, None] + lam))))
 
 
 # ---------------------------------------------------------------------------

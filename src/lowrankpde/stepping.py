@@ -145,12 +145,6 @@ class Trajectory:
     def step_size(self) -> float:
         return float(self.times[1] - self.times[0])
 
-    def dense(self, i: int) -> np.ndarray:
-        """State ``i`` as an N-by-N coefficient array; the reference method
-        keeps its states dense, the manifold methods factored."""
-        state = self.states[i]
-        return np.asarray(state) if self.method == "reference" else to_dense(state)
-
 
 # ---------------------------------------------------------------------------
 # one implicit step on factored states

@@ -5,6 +5,8 @@ quantity has a closed form, and the interpolation identity is checked against
 a per-interval Gauss rule built here from scratch.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,9 @@ from lowrankpde.analysis import (PropertyReport, convergence_study, curvature_su
                                  projection_regularity_suite, sample_nearby_state,
                                  sample_spd_tensor, sample_state, tangency_suite)
 from lowrankpde.galerkin import (build_operator, constant_diffusion, constant_profile,
-                                 rotating_diffusion, separable_source, zero_source)
+                                 cosine_profile, h_norm, linear_profile, rhs_mean_factors,
+                                 rotating_diffusion, separable_source, v_dual_norm, v_norm,
+                                 zero_source)
 from lowrankpde.manifold import LowRankState, smallest_singular, to_dense
 from lowrankpde.stepping import Trajectory, integrate
 
@@ -148,6 +152,64 @@ def test_energy_audit_builds_no_dense_coupling():
     rep = energy_audit(traj, zero_source(n), model, op)
     assert rep.passed, rep.violations
     assert "grad_coupling_1d" not in op.__dict__
+
+
+def test_energy_audit_ledger_matches_dense_norms():
+    # the factored state norms and the source Grams against dense oracles,
+    # per state and per step, with two terms of different profiles
+    rng = np.random.default_rng(56)
+    n, r = 9, 3
+    model = rotating_diffusion(1.0, 0.3, 2.0)
+    op = build_operator(n)
+    src = separable_source(n, [(cosine_profile(0.7, 4.0), rng.standard_normal(n),
+                                rng.standard_normal(n)),
+                               (linear_profile(-1.3), rng.standard_normal(n),
+                                rng.standard_normal(n))])
+    traj = integrate("als", sample_state(rng, n, r, sigma_range=(0.1, 1.0)), 0.2, 20,
+                     model, src)
+    rep = energy_audit(traj, src, model, op)
+    dense = [to_dense(s) for s in traj.states]
+    np.testing.assert_allclose(rep.h_norms_sq, [h_norm(y) ** 2 for y in dense], rtol=1e-13)
+    np.testing.assert_allclose(rep.v_norms_sq, [v_norm(op, y) ** 2 for y in dense],
+                               rtol=1e-13)
+    h = traj.step_size
+    np.testing.assert_allclose(rep.diff_quotients_sq,
+                               [h_norm((b - a) / h) ** 2 for a, b in zip(dense, dense[1:])],
+                               rtol=1e-10)
+    for k in range(1, len(dense)):
+        p_mat, q_mat = rhs_mean_factors(src, traj.times[k - 1], traj.times[k])
+        f = p_mat @ q_mat.T
+        assert rep.f_dual_norms_sq[k - 1] == pytest.approx(v_dual_norm(op, f) ** 2, rel=1e-12)
+        assert rep.f_h_norms_sq[k - 1] == pytest.approx(h_norm(f) ** 2, rel=1e-12)
+
+
+def test_post_solve_reads_factors_without_dense_arrays():
+    # N = 1024, r = 8, 50 splitting steps, one source term: the audit, the
+    # interpolant gap and both norms of every state stay under 10 MB traced;
+    # one N x N array is 8.4 MB, and only the V* Gram of the source needs one
+    n, r = 1024, 8
+    rng = np.random.default_rng(57)
+    weight = np.arange(1, n + 1, dtype=float)[:, None] ** -2.0
+    u, _ = np.linalg.qr(rng.standard_normal((n, r)) * weight)
+    v, _ = np.linalg.qr(rng.standard_normal((n, r)) * weight)
+    u0 = LowRankState(u, np.diag(np.geomspace(1.0, 1e-2, r)), v)
+    src = separable_source(n, [(cosine_profile(1.0, 3.0), rng.standard_normal(n) * weight[:, 0],
+                                rng.standard_normal(n) * weight[:, 0])])
+    model = constant_diffusion([[1.0, 0.0], [0.0, 0.5]])
+    traj = integrate("splitting", u0, 0.05, 50, model, src)
+    assert len(traj.states) == 51
+    op = build_operator(n)
+    tracemalloc.start()
+    try:
+        rep = energy_audit(traj, src, model, op)
+        gap = interpolant_gap(traj)
+        norms = [(h_norm(y), v_norm(op, y)) for y in traj.states]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10e6, peak
+    assert rep.passed, rep.violations
+    assert gap > 0.0 and len(norms) == 51
 
 
 def test_energy_audit_objective_anchors():

@@ -319,8 +319,8 @@ def test_run_writes_artifacts(tmp_path):
 
 
 def test_run_anisotropic_reference(tmp_path):
-    # the reference method keeps dense states, which the interpolant
-    # identity and the trajectory writer read as they are
+    # the reference method keeps dense states, which the audit, the
+    # interpolant gap and the trajectory writer read as they are
     out = tmp_path / "reference"
     cfg = parse_config(f"experiment = anisotropic\nN = 8\nr = 2\nT = 0.05\nn_steps = 5\n"
                        f"method = reference\noutput_dir = {out}\n")
@@ -342,7 +342,13 @@ def test_run_energy_audit_reference(tmp_path):
     (RunConfig(experiment="heat-diagonal", N=8, r=2, method="rk4"), "unknown method 'rk4'"),
     (RunConfig(experiment="geometry-suites", N=8, r=2, trials=0), "trials must be >= 1"),
     (RunConfig(experiment="heat-diagnoal"), "unknown experiment 'heat-diagnoal'"),
-], ids=["method", "trials", "experiment"])
+    (RunConfig(experiment="heat-diagonal", N=8, r=2, alpha=AlphaSpec(a11=-1.0)),
+     "alpha is not positive definite"),
+    (RunConfig(experiment="anisotropic", N=8, r=2, alpha=AlphaSpec(kind="foo")),
+     "unknown alpha kind 'foo'"),
+    (RunConfig(experiment="anisotropic", N=8, r=2,
+               alpha=AlphaSpec(kind="rotation", lambda1=-1.0)), "alpha is not positive definite"),
+], ids=["method", "trials", "experiment", "alpha-a11", "alpha-kind", "alpha-lambda1"])
 def test_run_validates_the_config(tmp_path, capsys, cfg, message):
     # a config built in code is checked like a parsed one: exit 2, even
     # when quiet, before the output directory is made

@@ -17,10 +17,10 @@ from scipy.linalg import expm
 from lowrankpde.galerkin import (DiffusionModel, TimeProfile, apply_a1, apply_a2,
                                  apply_operator, build_operator, constant_diffusion,
                                  constant_profile, cosine_profile,
-                                 exact_diagonal_solution, h_norm, linear_profile,
+                                 exact_diagonal_solution, h_distance, h_norm, linear_profile,
                                  operator_matrix, rhs_mean_factors, rotating_diffusion,
                                  separable_source, v_dual_norm, v_norm, zero_source)
-from lowrankpde.manifold import factorize, to_dense
+from lowrankpde.manifold import LowRankState, factorize, qr_nonneg, to_dense
 
 # one-dimensional Gauss nodes on (0, 1); 200 points integrate products of
 # the modes used here (n <= 8) essentially exactly
@@ -137,7 +137,7 @@ def test_stiffness_vector_is_the_dense_diagonal():
 
 def test_dense_blocks_are_built_once():
     op = build_operator(5)
-    for name in ("stiffness_1d", "grad_coupling_1d", "v_weights"):
+    for name in ("stiffness_1d", "grad_coupling_1d"):
         assert getattr(op, name) is getattr(op, name), name
 
 
@@ -258,6 +258,61 @@ def test_norms_of_lowest_mode():
                                                  rel=1e-13)
 
 
+def random_state(rng, n, r):
+    """Orthonormal factors and a general, non-diagonal core."""
+    u, _ = np.linalg.qr(rng.standard_normal((n, r)))
+    v, _ = np.linalg.qr(rng.standard_normal((n, r)))
+    return LowRankState(u, rng.standard_normal((r, r)), v)
+
+
+@pytest.mark.parametrize("n, r", [(6, 2), (5, 3), (4, 4), (9, 1), (40, 8)])
+def test_factored_norms_match_dense(n, r):
+    # 2r > N for (5, 3) and (4, 4): the two factor blocks cannot be orthogonal
+    rng = np.random.default_rng([27, n, r])
+    op = build_operator(n)
+    a, b = random_state(rng, n, r), random_state(rng, n, max(1, r - 1))
+    ya, yb = to_dense(a), to_dense(b)
+    assert h_norm(a) == pytest.approx(np.linalg.norm(ya), rel=1e-14)
+    assert v_norm(op, a) == pytest.approx(v_norm(op, ya), rel=1e-14)
+    assert h_distance(a, b) == pytest.approx(np.linalg.norm(ya - yb), rel=1e-13)
+    # a dense operand on either side is densified and subtracted
+    assert h_distance(a, yb) == pytest.approx(np.linalg.norm(ya - yb), rel=1e-14)
+    assert h_distance(ya, b) == pytest.approx(np.linalg.norm(ya - yb), rel=1e-14)
+    assert h_distance(ya, yb) == np.linalg.norm(ya - yb)
+
+
+def test_factored_distance_of_identical_and_neighbouring_states():
+    # no cancellation beyond roundoff of |A|: identical states are 0 apart,
+    # and a 1e-3 relative perturbation of every factor is measured to 1e-13 |A|
+    rng = np.random.default_rng(28)
+    for n, r in ((12, 3), (6, 4), (64, 8)):
+        a = random_state(rng, n, r)
+        norm = np.linalg.norm(to_dense(a))
+        assert h_distance(a, a) <= 1e-13 * norm
+        same = LowRankState(a.u1_factors.copy(), a.core.copy(), a.u2_factors.copy())
+        assert h_distance(same, a) <= 1e-13 * norm
+        # blocks of Frobenius norm about 1e-3 (factors) and 1e-3 |A| (core);
+        # the sign-fixed QR keeps each perturbed factor next to the original
+        eps = 1e-3 / math.sqrt(n * r)
+        u, _ = qr_nonneg(a.u1_factors + eps * rng.standard_normal((n, r)))
+        v, _ = qr_nonneg(a.u2_factors + eps * rng.standard_normal((n, r)))
+        b = LowRankState(u, a.core + 1e-3 * norm / r * rng.standard_normal((r, r)), v)
+        dense_gap = np.linalg.norm(to_dense(a) - to_dense(b))
+        assert 1e-4 * norm < dense_gap < 1e-2 * norm
+        assert abs(h_distance(a, b) - dense_gap) <= 1e-13 * norm
+        assert abs(h_distance(b, a) - dense_gap) <= 1e-13 * norm
+
+
+def test_factored_v_norm_of_a_stack():
+    rng = np.random.default_rng(29)
+    op = build_operator(7)
+    states = [random_state(rng, 7, 3) for _ in range(4)]
+    stack = LowRankState(*(np.array([getattr(s, name) for s in states])
+                           for name in ("u1_factors", "core", "u2_factors")))
+    np.testing.assert_allclose(v_norm(op, stack), [v_norm(op, to_dense(s)) for s in states],
+                               rtol=1e-14)
+
+
 def test_dual_norm_pairing_bound_and_attainment():
     rng = np.random.default_rng(25)
     op = build_operator(6)
@@ -266,7 +321,8 @@ def test_dual_norm_pairing_bound_and_attainment():
     pairing = float(np.sum(f * y))
     assert abs(pairing) <= v_dual_norm(op, f) * v_norm(op, y) * (1 + 1e-12)
     # the bound is attained at the weighted mirror of f
-    ystar = f / op.v_weights
+    lam = op.stiffness_diag
+    ystar = f / (lam[:, None] + lam[None, :])
     attained = float(np.sum(f * ystar)) / v_norm(op, ystar)
     assert attained == pytest.approx(v_dual_norm(op, f), rel=1e-12)
 
