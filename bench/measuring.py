@@ -5,6 +5,16 @@ is imported anywhere in the process) and puts the repository's ``src/``
 first on the path.  ``measure`` times a call the way every scan reports it,
 and ``write_json`` writes a scan's rows under the common header that names
 the clock, the statistic and the machine.
+
+``ab_row`` is the scans' A/B mode (``--against DIR``): each row runs in
+pairs of fresh processes, one importing the package from ``DIR/src`` and one
+from this tree's ``src/``, on the same inputs and with alternating order, so
+that both sides see the same state of a shared machine.  A child process is
+
+    python3 bench/measuring.py SRC SCRIPT ARGS_JSON
+
+which imports the package from SRC, then the scan module SCRIPT, and prints
+the JSON row of ``SCRIPT.scan_row(*ARGS_JSON)``.
 """
 
 import os
@@ -13,9 +23,11 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import importlib
 import json
 import platform
 import statistics
+import subprocess
 import sys
 import time
 import tracemalloc
@@ -29,6 +41,8 @@ sys.path.insert(0, str(ROOT / "src"))
 REPEATS = 5
 #: How ``measure`` times a call, as recorded in each scan's settings.
 TIMING = {"warmup": 1, "repeats": REPEATS, "statistic": "median of repeats"}
+#: Process pairs per row in the A/B mode.
+AB_PAIRS = 5
 
 
 def measure(call):
@@ -79,3 +93,50 @@ def write_json(path: Path, what: str, settings: dict, rows: list):
     }
     path.write_text(json.dumps(result, indent=1) + "\n")
     print(f"wrote {path}")
+
+
+def _child_row(src: Path, script: str, args: list) -> dict:
+    done = subprocess.run([sys.executable, __file__, str(src), script, json.dumps(args)],
+                          capture_output=True, text=True)
+    if done.returncode:
+        raise RuntimeError(f"{script}.scan_row{tuple(args)} on {src} failed:\n{done.stderr}")
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def ab_row(script: str, args: list, against: Path, timed: str, pairs: int = AB_PAIRS) -> dict:
+    """The A/B mode for one row: ``pairs`` pairs of processes run
+    ``script.scan_row(*args)``, one on ``against/src`` and one on this tree's
+    ``src/``, the order alternating from pair to pair.  Returns this tree's
+    run with the median ``timed`` value (the lower middle one for an even
+    count), plus ``against_<timed>``, the median over DIR's runs,
+    ``speedup``, the median over pairs of DIR's ``timed`` divided by this
+    tree's (above 1: this tree is faster), ``speedup_range``, the smallest
+    and largest of those ratios, and ``pairs``."""
+    own, other = [], []
+    for k in range(pairs):
+        sides = [(own, ROOT / "src"), (other, against / "src")]
+        for runs, src in sides[::-1] if k % 2 else sides:
+            runs.append(_child_row(src, script, args))
+    ratios = [b[timed] / a[timed] for a, b in zip(own, other)]
+    row = sorted(own, key=lambda r: r[timed])[(pairs - 1) // 2]
+    row.update({f"against_{timed}": statistics.median(r[timed] for r in other),
+                "speedup": round(statistics.median(ratios), 4),
+                "speedup_range": [round(min(ratios), 4), round(max(ratios), 4)],
+                "pairs": pairs})
+    return row
+
+
+def tree_commit(tree: Path):
+    """The git commit checked out in ``tree``, or None outside a git checkout."""
+    done = subprocess.run(["git", "-C", str(tree), "rev-parse", "HEAD"],
+                          capture_output=True, text=True)
+    return done.stdout.strip() or None
+
+
+if __name__ == "__main__":
+    _src, _script, _args = sys.argv[1:]
+    sys.path.insert(0, _src)
+    import lowrankpde  # noqa: E402  (SRC's package; the scan's own imports find it loaded)
+
+    assert Path(lowrankpde.__file__).resolve().is_relative_to(Path(_src).resolve())
+    print(json.dumps(importlib.import_module(_script).scan_row(*json.loads(_args))))

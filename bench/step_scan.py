@@ -4,7 +4,20 @@ Times ``integrate`` for the ALS and splitting methods at rank r = 8 over a
 grid of basis sizes N and mixed coefficients a12, and writes the result as
 JSON (default ``BENCH_step_scan.json`` at the repository root):
 
-    python3 bench/step_scan.py [--out PATH]
+    python3 bench/step_scan.py [--out PATH] [--method M ...] [--N N ...] [--a12 A ...]
+
+``--method``, ``--N`` and ``--a12`` restrict the grid.  With
+``--against DIR`` each row is an interleaved A/B measurement against the
+source tree DIR (for example a checkout of the parent commit) instead,
+written by default to ``BENCH_step_scan_ab.json``:
+
+    python3 bench/step_scan.py --against DIR [--pairs K] [--method ...]
+
+Each row then runs in ``K`` pairs of processes, one on ``DIR/src`` and one on
+this tree's ``src/``, and adds ``against_ms_per_step`` and ``speedup`` (the
+median over pairs of DIR's ms/step over this tree's) with its range
+(``measuring.ab_row``).  Only ``src/`` is taken from DIR: both sides run
+this scan's code on the same inputs.
 
 Each row records, for one (method, N, a12):
 
@@ -40,7 +53,8 @@ from pathlib import Path
 
 import numpy as np
 
-from measuring import ROOT, TIMING, measure, write_json  # pins BLAS, puts src/ on the path
+from measuring import (AB_PAIRS, ROOT, TIMING, ab_row, measure,  # pins BLAS, puts src/ on the path
+                       tree_commit, write_json)
 
 from lowrankpde import (LowRankState, build_operator, constant_diffusion,  # noqa: E402
                         cosine_profile, energy_audit, integrate, interpolant_gap,
@@ -98,26 +112,44 @@ def scan_row(method: str, n: int, a12: float) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_step_scan.json")
+    parser.add_argument("--out", type=Path, default=None)
+    parser.add_argument("--method", nargs="+", choices=METHODS, default=METHODS)
+    parser.add_argument("--N", nargs="+", type=int, default=SIZES)
+    parser.add_argument("--a12", nargs="+", type=float, default=MIXED)
+    parser.add_argument("--against", type=Path, default=None, metavar="DIR",
+                        help="A/B mode against the source tree DIR")
+    parser.add_argument("--pairs", type=int, default=AB_PAIRS,
+                        help="process pairs per row in the A/B mode")
     args = parser.parse_args(argv)
+    if args.pairs < 1:
+        parser.error(f"--pairs must be at least 1, got {args.pairs}")
+    settings = {"rank": RANK, "h": STEP, "n_steps": N_STEPS, **TIMING,
+                "seed": SEED, "als_mixed_max_n": ALS_MIXED_MAX_N}
+    if args.against:
+        settings.update(against_commit=tree_commit(args.against), pairs=args.pairs)
     rows = []
-    for method in METHODS:
-        for a12 in MIXED:
-            for n in SIZES:
+    for method in args.method:
+        for a12 in args.a12:
+            for n in args.N:
                 if method == "als" and a12 != 0.0 and n > ALS_MIXED_MAX_N:
                     continue
-                row = scan_row(method, n, a12)
+                row = (ab_row("step_scan", [method, n, a12], args.against, "ms_per_step",
+                              args.pairs) if args.against else scan_row(method, n, a12))
                 print(f"{method:9s} N={n:5d} a12={a12:4.2f}  {row['ms_per_step']:10.3f} ms/step"
                       f"  {row['sweeps_per_step']:5.1f} sweeps/step"
                       f"  {row['inner_iterations_per_half_sweep']:5.1f} CG its/half-sweep"
                       f"  peak {row['peak_traced_mb']:8.3f} MB"
-                      + (f"  post {row['post_ms']:8.3f} ms" if "post_ms" in row else ""),
+                      + (f"  post {row['post_ms']:8.3f} ms" if "post_ms" in row else "")
+                      + (f"  speedup {row['speedup']:.3f} {row['speedup_range']}"
+                         if args.against else ""),
                       flush=True)
                 rows.append(row)
-    write_json(args.out, "ms/step of integrate for the rank-r methods over N and a12, "
-               "and ms of post-processing the splitting runs",
-               {"rank": RANK, "h": STEP, "n_steps": N_STEPS, **TIMING,
-                "seed": SEED, "als_mixed_max_n": ALS_MIXED_MAX_N}, rows)
+    out = args.out or ROOT / ("BENCH_step_scan_ab.json" if args.against
+                              else "BENCH_step_scan.json")
+    write_json(out, "ms/step of integrate for the rank-r methods over N and a12, "
+               "and ms of post-processing the splitting runs"
+               + (", as interleaved A/B runs against another source tree"
+                  if args.against else ""), settings, rows)
     return 0
 
 

@@ -167,7 +167,10 @@ def energy_audit(traj: Trajectory, source: SourceSpec, model: DiffusionModel,
     if its record says so (``StepDiagnostics.objective_decreased``).  The
     slack budget follows the measured tangent residuals: an inexact minimizer
     only enters the balance through the defect tested against its own
-    tangent space.
+    tangent space.  A splitting step is one sweep, so its residual is not at
+    roundoff: on the anisotropic CLI config with ``method = splitting`` the
+    budget is 3.9e-3 against a Rothe bound of 5.3e-5, and there
+    ``energy_sum`` and ``v_bound`` can only fail by more than that budget.
     """
     if len(traj.states) < 2:
         raise ValueError("need at least one step to audit")
@@ -415,9 +418,10 @@ def equivalence_test(trials: int = 50, seed: int = 0) -> PropertyReport:
     """Projector-splitting step (one alternating sweep, projection core
     update) versus the same step with the explicit-Euler core update.
 
-    Both share the inner solves (exact, or conjugate gradient converged far
-    below the bound), so their results must agree to roundoff; the audited
-    bound is a relative Frobenius gap of 1e-10 per randomized configuration.
+    Both solve the same systems (exactly, or by conjugate gradient converged
+    far below the bound, warm in the step and cold in the check), so their
+    results must agree to roundoff; the audited bound is a relative Frobenius
+    gap of 1e-10 per randomized configuration, read from the factors.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -441,8 +445,8 @@ def equivalence_test(trials: int = 50, seed: int = 0) -> PropertyReport:
         f_pair = rhs_mean_factors(source, 0.0, t1)
         split_state, _ = splitting_euler_step(u0, h, t1, f_pair, op, model)
         forward_state = _forward_splitting_step(u0, h, t1, f_pair, op, model)
-        gap = h_norm(to_dense(split_state) - to_dense(forward_state)) \
-            / max(h_norm(to_dense(forward_state)), np.finfo(float).tiny)
+        gap = h_distance(split_state, forward_state) / max(h_norm(forward_state),
+                                                            np.finfo(float).tiny)
         _tally(report, [{"single_sweep_vs_splitting": _ratio(gap, 1e-10)}])
     return report
 

@@ -21,11 +21,12 @@ operator.
 One object, ``_Step``, owns a rank-r step: it holds the anchor, the tensor
 at t_next, h and the source factors, evaluates F and the residual, and runs
 every half-sweep: the SPD solve for one factor-with-core, its QR, the
-collapse check and the new frame.  Without the mixed term the solve is an
-exact Sylvester solve; with it, that solve preconditions a
-conjugate-gradient loop on (N, r) blocks, which from the second sweep on
-starts at the current factor-with-core.  The first sweep starts from zero,
-so the splitting step is unaffected by the warm start.
+collapse check and the new frame.  The solve runs in the eigenbasis of the
+frozen frame's compressed stiffness, where the Sylvester part is diagonal:
+without the mixed term it is the exact solve, and with it that diagonal
+preconditions a conjugate-gradient loop on (N, r) blocks, which every
+half-sweep (the splitting step's included) starts at the current
+factor-with-core.
 """
 
 from __future__ import annotations
@@ -209,10 +210,10 @@ class _Step:
         """F at U S V^T: |Y - Y0|^2 from the factor overlaps, a(Y, Y) from
         the compressed operator, <P Q^T, Y> from U^T P and V^T Q."""
         s0 = self.anchor.core
-        cross = np.sum(s * (left.anchor @ s0 @ right.anchor.T))
-        dist2 = max(np.sum(s * s) + np.sum(s0 * s0) - 2.0 * cross, 0.0)
-        quad = np.sum(s * self.reduced(s, left, right))
-        lin = np.sum(left.source * (s @ right.source))
+        cross = np.vdot(s, left.anchor @ s0 @ right.anchor.T)
+        dist2 = max(np.vdot(s, s) + np.vdot(s0, s0) - 2.0 * cross, 0.0)
+        quad = np.vdot(s, self.reduced(s, left, right))
+        lin = np.vdot(left.source, s @ right.source)
         return float(dist2 / (2.0 * self.h) + 0.5 * quad - lin)
 
     def residual(self, s: np.ndarray, left: _Frame, right: _Frame) -> float:
@@ -232,7 +233,7 @@ class _Step:
             ut_d -= self.mixed * ((left.g @ s) @ right.g_basis.T)
             d_v += self.mixed * (left.g_basis @ (s @ right.g))
         normal = d_v - u @ (ut_d @ v)
-        return math.sqrt(np.sum(ut_d * ut_d) + np.sum(normal * normal))
+        return math.sqrt(np.vdot(ut_d, ut_d) + np.vdot(normal, normal))
 
     def half_sweep(self, own_axis: int, frozen: _Frame, rhs: np.ndarray,
                    x0: Optional[np.ndarray] = None):
@@ -243,32 +244,30 @@ class _Step:
             A_red(X) = own * L X + other * X (B^T L B) + c * G X (B^T G B)
 
         is symmetric positive definite as a compression of the full operator.
-        Without the mixed term it is a Sylvester equation with diagonal L,
-        solved exactly in the eigenbasis of B^T L B; with it, that solve
-        preconditions conjugate gradient started at ``x0`` (zero if None).
-        Then X = basis R by QR, and a diagonal entry of R under
-        ``_QR_COLLAPSE_REL`` times the largest raises RankDeficiencyError.
+        The solve runs for Y = X Q, with B^T L B = Q diag(e) Q^T, where the
+        Sylvester part is the diagonal  denom = 1 + h (own * L + other * e):
+
+            denom * Y + h c * G Y (Q^T B^T G B Q) = rhs Q.
+
+        Without the mixed term Y = rhs Q / denom exactly; with it, dividing by
+        denom preconditions conjugate gradient started at ``x0`` Q (zero if
+        None), which takes the same iterations as in the original coordinates
+        since the change of variables is orthogonal.  Then X = Y Q^T = basis R
+        by QR, and a diagonal entry of R under ``_QR_COLLAPSE_REL`` times the
+        largest raises RankDeficiencyError.
         Returns (frame of the new basis, R, conjugate-gradient iterations).
         """
         a, h = self.alpha, self.h
         own, other = (a[0, 0], a[1, 1]) if own_axis == 0 else (a[1, 1], a[0, 0])
-        own_lam = own * self.op.stiffness_diag[:, None]
         evals, evecs = np.linalg.eigh(frozen.lam)
-        denom = 1.0 + h * (own_lam + other * evals[None, :])
-
-        def sylvester(x):
-            return ((x @ evecs) / denom) @ evecs.T
-
+        denom = 1.0 + h * (own * self.op.stiffness_diag[:, None] + other * evals[None, :])
         if self.mixed == 0.0:
-            x, iterations = sylvester(rhs), 0
+            y, iterations = (rhs @ evecs) / denom, 0
         else:
-            c, g = self.mixed, self.op.grad_coupling_1d
-
-            def apply(x):
-                return x + h * (own_lam * x + other * (x @ frozen.lam) + c * (g @ x @ frozen.g))
-
-            x, iterations = _pcg(apply, sylvester, rhs, x0)
-        basis, r_block = qr_nonneg(x)
+            g, gamma = self.op.grad_coupling_1d, (h * self.mixed) * (evecs.T @ frozen.g @ evecs)
+            y, iterations = _pcg(lambda y: denom * y + (g @ y) @ gamma, lambda y: y / denom,
+                                 rhs @ evecs, None if x0 is None else x0 @ evecs)
+        basis, r_block = qr_nonneg(y @ evecs.T)
         side = "left" if own_axis == 0 else "right"
         _check_qr_collapse(r_block, _QR_COLLAPSE_REL,
                            f"rank collapse during {side} refactorization")
@@ -305,8 +304,8 @@ def _state_change(old: LowRankState, mid: LowRankState, new: LowRankState) -> fl
     of squared norms enters."""
     dk = mid.u1_factors @ mid.core - old.u1_factors @ old.core
     dw = new.u2_factors @ new.core.T - mid.u2_factors @ mid.core.T
-    cross = np.sum((mid.u2_factors.T @ dw) * (new.u1_factors.T @ dk).T)
-    return math.sqrt(max(np.sum(dk * dk) + np.sum(dw * dw) + 2.0 * cross, 0.0))
+    cross = np.vdot(mid.u2_factors.T @ dw, (new.u1_factors.T @ dk).T)
+    return math.sqrt(max(np.vdot(dk, dk) + np.vdot(dw, dw) + 2.0 * cross, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -388,10 +387,10 @@ def _alternating_step(u_prev: LowRankState, h: float, t_next: float, f_factors,
     over the left factor-with-core (right basis frozen), then over the right
     one (new left basis frozen); the anchor stays fixed, so no half-sweep
     raises F.  A sweep that another may follow stops the step once the
-    relative state change is at most ``_ALS_TOL``.  From the second sweep on,
-    the conjugate gradient of a mixed term starts at the current
-    factor-with-core, where its quadratic equals the current F, so it cannot
-    raise F either.
+    relative state change is at most ``_ALS_TOL``.  The conjugate gradient of
+    a mixed term starts at the current factor-with-core (U0 S0 in the first
+    sweep), where its quadratic equals the current F, so it cannot raise F
+    either.
     Returns (state, diagnostics).
     """
     step = _Step(op, model, h, t_next, u_prev, f_factors)
@@ -401,18 +400,15 @@ def _alternating_step(u_prev: LowRankState, h: float, t_next: float, f_factors,
     trace = [step.objective(s0, left, right)]
     for sweeps in range(1, max_sweeps + 1):
         old = state
-        warm = sweeps > 1 and step.mixed != 0.0
         # left half-sweep: unknown K = U S with the right basis frozen
         rhs_k = u0 @ (s0 @ right.anchor.T) + h * (step.p @ right.source.T)
-        left, r_k, its = step.half_sweep(0, right, rhs_k,
-                                         state.u1_factors @ state.core if warm else None)
+        left, r_k, its = step.half_sweep(0, right, rhs_k, state.u1_factors @ state.core)
         iterations += its
         mid = LowRankState(left.basis, r_k, right.basis)
         trace.append(step.objective(r_k, left, right))
         # right half-sweep: unknown W = V S^T with the new left basis frozen
         rhs_w = v0 @ (s0.T @ left.anchor.T) + h * (step.q @ left.source.T)
-        right, r_w, its = step.half_sweep(1, left, rhs_w,
-                                          mid.u2_factors @ mid.core.T if warm else None)
+        right, r_w, its = step.half_sweep(1, left, rhs_w, mid.u2_factors @ mid.core.T)
         iterations += its
         state = LowRankState(left.basis, r_w.T, right.basis)
         trace.append(step.objective(state.core, left, right))

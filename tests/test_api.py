@@ -1,6 +1,7 @@
 """The package's public surface: one export list, and the bench scripts that
 import it."""
 
+import json
 import subprocess
 import sys
 from pathlib import Path
@@ -28,3 +29,25 @@ def test_bench_script_starts(script):
     done = subprocess.run([sys.executable, str(ROOT / "bench" / script), "--help"],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_step_scan_against_its_own_tree(tmp_path):
+    # the A/B mode on a one-row grid, run against this very tree: the plain
+    # scan's row keys plus the A/B fields, the same counts, a ratio near 1
+    script = str(ROOT / "bench" / "step_scan.py")
+    grid = ["--method", "splitting", "--N", "128", "--a12", "0"]
+    rows = {}
+    for name, extra in (("plain", []), ("ab", ["--against", str(ROOT), "--pairs", "4"])):
+        out = tmp_path / f"{name}.json"
+        done = subprocess.run([sys.executable, script, *grid, *extra, "--out", str(out)],
+                              capture_output=True, text=True, timeout=300)
+        assert done.returncode == 0, done.stderr
+        rows[name] = json.loads(out.read_text())["rows"]
+    (plain,), (ab,) = rows["plain"], rows["ab"]
+    assert set(ab) == set(plain) | {"against_ms_per_step", "speedup", "speedup_range", "pairs"}
+    for key in ("method", "N", "r", "a12", "sweeps_per_step", "inner_iterations_per_half_sweep"):
+        assert ab[key] == plain[key], key
+    low, high = ab["speedup_range"]
+    assert ab["pairs"] == 4 and low <= ab["speedup"] <= high
+    assert 0.5 < ab["speedup"] < 2.0
+

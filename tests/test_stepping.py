@@ -207,7 +207,7 @@ def test_als_objective_trace_monotone():
 
 
 def test_als_warm_start_saves_inner_iterations(monkeypatch):
-    # from the second sweep on, CG starts at the current factor-with-core:
+    # from the first sweep on, CG starts at the current factor-with-core:
     # fewer iterations than cold starts, the same step up to the solve
     # tolerance, and F still decreases at every half-sweep
     rng = np.random.default_rng(51)
@@ -227,6 +227,27 @@ def test_als_warm_start_saves_inner_iterations(monkeypatch):
     assert gap <= 1e-10 * np.linalg.norm(to_dense(cold))
     trace = np.asarray(warm_diag.objective_trace)
     assert np.all(np.diff(trace) <= 1e-12 * max(1.0, abs(trace[0])))
+
+
+def test_splitting_warm_start_matches_a_cold_start(monkeypatch):
+    # the splitting step's two solves start at U0 S0 and at the half-sweep's
+    # V0 R^T, where CG's quadratic equals F: no more iterations than cold
+    # starts, the same step up to the solve tolerance, and F does not rise
+    rng = np.random.default_rng(53)
+    n, r, h = 32, 4, 0.01
+    op = build_operator(n)
+    model = constant_diffusion([[1.0, 0.3], [0.3, 0.6]])
+    u0 = smooth_state(rng, n, r, 1.0)
+    pair = (rng.standard_normal((n, 2)), rng.standard_normal((n, 2)))
+    warm, warm_diag = splitting_euler_step(u0, h, h, pair, op, model)
+    pcg = stepping._pcg
+    monkeypatch.setattr(stepping, "_pcg",
+                        lambda apply, precondition, rhs, x0=None: pcg(apply, precondition, rhs))
+    cold, cold_diag = splitting_euler_step(u0, h, h, pair, op, model)
+    assert 0 < warm_diag.inner_iterations <= cold_diag.inner_iterations
+    gap = np.linalg.norm(to_dense(warm) - to_dense(cold))
+    assert gap <= 1e-10 * np.linalg.norm(to_dense(cold))
+    assert warm_diag.objective_decreased
 
 
 def test_inner_iterations_are_recorded():
@@ -408,9 +429,9 @@ def test_half_sweep_solve_matches_kronecker_oracle(own_axis, a12, warm):
     assert np.linalg.norm(frame.basis @ r_block - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
-def half_sweep_system(monkeypatch, seed):
-    """A left half-sweep system with a12 = 0.3 as the (apply, precondition,
-    rhs) that ``_Step.half_sweep`` hands to ``_pcg``."""
+def left_half_sweep(seed):
+    """A left half-sweep with a12 = 0.3 at N = 60, r = 4: the step, the
+    frozen right frame and the right-hand side."""
     rng = np.random.default_rng(seed)
     n, r, h = 60, 4, 0.01
     op = build_operator(n)
@@ -419,13 +440,21 @@ def half_sweep_system(monkeypatch, seed):
     rhs = rng.standard_normal((n, r))
     step = _Step(op, model, h, h, LowRankState(basis, np.eye(r), basis),
                  (np.zeros((n, 0)), np.zeros((n, 0))))
+    return step, step.frame(basis, 1), rhs
+
+
+def half_sweep_system(monkeypatch, seed):
+    """The (apply, precondition, rhs) that ``_Step.half_sweep`` hands to
+    ``_pcg`` for ``left_half_sweep(seed)``: the system rotated into the
+    eigenbasis Q of the frozen B^T L B, with right-hand side rhs Q."""
+    step, frozen, rhs = left_half_sweep(seed)
     seen = []
     monkeypatch.setattr(stepping, "_pcg", lambda *args: seen.append(args) or (rhs, 0))
-    step.half_sweep(0, step.frame(basis, 1), rhs)
+    step.half_sweep(0, frozen, rhs)
     monkeypatch.undo()
     apply, precondition, got_rhs, x0 = seen[0]
-    assert got_rhs is rhs and x0 is None
-    return apply, precondition, rhs
+    assert np.array_equal(got_rhs, rhs @ np.linalg.eigh(frozen.lam)[1]) and x0 is None
+    return apply, precondition, got_rhs
 
 
 def test_pcg_cold_start_is_scipy_cg_bitwise(monkeypatch):
@@ -452,6 +481,32 @@ def test_pcg_from_the_exact_solution_takes_no_iteration(monkeypatch):
     got, iterations = stepping._pcg(apply, precondition, apply(exact), exact.copy())
     assert iterations == 0
     assert np.array_equal(got, exact)
+
+
+def test_pcg_takes_the_same_iterations_in_the_eigenbasis(monkeypatch):
+    # the same system in the original coordinates X = Y Q^T: three-term
+    # apply, Sylvester preconditioner by two products with Q; preconditioned
+    # CG is invariant under that orthogonal change of variables
+    step, frozen, rhs = left_half_sweep(50)
+    apply, precondition, rotated = half_sweep_system(monkeypatch, 50)
+    a, h, c, g = step.alpha, step.h, step.mixed, step.op.grad_coupling_1d
+    own_lam = a[0, 0] * step.op.stiffness_diag[:, None]
+    evals, evecs = np.linalg.eigh(frozen.lam)
+    denom = 1.0 + h * (own_lam + a[1, 1] * evals[None, :])
+
+    def apply_x(x):
+        return x + h * (own_lam * x + a[1, 1] * (x @ frozen.lam) + c * (g @ x @ frozen.g))
+
+    def sylvester(x):
+        return ((x @ evecs) / denom) @ evecs.T
+
+    want, want_iterations = stepping._pcg(apply_x, sylvester, rhs)
+    got, iterations = stepping._pcg(apply, precondition, rotated)
+    assert iterations == want_iterations > 0
+    assert np.linalg.norm(got @ evecs.T - want) <= 1e-13 * np.linalg.norm(want)
+    frame, r_block, its = step.half_sweep(0, frozen, rhs)
+    assert its == want_iterations
+    assert np.linalg.norm(frame.basis @ r_block - want) <= 1e-13 * np.linalg.norm(want)
 
 
 def test_zero_source_factors_are_accepted():
