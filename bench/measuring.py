@@ -41,8 +41,8 @@ sys.path.insert(0, str(ROOT / "src"))
 REPEATS = 5
 #: How ``measure`` times a call, as recorded in each scan's settings.
 TIMING = {"warmup": 1, "repeats": REPEATS, "statistic": "median of repeats"}
-#: Process pairs per row in the A/B mode.
-AB_PAIRS = 5
+#: Process pairs per row in the A/B mode (odd, so each median is one run).
+AB_PAIRS = 9
 
 
 def measure(call):
@@ -103,26 +103,26 @@ def _child_row(src: Path, script: str, args: list) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def ab_row(script: str, args: list, against: Path, timed: str, pairs: int = AB_PAIRS) -> dict:
-    """The A/B mode for one row: ``pairs`` pairs of processes run
+def ab_row(script: str, args: list, against: Path) -> dict:
+    """The A/B mode for one row: ``AB_PAIRS`` pairs of processes run
     ``script.scan_row(*args)``, one on ``against/src`` and one on this tree's
     ``src/``, the order alternating from pair to pair.  Returns this tree's
-    run with the median ``timed`` value (the lower middle one for an even
-    count), plus ``against_<timed>``, the median over DIR's runs,
-    ``speedup``, the median over pairs of DIR's ``timed`` divided by this
-    tree's (above 1: this tree is faster), ``speedup_range``, the smallest
-    and largest of those ratios, and ``pairs``."""
+    run with the median ``ms_per_step``, plus ``against_ms_per_step``, the
+    median over DIR's runs, ``speedup``, the median over pairs of DIR's
+    ms/step divided by this tree's (above 1: this tree is faster),
+    ``speedup_range``, the smallest and largest of those ratios, and
+    ``pairs``."""
     own, other = [], []
-    for k in range(pairs):
+    for k in range(AB_PAIRS):
         sides = [(own, ROOT / "src"), (other, against / "src")]
         for runs, src in sides[::-1] if k % 2 else sides:
             runs.append(_child_row(src, script, args))
-    ratios = [b[timed] / a[timed] for a, b in zip(own, other)]
-    row = sorted(own, key=lambda r: r[timed])[(pairs - 1) // 2]
-    row.update({f"against_{timed}": statistics.median(r[timed] for r in other),
+    ratios = [b["ms_per_step"] / a["ms_per_step"] for a, b in zip(own, other)]
+    row = sorted(own, key=lambda r: r["ms_per_step"])[AB_PAIRS // 2]
+    row.update({"against_ms_per_step": statistics.median(r["ms_per_step"] for r in other),
                 "speedup": round(statistics.median(ratios), 4),
                 "speedup_range": [round(min(ratios), 4), round(max(ratios), 4)],
-                "pairs": pairs})
+                "pairs": AB_PAIRS})
     return row
 
 

@@ -11,12 +11,12 @@ JSON (default ``BENCH_step_scan.json`` at the repository root):
 source tree DIR (for example a checkout of the parent commit) instead,
 written by default to ``BENCH_step_scan_ab.json``:
 
-    python3 bench/step_scan.py --against DIR [--pairs K] [--method ...]
+    python3 bench/step_scan.py --against DIR [--method ...]
 
-Each row then runs in ``K`` pairs of processes, one on ``DIR/src`` and one on
-this tree's ``src/``, and adds ``against_ms_per_step`` and ``speedup`` (the
-median over pairs of DIR's ms/step over this tree's) with its range
-(``measuring.ab_row``).  Only ``src/`` is taken from DIR: both sides run
+Each row then runs in ``measuring.AB_PAIRS`` = 9 pairs of processes, one
+on ``DIR/src`` and one on this tree's ``src/``, and adds
+``against_ms_per_step`` and ``speedup`` (the median over pairs of DIR's
+ms/step over this tree's) with its range (``measuring.ab_row``).  Only ``src/`` is taken from DIR: both sides run
 this scan's code on the same inputs.
 
 Each row records, for one (method, N, a12):
@@ -118,23 +118,19 @@ def main(argv=None) -> int:
     parser.add_argument("--a12", nargs="+", type=float, default=MIXED)
     parser.add_argument("--against", type=Path, default=None, metavar="DIR",
                         help="A/B mode against the source tree DIR")
-    parser.add_argument("--pairs", type=int, default=AB_PAIRS,
-                        help="process pairs per row in the A/B mode")
     args = parser.parse_args(argv)
-    if args.pairs < 1:
-        parser.error(f"--pairs must be at least 1, got {args.pairs}")
     settings = {"rank": RANK, "h": STEP, "n_steps": N_STEPS, **TIMING,
                 "seed": SEED, "als_mixed_max_n": ALS_MIXED_MAX_N}
     if args.against:
-        settings.update(against_commit=tree_commit(args.against), pairs=args.pairs)
+        settings.update(against_commit=tree_commit(args.against), pairs=AB_PAIRS)
     rows = []
     for method in args.method:
         for a12 in args.a12:
             for n in args.N:
                 if method == "als" and a12 != 0.0 and n > ALS_MIXED_MAX_N:
                     continue
-                row = (ab_row("step_scan", [method, n, a12], args.against, "ms_per_step",
-                              args.pairs) if args.against else scan_row(method, n, a12))
+                row = (ab_row("step_scan", [method, n, a12], args.against) if args.against
+                       else scan_row(method, n, a12))
                 print(f"{method:9s} N={n:5d} a12={a12:4.2f}  {row['ms_per_step']:10.3f} ms/step"
                       f"  {row['sweeps_per_step']:5.1f} sweeps/step"
                       f"  {row['inner_iterations_per_half_sweep']:5.1f} CG its/half-sweep"

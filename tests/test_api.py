@@ -33,21 +33,23 @@ def test_bench_script_starts(script):
 
 def test_step_scan_against_its_own_tree(tmp_path):
     # the A/B mode on a one-row grid, run against this very tree: the plain
-    # scan's row keys plus the A/B fields, the same counts, a ratio near 1
+    # scan's row keys plus the A/B fields, and the same counts (a12 != 0, so
+    # the inner CG runs).  The ratio itself is CPU time on whatever host runs
+    # the suite and is not checked beyond being a finite positive median of
+    # its own range.
     script = str(ROOT / "bench" / "step_scan.py")
-    grid = ["--method", "splitting", "--N", "128", "--a12", "0"]
+    grid = ["--method", "splitting", "--N", "128", "--a12", "0.25"]
     rows = {}
-    for name, extra in (("plain", []), ("ab", ["--against", str(ROOT), "--pairs", "4"])):
+    for name, extra in (("plain", []), ("ab", ["--against", str(ROOT)])):
         out = tmp_path / f"{name}.json"
         done = subprocess.run([sys.executable, script, *grid, *extra, "--out", str(out)],
-                              capture_output=True, text=True, timeout=300)
+                              capture_output=True, text=True, timeout=600)
         assert done.returncode == 0, done.stderr
         rows[name] = json.loads(out.read_text())["rows"]
     (plain,), (ab,) = rows["plain"], rows["ab"]
     assert set(ab) == set(plain) | {"against_ms_per_step", "speedup", "speedup_range", "pairs"}
     for key in ("method", "N", "r", "a12", "sweeps_per_step", "inner_iterations_per_half_sweep"):
         assert ab[key] == plain[key], key
+    assert plain["inner_iterations_per_half_sweep"] > 0
     low, high = ab["speedup_range"]
-    assert ab["pairs"] == 4 and low <= ab["speedup"] <= high
-    assert 0.5 < ab["speedup"] < 2.0
-
+    assert ab["pairs"] == 9 and 0 < low <= ab["speedup"] <= high < float("inf")
