@@ -103,23 +103,24 @@ def _child_row(src: Path, script: str, args: list) -> dict:
     return json.loads(done.stdout.splitlines()[-1])
 
 
-def ab_row(script: str, args: list, against: Path) -> dict:
+def ab_row(script: str, args: list, against: Path, timed: str) -> dict:
     """The A/B mode for one row: ``AB_PAIRS`` pairs of processes run
     ``script.scan_row(*args)``, one on ``against/src`` and one on this tree's
-    ``src/``, the order alternating from pair to pair.  Returns this tree's
-    run with the median ``ms_per_step``, plus ``against_ms_per_step``, the
-    median over DIR's runs, ``speedup``, the median over pairs of DIR's
-    ms/step divided by this tree's (above 1: this tree is faster),
-    ``speedup_range``, the smallest and largest of those ratios, and
-    ``pairs``."""
+    ``src/``, the order alternating from pair to pair.  ``timed`` names the
+    row's time (``ms_per_step`` of the step scan, ``cpu_ms`` of the suite
+    scan).  Returns this tree's run with the median time, plus
+    ``against_<timed>``, the median over DIR's runs, ``speedup``, the median
+    over pairs of DIR's time divided by this tree's (above 1: this tree is
+    faster), ``speedup_range``, the smallest and largest of those ratios,
+    and ``pairs``."""
     own, other = [], []
     for k in range(AB_PAIRS):
         sides = [(own, ROOT / "src"), (other, against / "src")]
         for runs, src in sides[::-1] if k % 2 else sides:
             runs.append(_child_row(src, script, args))
-    ratios = [b["ms_per_step"] / a["ms_per_step"] for a, b in zip(own, other)]
-    row = sorted(own, key=lambda r: r["ms_per_step"])[AB_PAIRS // 2]
-    row.update({"against_ms_per_step": statistics.median(r["ms_per_step"] for r in other),
+    ratios = [b[timed] / a[timed] for a, b in zip(own, other)]
+    row = sorted(own, key=lambda r: r[timed])[AB_PAIRS // 2]
+    row.update({f"against_{timed}": statistics.median(r[timed] for r in other),
                 "speedup": round(statistics.median(ratios), 4),
                 "speedup_range": [round(min(ratios), 4), round(max(ratios), 4)],
                 "pairs": AB_PAIRS})

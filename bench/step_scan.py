@@ -129,8 +129,8 @@ def main(argv=None) -> int:
             for n in args.N:
                 if method == "als" and a12 != 0.0 and n > ALS_MIXED_MAX_N:
                     continue
-                row = (ab_row("step_scan", [method, n, a12], args.against) if args.against
-                       else scan_row(method, n, a12))
+                row = (ab_row("step_scan", [method, n, a12], args.against, "ms_per_step")
+                       if args.against else scan_row(method, n, a12))
                 print(f"{method:9s} N={n:5d} a12={a12:4.2f}  {row['ms_per_step']:10.3f} ms/step"
                       f"  {row['sweeps_per_step']:5.1f} sweeps/step"
                       f"  {row['inner_iterations_per_half_sweep']:5.1f} CG its/half-sweep"

@@ -5,7 +5,20 @@ Times ``curvature_suite``, ``projection_regularity_suite`` and
 sizes N, and writes the result as JSON (default ``BENCH_suite_scan.json``
 at the repository root):
 
-    python3 bench/suite_scan.py [--out PATH]
+    python3 bench/suite_scan.py [--out PATH] [--suite S ...] [--N N ...]
+
+``--suite`` and ``--N`` restrict the grid.  With ``--against DIR`` each row
+is an interleaved A/B measurement against the source tree DIR (for example
+a checkout of the parent commit) instead, written by default to
+``BENCH_suite_scan_ab.json``:
+
+    python3 bench/suite_scan.py --against DIR [--suite ...] [--N ...]
+
+Each row then runs in ``measuring.AB_PAIRS`` = 9 pairs of processes, one on
+``DIR/src`` and one on this tree's ``src/``, and adds ``against_cpu_ms`` and
+``speedup`` (the median over pairs of DIR's CPU time over this tree's) with
+its range (``measuring.ab_row``).  Only ``src/`` is taken from DIR: both
+sides run this scan's code on the same inputs.
 
 Each row records, for one (suite, N):
 
@@ -29,7 +42,8 @@ import argparse
 import sys
 from pathlib import Path
 
-from measuring import ROOT, TIMING, measure, write_json  # pins BLAS, puts src/ on the path
+from measuring import (AB_PAIRS, ROOT, TIMING, ab_row, measure,  # pins BLAS, puts src/ on the path
+                       tree_commit, write_json)
 
 from lowrankpde import (curvature_suite, projection_regularity_suite,  # noqa: E402
                         rotating_diffusion, tangency_suite)
@@ -63,17 +77,30 @@ def scan_row(name: str, n: int) -> dict:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", type=Path, default=ROOT / "BENCH_suite_scan.json")
+    parser.add_argument("--out", type=Path, default=None)
+    parser.add_argument("--suite", nargs="+", choices=tuple(SUITES), default=tuple(SUITES))
+    parser.add_argument("--N", nargs="+", type=int, default=SIZES)
+    parser.add_argument("--against", type=Path, default=None, metavar="DIR",
+                        help="A/B mode against the source tree DIR")
     args = parser.parse_args(argv)
+    settings = {"rank": RANK, "trials": TRIALS, "seed": SEED, **TIMING}
+    if args.against:
+        settings.update(against_commit=tree_commit(args.against), pairs=AB_PAIRS)
     rows = []
-    for n in SIZES:
-        for name in SUITES:
-            row = scan_row(name, n)
+    for n in args.N:
+        for name in args.suite:
+            row = (ab_row("suite_scan", [name, n], args.against, "cpu_ms") if args.against
+                   else scan_row(name, n))
             print(f"{name:16s} N={n:3d}  {row['cpu_ms']:9.1f} ms CPU"
-                  f"  peak {row['peak_traced_mb']:7.3f} MB", flush=True)
+                  f"  peak {row['peak_traced_mb']:7.3f} MB"
+                  + (f"  speedup {row['speedup']:.3f} {row['speedup_range']}"
+                     if args.against else ""), flush=True)
             rows.append(row)
-    write_json(args.out, "CPU ms per call of the geometry suites over N",
-               {"rank": RANK, "trials": TRIALS, "seed": SEED, **TIMING}, rows)
+    out = args.out or ROOT / ("BENCH_suite_scan_ab.json" if args.against
+                              else "BENCH_suite_scan.json")
+    write_json(out, "CPU ms per call of the geometry suites over N"
+               + (", as interleaved A/B runs against another source tree"
+                  if args.against else ""), settings, rows)
     return 0
 
 

@@ -281,6 +281,16 @@ def _h_norms(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(flat @ flat.mT).ravel()
 
 
+def _spectral_distances(u: LowRankState, v: LowRankState) -> np.ndarray:
+    """Spectral norm of u - v for two stacks of states: u - v = [U_u U_v]
+    diag(S_u, -S_v) [V_u V_v]^T, the norm of a 2r-by-2r block of R factors."""
+    k = u.rank
+    r1, r2 = (np.linalg.qr(np.concatenate(pair, axis=-1), mode="r")
+              for pair in ((u.u1_factors, v.u1_factors), (u.u2_factors, v.u2_factors)))
+    block = r1[..., :k] @ u.core @ r2[..., :k].mT - r1[..., k:] @ v.core @ r2[..., k:].mT
+    return np.linalg.norm(block, 2, axis=(-2, -1))
+
+
 def _tally(report: PropertyReport, rows: list) -> None:
     """Fold per-trial ratio dicts into ``report``; max and count ignore trial order."""
     for ratios in rows:
@@ -310,7 +320,7 @@ def curvature_suite(basis_dim: int, rank: int, trials: int, seed: int) -> Proper
         du = to_dense(u) - to_dense(v)
         cols = (singular_values(u)[:, -1],
                 _h_norms(tangent_project(u, z) - tangent_project(v, z)), _h_norms(z),
-                np.linalg.norm(du, 2, axis=(-2, -1)), _h_norms(du),
+                _spectral_distances(u, v), _h_norms(du),
                 _h_norms(du - tangent_project(v, du)))
         _tally(report, [
             {"projector_diff_spectral": _ratio(lhs, 2.0 / sig * spec * zn),

@@ -85,12 +85,12 @@ def qr_nonneg(a: np.ndarray):
     return q * signs[..., None, :], signs[..., None] * r
 
 
-def _check_qr_collapse(r_block: np.ndarray, rel: float, message: str):
-    """Raise RankDeficiencyError(message) if a diagonal entry of the QR factor
-    ``r_block`` is under ``rel`` times its largest (the block lost rank)."""
-    diag = np.abs(np.diagonal(r_block))
+def _check_qr_collapse(diag: np.ndarray, rel: float, message: str):
+    """Raise RankDeficiencyError(message) if an entry of ``diag``, the diagonal
+    of a QR factor R, is under ``rel`` times its largest (the block lost rank)."""
+    diag = np.abs(diag)
     if diag.min() < rel * max(diag.max(), np.finfo(float).tiny):
-        raise RankDeficiencyError(message, rank=r_block.shape[0], sigma=float(diag.min()),
+        raise RankDeficiencyError(message, rank=diag.size, sigma=float(diag.min()),
                                   floor=float(rel * diag.max()))
 
 
@@ -174,6 +174,6 @@ def reorthonormalize(state: LowRankState) -> LowRankState:
     q1, r1 = qr_nonneg(state.u1_factors)
     q2, r2 = qr_nonneg(state.u2_factors)
     for r_block in (r1, r2):
-        _check_qr_collapse(r_block, DEFAULT_RANK_FLOOR,
+        _check_qr_collapse(r_block.diagonal(), DEFAULT_RANK_FLOOR,
                            "factor block lost rank during reorthonormalization")
     return LowRankState(q1, r1 @ state.core @ r2.T, q2)

@@ -7,16 +7,16 @@ Each implicit step minimizes
     F(y) = |y - u_i|_F^2 / (2h) + a(y, y; t_next) / 2 - <f_mean, y>_F
 
 over the admissible set: all matrices for the reference solver, the rank-r
-set for the manifold methods.  The coefficient tensor is frozen at t_next
-for the whole step (all sweeps), and f_mean is the exact interval mean of
-the source.  The manifold methods take f_mean as its factor pair (P, Q),
-f_mean = P Q^T, and evaluate F, the Galerkin residual and the ALS stop test
-from the state's factors and r-by-r blocks, so a step costs O(N r^2) plus
-O(N^2 r) for applying the dense coupling G to (N, r) blocks when the
-mixed term is on; no N-by-N matrix is formed.  ``build_operator`` is O(N)
-and builds G on first use, so a rank-r ``integrate`` with a diagonal tensor
-allocates no N-by-N array at all; with a mixed term G is built once per
-operator.
+set for the manifold methods.  The tensor is frozen at t_next for the whole
+step, and f_mean is the exact interval mean of the source.  The manifold
+methods take f_mean as its factor pair, f_mean = P Q^T, and evaluate F, the
+Galerkin residual and the ALS stop test from factors and r-by-r blocks, so
+a step costs O(N r^2) plus O(N^2 r) for applying the dense coupling G to
+(N, r) blocks when the mixed term is on; no N-by-N matrix is formed, and
+with a diagonal tensor G is not even built.  At N up to hundreds and
+r <= 8 a half-sweep costs its number of numpy calls more than its flops,
+so it makes only the N-sized products it needs: one for the right-hand
+side, one with G per CG iteration, one QR, and those of the new frame.
 
 One object, ``_Step``, owns a rank-r step: it holds the anchor, the tensor
 at t_next, h and the source factors, evaluates F and the residual, and runs
@@ -24,9 +24,8 @@ every half-sweep: the SPD solve for one factor-with-core, its QR, the
 collapse check and the new frame.  The solve runs in the eigenbasis of the
 frozen frame's compressed stiffness, where the Sylvester part is diagonal:
 without the mixed term it is the exact solve, and with it that diagonal
-preconditions a conjugate-gradient loop on (N, r) blocks, which every
-half-sweep (the splitting step's included) starts at the current
-factor-with-core.
+preconditions a conjugate-gradient loop on (N, r) blocks, which every ALS
+half-sweep starts at the current factor-with-core.
 """
 
 from __future__ import annotations
@@ -34,7 +33,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -42,8 +41,7 @@ import numpy as np
 from .galerkin import (DiffusionModel, GalerkinOperator, SourceSpec, apply_operator,
                        build_operator, h_norm, rhs_mean_factors)
 from .manifold import (DEFAULT_RANK_FLOOR, LowRankState, RankDeficiencyError,
-                       _check_qr_collapse, qr_nonneg, singular_values, smallest_singular,
-                       to_dense)
+                       _check_qr_collapse, singular_values, smallest_singular, to_dense)
 
 __all__ = [
     "METHODS",
@@ -103,11 +101,10 @@ class StepOptions:
 class StepDiagnostics:
     """Per-step record emitted by every stepper.
 
-    objective_trace holds the objective after the warm start and after each
-    half-sweep (for the reference step: before and after), so monotonicity
-    of the alternating solver is observable.  inner_iterations is the total
-    number of conjugate-gradient iterations of the step, 0 without a mixed
-    term.
+    objective_trace holds F at the start and after each half-sweep (for the
+    reference step: before and after), so monotonicity of the alternating
+    solver is observable.  inner_iterations is the total number of
+    conjugate-gradient iterations of the step, 0 without a mixed term.
     """
 
     sweeps_used: int
@@ -152,48 +149,48 @@ class Trajectory:
 
 
 class _Frame(NamedTuple):
-    """An orthonormal (N, r) factor block of one axis with its r-by-r
-    compressions and overlaps.
-
+    """An orthonormal (N, r) factor block of one axis with its compressions:
     lam = basis^T L basis; g_basis = G basis and g = basis^T G basis (None
-    without a mixed term); anchor and source are basis^T times the anchor's
-    and the source's factor of the same axis.
-    """
+    without a mixed term); overlap = basis^T [U0 | P] (axis 1: [V0 | Q])."""
 
     basis: np.ndarray
     lam: np.ndarray
     g_basis: Optional[np.ndarray]
     g: Optional[np.ndarray]
-    anchor: np.ndarray
-    source: np.ndarray
+    overlap: np.ndarray
 
 
 class _Step:
-    """The owner of one implicit step: anchor Y0, tensor alpha (frozen at
-    t_next), step size h and source mean P Q^T.
+    """The owner of one implicit step: anchor Y0 = U0 S0 V0^T, tensor alpha
+    (frozen at t_next), step size h and source mean P Q^T.
 
     Evaluates F and the Galerkin residual at ``U S V^T`` from the frames of U
     (axis 0) and V (axis 1), and runs the half-sweeps that minimize F over
-    one factor-with-core while the other axis keeps a frozen frame.
+    one factor-with-core while the other axis keeps a frozen frame.  Forms
+    once [U0 | P], diag(S0, h I) and 1 + h a11 L (axis 1: V0, S0^T, Q, a22).
     """
 
     def __init__(self, op: GalerkinOperator, model: DiffusionModel, h: float,
                  t_next: float, anchor: LowRankState, f_factors):
         self.op, self.h, self.anchor = op, h, anchor
-        self.alpha = model.alpha(t_next)
-        self.p, self.q = f_factors
-        self.mixed = self.alpha[0, 1] + self.alpha[1, 0]
+        self.alpha = a = model.alpha(t_next)
+        self.mixed = a[0, 1] + a[1, 0]
+        (p, q), s0, r = f_factors, anchor.core, anchor.rank
+        m = p.shape[1]
+        self.factors = (np.hstack([anchor.u1_factors, p]), np.hstack([anchor.u2_factors, q]))
+        self.weights = np.zeros((2, r + m, r + m))
+        self.weights[0, :r, :r], self.weights[1, :r, :r] = s0, s0.T
+        self.weights[:, r:, r:] = h * np.eye(m)
+        self.own_diag = tuple(1.0 + (h * a[k, k]) * op.stiffness_diag[:, None] for k in (0, 1))
+        self.anchor_sq = np.vdot(s0, s0)
 
     def frame(self, basis: np.ndarray, axis: int) -> _Frame:
-        lam = self.op.stiffness_diag
         g_basis = g = None
         if self.mixed != 0.0:
             g_basis = self.op.grad_coupling_1d @ basis
             g = basis.T @ g_basis
-        anchor = self.anchor.u1_factors if axis == 0 else self.anchor.u2_factors
-        source = self.p if axis == 0 else self.q
-        return _Frame(basis, (basis.T * lam) @ basis, g_basis, g,
-                      basis.T @ anchor, basis.T @ source)
+        return _Frame(basis, (basis.T * self.op.stiffness_diag) @ basis, g_basis, g,
+                      basis.T @ self.factors[axis])
 
     def frames(self, u: LowRankState):
         """The frames (left, right) of the state's two factor blocks."""
@@ -207,71 +204,74 @@ class _Step:
         return out
 
     def objective(self, s: np.ndarray, left: _Frame, right: _Frame) -> float:
-        """F at U S V^T: |Y - Y0|^2 from the factor overlaps, a(Y, Y) from
-        the compressed operator, <P Q^T, Y> from U^T P and V^T Q."""
-        s0 = self.anchor.core
-        cross = np.vdot(s, left.anchor @ s0 @ right.anchor.T)
-        dist2 = max(np.vdot(s, s) + np.vdot(s0, s0) - 2.0 * cross, 0.0)
+        """F at U S V^T from r-by-r blocks: a(Y, Y) = <S, A_red S>, and with
+        t = <S, U^T [U0 | P] diag(S0, h I) [V0 | Q]^T V> = <Y, Y0 + h P Q^T>
+        the other terms are (|S|^2 + |S0|^2 - 2t) / (2h)."""
+        t = np.vdot(s, left.overlap @ self.weights[0] @ right.overlap.T)
         quad = np.vdot(s, self.reduced(s, left, right))
-        lin = np.vdot(left.source, s @ right.source)
-        return float(dist2 / (2.0 * self.h) + 0.5 * quad - lin)
+        return float((np.vdot(s, s) + self.anchor_sq - 2.0 * t) / (2.0 * self.h) + 0.5 * quad)
 
     def residual(self, s: np.ndarray, left: _Frame, right: _Frame) -> float:
         """Norm of the defect D = (Y - Y0)/h + A Y - P Q^T projected onto the
         tangent space at Y = U S V^T: |U^T D|^2 + |D V - U (U^T D) V|^2, with
-        U^T D (r, N) and D V (N, r) assembled term by term."""
-        a, h = self.alpha, self.h
-        lam = self.op.stiffness_diag[:, None]
-        u, v = left.basis, right.basis
-        u0, s0, v0 = self.anchor.u1_factors, self.anchor.core, self.anchor.u2_factors
-        ut_d = ((s / h + a[0, 0] * (left.lam @ s)) @ v.T + a[1, 1] * (s @ (lam * v).T)
-                - (left.anchor @ s0 / h) @ v0.T - left.source @ self.q.T)
-        d_v = (u @ (s / h + a[1, 1] * (s @ right.lam)) + a[0, 0] * ((lam * u) @ s)
-               - u0 @ (s0 @ right.anchor.T / h) - self.p @ right.source.T)
-        if self.mixed != 0.0:
-            # G^T = -G, so V^T G = -(G V)^T
-            ut_d -= self.mixed * ((left.g @ s) @ right.g_basis.T)
-            d_v += self.mixed * (left.g_basis @ (s @ right.g))
-        normal = d_v - u @ (ut_d @ v)
+        U^T D = coefficients [V, L V, V0, Q (, G V)]^T and
+        D V = [U, L U, U0, P (, G U)] coefficients, one product each; the
+        anchor and source terms enter as -(U^T [U0 | P] diag(S0, h I)) / h."""
+        a, h, w = self.alpha, self.h, self.weights[0]
+        lam, u, v = self.op.stiffness_diag[:, None], left.basis, right.basis
+        ut_coef = [s / h + a[0, 0] * (left.lam @ s), a[1, 1] * s, (left.overlap @ w) / -h]
+        dv_coef = [s / h + a[1, 1] * (s @ right.lam), a[0, 0] * s, (w @ right.overlap.T) / -h]
+        ut_rows, dv_cols = [v, lam * v, self.factors[1]], [u, lam * u, self.factors[0]]
+        if self.mixed != 0.0:                  # G^T = -G, so V^T G = -(G V)^T
+            ut_coef.append(-self.mixed * (left.g @ s))
+            ut_rows.append(right.g_basis)
+            dv_coef.append(self.mixed * (s @ right.g))
+            dv_cols.append(left.g_basis)
+        ut_d = np.hstack(ut_coef) @ np.hstack(ut_rows).T
+        normal = np.hstack(dv_cols) @ np.vstack(dv_coef) - u @ (ut_d @ v)
         return math.sqrt(np.vdot(ut_d, ut_d) + np.vdot(normal, normal))
 
-    def half_sweep(self, own_axis: int, frozen: _Frame, rhs: np.ndarray,
-                   x0: Optional[np.ndarray] = None):
+    def half_sweep(self, own_axis: int, frozen: _Frame, own: Optional[_Frame] = None,
+                   core: Optional[np.ndarray] = None):
         """One half-sweep: minimize F over the factor-with-core X (N, r) of
         ``own_axis`` (0: left, 1: right) with the other axis frozen to the
-        basis B of ``frozen``.  X solves  X + h A_red(X) = rhs, where
+        basis B of ``frozen``.  X solves  X + h A_red(X) = Y0 B + h f B with
 
-            A_red(X) = own * L X + other * X (B^T L B) + c * G X (B^T G B)
+            A_red(X) = own * L X + other * X (B^T L B) + c * G X (B^T G B),
 
-        is symmetric positive definite as a compression of the full operator.
-        The solve runs for Y = X Q, with B^T L B = Q diag(e) Q^T, where the
-        Sylvester part is the diagonal  denom = 1 + h (own * L + other * e):
+        SPD as a compression of the full operator (Y0, f transposed for axis
+        1).  With B^T L B = Q diag(e) Q^T the solve runs for Y = X Q:
 
-            denom * Y + h c * G Y (Q^T B^T G B Q) = rhs Q.
+            denom * Y + G Y Gamma' = [U0 | P] (diag(S0, h I) frozen.overlap^T Q),
 
-        Without the mixed term Y = rhs Q / denom exactly; with it, dividing by
-        denom preconditions conjugate gradient started at ``x0`` Q (zero if
-        None), which takes the same iterations as in the original coordinates
-        since the change of variables is orthogonal.  Then X = Y Q^T = basis R
-        by QR, and a diagonal entry of R under ``_QR_COLLAPSE_REL`` times the
-        largest raises RankDeficiencyError.
-        Returns (frame of the new basis, R, conjugate-gradient iterations).
+        denom = (1 + h own L) + h other e, Gamma' = h c Q^T (B^T G B) Q.
+        Without the mixed term Y = rhs / denom; with it, dividing by denom
+        preconditions CG, in the iterations of the original coordinates (Q is
+        orthogonal).  CG starts at x0 = own.basis (core Q), or at zero if
+        ``own`` is None, with the image denom x0 + (G own.basis)(core Q) Gamma'
+        read from the frame: no product with G.  Y = basis R by QR, so
+        X = basis (R Q^T); a diagonal entry of R under ``_QR_COLLAPSE_REL``
+        times the largest raises RankDeficiencyError.
+        Returns (frame of the new basis, core R Q^T, CG iterations).
         """
-        a, h = self.alpha, self.h
-        own, other = (a[0, 0], a[1, 1]) if own_axis == 0 else (a[1, 1], a[0, 0])
-        evals, evecs = np.linalg.eigh(frozen.lam)
-        denom = 1.0 + h * (own * self.op.stiffness_diag[:, None] + other * evals[None, :])
+        h, (evals, evecs) = self.h, np.linalg.eigh(frozen.lam)
+        denom = self.own_diag[own_axis] + (h * self.alpha[1 - own_axis, 1 - own_axis]) * evals
+        rhs = self.factors[own_axis] @ (self.weights[own_axis] @ (frozen.overlap.T @ evecs))
         if self.mixed == 0.0:
-            y, iterations = (rhs @ evecs) / denom, 0
+            y, iterations = rhs / denom, 0
         else:
             g, gamma = self.op.grad_coupling_1d, (h * self.mixed) * (evecs.T @ frozen.g @ evecs)
+            start = ()
+            if own is not None:
+                core_q = core @ evecs
+                x0 = own.basis @ core_q
+                start = (x0, denom * x0 + (own.g_basis @ core_q) @ gamma)
             y, iterations = _pcg(lambda y: denom * y + (g @ y) @ gamma, lambda y: y / denom,
-                                 rhs @ evecs, None if x0 is None else x0 @ evecs)
-        basis, r_block = qr_nonneg(y @ evecs.T)
-        side = "left" if own_axis == 0 else "right"
-        _check_qr_collapse(r_block, _QR_COLLAPSE_REL,
-                           f"rank collapse during {side} refactorization")
-        return self.frame(basis, own_axis), r_block, iterations
+                                 rhs, *start)
+        basis, r_block = np.linalg.qr(y)
+        _check_qr_collapse(r_block.diagonal(), _QR_COLLAPSE_REL,
+                           f"rank collapse during {('left', 'right')[own_axis]} refactorization")
+        return self.frame(basis, own_axis), r_block @ evecs.T, iterations
 
 
 def step_objective(u: LowRankState, u_prev: LowRankState, h: float, t_next: float,
@@ -295,16 +295,14 @@ def galerkin_residual(u_next: LowRankState, u_prev: LowRankState, h: float,
     return step.residual(u_next.core, *step.frames(u_next))
 
 
-def _state_change(old: LowRankState, mid: LowRankState, new: LowRankState) -> float:
-    """Frobenius distance between ``old`` and ``new`` through the half-sweep
-    state ``mid``, which shares its right factor with ``old`` and its left
-    factor with ``new``.  Both increments are then differences of (N, r)
-    blocks, mid - old = dk V_old^T and new - mid = U_new dw^T, so the result
-    keeps its relative accuracy however close the states are; no difference
-    of squared norms enters."""
-    dk = mid.u1_factors @ mid.core - old.u1_factors @ old.core
-    dw = new.u2_factors @ new.core.T - mid.u2_factors @ mid.core.T
-    cross = np.vdot(mid.u2_factors.T @ dw, (new.u1_factors.T @ dk).T)
+def _state_change(u, s, v, u_new, r_k, v_new, r_w) -> float:
+    """Frobenius distance between the states U S V^T and U' R_w^T V'^T of a
+    sweep, through its half-sweep state U' R_k V^T: both increments are the
+    (N, r) blocks dk = U' R_k - U S and dw = V' R_w - V R_k^T, so it keeps its
+    relative accuracy however close the states are."""
+    dk = u_new @ r_k - u @ s
+    dw = v_new @ r_w - v @ r_k.T
+    cross = np.vdot(v.T @ dw, (u_new.T @ dk).T)
     return math.sqrt(max(np.vdot(dk, dk) + np.vdot(dw, dw) + 2.0 * cross, 0.0))
 
 
@@ -312,34 +310,30 @@ def _state_change(old: LowRankState, mid: LowRankState, new: LowRankState) -> fl
 # the inner conjugate gradient
 
 
-def _pcg(apply, precondition, rhs: np.ndarray, x0: Optional[np.ndarray] = None):
+def _pcg(apply, precondition, rhs: np.ndarray, x0: Optional[np.ndarray] = None,
+         image: Optional[np.ndarray] = None):
     """Solve the SPD system ``apply(X) = rhs`` for a block X by preconditioned
-    conjugate gradient from ``x0`` (zero if None); ``precondition`` applies
-    an SPD approximate inverse.  Step for step the arithmetic of scipy's
-    ``cg`` on the row-major flattened blocks (the reductions run over
-    ``ravel()``), so a cold start reproduces it bitwise.
-    Returns (X, iterations).
-    """
-    rhs_norm = math.sqrt(np.dot(rhs.ravel(), rhs.ravel()))
+    conjugate gradient from ``x0`` (zero if None), given with its ``image``
+    apply(x0) and updated in place; ``precondition`` applies an SPD
+    approximate inverse and returns a new block.  Step for step the
+    arithmetic of scipy's ``cg`` on the row-major flattened blocks (``vdot``
+    of C-ordered blocks is ``dot`` of their ``ravel()``), so a cold start
+    reproduces it bitwise.  Returns (X, iterations)."""
+    rhs_norm = math.sqrt(np.vdot(rhs, rhs))
     if rhs_norm == 0.0:
         return np.zeros_like(rhs), 0
     stop = _CG_RTOL * rhs_norm
-    if x0 is None:
-        x, r = np.zeros_like(rhs), rhs.copy()
-    else:
-        x = np.array(x0, dtype=float)
-        r = rhs - apply(x)
+    x, r = (np.zeros_like(rhs), rhs.copy()) if x0 is None else (x0, rhs - image)
     maxiter = max(1000, 20 * rhs.size)
     p = rho_prev = None
     for iterations in range(maxiter):
-        r_flat = r.ravel()
-        if math.sqrt(np.dot(r_flat, r_flat)) < stop:
+        if math.sqrt(np.vdot(r, r)) < stop:
             return x, iterations
         z = precondition(r)
-        rho = np.dot(r_flat, z.ravel())
+        rho = np.vdot(r, z)
         p = z if p is None else z + (rho / rho_prev) * p
         q = apply(p)
-        step = rho / np.dot(p.ravel(), q.ravel())
+        step = rho / np.vdot(p, q)
         x += step * p
         r -= step * q
         rho_prev = rho
@@ -356,12 +350,12 @@ def reference_step(y_prev: np.ndarray, h: float, t_next: float, f_mean: np.ndarr
 
     The divergence part of A is diagonal in the coefficients, so its exact
     inverse solves the step without a mixed term and preconditions
-    conjugate gradient with one.
-
-    Returns (state, diagnostics); the objective and the defect norm of
-    this dense step are evaluated densely, and ``sigma_r`` is NaN.
+    conjugate gradient with one; every operator application reads the
+    tensor evaluated once.  Returns (state, diagnostics); the objective and
+    the defect norm are evaluated densely, and ``sigma_r`` is NaN.
     """
     alpha = model.alpha(t_next)
+    frozen = replace(model, alpha=lambda _t: alpha)
     lam = op.stiffness_diag
     denom = 1.0 + h * (alpha[0, 0] * lam[:, None] + alpha[1, 1] * lam[None, :])
     y_prev = np.asarray(y_prev, dtype=float)
@@ -369,11 +363,11 @@ def reference_step(y_prev: np.ndarray, h: float, t_next: float, f_mean: np.ndarr
     if alpha[0, 1] + alpha[1, 0] == 0.0:
         y, iterations = rhs / denom, 0
     else:
-        y, iterations = _pcg(lambda x: x + h * apply_operator(op, model, t_next, x),
+        y, iterations = _pcg(lambda x: x + h * apply_operator(op, frozen, t_next, x),
                              lambda x: x / denom, rhs)
-    a_y = apply_operator(op, model, t_next, y)
+    a_y = apply_operator(op, frozen, t_next, y)
     d = y - y_prev
-    f_prev = (0.5 * float(np.sum(apply_operator(op, model, t_next, y_prev) * y_prev))
+    f_prev = (0.5 * float(np.sum(apply_operator(op, frozen, t_next, y_prev) * y_prev))
               - float(np.sum(f_mean * y_prev)))
     f_new = (float(np.sum(d * d)) / (2.0 * h) + 0.5 * float(np.sum(a_y * y))
              - float(np.sum(f_mean * y)))
@@ -390,32 +384,27 @@ def _alternating_step(u_prev: LowRankState, h: float, t_next: float, f_factors,
     relative state change is at most ``_ALS_TOL``.  The conjugate gradient of
     a mixed term starts at the current factor-with-core (U0 S0 in the first
     sweep), where its quadratic equals the current F, so it cannot raise F
-    either.
+    either.  Between half-sweeps the state is two frames and a core.
     Returns (state, diagnostics).
     """
     step = _Step(op, model, h, t_next, u_prev, f_factors)
     left, right = step.frames(u_prev)
-    u0, s0, v0 = u_prev.u1_factors, u_prev.core, u_prev.u2_factors
-    state, sweeps, iterations = u_prev, 0, 0
-    trace = [step.objective(s0, left, right)]
+    core, sweeps, iterations = u_prev.core, 0, 0
+    trace = [step.objective(core, left, right)]
     for sweeps in range(1, max_sweeps + 1):
-        old = state
+        u, s, v = left.basis, core, right.basis
         # left half-sweep: unknown K = U S with the right basis frozen
-        rhs_k = u0 @ (s0 @ right.anchor.T) + h * (step.p @ right.source.T)
-        left, r_k, its = step.half_sweep(0, right, rhs_k, state.u1_factors @ state.core)
-        iterations += its
-        mid = LowRankState(left.basis, r_k, right.basis)
+        left, r_k, its_k = step.half_sweep(0, right, left, core)
         trace.append(step.objective(r_k, left, right))
         # right half-sweep: unknown W = V S^T with the new left basis frozen
-        rhs_w = v0 @ (s0.T @ left.anchor.T) + h * (step.q @ left.source.T)
-        right, r_w, its = step.half_sweep(1, left, rhs_w, mid.u2_factors @ mid.core.T)
-        iterations += its
-        state = LowRankState(left.basis, r_w.T, right.basis)
-        trace.append(step.objective(state.core, left, right))
-        if sweeps < max_sweeps and _state_change(old, mid, state) / max(
-                h_norm(state.core), np.finfo(float).tiny) <= _ALS_TOL:
+        right, r_w, its_w = step.half_sweep(1, left, right, r_k.T)
+        core, iterations = r_w.T, iterations + its_k + its_w
+        trace.append(step.objective(core, left, right))
+        if sweeps < max_sweeps and _state_change(u, s, v, left.basis, r_k, right.basis, r_w) / max(
+                math.sqrt(np.vdot(core, core)), np.finfo(float).tiny) <= _ALS_TOL:
             break
-    return state, StepDiagnostics(sweeps, step.residual(state.core, left, right),
+    state = LowRankState(left.basis, core, right.basis)
+    return state, StepDiagnostics(sweeps, step.residual(core, left, right),
                                   smallest_singular(state), tuple(trace), iterations)
 
 
@@ -457,18 +446,17 @@ def _forward_splitting_step(u_prev: LowRankState, h: float, t_next: float,
     """Projector-splitting step with the explicit-Euler core update
     ``S0+ = S1+ + h A_red(S1+) - h U1^T f V0`` (both directions compressed)
     in place of the projection ``U1^T U0 S0``; the two agree whenever the
-    first solve is exact.  The independent check of the one-sweep step."""
-    step = _Step(op, model, h, t_next, u_prev, f_factors)
-    u0, s0, v0 = u_prev.u1_factors, u_prev.core, u_prev.u2_factors
-    right = step.frame(v0, 1)
-
-    rhs_k = u0 @ s0 + h * (step.p @ right.source.T)
-    left, s1_plus, _ = step.half_sweep(0, right, rhs_k)
+    first solve is exact.  Both solves start cold; the second is the right
+    half-sweep of the step anchored at U1 S0+ V0^T.  The independent check
+    of the one-sweep step."""
+    step, r = _Step(op, model, h, t_next, u_prev, f_factors), u_prev.rank
+    right = step.frame(u_prev.u2_factors, 1)
+    left, s1_plus, _ = step.half_sweep(0, right)
     s0_plus = (s1_plus + h * step.reduced(s1_plus, left, right)
-               - h * (left.source @ right.source.T))
-
-    rhs_w = v0 @ s0_plus.T + h * (step.q @ left.source.T)
-    right, r_w, _ = step.half_sweep(1, left, rhs_w)
+               - h * (left.overlap[:, r:] @ right.overlap[:, r:].T))
+    step = _Step(op, model, h, t_next, LowRankState(left.basis, s0_plus, u_prev.u2_factors),
+                 f_factors)
+    right, r_w, _ = step.half_sweep(1, step.frame(left.basis, 0))
     return LowRankState(left.basis, r_w.T, right.basis)
 
 
@@ -490,8 +478,8 @@ def integrate(method: str, u0, T: float, n_steps: int, model: DiffusionModel,
         raise ValueError(f"unknown method {method!r}")
     if not isinstance(source, SourceSpec):
         raise TypeError("source must be a SourceSpec; pass zero_source(N) for no source")
-    if n_steps < 1:
-        raise ValueError("n_steps must be >= 1")
+    if isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral) or n_steps < 1:
+        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
     if not 0 < T < math.inf:
         raise ValueError(f"final time must be positive and finite, got {T!r}")
     manifold = method != "reference"

@@ -10,7 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lowrankpde.analysis import (PropertyReport, convergence_study, curvature_suite,
+from lowrankpde.analysis import (PropertyReport, _spectral_distances, convergence_study,
+                                 curvature_suite,
                                  energy_audit, equivalence_test, interpolant_gap,
                                  projection_regularity_suite, sample_nearby_state,
                                  sample_spd_tensor, sample_state, tangency_suite)
@@ -387,6 +388,22 @@ def test_curvature_suite_small_run():
                                     "projector_diff_frobenius",
                                     "normal_component"}
     assert all(0 <= v <= 1 for v in rep.worst_ratio.values())
+
+
+def test_spectral_distance_from_factors_matches_dense_norm():
+    # stacks of independent pairs and of pairs 1e-2 apart, 2r > N included:
+    # the 2r-by-2r block from the stacked factors' R factors has the spectral
+    # norm of the dense difference
+    for n, r in ((16, 4), (33, 5), (6, 4)):
+        rngs = [np.random.default_rng([62, n, k]) for k in range(6)]
+        u = sample_state(rngs, n, r)
+        for v in (sample_state(rngs, n, r),
+                  LowRankState(u.u1_factors, u.core, np.linalg.qr(
+                      u.u2_factors + 1e-2 * rngs[0].standard_normal((6, n, r)))[0])):
+            dense = np.linalg.norm(to_dense(u) - to_dense(v), 2, axis=(-2, -1))
+            got = _spectral_distances(u, v)
+            assert got.shape == (6,) and np.all(dense > 0.0)
+            assert np.max(np.abs(got - dense) / dense) <= 1e-12
 
 
 def test_projection_suite_small_run():

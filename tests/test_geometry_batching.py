@@ -2,8 +2,10 @@
 
 Each reference below is the per-trial loop the suites ran before they were
 batched: one generator ``default_rng([seed, k])`` per trial, one state at a
-time.  The batched suites must reproduce its reports exactly (every worst
-ratio compared with ``==``) for any chunk size.
+time; the curvature loop takes |u - v|_2 from the factors, as the suite
+does (``_spectral_distances`` of one pair).  The batched suites must
+reproduce its reports exactly (every worst ratio compared with ``==``) for
+any chunk size.
 """
 
 import math
@@ -13,7 +15,7 @@ import numpy as np
 import pytest
 
 from lowrankpde import analysis
-from lowrankpde.analysis import (curvature_suite, equivalence_test,
+from lowrankpde.analysis import (_spectral_distances, curvature_suite, equivalence_test,
                                  projection_regularity_suite, sample_nearby_state,
                                  sample_state, tangency_suite)
 from lowrankpde.galerkin import (apply_a1, apply_a2, build_operator, h_norm,
@@ -51,7 +53,7 @@ def loop_curvature(n, rank, trials, seed):
         lhs = h_norm(tangent_project(u, z) - tangent_project(v, z))
         zn = h_norm(z)
         violations = tally(worst, violations, {
-            "projector_diff_spectral": ratio(lhs, 2.0 / sig * np.linalg.norm(du, 2) * zn),
+            "projector_diff_spectral": ratio(lhs, 2.0 / sig * _spectral_distances(u, v) * zn),
             "projector_diff_frobenius": ratio(lhs, 2.0 / sig * h_norm(du) * zn),
             "normal_component": ratio(h_norm(du - tangent_project(v, du)),
                                       h_norm(du) ** 2 / sig)})

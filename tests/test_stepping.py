@@ -219,7 +219,7 @@ def test_als_warm_start_saves_inner_iterations(monkeypatch):
     warm, warm_diag = als_variational_step(u0, h, h, pair, op, model)
     pcg = stepping._pcg
     monkeypatch.setattr(stepping, "_pcg",
-                        lambda apply, precondition, rhs, x0=None: pcg(apply, precondition, rhs))
+                        lambda apply, precondition, rhs, *start: pcg(apply, precondition, rhs))
     cold, cold_diag = als_variational_step(u0, h, h, pair, op, model)
     assert warm_diag.sweeps_used == cold_diag.sweeps_used > 2
     assert 0 < warm_diag.inner_iterations < cold_diag.inner_iterations
@@ -242,7 +242,7 @@ def test_splitting_warm_start_matches_a_cold_start(monkeypatch):
     warm, warm_diag = splitting_euler_step(u0, h, h, pair, op, model)
     pcg = stepping._pcg
     monkeypatch.setattr(stepping, "_pcg",
-                        lambda apply, precondition, rhs, x0=None: pcg(apply, precondition, rhs))
+                        lambda apply, precondition, rhs, *start: pcg(apply, precondition, rhs))
     cold, cold_diag = splitting_euler_step(u0, h, h, pair, op, model)
     assert 0 < warm_diag.inner_iterations <= cold_diag.inner_iterations
     gap = np.linalg.norm(to_dense(warm) - to_dense(cold))
@@ -369,10 +369,9 @@ def test_sweep_change_resolves_nearby_states():
     rng = np.random.default_rng(47)
     n, r, delta = 12, 3, 1e-13
     old = random_state(rng, n, r)
-    u_new, r_k = qr_nonneg(old.u1_factors @ old.core
-                           + delta * rng.standard_normal((n, r)))
-    mid = LowRankState(u_new, r_k, old.u2_factors)
-    v_new, r_w = qr_nonneg(old.u2_factors @ r_k.T + delta * rng.standard_normal((n, r)))
+    u, s, v = old.u1_factors, old.core, old.u2_factors
+    u_new, r_k = qr_nonneg(u @ s + delta * rng.standard_normal((n, r)))
+    v_new, r_w = qr_nonneg(v @ r_k.T + delta * rng.standard_normal((n, r)))
     new = LowRankState(u_new, r_w.T, v_new)
 
     exact = np.vectorize(Fraction, otypes=[object])
@@ -383,7 +382,7 @@ def test_sweep_change_resolves_nearby_states():
     gap = exact_dense(new) - exact_dense(old)
     oracle = math.sqrt(float(np.sum(gap * gap)))
     assert 1e-14 < oracle / np.linalg.norm(old.core) < 1e-12
-    assert _state_change(old, mid, new) == pytest.approx(oracle, rel=1e-2)
+    assert _state_change(u, s, v, u_new, r_k, v_new, r_w) == pytest.approx(oracle, rel=1e-2)
 
 
 def test_step_linearity_under_scaling():
@@ -407,15 +406,17 @@ def test_step_linearity_under_scaling():
 def test_half_sweep_solve_matches_kronecker_oracle(own_axis, a12, warm):
     # N r = 2400 unknowns; a12 = 0 is the exact Sylvester solve, a12 != 0 the
     # preconditioned conjugate gradient, started cold or from a perturbed
-    # solution
+    # solution.  The right-hand side is the half-sweep's own, Y0 B + h F B
+    # (transposed for the right axis), with a random two-term source.
     rng = np.random.default_rng(45)
     n, r, h = 300, 8, 0.05
     op = build_operator(n)
     alpha = np.array([[1.0, a12], [a12, 0.7]])
     basis, _ = np.linalg.qr(rng.standard_normal((n, r)))
-    rhs = rng.standard_normal((n, r))
     step = _Step(op, constant_diffusion(alpha), h, h, LowRankState(basis, np.eye(r), basis),
-                 (np.zeros((n, 0)), np.zeros((n, 0))))
+                 (rng.standard_normal((n, 2)), rng.standard_normal((n, 2))))
+    frozen = step.frame(basis, 1 - own_axis)
+    rhs = step.factors[own_axis] @ (step.weights[own_axis] @ frozen.overlap.T)
     own, other = (alpha[0, 0], alpha[1, 1]) if own_axis == 0 else (alpha[1, 1], alpha[0, 0])
     stiff = op.stiffness_1d
     g = op.grad_coupling_1d
@@ -424,36 +425,56 @@ def test_half_sweep_solve_matches_kronecker_oracle(own_axis, a12, warm):
                   + np.kron(other * basis.T @ stiff @ basis, np.eye(n))
                   + 2 * a12 * np.kron((basis.T @ g @ basis).T, g)))
     oracle = np.linalg.solve(mat, rhs.ravel(order="F")).reshape((n, r), order="F")
-    x0 = oracle + 1e-3 * rng.standard_normal((n, r)) if warm else None
-    frame, r_block, _ = step.half_sweep(own_axis, step.frame(basis, 1 - own_axis), rhs, x0)
-    assert np.linalg.norm(frame.basis @ r_block - oracle) <= 1e-12 * np.linalg.norm(oracle)
+    start = ()
+    if warm:
+        x0_basis, core = np.linalg.qr(oracle + 1e-3 * rng.standard_normal((n, r)))
+        start = (step.frame(x0_basis, own_axis), core)
+    frame, core, _ = step.half_sweep(own_axis, frozen, *start)
+    assert np.linalg.norm(frame.basis @ core - oracle) <= 1e-12 * np.linalg.norm(oracle)
+
+
+class CountingG:
+    """Stand-in for the dense G that counts the products made with it."""
+
+    def __init__(self, g):
+        self.g, self.products = g, 0
+
+    def __matmul__(self, x):
+        self.products += 1
+        return self.g @ x
 
 
 def left_half_sweep(seed):
-    """A left half-sweep with a12 = 0.3 at N = 60, r = 4: the step, the
-    frozen right frame and the right-hand side."""
+    """A left half-sweep with a12 = 0.3 at N = 60, r = 4, a two-term source
+    and G behind a ``CountingG``: the step, the frozen right frame, the
+    current left frame and core (CG's warm start is their product), and the
+    half-sweep's right-hand side in the original coordinates."""
     rng = np.random.default_rng(seed)
     n, r, h = 60, 4, 0.01
     op = build_operator(n)
+    op.__dict__["grad_coupling_1d"] = CountingG(op.grad_coupling_1d)
     model = constant_diffusion([[1.0, 0.3], [0.3, 0.7]])
-    basis, _ = np.linalg.qr(rng.standard_normal((n, r)))
-    rhs = rng.standard_normal((n, r))
-    step = _Step(op, model, h, h, LowRankState(basis, np.eye(r), basis),
-                 (np.zeros((n, 0)), np.zeros((n, 0))))
-    return step, step.frame(basis, 1), rhs
+    u, v, w = (np.linalg.qr(rng.standard_normal((n, r)))[0] for _ in range(3))
+    step = _Step(op, model, h, h, LowRankState(u, np.eye(r), v),
+                 (rng.standard_normal((n, 2)), rng.standard_normal((n, 2))))
+    frozen = step.frame(w, 1)
+    return (step, frozen, step.frame(u, 0), rng.standard_normal((r, r)),
+            step.factors[0] @ (step.weights[0] @ frozen.overlap.T))
 
 
 def half_sweep_system(monkeypatch, seed):
     """The (apply, precondition, rhs) that ``_Step.half_sweep`` hands to
-    ``_pcg`` for ``left_half_sweep(seed)``: the system rotated into the
-    eigenbasis Q of the frozen B^T L B, with right-hand side rhs Q."""
-    step, frozen, rhs = left_half_sweep(seed)
+    ``_pcg`` for a cold ``left_half_sweep(seed)``: the system rotated into
+    the eigenbasis Q of the frozen B^T L B, with the right-hand side formed
+    as one product of the stacked factors."""
+    step, frozen, *_ = left_half_sweep(seed)
     seen = []
-    monkeypatch.setattr(stepping, "_pcg", lambda *args: seen.append(args) or (rhs, 0))
-    step.half_sweep(0, frozen, rhs)
+    monkeypatch.setattr(stepping, "_pcg", lambda *args: seen.append(args) or (args[2], 0))
+    step.half_sweep(0, frozen)
     monkeypatch.undo()
-    apply, precondition, got_rhs, x0 = seen[0]
-    assert np.array_equal(got_rhs, rhs @ np.linalg.eigh(frozen.lam)[1]) and x0 is None
+    (apply, precondition, got_rhs), = seen
+    evecs = np.linalg.eigh(frozen.lam)[1]
+    assert np.array_equal(got_rhs, step.factors[0] @ (step.weights[0] @ (frozen.overlap.T @ evecs)))
     return apply, precondition, got_rhs
 
 
@@ -478,7 +499,8 @@ def test_pcg_cold_start_is_scipy_cg_bitwise(monkeypatch):
 def test_pcg_from_the_exact_solution_takes_no_iteration(monkeypatch):
     apply, precondition, _ = half_sweep_system(monkeypatch, 47)
     exact = np.random.default_rng(48).standard_normal((60, 4))
-    got, iterations = stepping._pcg(apply, precondition, apply(exact), exact.copy())
+    got, iterations = stepping._pcg(apply, precondition, apply(exact), exact.copy(),
+                                    apply(exact))
     assert iterations == 0
     assert np.array_equal(got, exact)
 
@@ -487,7 +509,7 @@ def test_pcg_takes_the_same_iterations_in_the_eigenbasis(monkeypatch):
     # the same system in the original coordinates X = Y Q^T: three-term
     # apply, Sylvester preconditioner by two products with Q; preconditioned
     # CG is invariant under that orthogonal change of variables
-    step, frozen, rhs = left_half_sweep(50)
+    step, frozen, _, _, rhs = left_half_sweep(50)
     apply, precondition, rotated = half_sweep_system(monkeypatch, 50)
     a, h, c, g = step.alpha, step.h, step.mixed, step.op.grad_coupling_1d
     own_lam = a[0, 0] * step.op.stiffness_diag[:, None]
@@ -504,9 +526,33 @@ def test_pcg_takes_the_same_iterations_in_the_eigenbasis(monkeypatch):
     got, iterations = stepping._pcg(apply, precondition, rotated)
     assert iterations == want_iterations > 0
     assert np.linalg.norm(got @ evecs.T - want) <= 1e-13 * np.linalg.norm(want)
-    frame, r_block, its = step.half_sweep(0, frozen, rhs)
+    frame, core, its = step.half_sweep(0, frozen)
     assert its == want_iterations
-    assert np.linalg.norm(frame.basis @ r_block - want) <= 1e-13 * np.linalg.norm(want)
+    assert np.linalg.norm(frame.basis @ core - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_warm_start_image_is_read_from_the_frame(monkeypatch):
+    # CG starts at U S Q; its image denom * x0 + ((G U)(S Q)) Gamma' comes
+    # from the own frame's G U, and equals the operator applied to x0
+    step, frozen, own, core, _ = left_half_sweep(54)
+    seen = []
+    monkeypatch.setattr(stepping, "_pcg", lambda *args: seen.append(args) or (args[2], 0))
+    step.half_sweep(0, frozen, own, core)
+    (apply, _, _, x0, image), = seen
+    assert np.array_equal(x0, own.basis @ (core @ np.linalg.eigh(frozen.lam)[1]))
+    want = apply(x0)
+    assert np.linalg.norm(image - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_warm_half_sweep_multiplies_by_g_once_per_iteration_and_frame():
+    # the start's image costs no product with G: one per CG iteration, and
+    # one for the new frame's G U
+    step, frozen, own, core, _ = left_half_sweep(55)
+    counter = step.op.grad_coupling_1d
+    counter.products = 0
+    _, _, iterations = step.half_sweep(0, frozen, own, core)
+    assert iterations > 0
+    assert counter.products == iterations + 1
 
 
 def test_zero_source_factors_are_accepted():
@@ -679,6 +725,9 @@ def test_integrate_validation_errors():
         integrate("rk4", u0, 0.1, 10, model, src)
     with pytest.raises(ValueError):
         integrate("als", u0, 0.1, 0, model, src)
+    for n_steps in (True, 2.5):
+        with pytest.raises(ValueError, match="n_steps"):
+            integrate("als", u0, 0.1, n_steps, model, src)
     with pytest.raises(ValueError):
         integrate("als", u0, -0.1, 10, model, src)
     for T in (math.inf, math.nan):
