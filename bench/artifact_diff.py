@@ -1,0 +1,169 @@
+"""Compare the CLI artifacts of this tree with those of another source tree.
+
+Runs ``lowrankpde run`` on each config twice, once importing the package
+from this tree's ``src/`` and once from ``DIR/src``, and reports each
+artifact file as byte-identical, or else, for a CSV file, the largest
+absolute and relative difference of each numeric column that differs:
+
+    python3 bench/artifact_diff.py --against DIR [--config NAME ...]
+
+``--config`` restricts the run to the named configs.  The configs are the
+four files of ``perfbench/configs`` (read, never written) and the variants
+in ``VARIANTS``, which are written to a temporary directory with the
+artifacts.  Both sides run with BLAS on one thread.  The exit status is 0
+when every file of every config is byte-identical and both sides exit
+alike, 1 otherwise.
+"""
+
+import argparse
+import csv
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PERFBENCH_CONFIGS = ROOT / "perfbench" / "configs"
+
+_ROTATION = """
+[alpha]
+kind = rotation
+lambda1 = 1.0
+lambda2 = 0.1
+omega = 1.0
+"""
+_EXPERIMENTS = {
+    "heat-diagonal": "experiment = heat-diagonal\n",
+    "convergence-h": "experiment = convergence-h\nN = 16\nr = 3\nT = 0.2\nn_steps = 64\n"
+                     + _ROTATION + "\n[source]\nterm = cosine:0.5:2.0 | p = 1:1.0 | q = 2:1.0\n",
+    "equivalence": "experiment = equivalence\n",
+}
+#: Configs besides those of perfbench/configs: the anisotropic config with
+#: the two other methods, and the experiments the benchmark does not run.
+VARIANTS = ["anisotropic-splitting", "anisotropic-reference", *_EXPERIMENTS]
+
+
+def variant_text(name: str) -> str:
+    """The text of the variant config ``name``."""
+    if name in _EXPERIMENTS:
+        return _EXPERIMENTS[name]
+    text = (PERFBENCH_CONFIGS / "anisotropic.cfg").read_text()
+    if "method = als\n" not in text:
+        raise ValueError("perfbench/configs/anisotropic.cfg no longer sets method = als")
+    return text.replace("method = als\n", f"method = {name.removeprefix('anisotropic-')}\n")
+
+
+CONFIGS = [path.stem for path in sorted(PERFBENCH_CONFIGS.glob("*.cfg"))] + VARIANTS
+
+# the child imports the package from the tree it is given, checks that it
+# did, and runs the CLI's entry point on the remaining arguments; a failure
+# outside the CLI's own exit statuses shows as a traceback
+_CHILD = """import sys
+from pathlib import Path
+src = Path(sys.argv[1]).resolve()
+sys.path.insert(0, str(src))
+import lowrankpde.cli as cli
+if not Path(cli.__file__).resolve().is_relative_to(src):
+    raise ImportError(f"lowrankpde.cli was imported from {cli.__file__}, not from {src}")
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+def run_cli(src: Path, config: Path, out: Path) -> int:
+    """Exit status of ``lowrankpde run config --out out --quiet`` on ``src``."""
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               MKL_NUM_THREADS="1")
+    done = subprocess.run([sys.executable, "-c", _CHILD, str(src), "run", str(config),
+                           "--out", str(out), "--quiet"], env=env, capture_output=True,
+                          text=True)
+    if done.returncode not in (0, 1, 3) or "Traceback" in done.stderr:
+        raise RuntimeError(f"the CLI on {src} exited {done.returncode}:\n{done.stderr}")
+    return done.returncode
+
+
+def _float(text: str):
+    try:
+        return float(text)
+    except ValueError:
+        return None
+
+
+def csv_differences(ours: Path, theirs: Path) -> list:
+    """One entry per column that differs: ``column: max abs A rel R`` over
+    the numeric cells, plus the count of differing text cells, and one
+    entry for a different row count or header."""
+    (head_a, *rows_a), (head_b, *rows_b) = (list(csv.reader(p.read_text().splitlines()))
+                                             for p in (ours, theirs))
+    if head_a != head_b:
+        return [f"header {','.join(head_a)} vs {','.join(head_b)}"]
+    notes = [f"rows {len(rows_a)} vs {len(rows_b)}"] if len(rows_a) != len(rows_b) else []
+    for j, column in enumerate(head_a):
+        worst_abs = worst_rel = 0.0
+        text = 0
+        for row_a, row_b in zip(rows_a, rows_b):
+            a, b = row_a[j], row_b[j]
+            if a == b:
+                continue
+            x, y = _float(a), _float(b)
+            if x is None or y is None or x == y:      # also "0" against "-0"
+                text += 1
+            elif not (math.isfinite(x) and math.isfinite(y)):
+                worst_abs = worst_rel = math.inf
+            else:
+                worst_abs = max(worst_abs, abs(x - y))
+                worst_rel = max(worst_rel, abs(x - y) / max(abs(x), abs(y)))
+        parts = ([f"max abs {worst_abs:.3g} rel {worst_rel:.3g}"] if worst_abs else []) \
+            + ([f"{text} text cells"] if text else [])
+        if parts:
+            notes.append(f"{column}: " + ", ".join(parts))
+    return notes
+
+
+def compare_file(ours: Path, theirs: Path) -> str:
+    """``identical``, or what differs between the two artifacts."""
+    if not ours.exists() or not theirs.exists():
+        return "only in " + ("this tree" if ours.exists() else "DIR")
+    if ours.read_bytes() == theirs.read_bytes():
+        return "identical"
+    if ours.suffix == ".csv":
+        return "differs: " + "; ".join(csv_differences(ours, theirs))
+    lines = zip(ours.read_text().splitlines(), theirs.read_text().splitlines())
+    first = next((i for i, (a, b) in enumerate(lines, start=1) if a != b), None)
+    return "differs " + (f"from line {first}" if first else "in length")
+
+
+def compare_config(name: str, against: Path, work: Path) -> bool:
+    """Run config ``name`` on both trees and print one line per artifact;
+    True if both exit alike and every artifact is byte-identical."""
+    config = PERFBENCH_CONFIGS / f"{name}.cfg"
+    if name in VARIANTS:
+        config = work / f"{name}.cfg"
+        config.write_text(variant_text(name))
+    outs = work / name / "this", work / name / "against"
+    status = [run_cli(src, config, out) for src, out in zip((ROOT / "src", against / "src"), outs)]
+    same = status[0] == status[1]
+    print(f"{name}: exit status {status[0]}" + ("" if same else f" vs {status[1]} in DIR"))
+    files = sorted({p.name for out in outs if out.exists() for p in out.iterdir()})
+    for file in files:
+        verdict = compare_file(outs[0] / file, outs[1] / file)
+        same &= verdict == "identical"
+        print(f"  {file:16s} {verdict}")
+    return same
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--against", type=Path, required=True, metavar="DIR",
+                        help="the source tree to compare with (its src/ is imported)")
+    parser.add_argument("--config", nargs="+", choices=CONFIGS, default=CONFIGS)
+    args = parser.parse_args(argv)
+    with tempfile.TemporaryDirectory() as tmp:
+        same = [compare_config(name, args.against.resolve(), Path(tmp)) for name in args.config]
+    print(f"{sum(same)} of {len(same)} configs byte-identical")
+    return 0 if all(same) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

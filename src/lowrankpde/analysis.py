@@ -26,8 +26,7 @@ from .galerkin import (DiffusionModel, GalerkinOperator, SourceSpec, TimeProfile
                        separable_source, v_norm, zero_source)
 from .manifold import (DEFAULT_RANK_FLOOR, LowRankState, factorize, qr_nonneg,
                        singular_values, tangent_project, to_dense)
-from .stepping import (StepOptions, Trajectory, _forward_splitting_step, integrate,
-                       splitting_euler_step)
+from .stepping import Trajectory, _forward_splitting_step, integrate, splitting_euler_step
 
 __all__ = [
     "ConvergenceRow",
@@ -351,17 +350,17 @@ def projection_regularity_suite(basis_dim: int, rank: int, trials: int,
         u = sample_state(rngs, n, rank)
         y = to_dense(u)
         z = _each(rngs, lambda g: g.standard_normal((n, n)))
-        t = [g.uniform(0.0, 2.0 * math.pi) for g in rngs]
+        a = np.array([model.alpha(g.uniform(0.0, 2.0 * math.pi)) for g in rngs])
         # singular factors as rows, so each seminorm sums one contiguous row
         w1, svals, w2t = np.linalg.svd(u.core)
         left = np.ascontiguousarray((u.u1_factors @ w1).mT)
         right = np.ascontiguousarray((u.u2_factors @ w2t.mT).mT)
-        cols = (singular_values(u)[:, -1], v_norm(op, y), v_norm(op, z),
+        cols = (svals[:, -1], v_norm(op, y), v_norm(op, z),
                 v_norm(op, tangent_project(u, z)), svals,
                 np.sqrt(np.sum(lam * left ** 2, axis=-1)),
                 np.sqrt(np.sum(lam * right ** 2, axis=-1)),
                 np.sqrt(np.sum(mixed_w * y * y, axis=(-2, -1))),
-                np.array([model.alpha(s)[0, 1] for s in t]), _h_norms(apply_a2(op, model, t, y)))
+                a[:, 0, 1], _h_norms(apply_a2(op, a, y)))
         rows = []
         for sig, vn, vz, vp, sv, semi1, semi2, mixed, a12, a2n in zip(
                 *(c.tolist() for c in cols)):
@@ -393,10 +392,10 @@ def tangency_suite(basis_dim: int, rank: int, trials: int, seed: int,
         ("a1_tangency", "state_reproduction", "a1_projected_pairing"), 0.0), seed)
     for _, rngs in _chunks(n, rank, trials, seed):
         u = sample_state(rngs, n, rank)
-        t = [g.uniform(0.0, 1.0) for g in rngs]
+        a = np.array([model.alpha(g.uniform(0.0, 1.0)) for g in rngs])
         z = _each(rngs, lambda g: g.standard_normal((n, n)))
         y = to_dense(u)
-        a1u = apply_a1(op, model, t, y)
+        a1u = apply_a1(op, a, y)
         cols = (_h_norms(a1u - tangent_project(u, a1u)), _h_norms(a1u),
                 _h_norms(tangent_project(u, y) - y), _h_norms(y),
                 np.sum(a1u * z, axis=(-2, -1)),
@@ -464,8 +463,7 @@ def equivalence_test(trials: int = 50, seed: int = 0) -> PropertyReport:
 def convergence_study(axis: str, u0: LowRankState, T: float, model: DiffusionModel,
                       source: SourceSpec, method: str = "als",
                       step_counts=(10, 20, 40, 80, 160), ranks=None,
-                      n_steps: int = 100,
-                      opts: Optional[StepOptions] = None) -> ConvergenceTable:
+                      n_steps: int = 100) -> ConvergenceTable:
     """Final-time error against an oracle along a step-size or rank sweep.
 
     With constant diagonal alpha and no source, the closed-form decayed
@@ -483,13 +481,13 @@ def convergence_study(axis: str, u0: LowRankState, T: float, model: DiffusionMod
         oracle = exact_diagonal_solution(op, model, u0, T)
     else:
         fine = 4 * (max(step_counts) if axis == "step" else n_steps)
-        ref = integrate("reference", to_dense(u0), T, fine, model, source, opts)
+        ref = integrate("reference", to_dense(u0), T, fine, model, source)
         oracle = ref.states[-1]
 
     rows = []
     if axis == "step":
         for count in step_counts:
-            traj = integrate(method, u0, T, count, model, source, opts)
+            traj = integrate(method, u0, T, count, model, source)
             rows.append(ConvergenceRow(T / count, h_distance(traj.states[-1], oracle)))
         for i in range(1, len(rows)):
             e0, e1 = rows[i - 1].error, rows[i].error
@@ -504,6 +502,6 @@ def convergence_study(axis: str, u0: LowRankState, T: float, model: DiffusionMod
             # requesting more rank than the start actually has just reproduces
             # the best available point (the extra directions start empty)
             u0_r = factorize(dense0, min(int(rank), available))
-            traj = integrate(method, u0_r, T, n_steps, model, source, opts)
+            traj = integrate(method, u0_r, T, n_steps, model, source)
             rows.append(ConvergenceRow(float(rank), h_distance(traj.states[-1], oracle)))
     return ConvergenceTable(axis, rows)

@@ -37,7 +37,7 @@ from .analysis import (convergence_study, curvature_suite, energy_audit, equival
 from .galerkin import (DiffusionModel, SourceSpec, TimeProfile, build_operator,
                        constant_diffusion, exact_diagonal_solution, h_distance, h_norm,
                        rotating_diffusion, separable_source, v_norm, zero_source)
-from .manifold import LowRankState, RankDeficiencyError, smallest_singular
+from .manifold import LowRankState, RankDeficiencyError, singular_values
 from .stepping import METHODS, InnerSolveError, Trajectory, integrate
 
 __all__ = ["AlphaSpec", "ConfigError", "RunConfig", "SourceTermSpec", "main",
@@ -348,7 +348,7 @@ def _write_trajectory(out: Path, traj: Trajectory, op):
     for i, (t, y) in enumerate(zip(traj.times, traj.states)):
         if i == 0:
             resid, obj = math.nan, math.nan
-            sigma = math.nan if traj.method == "reference" else smallest_singular(y)
+            sigma = math.nan if traj.method == "reference" else float(singular_values(y)[-1])
         else:
             d = traj.diagnostics[i - 1]
             resid, obj, sigma = d.galerkin_residual, d.objective_value, d.sigma_r

@@ -14,6 +14,7 @@ mixed-derivative part coupling the two directions through a skew-symmetric
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
@@ -157,24 +158,23 @@ class GalerkinOperator:
 def build_operator(basis_dim: int) -> GalerkinOperator:
     """Operator for modes 1..basis_dim; only the stiffness vector is built
     here, the dense blocks on first read (see :class:`GalerkinOperator`)."""
-    if basis_dim < 1:
-        raise ValueError("basis_dim must be >= 1")
+    if isinstance(basis_dim, bool) or not isinstance(basis_dim, numbers.Integral) or basis_dim < 1:
+        raise ValueError(f"basis_dim must be an integer >= 1, got {basis_dim!r}")
     n = np.arange(1, basis_dim + 1)
     return GalerkinOperator(basis_dim, (n * np.pi) ** 2)
 
 
-def apply_a1(op: GalerkinOperator, model: DiffusionModel, t: float, coeffs: np.ndarray) -> np.ndarray:
-    """Divergence part: ``a11 L Y + a22 Y L`` (acts on rows / columns only).
-    A list of K times acts on a stack (K, N, N), time k on matrix k."""
-    a = np.array([model.alpha(s) for s in t]) if isinstance(t, list) else model.alpha(t)
+def apply_a1(op: GalerkinOperator, a: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Divergence part ``a11 L Y + a22 Y L`` (acts on rows / columns only) of
+    the evaluated tensor ``a``.  A stack (K, 2, 2) of tensors acts on a stack
+    (K, N, N), tensor k on matrix k."""
     lam = op.stiffness_diag
     return (a[..., 0, 0, None, None] * lam[:, None] * coeffs
             + a[..., 1, 1, None, None] * coeffs * lam[None, :])
 
 
-def apply_a2(op: GalerkinOperator, model: DiffusionModel, t: float, coeffs: np.ndarray) -> np.ndarray:
-    """Mixed-derivative part: ``(a12 + a21) G Y G``; stacked as in :func:`apply_a1`."""
-    a = np.array([model.alpha(s) for s in t]) if isinstance(t, list) else model.alpha(t)
+def apply_a2(op: GalerkinOperator, a: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Mixed-derivative part ``(a12 + a21) G Y G``; stacked as in :func:`apply_a1`."""
     c = a[..., 0, 1, None, None] + a[..., 1, 0, None, None]
     if not c.any():
         return np.zeros_like(coeffs)
@@ -182,15 +182,15 @@ def apply_a2(op: GalerkinOperator, model: DiffusionModel, t: float, coeffs: np.n
     return c * (g @ coeffs @ g)
 
 
-def apply_operator(op: GalerkinOperator, model: DiffusionModel, t: float, coeffs: np.ndarray) -> np.ndarray:
-    """Full weak operator in coefficient space; symmetric positive definite."""
-    return apply_a1(op, model, t, coeffs) + apply_a2(op, model, t, coeffs)
+def apply_operator(op: GalerkinOperator, a: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """Full weak operator of the tensor ``a`` in coefficient space; symmetric
+    positive definite.  Stacked as in :func:`apply_a1`."""
+    return apply_a1(op, a, coeffs) + apply_a2(op, a, coeffs)
 
 
-def operator_matrix(op: GalerkinOperator, model: DiffusionModel, t: float) -> np.ndarray:
-    """Dense N^2-by-N^2 matrix of :func:`apply_operator` acting on
-    column-major vectorized coefficients."""
-    a = model.alpha(t)
+def operator_matrix(op: GalerkinOperator, a: np.ndarray) -> np.ndarray:
+    """Dense N^2-by-N^2 matrix of :func:`apply_operator` for the (2, 2)
+    tensor ``a``, acting on column-major vectorized coefficients."""
     n = op.basis_dim
     eye = np.eye(n)
     stiff = op.stiffness_1d

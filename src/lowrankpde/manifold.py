@@ -21,7 +21,6 @@ __all__ = [
     "qr_nonneg",
     "reorthonormalize",
     "singular_values",
-    "smallest_singular",
     "tangent_project",
     "to_dense",
 ]
@@ -155,13 +154,9 @@ def tangent_project(state: LowRankState, matrix: np.ndarray) -> np.ndarray:
 
 def singular_values(state: LowRankState) -> np.ndarray:
     """Singular values of the state (descending); equals svd of the core.
-    A stack of states gives one row per state."""
+    The last, sigma_r, is the state's Frobenius distance to the rank-(r-1)
+    set.  A stack of states gives one row per state."""
     return np.linalg.svd(state.core, compute_uv=False)
-
-
-def smallest_singular(state: LowRankState) -> float:
-    """sigma_r of the state = its Frobenius distance to the rank-(r-1) set."""
-    return float(singular_values(state)[-1])
 
 
 def reorthonormalize(state: LowRankState) -> LowRankState:

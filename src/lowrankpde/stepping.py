@@ -33,7 +33,7 @@ from __future__ import annotations
 import logging
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -41,11 +41,10 @@ import numpy as np
 from .galerkin import (DiffusionModel, GalerkinOperator, SourceSpec, apply_operator,
                        build_operator, h_norm, rhs_mean_factors)
 from .manifold import (DEFAULT_RANK_FLOOR, LowRankState, RankDeficiencyError,
-                       _check_qr_collapse, singular_values, smallest_singular, to_dense)
+                       _check_qr_collapse, singular_values, to_dense)
 
 __all__ = [
     "METHODS",
-    "HaltRecord",
     "InnerSolveError",
     "StepDiagnostics",
     "StepOptions",
@@ -103,13 +102,16 @@ class StepDiagnostics:
 
     objective_trace holds F at the start and after each half-sweep (for the
     reference step: before and after), so monotonicity of the alternating
-    solver is observable.  inner_iterations is the total number of
+    solver is observable.  sigma_r and sigma_1 are the smallest and largest
+    singular values of the result, read by the rank monitor (NaN for the
+    reference step).  inner_iterations is the total number of
     conjugate-gradient iterations of the step, 0 without a mixed term.
     """
 
     sweeps_used: int
     galerkin_residual: float
     sigma_r: float
+    sigma_1: float
     objective_trace: tuple
     inner_iterations: int = 0
 
@@ -125,19 +127,16 @@ class StepDiagnostics:
         return bool(last <= first + 1e-12 * abs(first) + 1e-300)
 
 
-@dataclass(frozen=True)
-class HaltRecord:
-    step_index: int
-    sigma_r: float
-
-
 @dataclass
 class Trajectory:
+    """The states at ``times`` and each step's record.  ``halted_early`` is
+    the index of the step at which the rank monitor halted, or None."""
+
     times: np.ndarray
     states: list
     diagnostics: list
     method: str
-    halted_early: Optional[HaltRecord] = None
+    halted_early: Optional[int] = None
 
     @property
     def step_size(self) -> float:
@@ -352,10 +351,10 @@ def reference_step(y_prev: np.ndarray, h: float, t_next: float, f_mean: np.ndarr
     inverse solves the step without a mixed term and preconditions
     conjugate gradient with one; every operator application reads the
     tensor evaluated once.  Returns (state, diagnostics); the objective and
-    the defect norm are evaluated densely, and ``sigma_r`` is NaN.
+    the defect norm are evaluated densely, and ``sigma_r`` and ``sigma_1``
+    are NaN.
     """
     alpha = model.alpha(t_next)
-    frozen = replace(model, alpha=lambda _t: alpha)
     lam = op.stiffness_diag
     denom = 1.0 + h * (alpha[0, 0] * lam[:, None] + alpha[1, 1] * lam[None, :])
     y_prev = np.asarray(y_prev, dtype=float)
@@ -363,16 +362,16 @@ def reference_step(y_prev: np.ndarray, h: float, t_next: float, f_mean: np.ndarr
     if alpha[0, 1] + alpha[1, 0] == 0.0:
         y, iterations = rhs / denom, 0
     else:
-        y, iterations = _pcg(lambda x: x + h * apply_operator(op, frozen, t_next, x),
+        y, iterations = _pcg(lambda x: x + h * apply_operator(op, alpha, x),
                              lambda x: x / denom, rhs)
-    a_y = apply_operator(op, frozen, t_next, y)
+    a_y = apply_operator(op, alpha, y)
     d = y - y_prev
-    f_prev = (0.5 * float(np.sum(apply_operator(op, frozen, t_next, y_prev) * y_prev))
+    f_prev = (0.5 * float(np.sum(apply_operator(op, alpha, y_prev) * y_prev))
               - float(np.sum(f_mean * y_prev)))
     f_new = (float(np.sum(d * d)) / (2.0 * h) + 0.5 * float(np.sum(a_y * y))
              - float(np.sum(f_mean * y)))
-    return y, StepDiagnostics(0, h_norm(d / h + a_y - f_mean), math.nan, (f_prev, f_new),
-                              iterations)
+    return y, StepDiagnostics(0, h_norm(d / h + a_y - f_mean), math.nan, math.nan,
+                              (f_prev, f_new), iterations)
 
 
 def _alternating_step(u_prev: LowRankState, h: float, t_next: float, f_factors,
@@ -404,8 +403,9 @@ def _alternating_step(u_prev: LowRankState, h: float, t_next: float, f_factors,
                 math.sqrt(np.vdot(core, core)), np.finfo(float).tiny) <= _ALS_TOL:
             break
     state = LowRankState(left.basis, core, right.basis)
-    return state, StepDiagnostics(sweeps, step.residual(core, left, right),
-                                  smallest_singular(state), tuple(trace), iterations)
+    svals = singular_values(state)
+    return state, StepDiagnostics(sweeps, step.residual(core, left, right), float(svals[-1]),
+                                  float(svals[0]), tuple(trace), iterations)
 
 
 def als_variational_step(u_prev: LowRankState, h: float, t_next: float,
@@ -469,9 +469,10 @@ def integrate(method: str, u0, T: float, n_steps: int, model: DiffusionModel,
     """Uniform-step backward-Euler integration over [0, T].
 
     method: "reference" (dense states), "als", or "splitting".  For the
-    manifold methods the trajectory monitor halts once
+    manifold methods the trajectory monitor halts once the step record has
     sigma_r < rank_floor_rel * sigma_1, recording the halt index; the
-    initial state must sit safely above that floor.
+    initial state must sit safely above that floor.  The start is one state,
+    not a stack.
     """
     opts = opts or StepOptions()
     if method not in METHODS:
@@ -486,14 +487,20 @@ def integrate(method: str, u0, T: float, n_steps: int, model: DiffusionModel,
     if manifold:
         if not isinstance(u0, LowRankState):
             raise TypeError("manifold methods need a LowRankState start")
+        shape = u0.core.shape[:-2] + (u0.basis_dim,) * 2
+    else:
+        u0 = to_dense(u0) if isinstance(u0, LowRankState) else np.array(u0, dtype=float)
+        shape = u0.shape
+    if len(shape) != 2 or shape[0] != shape[1]:
+        raise ValueError("the start must be one square coefficient matrix, "
+                         f"not a stacked or non-square start of shape {shape}")
+    if manifold:
         svals = singular_values(u0)
         if svals[-1] < opts.rank_floor_rel * svals[0]:
             raise RankDeficiencyError("initial state is already under the rank floor",
                                       rank=u0.rank, sigma=float(svals[-1]),
                                       floor=float(opts.rank_floor_rel * svals[0]))
-    else:
-        u0 = to_dense(u0) if isinstance(u0, LowRankState) else np.array(u0, dtype=float)
-    n = u0.basis_dim if manifold else u0.shape[0]
+    n = shape[0]
     if source.basis_dim != n:
         raise ValueError("source and state disagree on the basis dimension")
     op = build_operator(n)
@@ -520,10 +527,8 @@ def integrate(method: str, u0, T: float, n_steps: int, model: DiffusionModel,
         times.append(t1)
         states.append(state)
         diagnostics.append(diag)
-        if manifold:
-            svals = singular_values(state)
-            if svals[-1] < opts.rank_floor_rel * svals[0]:
-                halted = HaltRecord(step_index=i + 1, sigma_r=float(svals[-1]))
-                break
+        if manifold and diag.sigma_r < opts.rank_floor_rel * diag.sigma_1:
+            halted = i + 1
+            break
     return Trajectory(times=np.array(times), states=states,
                       diagnostics=diagnostics, method=method, halted_early=halted)

@@ -206,9 +206,8 @@ def test_criterion_8_rank_floor_halt_prediction():
     # predictable in closed form
     rho = (1.0 + 2.0 * np.pi ** 2 * h) / (1.0 + 8.0 * np.pi ** 2 * h)
     predicted = int(np.ceil(np.log(floor) / np.log(rho)))
-    ok = traj.halted_early is not None and \
-        abs(traj.halted_early.step_index - predicted) <= 2
-    got = None if traj.halted_early is None else traj.halted_early.step_index
+    got = traj.halted_early
+    ok = got is not None and abs(got - predicted) <= 2
     _report(8, ok, f"halted at step {got}, predicted {predicted} (± 2)")
 
 

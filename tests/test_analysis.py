@@ -5,11 +5,13 @@ quantity has a closed form, and the interpolation identity is checked against
 a per-interval Gauss rule built here from scratch.
 """
 
+import dataclasses
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from lowrankpde import analysis
 from lowrankpde.analysis import (PropertyReport, _spectral_distances, convergence_study,
                                  curvature_suite,
                                  energy_audit, equivalence_test, interpolant_gap,
@@ -19,7 +21,7 @@ from lowrankpde.galerkin import (build_operator, constant_diffusion, constant_pr
                                  cosine_profile, h_norm, linear_profile, rhs_mean_factors,
                                  rotating_diffusion, separable_source, v_dual_norm, v_norm,
                                  zero_source)
-from lowrankpde.manifold import LowRankState, smallest_singular, to_dense
+from lowrankpde.manifold import LowRankState, singular_values, to_dense
 from lowrankpde.stepping import Trajectory, integrate
 
 
@@ -61,7 +63,7 @@ def test_sample_nearby_state():
     near = sample_nearby_state(rng, s, max_rel=0.5)
     assert near.rank == 3
     dist = np.linalg.norm(to_dense(near) - to_dense(s))
-    assert 0 < dist <= 0.5 * smallest_singular(s)
+    assert 0 < dist <= 0.5 * singular_values(s)[-1]
 
 
 def test_sample_spd_tensor():
@@ -330,7 +332,6 @@ def test_projection_ratios_scale_invariant():
     # every audited bound is homogeneous in the state, so scaling u by c > 0
     # leaves each observed/bound ratio unchanged
     from lowrankpde.galerkin import v_norm as vn_f
-    from lowrankpde.manifold import smallest_singular as ss_f
     from lowrankpde.manifold import tangent_project
     rng = np.random.default_rng(60)
     op = build_operator(8)
@@ -340,7 +341,7 @@ def test_projection_ratios_scale_invariant():
 
     def ratios(state):
         y = to_dense(state)
-        sig = ss_f(state)
+        sig = singular_values(state)[-1]
         vn = vn_f(op, y)
         proj = vn_f(op, tangent_project(state, z)) / (
             np.sqrt(1.0 + 3 * vn ** 2 / sig ** 2) * vn_f(op, z))
@@ -376,7 +377,7 @@ def test_tangency_explicit_single_mode():
     model = constant_diffusion(np.eye(2))
     u = mode_state(6, [(0, 1.0)])
     y = to_dense(u)
-    a1u = apply_a1(op, model, 0.0, y)
+    a1u = apply_a1(op, model.alpha(0.0), y)
     np.testing.assert_allclose(a1u, 2.0 * np.pi ** 2 * y, atol=1e-11)
     assert np.linalg.norm(a1u - tangent_project(u, a1u)) <= 1e-12
 
@@ -422,6 +423,24 @@ def test_tangency_suite_small_run():
                                     "a1_projected_pairing"}
 
 
+def counting_model(model, calls):
+    """``model`` with an alpha that records each time it is evaluated at."""
+    def alpha(t):
+        calls.append(t)
+        return model.alpha(t)
+    return dataclasses.replace(model, alpha=alpha)
+
+
+def test_geometry_suites_evaluate_the_tensor_once_per_trial(monkeypatch):
+    calls = []
+    monkeypatch.setattr(analysis, "rotating_diffusion",
+                        lambda *args: counting_model(rotating_diffusion(*args), calls))
+    projection_regularity_suite(8, 2, 30, seed=4)
+    assert len(calls) == 30
+    tangency_suite(8, 2, 20, seed=5, model=analysis.rotating_diffusion(1.0, 0.25, 1.0))
+    assert len(calls) == 50
+
+
 def test_equivalence_small_run():
     rep = equivalence_test(trials=8, seed=1)
     assert rep.passed and rep.violations == 0
@@ -459,7 +478,7 @@ def test_equivalence_vanishing_step_returns_start():
     b = _forward_splitting_step(u0, h, h, (f, np.eye(n)), op, model)
     # the drift of one implicit step is at most h times the defect scale
     from lowrankpde.galerkin import apply_operator
-    budget = 10.0 * h * (np.linalg.norm(apply_operator(op, model, h, y0))
+    budget = 10.0 * h * (np.linalg.norm(apply_operator(op, model.alpha(h), y0))
                          + np.linalg.norm(f))
     assert np.linalg.norm(to_dense(a) - y0) <= budget
     assert np.linalg.norm(to_dense(b) - y0) <= budget

@@ -1,6 +1,7 @@
 """The package's public surface: one export list, and the bench scripts that
 import it."""
 
+import importlib.util
 import json
 import subprocess
 import sys
@@ -68,3 +69,35 @@ def test_suite_scan_against_its_own_tree(tmp_path):
     assert set(ab) == set(plain) | {"against_cpu_ms", "speedup", "speedup_range", "pairs"}
     for key in ("suite", "N", "r", "trials", "violations", "worst_ratio"):
         assert ab[key] == plain[key], key
+
+
+def test_artifact_diff_against_its_own_tree():
+    # the same source on both sides: each artifact of the cheapest config
+    # is byte-identical and the tool exits 0
+    done = subprocess.run([sys.executable, str(ROOT / "bench" / "artifact_diff.py"),
+                           "--against", str(ROOT), "--config", "heat-diagonal"],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stdout + done.stderr
+    lines = done.stdout.splitlines()
+    assert lines[0] == "heat-diagonal: exit status 0"
+    assert [line.split() for line in lines[1:-1]] == [
+        [name, "identical"] for name in ("diagnostics.csv", "report.csv", "run.log",
+                                         "trajectory.csv")]
+    assert lines[-1] == "1 of 1 configs byte-identical"
+
+
+def test_artifact_diff_reports_each_differing_column(tmp_path):
+    spec = importlib.util.spec_from_file_location("artifact_diff",
+                                                  ROOT / "bench" / "artifact_diff.py")
+    diff = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(diff)
+    ours, theirs = tmp_path / "ours.csv", tmp_path / "theirs.csv"
+    ours.write_text("step,x,y,flag\n1,1.0,nan,true\n2,4.0,0,true\n")
+    theirs.write_text("step,x,y,flag\n1,1.0,nan,true\n2,5.0,-0,false\n")
+    assert diff.compare_file(ours, ours) == "identical"
+    assert diff.compare_file(ours, theirs) == (
+        "differs: x: max abs 1 rel 0.2; y: 1 text cells; flag: 1 text cells")
+    theirs.write_text("step,x,y,flag\n1,1.0,2.0,true\n")
+    assert diff.compare_file(ours, theirs) == (
+        "differs: rows 2 vs 1; y: max abs inf rel inf")
+    assert diff.compare_file(ours, tmp_path / "missing.csv") == "only in this tree"

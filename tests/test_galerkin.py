@@ -67,7 +67,7 @@ def bilinear_oracle(alpha, y, z):
 
 def bilinear_a(op, model, t, y, z):
     """Weak form a(y, z; t) = <A(t) y, z>_F through the package's operator."""
-    return float(np.sum(apply_operator(op, model, t, y) * z))
+    return float(np.sum(apply_operator(op, model.alpha(t), y) * z))
 
 
 def validate_diffusion(model, times):
@@ -141,6 +141,14 @@ def test_dense_blocks_are_built_once():
         assert getattr(op, name) is getattr(op, name), name
 
 
+def test_build_operator_rejects_non_integral_sizes():
+    for size in (True, 2.5, 0, -3):
+        with pytest.raises(ValueError, match="basis_dim"):
+            build_operator(size)
+    op = build_operator(np.int64(4))
+    assert op.basis_dim == 4 and op.stiffness_diag.shape == (4,)
+
+
 def test_grad_coupling_builds_without_full_size_temporaries():
     # G itself is 8 N^2 bytes; building it may add only quarter-size blocks
     n = 1024
@@ -161,7 +169,7 @@ def test_mixed_application_single_mode():
     model = constant_diffusion([[1.0, 0.5], [0.5, 1.0]])
     y = np.zeros((2, 2))
     y[0, 0] = 1.0
-    out = apply_a2(op, model, 0.0, y)
+    out = apply_a2(op, model.alpha(0.0), y)
     expected = np.zeros((2, 2))
     expected[1, 1] = -64.0 / 9.0             # (0.5 + 0.5) * (8/3) * (-8/3)
     np.testing.assert_allclose(out, expected, atol=1e-12)
@@ -173,13 +181,13 @@ def test_laplacian_eigenmode_actions():
     op = build_operator(3)
     e11 = np.zeros((3, 3))
     e11[0, 0] = 1.0
-    out = apply_operator(op, constant_diffusion(np.eye(2)), 0.0, e11)
+    out = apply_operator(op, constant_diffusion(np.eye(2)).alpha(0.0), e11)
     np.testing.assert_allclose(out, 2.0 * np.pi ** 2 * e11, atol=1e-11)
     assert bilinear_a(op, constant_diffusion(np.eye(2)), 0.0, e11, e11) == \
         pytest.approx(2.0 * np.pi ** 2, rel=1e-13)
     e21 = np.zeros((3, 3))
     e21[1, 0] = 1.0
-    out = apply_operator(op, constant_diffusion([[2.0, 0.0], [0.0, 3.0]]), 0.0, e21)
+    out = apply_operator(op, constant_diffusion([[2.0, 0.0], [0.0, 3.0]]).alpha(0.0), e21)
     np.testing.assert_allclose(out, 11.0 * np.pi ** 2 * e21, atol=1e-10)
 
 
@@ -192,7 +200,7 @@ def test_apply_operator_matches_bilinear_quadrature():
     for _ in range(4):
         y = rng.standard_normal((5, 5))
         z = rng.standard_normal((5, 5))
-        lhs = float(np.sum(apply_operator(op, model, 0.0, y) * z))
+        lhs = float(np.sum(apply_operator(op, model.alpha(0.0), y) * z))
         assert lhs == pytest.approx(bilinear_oracle(alpha, y, z), rel=1e-10)
         assert bilinear_a(op, model, 0.0, y, z) == pytest.approx(
             bilinear_oracle(alpha, y, z), rel=1e-10)
@@ -203,20 +211,34 @@ def test_apply_split_consistency():
     op = build_operator(6)
     model = constant_diffusion([[0.8, 0.2], [0.2, 0.5]])
     y = rng.standard_normal((6, 6))
-    total = apply_a1(op, model, 0.0, y) + apply_a2(op, model, 0.0, y)
-    np.testing.assert_allclose(apply_operator(op, model, 0.0, y), total, atol=1e-12)
+    total = apply_a1(op, model.alpha(0.0), y) + apply_a2(op, model.alpha(0.0), y)
+    np.testing.assert_allclose(apply_operator(op, model.alpha(0.0), y), total, atol=1e-12)
+
+
+def test_stacked_tensors_act_slice_by_slice():
+    # a (K, 2, 2) stack of evaluated tensors acts on a (K, N, N) stack,
+    # tensor k on matrix k, to the last bit of the one-matrix apply
+    rng = np.random.default_rng(23)
+    op = build_operator(5)
+    model = rotating_diffusion(1.0, 0.25, 1.0)
+    a = np.array([model.alpha(t) for t in (0.2, 0.4, 1.3)])
+    y = rng.standard_normal((3, 5, 5))
+    for apply in (apply_a1, apply_a2, apply_operator):
+        stacked = apply(op, a, y)
+        for k in range(3):
+            assert np.array_equal(stacked[k], apply(op, a[k], y[k])), apply.__name__
 
 
 def test_operator_matrix_matches_columnwise_application():
     op = build_operator(4)
     model = constant_diffusion([[1.1, -0.4], [-0.4, 0.9]])
-    mat = operator_matrix(op, model, 0.0)
+    mat = operator_matrix(op, model.alpha(0.0))
     assert mat.shape == (16, 16)
     for p in range(4):
         for q in range(4):
             e = np.zeros((4, 4))
             e[p, q] = 1.0
-            col = apply_operator(op, model, 0.0, e).reshape(-1, order="F")
+            col = apply_operator(op, model.alpha(0.0), e).reshape(-1, order="F")
             np.testing.assert_allclose(mat[:, p + 4 * q], col, atol=1e-11)
     np.testing.assert_allclose(mat, mat.T, atol=1e-10)
 
@@ -224,7 +246,7 @@ def test_operator_matrix_matches_columnwise_application():
 def test_operator_matrix_positive_definite():
     op = build_operator(5)
     model = constant_diffusion([[1.0, 0.45], [0.45, 0.6]])
-    w = np.linalg.eigvalsh(operator_matrix(op, model, 0.0))
+    w = np.linalg.eigvalsh(operator_matrix(op, model.alpha(0.0)))
     assert w.min() > 0
 
 
@@ -486,7 +508,7 @@ def test_exact_diagonal_solution_matches_expm():
     model = constant_diffusion([[0.03, 0.0], [0.0, 0.08]])
     u0 = factorize(rng.standard_normal((n, n)), n)
     t = 0.7
-    flow = expm(-t * operator_matrix(op, model, 0.0))
+    flow = expm(-t * operator_matrix(op, model.alpha(0.0)))
     oracle = (flow @ to_dense(u0).reshape(-1, order="F")).reshape((n, n), order="F")
     np.testing.assert_allclose(to_dense(exact_diagonal_solution(op, model, u0, t)),
                                oracle, atol=1e-12)

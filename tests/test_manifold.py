@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from lowrankpde.manifold import (LowRankState, RankDeficiencyError, factorize,
                                  qr_nonneg, reorthonormalize, singular_values,
-                                 smallest_singular, tangent_project, to_dense)
+                                 tangent_project, to_dense)
 
 
 def random_state(rng, n, r, sigmas=None):
@@ -90,7 +90,7 @@ def test_factorize_2x2_closed_form():
     s = factorize(a, 2)
     np.testing.assert_allclose(np.sort(singular_values(s))[::-1],
                                [3.0 * np.sqrt(5.0), np.sqrt(5.0)], atol=1e-13)
-    assert abs(smallest_singular(s) - np.sqrt(5.0)) < 1e-13
+    assert abs(singular_values(s)[-1] - np.sqrt(5.0)) < 1e-13
 
 
 def test_smallest_singular_shear_core_closed_form():
@@ -100,8 +100,7 @@ def test_smallest_singular_shear_core_closed_form():
     q1, _ = np.linalg.qr(rng.standard_normal((5, 2)))
     q2, _ = np.linalg.qr(rng.standard_normal((5, 2)))
     s = LowRankState(q1, np.array([[1.0, 1.0], [0.0, 1.0]]), q2)
-    assert smallest_singular(s) == pytest.approx((np.sqrt(5.0) - 1.0) / 2.0,
-                                                 abs=1e-13)
+    assert singular_values(s)[-1] == pytest.approx((np.sqrt(5.0) - 1.0) / 2.0, abs=1e-13)
 
 
 def test_factorize_rejects_deficient_rank():
@@ -122,7 +121,7 @@ def test_factorize_relative_floor():
     with pytest.raises(RankDeficiencyError):
         factorize(np.diag([1.0, 1e-14, 0.0, 0.0]), 2)
     s = factorize(np.diag([1.0, 1e-11, 0.0, 0.0]), 2)
-    assert smallest_singular(s) == pytest.approx(1e-11)
+    assert singular_values(s)[-1] == pytest.approx(1e-11)
 
 
 # ---------------------------------------------------------------------------

@@ -10,15 +10,15 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import LinearOperator, cg
 
-from lowrankpde import stepping
+from lowrankpde import manifold, stepping
 from lowrankpde.galerkin import (build_operator, constant_diffusion,
                                  cosine_profile, operator_matrix, rhs_mean_factors,
                                  rotating_diffusion,
                                  separable_source, constant_profile, zero_source)
 from lowrankpde.manifold import (LowRankState, RankDeficiencyError, factorize,
-                                 qr_nonneg, tangent_project, to_dense)
-from lowrankpde.stepping import (StepOptions, _forward_splitting_step, _state_change, _Step,
-                                 als_variational_step, galerkin_residual, integrate,
+                                 qr_nonneg, singular_values, tangent_project, to_dense)
+from lowrankpde.stepping import (METHODS, StepOptions, _forward_splitting_step, _state_change,
+                                 _Step, als_variational_step, galerkin_residual, integrate,
                                  reference_step, splitting_euler_step, step_objective)
 
 def mode_state(n, entries):
@@ -43,7 +43,7 @@ def random_state(rng, n, r):
 def dense_backward_euler(op, model, h, t_next, y_prev, f_mean):
     """Oracle: assemble the full matrix and solve (I + h A) y = y_prev + h f."""
     n = op.basis_dim
-    a = operator_matrix(op, model, t_next)
+    a = operator_matrix(op, model.alpha(t_next))
     rhs = (y_prev + h * f_mean).reshape(-1, order="F")
     y = np.linalg.solve(np.eye(n * n) + h * a, rhs)
     return y.reshape((n, n), order="F")
@@ -155,7 +155,7 @@ def test_als_recovers_constructed_minimiser():
 
 def _apply_full(op, model, t, y):
     from lowrankpde.galerkin import apply_operator
-    return apply_operator(op, model, t, y)
+    return apply_operator(op, model.alpha(t), y)
 
 
 def test_als_full_rank_matches_reference():
@@ -693,6 +693,7 @@ def test_integrate_reference_dense_states():
     model = constant_diffusion(np.eye(2) * 0.05)
     traj = integrate("reference", u0, 0.05, 5, model, zero_source(6))
     assert isinstance(traj.states[-1], np.ndarray)
+    assert all(math.isnan(d.sigma_r) and math.isnan(d.sigma_1) for d in traj.diagnostics)
     # matches the per-mode resolvent power
     rho = 1.0 / (1.0 + 0.05 * 2.0 * np.pi ** 2 * 0.01)
     assert traj.states[-1][0, 0] == pytest.approx(rho ** 5, abs=1e-12)
@@ -735,6 +736,37 @@ def test_integrate_validation_errors():
             integrate("als", u0, T, 10, model, src)
     with pytest.raises(ValueError):
         integrate("als", u0, 0.1, 10, model, zero_source(7))   # dim mismatch
+    # a stack of two starts, or a non-square dense start, is rejected by name
+    stack = LowRankState(*(np.stack([x, x]) for x in (u0.u1_factors, u0.core, u0.u2_factors)))
+    for method in METHODS:
+        with pytest.raises(ValueError, match="stacked or non-square"):
+            integrate(method, stack, 0.1, 10, model, src)
+    with pytest.raises(ValueError, match="stacked or non-square"):
+        integrate("reference", np.ones((6, 5)), 0.1, 10, model, src)
+
+
+@pytest.mark.parametrize("method", ["als", "splitting"])
+def test_integrate_takes_one_svd_per_state(monkeypatch, method):
+    # one SVD of the start's core and one per step: the rank monitor reads
+    # sigma_r and sigma_1 from the step record, not from a second SVD; the
+    # counter replaces both bindings, so a call from inside manifold counts too
+    calls = []
+
+    def counting(state):
+        calls.append(state)
+        return singular_values(state)
+
+    for module in (manifold, stepping):
+        monkeypatch.setattr(module, "singular_values", counting)
+    n, steps = 8, 20
+    model = rotating_diffusion(1.0, 0.25, 1.0)
+    traj = integrate(method, random_state(np.random.default_rng(52), n, 2), 0.2, steps, model,
+                     zero_source(n))
+    assert len(traj.diagnostics) == steps and traj.halted_early is None
+    assert len(calls) == steps + 1
+    for diag, state in zip(traj.diagnostics, traj.states[1:]):
+        svals = singular_values(state)
+        assert (diag.sigma_r, diag.sigma_1) == (svals[-1], svals[0])
 
 
 def test_integrate_rejects_missing_source():
@@ -765,10 +797,10 @@ def test_integrate_halts_on_rank_collapse():
     assert traj.halted_early is not None
     rho = (1.0 + 2.0 * np.pi ** 2 * h) / (1.0 + 8.0 * np.pi ** 2 * h)
     predicted = int(np.ceil(np.log(floor) / np.log(rho)))
-    assert abs(traj.halted_early.step_index - predicted) <= 2
-    assert traj.halted_early.sigma_r < floor
+    assert abs(traj.halted_early - predicted) <= 2
+    assert traj.diagnostics[-1].sigma_r < floor
     # trajectory is truncated to the halt, not padded to 400 steps
-    assert len(traj.states) == traj.halted_early.step_index + 1
+    assert len(traj.states) == traj.halted_early + 1
 
 
 def test_integrate_error_mentions_step():
