@@ -428,9 +428,10 @@ def equivalence_test(trials: int = 50, seed: int = 0) -> PropertyReport:
     update) versus the same step with the explicit-Euler core update.
 
     Both solve the same systems (exactly, or by conjugate gradient converged
-    far below the bound, warm in the step and cold in the check), so their
-    results must agree to roundoff; the audited bound is a relative Frobenius
-    gap of 1e-10 per randomized configuration, read from the factors.
+    far below the bound, started warm in the step and at a zero core in the
+    check), so their results must agree to roundoff; the audited bound is a
+    relative Frobenius gap of 1e-10 per randomized configuration, read from
+    the factors.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -476,7 +477,7 @@ def convergence_study(axis: str, u0: LowRankState, T: float, model: DiffusionMod
     if axis == "step" and len(set(step_counts)) < len(step_counts):
         raise ValueError(f"step_counts must be distinct, got {tuple(step_counts)}")
     op = build_operator(u0.basis_dim)
-    closed_form = model.diagonal and not model.time_dependent and not source.terms
+    closed_form = model.constant_diagonal and not source.terms
     if closed_form:
         oracle = exact_diagonal_solution(op, model, u0, T)
     else:
@@ -497,11 +498,14 @@ def convergence_study(axis: str, u0: LowRankState, T: float, model: DiffusionMod
     else:
         dense0 = to_dense(u0)
         svals = np.linalg.svd(dense0, compute_uv=False)
-        available = int(np.sum(svals > DEFAULT_RANK_FLOOR * svals[0]))
+        best = factorize(dense0, int(np.sum(svals > DEFAULT_RANK_FLOOR * svals[0])))
         for rank in (ranks or range(1, u0.rank + 1)):
-            # requesting more rank than the start actually has just reproduces
-            # the best available point (the extra directions start empty)
-            u0_r = factorize(dense0, min(int(rank), available))
+            # the best rank-k start is the leading k columns of the best
+            # available one; requesting more rank than the start has just
+            # reproduces the best available point
+            k = min(int(rank), best.rank)
+            u0_r = LowRankState(best.u1_factors[:, :k].copy(), best.core[:k, :k].copy(),
+                                best.u2_factors[:, :k].copy())
             traj = integrate(method, u0_r, T, n_steps, model, source)
             rows.append(ConvergenceRow(float(rank), h_distance(traj.states[-1], oracle)))
     return ConvergenceTable(axis, rows)

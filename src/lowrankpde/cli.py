@@ -37,7 +37,7 @@ from .analysis import (convergence_study, curvature_suite, energy_audit, equival
 from .galerkin import (DiffusionModel, SourceSpec, TimeProfile, build_operator,
                        constant_diffusion, exact_diagonal_solution, h_distance, h_norm,
                        rotating_diffusion, separable_source, v_norm, zero_source)
-from .manifold import LowRankState, RankDeficiencyError, singular_values
+from .manifold import LowRankState, RankDeficiencyError
 from .stepping import METHODS, InnerSolveError, Trajectory, integrate
 
 __all__ = ["AlphaSpec", "ConfigError", "RunConfig", "SourceTermSpec", "main",
@@ -347,8 +347,7 @@ def _write_trajectory(out: Path, traj: Trajectory, op):
     rows = []
     for i, (t, y) in enumerate(zip(traj.times, traj.states)):
         if i == 0:
-            resid, obj = math.nan, math.nan
-            sigma = math.nan if traj.method == "reference" else float(singular_values(y)[-1])
+            resid, obj, sigma = math.nan, math.nan, traj.start_sigma_r
         else:
             d = traj.diagnostics[i - 1]
             resid, obj, sigma = d.galerkin_residual, d.objective_value, d.sigma_r
@@ -438,7 +437,7 @@ def _convergence_h(cfg: RunConfig, op):
     table = convergence_study("step", u0, cfg.T, model, source,
                               method=cfg.method, step_counts=counts)
     failures = []
-    if model.diagonal and not model.time_dependent and not source.terms:
+    if model.constant_diagonal and not source.terms:
         order = table.rows[-1].observed_order
         if order is None or not 0.8 <= order <= 1.2:
             failures.append(f"observed order {order} outside [0.8, 1.2]")

@@ -61,16 +61,20 @@ class DiffusionModel:
     lipschitz_t : Lipschitz constant of t -> alpha(t) in the spectral norm
         (the constant that multiplies |t - s| * |u|_V * |v|_V when the weak
         form is shifted in time).
-    time_dependent / diagonal : structure flags that guard closed-form
-        solutions; the steppers read alpha(t) itself.
     """
 
     alpha: Callable[[float], np.ndarray]
     mu: float
     beta: float
     lipschitz_t: float
-    time_dependent: bool = False
-    diagonal: bool = False
+
+    @property
+    def constant_diagonal(self) -> bool:
+        """Whether alpha is constant (``lipschitz_t == 0``) with exactly zero
+        off-diagonal entries, the steppers' own test for no mixed term: the
+        case :func:`exact_diagonal_solution` solves in closed form."""
+        a = self.alpha(0.0)
+        return bool(self.lipschitz_t == 0.0 and a[0, 1] == 0.0 and a[1, 0] == 0.0)
 
 
 def constant_diffusion(matrix) -> DiffusionModel:
@@ -85,10 +89,8 @@ def constant_diffusion(matrix) -> DiffusionModel:
         raise ValueError(f"matrix must have finite entries and eigenvalues, got {a.tolist()}")
     if eigs[0] <= 0:
         raise ValueError("diffusion tensor is not positive definite")
-    diag = abs(a[0, 1]) <= 1e-14 * np.abs(np.diagonal(a)).max()
     return DiffusionModel(alpha=lambda t, _a=a: _a, mu=float(eigs[0]),
-                          beta=float(eigs[-1]), lipschitz_t=0.0,
-                          time_dependent=False, diagonal=diag)
+                          beta=float(eigs[-1]), lipschitz_t=0.0)
 
 
 def rotating_diffusion(lambda1: float, lambda2: float, omega: float) -> DiffusionModel:
@@ -106,11 +108,8 @@ def rotating_diffusion(lambda1: float, lambda2: float, omega: float) -> Diffusio
         rot = np.array([[c, -s], [s, c]])
         return rot.T @ np.diag(lam) @ rot
 
-    steady = omega == 0.0 or lambda1 == lambda2
     return DiffusionModel(alpha=alpha, mu=float(lam.min()), beta=float(lam.max()),
-                          lipschitz_t=abs(omega) * abs(lambda1 - lambda2),
-                          time_dependent=not steady,
-                          diagonal=steady)
+                          lipschitz_t=abs(omega) * abs(lambda1 - lambda2))
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +258,9 @@ class TimeProfile:
         if self.kind not in ("constant", "linear", "cosine"):
             raise ValueError(f"unknown time profile {self.kind!r}; "
                              "expected 'constant', 'linear' or 'cosine'")
+        for name, value in (("scale", self.scale), ("omega", self.omega)):
+            if not math.isfinite(value):
+                raise ValueError(f"time profile {name} must be finite, got {value!r}")
 
     def value(self, t: float) -> float:
         if self.kind == "constant":
@@ -306,13 +308,16 @@ def zero_source(basis_dim: int) -> SourceSpec:
 
 
 def separable_source(basis_dim: int, terms) -> SourceSpec:
-    """Build a source from (profile, p, q) triples of N-vectors."""
+    """Build a source from (profile, p, q) triples of finite N-vectors."""
     packed = []
-    for profile, p, q in terms:
+    for k, (profile, p, q) in enumerate(terms):
         p = np.asarray(p, dtype=float)
         q = np.asarray(q, dtype=float)
         if p.shape != (basis_dim,) or q.shape != (basis_dim,):
             raise ValueError("source factors must be N-vectors")
+        for name, factor in (("p", p), ("q", q)):
+            if not np.isfinite(factor).all():
+                raise ValueError(f"source factor {name} of term {k} must be finite")
         packed.append((profile, p, q))
     return SourceSpec(basis_dim, tuple(packed))
 
@@ -342,7 +347,7 @@ def exact_diagonal_solution(op: GalerkinOperator, model: DiffusionModel,
     by ``exp(-t a11 (n pi)^2)`` / ``exp(-t a22 (n pi)^2)`` and the state is
     reorthonormalized; the rank is preserved for any t.
     """
-    if model.time_dependent or not model.diagonal:
+    if not model.constant_diagonal:
         raise ValueError("closed form requires a constant diagonal tensor")
     a = model.alpha(0.0)
     lam = op.stiffness_diag

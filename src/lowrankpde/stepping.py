@@ -24,8 +24,9 @@ every half-sweep: the SPD solve for one factor-with-core, its QR, the
 collapse check and the new frame.  The solve runs in the eigenbasis of the
 frozen frame's compressed stiffness, where the Sylvester part is diagonal:
 without the mixed term it is the exact solve, and with it that diagonal
-preconditions a conjugate-gradient loop on (N, r) blocks, which every ALS
-half-sweep starts at the current factor-with-core.
+preconditions a conjugate-gradient loop on (N, r) blocks.  Every solve is
+given its start: a half-sweep starts at the current factor-with-core, the
+reference step at the previous state.
 """
 
 from __future__ import annotations
@@ -129,13 +130,16 @@ class StepDiagnostics:
 
 @dataclass
 class Trajectory:
-    """The states at ``times`` and each step's record.  ``halted_early`` is
-    the index of the step at which the rank monitor halted, or None."""
+    """The states at ``times`` and each step's record.  ``start_sigma_r`` is
+    the start's smallest singular value (NaN for the reference method), as
+    ``StepDiagnostics.sigma_r`` is each step's.  ``halted_early`` is the
+    index of the step at which the rank monitor halted, or None."""
 
     times: np.ndarray
     states: list
     diagnostics: list
     method: str
+    start_sigma_r: float
     halted_early: Optional[int] = None
 
     @property
@@ -230,8 +234,7 @@ class _Step:
         normal = np.hstack(dv_cols) @ np.vstack(dv_coef) - u @ (ut_d @ v)
         return math.sqrt(np.vdot(ut_d, ut_d) + np.vdot(normal, normal))
 
-    def half_sweep(self, own_axis: int, frozen: _Frame, own: Optional[_Frame] = None,
-                   core: Optional[np.ndarray] = None):
+    def half_sweep(self, own_axis: int, frozen: _Frame, own: _Frame, core: np.ndarray):
         """One half-sweep: minimize F over the factor-with-core X (N, r) of
         ``own_axis`` (0: left, 1: right) with the other axis frozen to the
         basis B of ``frozen``.  X solves  X + h A_red(X) = Y0 B + h f B with
@@ -246,11 +249,11 @@ class _Step:
         denom = (1 + h own L) + h other e, Gamma' = h c Q^T (B^T G B) Q.
         Without the mixed term Y = rhs / denom; with it, dividing by denom
         preconditions CG, in the iterations of the original coordinates (Q is
-        orthogonal).  CG starts at x0 = own.basis (core Q), or at zero if
-        ``own`` is None, with the image denom x0 + (G own.basis)(core Q) Gamma'
-        read from the frame: no product with G.  Y = basis R by QR, so
-        X = basis (R Q^T); a diagonal entry of R under ``_QR_COLLAPSE_REL``
-        times the largest raises RankDeficiencyError.
+        orthogonal).  CG starts at x0 = own.basis (core Q), with the image
+        denom x0 + (G own.basis)(core Q) Gamma' read from the frame: no
+        product with G (a zero core starts it at zero).  Y = basis R by QR,
+        so X = basis (R Q^T); a diagonal entry of R under
+        ``_QR_COLLAPSE_REL`` times the largest raises RankDeficiencyError.
         Returns (frame of the new basis, core R Q^T, CG iterations).
         """
         h, (evals, evecs) = self.h, np.linalg.eigh(frozen.lam)
@@ -260,13 +263,10 @@ class _Step:
             y, iterations = rhs / denom, 0
         else:
             g, gamma = self.op.grad_coupling_1d, (h * self.mixed) * (evecs.T @ frozen.g @ evecs)
-            start = ()
-            if own is not None:
-                core_q = core @ evecs
-                x0 = own.basis @ core_q
-                start = (x0, denom * x0 + (own.g_basis @ core_q) @ gamma)
-            y, iterations = _pcg(lambda y: denom * y + (g @ y) @ gamma, lambda y: y / denom,
-                                 rhs, *start)
+            core_q = core @ evecs
+            x0 = own.basis @ core_q
+            y, iterations = _pcg(lambda y: denom * y + (g @ y) @ gamma, denom, rhs,
+                                 x0, denom * x0 + (own.g_basis @ core_q) @ gamma)
         basis, r_block = np.linalg.qr(y)
         _check_qr_collapse(r_block.diagonal(), _QR_COLLAPSE_REL,
                            f"rank collapse during {('left', 'right')[own_axis]} refactorization")
@@ -309,26 +309,24 @@ def _state_change(u, s, v, u_new, r_k, v_new, r_w) -> float:
 # the inner conjugate gradient
 
 
-def _pcg(apply, precondition, rhs: np.ndarray, x0: Optional[np.ndarray] = None,
-         image: Optional[np.ndarray] = None):
-    """Solve the SPD system ``apply(X) = rhs`` for a block X by preconditioned
-    conjugate gradient from ``x0`` (zero if None), given with its ``image``
-    apply(x0) and updated in place; ``precondition`` applies an SPD
-    approximate inverse and returns a new block.  Step for step the
-    arithmetic of scipy's ``cg`` on the row-major flattened blocks (``vdot``
-    of C-ordered blocks is ``dot`` of their ``ravel()``), so a cold start
-    reproduces it bitwise.  Returns (X, iterations)."""
+def _pcg(apply, denom: np.ndarray, rhs: np.ndarray, x0: np.ndarray, image: np.ndarray):
+    """Solve the SPD system ``apply(X) = rhs`` for a block X by conjugate
+    gradient preconditioned with the division by ``denom``, from ``x0``,
+    given with its ``image`` apply(x0) and updated in place.  Step for step
+    the arithmetic of scipy's ``cg`` on the row-major flattened blocks
+    (``vdot`` of C-ordered blocks is ``dot`` of their ``ravel()``), so a zero
+    start reproduces it bitwise.  Returns (X, iterations)."""
     rhs_norm = math.sqrt(np.vdot(rhs, rhs))
     if rhs_norm == 0.0:
         return np.zeros_like(rhs), 0
     stop = _CG_RTOL * rhs_norm
-    x, r = (np.zeros_like(rhs), rhs.copy()) if x0 is None else (x0, rhs - image)
+    x, r = x0, rhs - image
     maxiter = max(1000, 20 * rhs.size)
     p = rho_prev = None
     for iterations in range(maxiter):
         if math.sqrt(np.vdot(r, r)) < stop:
             return x, iterations
-        z = precondition(r)
+        z = r / denom
         rho = np.vdot(r, z)
         p = z if p is None else z + (rho / rho_prev) * p
         q = apply(p)
@@ -349,25 +347,26 @@ def reference_step(y_prev: np.ndarray, h: float, t_next: float, f_mean: np.ndarr
 
     The divergence part of A is diagonal in the coefficients, so its exact
     inverse solves the step without a mixed term and preconditions
-    conjugate gradient with one; every operator application reads the
-    tensor evaluated once.  Returns (state, diagnostics); the objective and
-    the defect norm are evaluated densely, and ``sigma_r`` and ``sigma_1``
-    are NaN.
+    conjugate gradient with one.  CG starts at the previous state, whose
+    image Y_i + h A Y_i reuses the product F(Y_i) needs, so no iterate lies
+    above F(Y_i); every operator application reads the tensor evaluated
+    once.  Returns (state, diagnostics); the objective and the defect norm
+    are evaluated densely, and ``sigma_r`` and ``sigma_1`` are NaN.
     """
     alpha = model.alpha(t_next)
     lam = op.stiffness_diag
     denom = 1.0 + h * (alpha[0, 0] * lam[:, None] + alpha[1, 1] * lam[None, :])
     y_prev = np.asarray(y_prev, dtype=float)
+    a_prev = apply_operator(op, alpha, y_prev)
     rhs = y_prev + h * f_mean
     if alpha[0, 1] + alpha[1, 0] == 0.0:
         y, iterations = rhs / denom, 0
     else:
-        y, iterations = _pcg(lambda x: x + h * apply_operator(op, alpha, x),
-                             lambda x: x / denom, rhs)
+        y, iterations = _pcg(lambda x: x + h * apply_operator(op, alpha, x), denom, rhs,
+                             y_prev.copy(), y_prev + h * a_prev)
     a_y = apply_operator(op, alpha, y)
     d = y - y_prev
-    f_prev = (0.5 * float(np.sum(apply_operator(op, alpha, y_prev) * y_prev))
-              - float(np.sum(f_mean * y_prev)))
+    f_prev = 0.5 * float(np.sum(a_prev * y_prev)) - float(np.sum(f_mean * y_prev))
     f_new = (float(np.sum(d * d)) / (2.0 * h) + 0.5 * float(np.sum(a_y * y))
              - float(np.sum(f_mean * y)))
     return y, StepDiagnostics(0, h_norm(d / h + a_y - f_mean), math.nan, math.nan,
@@ -446,17 +445,17 @@ def _forward_splitting_step(u_prev: LowRankState, h: float, t_next: float,
     """Projector-splitting step with the explicit-Euler core update
     ``S0+ = S1+ + h A_red(S1+) - h U1^T f V0`` (both directions compressed)
     in place of the projection ``U1^T U0 S0``; the two agree whenever the
-    first solve is exact.  Both solves start cold; the second is the right
-    half-sweep of the step anchored at U1 S0+ V0^T.  The independent check
-    of the one-sweep step."""
+    first solve is exact.  Both solves start at a zero core, not at the
+    step's warm start; the second is the right half-sweep of the step
+    anchored at U1 S0+ V0^T.  The independent check of the one-sweep step."""
     step, r = _Step(op, model, h, t_next, u_prev, f_factors), u_prev.rank
-    right = step.frame(u_prev.u2_factors, 1)
-    left, s1_plus, _ = step.half_sweep(0, right)
+    own, right = step.frames(u_prev)
+    left, s1_plus, _ = step.half_sweep(0, right, own, np.zeros((r, r)))
     s0_plus = (s1_plus + h * step.reduced(s1_plus, left, right)
                - h * (left.overlap[:, r:] @ right.overlap[:, r:].T))
     step = _Step(op, model, h, t_next, LowRankState(left.basis, s0_plus, u_prev.u2_factors),
                  f_factors)
-    right, r_w, _ = step.half_sweep(1, step.frame(left.basis, 0))
+    right, r_w, _ = step.half_sweep(1, *step.frames(step.anchor), np.zeros((r, r)))
     return LowRankState(left.basis, r_w.T, right.basis)
 
 
@@ -472,7 +471,7 @@ def integrate(method: str, u0, T: float, n_steps: int, model: DiffusionModel,
     manifold methods the trajectory monitor halts once the step record has
     sigma_r < rank_floor_rel * sigma_1, recording the halt index; the
     initial state must sit safely above that floor.  The start is one state,
-    not a stack.
+    not a stack, with finite entries.
     """
     opts = opts or StepOptions()
     if method not in METHODS:
@@ -483,22 +482,27 @@ def integrate(method: str, u0, T: float, n_steps: int, model: DiffusionModel,
         raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
     if not 0 < T < math.inf:
         raise ValueError(f"final time must be positive and finite, got {T!r}")
-    manifold = method != "reference"
+    manifold, factored = method != "reference", isinstance(u0, LowRankState)
+    if manifold and not factored:
+        raise TypeError("manifold methods need a LowRankState start")
+    parts = (u0.u1_factors, u0.core, u0.u2_factors) if factored else (np.array(u0, dtype=float),)
+    if not all(np.isfinite(part).all() for part in parts):
+        raise ValueError("the start u0 must have finite entries")
     if manifold:
-        if not isinstance(u0, LowRankState):
-            raise TypeError("manifold methods need a LowRankState start")
         shape = u0.core.shape[:-2] + (u0.basis_dim,) * 2
     else:
-        u0 = to_dense(u0) if isinstance(u0, LowRankState) else np.array(u0, dtype=float)
+        u0 = to_dense(u0) if factored else parts[0]
         shape = u0.shape
     if len(shape) != 2 or shape[0] != shape[1]:
         raise ValueError("the start must be one square coefficient matrix, "
                          f"not a stacked or non-square start of shape {shape}")
+    start_sigma_r = math.nan
     if manifold:
         svals = singular_values(u0)
+        start_sigma_r = float(svals[-1])
         if svals[-1] < opts.rank_floor_rel * svals[0]:
             raise RankDeficiencyError("initial state is already under the rank floor",
-                                      rank=u0.rank, sigma=float(svals[-1]),
+                                      rank=u0.rank, sigma=start_sigma_r,
                                       floor=float(opts.rank_floor_rel * svals[0]))
     n = shape[0]
     if source.basis_dim != n:
@@ -530,5 +534,5 @@ def integrate(method: str, u0, T: float, n_steps: int, model: DiffusionModel,
         if manifold and diag.sigma_r < opts.rank_floor_rel * diag.sigma_1:
             halted = i + 1
             break
-    return Trajectory(times=np.array(times), states=states,
-                      diagnostics=diagnostics, method=method, halted_early=halted)
+    return Trajectory(times=np.array(times), states=states, diagnostics=diagnostics,
+                      method=method, start_sigma_r=start_sigma_r, halted_early=halted)

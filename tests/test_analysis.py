@@ -6,6 +6,7 @@ a per-interval Gauss rule built here from scratch.
 """
 
 import dataclasses
+import math
 import tracemalloc
 
 import numpy as np
@@ -138,7 +139,7 @@ def test_energy_audit_rejects_short_runs():
     n = 6
     model = constant_diffusion(0.05 * np.eye(2))
     traj = Trajectory(times=np.array([0.0]), states=[mode_state(n, [(0, 1.0)])],
-                      diagnostics=[], method="als")
+                      diagnostics=[], method="als", start_sigma_r=1.0)
     with pytest.raises(ValueError, match="need at least one step"):
         energy_audit(traj, zero_source(n), model, build_operator(n))
 
@@ -275,11 +276,11 @@ def test_interpolant_gap_two_state_closed_form():
     u1 = np.zeros((4, 4))
     u1[0, 0] = 3.0
     traj = Trajectory(times=np.array([0.0, h]), states=[np.zeros((4, 4)), u1],
-                      diagnostics=[], method="reference")
+                      diagnostics=[], method="reference", start_sigma_r=math.nan)
     assert interpolant_gap(traj) == pytest.approx(h / 3.0 * 9.0, rel=1e-14)
     flat = Trajectory(times=np.array([0.0, h, 2 * h]),
                       states=[u1, u1.copy(), u1.copy()],
-                      diagnostics=[], method="reference")
+                      diagnostics=[], method="reference", start_sigma_r=math.nan)
     assert interpolant_gap(flat) == 0.0
 
 
@@ -589,6 +590,31 @@ def test_convergence_rank_axis_truncation_structure():
     assert errs[1] == pytest.approx(sigma2, rel=1e-6)
     assert errs[1] > 100 * errs[2]
     assert errs[2] == errs[3]
+
+
+def test_convergence_rank_axis_factorizes_the_start_once(monkeypatch):
+    # one SVD finds the start's available rank and one factorizes it; each
+    # rank's start is the leading columns of that factorization, bitwise the
+    # best rank-k factorization, and each run adds one core SVD per state
+    from lowrankpde.manifold import factorize
+    rng = np.random.default_rng(57)
+    n, steps, ranks = 10, 4, (1, 2, 3, 5)
+    model = rotating_diffusion(1.0, 0.1, 1.0)
+    u0 = sample_state(rng, n, 4)
+    dense0 = to_dense(u0)
+    starts, svd, calls = [], np.linalg.svd, []
+    run = analysis.integrate
+    monkeypatch.setattr(analysis, "integrate", lambda method, start, *args: (
+        starts.append(start) if method != "reference" else None) or run(method, start, *args))
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1) or svd(*args, **kw))
+    convergence_study("rank", u0, 0.05, model, zero_source(n), ranks=ranks, n_steps=steps)
+    assert len(calls) == 2 + len(ranks) * (steps + 1)
+    monkeypatch.undo()
+    for start, rank in zip(starts, ranks, strict=True):
+        want = factorize(dense0, min(rank, 4))
+        for got, ref in zip((start.u1_factors, start.core, start.u2_factors),
+                            (want.u1_factors, want.core, want.u2_factors)):
+            assert np.array_equal(got, ref)
 
 
 def test_convergence_zero_horizon():

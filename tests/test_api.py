@@ -71,6 +71,28 @@ def test_suite_scan_against_its_own_tree(tmp_path):
         assert ab[key] == plain[key], key
 
 
+def test_suite_scan_json_carries_todays_reports():
+    # a suite's report depends only on (N, r, trials, seed), so the N = 16
+    # rows of the committed BENCH_suite_scan.json must carry the violations
+    # and worst ratios the suites report now; the scan's module runs in a
+    # child because importing it pins BLAS threads for the whole process
+    child = ("import json, sys; sys.path.insert(0, sys.argv[1]); import suite_scan as s; "
+             "reports = {name: s.SUITES[name](16) for name in ('curvature', 'projection', "
+             "'tangency')}; print(json.dumps({'settings': [s.RANK, s.TRIALS, s.SEED], "
+             "'reports': {name: [rep.violations, {k: float(v) for k, v in "
+             "rep.worst_ratio.items()}] for name, rep in reports.items()}}))")
+    done = subprocess.run([sys.executable, "-c", child, str(ROOT / "bench")],
+                          capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    now = json.loads(done.stdout)
+    bench = json.loads((ROOT / "BENCH_suite_scan.json").read_text())
+    settings = bench["settings"]
+    assert [settings["rank"], settings["trials"], settings["seed"]] == now["settings"]
+    rows = {row["suite"]: [row["violations"], row["worst_ratio"]]
+            for row in bench["rows"] if row["N"] == 16 and "violations" in row}
+    assert rows == now["reports"]
+
+
 def test_artifact_diff_against_its_own_tree():
     # the same source on both sides: each artifact of the cheapest config
     # is byte-identical and the tool exits 0

@@ -329,6 +329,21 @@ def test_run_anisotropic_reference(tmp_path):
     assert len(rows) == 7 and rows[1].split(",")[4] == "nan"     # no sigma_r when dense
 
 
+def test_trajectory_run_takes_one_svd_per_state(tmp_path, monkeypatch):
+    # the writer reads the start's sigma_r from the trajectory, which took
+    # it from integrate's start check: one SVD for the start, one per step
+    calls, svd = [], np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1) or svd(*args, **kw))
+    out = tmp_path / "anisotropic"
+    cfg = parse_config(f"experiment = anisotropic\nN = 8\nr = 2\nT = 0.05\nn_steps = 5\n"
+                       f"output_dir = {out}\n")
+    assert run(cfg, quiet=True) == 0
+    assert len(calls) == 5 + 1
+    monkeypatch.undo()
+    rows = (out / "trajectory.csv").read_text().splitlines()
+    assert float(rows[1].split(",")[4]) > 0.0
+
+
 def test_run_energy_audit_reference(tmp_path):
     # the audit reads F and the residual from each step's record, which the
     # dense reference step writes as well

@@ -375,8 +375,22 @@ def test_constant_diffusion_validation():
     with pytest.raises(ValueError):
         constant_diffusion([[1.0, 0.1], [0.2, 1.0]])   # asymmetric
     model = constant_diffusion([[2.0, 0.0], [0.0, 3.0]])
-    assert model.diagonal and not model.time_dependent
+    assert model.constant_diagonal
     assert model.lipschitz_t == 0.0
+
+
+@pytest.mark.parametrize("model", [
+    constant_diffusion([[2.0, 1e-15], [1e-15, 3.0]]),
+    rotating_diffusion(1.0, 0.5, 2.0),
+    DiffusionModel(alpha=lambda t: np.diag([1.0, 1.0 + t]), mu=1.0, beta=2.0, lipschitz_t=1.0),
+], ids=["tiny-a12", "rotation", "time-dependent-diagonal"])
+def test_constant_diagonal_is_the_steppers_test(model):
+    # a mixed term the steppers would see, however small, or a tensor that
+    # may change in time: the closed form does not apply
+    assert model.constant_diagonal is False
+    with pytest.raises(ValueError, match="constant diagonal"):
+        exact_diagonal_solution(build_operator(4), model, LowRankState(
+            np.eye(4, 1), np.eye(1), np.eye(4, 1)), 0.1)
 
 
 @pytest.mark.parametrize("build, args, message", [
@@ -389,11 +403,21 @@ def test_constant_diffusion_validation():
     (rotating_diffusion, (1.0, math.inf, 0.0), "lambda2 must be finite"),
     (rotating_diffusion, (1.0, 0.5, math.nan), "omega must be finite"),
     (rotating_diffusion, (1.0, 0.5, math.inf), "omega must be finite"),
+    (cosine_profile, (math.nan, 1.0), "scale must be finite"),
+    (cosine_profile, (1.0, math.inf), "omega must be finite"),
+    (linear_profile, (math.inf,), "scale must be finite"),
+    (separable_source, (3, [(constant_profile(1.0), [1.0, math.nan, 0.0], np.ones(3))]),
+     "source factor p of term 0 must be finite"),
+    (separable_source, (3, [(constant_profile(1.0), np.ones(3), np.ones(3)),
+                            (constant_profile(1.0), np.ones(3), [0.0, 0.0, -math.inf])]),
+     "source factor q of term 1 must be finite"),
 ], ids=["inf-entry", "nan-entries", "inf-eigenvalue", "nan-lambda1", "inf-lambda2",
-        "nan-omega", "inf-omega"])
+        "nan-omega", "inf-omega", "nan-profile-scale", "inf-profile-omega",
+        "inf-linear-scale", "nan-source-p", "inf-source-q"])
 def test_diffusion_models_reject_non_finite_input(build, args, message):
     # a NaN tensor would otherwise pass the definiteness test and surface
-    # only as a failed inner solve at step 1
+    # only as a failed inner solve at step 1; a NaN source factor or profile
+    # the same way, or as a failed SVD
     with pytest.raises(ValueError, match=message):
         build(*args)
 
@@ -418,16 +442,15 @@ def test_rotating_diffusion_spectrum_and_lipschitz():
 
 def test_rotating_diffusion_zero_omega_is_steady():
     model = rotating_diffusion(0.7, 0.7, 5.0)
-    assert not model.time_dependent
+    assert model.lipschitz_t == 0.0 and model.constant_diagonal
     model2 = rotating_diffusion(1.0, 0.5, 0.0)
-    assert not model2.time_dependent
+    assert model2.lipschitz_t == 0.0 and model2.constant_diagonal
 
 
 def test_validate_diffusion_catches_bad_lipschitz():
     base = rotating_diffusion(1.0, 0.25, 2.0)
     lying = DiffusionModel(alpha=base.alpha, mu=base.mu, beta=base.beta,
-                           lipschitz_t=base.lipschitz_t / 10.0,
-                           time_dependent=True, diagonal=False)
+                           lipschitz_t=base.lipschitz_t / 10.0)
     with pytest.raises(ValueError):
         validate_diffusion(lying, np.linspace(0.0, 2.0, 30))
 

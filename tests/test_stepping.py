@@ -208,7 +208,7 @@ def test_als_objective_trace_monotone():
 
 def test_als_warm_start_saves_inner_iterations(monkeypatch):
     # from the first sweep on, CG starts at the current factor-with-core:
-    # fewer iterations than cold starts, the same step up to the solve
+    # fewer iterations than starts at zero, the same step up to the solve
     # tolerance, and F still decreases at every half-sweep
     rng = np.random.default_rng(51)
     n, r, h = 32, 4, 0.01
@@ -218,8 +218,8 @@ def test_als_warm_start_saves_inner_iterations(monkeypatch):
     pair = (rng.standard_normal((n, 2)), rng.standard_normal((n, 2)))
     warm, warm_diag = als_variational_step(u0, h, h, pair, op, model)
     pcg = stepping._pcg
-    monkeypatch.setattr(stepping, "_pcg",
-                        lambda apply, precondition, rhs, *start: pcg(apply, precondition, rhs))
+    monkeypatch.setattr(stepping, "_pcg", lambda apply, denom, rhs, x0, image: pcg(
+        apply, denom, rhs, np.zeros_like(rhs), np.zeros_like(rhs)))
     cold, cold_diag = als_variational_step(u0, h, h, pair, op, model)
     assert warm_diag.sweeps_used == cold_diag.sweeps_used > 2
     assert 0 < warm_diag.inner_iterations < cold_diag.inner_iterations
@@ -231,8 +231,8 @@ def test_als_warm_start_saves_inner_iterations(monkeypatch):
 
 def test_splitting_warm_start_matches_a_cold_start(monkeypatch):
     # the splitting step's two solves start at U0 S0 and at the half-sweep's
-    # V0 R^T, where CG's quadratic equals F: no more iterations than cold
-    # starts, the same step up to the solve tolerance, and F does not rise
+    # V0 R^T, where CG's quadratic equals F: no more iterations than starts
+    # at zero, the same step up to the solve tolerance, and F does not rise
     rng = np.random.default_rng(53)
     n, r, h = 32, 4, 0.01
     op = build_operator(n)
@@ -241,8 +241,8 @@ def test_splitting_warm_start_matches_a_cold_start(monkeypatch):
     pair = (rng.standard_normal((n, 2)), rng.standard_normal((n, 2)))
     warm, warm_diag = splitting_euler_step(u0, h, h, pair, op, model)
     pcg = stepping._pcg
-    monkeypatch.setattr(stepping, "_pcg",
-                        lambda apply, precondition, rhs, *start: pcg(apply, precondition, rhs))
+    monkeypatch.setattr(stepping, "_pcg", lambda apply, denom, rhs, x0, image: pcg(
+        apply, denom, rhs, np.zeros_like(rhs), np.zeros_like(rhs)))
     cold, cold_diag = splitting_euler_step(u0, h, h, pair, op, model)
     assert 0 < warm_diag.inner_iterations <= cold_diag.inner_iterations
     gap = np.linalg.norm(to_dense(warm) - to_dense(cold))
@@ -405,8 +405,8 @@ def test_step_linearity_under_scaling():
     for warm in (False, True) for own_axis in (0, 1) for a12 in (0.0, 0.3)])
 def test_half_sweep_solve_matches_kronecker_oracle(own_axis, a12, warm):
     # N r = 2400 unknowns; a12 = 0 is the exact Sylvester solve, a12 != 0 the
-    # preconditioned conjugate gradient, started cold or from a perturbed
-    # solution.  The right-hand side is the half-sweep's own, Y0 B + h F B
+    # preconditioned conjugate gradient, started at a zero core or from a
+    # perturbed solution.  The right-hand side is the half-sweep's own, Y0 B + h F B
     # (transposed for the right axis), with a random two-term source.
     rng = np.random.default_rng(45)
     n, r, h = 300, 8, 0.05
@@ -425,11 +425,10 @@ def test_half_sweep_solve_matches_kronecker_oracle(own_axis, a12, warm):
                   + np.kron(other * basis.T @ stiff @ basis, np.eye(n))
                   + 2 * a12 * np.kron((basis.T @ g @ basis).T, g)))
     oracle = np.linalg.solve(mat, rhs.ravel(order="F")).reshape((n, r), order="F")
-    start = ()
+    x0_basis, core = basis, np.zeros((r, r))
     if warm:
         x0_basis, core = np.linalg.qr(oracle + 1e-3 * rng.standard_normal((n, r)))
-        start = (step.frame(x0_basis, own_axis), core)
-    frame, core, _ = step.half_sweep(own_axis, frozen, *start)
+    frame, core, _ = step.half_sweep(own_axis, frozen, step.frame(x0_basis, own_axis), core)
     assert np.linalg.norm(frame.basis @ core - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
@@ -463,23 +462,25 @@ def left_half_sweep(seed):
 
 
 def half_sweep_system(monkeypatch, seed):
-    """The (apply, precondition, rhs) that ``_Step.half_sweep`` hands to
-    ``_pcg`` for a cold ``left_half_sweep(seed)``: the system rotated into
-    the eigenbasis Q of the frozen B^T L B, with the right-hand side formed
-    as one product of the stacked factors."""
-    step, frozen, *_ = left_half_sweep(seed)
+    """The (apply, denom, rhs) that ``_Step.half_sweep`` hands to ``_pcg``
+    for ``left_half_sweep(seed)`` at a zero core: the system rotated into the
+    eigenbasis Q of the frozen B^T L B, with the right-hand side formed as
+    one product of the stacked factors, and a zero start and image."""
+    step, frozen, own, core, _ = left_half_sweep(seed)
     seen = []
     monkeypatch.setattr(stepping, "_pcg", lambda *args: seen.append(args) or (args[2], 0))
-    step.half_sweep(0, frozen)
+    step.half_sweep(0, frozen, own, np.zeros_like(core))
     monkeypatch.undo()
-    (apply, precondition, got_rhs), = seen
+    (apply, denom, got_rhs, x0, image), = seen
     evecs = np.linalg.eigh(frozen.lam)[1]
     assert np.array_equal(got_rhs, step.factors[0] @ (step.weights[0] @ (frozen.overlap.T @ evecs)))
-    return apply, precondition, got_rhs
+    assert not x0.any() and not image.any()
+    return apply, denom, got_rhs
 
 
-def test_pcg_cold_start_is_scipy_cg_bitwise(monkeypatch):
-    apply, precondition, rhs = half_sweep_system(monkeypatch, 46)
+def scipy_cg(apply, precondition, rhs):
+    """scipy's ``cg`` from zero on the row-major flattened blocks, at the
+    stop and cap of ``_pcg``: (solution block, iterations)."""
     shape, size = rhs.shape, rhs.size
 
     def linear(fn):
@@ -487,48 +488,81 @@ def test_pcg_cold_start_is_scipy_cg_bitwise(monkeypatch):
                               dtype=float)
 
     seen = []
-    want, info = cg(linear(apply), rhs.ravel(), rtol=stepping._CG_RTOL, atol=0.0,
-                    maxiter=max(1000, 20 * size), M=linear(precondition),
-                    callback=seen.append)
+    x, info = cg(linear(apply), rhs.ravel(), rtol=stepping._CG_RTOL, atol=0.0,
+                 maxiter=max(1000, 20 * size), M=linear(precondition), callback=seen.append)
     assert info == 0
-    got, iterations = stepping._pcg(apply, precondition, rhs)
-    assert np.array_equal(got, want.reshape(shape))
-    assert iterations == len(seen) > 0
+    return x.reshape(shape), len(seen)
+
+
+def test_pcg_cold_start_is_scipy_cg_bitwise(monkeypatch):
+    # from a zero start, with the division by denom as scipy's M
+    apply, denom, rhs = half_sweep_system(monkeypatch, 46)
+    want, want_iterations = scipy_cg(apply, lambda y: y / denom, rhs)
+    got, iterations = stepping._pcg(apply, denom, rhs, np.zeros_like(rhs), np.zeros_like(rhs))
+    assert np.array_equal(got, want)
+    assert iterations == want_iterations > 0
 
 
 def test_pcg_from_the_exact_solution_takes_no_iteration(monkeypatch):
-    apply, precondition, _ = half_sweep_system(monkeypatch, 47)
+    apply, denom, _ = half_sweep_system(monkeypatch, 47)
     exact = np.random.default_rng(48).standard_normal((60, 4))
-    got, iterations = stepping._pcg(apply, precondition, apply(exact), exact.copy(),
-                                    apply(exact))
+    got, iterations = stepping._pcg(apply, denom, apply(exact), exact.copy(), apply(exact))
     assert iterations == 0
     assert np.array_equal(got, exact)
 
 
 def test_pcg_takes_the_same_iterations_in_the_eigenbasis(monkeypatch):
-    # the same system in the original coordinates X = Y Q^T: three-term
-    # apply, Sylvester preconditioner by two products with Q; preconditioned
-    # CG is invariant under that orthogonal change of variables
-    step, frozen, _, _, rhs = left_half_sweep(50)
-    apply, precondition, rotated = half_sweep_system(monkeypatch, 50)
+    # the same system in the original coordinates X = Y Q^T, solved by
+    # scipy's cg: three-term apply, Sylvester preconditioner by two products
+    # with Q; preconditioned CG is invariant under that orthogonal change of
+    # variables
+    step, frozen, own, core, rhs = left_half_sweep(50)
+    apply, denom, rotated = half_sweep_system(monkeypatch, 50)
     a, h, c, g = step.alpha, step.h, step.mixed, step.op.grad_coupling_1d
     own_lam = a[0, 0] * step.op.stiffness_diag[:, None]
-    evals, evecs = np.linalg.eigh(frozen.lam)
-    denom = 1.0 + h * (own_lam + a[1, 1] * evals[None, :])
+    evecs = np.linalg.eigh(frozen.lam)[1]
 
     def apply_x(x):
         return x + h * (own_lam * x + a[1, 1] * (x @ frozen.lam) + c * (g @ x @ frozen.g))
 
-    def sylvester(x):
-        return ((x @ evecs) / denom) @ evecs.T
-
-    want, want_iterations = stepping._pcg(apply_x, sylvester, rhs)
-    got, iterations = stepping._pcg(apply, precondition, rotated)
+    want, want_iterations = scipy_cg(apply_x, lambda x: ((x @ evecs) / denom) @ evecs.T, rhs)
+    got, iterations = stepping._pcg(apply, denom, rotated, np.zeros_like(rotated),
+                                    np.zeros_like(rotated))
     assert iterations == want_iterations > 0
     assert np.linalg.norm(got @ evecs.T - want) <= 1e-13 * np.linalg.norm(want)
-    frame, core, its = step.half_sweep(0, frozen)
+    frame, core, its = step.half_sweep(0, frozen, own, np.zeros_like(core))
     assert its == want_iterations
     assert np.linalg.norm(frame.basis @ core - want) <= 1e-13 * np.linalg.norm(want)
+
+
+def test_reference_step_starts_cg_at_the_previous_state(monkeypatch):
+    # x0 = Y_prev with the image Y_prev + h A Y_prev, where A Y_prev is the
+    # product F(Y_prev) needs: the step applies A once per CG iteration plus
+    # twice, and CG updates a copy, not the stored previous state
+    rng = np.random.default_rng(56)
+    n, h = 24, 0.01
+    op = build_operator(n)
+    model = constant_diffusion([[1.0, 0.3], [0.3, 0.7]])
+    y_prev, f_mean = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+    kept = y_prev.copy()
+    pcg, apply_operator = stepping._pcg, stepping.apply_operator
+    starts, applies = [], []
+
+    def spy(apply, denom, rhs, x0, image):
+        starts.append((x0.copy(), image))
+        return pcg(apply, denom, rhs, x0, image)
+
+    monkeypatch.setattr(stepping, "_pcg", spy)
+    monkeypatch.setattr(stepping, "apply_operator",
+                        lambda *args: applies.append(args) or apply_operator(*args))
+    _, diag = reference_step(y_prev, h, h, f_mean, op, model)
+    (x0, image), = starts
+    assert np.array_equal(x0, kept)
+    want = x0 + h * apply_operator(op, model.alpha(h), x0)
+    assert np.linalg.norm(image - want) <= 1e-13 * np.linalg.norm(want)
+    assert diag.inner_iterations > 0
+    assert len(applies) == diag.inner_iterations + 2
+    assert np.array_equal(y_prev, kept)
 
 
 def test_warm_start_image_is_read_from_the_frame(monkeypatch):
@@ -743,6 +777,20 @@ def test_integrate_validation_errors():
             integrate(method, stack, 0.1, 10, model, src)
     with pytest.raises(ValueError, match="stacked or non-square"):
         integrate("reference", np.ones((6, 5)), 0.1, 10, model, src)
+    # a non-finite start is rejected by name, not by a failed SVD or a
+    # conjugate gradient run to its cap
+    nan_core = LowRankState(u0.u1_factors, np.full((1, 1), math.nan), u0.u2_factors)
+    inf_factor = LowRankState(np.full((6, 1), math.inf), u0.core, u0.u2_factors)
+    mixed = constant_diffusion([[1.0, 0.3], [0.3, 1.0]])
+    for method in METHODS:
+        for start in (nan_core, inf_factor):
+            with pytest.raises(ValueError, match="start u0 must have finite entries"):
+                integrate(method, start, 0.1, 10, mixed, src)
+    for bad in (math.nan, math.inf):
+        dense = np.eye(6)
+        dense[2, 3] = bad
+        with pytest.raises(ValueError, match="start u0 must have finite entries"):
+            integrate("reference", dense, 0.1, 10, mixed, src)
 
 
 @pytest.mark.parametrize("method", ["als", "splitting"])
