@@ -37,7 +37,8 @@ Each row records, for one (method, N, a12):
 - splitting rows only, ``post_ms`` and ``post_peak_traced_mb``: the same
   two measures of the post-processing of the scanned trajectory,
   ``energy_audit`` plus ``interpolant_gap``, on an operator built outside
-  the timed call.  With a source the audit's V* Gram holds one N x N array.
+  the timed call.  With a source the audit's V* Gram sums over its N x N
+  weights a chunk of at most ``analysis._CHUNK_BYTES`` of columns at a time.
 
 Inputs are seeded: a smooth rank-r start (Gaussian factor blocks weighted
 by n^-2, orthonormalised, singular values geometric from 1 to 1e-2) and two

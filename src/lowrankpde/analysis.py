@@ -62,7 +62,7 @@ def sample_state(rng: np.random.Generator | list, basis_dim: int, rank: int,
     """Random rank-r state: orthonormal factors from QR of Gaussian blocks,
     log-uniform singular values over ``sigma_range``.  A list of generators
     gives the stack of one state per generator, each drawn as alone."""
-    lo, hi = np.log(sigma_range[0]), np.log(sigma_range[1])
+    lo, hi = map(np.log, _positive_range("sigma_range", sigma_range))
     g1 = _each(rng, lambda g: g.standard_normal((basis_dim, rank)))
     g2 = _each(rng, lambda g: g.standard_normal((basis_dim, rank)))
     sig = np.sort(np.exp(_each(rng, lambda g: g.uniform(lo, hi, rank))), axis=-1)[..., ::-1]
@@ -73,7 +73,10 @@ def sample_state(rng: np.random.Generator | list, basis_dim: int, rank: int,
 def sample_nearby_state(rng: np.random.Generator | list, state: LowRankState,
                         max_rel: float = 1.0) -> LowRankState:
     """Rank-preserving perturbation of ``state`` at a random small distance;
-    stacked for a list of generators and a stack of states."""
+    stacked for a list of generators and a stack of states.  The distance is
+    log-uniform in [1e-3, max_rel] times sigma_r / (3 sqrt(N))."""
+    if not 1e-3 <= max_rel < math.inf:
+        raise ValueError(f"max_rel must be finite and >= 1e-3, got {max_rel!r}")
     n = state.basis_dim
     factor = _each(rng, lambda g: math.exp(g.uniform(math.log(1e-3), math.log(max_rel))))
     noise = _each(rng, lambda g: g.standard_normal((n, n)))
@@ -82,12 +85,20 @@ def sample_nearby_state(rng: np.random.Generator | list, state: LowRankState,
 
 
 def sample_spd_tensor(rng: np.random.Generator, eig_range=(0.2, 2.0)) -> np.ndarray:
-    """Random symmetric positive definite 2x2 tensor."""
-    lam = rng.uniform(*eig_range, size=2)
+    """Random symmetric positive definite 2x2 tensor, eigenvalues in ``eig_range``."""
+    lam = rng.uniform(*_positive_range("eig_range", eig_range), size=2)
     theta = rng.uniform(0.0, math.pi)
     c, s = math.cos(theta), math.sin(theta)
     rot = np.array([[c, -s], [s, c]])
     return rot.T @ np.diag(lam) @ rot
+
+
+def _positive_range(name: str, pair) -> tuple:
+    """``pair`` as (low, high) if 0 < low <= high < inf, else ValueError naming ``name``."""
+    low, high = pair
+    if not 0.0 < low <= high < math.inf:
+        raise ValueError(f"{name} must satisfy 0 < low <= high < inf, got {tuple(pair)!r}")
+    return low, high
 
 
 def _ratio(observed: float, bound: float) -> float:
@@ -179,15 +190,21 @@ def energy_audit(traj: Trajectory, source: SourceSpec, model: DiffusionModel,
     dq2 = np.array([(h_distance(b, a) / h) ** 2 for a, b in zip(traj.states, traj.states[1:])])
     # step i's source mean is P diag(c_i) Q^T for the terms' profile means c_i,
     # so |f_i|^2 = c_i^T M c_i with the (m, m) Gram M of the terms in H or V*;
-    # the V* Gram needs the N x N weights 1 / (lam_a + lam_b), built in place
+    # the V* Gram sums over the N x N weights 1 / (lam_a + lam_b), built in
+    # place a chunk of columns (at most _CHUNK_BYTES) at a time
     m, n = len(source.terms), op.basis_dim
     p = np.array([term[1] for term in source.terms]).reshape(m, n)
     q = np.array([term[2] for term in source.terms]).reshape(m, n)
     gram_dual = np.zeros((m, m))
     if m:
-        weights = np.add.outer(op.stiffness_diag, op.stiffness_diag)
-        np.reciprocal(weights, out=weights)
-        gram_dual = np.sum((p[:, None] * p) * ((q[:, None] * q) @ weights), axis=-1)
+        lam, width = op.stiffness_diag, max(1, _CHUNK_BYTES // (8 * n))
+        pp, qq, parts = p[:, None] * p, q[:, None] * q, []
+        for j in range(0, n, width):
+            weights = np.add.outer(lam, lam[j:j + width])
+            np.reciprocal(weights, out=weights)
+            parts.append(np.sum(pp[..., j:j + width] * (qq @ weights), axis=-1))
+            del weights                 # so the next chunk is not built beside it
+        gram_dual = np.add.reduce(parts)
     means = np.array([[profile.mean(t_a, t_b) for profile, _, _ in source.terms]
                       for t_a, t_b in zip(traj.times, traj.times[1:])])
     fd2 = np.sum((means @ gram_dual) * means, axis=1)
@@ -470,10 +487,14 @@ def convergence_study(axis: str, u0: LowRankState, T: float, model: DiffusionMod
     With constant diagonal alpha and no source, the closed-form decayed
     state is the oracle; otherwise a fine-step full-rank reference
     trajectory is used.  Orders are base-2 logarithms of consecutive error
-    ratios along the step axis.
+    ratios along the step axis; the rank axis runs ``ranks``, by default
+    1 .. u0.rank.
     """
     if axis not in ("step", "rank"):
         raise ValueError(f"unknown axis {axis!r}")
+    ranks = range(1, u0.rank + 1) if ranks is None else tuple(ranks)
+    if axis == "rank" and not ranks:
+        raise ValueError("ranks must name at least one rank, got ()")
     if axis == "step" and len(set(step_counts)) < len(step_counts):
         raise ValueError(f"step_counts must be distinct, got {tuple(step_counts)}")
     op = build_operator(u0.basis_dim)
@@ -499,7 +520,7 @@ def convergence_study(axis: str, u0: LowRankState, T: float, model: DiffusionMod
         dense0 = to_dense(u0)
         svals = np.linalg.svd(dense0, compute_uv=False)
         best = factorize(dense0, int(np.sum(svals > DEFAULT_RANK_FLOOR * svals[0])))
-        for rank in (ranks or range(1, u0.rank + 1)):
+        for rank in ranks:
             # the best rank-k start is the leading k columns of the best
             # available one; requesting more rank than the start has just
             # reproduces the best available point

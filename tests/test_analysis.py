@@ -190,7 +190,8 @@ def test_energy_audit_ledger_matches_dense_norms():
 def test_post_solve_reads_factors_without_dense_arrays():
     # N = 1024, r = 8, 50 splitting steps, one source term: the audit, the
     # interpolant gap and both norms of every state stay under 10 MB traced;
-    # one N x N array is 8.4 MB, and only the V* Gram of the source needs one
+    # one N x N array is 8.4 MB, and only the V* Gram of the source takes one:
+    # its weights fit in one chunk of columns
     n, r = 1024, 8
     rng = np.random.default_rng(57)
     weight = np.arange(1, n + 1, dtype=float)[:, None] ** -2.0
@@ -214,6 +215,84 @@ def test_post_solve_reads_factors_without_dense_arrays():
     assert peak < 10e6, peak
     assert rep.passed, rep.violations
     assert gap > 0.0 and len(norms) == 51
+
+
+def smooth_splitting_run(n, r, n_steps, src_terms, seed):
+    """A splitting trajectory of a smooth rank-r start under a diagonal tensor
+    with a separable source of ``src_terms`` smooth terms, and its source."""
+    rng = np.random.default_rng(seed)
+    weight = np.arange(1, n + 1, dtype=float) ** -2.0
+    u, _ = np.linalg.qr(rng.standard_normal((n, r)) * weight[:, None])
+    v, _ = np.linalg.qr(rng.standard_normal((n, r)) * weight[:, None])
+    u0 = LowRankState(u, np.diag(np.geomspace(1.0, 1e-2, r)), v)
+    src = separable_source(n, [(profile, rng.standard_normal(n) * weight,
+                                rng.standard_normal(n) * weight)
+                               for profile in (cosine_profile(1.0, 3.0), linear_profile(-0.7))
+                               [:src_terms]])
+    model = constant_diffusion([[1.0, 0.0], [0.0, 0.5]])
+    return integrate("splitting", u0, 0.01, n_steps, model, src), src, model
+
+
+def test_energy_audit_source_gram_stays_under_one_dense_array():
+    # N = 2048: one N x N array is 33.5 MB, two chunks of the V* weights'
+    # columns are 16.8 MB each, and only one is alive at a time
+    n = 2048
+    traj, src, model = smooth_splitting_run(n, 4, 3, 2, 59)
+    op = build_operator(n)
+    tracemalloc.start()
+    try:
+        rep = energy_audit(traj, src, model, op)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * n * n, peak
+    assert rep.passed, rep.violations
+    p_mat, q_mat = rhs_mean_factors(src, traj.times[0], traj.times[1])
+    assert rep.f_dual_norms_sq[0] == pytest.approx(v_dual_norm(op, p_mat @ q_mat.T) ** 2,
+                                                   rel=1e-12)
+
+
+@pytest.mark.parametrize("width", [1, 4, 9])
+def test_energy_audit_source_gram_in_column_chunks(monkeypatch, width):
+    # chunks of 1, 4 (4 + 4 + 1) and all 9 columns of the V* weights agree
+    # with the dense dual norm; one chunk is the arithmetic of a whole array
+    n = 9
+    traj, src, model = smooth_splitting_run(n, 3, 4, 2, 60)
+    op = build_operator(n)
+    monkeypatch.setattr(analysis, "_CHUNK_BYTES", 8 * n * width)
+    rep = energy_audit(traj, src, model, op)
+    for k in range(1, len(traj.states)):
+        p_mat, q_mat = rhs_mean_factors(src, traj.times[k - 1], traj.times[k])
+        f = p_mat @ q_mat.T
+        assert rep.f_dual_norms_sq[k - 1] == pytest.approx(v_dual_norm(op, f) ** 2, rel=1e-12)
+    if width == n:
+        p = np.array([term[1] for term in src.terms])
+        q = np.array([term[2] for term in src.terms])
+        weights = 1.0 / np.add.outer(op.stiffness_diag, op.stiffness_diag)
+        gram = np.sum((p[:, None] * p) * ((q[:, None] * q) @ weights), axis=-1)
+        means = np.array([[prof.mean(a, b) for prof, _, _ in src.terms]
+                          for a, b in zip(traj.times, traj.times[1:])])
+        assert np.array_equal(rep.f_dual_norms_sq, np.sum((means @ gram) * means, axis=1))
+
+
+SAMPLERS = {
+    "sample_state": lambda rng, **kw: sample_state(rng, 6, 2, **kw),
+    "sample_nearby_state": lambda rng, **kw: sample_nearby_state(rng, sample_state(rng, 6, 2),
+                                                                  **kw),
+    "sample_spd_tensor": sample_spd_tensor,
+}
+
+
+@pytest.mark.parametrize("sampler, name, value", [
+    ("sample_state", "sigma_range", (0.0, 1.0)), ("sample_state", "sigma_range", (1.0, 0.1)),
+    ("sample_state", "sigma_range", (1e-3, math.inf)),
+    ("sample_nearby_state", "max_rel", 0.0), ("sample_nearby_state", "max_rel", 1e-4),
+    ("sample_nearby_state", "max_rel", math.nan),
+    ("sample_spd_tensor", "eig_range", (-1.0, 1.0)), ("sample_spd_tensor", "eig_range", (2.0, 0.2)),
+], ids=str)
+def test_samplers_reject_bad_ranges(sampler, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must"):
+        SAMPLERS[sampler](np.random.default_rng(61), **{name: value})
 
 
 def test_energy_audit_objective_anchors():
@@ -631,6 +710,14 @@ def test_convergence_rejects_repeated_step_counts():
     u0 = mode_state(6, [(0, 1.0)])
     with pytest.raises(ValueError, match="step_counts must be distinct"):
         convergence_study("step", u0, 0.05, model, zero_source(6), step_counts=(1, 1, 2))
+
+
+def test_convergence_rejects_empty_ranks():
+    # an empty sweep used to run every rank of the start instead
+    model = constant_diffusion(0.02 * np.eye(2))
+    u0 = mode_state(6, [(0, 1.0), (1, 0.5)])
+    with pytest.raises(ValueError, match="ranks must name at least one rank"):
+        convergence_study("rank", u0, 0.05, model, zero_source(6), ranks=(), n_steps=2)
 
 
 def test_convergence_rejects_unknown_axis():

@@ -2,7 +2,10 @@
 oracles, plus the exact single-pass equivalence between the two rank-constrained
 updates."""
 
+import ast
+import inspect
 import math
+import textwrap
 import tracemalloc
 from fractions import Fraction
 
@@ -433,13 +436,17 @@ def test_half_sweep_solve_matches_kronecker_oracle(own_axis, a12, warm):
 
 
 class CountingG:
-    """Stand-in for the dense G that counts the products made with it."""
+    """Stand-in for the dense G that counts the products the package makes
+    with it (``G.dot``); ``G @ x``, for the tests' own oracles, is not counted."""
 
     def __init__(self, g):
         self.g, self.products = g, 0
 
-    def __matmul__(self, x):
+    def dot(self, x):
         self.products += 1
+        return self.g.dot(x)
+
+    def __matmul__(self, x):
         return self.g @ x
 
 
@@ -587,6 +594,22 @@ def test_warm_half_sweep_multiplies_by_g_once_per_iteration_and_frame():
     _, _, iterations = step.half_sweep(0, frozen, own, core)
     assert iterations > 0
     assert counter.products == iterations + 1
+
+
+#: The functions of a rank-r step that run on every half-sweep or its stop test.
+HOT_PATH = (_Step.frame, _Step.reduced, _Step.objective, _Step.residual, _Step.half_sweep,
+            _state_change, _forward_splitting_step)
+
+
+def test_hot_path_multiplies_blocks_with_dot():
+    # ndarray.dot reaches the same gemm as @, so results are bitwise equal,
+    # without the matmul ufunc's dispatch: at r <= 8 that dispatch costs about
+    # as much as the product itself
+    for fn in HOT_PATH:
+        tree = ast.parse(textwrap.dedent(inspect.getsource(fn)))
+        lines = [node.lineno for node in ast.walk(tree)
+                 if isinstance(getattr(node, "op", None), ast.MatMult)]
+        assert not lines, f"{fn.__qualname__} uses @ on its lines {lines}"
 
 
 def test_zero_source_factors_are_accepted():
