@@ -14,7 +14,8 @@ that both sides see the same state of a shared machine.  A child process is
     python3 bench/measuring.py SRC SCRIPT ARGS_JSON
 
 which imports the package from SRC, then the scan module SCRIPT, and prints
-the JSON row of ``SCRIPT.scan_row(*ARGS_JSON)``.
+the JSON row of ``SCRIPT.scan_row(*ARGS_JSON)``.  ``src_sha256`` names the
+source each side ran, for a git checkout and a ``git archive`` export alike.
 """
 
 import os
@@ -23,6 +24,7 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import hashlib
 import importlib
 import json
 import platform
@@ -108,11 +110,11 @@ def ab_row(script: str, args: list, against: Path, timed: str) -> dict:
     ``script.scan_row(*args)``, one on ``against/src`` and one on this tree's
     ``src/``, the order alternating from pair to pair.  ``timed`` names the
     row's time (``ms_per_step`` of the step scan, ``cpu_ms`` of the suite
-    scan).  Returns this tree's run with the median time, plus
-    ``against_<timed>``, the median over DIR's runs, ``speedup``, the median
-    over pairs of DIR's time divided by this tree's (above 1: this tree is
-    faster), ``speedup_range``, the smallest and largest of those ratios,
-    and ``pairs``."""
+    scan).  Returns this tree's run with the median time, plus ``against``,
+    DIR's run with the median time (so the two rows' counts and reports can
+    be compared), ``speedup``, the median over pairs of DIR's time divided by
+    this tree's (above 1: this tree is faster), ``speedup_range``, the
+    smallest and largest of those ratios, and ``pairs``."""
     own, other = [], []
     for k in range(AB_PAIRS):
         sides = [(own, ROOT / "src"), (other, against / "src")]
@@ -120,18 +122,21 @@ def ab_row(script: str, args: list, against: Path, timed: str) -> dict:
             runs.append(_child_row(src, script, args))
     ratios = [b[timed] / a[timed] for a, b in zip(own, other)]
     row = sorted(own, key=lambda r: r[timed])[AB_PAIRS // 2]
-    row.update({f"against_{timed}": statistics.median(r[timed] for r in other),
+    row.update({"against": sorted(other, key=lambda r: r[timed])[AB_PAIRS // 2],
                 "speedup": round(statistics.median(ratios), 4),
                 "speedup_range": [round(min(ratios), 4), round(max(ratios), 4)],
                 "pairs": AB_PAIRS})
     return row
 
 
-def tree_commit(tree: Path):
-    """The git commit checked out in ``tree``, or None outside a git checkout."""
-    done = subprocess.run(["git", "-C", str(tree), "rev-parse", "HEAD"],
-                          capture_output=True, text=True)
-    return done.stdout.strip() or None
+def src_sha256(tree: Path) -> str:
+    """sha256 over ``tree``'s ``src/**/*.py``: each file's path under ``src/``
+    and the sha256 of its bytes, in path order."""
+    src, digest = tree / "src", hashlib.sha256()
+    for path in sorted(src.rglob("*.py")):
+        digest.update(path.relative_to(src).as_posix().encode() + b"\0")
+        digest.update(hashlib.sha256(path.read_bytes()).digest())
+    return digest.hexdigest()
 
 
 if __name__ == "__main__":

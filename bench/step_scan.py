@@ -14,10 +14,12 @@ written by default to ``BENCH_step_scan_ab.json``:
     python3 bench/step_scan.py --against DIR [--method ...]
 
 Each row then runs in ``measuring.AB_PAIRS`` = 9 pairs of processes, one
-on ``DIR/src`` and one on this tree's ``src/``, and adds
-``against_ms_per_step`` and ``speedup`` (the median over pairs of DIR's
-ms/step over this tree's) with its range (``measuring.ab_row``).  Only ``src/`` is taken from DIR: both sides run
-this scan's code on the same inputs.
+on ``DIR/src`` and one on this tree's ``src/``, and adds ``against`` (DIR's
+median run, with its own sweep and CG counts) and ``speedup`` (the median
+over pairs of DIR's ms/step over this tree's) with its range
+(``measuring.ab_row``); the settings name each side's source by
+``src_sha256`` and ``against_src_sha256``.  Only ``src/`` is taken from DIR:
+both sides run this scan's code on the same inputs.
 
 Each row records, for one (method, N, a12):
 
@@ -55,7 +57,7 @@ from pathlib import Path
 import numpy as np
 
 from measuring import (AB_PAIRS, ROOT, TIMING, ab_row, measure,  # pins BLAS, puts src/ on the path
-                       tree_commit, write_json)
+                       src_sha256, write_json)
 
 from lowrankpde import (LowRankState, build_operator, constant_diffusion,  # noqa: E402
                         cosine_profile, energy_audit, integrate, interpolant_gap,
@@ -123,7 +125,8 @@ def main(argv=None) -> int:
     settings = {"rank": RANK, "h": STEP, "n_steps": N_STEPS, **TIMING,
                 "seed": SEED, "als_mixed_max_n": ALS_MIXED_MAX_N}
     if args.against:
-        settings.update(against_commit=tree_commit(args.against), pairs=AB_PAIRS)
+        settings.update(src_sha256=src_sha256(ROOT), against_src_sha256=src_sha256(args.against),
+                        pairs=AB_PAIRS)
     rows = []
     for method in args.method:
         for a12 in args.a12:

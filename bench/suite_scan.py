@@ -15,10 +15,12 @@ a checkout of the parent commit) instead, written by default to
     python3 bench/suite_scan.py --against DIR [--suite ...] [--N ...]
 
 Each row then runs in ``measuring.AB_PAIRS`` = 9 pairs of processes, one on
-``DIR/src`` and one on this tree's ``src/``, and adds ``against_cpu_ms`` and
-``speedup`` (the median over pairs of DIR's CPU time over this tree's) with
-its range (``measuring.ab_row``).  Only ``src/`` is taken from DIR: both
-sides run this scan's code on the same inputs.
+``DIR/src`` and one on this tree's ``src/``, and adds ``against`` (DIR's
+median run, with its own report) and ``speedup`` (the median over pairs of
+DIR's CPU time over this tree's) with its range (``measuring.ab_row``); the
+settings name each side's source by ``src_sha256`` and
+``against_src_sha256``.  Only ``src/`` is taken from DIR: both sides run
+this scan's code on the same inputs.
 
 Each row records, for one (suite, N):
 
@@ -34,8 +36,10 @@ Each row records, for one (suite, N):
 
 One more row per N, ``geometry-suites``, times the three suites as the
 ``geometry-suites`` CLI experiment calls them (tangency on half the
-trials).  The timings are not deterministic: they vary from run to run and
-machine to machine, which is why the JSON records the machine and the clock.
+trials).  The scan passes no tensor: the projection and tangency suites
+sample that of ``rotating_diffusion(1.0, 0.25, 1.0)`` themselves.  The
+timings are not deterministic: they vary from run to run and machine to
+machine, which is why the JSON records the machine and the clock.
 """
 
 import argparse
@@ -43,24 +47,22 @@ import sys
 from pathlib import Path
 
 from measuring import (AB_PAIRS, ROOT, TIMING, ab_row, measure,  # pins BLAS, puts src/ on the path
-                       tree_commit, write_json)
+                       src_sha256, write_json)
 
-from lowrankpde import (curvature_suite, projection_regularity_suite,  # noqa: E402
-                        rotating_diffusion, tangency_suite)
+from lowrankpde import curvature_suite, projection_regularity_suite, tangency_suite  # noqa: E402
 
 RANK = 4
 TRIALS = 1000
 SIZES = (16, 32, 64)
 SEED = 2020
-MODEL = rotating_diffusion(1.0, 0.25, 1.0)
 
 SUITES = {
     "curvature": lambda n: curvature_suite(n, RANK, TRIALS, SEED),
     "projection": lambda n: projection_regularity_suite(n, RANK, TRIALS, SEED),
-    "tangency": lambda n: tangency_suite(n, RANK, TRIALS, SEED, MODEL),
+    "tangency": lambda n: tangency_suite(n, RANK, TRIALS, SEED),
     "geometry-suites": lambda n: (curvature_suite(n, RANK, TRIALS, SEED),
                                   projection_regularity_suite(n, RANK, TRIALS, SEED),
-                                  tangency_suite(n, RANK, TRIALS // 2, SEED, MODEL)),
+                                  tangency_suite(n, RANK, TRIALS // 2, SEED)),
 }
 
 
@@ -85,7 +87,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     settings = {"rank": RANK, "trials": TRIALS, "seed": SEED, **TIMING}
     if args.against:
-        settings.update(against_commit=tree_commit(args.against), pairs=AB_PAIRS)
+        settings.update(src_sha256=src_sha256(ROOT), against_src_sha256=src_sha256(args.against),
+                        pairs=AB_PAIRS)
     rows = []
     for n in args.N:
         for name in args.suite:

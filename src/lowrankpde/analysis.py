@@ -24,8 +24,8 @@ from .galerkin import (DiffusionModel, GalerkinOperator, SourceSpec, TimeProfile
                        apply_a2, build_operator, constant_diffusion, exact_diagonal_solution,
                        h_distance, h_norm, rhs_mean_factors, rotating_diffusion,
                        separable_source, v_norm, zero_source)
-from .manifold import (DEFAULT_RANK_FLOOR, LowRankState, factorize, qr_nonneg,
-                       singular_values, tangent_project, to_dense)
+from .manifold import (LowRankState, factorize, qr_nonneg, singular_values, tangent_project,
+                       to_dense)
 from .stepping import Trajectory, _forward_splitting_step, integrate, splitting_euler_step
 
 __all__ = [
@@ -62,7 +62,10 @@ def sample_state(rng: np.random.Generator | list, basis_dim: int, rank: int,
     """Random rank-r state: orthonormal factors from QR of Gaussian blocks,
     log-uniform singular values over ``sigma_range``.  A list of generators
     gives the stack of one state per generator, each drawn as alone."""
-    lo, hi = map(np.log, _positive_range("sigma_range", sigma_range))
+    low, high = sigma_range
+    if not 0.0 < low <= high < math.inf:
+        raise ValueError(f"sigma_range must satisfy 0 < low <= high < inf, got {sigma_range!r}")
+    lo, hi = np.log(low), np.log(high)
     g1 = _each(rng, lambda g: g.standard_normal((basis_dim, rank)))
     g2 = _each(rng, lambda g: g.standard_normal((basis_dim, rank)))
     sig = np.sort(np.exp(_each(rng, lambda g: g.uniform(lo, hi, rank))), axis=-1)[..., ::-1]
@@ -70,35 +73,24 @@ def sample_state(rng: np.random.Generator | list, basis_dim: int, rank: int,
     return LowRankState(q1, sig[..., None] * np.eye(rank), q2)
 
 
-def sample_nearby_state(rng: np.random.Generator | list, state: LowRankState,
-                        max_rel: float = 1.0) -> LowRankState:
+def sample_nearby_state(rng: np.random.Generator | list, state: LowRankState) -> LowRankState:
     """Rank-preserving perturbation of ``state`` at a random small distance;
     stacked for a list of generators and a stack of states.  The distance is
-    log-uniform in [1e-3, max_rel] times sigma_r / (3 sqrt(N))."""
-    if not 1e-3 <= max_rel < math.inf:
-        raise ValueError(f"max_rel must be finite and >= 1e-3, got {max_rel!r}")
+    log-uniform in [1e-3, 1] times sigma_r / (3 sqrt(N))."""
     n = state.basis_dim
-    factor = _each(rng, lambda g: math.exp(g.uniform(math.log(1e-3), math.log(max_rel))))
+    factor = _each(rng, lambda g: math.exp(g.uniform(math.log(1e-3), 0.0)))
     noise = _each(rng, lambda g: g.standard_normal((n, n)))
     delta = singular_values(state)[..., -1] / (3.0 * math.sqrt(n)) * factor
     return factorize(to_dense(state) + delta[..., None, None] * noise, state.rank)
 
 
-def sample_spd_tensor(rng: np.random.Generator, eig_range=(0.2, 2.0)) -> np.ndarray:
-    """Random symmetric positive definite 2x2 tensor, eigenvalues in ``eig_range``."""
-    lam = rng.uniform(*_positive_range("eig_range", eig_range), size=2)
+def sample_spd_tensor(rng: np.random.Generator) -> np.ndarray:
+    """Random symmetric positive definite 2x2 tensor, eigenvalues in [0.2, 2]."""
+    lam = rng.uniform(0.2, 2.0, size=2)
     theta = rng.uniform(0.0, math.pi)
     c, s = math.cos(theta), math.sin(theta)
     rot = np.array([[c, -s], [s, c]])
     return rot.T @ np.diag(lam) @ rot
-
-
-def _positive_range(name: str, pair) -> tuple:
-    """``pair`` as (low, high) if 0 < low <= high < inf, else ValueError naming ``name``."""
-    low, high = pair
-    if not 0.0 < low <= high < math.inf:
-        raise ValueError(f"{name} must satisfy 0 < low <= high < inf, got {tuple(pair)!r}")
-    return low, high
 
 
 def _ratio(observed: float, bound: float) -> float:
@@ -394,17 +386,18 @@ def projection_regularity_suite(basis_dim: int, rank: int, trials: int,
     return report
 
 
-def tangency_suite(basis_dim: int, rank: int, trials: int, seed: int,
-                   model: DiffusionModel) -> PropertyReport:
+def tangency_suite(basis_dim: int, rank: int, trials: int, seed: int) -> PropertyReport:
     """The divergence part maps states into their own tangent space.
 
     Ratios are measured against the stated numerical tolerances:
     relative tangent defect of A1 u (1e-10), reproduction of the state by
     its tangent projector (1e-12), and agreement of a1(u, v) with
-    a1(u, P_u v) on random directions (1e-10 relative).
+    a1(u, P_u v) on random directions (1e-10 relative), sampling the
+    tensor of ``rotating_diffusion(1.0, 0.25, 1.0)`` at times in [0, 1].
     """
     n = basis_dim
     op = build_operator(n)
+    model = rotating_diffusion(1.0, 0.25, 1.0)
     report = PropertyReport(trials, 0, dict.fromkeys(
         ("a1_tangency", "state_reproduction", "a1_projected_pairing"), 0.0), seed)
     for _, rngs in _chunks(n, rank, trials, seed):
@@ -480,21 +473,17 @@ def equivalence_test(trials: int = 50, seed: int = 0) -> PropertyReport:
 
 def convergence_study(axis: str, u0: LowRankState, T: float, model: DiffusionModel,
                       source: SourceSpec, method: str = "als",
-                      step_counts=(10, 20, 40, 80, 160), ranks=None,
-                      n_steps: int = 100) -> ConvergenceTable:
+                      step_counts=(10, 20, 40, 80, 160), n_steps: int = 100) -> ConvergenceTable:
     """Final-time error against an oracle along a step-size or rank sweep.
 
     With constant diagonal alpha and no source, the closed-form decayed
     state is the oracle; otherwise a fine-step full-rank reference
     trajectory is used.  Orders are base-2 logarithms of consecutive error
-    ratios along the step axis; the rank axis runs ``ranks``, by default
-    1 .. u0.rank.
+    ratios along the step axis; the rank axis runs ranks 1 .. u0.rank from
+    the best rank-k approximations of the start.
     """
     if axis not in ("step", "rank"):
         raise ValueError(f"unknown axis {axis!r}")
-    ranks = range(1, u0.rank + 1) if ranks is None else tuple(ranks)
-    if axis == "rank" and not ranks:
-        raise ValueError("ranks must name at least one rank, got ()")
     if axis == "step" and len(set(step_counts)) < len(step_counts):
         raise ValueError(f"step_counts must be distinct, got {tuple(step_counts)}")
     op = build_operator(u0.basis_dim)
@@ -517,16 +506,11 @@ def convergence_study(axis: str, u0: LowRankState, T: float, model: DiffusionMod
             if e1 > 0 and e0 > 0:
                 rows[i].observed_order = math.log(e0 / e1) / math.log(h0 / h1)
     else:
-        dense0 = to_dense(u0)
-        svals = np.linalg.svd(dense0, compute_uv=False)
-        best = factorize(dense0, int(np.sum(svals > DEFAULT_RANK_FLOOR * svals[0])))
-        for rank in ranks:
-            # the best rank-k start is the leading k columns of the best
-            # available one; requesting more rank than the start has just
-            # reproduces the best available point
-            k = min(int(rank), best.rank)
-            u0_r = LowRankState(best.u1_factors[:, :k].copy(), best.core[:k, :k].copy(),
+        best = factorize(to_dense(u0), u0.rank)
+        for k in range(1, u0.rank + 1):
+            # the best rank-k start is the leading k columns of the best rank-r one
+            u0_k = LowRankState(best.u1_factors[:, :k].copy(), best.core[:k, :k].copy(),
                                 best.u2_factors[:, :k].copy())
-            traj = integrate(method, u0_r, T, n_steps, model, source)
-            rows.append(ConvergenceRow(float(rank), h_distance(traj.states[-1], oracle)))
+            traj = integrate(method, u0_k, T, n_steps, model, source)
+            rows.append(ConvergenceRow(float(k), h_distance(traj.states[-1], oracle)))
     return ConvergenceTable(axis, rows)

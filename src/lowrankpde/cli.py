@@ -1,6 +1,6 @@
 """Command-line runner.
 
-Usage:  lowrankpde run CONFIG [--seed S] [--out DIR] [--quiet] [--gnuplot]
+Usage:  lowrankpde run CONFIG [--seed S] [--out DIR] [--quiet]
 
 Configs are line-oriented ``key = value`` files with optional ``[alpha]``
 and ``[source]`` sections.  The dataclasses below are the schema: their
@@ -364,17 +364,6 @@ def _write_diagnostics(out: Path, traj: Trajectory):
                rows)
 
 
-def _write_gnuplot(out: Path):
-    script = """set datafile separator ','
-set key autotitle columnhead
-set logscale y
-set xlabel 't'
-plot 'trajectory.csv' using 2:3 with lines, \\
-     'trajectory.csv' using 2:5 with lines
-"""
-    (out / "trajectory.gp").write_text(script)
-
-
 # ---------------------------------------------------------------------------
 # experiments
 
@@ -448,7 +437,7 @@ def _convergence_rank(cfg: RunConfig, op):
     """Ranks 1 .. r at fixed step."""
     model, source, u0 = _problem(cfg)
     table = convergence_study("rank", u0, cfg.T, model, source, method=cfg.method,
-                              ranks=range(1, cfg.r + 1), n_steps=cfg.n_steps)
+                              n_steps=cfg.n_steps)
     return _convergence_report(table, [])
 
 
@@ -483,8 +472,7 @@ def _energy_audit(cfg: RunConfig, op):
 def _geometry_suites(cfg: RunConfig, op):
     curv = curvature_suite(cfg.N, cfg.r, cfg.trials, cfg.seed)
     proj = projection_regularity_suite(cfg.N, cfg.r, cfg.trials, cfg.seed)
-    model = rotating_diffusion(1.0, 0.25, 1.0)
-    tang = tangency_suite(cfg.N, cfg.r, max(1, cfg.trials // 2), cfg.seed, model)
+    tang = tangency_suite(cfg.N, cfg.r, max(1, cfg.trials // 2), cfg.seed)
     rows, failures = [], []
     for name, rep in (("curvature", curv), ("projection", proj), ("tangency", tang)):
         rows += _suite_rows(rep, name)
@@ -552,7 +540,7 @@ class _WarningLog(logging.Handler):
             print(line, file=sys.stderr)
 
 
-def run(cfg: RunConfig, quiet: bool = False, gnuplot: bool = False) -> int:
+def run(cfg: RunConfig, quiet: bool = False) -> int:
     """Execute one experiment; writes artifacts into cfg.output_dir.
 
     Warnings the package logs during the run are written to run.log, and to
@@ -598,8 +586,6 @@ def run(cfg: RunConfig, quiet: bool = False, gnuplot: bool = False) -> int:
     if traj is not None:
         _write_trajectory(out, traj, op)
         _write_diagnostics(out, traj)
-        if gnuplot:
-            _write_gnuplot(out)
     _write_csv(out / "report.csv", report_header, report_rows)
     for row in report_rows:
         log_lines.append("  ".join(_fmt(x) for x in row))
@@ -629,8 +615,6 @@ def main(argv=None) -> int:
     runp.add_argument("--seed", type=int, default=None, help="override the config seed")
     runp.add_argument("--out", default=None, help="override the output directory")
     runp.add_argument("--quiet", action="store_true", help="suppress stdout chatter")
-    runp.add_argument("--gnuplot", action="store_true",
-                      help="also emit a gnuplot script for the trajectory")
     args = parser.parse_args(argv)
 
     try:
@@ -649,7 +633,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return run(cfg, quiet=args.quiet, gnuplot=args.gnuplot)
+    return run(cfg, quiet=args.quiet)
 
 
 if __name__ == "__main__":

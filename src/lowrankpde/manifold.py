@@ -173,6 +173,7 @@ def reorthonormalize(state: LowRankState) -> LowRankState:
     q1, r1 = qr_nonneg(state.u1_factors)
     q2, r2 = qr_nonneg(state.u2_factors)
     for r_block in (r1, r2):
-        _check_qr_collapse(r_block.diagonal(), DEFAULT_RANK_FLOOR,
-                           "factor block lost rank during reorthonormalization")
-    return LowRankState(q1, r1 @ state.core @ r2.T, q2)
+        for diag in r_block.diagonal(0, -2, -1).reshape(-1, state.rank):
+            _check_qr_collapse(diag, DEFAULT_RANK_FLOOR,
+                               "factor block lost rank during reorthonormalization")
+    return LowRankState(q1, r1 @ state.core @ r2.mT, q2)

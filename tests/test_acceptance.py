@@ -128,9 +128,7 @@ def test_criterion_5_curvature_and_projection_suites():
 
 
 def test_criterion_6_divergence_part_is_tangent():
-    model = rotating_diffusion(1.0, 0.25, 2.0)
-    reports = [tangency_suite(16, 2, 250, seed=21, model=model),
-               tangency_suite(16, 5, 250, seed=22, model=model)]
+    reports = [tangency_suite(16, 2, 250, seed=21), tangency_suite(16, 5, 250, seed=22)]
     ok = all(r.violations == 0 for r in reports)
     worst = max(r.worst_ratio["a1_tangency"] for r in reports)
     _report(6, ok, f"500 states/times, worst tangent-defect ratio vs 1e-10: "

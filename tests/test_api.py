@@ -32,43 +32,63 @@ def test_bench_script_starts(script):
     assert done.returncode == 0, done.stderr
 
 
-def plain_and_ab_rows(tmp_path, script, grid):
-    """The one row of ``bench/<script>`` restricted to ``grid``, as a plain
-    scan and in the A/B mode against this very tree."""
-    rows = {}
-    for name, extra in (("plain", []), ("ab", ["--against", str(ROOT)])):
+#: ``python -c ONE_PAIR BENCH_DIR SCAN ARGS...`` runs ``SCAN.main(ARGS)`` with
+#: ``measuring.AB_PAIRS = 1``, set before the scan imports it.
+ONE_PAIR = ("import importlib, sys; sys.path.insert(0, sys.argv[1]); import measuring; "
+            "measuring.AB_PAIRS = 1; "
+            "sys.exit(importlib.import_module(sys.argv[2]).main(sys.argv[3:]))")
+
+
+def plain_and_ab_rows(tmp_path, script, grid, one_pair=False):
+    """The one row of ``bench/<script>.py`` restricted to ``grid``, as a plain
+    scan and in the A/B mode against this very tree, in the scan's own 9
+    process pairs or, with ``one_pair``, in 1 through ``ONE_PAIR``.  Checks what every
+    A/B row must show against its own tree: both sides ran the same source,
+    DIR's median run has the plain row's keys, and the ratio is a finite
+    positive median of its own range."""
+    launch = (["-c", ONE_PAIR, str(ROOT / "bench"), script] if one_pair
+              else [str(ROOT / "bench" / f"{script}.py")])
+    scans = {}
+    for name, cmd in (("plain", [str(ROOT / "bench" / f"{script}.py")]),
+                      ("ab", [*launch, "--against", str(ROOT)])):
         out = tmp_path / f"{name}.json"
-        done = subprocess.run([sys.executable, str(ROOT / "bench" / script), *grid, *extra,
-                               "--out", str(out)], capture_output=True, text=True, timeout=600)
+        done = subprocess.run([sys.executable, *cmd, *grid, "--out", str(out)],
+                              capture_output=True, text=True, timeout=600)
         assert done.returncode == 0, done.stderr
-        rows[name] = json.loads(out.read_text())["rows"]
-    (plain,), (ab,) = rows["plain"], rows["ab"]
+        scans[name] = json.loads(out.read_text())
+    (plain,), (ab,) = scans["plain"]["rows"], scans["ab"]["rows"]
+    settings = scans["ab"]["settings"]
+    assert settings["pairs"] == ab["pairs"] == (1 if one_pair else 9)
+    assert settings["src_sha256"] == settings["against_src_sha256"]
+    assert len(settings["src_sha256"]) == 64
+    assert set(ab) == set(plain) | {"against", "speedup", "speedup_range", "pairs"}
+    assert set(ab["against"]) == set(plain)
     low, high = ab["speedup_range"]
-    assert ab["pairs"] == 9 and 0 < low <= ab["speedup"] <= high < float("inf")
+    assert 0 < low <= ab["speedup"] <= high < float("inf")
     return plain, ab
 
 
 def test_step_scan_against_its_own_tree(tmp_path):
     # the A/B mode on a one-row grid, run against this very tree: the plain
-    # scan's row keys plus the A/B fields, and the same counts (a12 != 0, so
-    # the inner CG runs).  The ratio itself is CPU time on whatever host runs
-    # the suite and is not checked beyond being a finite positive median of
-    # its own range.
-    plain, ab = plain_and_ab_rows(tmp_path, "step_scan.py",
+    # scan's row keys plus the A/B fields, and the same counts on all three
+    # runs (a12 != 0, so the inner CG runs).  The ratio itself is CPU time on
+    # whatever host runs the suite and is not checked beyond being a finite
+    # positive median of its own range.
+    plain, ab = plain_and_ab_rows(tmp_path, "step_scan",
                                   ["--method", "splitting", "--N", "128", "--a12", "0.25"])
-    assert set(ab) == set(plain) | {"against_ms_per_step", "speedup", "speedup_range", "pairs"}
     for key in ("method", "N", "r", "a12", "sweeps_per_step", "inner_iterations_per_half_sweep"):
-        assert ab[key] == plain[key], key
+        assert ab[key] == ab["against"][key] == plain[key], key
     assert plain["inner_iterations_per_half_sweep"] > 0
 
 
 def test_suite_scan_against_its_own_tree(tmp_path):
-    # the same for the suite scan's cheapest row: the keys, and the report,
-    # which depends only on (N, r, trials, seed); the ratio is not checked
-    plain, ab = plain_and_ab_rows(tmp_path, "suite_scan.py", ["--suite", "tangency", "--N", "16"])
-    assert set(ab) == set(plain) | {"against_cpu_ms", "speedup", "speedup_range", "pairs"}
+    # the same for the suite scan's cheapest row, in one pair (the step scan
+    # above runs the scans' 9): the keys, and the report, which depends only
+    # on (N, r, trials, seed); the ratio is not checked
+    plain, ab = plain_and_ab_rows(tmp_path, "suite_scan", ["--suite", "tangency", "--N", "16"],
+                                  one_pair=True)
     for key in ("suite", "N", "r", "trials", "violations", "worst_ratio"):
-        assert ab[key] == plain[key], key
+        assert ab[key] == ab["against"][key] == plain[key], key
 
 
 def test_suite_scan_json_carries_todays_reports():

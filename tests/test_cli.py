@@ -473,12 +473,18 @@ def test_main_rejects_non_finite_numbers(tmp_path, capsys, body, line, what):
     assert not out.exists()
 
 
-def test_main_overrides_and_gnuplot(tmp_path):
+def test_main_overrides_and_gnuplot(tmp_path, capsys):
+    # --out overrides the config; --gnuplot is no option any more (the
+    # README gives the gnuplot command), so it is refused, not ignored
     cfg_path = _write(tmp_path, _quick_heat(tmp_path / "ignored"))
     out = tmp_path / "chosen"
-    assert main(["run", cfg_path, "--out", str(out), "--quiet", "--gnuplot"]) == 0
-    assert (out / "trajectory.gp").exists()
+    assert main(["run", cfg_path, "--out", str(out), "--quiet"]) == 0
+    assert (out / "trajectory.csv").exists()
     assert not (tmp_path / "ignored").exists()
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", cfg_path, "--out", str(out), "--quiet", "--gnuplot"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --gnuplot" in capsys.readouterr().err
 
 
 def test_main_validates_seed_override(tmp_path, capsys):

@@ -122,7 +122,7 @@ def loop_tangency(n, rank, trials, seed):
 CASES = {
     "curvature": ((8, 2, 80, 3), curvature_suite, loop_curvature),
     "projection": ((8, 3, 80, 4), projection_regularity_suite, loop_projection),
-    "tangency": ((8, 2, 60, 5), lambda *a: tangency_suite(*a, ROTATING), loop_tangency),
+    "tangency": ((8, 2, 60, 5), tangency_suite, loop_tangency),
 }
 
 
@@ -149,11 +149,11 @@ def test_batched_suite_equals_per_trial_loop(monkeypatch, case, chunk):
 def test_sample_state_stack_equals_single_draws():
     rngs = [np.random.default_rng([9, k]) for k in range(4)]
     stack = sample_state(rngs, 7, 3)
-    near = sample_nearby_state(rngs, stack, max_rel=0.5)
+    near = sample_nearby_state(rngs, stack)
     for k in range(4):
         rng = np.random.default_rng([9, k])
         one = sample_state(rng, 7, 3)
-        one_near = sample_nearby_state(rng, one, max_rel=0.5)
+        one_near = sample_nearby_state(rng, one)
         for name in ("u1_factors", "core", "u2_factors"):
             assert np.array_equal(getattr(stack, name)[k], getattr(one, name))
             assert np.array_equal(getattr(near, name)[k], getattr(one_near, name))
@@ -162,7 +162,7 @@ def test_sample_state_stack_equals_single_draws():
 SUITES = {
     "curvature": lambda n, r, t: curvature_suite(n, r, t, 1),
     "projection": lambda n, r, t: projection_regularity_suite(n, r, t, 1),
-    "tangency": lambda n, r, t: tangency_suite(n, r, t, 1, ROTATING),
+    "tangency": lambda n, r, t: tangency_suite(n, r, t, 1),
 }
 
 

@@ -351,3 +351,14 @@ def test_state_stack_ops_equal_per_state_calls():
     dense[4] = np.outer(dense[4][:, 0], dense[4][0])          # one rank-1 slice
     with pytest.raises(RankDeficiencyError):
         factorize(dense, r)
+    skewed = LowRankState(q1 * rng.uniform(0.5, 2.0, (k, 1, r)), stack.core,
+                          q2 * rng.uniform(0.5, 2.0, (k, 1, r)))
+    fixed = reorthonormalize(skewed)
+    for i in range(k):
+        one = reorthonormalize(LowRankState(skewed.u1_factors[i], stack.core[i],
+                                            skewed.u2_factors[i]))
+        for name in ("u1_factors", "core", "u2_factors"):
+            assert np.array_equal(getattr(fixed, name)[i], getattr(one, name))
+    skewed.u2_factors[4, :, 1] = skewed.u2_factors[4, :, 0]   # one collapsed factor block
+    with pytest.raises(RankDeficiencyError, match="factor block lost rank"):
+        reorthonormalize(skewed)
