@@ -1,6 +1,6 @@
 """Command-line runner.
 
-Usage:  lowrankpde run CONFIG [--seed S] [--out DIR] [--quiet]
+Usage:  lowrankpde run CONFIG [--out DIR] [--quiet]
 
 Configs are line-oriented ``key = value`` files with optional ``[alpha]``
 and ``[source]`` sections.  The dataclasses below are the schema: their
@@ -9,10 +9,11 @@ defaults.  ``EXPERIMENTS`` declares, for each experiment, the function that
 runs it, the global keys it reads (with its own defaults where they differ),
 whether it reads ``[alpha]`` and ``[source]``, and its own restrictions.
 Unknown keys, keys or sections the experiment does not read, and ``[alpha]``
-keys of the other kind are rejected with their line number.  Runs are
-bit-reproducible for a fixed (config, seed) pair: every artifact
-(trajectory.csv, diagnostics.csv, report.csv, run.log) is written
-deterministically, floats at 17 significant digits, no timestamps.
+keys of the other kind are rejected with their line number.  The config
+is the run: the seed is one of its keys, and ``--out DIR`` (default ``out``)
+only places the artifacts.  Runs are bit-reproducible for a fixed config:
+every artifact (trajectory.csv, diagnostics.csv, report.csv, run.log) is
+written deterministically, floats at 17 significant digits, no timestamps.
 
 Exit status: 0 all asserted properties passed, 1 a property was violated,
 2 the config failed to parse or validate or the output directory cannot be
@@ -25,7 +26,7 @@ import argparse
 import logging
 import math
 import sys
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -81,7 +82,6 @@ class RunConfig:
     method: str = "als"
     seed: int = 0
     trials: int = 50
-    output_dir: str = "out"
     alpha: AlphaSpec = field(default_factory=AlphaSpec)
     source: tuple = ()
 
@@ -108,8 +108,6 @@ _GLOBALS = _schema(RunConfig)
 _ALPHA = _schema(AlphaSpec)
 #: The [alpha] keys each kind reads, besides ``kind`` itself.
 _ALPHA_KINDS = {"constant": ("a11", "a12", "a22"), "rotation": ("lambda1", "lambda2", "omega")}
-#: The global keys every experiment reads; ``Experiment.reads`` lists the others.
-_READ_BY_ALL = ("experiment", "output_dir")
 
 
 def _convert(schema: dict, raw: dict) -> dict:
@@ -212,11 +210,11 @@ def parse_config(text: str) -> RunConfig:
         raise ConfigError(f"unknown experiment {name!r}", lineno)
     exp = EXPERIMENTS[name]
     for key, (_, lineno) in raw[None].items():
-        if key not in exp.reads and key not in _READ_BY_ALL:
-            raise ConfigError(_unread(repr(key), name), lineno)
+        if key != "experiment" and key not in exp.reads:
+            raise ConfigError(f"{key!r} is not read by experiment {name!r}", lineno)
     for section, lineno in headers.items():
         if not getattr(exp, section):
-            raise ConfigError(_unread(f"[{section}]", name), lineno)
+            raise ConfigError(f"[{section}] is not read by experiment {name!r}", lineno)
 
     cfg = RunConfig(**{**exp.reads, **_convert(_GLOBALS, raw[None])},
                     alpha=AlphaSpec(**_convert(_ALPHA, raw["alpha"])), source=tuple(terms))
@@ -226,10 +224,6 @@ def parse_config(text: str) -> RunConfig:
             raise ConfigError(f"{key!r} is not a parameter of alpha kind {cfg.alpha.kind!r}",
                               lineno)
     return cfg
-
-
-def _unread(what: str, experiment: str) -> str:
-    return f"{what} is not read by experiment {experiment!r}"
 
 
 def _validate(cfg: RunConfig, alpha_line: int | None = None):
@@ -249,8 +243,6 @@ def _validate(cfg: RunConfig, alpha_line: int | None = None):
         raise ConfigError("seed must be >= 0")
     if cfg.trials < 1:
         raise ConfigError("trials must be >= 1")
-    if not cfg.output_dir.strip():
-        raise ConfigError("output_dir must not be empty")
     if cfg.alpha.kind not in _ALPHA_KINDS:
         raise ConfigError(f"unknown alpha kind {cfg.alpha.kind!r}", alpha_line)
     try:
@@ -270,7 +262,7 @@ def serialize_config(cfg: RunConfig) -> str:
     parse(serialize(parse(s))) == parse(s)."""
     exp = EXPERIMENTS[cfg.experiment]
     out = [f"{name} = {_fmt(getattr(cfg, name))}" for name in _GLOBALS
-           if name in exp.reads or name in _READ_BY_ALL]
+           if name == "experiment" or name in exp.reads]
     if exp.alpha:
         out += ["", "[alpha]", f"kind = {cfg.alpha.kind}"]
         out += [f"{name} = {_fmt(getattr(cfg.alpha, name))}"
@@ -482,7 +474,7 @@ def _geometry_suites(cfg: RunConfig, op):
 
 
 def _diagonal_alpha(cfg: RunConfig):
-    if cfg.alpha.kind != "constant" or cfg.alpha.a12 != 0.0:
+    if not config_model(cfg).constant_diagonal:
         raise ConfigError("heat-diagonal needs a constant diagonal alpha")
 
 
@@ -494,7 +486,7 @@ def _distinct_step_counts(cfg: RunConfig):
 class Experiment(NamedTuple):
     """What an experiment reads: ``run(cfg, op)`` returns (report header,
     rows, failures, trajectory or None); ``reads`` maps each global key it
-    reads, besides ``_READ_BY_ALL``, to its default; ``check`` raises
+    reads, besides ``experiment``, to its default; ``check`` raises
     ConfigError for a config outside its own restrictions."""
     run: Callable
     reads: dict
@@ -540,17 +532,20 @@ class _WarningLog(logging.Handler):
             print(line, file=sys.stderr)
 
 
-def run(cfg: RunConfig, quiet: bool = False) -> int:
-    """Execute one experiment; writes artifacts into cfg.output_dir.
+def run(cfg: RunConfig, out: str | Path = "out", quiet: bool = False) -> int:
+    """Execute one experiment; writes artifacts into the directory ``out``.
 
     Warnings the package logs during the run are written to run.log, and to
     stderr unless ``quiet``; they do not propagate to other log handlers.
-    Returns 2, and runs nothing, if the config fails validation (then
-    nothing is made either) or if the output directory cannot be made.
+    Returns 2, and runs nothing, if the config fails validation or ``out``
+    is empty (then nothing is made either) or if ``out`` cannot be made a
+    directory.
     """
-    out = Path(cfg.output_dir)
     try:
         _validate(cfg)
+        if not str(out).strip():             # Path("") is the working directory
+            raise ConfigError("the output directory must not be empty")
+        out = Path(out)
         out.mkdir(parents=True, exist_ok=True)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -558,11 +553,7 @@ def run(cfg: RunConfig, quiet: bool = False) -> int:
     except OSError as exc:
         print(f"cannot make the output directory: {exc}", file=sys.stderr)
         return 2
-    log_lines = ["config:"]
-    # the output path is where the log lives, not a run parameter; leaving it
-    # out keeps logs byte-identical across relocated reruns
-    log_lines += ["  " + line for line in serialize_config(cfg).strip().splitlines()
-                  if not line.startswith("output_dir")]
+    log_lines = ["config:"] + ["  " + line for line in serialize_config(cfg).strip().splitlines()]
     op = build_operator(cfg.N)
     logger = logging.getLogger(__package__)
     warnings = _WarningLog(quiet)
@@ -612,8 +603,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
     runp = sub.add_parser("run", help="execute a config file")
     runp.add_argument("config", help="path to a key = value config file")
-    runp.add_argument("--seed", type=int, default=None, help="override the config seed")
-    runp.add_argument("--out", default=None, help="override the output directory")
+    runp.add_argument("--out", default="out", help="output directory (default: out)")
     runp.add_argument("--quiet", action="store_true", help="suppress stdout chatter")
     args = parser.parse_args(argv)
 
@@ -624,16 +614,10 @@ def main(argv=None) -> int:
         return 2
     try:
         cfg = parse_config(text)
-        if args.seed is not None:
-            if "seed" not in EXPERIMENTS[cfg.experiment].reads:
-                raise ConfigError(_unread("--seed", cfg.experiment))
-            cfg = replace(cfg, seed=args.seed)
-        if args.out is not None:
-            cfg = replace(cfg, output_dir=args.out)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return run(cfg, quiet=args.quiet)
+    return run(cfg, args.out, args.quiet)
 
 
 if __name__ == "__main__":

@@ -31,12 +31,10 @@ __all__ = [
     "apply_operator",
     "build_operator",
     "constant_diffusion",
-    "constant_profile",
     "cosine_profile",
     "exact_diagonal_solution",
     "h_distance",
     "h_norm",
-    "linear_profile",
     "operator_matrix",
     "rhs_mean_factors",
     "rotating_diffusion",
@@ -281,14 +279,6 @@ class TimeProfile:
             return self.scale
         return self.scale * (math.sin(self.omega * t_b) - math.sin(self.omega * t_a)) \
             / (self.omega * (t_b - t_a))
-
-
-def constant_profile(c: float) -> TimeProfile:
-    return TimeProfile("constant", float(c))
-
-
-def linear_profile(c: float) -> TimeProfile:
-    return TimeProfile("linear", float(c))
 
 
 def cosine_profile(c: float, omega: float) -> TimeProfile:

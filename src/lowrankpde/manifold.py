@@ -27,7 +27,7 @@ __all__ = [
 ]
 
 #: Relative floor of sigma_r / sigma_1 under which a rank-r state counts as degenerate;
-#: also the default of the integration monitor, ``StepOptions.rank_floor_rel``.
+#: also the floor of the integration monitor in ``stepping.integrate``.
 DEFAULT_RANK_FLOOR = 1e-12
 
 _TINY = float(np.finfo(float).tiny)

@@ -90,17 +90,14 @@ class InnerSolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class StepOptions:
-    """Knobs shared by all steppers; bad values raise ValueError on creation."""
+    """The ALS stepper's sweep cap; a bad value raises ValueError on creation."""
 
     als_max_sweeps: int = 100
-    rank_floor_rel: float = DEFAULT_RANK_FLOOR
 
     def __post_init__(self):
-        sweeps, floor = self.als_max_sweeps, self.rank_floor_rel
+        sweeps = self.als_max_sweeps
         if isinstance(sweeps, bool) or not isinstance(sweeps, numbers.Integral) or sweeps < 1:
             raise ValueError(f"als_max_sweeps must be an integer >= 1, got {sweeps!r}")
-        if not (isinstance(floor, numbers.Real) and 0.0 <= floor < 1.0):
-            raise ValueError(f"rank_floor_rel must lie in [0, 1), got {floor!r}")
 
 
 @dataclass(frozen=True)
@@ -475,11 +472,10 @@ def integrate(method: str, u0, T: float, n_steps: int, model: DiffusionModel,
 
     method: "reference" (dense states), "als", or "splitting".  For the
     manifold methods the trajectory monitor halts once the step record has
-    sigma_r < rank_floor_rel * sigma_1, recording the halt index; the
+    sigma_r < DEFAULT_RANK_FLOOR * sigma_1, recording the halt index; the
     initial state must sit safely above that floor.  The start is one state,
     not a stack, with finite entries.
     """
-    opts = opts or StepOptions()
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if not isinstance(source, SourceSpec):
@@ -506,10 +502,10 @@ def integrate(method: str, u0, T: float, n_steps: int, model: DiffusionModel,
     if manifold:
         svals = singular_values(u0)
         start_sigma_r = float(svals[-1])
-        if svals[-1] < opts.rank_floor_rel * svals[0]:
+        if svals[-1] < DEFAULT_RANK_FLOOR * svals[0]:
             raise RankDeficiencyError("initial state is already under the rank floor",
                                       rank=u0.rank, sigma=start_sigma_r,
-                                      floor=float(opts.rank_floor_rel * svals[0]))
+                                      floor=float(DEFAULT_RANK_FLOOR * svals[0]))
     n = shape[0]
     if source.basis_dim != n:
         raise ValueError("source and state disagree on the basis dimension")
@@ -537,7 +533,7 @@ def integrate(method: str, u0, T: float, n_steps: int, model: DiffusionModel,
         times.append(t1)
         states.append(state)
         diagnostics.append(diag)
-        if manifold and diag.sigma_r < opts.rank_floor_rel * diag.sigma_1:
+        if manifold and diag.sigma_r < DEFAULT_RANK_FLOOR * diag.sigma_1:
             halted = i + 1
             break
     return Trajectory(times=np.array(times), states=states, diagnostics=diagnostics,

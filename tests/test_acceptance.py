@@ -16,10 +16,9 @@ from lowrankpde.analysis import (curvature_suite, convergence_study, energy_audi
                                  projection_regularity_suite, sample_spd_tensor,
                                  sample_state, tangency_suite)
 from lowrankpde.cli import main, parse_config
-from lowrankpde.galerkin import (build_operator, constant_diffusion, constant_profile,
-                                 h_norm, rotating_diffusion, separable_source,
-                                 zero_source)
-from lowrankpde.manifold import LowRankState, factorize, to_dense
+from lowrankpde.galerkin import (TimeProfile, build_operator, constant_diffusion, h_norm,
+                                 rotating_diffusion, separable_source, zero_source)
+from lowrankpde.manifold import DEFAULT_RANK_FLOOR, LowRankState, factorize, to_dense
 from lowrankpde.stepping import (StepOptions, als_variational_step, integrate,
                                  reference_step)
 
@@ -95,7 +94,7 @@ def test_criterion_4_interpolation_identity(rotating_trajectory):
     rng = np.random.default_rng(4)
     traj3, _ = rotating_trajectory
     sourced_model = constant_diffusion([[0.5, 0.2], [0.2, 0.4]])
-    src = separable_source(8, [(constant_profile(1.0), rng.standard_normal(8),
+    src = separable_source(8, [(TimeProfile("constant", 1.0), rng.standard_normal(8),
                                 rng.standard_normal(8))])
     trajs = [
         traj3,
@@ -194,11 +193,10 @@ def test_criterion_7_reference_solver_oracle():
 
 
 def test_criterion_8_rank_floor_halt_prediction():
-    h, floor = 0.01, 1e-8
+    h, floor = 0.01, DEFAULT_RANK_FLOOR
     u0 = mode_state(16, [(0, 1.0), (1, 1.0)])
     model = constant_diffusion(np.eye(2))
-    traj = integrate("als", u0, 1.0, 100, model, zero_source(16),
-                     StepOptions(rank_floor_rel=floor))
+    traj = integrate("als", u0, 1.0, 100, model, zero_source(16), StepOptions())
     # per step the two mode weights shrink by different resolvent factors, so
     # the singular-value ratio decays geometrically and the crossing index is
     # predictable in closed form

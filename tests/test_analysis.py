@@ -18,8 +18,8 @@ from lowrankpde.analysis import (PropertyReport, _spectral_distances, convergenc
                                  energy_audit, equivalence_test, interpolant_gap,
                                  projection_regularity_suite, sample_nearby_state,
                                  sample_spd_tensor, sample_state, tangency_suite)
-from lowrankpde.galerkin import (build_operator, constant_diffusion, constant_profile,
-                                 cosine_profile, h_norm, linear_profile, rhs_mean_factors,
+from lowrankpde.galerkin import (TimeProfile, build_operator, constant_diffusion,
+                                 cosine_profile, h_norm, rhs_mean_factors,
                                  rotating_diffusion, separable_source, v_dual_norm, v_norm,
                                  zero_source)
 from lowrankpde.manifold import LowRankState, singular_values, to_dense
@@ -114,7 +114,7 @@ def test_energy_audit_inequality_recomputed_from_trajectory():
     n, r = 10, 3
     model = rotating_diffusion(1.0, 0.3, 2.0)
     op = build_operator(n)
-    src = separable_source(n, [(constant_profile(0.5), rng.standard_normal(n),
+    src = separable_source(n, [(TimeProfile("constant", 0.5), rng.standard_normal(n),
                                 rng.standard_normal(n))])
     u0 = sample_state(rng, n, r, sigma_range=(0.1, 1.0))
     traj = integrate("als", u0, 0.3, 60, model, src)
@@ -167,7 +167,7 @@ def test_energy_audit_ledger_matches_dense_norms():
     op = build_operator(n)
     src = separable_source(n, [(cosine_profile(0.7, 4.0), rng.standard_normal(n),
                                 rng.standard_normal(n)),
-                               (linear_profile(-1.3), rng.standard_normal(n),
+                               (TimeProfile("linear", -1.3), rng.standard_normal(n),
                                 rng.standard_normal(n))])
     traj = integrate("als", sample_state(rng, n, r, sigma_range=(0.1, 1.0)), 0.2, 20,
                      model, src)
@@ -227,8 +227,8 @@ def smooth_splitting_run(n, r, n_steps, src_terms, seed):
     u0 = LowRankState(u, np.diag(np.geomspace(1.0, 1e-2, r)), v)
     src = separable_source(n, [(profile, rng.standard_normal(n) * weight,
                                 rng.standard_normal(n) * weight)
-                               for profile in (cosine_profile(1.0, 3.0), linear_profile(-0.7))
-                               [:src_terms]])
+                               for profile in (cosine_profile(1.0, 3.0),
+                                               TimeProfile("linear", -0.7))[:src_terms]])
     model = constant_diffusion([[1.0, 0.0], [0.0, 0.5]])
     return integrate("splitting", u0, 0.01, n_steps, model, src), src, model
 
@@ -311,7 +311,7 @@ def test_interpolant_gap_equals_increment_sum():
     rng = np.random.default_rng(54)
     n, r = 8, 2
     model = rotating_diffusion(0.9, 0.25, 3.0)
-    src = separable_source(n, [(constant_profile(1.0), rng.standard_normal(n),
+    src = separable_source(n, [(TimeProfile("constant", 1.0), rng.standard_normal(n),
                                 rng.standard_normal(n))])
     u0 = sample_state(rng, n, r, sigma_range=(0.2, 1.0))
     traj = integrate("als", u0, 0.2, 30, model, src)
@@ -565,8 +565,8 @@ def test_trajectory_scaling_homogeneity():
     n, r, c = 8, 2, 12.5
     model = rotating_diffusion(1.0, 0.4, 1.0)
     p, q = rng.standard_normal(n), rng.standard_normal(n)
-    src = separable_source(n, [(constant_profile(1.0), p, q)])
-    src_c = separable_source(n, [(constant_profile(c), p, q)])
+    src = separable_source(n, [(TimeProfile("constant", 1.0), p, q)])
+    src_c = separable_source(n, [(TimeProfile("constant", c), p, q)])
     u0 = sample_state(rng, n, r, sigma_range=(0.2, 1.0))
     u0_c = LowRankState(u0.u1_factors, c * u0.core, u0.u2_factors)
     traj = integrate("als", u0, 0.1, 20, model, src)

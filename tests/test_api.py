@@ -39,18 +39,17 @@ ONE_PAIR = ("import importlib, sys; sys.path.insert(0, sys.argv[1]); import meas
             "sys.exit(importlib.import_module(sys.argv[2]).main(sys.argv[3:]))")
 
 
-def plain_and_ab_rows(tmp_path, script, grid, one_pair=False):
+def plain_and_ab_rows(tmp_path, script, grid):
     """The one row of ``bench/<script>.py`` restricted to ``grid``, as a plain
-    scan and in the A/B mode against this very tree, in the scan's own 9
-    process pairs or, with ``one_pair``, in 1 through ``ONE_PAIR``.  Checks what every
-    A/B row must show against its own tree: both sides ran the same source,
-    DIR's median run has the plain row's keys, and the ratio is a finite
-    positive median of its own range."""
-    launch = (["-c", ONE_PAIR, str(ROOT / "bench"), script] if one_pair
-              else [str(ROOT / "bench" / f"{script}.py")])
+    scan and in the A/B mode against this very tree, in one process pair
+    through ``ONE_PAIR`` (``test_ab_row_aggregates_alternating_pairs`` checks
+    the 9-pair aggregation).  Checks what every A/B row must show against its
+    own tree: both sides ran the same source, DIR's run has the plain row's
+    keys, and the ratio is a finite positive median of its own range."""
     scans = {}
     for name, cmd in (("plain", [str(ROOT / "bench" / f"{script}.py")]),
-                      ("ab", [*launch, "--against", str(ROOT)])):
+                      ("ab", ["-c", ONE_PAIR, str(ROOT / "bench"), script,
+                              "--against", str(ROOT)])):
         out = tmp_path / f"{name}.json"
         done = subprocess.run([sys.executable, *cmd, *grid, "--out", str(out)],
                               capture_output=True, text=True, timeout=600)
@@ -58,7 +57,7 @@ def plain_and_ab_rows(tmp_path, script, grid, one_pair=False):
         scans[name] = json.loads(out.read_text())
     (plain,), (ab,) = scans["plain"]["rows"], scans["ab"]["rows"]
     settings = scans["ab"]["settings"]
-    assert settings["pairs"] == ab["pairs"] == (1 if one_pair else 9)
+    assert settings["pairs"] == ab["pairs"] == 1
     assert settings["src_sha256"] == settings["against_src_sha256"]
     assert len(settings["src_sha256"]) == 64
     assert set(ab) == set(plain) | {"against", "speedup", "speedup_range", "pairs"}
@@ -82,13 +81,49 @@ def test_step_scan_against_its_own_tree(tmp_path):
 
 
 def test_suite_scan_against_its_own_tree(tmp_path):
-    # the same for the suite scan's cheapest row, in one pair (the step scan
-    # above runs the scans' 9): the keys, and the report, which depends only
-    # on (N, r, trials, seed); the ratio is not checked
-    plain, ab = plain_and_ab_rows(tmp_path, "suite_scan", ["--suite", "tangency", "--N", "16"],
-                                  one_pair=True)
+    # the same for the suite scan's cheapest row: the keys, and the report,
+    # which depends only on (N, r, trials, seed); the ratio is not checked
+    plain, ab = plain_and_ab_rows(tmp_path, "suite_scan", ["--suite", "tangency", "--N", "16"])
     for key in ("suite", "N", "r", "trials", "violations", "worst_ratio"):
         assert ab[key] == ab["against"][key] == plain[key], key
+
+
+#: ``python -c AB_ROW BENCH_DIR`` runs ``measuring.ab_row`` with ``_child_row``
+#: stubbed: pair k returns ``OWN[k]`` and ``OTHER[k]`` ms, tagged with the
+#: side and the pair, and the calls are printed with the row.
+OWN = [5.0, 3.0, 9.0, 1.0, 7.0, 2.0, 8.0, 4.0, 6.0]
+OTHER = [10.0, 3.3, 8.1, 4.0, 9.1, 1.0, 12.0, 4.8, 6.0]
+AB_ROW = f"""import json, sys
+sys.path.insert(0, sys.argv[1])
+import measuring
+times, calls = {{"own": {OWN}, "other": {OTHER}}}, []
+def child_row(src, script, args):
+    side = "own" if src == measuring.ROOT / "src" else "other"
+    pair = sum(1 for s, _ in calls if s == side)
+    calls.append((side, pair))
+    return {{"side": side, "pair": pair, "args": args, "ms": times[side][pair]}}
+measuring._child_row = child_row
+row = measuring.ab_row("step_scan", ["als", 8], measuring.ROOT / "other", "ms")
+print(json.dumps({{"calls": calls, "row": row}}))
+"""
+
+
+def test_ab_row_aggregates_alternating_pairs():
+    # the A/B aggregation over AB_PAIRS = 9 pairs, with known times and no
+    # process started per run: the order alternates from pair to pair, the
+    # row is this tree's median run and ``against`` DIR's, and the speedup is
+    # the median of the per-pair ratios DIR / this tree.  The module runs in
+    # a child because importing it pins BLAS threads for the whole process.
+    done = subprocess.run([sys.executable, "-c", AB_ROW, str(ROOT / "bench")],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    result = json.loads(done.stdout)
+    assert result["calls"] == [list(call) for k in range(9)
+                               for call in [("own", k), ("other", k)][::(-1) ** k]]
+    assert result["row"] == {"side": "own", "pair": 0, "args": ["als", 8], "ms": 5.0,
+                             "against": {"side": "other", "pair": 8, "args": ["als", 8],
+                                         "ms": 6.0},
+                             "speedup": 1.2, "speedup_range": [0.5, 4.0], "pairs": 9}
 
 
 def test_suite_scan_json_carries_todays_reports():

@@ -45,7 +45,7 @@ def test_parse_defaults():
     cfg = parse_config(MINIMAL)
     assert cfg == RunConfig()
     assert cfg.N == 32 and cfg.r == 2 and cfg.T == 0.1 and cfg.n_steps == 100
-    assert cfg.method == "als" and cfg.seed == 0 and cfg.output_dir == "out"
+    assert cfg.method == "als" and cfg.seed == 0
     assert cfg.alpha == AlphaSpec()
     assert cfg.source == ()
 
@@ -129,10 +129,18 @@ def test_source_mode_range_checked():
                      "term = constant:1.0 | p = 5:1.0 | q = 1:1.0\n")
 
 
-def test_heat_diagonal_preset_restrictions():
+def test_heat_diagonal_preset_restrictions(tmp_path):
     with pytest.raises(ConfigError, match="diagonal"):
         parse_config("experiment = heat-diagonal\n[alpha]\nkind = constant\n"
                      "a11 = 1.0\na12 = 0.1\na22 = 1.0\n")
+    # the restriction is the model's constant_diagonal, the case the closed
+    # form solves: a rotating frame is refused, and at omega = 0 the rotation
+    # kind is exactly diag(lambda1, lambda2), so it runs and passes
+    rotation = "experiment = heat-diagonal\nN = 8\n[alpha]\nkind = rotation\nlambda1 = 1.0\n"
+    with pytest.raises(ConfigError, match="diagonal"):
+        parse_config(rotation + "lambda2 = 0.5\nomega = 1.0\n")
+    assert run(parse_config(rotation + "lambda2 = 0.5\nomega = 0.0\n"), tmp_path, quiet=True) == 0
+    assert "passed,true" in (tmp_path / "report.csv").read_text().splitlines()
     with pytest.raises(ConfigError, match="line 2: \\[source\\] is not read by experiment"):
         parse_config("experiment = heat-diagonal\n[source]\n"
                      "term = constant:1.0 | p = 1:1.0 | q = 1:1.0\n")
@@ -165,7 +173,6 @@ T = 0.25
 n_steps = 40
 method = splitting
 seed = 5
-output_dir = somewhere/else
 
 [alpha]
 kind = constant
@@ -256,30 +263,31 @@ def test_alpha_key_of_the_other_kind_rejected(alpha, line, key, kind):
     assert str(err.value) == f"line {line}: {key!r} is not a parameter of alpha kind {kind!r}"
 
 
-@pytest.mark.parametrize("body, argv, message", [
-    pytest.param("experiment = convergence-h\nN = 8\ntrials = 7\n", [],
-                 "line 4: 'trials' is not read by experiment 'convergence-h'",
+@pytest.mark.parametrize("body, message", [
+    pytest.param("experiment = convergence-h\nN = 8\ntrials = 7\n",
+                 "line 3: 'trials' is not read by experiment 'convergence-h'",
                  id="trials-convergence-h"),
-    pytest.param("experiment = geometry-suites\nN = 8\nmethod = als\n", [],
-                 "line 4: 'method' is not read by experiment 'geometry-suites'",
+    pytest.param("experiment = geometry-suites\nN = 8\nmethod = als\n",
+                 "line 3: 'method' is not read by experiment 'geometry-suites'",
                  id="method-geometry-suites"),
-    pytest.param("experiment = equivalence\n[alpha]\nkind = constant\n", [],
-                 "line 3: [alpha] is not read by experiment 'equivalence'",
+    pytest.param("experiment = equivalence\n[alpha]\nkind = constant\n",
+                 "line 2: [alpha] is not read by experiment 'equivalence'",
                  id="alpha-equivalence"),
-    pytest.param("experiment = heat-diagonal\nN = 8\n", ["--seed", "5"],
-                 "--seed is not read by experiment 'heat-diagonal'", id="seed-heat-diagonal"),
+    pytest.param("experiment = heat-diagonal\nN = 8\nseed = 5\n",
+                 "line 3: 'seed' is not read by experiment 'heat-diagonal'",
+                 id="seed-heat-diagonal"),
     # fewer steps would repeat step counts, and the observed order would
     # divide by log(1)
-    pytest.param("experiment = convergence-h\nN = 8\nn_steps = 4\n", [],
+    pytest.param("experiment = convergence-h\nN = 8\nn_steps = 4\n",
                  "convergence-h needs n_steps >= 16 (it also runs n_steps / 16)",
                  id="few-steps-convergence-h"),
 ])
-def test_main_rejects_what_the_experiment_does_not_read(tmp_path, capsys, body, argv, message):
-    # input the experiment would ignore, replace or crash on exits 2 before
-    # anything runs or is written
+def test_main_rejects_what_the_experiment_does_not_read(tmp_path, capsys, body, message):
+    # input the experiment would ignore or crash on exits 2 before anything
+    # runs or is written
     out = tmp_path / "out"
-    path = _write(tmp_path, f"output_dir = {out}\n{body}")
-    assert main(["run", path, "--quiet", *argv]) == 2
+    path = _write(tmp_path, body)
+    assert main(["run", path, "--quiet", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 
@@ -299,15 +307,12 @@ def _write(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
-def _quick_heat(out_dir, n=8, n_steps=10):
-    return (f"experiment = heat-diagonal\nN = {n}\nr = 2\nT = 0.05\n"
-            f"n_steps = {n_steps}\noutput_dir = {out_dir}\n")
+QUICK_HEAT = "experiment = heat-diagonal\nN = 8\nr = 2\nT = 0.05\nn_steps = 10\n"
 
 
 def test_run_writes_artifacts(tmp_path):
     out = tmp_path / "artifacts"
-    cfg = parse_config(_quick_heat(out))
-    assert run(cfg, quiet=True) == 0
+    assert run(parse_config(QUICK_HEAT), out, quiet=True) == 0
     for name in ("trajectory.csv", "diagnostics.csv", "report.csv", "run.log"):
         assert (out / name).exists(), name
     header = (out / "trajectory.csv").read_text().splitlines()[0]
@@ -322,9 +327,9 @@ def test_run_anisotropic_reference(tmp_path):
     # the reference method keeps dense states, which the audit, the
     # interpolant gap and the trajectory writer read as they are
     out = tmp_path / "reference"
-    cfg = parse_config(f"experiment = anisotropic\nN = 8\nr = 2\nT = 0.05\nn_steps = 5\n"
-                       f"method = reference\noutput_dir = {out}\n")
-    assert run(cfg, quiet=True) == 0
+    cfg = parse_config("experiment = anisotropic\nN = 8\nr = 2\nT = 0.05\nn_steps = 5\n"
+                       "method = reference\n")
+    assert run(cfg, out, quiet=True) == 0
     rows = (out / "trajectory.csv").read_text().splitlines()
     assert len(rows) == 7 and rows[1].split(",")[4] == "nan"     # no sigma_r when dense
 
@@ -335,9 +340,8 @@ def test_trajectory_run_takes_one_svd_per_state(tmp_path, monkeypatch):
     calls, svd = [], np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1) or svd(*args, **kw))
     out = tmp_path / "anisotropic"
-    cfg = parse_config(f"experiment = anisotropic\nN = 8\nr = 2\nT = 0.05\nn_steps = 5\n"
-                       f"output_dir = {out}\n")
-    assert run(cfg, quiet=True) == 0
+    cfg = parse_config("experiment = anisotropic\nN = 8\nr = 2\nT = 0.05\nn_steps = 5\n")
+    assert run(cfg, out, quiet=True) == 0
     assert len(calls) == 5 + 1
     monkeypatch.undo()
     rows = (out / "trajectory.csv").read_text().splitlines()
@@ -368,16 +372,15 @@ def test_run_validates_the_config(tmp_path, capsys, cfg, message):
     # a config built in code is checked like a parsed one: exit 2, even
     # when quiet, before the output directory is made
     out = tmp_path / "out"
-    assert run(dataclasses.replace(cfg, output_dir=str(out)), quiet=True) == 2
+    assert run(cfg, out, quiet=True) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 
 
 def test_run_is_byte_reproducible(tmp_path):
-    cfg_a = parse_config(_quick_heat(tmp_path / "a"))
-    cfg_b = parse_config(_quick_heat(tmp_path / "b"))
-    assert run(cfg_a, quiet=True) == 0
-    assert run(cfg_b, quiet=True) == 0
+    cfg = parse_config(QUICK_HEAT)
+    assert run(cfg, tmp_path / "a", quiet=True) == 0
+    assert run(cfg, tmp_path / "b", quiet=True) == 0
     for name in ("trajectory.csv", "diagnostics.csv", "report.csv"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes(), name
@@ -387,8 +390,7 @@ def test_run_default_heat_preset_meets_bound(tmp_path):
     # the all-defaults run: N=32, r=2, T=0.1, 100 steps against the decayed
     # closed form, final error below 5e-3
     out = tmp_path / "preset"
-    cfg = parse_config(MINIMAL + f"output_dir = {out}\n")
-    assert run(cfg, quiet=True) == 0
+    assert run(parse_config(MINIMAL), out, quiet=True) == 0
     report = dict(line.split(",", 1)
                   for line in (out / "report.csv").read_text().splitlines()[1:])
     assert float(report["final_error"]) < 5e-3
@@ -404,8 +406,7 @@ def test_run_numerical_failure_exit_code(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli_mod, "integrate", explode)
     out = tmp_path / "broken"
-    cfg = parse_config(_quick_heat(out))
-    assert run(cfg, quiet=True) == 3
+    assert run(parse_config(QUICK_HEAT), out, quiet=True) == 3
     log = (out / "run.log").read_text()
     assert "status: 3" in log and "step 3" in log
     assert not (out / "trajectory.csv").exists()
@@ -424,7 +425,7 @@ def test_run_logs_package_warnings(tmp_path, monkeypatch, capsys, quiet):
 
     monkeypatch.setattr(cli_mod, "integrate", warn_then_integrate)
     out = tmp_path / "warned"
-    assert run(parse_config(_quick_heat(out)), quiet=quiet) == 0
+    assert run(parse_config(QUICK_HEAT), out, quiet=quiet) == 0
     assert "warning: sweep cap 100 reached" in (out / "run.log").read_text().splitlines()
     err = capsys.readouterr().err
     assert ("sweep cap" in err) != quiet
@@ -435,14 +436,14 @@ def test_run_logs_package_warnings(tmp_path, monkeypatch, capsys, quiet):
 def test_run_detects_violation(tmp_path):
     # a single huge step cannot meet the preset error bound
     out = tmp_path / "coarse"
-    cfg = parse_config(f"experiment = heat-diagonal\nN = 8\nr = 2\nT = 0.1\n"
-                       f"n_steps = 1\noutput_dir = {out}\n")
-    assert run(cfg, quiet=True) == 1
+    cfg = parse_config("experiment = heat-diagonal\nN = 8\nr = 2\nT = 0.1\nn_steps = 1\n")
+    assert run(cfg, out, quiet=True) == 1
     log = (out / "run.log").read_text()
     assert "violation" in log and "status: 1" in log
 
 
-def test_main_config_errors(tmp_path, capsys):
+def test_main_config_errors(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
     missing = str(tmp_path / "nope.cfg")
     assert main(["run", missing]) == 2
     bad = _write(tmp_path, "experiment = heat-diagonal\nwhat = 1\n")
@@ -453,34 +454,33 @@ def test_main_config_errors(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("body, line, what", [
-    pytest.param("[alpha]\nkind = constant\na11 = nan\n", 5, "bad value for a11", id="a11"),
-    pytest.param("T = inf\n", 3, "bad value for T", id="T"),
-    pytest.param("[alpha]\nkind = rotation\nomega = nan\n", 5, "bad value for omega",
+    pytest.param("[alpha]\nkind = constant\na11 = nan\n", 4, "bad value for a11", id="a11"),
+    pytest.param("T = inf\n", 2, "bad value for T", id="T"),
+    pytest.param("[alpha]\nkind = rotation\nomega = nan\n", 4, "bad value for omega",
                  id="omega"),
-    pytest.param("[source]\nterm = cosine:nan:1 | p = 1:1 | q = 1:1\n", 4, "bad time profile",
+    pytest.param("[source]\nterm = cosine:nan:1 | p = 1:1 | q = 1:1\n", 3, "bad time profile",
                  id="profile"),
-    pytest.param("[source]\nterm = constant:1 | p = 1:-inf | q = 1:1\n", 4, "bad mode entry",
+    pytest.param("[source]\nterm = constant:1 | p = 1:-inf | q = 1:1\n", 3, "bad mode entry",
                  id="mode"),
 ])
 def test_main_rejects_non_finite_numbers(tmp_path, capsys, body, line, what):
     # nan and inf fail to parse, with the line, before anything runs or is
     # written; a11 = nan used to pass the positivity checks and crash later
     out = tmp_path / "out"
-    path = _write(tmp_path, f"experiment = anisotropic\noutput_dir = {out}\n{body}")
-    assert main(["run", path]) == 2
+    path = _write(tmp_path, f"experiment = anisotropic\n{body}")
+    assert main(["run", path, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert f"line {line}: {what}" in err
     assert not out.exists()
 
 
 def test_main_overrides_and_gnuplot(tmp_path, capsys):
-    # --out overrides the config; --gnuplot is no option any more (the
+    # --out places the artifacts; --gnuplot is no option any more (the
     # README gives the gnuplot command), so it is refused, not ignored
-    cfg_path = _write(tmp_path, _quick_heat(tmp_path / "ignored"))
+    cfg_path = _write(tmp_path, QUICK_HEAT)
     out = tmp_path / "chosen"
     assert main(["run", cfg_path, "--out", str(out), "--quiet"]) == 0
     assert (out / "trajectory.csv").exists()
-    assert not (tmp_path / "ignored").exists()
     with pytest.raises(SystemExit) as exit_:
         main(["run", cfg_path, "--out", str(out), "--quiet", "--gnuplot"])
     assert exit_.value.code == 2
@@ -488,41 +488,43 @@ def test_main_overrides_and_gnuplot(tmp_path, capsys):
 
 
 def test_main_validates_seed_override(tmp_path, capsys):
-    # the override is validated like the config: exit 2, nothing written,
-    # instead of a traceback from the random generator
+    # the config's seed key is the only way to set the seed: --seed is
+    # refused with exit 2 before anything runs or is written
     out = tmp_path / "out"
-    path = _write(tmp_path, f"experiment = anisotropic\nN = 8\nr = 2\noutput_dir = {out}\n")
-    assert main(["run", path, "--quiet", "--seed", "-1"]) == 2
-    assert "config error: seed must be >= 0" in capsys.readouterr().err
+    path = _write(tmp_path, "experiment = anisotropic\nN = 8\nr = 2\n")
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", path, "--quiet", "--out", str(out), "--seed", "5"])
+    assert exit_.value.code == 2
+    assert "unrecognized arguments: --seed 5" in capsys.readouterr().err
     assert not out.exists()
 
 
 def test_empty_output_dir_rejected(tmp_path, monkeypatch, capsys):
-    # an empty output_dir would put the artifacts into the working directory
+    # --out is the only way to place the artifacts: an output_dir key, empty
+    # or not, is an unknown key
     monkeypatch.chdir(tmp_path)
     path = _write(tmp_path, "experiment = heat-diagonal\nN = 8\nr = 2\noutput_dir =\n")
     assert main(["run", path, "--quiet"]) == 2
-    assert "config error: output_dir must not be empty" in capsys.readouterr().err
+    assert capsys.readouterr().err == "config error: line 4: unknown key 'output_dir'\n"
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
 @pytest.mark.parametrize("out", ["", "  "])
 def test_main_validates_out_override(tmp_path, monkeypatch, capsys, out):
+    # an empty path would put the artifacts into the working directory
     monkeypatch.chdir(tmp_path)
     path = _write(tmp_path, "experiment = heat-diagonal\nN = 8\nr = 2\n")
     assert main(["run", path, "--quiet", "--out", out]) == 2
-    assert "config error: output_dir must not be empty" in capsys.readouterr().err
+    assert capsys.readouterr().err == "config error: the output directory must not be empty\n"
     assert [p.name for p in tmp_path.iterdir()] == ["run.cfg"]
 
 
-def test_main_seed_override_changes_random_experiment(tmp_path):
-    text = (f"experiment = energy-audit\nN = 8\nr = 2\nT = 0.1\nn_steps = 10\n"
-            f"output_dir = {tmp_path / 'e0'}\n"
+def test_config_seed_changes_random_experiment(tmp_path):
+    text = ("experiment = energy-audit\nN = 8\nr = 2\nT = 0.1\nn_steps = 10\n{seed}"
             "\n[alpha]\nkind = rotation\nlambda1 = 1.0\nlambda2 = 0.5\nomega = 1.0\n")
-    cfg_path = _write(tmp_path, text)
-    assert main(["run", cfg_path, "--quiet"]) == 0
-    assert main(["run", cfg_path, "--quiet", "--seed", "99",
-                 "--out", str(tmp_path / "e1")]) == 0
+    for name, seed in (("e0", ""), ("e1", "seed = 99\n")):
+        cfg_path = _write(tmp_path, text.format(seed=seed), name=f"{name}.cfg")
+        assert main(["run", cfg_path, "--quiet", "--out", str(tmp_path / name)]) == 0
     a = (tmp_path / "e0" / "trajectory.csv").read_text()
     b = (tmp_path / "e1" / "trajectory.csv").read_text()
     assert a != b                                # different random start
@@ -530,9 +532,8 @@ def test_main_seed_override_changes_random_experiment(tmp_path):
 
 def test_equivalence_experiment_report(tmp_path):
     out = tmp_path / "eq"
-    cfg = parse_config(f"experiment = equivalence\ntrials = 6\nseed = 4\n"
-                       f"output_dir = {out}\n")
-    assert run(cfg, quiet=True) == 0
+    cfg = parse_config("experiment = equivalence\ntrials = 6\nseed = 4\n")
+    assert run(cfg, out, quiet=True) == 0
     report = (out / "report.csv").read_text().splitlines()
     assert report[0] == "property,trials,violations,worst_ratio"
     assert any("single_sweep_vs_splitting" in line for line in report[1:])
@@ -542,9 +543,8 @@ def test_equivalence_experiment_report(tmp_path):
 
 def test_geometry_experiment_report(tmp_path):
     out = tmp_path / "geo"
-    cfg = parse_config(f"experiment = geometry-suites\nN = 6\nr = 2\ntrials = 20\n"
-                       f"output_dir = {out}\n")
-    assert run(cfg, quiet=True) == 0
+    cfg = parse_config("experiment = geometry-suites\nN = 6\nr = 2\ntrials = 20\n")
+    assert run(cfg, out, quiet=True) == 0
     report = (out / "report.csv").read_text()
     for key in ("curvature.", "projection.", "tangency."):
         assert key in report
@@ -552,9 +552,8 @@ def test_geometry_experiment_report(tmp_path):
 
 def test_convergence_experiment_report(tmp_path):
     out = tmp_path / "conv"
-    cfg = parse_config(f"experiment = convergence-h\nN = 8\nr = 2\nT = 0.05\n"
-                       f"n_steps = 32\noutput_dir = {out}\n")
-    assert run(cfg, quiet=True) == 0
+    cfg = parse_config("experiment = convergence-h\nN = 8\nr = 2\nT = 0.05\nn_steps = 32\n")
+    assert run(cfg, out, quiet=True) == 0
     lines = (out / "report.csv").read_text().splitlines()
     assert lines[0] == "parameter,error,observed_order"
     assert len(lines) == 6                       # five step counts
@@ -562,22 +561,28 @@ def test_convergence_experiment_report(tmp_path):
     assert all(b < a for a, b in zip(errors, errors[1:]))
 
 
-@pytest.mark.parametrize("override", [True, False], ids=["out", "output_dir"])
-def test_main_output_path_that_is_a_file(tmp_path, monkeypatch, capsys, override):
+@pytest.mark.parametrize("via", ["out", "output_dir"])
+def test_main_output_path_that_is_a_file(tmp_path, monkeypatch, capsys, via):
     # the directory is made before the experiment runs: a path that cannot
-    # be one exits 2 with one line, runs nothing and leaves the file alone
+    # be one exits 2 with one line, runs nothing and leaves the file alone;
+    # a config cannot name the path at all
     import lowrankpde.cli as cli_mod
 
     def must_not_run(*args, **kwargs):
         raise AssertionError("the experiment ran")
 
     monkeypatch.setattr(cli_mod, "integrate", must_not_run)
+    monkeypatch.chdir(tmp_path)
     blocker = tmp_path / "afile"
     blocker.write_text("keep\n")
     text = "experiment = heat-diagonal\nN = 8\n"
-    argv = ["--out", str(blocker)] if override else []
-    path = _write(tmp_path, text + ("" if override else f"output_dir = {blocker}\n"))
-    assert main(["run", path, "--quiet", *argv]) == 2
+    if via == "out":
+        argv, message = ["--out", str(blocker)], "cannot make the output directory: "
+    else:
+        text += f"output_dir = {blocker}\n"
+        argv, message = [], "config error: line 3: unknown key 'output_dir'"
+    assert main(["run", _write(tmp_path, text), "--quiet", *argv]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("cannot make the output directory: ") and err.count("\n") == 1
+    assert err.startswith(message) and err.count("\n") == 1
     assert blocker.read_text() == "keep\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["afile", "run.cfg"]

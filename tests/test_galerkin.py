@@ -16,8 +16,7 @@ from scipy.linalg import expm
 
 from lowrankpde.galerkin import (DiffusionModel, TimeProfile, apply_a1, apply_a2,
                                  apply_operator, build_operator, constant_diffusion,
-                                 constant_profile, cosine_profile,
-                                 exact_diagonal_solution, h_distance, h_norm, linear_profile,
+                                 cosine_profile, exact_diagonal_solution, h_distance, h_norm,
                                  operator_matrix, rhs_mean_factors, rotating_diffusion,
                                  separable_source, v_dual_norm, v_norm, zero_source)
 from lowrankpde.manifold import LowRankState, factorize, qr_nonneg, to_dense
@@ -405,11 +404,12 @@ def test_constant_diagonal_is_the_steppers_test(model):
     (rotating_diffusion, (1.0, 0.5, math.inf), "omega must be finite"),
     (cosine_profile, (math.nan, 1.0), "scale must be finite"),
     (cosine_profile, (1.0, math.inf), "omega must be finite"),
-    (linear_profile, (math.inf,), "scale must be finite"),
-    (separable_source, (3, [(constant_profile(1.0), [1.0, math.nan, 0.0], np.ones(3))]),
+    (TimeProfile, ("linear", math.inf), "scale must be finite"),
+    (separable_source, (3, [(TimeProfile("constant", 1.0), [1.0, math.nan, 0.0],
+                             np.ones(3))]),
      "source factor p of term 0 must be finite"),
-    (separable_source, (3, [(constant_profile(1.0), np.ones(3), np.ones(3)),
-                            (constant_profile(1.0), np.ones(3), [0.0, 0.0, -math.inf])]),
+    (separable_source, (3, [(TimeProfile("constant", 1.0), np.ones(3), np.ones(3)),
+                            (TimeProfile("constant", 1.0), np.ones(3), [0.0, 0.0, -math.inf])]),
      "source factor q of term 1 must be finite"),
 ], ids=["inf-entry", "nan-entries", "inf-eigenvalue", "nan-lambda1", "inf-lambda2",
         "nan-omega", "inf-omega", "nan-profile-scale", "inf-profile-omega",
@@ -460,8 +460,8 @@ def test_validate_diffusion_catches_bad_lipschitz():
 
 
 @pytest.mark.parametrize("profile,fn", [
-    (constant_profile(1.3), lambda t: 1.3 + 0.0 * t),
-    (linear_profile(0.8), lambda t: 0.8 * t),
+    (TimeProfile("constant", 1.3), lambda t: 1.3 + 0.0 * t),
+    (TimeProfile("linear", 0.8), lambda t: 0.8 * t),
     (cosine_profile(2.0, 3.5), lambda t: 2.0 * np.cos(3.5 * t)),
 ])
 def test_profile_means_match_quadrature(profile, fn):
@@ -489,7 +489,8 @@ def test_source_value_and_mean():
 def test_rhs_mean_factors_reproduce_the_interval_mean():
     rng = np.random.default_rng(3)
     n = 6
-    profiles = [constant_profile(1.3), linear_profile(0.8), cosine_profile(2.0, 3.5)]
+    profiles = [TimeProfile("constant", 1.3), TimeProfile("linear", 0.8),
+                cosine_profile(2.0, 3.5)]
     vectors = [(rng.standard_normal(n), rng.standard_normal(n)) for _ in profiles]
     src = separable_source(n, [(pr, p, q) for pr, (p, q) in zip(profiles, vectors)])
     a, b = 0.3, 0.9
@@ -517,7 +518,7 @@ def test_time_profile_rejects_unknown_kind():
 
 def test_separable_source_shape_validation():
     with pytest.raises(ValueError):
-        separable_source(4, [(constant_profile(1.0), np.ones(3), np.ones(4))])
+        separable_source(4, [(TimeProfile("constant", 1.0), np.ones(3), np.ones(4))])
 
 
 # ---------------------------------------------------------------------------

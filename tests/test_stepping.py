@@ -14,12 +14,12 @@ import pytest
 from scipy.sparse.linalg import LinearOperator, cg
 
 from lowrankpde import manifold, stepping
-from lowrankpde.galerkin import (build_operator, constant_diffusion,
+from lowrankpde.galerkin import (TimeProfile, build_operator, constant_diffusion,
                                  cosine_profile, operator_matrix, rhs_mean_factors,
-                                 rotating_diffusion,
-                                 separable_source, constant_profile, zero_source)
-from lowrankpde.manifold import (LowRankState, RankDeficiencyError, factorize,
-                                 qr_nonneg, singular_values, tangent_project, to_dense)
+                                 rotating_diffusion, separable_source, zero_source)
+from lowrankpde.manifold import (DEFAULT_RANK_FLOOR, LowRankState, RankDeficiencyError,
+                                 factorize, qr_nonneg, singular_values, tangent_project,
+                                 to_dense)
 from lowrankpde.stepping import (METHODS, StepOptions, _forward_splitting_step, _state_change,
                                  _Step, als_variational_step, galerkin_residual, integrate,
                                  reference_step, splitting_euler_step, step_objective)
@@ -271,13 +271,12 @@ def test_inner_iterations_are_recorded():
 
 @pytest.mark.parametrize("field, value", [
     ("als_max_sweeps", 0), ("als_max_sweeps", -3), ("als_max_sweeps", 2.0),
-    ("als_max_sweeps", True), ("als_max_sweeps", "5"),
-    ("rank_floor_rel", -1e-12), ("rank_floor_rel", 1.0), ("rank_floor_rel", math.nan)])
+    ("als_max_sweeps", True), ("als_max_sweeps", "5")])
 def test_step_options_reject_bad_values(field, value):
     with pytest.raises(ValueError, match=field):
         StepOptions(**{field: value})
-    # the edges that stay allowed
-    StepOptions(als_max_sweeps=np.int64(1), rank_floor_rel=0.0)
+    # the edge that stays allowed
+    StepOptions(als_max_sweeps=np.int64(1))
 
 
 def test_als_beats_anchor_objective():
@@ -344,7 +343,7 @@ def test_factored_objective_and_residual_match_dense_formulas(n):
     weight = np.arange(1, n + 1, dtype=float) ** -2.0
     src = separable_source(n, [(cosine_profile(0.5, 2.0), rng.standard_normal(n) * weight,
                                 rng.standard_normal(n) * weight),
-                               (constant_profile(0.2), rng.standard_normal(n) * weight,
+                               (TimeProfile("constant", 0.2), rng.standard_normal(n) * weight,
                                 rng.standard_normal(n) * weight)])
     pair = rhs_mean_factors(src, 0.0, h)
     f = sum(prof.mean(0.0, h) * np.outer(p, q) for prof, p, q in src.terms)
@@ -764,7 +763,7 @@ def test_integrate_reference_matches_dense_oracle_each_step():
     y0 = rng.standard_normal((n, n))
     f_p = rng.standard_normal(n)
     f_q = rng.standard_normal(n)
-    src = separable_source(n, [(constant_profile(1.0), f_p, f_q)])
+    src = separable_source(n, [(TimeProfile("constant", 1.0), f_p, f_q)])
     n_steps, T = 12, 0.12
     traj = integrate("reference", y0, T, n_steps, model, src)
     h = T / n_steps
@@ -859,29 +858,29 @@ def test_integrate_rejects_collapsed_start():
 def test_integrate_halts_on_rank_collapse():
     # start with two laplacian eigenmodes; the higher one decays faster, so
     # sigma_2/sigma_1 shrinks by a fixed factor each step and must cross the
-    # monitor threshold at a predictable index
-    h, floor = 0.01, 1e-6
+    # monitor's floor, DEFAULT_RANK_FLOOR, at a predictable index
+    h, floor = 0.01, DEFAULT_RANK_FLOOR
     u0 = mode_state(8, [(0, 1.0), (1, 1.0)])
     model = constant_diffusion(np.eye(2))
-    opts = StepOptions(rank_floor_rel=floor)
-    traj = integrate("als", u0, 4.0, 400, model, zero_source(8), opts)
+    traj = integrate("als", u0, 4.0, 400, model, zero_source(8), StepOptions())
     assert traj.halted_early is not None
     rho = (1.0 + 2.0 * np.pi ** 2 * h) / (1.0 + 8.0 * np.pi ** 2 * h)
     predicted = int(np.ceil(np.log(floor) / np.log(rho)))
     assert abs(traj.halted_early - predicted) <= 2
-    assert traj.diagnostics[-1].sigma_r < floor
+    last = traj.diagnostics[-1]
+    assert last.sigma_r < floor and last.sigma_r < floor * last.sigma_1
     # trajectory is truncated to the halt, not padded to 400 steps
     assert len(traj.states) == traj.halted_early + 1
 
 
-def test_integrate_error_mentions_step():
+def test_integrate_error_mentions_step(monkeypatch):
     # force an inner failure partway: sigma collapse below the in-step hard
     # floor triggers a wrapped error naming the step
     u0 = mode_state(8, [(0, 1.0), (1, 1.0)])
     model = constant_diffusion(np.eye(2))
-    opts = StepOptions(rank_floor_rel=0.0)    # disable the graceful monitor
+    monkeypatch.setattr(stepping, "DEFAULT_RANK_FLOOR", 0.0)   # disable the graceful monitor
     with pytest.raises(RankDeficiencyError, match="step .*rank collapse during"):
-        integrate("als", u0, 40.0, 200, model, zero_source(8), opts)
+        integrate("als", u0, 40.0, 200, model, zero_source(8))
 
 
 def test_integrate_with_source_matches_reference_at_full_rank():
@@ -889,7 +888,7 @@ def test_integrate_with_source_matches_reference_at_full_rank():
     n = 6
     u0 = factorize(rng.standard_normal((n, n)), n)
     model = rotating_diffusion(0.8, 0.3, 2.0)
-    src = separable_source(n, [(constant_profile(1.0), rng.standard_normal(n),
+    src = separable_source(n, [(TimeProfile("constant", 1.0), rng.standard_normal(n),
                                 rng.standard_normal(n))])
     traj_r = integrate("reference", to_dense(u0), 0.1, 20, model, src)
     traj_a = integrate("als", u0, 0.1, 20, model, src)
