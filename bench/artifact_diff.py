@@ -10,16 +10,16 @@ absolute and relative difference of each numeric column that differs:
 ``--config`` restricts the run to the named configs.  The configs are the
 four files of ``perfbench/configs`` (read, never written) and the variants
 in ``VARIANTS``, which are written to a temporary directory with the
-artifacts.  Both sides run with BLAS on one thread.  The exit status is 0
-when every file of every config is byte-identical and both sides exit
-alike, 1 otherwise.
+artifacts.  Each run is a child process of ``measuring._child_row`` with
+BLAS on one thread; a CLI exit status other than 0, 1 or 3, or a
+traceback, stops the comparison with an error.  The exit status is 0 when
+every file of every config is byte-identical and both sides exit alike, 1
+otherwise.
 """
 
 import argparse
 import csv
 import math
-import os
-import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -57,30 +57,24 @@ def variant_text(name: str) -> str:
 
 CONFIGS = [path.stem for path in sorted(PERFBENCH_CONFIGS.glob("*.cfg"))] + VARIANTS
 
-# the child imports the package from the tree it is given, checks that it
-# did, and runs the CLI's entry point on the remaining arguments; a failure
-# outside the CLI's own exit statuses shows as a traceback
-_CHILD = """import sys
-from pathlib import Path
-src = Path(sys.argv[1]).resolve()
-sys.path.insert(0, str(src))
-import lowrankpde.cli as cli
-if not Path(cli.__file__).resolve().is_relative_to(src):
-    raise ImportError(f"lowrankpde.cli was imported from {cli.__file__}, not from {src}")
-sys.exit(cli.main(sys.argv[2:]))
-"""
+
+def scan_row(config: str, out: str) -> int:
+    """Exit status of ``lowrankpde run config --out out --quiet``: the row of
+    a child of ``run_cli``, which has imported the package from its tree."""
+    from lowrankpde import cli
+
+    status = cli.main(["run", config, "--out", out, "--quiet"])
+    if status not in (0, 1, 3):
+        raise RuntimeError(f"lowrankpde run {config} exited {status}")
+    return status
 
 
 def run_cli(src: Path, config: Path, out: Path) -> int:
-    """Exit status of ``lowrankpde run config --out out --quiet`` on ``src``."""
-    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
-               MKL_NUM_THREADS="1")
-    done = subprocess.run([sys.executable, "-c", _CHILD, str(src), "run", str(config),
-                           "--out", str(out), "--quiet"], env=env, capture_output=True,
-                          text=True)
-    if done.returncode not in (0, 1, 3) or "Traceback" in done.stderr:
-        raise RuntimeError(f"the CLI on {src} exited {done.returncode}:\n{done.stderr}")
-    return done.returncode
+    """Exit status (0, 1 or 3) of ``lowrankpde run config --out out --quiet``
+    on the package in ``src``, run in a child process."""
+    import measuring  # here, so that loading this module leaves BLAS and sys.path alone
+
+    return measuring._child_row(src, "artifact_diff", [str(config), str(out)])
 
 
 def _float(text: str):

@@ -1,4 +1,4 @@
-"""Measuring code shared by the bench scans.
+"""Measuring code, command line and child process shared by the bench scripts.
 
 Importing this module pins BLAS to one thread (so it must come before numpy
 is imported anywhere in the process) and puts the repository's ``src/``
@@ -6,16 +6,35 @@ first on the path.  ``measure`` times a call the way every scan reports it,
 and ``write_json`` writes a scan's rows under the common header that names
 the clock, the statistic and the machine.
 
-``ab_row`` is the scans' A/B mode (``--against DIR``): each row runs in
-pairs of fresh processes, one importing the package from ``DIR/src`` and one
-from this tree's ``src/``, on the same inputs and with alternating order, so
-that both sides see the same state of a shared machine.  A child process is
+``scan`` is a scan's whole command line:
+
+    python3 bench/SCAN.py [--out PATH] [--AXIS V ...] [--against DIR]
+
+with one flag per grid axis that restricts it.  Each row is a call of
+``SCAN.scan_row``, and the rows go to ``--out``, by default
+``BENCH_SCAN.json`` at the repository root.
+
+With ``--against DIR`` the scan is an A/B measurement against the source
+tree DIR (for example a checkout or a ``git archive`` export of the parent
+commit), written by default to ``BENCH_SCAN_ab.json``.  ``ab_row`` runs
+each row in ``AB_PAIRS`` = 9 pairs of fresh processes, one importing the
+package from ``DIR/src`` and one from this tree's ``src/``, on the same
+inputs and with alternating order, so that both sides see the same state of
+a shared machine.  Only ``src/`` is taken from DIR: both sides run this
+tree's scan code.  The row is this tree's median run, plus ``against``
+(DIR's median run, with its own counts or report), ``speedup`` (the median
+over pairs of DIR's time over this tree's) with its ``speedup_range``, and
+``pairs``.  The settings add ``pairs``, and ``src_sha256`` and
+``against_src_sha256``, which name the source each side ran, for a git
+checkout and an export alike.
+
+A child process, of the A/B mode and of ``artifact_diff.py`` alike, is
 
     python3 bench/measuring.py SRC SCRIPT ARGS_JSON
 
-which imports the package from SRC, then the scan module SCRIPT, and prints
-the JSON row of ``SCRIPT.scan_row(*ARGS_JSON)``.  ``src_sha256`` names the
-source each side ran, for a git checkout and a ``git archive`` export alike.
+which imports the package from SRC, checks that it did, imports the bench
+module SCRIPT, and prints the JSON of ``SCRIPT.scan_row(*ARGS_JSON)``
+(``_child_row``).
 """
 
 import os
@@ -24,8 +43,10 @@ import os
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
+import argparse
 import hashlib
 import importlib
+import itertools
 import json
 import platform
 import statistics
@@ -97,7 +118,9 @@ def write_json(path: Path, what: str, settings: dict, rows: list):
     print(f"wrote {path}")
 
 
-def _child_row(src: Path, script: str, args: list) -> dict:
+def _child_row(src: Path, script: str, args: list):
+    """``script.scan_row(*args)`` in a child process on the package in
+    ``src``; raises, with the child's stderr, if the child fails."""
     done = subprocess.run([sys.executable, __file__, str(src), script, json.dumps(args)],
                           capture_output=True, text=True)
     if done.returncode:
@@ -106,15 +129,9 @@ def _child_row(src: Path, script: str, args: list) -> dict:
 
 
 def ab_row(script: str, args: list, against: Path, timed: str) -> dict:
-    """The A/B mode for one row: ``AB_PAIRS`` pairs of processes run
-    ``script.scan_row(*args)``, one on ``against/src`` and one on this tree's
-    ``src/``, the order alternating from pair to pair.  ``timed`` names the
-    row's time (``ms_per_step`` of the step scan, ``cpu_ms`` of the suite
-    scan).  Returns this tree's run with the median time, plus ``against``,
-    DIR's run with the median time (so the two rows' counts and reports can
-    be compared), ``speedup``, the median over pairs of DIR's time divided by
-    this tree's (above 1: this tree is faster), ``speedup_range``, the
-    smallest and largest of those ratios, and ``pairs``."""
+    """The A/B row of ``script.scan_row(*args)`` against the tree ``against``
+    (see the module docstring), comparing the row's time ``timed``.  A
+    ``speedup`` above 1 means this tree is faster."""
     own, other = [], []
     for k in range(AB_PAIRS):
         sides = [(own, ROOT / "src"), (other, against / "src")]
@@ -139,10 +156,51 @@ def src_sha256(tree: Path) -> str:
     return digest.hexdigest()
 
 
+def scan(module, argv, axes: dict, loop: tuple, timed: str, what: str, settings: dict,
+         keep=None) -> int:
+    """Run the scan ``module`` (``bench/SCAN.py``) on the command line ``argv``.
+
+    ``axes`` maps each grid axis to its values, in the order of
+    ``module.scan_row``'s arguments, and each axis gets a flag that
+    restricts it.  The rows run with ``loop``'s first axis outermost, and
+    ``keep(*args)``, when given, drops a cell of the grid.  ``timed`` names
+    the row's time, which the A/B mode compares; ``what`` and ``settings``
+    go into the JSON header."""
+    name = Path(module.__file__).stem
+    parser = argparse.ArgumentParser(description=module.__doc__.splitlines()[0])
+    parser.add_argument("--out", type=Path, default=None)
+    for axis, values in axes.items():
+        parser.add_argument(f"--{axis}", nargs="+", type=type(values[0]), default=values,
+                            choices=values if isinstance(values[0], str) else None)
+    parser.add_argument("--against", type=Path, default=None, metavar="DIR",
+                        help="A/B mode against the source tree DIR")
+    args = parser.parse_args(argv)
+    if args.against:
+        settings = dict(settings, src_sha256=src_sha256(ROOT),
+                        against_src_sha256=src_sha256(args.against), pairs=AB_PAIRS)
+        what += ", as interleaved A/B runs against another source tree"
+    rows = []
+    for cell in itertools.product(*(getattr(args, axis) for axis in loop)):
+        row_args = [dict(zip(loop, cell))[axis] for axis in axes]
+        if keep and not keep(*row_args):
+            continue
+        row = (ab_row(name, row_args, args.against, timed) if args.against
+               else module.scan_row(*row_args))
+        print("  ".join(f"{axis}={value}" for axis, value in zip(axes, row_args))
+              + f"  {timed} {row[timed]}"
+              + (f"  speedup {row['speedup']} {row['speedup_range']}" if args.against else ""),
+              flush=True)
+        rows.append(row)
+    write_json(args.out or ROOT / f"BENCH_{name}{'_ab' if args.against else ''}.json",
+               what, settings, rows)
+    return 0
+
+
 if __name__ == "__main__":
     _src, _script, _args = sys.argv[1:]
     sys.path.insert(0, _src)
     import lowrankpde  # noqa: E402  (SRC's package; the scan's own imports find it loaded)
 
-    assert Path(lowrankpde.__file__).resolve().is_relative_to(Path(_src).resolve())
+    if not Path(lowrankpde.__file__).resolve().is_relative_to(Path(_src).resolve()):
+        raise ImportError(f"lowrankpde was imported from {lowrankpde.__file__}, not from {_src}")
     print(json.dumps(importlib.import_module(_script).scan_row(*json.loads(_args))))

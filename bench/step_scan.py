@@ -5,21 +5,13 @@ grid of basis sizes N and mixed coefficients a12, and writes the result as
 JSON (default ``BENCH_step_scan.json`` at the repository root):
 
     python3 bench/step_scan.py [--out PATH] [--method M ...] [--N N ...] [--a12 A ...]
+                               [--against DIR]
 
-``--method``, ``--N`` and ``--a12`` restrict the grid.  With
-``--against DIR`` each row is an interleaved A/B measurement against the
-source tree DIR (for example a checkout of the parent commit) instead,
-written by default to ``BENCH_step_scan_ab.json``:
-
-    python3 bench/step_scan.py --against DIR [--method ...]
-
-Each row then runs in ``measuring.AB_PAIRS`` = 9 pairs of processes, one
-on ``DIR/src`` and one on this tree's ``src/``, and adds ``against`` (DIR's
-median run, with its own sweep and CG counts) and ``speedup`` (the median
-over pairs of DIR's ms/step over this tree's) with its range
-(``measuring.ab_row``); the settings name each side's source by
-``src_sha256`` and ``against_src_sha256``.  Only ``src/`` is taken from DIR:
-both sides run this scan's code on the same inputs.
+``--method``, ``--N`` and ``--a12`` restrict the grid.  With ``--against
+DIR`` each row is an interleaved A/B measurement of ``ms_per_step`` against
+the source tree DIR, written by default to ``BENCH_step_scan_ab.json``
+(``measuring``'s docstring describes that mode); its ``against`` run carries
+DIR's own sweep and CG counts.
 
 Each row records, for one (method, N, a12):
 
@@ -50,17 +42,14 @@ which is why the JSON records the machine and the clock.  ALS with a12 != 0 stop
 N = 1024, where one call already takes seconds.
 """
 
-import argparse
 import sys
-from pathlib import Path
 
 import numpy as np
 
-from measuring import (AB_PAIRS, ROOT, TIMING, ab_row, measure,  # pins BLAS, puts src/ on the path
-                       src_sha256, write_json)
+from measuring import TIMING, measure, scan  # pins BLAS, puts src/ on the path
 
-from lowrankpde import (LowRankState, build_operator, constant_diffusion,  # noqa: E402
-                        cosine_profile, energy_audit, integrate, interpolant_gap,
+from lowrankpde import (LowRankState, TimeProfile, build_operator,  # noqa: E402
+                        constant_diffusion, energy_audit, integrate, interpolant_gap,
                         separable_source)
 
 RANK = 8
@@ -81,7 +70,8 @@ def smooth_inputs(n: int, r: int, seed: int):
     u, _ = np.linalg.qr(rng.standard_normal((n, r)) * weight[:, None])
     v, _ = np.linalg.qr(rng.standard_normal((n, r)) * weight[:, None])
     start = LowRankState(u, np.diag(np.geomspace(1.0, 1e-2, r)), v)
-    source = separable_source(n, [(cosine_profile(1.0, 3.0), rng.standard_normal(n) * weight,
+    cosine = TimeProfile("cosine", 1.0, 3.0)
+    source = separable_source(n, [(cosine, rng.standard_normal(n) * weight,
                                    rng.standard_normal(n) * weight) for _ in range(2)])
     return start, source
 
@@ -114,43 +104,14 @@ def scan_row(method: str, n: int, a12: float) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", type=Path, default=None)
-    parser.add_argument("--method", nargs="+", choices=METHODS, default=METHODS)
-    parser.add_argument("--N", nargs="+", type=int, default=SIZES)
-    parser.add_argument("--a12", nargs="+", type=float, default=MIXED)
-    parser.add_argument("--against", type=Path, default=None, metavar="DIR",
-                        help="A/B mode against the source tree DIR")
-    args = parser.parse_args(argv)
-    settings = {"rank": RANK, "h": STEP, "n_steps": N_STEPS, **TIMING,
-                "seed": SEED, "als_mixed_max_n": ALS_MIXED_MAX_N}
-    if args.against:
-        settings.update(src_sha256=src_sha256(ROOT), against_src_sha256=src_sha256(args.against),
-                        pairs=AB_PAIRS)
-    rows = []
-    for method in args.method:
-        for a12 in args.a12:
-            for n in args.N:
-                if method == "als" and a12 != 0.0 and n > ALS_MIXED_MAX_N:
-                    continue
-                row = (ab_row("step_scan", [method, n, a12], args.against, "ms_per_step")
-                       if args.against else scan_row(method, n, a12))
-                print(f"{method:9s} N={n:5d} a12={a12:4.2f}  {row['ms_per_step']:10.3f} ms/step"
-                      f"  {row['sweeps_per_step']:5.1f} sweeps/step"
-                      f"  {row['inner_iterations_per_half_sweep']:5.1f} CG its/half-sweep"
-                      f"  peak {row['peak_traced_mb']:8.3f} MB"
-                      + (f"  post {row['post_ms']:8.3f} ms" if "post_ms" in row else "")
-                      + (f"  speedup {row['speedup']:.3f} {row['speedup_range']}"
-                         if args.against else ""),
-                      flush=True)
-                rows.append(row)
-    out = args.out or ROOT / ("BENCH_step_scan_ab.json" if args.against
-                              else "BENCH_step_scan.json")
-    write_json(out, "ms/step of integrate for the rank-r methods over N and a12, "
-               "and ms of post-processing the splitting runs"
-               + (", as interleaved A/B runs against another source tree"
-                  if args.against else ""), settings, rows)
-    return 0
+    return scan(
+        sys.modules[__name__], argv, {"method": METHODS, "N": SIZES, "a12": MIXED},
+        ("method", "a12", "N"), "ms_per_step",
+        "ms/step of integrate for the rank-r methods over N and a12, "
+        "and ms of post-processing the splitting runs",
+        {"rank": RANK, "h": STEP, "n_steps": N_STEPS, **TIMING, "seed": SEED,
+         "als_mixed_max_n": ALS_MIXED_MAX_N},
+        keep=lambda method, n, a12: not (method == "als" and a12 != 0.0 and n > ALS_MIXED_MAX_N))
 
 
 if __name__ == "__main__":

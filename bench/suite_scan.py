@@ -5,22 +5,13 @@ Times ``curvature_suite``, ``projection_regularity_suite`` and
 sizes N, and writes the result as JSON (default ``BENCH_suite_scan.json``
 at the repository root):
 
-    python3 bench/suite_scan.py [--out PATH] [--suite S ...] [--N N ...]
+    python3 bench/suite_scan.py [--out PATH] [--suite S ...] [--N N ...] [--against DIR]
 
-``--suite`` and ``--N`` restrict the grid.  With ``--against DIR`` each row
-is an interleaved A/B measurement against the source tree DIR (for example
-a checkout of the parent commit) instead, written by default to
-``BENCH_suite_scan_ab.json``:
-
-    python3 bench/suite_scan.py --against DIR [--suite ...] [--N ...]
-
-Each row then runs in ``measuring.AB_PAIRS`` = 9 pairs of processes, one on
-``DIR/src`` and one on this tree's ``src/``, and adds ``against`` (DIR's
-median run, with its own report) and ``speedup`` (the median over pairs of
-DIR's CPU time over this tree's) with its range (``measuring.ab_row``); the
-settings name each side's source by ``src_sha256`` and
-``against_src_sha256``.  Only ``src/`` is taken from DIR: both sides run
-this scan's code on the same inputs.
+``--suite`` and ``--N`` restrict the grid.  With ``--against DIR`` each
+row is an interleaved A/B measurement of ``cpu_ms`` against the source tree
+DIR, written by default to ``BENCH_suite_scan_ab.json`` (``measuring``'s
+docstring describes that mode); its ``against`` run carries DIR's own
+report.
 
 Each row records, for one (suite, N):
 
@@ -42,12 +33,9 @@ timings are not deterministic: they vary from run to run and machine to
 machine, which is why the JSON records the machine and the clock.
 """
 
-import argparse
 import sys
-from pathlib import Path
 
-from measuring import (AB_PAIRS, ROOT, TIMING, ab_row, measure,  # pins BLAS, puts src/ on the path
-                       src_sha256, write_json)
+from measuring import TIMING, measure, scan  # pins BLAS, puts src/ on the path
 
 from lowrankpde import curvature_suite, projection_regularity_suite, tangency_suite  # noqa: E402
 
@@ -78,33 +66,9 @@ def scan_row(name: str, n: int) -> dict:
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--out", type=Path, default=None)
-    parser.add_argument("--suite", nargs="+", choices=tuple(SUITES), default=tuple(SUITES))
-    parser.add_argument("--N", nargs="+", type=int, default=SIZES)
-    parser.add_argument("--against", type=Path, default=None, metavar="DIR",
-                        help="A/B mode against the source tree DIR")
-    args = parser.parse_args(argv)
-    settings = {"rank": RANK, "trials": TRIALS, "seed": SEED, **TIMING}
-    if args.against:
-        settings.update(src_sha256=src_sha256(ROOT), against_src_sha256=src_sha256(args.against),
-                        pairs=AB_PAIRS)
-    rows = []
-    for n in args.N:
-        for name in args.suite:
-            row = (ab_row("suite_scan", [name, n], args.against, "cpu_ms") if args.against
-                   else scan_row(name, n))
-            print(f"{name:16s} N={n:3d}  {row['cpu_ms']:9.1f} ms CPU"
-                  f"  peak {row['peak_traced_mb']:7.3f} MB"
-                  + (f"  speedup {row['speedup']:.3f} {row['speedup_range']}"
-                     if args.against else ""), flush=True)
-            rows.append(row)
-    out = args.out or ROOT / ("BENCH_suite_scan_ab.json" if args.against
-                              else "BENCH_suite_scan.json")
-    write_json(out, "CPU ms per call of the geometry suites over N"
-               + (", as interleaved A/B runs against another source tree"
-                  if args.against else ""), settings, rows)
-    return 0
+    return scan(sys.modules[__name__], argv, {"suite": tuple(SUITES), "N": SIZES}, ("N", "suite"),
+                "cpu_ms", "CPU ms per call of the geometry suites over N",
+                {"rank": RANK, "trials": TRIALS, "seed": SEED, **TIMING})
 
 
 if __name__ == "__main__":

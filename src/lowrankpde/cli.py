@@ -445,19 +445,19 @@ def _energy_audit(cfg: RunConfig, op):
     model, source, u0 = _problem(cfg)
     traj = integrate(cfg.method, u0, cfg.T, cfg.n_steps, model, source)
     rep = energy_audit(traj, source, model, op)
+    failures = [] if rep.passed else [f"energy audit violations: {rep.violations}"]
+    if not source.terms:
+        hn = np.sqrt(rep.h_norms_sq)
+        nonincreasing = not np.any(hn[1:] > hn[:-1] * (1 + 1e-12))
+        if not nonincreasing:
+            failures.append("h-norm increased on a homogeneous run")
     rows = [("experiment", cfg.experiment), ("method", cfg.method),
             ("slack_energy_sum", rep.slack["energy_sum"]),
             ("slack_objective_monotonicity", rep.slack["objective_monotonicity"]),
             ("slack_v_bound", rep.slack["v_bound"]), ("budget", rep.budget),
-            ("passed", rep.passed)]
-    failures = []
-    if not rep.passed:
-        failures.append(f"energy audit violations: {rep.violations}")
+            ("passed", not failures)]
     if not source.terms:
-        hn = np.sqrt(rep.h_norms_sq)
-        if np.any(hn[1:] > hn[:-1] * (1 + 1e-12)):
-            failures.append("h-norm increased on a homogeneous run")
-        rows.append(("h_norm_nonincreasing", not failures))
+        rows.append(("h_norm_nonincreasing", nonincreasing))
     return "key,value", rows, failures, traj
 
 

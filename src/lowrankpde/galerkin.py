@@ -100,14 +100,17 @@ def rotating_diffusion(lambda1: float, lambda2: float, omega: float) -> Diffusio
     if lambda1 <= 0 or lambda2 <= 0:
         raise ValueError("diffusion tensor is not positive definite")
     lam = np.array([lambda1, lambda2], dtype=float)
+    lipschitz_t = abs(omega) * abs(lambda1 - lambda2)
 
     def alpha(t: float) -> np.ndarray:
+        if lipschitz_t == 0.0:   # lambda1 == lambda2 or omega == 0: constant, without
+            return np.diag(lam)  # the rounding of R^T diag R
         c, s = math.cos(omega * t), math.sin(omega * t)
         rot = np.array([[c, -s], [s, c]])
         return rot.T @ np.diag(lam) @ rot
 
     return DiffusionModel(alpha=alpha, mu=float(lam.min()), beta=float(lam.max()),
-                          lipschitz_t=abs(omega) * abs(lambda1 - lambda2))
+                          lipschitz_t=lipschitz_t)
 
 
 # ---------------------------------------------------------------------------

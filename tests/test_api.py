@@ -3,6 +3,7 @@ import it."""
 
 import importlib.util
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -24,12 +25,21 @@ def test_package_exports_the_module_lists():
             assert getattr(lowrankpde, name) is getattr(module, name), name
 
 
-@pytest.mark.parametrize("script", ["step_scan.py", "suite_scan.py"])
+#: The flags each bench script's ``--help`` lists.
+BENCH_FLAGS = {"step_scan.py": {"-h", "--out", "--method", "--N", "--a12", "--against"},
+               "suite_scan.py": {"-h", "--out", "--suite", "--N", "--against"},
+               "artifact_diff.py": {"-h", "--against", "--config"}}
+
+
+@pytest.mark.parametrize("script", ["step_scan.py", "suite_scan.py", "artifact_diff.py"])
 def test_bench_script_starts(script):
     # the scans import the public API at start-up, before parsing arguments
+    # (artifact_diff only in its children); each script's options are
+    # exactly its flags, none added or lost
     done = subprocess.run([sys.executable, str(ROOT / "bench" / script), "--help"],
                           capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    assert set(re.findall(r"^  (-\w|--[\w-]+)", done.stdout, re.MULTILINE)) == BENCH_FLAGS[script]
 
 
 #: ``python -c ONE_PAIR BENCH_DIR SCAN ARGS...`` runs ``SCAN.main(ARGS)`` with
@@ -161,6 +171,22 @@ def test_artifact_diff_against_its_own_tree():
         [name, "identical"] for name in ("diagnostics.csv", "report.csv", "run.log",
                                          "trajectory.csv")]
     assert lines[-1] == "1 of 1 configs byte-identical"
+
+
+def test_artifact_diff_raises_on_a_rejected_config(tmp_path):
+    # a config the CLI rejects (exit 2) is no result to compare: run_cli
+    # raises, with the CLI's message; the module runs in a child because
+    # run_cli's import of measuring pins BLAS threads for the whole process
+    config = tmp_path / "bad.cfg"
+    config.write_text("experiment = heat-diagonal\nN = 0\n")
+    child = ("import sys; from pathlib import Path; sys.path.insert(0, sys.argv[1]); "
+             "import artifact_diff; print(artifact_diff.run_cli(*map(Path, sys.argv[2:])))")
+    done = subprocess.run([sys.executable, "-c", child, str(ROOT / "bench"), str(ROOT / "src"),
+                           str(config), str(tmp_path / "out")],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 1 and done.stdout == ""
+    assert "RuntimeError" in done.stderr and "config error: N must be >= 1" in done.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_artifact_diff_reports_each_differing_column(tmp_path):

@@ -357,6 +357,37 @@ def test_run_energy_audit_reference(tmp_path):
     assert "passed,true" in (out / "report.csv").read_text().splitlines()
 
 
+@pytest.mark.parametrize("violations, rise, expected", [
+    (["v_bound"], False, ("false", "true")),
+    ([], True, ("false", "false")),
+], ids=["audit-violation", "h-norm-rise"])
+def test_energy_audit_rows_report_their_own_checks(tmp_path, monkeypatch, violations, rise,
+                                                   expected):
+    # on a homogeneous run each row reports its own check: an audit
+    # violation leaves h_norm_nonincreasing true, and `passed` is true
+    # exactly when the exit status is 0, also when only the h-norm rose
+    import lowrankpde.cli as cli_mod
+    audit = cli_mod.energy_audit
+
+    def patched_audit(*args):
+        rep = audit(*args)
+        h_norms_sq = rep.h_norms_sq.copy()
+        if rise:
+            h_norms_sq[-1] = 4.0 * h_norms_sq[-2]
+        return dataclasses.replace(rep, h_norms_sq=h_norms_sq, violations=violations,
+                                   passed=not violations)
+
+    monkeypatch.setattr(cli_mod, "energy_audit", patched_audit)
+    out = tmp_path / "audit"
+    cfg = parse_config("experiment = energy-audit\nN = 8\nr = 2\nT = 0.1\nn_steps = 10\n")
+    assert run(cfg, out, quiet=True) == 1
+    rows = [line.split(",", 1) for line in (out / "report.csv").read_text().splitlines()[1:]]
+    assert [key for key, _ in rows] == [
+        "experiment", "method", "slack_energy_sum", "slack_objective_monotonicity",
+        "slack_v_bound", "budget", "passed", "h_norm_nonincreasing"]
+    assert (rows[-2][1], rows[-1][1]) == expected
+
+
 @pytest.mark.parametrize("cfg, message", [
     (RunConfig(experiment="heat-diagonal", N=8, r=2, method="rk4"), "unknown method 'rk4'"),
     (RunConfig(experiment="geometry-suites", N=8, r=2, trials=0), "trials must be >= 1"),

@@ -732,6 +732,20 @@ def test_splitting_s_step_forms_agree():
 # the integration loop
 
 
+@pytest.mark.parametrize("method", ["als", "splitting"])
+def test_rotation_with_equal_eigenvalues_has_no_mixed_term(method):
+    # lambda1 == lambda2: every rotation leaves diag(lam, lam) alone, so the
+    # tensor is exactly that at every t (R^T diag R would leave rounding
+    # off the diagonal), and no step runs the mixed-term conjugate gradient
+    model = rotating_diffusion(0.3, 0.3, 1.0)
+    assert model.constant_diagonal
+    for t in (0.0, 0.1, 0.37, 1.0, 2.5):
+        assert np.array_equal(model.alpha(t), np.diag([0.3, 0.3])), t
+    u0 = random_state(np.random.default_rng(17), 16, 2)
+    traj = integrate(method, u0, 1.0, 10, model, zero_source(16))
+    assert [d.inner_iterations for d in traj.diagnostics] == [0] * 10
+
+
 def test_integrate_bookkeeping():
     u0 = mode_state(8, [(0, 1.0), (1, 0.5)])
     model = constant_diffusion([[0.02, 0.0], [0.0, 0.02]])
