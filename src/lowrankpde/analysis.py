@@ -20,7 +20,7 @@ from typing import Optional
 
 import numpy as np
 
-from .galerkin import (DiffusionModel, GalerkinOperator, SourceSpec, TimeProfile, apply_a1,
+from .galerkin import (DiffusionModel, SourceSpec, TimeProfile, _stiffness_diag, apply_a1,
                        apply_a2, build_operator, constant_diffusion, exact_diagonal_solution,
                        h_distance, h_norm, rhs_mean_factors, rotating_diffusion,
                        separable_source, v_norm, zero_source)
@@ -108,7 +108,6 @@ class PropertyReport:
     trials: int
     violations: int
     worst_ratio: dict
-    seed: int
 
     @property
     def passed(self) -> bool:
@@ -124,7 +123,7 @@ class ConvergenceRow:
 
 @dataclass
 class ConvergenceTable:
-    axis: str
+    closed_form: bool        # whether the oracle is exact_diagonal_solution, not a reference run
     rows: list
 
 
@@ -137,7 +136,6 @@ class EnergyReport:
     slack stays under the residual-based ``budget``.
     """
 
-    step_size: float
     h_norms_sq: np.ndarray
     v_norms_sq: np.ndarray
     diff_quotients_sq: np.ndarray
@@ -148,16 +146,19 @@ class EnergyReport:
     slack: dict
     budget: float
     violations: list = field(default_factory=list)
-    passed: bool = True
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
 
 # ---------------------------------------------------------------------------
 # audits
 
 
-def energy_audit(traj: Trajectory, source: SourceSpec, model: DiffusionModel,
-                 op: GalerkinOperator) -> EnergyReport:
-    """Recompute the discrete energy ledger and audit the a-priori estimates.
+def energy_audit(traj: Trajectory) -> EnergyReport:
+    """Recompute the discrete energy ledger of a trajectory and audit the
+    a-priori estimates of the problem it records (``model``, ``source``).
 
     Checks, in order: the summed energy balance
         |u_n|^2 + sum |u_i - u_{i-1}|^2 + h mu sum |u_i|_V^2
@@ -176,20 +177,20 @@ def energy_audit(traj: Trajectory, source: SourceSpec, model: DiffusionModel,
     """
     if len(traj.states) < 2:
         raise ValueError("need at least one step to audit")
-    h = traj.step_size
+    h, model, source = traj.step_size, traj.model, traj.source
     hn2 = np.array([h_norm(y) ** 2 for y in traj.states])
-    vn2 = np.array([v_norm(op, y) ** 2 for y in traj.states])
+    vn2 = np.array([v_norm(y) ** 2 for y in traj.states])
     dq2 = np.array([(h_distance(b, a) / h) ** 2 for a, b in zip(traj.states, traj.states[1:])])
     # step i's source mean is P diag(c_i) Q^T for the terms' profile means c_i,
     # so |f_i|^2 = c_i^T M c_i with the (m, m) Gram M of the terms in H or V*;
     # the V* Gram sums over the N x N weights 1 / (lam_a + lam_b), built in
     # place a chunk of columns (at most _CHUNK_BYTES) at a time
-    m, n = len(source.terms), op.basis_dim
+    m, n = len(source.terms), source.basis_dim
     p = np.array([term[1] for term in source.terms]).reshape(m, n)
     q = np.array([term[2] for term in source.terms]).reshape(m, n)
     gram_dual = np.zeros((m, m))
     if m:
-        lam, width = op.stiffness_diag, max(1, _CHUNK_BYTES // (8 * n))
+        lam, width = _stiffness_diag(n), max(1, _CHUNK_BYTES // (8 * n))
         pp, qq, parts = p[:, None] * p, q[:, None] * q, []
         for j in range(0, n, width):
             weights = np.add.outer(lam, lam[j:j + width])
@@ -231,14 +232,12 @@ def energy_audit(traj: Trajectory, source: SourceSpec, model: DiffusionModel,
     if slack_v > budget_v:
         violations.append(("v_bound", -1, slack_v))
 
-    return EnergyReport(step_size=h, h_norms_sq=hn2, v_norms_sq=vn2,
-                        diff_quotients_sq=dq2, f_dual_norms_sq=fd2, f_h_norms_sq=fh2,
-                        objectives=objectives, objective_anchors=anchors,
+    return EnergyReport(h_norms_sq=hn2, v_norms_sq=vn2, diff_quotients_sq=dq2, f_dual_norms_sq=fd2,
+                        f_h_norms_sq=fh2, objectives=objectives, objective_anchors=anchors,
                         slack={"energy_sum": slack_energy,
                                "objective_monotonicity": max(0.0, np.max(excess)),
                                "v_bound": slack_v},
-                        budget=budget, violations=violations,
-                        passed=not violations)
+                        budget=budget, violations=violations)
 
 
 def interpolant_gap(traj: Trajectory) -> float:
@@ -320,7 +319,7 @@ def curvature_suite(basis_dim: int, rank: int, trials: int, seed: int) -> Proper
     """
     n = basis_dim
     report = PropertyReport(trials, 0, dict.fromkeys(
-        ("projector_diff_spectral", "projector_diff_frobenius", "normal_component"), 0.0), seed)
+        ("projector_diff_spectral", "projector_diff_frobenius", "normal_component"), 0.0))
     for odd, rngs in _chunks(n, rank, trials, seed, groups=2):
         u = sample_state(rngs, n, rank)
         v = sample_state(rngs, n, rank) if odd else sample_nearby_state(rngs, u)
@@ -354,7 +353,7 @@ def projection_regularity_suite(basis_dim: int, rank: int, trials: int,
     lam = op.stiffness_diag
     mixed_w = np.outer(lam, lam)
     report = PropertyReport(trials, 0, dict.fromkeys(
-        ("projection_v_bound", "factor_regularity", "mixed_seminorm", "a2_h_norm"), 0.0), seed)
+        ("projection_v_bound", "factor_regularity", "mixed_seminorm", "a2_h_norm"), 0.0))
     for _, rngs in _chunks(n, rank, trials, seed):
         u = sample_state(rngs, n, rank)
         y = to_dense(u)
@@ -364,8 +363,7 @@ def projection_regularity_suite(basis_dim: int, rank: int, trials: int,
         w1, svals, w2t = np.linalg.svd(u.core)
         left = np.ascontiguousarray((u.u1_factors @ w1).mT)
         right = np.ascontiguousarray((u.u2_factors @ w2t.mT).mT)
-        cols = (svals[:, -1], v_norm(op, y), v_norm(op, z),
-                v_norm(op, tangent_project(u, z)), svals,
+        cols = (svals[:, -1], v_norm(y), v_norm(z), v_norm(tangent_project(u, z)), svals,
                 np.sqrt(np.sum(lam * left ** 2, axis=-1)),
                 np.sqrt(np.sum(lam * right ** 2, axis=-1)),
                 np.sqrt(np.sum(mixed_w * y * y, axis=(-2, -1))),
@@ -399,7 +397,7 @@ def tangency_suite(basis_dim: int, rank: int, trials: int, seed: int) -> Propert
     op = build_operator(n)
     model = rotating_diffusion(1.0, 0.25, 1.0)
     report = PropertyReport(trials, 0, dict.fromkeys(
-        ("a1_tangency", "state_reproduction", "a1_projected_pairing"), 0.0), seed)
+        ("a1_tangency", "state_reproduction", "a1_projected_pairing"), 0.0))
     for _, rngs in _chunks(n, rank, trials, seed):
         u = sample_state(rngs, n, rank)
         a = np.array([model.alpha(g.uniform(0.0, 1.0)) for g in rngs])
@@ -445,7 +443,7 @@ def equivalence_test(trials: int = 50, seed: int = 0) -> PropertyReport:
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
-    report = PropertyReport(trials, 0, {"single_sweep_vs_splitting": 0.0}, seed)
+    report = PropertyReport(trials, 0, {"single_sweep_vs_splitting": 0.0})
     for k in range(trials):
         rng = np.random.default_rng([seed, k])
         basis_dim = int(rng.integers(4, 17))
@@ -477,19 +475,18 @@ def convergence_study(axis: str, u0: LowRankState, T: float, model: DiffusionMod
     """Final-time error against an oracle along a step-size or rank sweep.
 
     With constant diagonal alpha and no source, the closed-form decayed
-    state is the oracle; otherwise a fine-step full-rank reference
-    trajectory is used.  Orders are base-2 logarithms of consecutive error
-    ratios along the step axis; the rank axis runs ranks 1 .. u0.rank from
-    the best rank-k approximations of the start.
+    state is the oracle (the table's ``closed_form``); otherwise a fine-step
+    full-rank reference trajectory is used.  Orders are base-2 logarithms
+    of consecutive error ratios along the step axis; the rank axis runs
+    ranks 1 .. u0.rank from the best rank-k approximations of the start.
     """
     if axis not in ("step", "rank"):
         raise ValueError(f"unknown axis {axis!r}")
     if axis == "step" and len(set(step_counts)) < len(step_counts):
         raise ValueError(f"step_counts must be distinct, got {tuple(step_counts)}")
-    op = build_operator(u0.basis_dim)
     closed_form = model.constant_diagonal and not source.terms
     if closed_form:
-        oracle = exact_diagonal_solution(op, model, u0, T)
+        oracle = exact_diagonal_solution(model, u0, T)
     else:
         fine = 4 * (max(step_counts) if axis == "step" else n_steps)
         ref = integrate("reference", to_dense(u0), T, fine, model, source)
@@ -513,4 +510,4 @@ def convergence_study(axis: str, u0: LowRankState, T: float, model: DiffusionMod
                                 best.u2_factors[:, :k].copy())
             traj = integrate(method, u0_k, T, n_steps, model, source)
             rows.append(ConvergenceRow(float(k), h_distance(traj.states[-1], oracle)))
-    return ConvergenceTable(axis, rows)
+    return ConvergenceTable(closed_form, rows)

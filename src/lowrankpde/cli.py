@@ -35,9 +35,9 @@ import numpy as np
 from .analysis import (convergence_study, curvature_suite, energy_audit, equivalence_test,
                        interpolant_gap, projection_regularity_suite, sample_state,
                        tangency_suite)
-from .galerkin import (DiffusionModel, SourceSpec, TimeProfile, build_operator,
-                       constant_diffusion, exact_diagonal_solution, h_distance, h_norm,
-                       rotating_diffusion, separable_source, v_norm, zero_source)
+from .galerkin import (DiffusionModel, SourceSpec, TimeProfile, constant_diffusion,
+                       exact_diagonal_solution, h_distance, h_norm, rotating_diffusion,
+                       separable_source, v_norm, zero_source)
 from .manifold import LowRankState, RankDeficiencyError
 from .stepping import METHODS, InnerSolveError, Trajectory, integrate
 
@@ -335,7 +335,7 @@ def _write_csv(path: Path, header: str, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_trajectory(out: Path, traj: Trajectory, op):
+def _write_trajectory(out: Path, traj: Trajectory):
     rows = []
     for i, (t, y) in enumerate(zip(traj.times, traj.states)):
         if i == 0:
@@ -343,7 +343,7 @@ def _write_trajectory(out: Path, traj: Trajectory, op):
         else:
             d = traj.diagnostics[i - 1]
             resid, obj, sigma = d.galerkin_residual, d.objective_value, d.sigma_r
-        rows.append((i, float(t), h_norm(y), v_norm(op, y), sigma, resid, obj))
+        rows.append((i, float(t), h_norm(y), v_norm(y), sigma, resid, obj))
     _write_csv(out / "trajectory.csv",
                "step,t,h_norm,v_norm,sigma_r,galerkin_residual,objective", rows)
 
@@ -370,10 +370,10 @@ def _suite_rows(report, prefix):
             for name in sorted(report.worst_ratio)]
 
 
-def _heat_diagonal(cfg: RunConfig, op):
+def _heat_diagonal(cfg: RunConfig):
     model, source, u0 = _problem(cfg)
     traj = integrate(cfg.method, u0, cfg.T, cfg.n_steps, model, source)
-    err = h_distance(traj.states[-1], exact_diagonal_solution(op, model, u0, cfg.T))
+    err = h_distance(traj.states[-1], exact_diagonal_solution(model, u0, cfg.T))
     threshold = 5e-3
     failures = []
     if err > threshold:
@@ -383,10 +383,10 @@ def _heat_diagonal(cfg: RunConfig, op):
     return "key,value", rows, failures, traj
 
 
-def _anisotropic(cfg: RunConfig, op):
+def _anisotropic(cfg: RunConfig):
     model, source, u0 = _problem(cfg)
     traj = integrate(cfg.method, u0, cfg.T, cfg.n_steps, model, source)
-    rep = energy_audit(traj, source, model, op)
+    rep = energy_audit(traj)
     gap, h = interpolant_gap(traj), traj.step_size
     # Rothe bound: h/3 of the energy balance's cap on sum |u_i - u_{i-1}|^2, budget included
     bound = h / 3.0 * (rep.h_norms_sq[0] + h / model.mu * float(np.sum(rep.f_dual_norms_sq)))
@@ -410,7 +410,7 @@ def _convergence_report(table, failures):
     return "parameter,error,observed_order", rows, failures, None
 
 
-def _convergence_h(cfg: RunConfig, op):
+def _convergence_h(cfg: RunConfig):
     """Five step counts, n_steps / 16 up to n_steps; the observed order is
     gated where the closed form is the oracle."""
     model, source, u0 = _problem(cfg)
@@ -418,14 +418,14 @@ def _convergence_h(cfg: RunConfig, op):
     table = convergence_study("step", u0, cfg.T, model, source,
                               method=cfg.method, step_counts=counts)
     failures = []
-    if model.constant_diagonal and not source.terms:
+    if table.closed_form:
         order = table.rows[-1].observed_order
         if order is None or not 0.8 <= order <= 1.2:
             failures.append(f"observed order {order} outside [0.8, 1.2]")
     return _convergence_report(table, failures)
 
 
-def _convergence_rank(cfg: RunConfig, op):
+def _convergence_rank(cfg: RunConfig):
     """Ranks 1 .. r at fixed step."""
     model, source, u0 = _problem(cfg)
     table = convergence_study("rank", u0, cfg.T, model, source, method=cfg.method,
@@ -433,7 +433,7 @@ def _convergence_rank(cfg: RunConfig, op):
     return _convergence_report(table, [])
 
 
-def _equivalence(cfg: RunConfig, op):
+def _equivalence(cfg: RunConfig):
     rep = equivalence_test(trials=cfg.trials, seed=cfg.seed)
     failures = []
     if not rep.passed:
@@ -441,10 +441,10 @@ def _equivalence(cfg: RunConfig, op):
     return "property,trials,violations,worst_ratio", _suite_rows(rep, "equivalence"), failures, None
 
 
-def _energy_audit(cfg: RunConfig, op):
+def _energy_audit(cfg: RunConfig):
     model, source, u0 = _problem(cfg)
     traj = integrate(cfg.method, u0, cfg.T, cfg.n_steps, model, source)
-    rep = energy_audit(traj, source, model, op)
+    rep = energy_audit(traj)
     failures = [] if rep.passed else [f"energy audit violations: {rep.violations}"]
     if not source.terms:
         hn = np.sqrt(rep.h_norms_sq)
@@ -461,7 +461,7 @@ def _energy_audit(cfg: RunConfig, op):
     return "key,value", rows, failures, traj
 
 
-def _geometry_suites(cfg: RunConfig, op):
+def _geometry_suites(cfg: RunConfig):
     curv = curvature_suite(cfg.N, cfg.r, cfg.trials, cfg.seed)
     proj = projection_regularity_suite(cfg.N, cfg.r, cfg.trials, cfg.seed)
     tang = tangency_suite(cfg.N, cfg.r, max(1, cfg.trials // 2), cfg.seed)
@@ -484,7 +484,7 @@ def _distinct_step_counts(cfg: RunConfig):
 
 
 class Experiment(NamedTuple):
-    """What an experiment reads: ``run(cfg, op)`` returns (report header,
+    """What an experiment reads: ``run(cfg)`` returns (report header,
     rows, failures, trajectory or None); ``reads`` maps each global key it
     reads, besides ``experiment``, to its default; ``check`` raises
     ConfigError for a config outside its own restrictions."""
@@ -554,14 +554,13 @@ def run(cfg: RunConfig, out: str | Path = "out", quiet: bool = False) -> int:
         print(f"cannot make the output directory: {exc}", file=sys.stderr)
         return 2
     log_lines = ["config:"] + ["  " + line for line in serialize_config(cfg).strip().splitlines()]
-    op = build_operator(cfg.N)
     logger = logging.getLogger(__package__)
     warnings = _WarningLog(quiet)
     propagate = logger.propagate
     logger.addHandler(warnings)
     logger.propagate = False
     try:
-        report_header, report_rows, failures, traj = EXPERIMENTS[cfg.experiment].run(cfg, op)
+        report_header, report_rows, failures, traj = EXPERIMENTS[cfg.experiment].run(cfg)
     except (RankDeficiencyError, InnerSolveError, np.linalg.LinAlgError) as exc:
         log_lines += warnings.lines
         log_lines.append(f"numerical failure: {exc}")
@@ -575,7 +574,7 @@ def run(cfg: RunConfig, out: str | Path = "out", quiet: bool = False) -> int:
         logger.propagate = propagate
 
     if traj is not None:
-        _write_trajectory(out, traj, op)
+        _write_trajectory(out, traj)
         _write_diagnostics(out, traj)
     _write_csv(out / "report.csv", report_header, report_rows)
     for row in report_rows:

@@ -160,8 +160,12 @@ def build_operator(basis_dim: int) -> GalerkinOperator:
     here, the dense blocks on first read (see :class:`GalerkinOperator`)."""
     if isinstance(basis_dim, bool) or not isinstance(basis_dim, numbers.Integral) or basis_dim < 1:
         raise ValueError(f"basis_dim must be an integer >= 1, got {basis_dim!r}")
-    n = np.arange(1, basis_dim + 1)
-    return GalerkinOperator(basis_dim, (n * np.pi) ** 2)
+    return GalerkinOperator(basis_dim, _stiffness_diag(basis_dim))
+
+
+def _stiffness_diag(basis_dim: int) -> np.ndarray:
+    """(n pi)^2 for n = 1..basis_dim, the one formula of the 1D stiffness."""
+    return (np.arange(1, basis_dim + 1) * np.pi) ** 2
 
 
 def apply_a1(op: GalerkinOperator, a: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -223,11 +227,11 @@ def h_distance(a, b) -> float:
     return h_norm(dense[0] - dense[1])
 
 
-def v_norm(op: GalerkinOperator, state):
+def v_norm(state):
     """Gradient seminorm of the represented function (exact in this basis), an
     array of them for a stack; ``sqrt(lam . rowsum((U S)^2 + (V S^T)^2))`` for
-    a ``LowRankState`` ``U S V^T``, with ``lam = stiffness_diag``."""
-    lam = op.stiffness_diag
+    a ``LowRankState`` ``U S V^T``, with ``lam`` the 1D stiffness (n pi)^2."""
+    lam = _stiffness_diag(state.basis_dim if isinstance(state, LowRankState) else state.shape[-1])
     if isinstance(state, LowRankState):
         us = state.u1_factors @ state.core
         vs = state.u2_factors @ state.core.mT
@@ -237,9 +241,9 @@ def v_norm(op: GalerkinOperator, state):
     return float(norms) if norms.ndim == 0 else norms
 
 
-def v_dual_norm(op: GalerkinOperator, coeffs: np.ndarray) -> float:
+def v_dual_norm(coeffs: np.ndarray) -> float:
     """Dual norm with reciprocal gradient weights."""
-    lam = op.stiffness_diag
+    lam = _stiffness_diag(coeffs.shape[-1])
     return float(np.sqrt(np.sum(coeffs * coeffs / (lam[:, None] + lam))))
 
 
@@ -332,8 +336,7 @@ def rhs_mean_factors(source: SourceSpec, t_a: float, t_b: float):
 # closed-form solution for the decoupled case
 
 
-def exact_diagonal_solution(op: GalerkinOperator, model: DiffusionModel,
-                            u0: LowRankState, t: float) -> LowRankState:
+def exact_diagonal_solution(model: DiffusionModel, u0: LowRankState, t: float) -> LowRankState:
     """Homogeneous solution for constant diagonal alpha.
 
     Every mode decays independently, so the factors are scaled column-wise
@@ -342,8 +345,7 @@ def exact_diagonal_solution(op: GalerkinOperator, model: DiffusionModel,
     """
     if not model.constant_diagonal:
         raise ValueError("closed form requires a constant diagonal tensor")
-    a = model.alpha(0.0)
-    lam = op.stiffness_diag
+    a, lam = model.alpha(0.0), _stiffness_diag(u0.basis_dim)
     decay1 = np.exp(-t * a[0, 0] * lam)
     decay2 = np.exp(-t * a[1, 1] * lam)
     scaled = LowRankState(decay1[:, None] * u0.u1_factors, u0.core.copy(),

@@ -133,8 +133,9 @@ class StepDiagnostics:
 
 @dataclass
 class Trajectory:
-    """The states at ``times`` and each step's record.  ``start_sigma_r`` is
-    the start's smallest singular value (NaN for the reference method), as
+    """The states at ``times``, each step's record, and the problem they
+    solve: the method, ``model`` and ``source``.  ``start_sigma_r`` is the
+    start's smallest singular value (NaN for the reference method), as
     ``StepDiagnostics.sigma_r`` is each step's.  ``halted_early`` is the
     index of the step at which the rank monitor halted, or None."""
 
@@ -142,6 +143,8 @@ class Trajectory:
     states: list
     diagnostics: list
     method: str
+    model: DiffusionModel
+    source: SourceSpec
     start_sigma_r: float
     halted_early: Optional[int] = None
 
@@ -473,8 +476,8 @@ def integrate(method: str, u0, T: float, n_steps: int, model: DiffusionModel,
     method: "reference" (dense states), "als", or "splitting".  For the
     manifold methods the trajectory monitor halts once the step record has
     sigma_r < DEFAULT_RANK_FLOOR * sigma_1, recording the halt index; the
-    initial state must sit safely above that floor.  The start is one state,
-    not a stack, with finite entries.
+    start must sit safely above that floor, with sigma_r > 0, and is one
+    state, not a stack, with finite entries.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -482,7 +485,7 @@ def integrate(method: str, u0, T: float, n_steps: int, model: DiffusionModel,
         raise TypeError("source must be a SourceSpec; pass zero_source(N) for no source")
     if isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral) or n_steps < 1:
         raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
-    if not 0 < T < math.inf:
+    if isinstance(T, bool) or not 0 < T < math.inf:
         raise ValueError(f"final time must be positive and finite, got {T!r}")
     manifold, factored = method != "reference", isinstance(u0, LowRankState)
     if manifold and not factored:
@@ -502,7 +505,7 @@ def integrate(method: str, u0, T: float, n_steps: int, model: DiffusionModel,
     if manifold:
         svals = singular_values(u0)
         start_sigma_r = float(svals[-1])
-        if svals[-1] < DEFAULT_RANK_FLOOR * svals[0]:
+        if svals[-1] <= 0.0 or svals[-1] < DEFAULT_RANK_FLOOR * svals[0]:
             raise RankDeficiencyError("initial state is already under the rank floor",
                                       rank=u0.rank, sigma=start_sigma_r,
                                       floor=float(DEFAULT_RANK_FLOOR * svals[0]))
@@ -536,5 +539,5 @@ def integrate(method: str, u0, T: float, n_steps: int, model: DiffusionModel,
         if manifold and diag.sigma_r < DEFAULT_RANK_FLOOR * diag.sigma_1:
             halted = i + 1
             break
-    return Trajectory(times=np.array(times), states=states, diagnostics=diagnostics,
-                      method=method, start_sigma_r=start_sigma_r, halted_early=halted)
+    return Trajectory(times=np.array(times), states=states, diagnostics=diagnostics, method=method,
+                      model=model, source=source, start_sigma_r=start_sigma_r, halted_early=halted)

@@ -78,9 +78,8 @@ def rotating_trajectory():
 
 
 def test_criterion_3_energy_ledger(rotating_trajectory):
-    traj, model = rotating_trajectory
-    op = build_operator(16)
-    rep = energy_audit(traj, zero_source(16), model, op)
+    traj, _ = rotating_trajectory
+    rep = energy_audit(traj)
     worst_slack = max(rep.slack.values())
     monotone = all(d.objective_decreased for d in traj.diagnostics)
     norms = [h_norm(to_dense(s)) for s in traj.states]

@@ -18,8 +18,8 @@ from lowrankpde.analysis import (PropertyReport, _spectral_distances, convergenc
                                  energy_audit, equivalence_test, interpolant_gap,
                                  projection_regularity_suite, sample_nearby_state,
                                  sample_spd_tensor, sample_state, tangency_suite)
-from lowrankpde.galerkin import (TimeProfile, build_operator, constant_diffusion,
-                                 cosine_profile, h_norm, rhs_mean_factors,
+from lowrankpde.galerkin import (GalerkinOperator, TimeProfile, build_operator,
+                                 constant_diffusion, cosine_profile, h_norm, rhs_mean_factors,
                                  rotating_diffusion, separable_source, v_dual_norm, v_norm,
                                  zero_source)
 from lowrankpde.manifold import LowRankState, singular_values, to_dense
@@ -88,7 +88,6 @@ def test_energy_audit_single_mode_closed_form():
     h = T / n_steps
     rho = 1.0 / (1.0 + 2.0 * a * np.pi ** 2 * h)
     model = constant_diffusion(a * np.eye(2))
-    op = build_operator(n)
     i = np.arange(n_steps + 1)
     dq = rho ** np.arange(n_steps) * (rho - 1.0) / h
     obj = (rho ** (2 * np.arange(n_steps)) * (rho - 1.0) ** 2 / (2 * h)
@@ -96,7 +95,7 @@ def test_energy_audit_single_mode_closed_form():
     for method in ("als", "splitting", "reference"):
         traj = integrate(method, mode_state(n, [(0, 1.0)]), T, n_steps, model,
                          zero_source(n))
-        rep = energy_audit(traj, zero_source(n), model, op)
+        rep = energy_audit(traj)
         np.testing.assert_allclose(rep.h_norms_sq, rho ** (2 * i), rtol=1e-10)
         np.testing.assert_allclose(rep.v_norms_sq, 2.0 * np.pi ** 2 * rho ** (2 * i),
                                    rtol=1e-10)
@@ -104,7 +103,7 @@ def test_energy_audit_single_mode_closed_form():
         np.testing.assert_array_equal(rep.f_dual_norms_sq, np.zeros(n_steps))
         np.testing.assert_allclose(rep.objectives, obj, rtol=1e-9)
         assert rep.passed and not rep.violations
-        assert rep.step_size == pytest.approx(h)
+        assert traj.step_size == pytest.approx(h)
 
 
 def test_energy_audit_inequality_recomputed_from_trajectory():
@@ -113,12 +112,11 @@ def test_energy_audit_inequality_recomputed_from_trajectory():
     rng = np.random.default_rng(53)
     n, r = 10, 3
     model = rotating_diffusion(1.0, 0.3, 2.0)
-    op = build_operator(n)
     src = separable_source(n, [(TimeProfile("constant", 0.5), rng.standard_normal(n),
                                 rng.standard_normal(n))])
     u0 = sample_state(rng, n, r, sigma_range=(0.1, 1.0))
     traj = integrate("als", u0, 0.3, 60, model, src)
-    rep = energy_audit(traj, src, model, op)
+    rep = energy_audit(traj)
     assert rep.passed, rep.violations
 
     from lowrankpde.galerkin import h_norm, rhs_mean_factors, v_dual_norm, v_norm
@@ -128,9 +126,9 @@ def test_energy_audit_inequality_recomputed_from_trajectory():
     rhs = h_norm(dense[0]) ** 2 + rep.budget
     for k in range(1, len(dense)):
         lhs += h_norm(dense[k] - dense[k - 1]) ** 2
-        lhs += h * model.mu * v_norm(op, dense[k]) ** 2
+        lhs += h * model.mu * v_norm(dense[k]) ** 2
         p_mat, q_mat = rhs_mean_factors(src, traj.times[k - 1], traj.times[k])
-        rhs += (h / model.mu) * v_dual_norm(op, p_mat @ q_mat.T) ** 2
+        rhs += (h / model.mu) * v_dual_norm(p_mat @ q_mat.T) ** 2
     assert lhs <= rhs
     assert rep.slack["energy_sum"] == 0.0
 
@@ -139,23 +137,29 @@ def test_energy_audit_rejects_short_runs():
     n = 6
     model = constant_diffusion(0.05 * np.eye(2))
     traj = Trajectory(times=np.array([0.0]), states=[mode_state(n, [(0, 1.0)])],
-                      diagnostics=[], method="als", start_sigma_r=1.0)
+                      diagnostics=[], method="als", model=model, source=zero_source(n),
+                      start_sigma_r=1.0)
     with pytest.raises(ValueError, match="need at least one step"):
-        energy_audit(traj, zero_source(n), model, build_operator(n))
+        energy_audit(traj)
 
 
-def test_energy_audit_builds_no_dense_coupling():
-    # F and the residual come from the step record, so auditing a
-    # mixed-term run on a fresh operator never builds the N x N matrix G
+def test_energy_audit_builds_no_dense_coupling(monkeypatch):
+    # F and the residual come from the step record and the audit takes no
+    # operator, so auditing a mixed-term run constructs no GalerkinOperator
+    # and never builds the N x N matrix G
     rng = np.random.default_rng(55)
     n, r = 12, 3
     model = constant_diffusion([[1.0, 0.25], [0.25, 0.5]])
     traj = integrate("splitting", sample_state(rng, n, r, sigma_range=(0.1, 1.0)), 0.05, 5,
                      model, zero_source(n))
     op = build_operator(n)
-    rep = energy_audit(traj, zero_source(n), model, op)
+    built, init = [], GalerkinOperator.__init__
+    monkeypatch.setattr(GalerkinOperator, "__init__",
+                        lambda self, *args: built.append(1) or init(self, *args))
+    rep = energy_audit(traj)
     assert rep.passed, rep.violations
     assert "grad_coupling_1d" not in op.__dict__
+    assert not built
 
 
 def test_energy_audit_ledger_matches_dense_norms():
@@ -164,17 +168,16 @@ def test_energy_audit_ledger_matches_dense_norms():
     rng = np.random.default_rng(56)
     n, r = 9, 3
     model = rotating_diffusion(1.0, 0.3, 2.0)
-    op = build_operator(n)
     src = separable_source(n, [(cosine_profile(0.7, 4.0), rng.standard_normal(n),
                                 rng.standard_normal(n)),
                                (TimeProfile("linear", -1.3), rng.standard_normal(n),
                                 rng.standard_normal(n))])
     traj = integrate("als", sample_state(rng, n, r, sigma_range=(0.1, 1.0)), 0.2, 20,
                      model, src)
-    rep = energy_audit(traj, src, model, op)
+    rep = energy_audit(traj)
     dense = [to_dense(s) for s in traj.states]
     np.testing.assert_allclose(rep.h_norms_sq, [h_norm(y) ** 2 for y in dense], rtol=1e-13)
-    np.testing.assert_allclose(rep.v_norms_sq, [v_norm(op, y) ** 2 for y in dense],
+    np.testing.assert_allclose(rep.v_norms_sq, [v_norm(y) ** 2 for y in dense],
                                rtol=1e-13)
     h = traj.step_size
     np.testing.assert_allclose(rep.diff_quotients_sq,
@@ -183,7 +186,7 @@ def test_energy_audit_ledger_matches_dense_norms():
     for k in range(1, len(dense)):
         p_mat, q_mat = rhs_mean_factors(src, traj.times[k - 1], traj.times[k])
         f = p_mat @ q_mat.T
-        assert rep.f_dual_norms_sq[k - 1] == pytest.approx(v_dual_norm(op, f) ** 2, rel=1e-12)
+        assert rep.f_dual_norms_sq[k - 1] == pytest.approx(v_dual_norm(f) ** 2, rel=1e-12)
         assert rep.f_h_norms_sq[k - 1] == pytest.approx(h_norm(f) ** 2, rel=1e-12)
 
 
@@ -203,12 +206,11 @@ def test_post_solve_reads_factors_without_dense_arrays():
     model = constant_diffusion([[1.0, 0.0], [0.0, 0.5]])
     traj = integrate("splitting", u0, 0.05, 50, model, src)
     assert len(traj.states) == 51
-    op = build_operator(n)
     tracemalloc.start()
     try:
-        rep = energy_audit(traj, src, model, op)
+        rep = energy_audit(traj)
         gap = interpolant_gap(traj)
-        norms = [(h_norm(y), v_norm(op, y)) for y in traj.states]
+        norms = [(h_norm(y), v_norm(y)) for y in traj.states]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -237,18 +239,17 @@ def test_energy_audit_source_gram_stays_under_one_dense_array():
     # N = 2048: one N x N array is 33.5 MB, two chunks of the V* weights'
     # columns are 16.8 MB each, and only one is alive at a time
     n = 2048
-    traj, src, model = smooth_splitting_run(n, 4, 3, 2, 59)
-    op = build_operator(n)
+    traj, src, _ = smooth_splitting_run(n, 4, 3, 2, 59)
     tracemalloc.start()
     try:
-        rep = energy_audit(traj, src, model, op)
+        rep = energy_audit(traj)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 8 * n * n, peak
     assert rep.passed, rep.violations
     p_mat, q_mat = rhs_mean_factors(src, traj.times[0], traj.times[1])
-    assert rep.f_dual_norms_sq[0] == pytest.approx(v_dual_norm(op, p_mat @ q_mat.T) ** 2,
+    assert rep.f_dual_norms_sq[0] == pytest.approx(v_dual_norm(p_mat @ q_mat.T) ** 2,
                                                    rel=1e-12)
 
 
@@ -257,14 +258,14 @@ def test_energy_audit_source_gram_in_column_chunks(monkeypatch, width):
     # chunks of 1, 4 (4 + 4 + 1) and all 9 columns of the V* weights agree
     # with the dense dual norm; one chunk is the arithmetic of a whole array
     n = 9
-    traj, src, model = smooth_splitting_run(n, 3, 4, 2, 60)
+    traj, src, _ = smooth_splitting_run(n, 3, 4, 2, 60)
     op = build_operator(n)
     monkeypatch.setattr(analysis, "_CHUNK_BYTES", 8 * n * width)
-    rep = energy_audit(traj, src, model, op)
+    rep = energy_audit(traj)
     for k in range(1, len(traj.states)):
         p_mat, q_mat = rhs_mean_factors(src, traj.times[k - 1], traj.times[k])
         f = p_mat @ q_mat.T
-        assert rep.f_dual_norms_sq[k - 1] == pytest.approx(v_dual_norm(op, f) ** 2, rel=1e-12)
+        assert rep.f_dual_norms_sq[k - 1] == pytest.approx(v_dual_norm(f) ** 2, rel=1e-12)
     if width == n:
         p = np.array([term[1] for term in src.terms])
         q = np.array([term[2] for term in src.terms])
@@ -294,10 +295,9 @@ def test_energy_audit_objective_anchors():
     # where monotonicity is measured from
     n = 6
     model = constant_diffusion(0.05 * np.eye(2))
-    op = build_operator(n)
     traj = integrate("als", mode_state(n, [(0, 1.0), (1, 0.4)]), 0.1, 10, model,
                      zero_source(n))
-    rep = energy_audit(traj, zero_source(n), model, op)
+    rep = energy_audit(traj)
     assert len(rep.objective_anchors) == len(rep.objectives)
     assert np.all(np.asarray(rep.objectives)
                   <= np.asarray(rep.objective_anchors) + 1e-11)
@@ -348,12 +348,14 @@ def test_interpolant_gap_two_state_closed_form():
     h = 0.05
     u1 = np.zeros((4, 4))
     u1[0, 0] = 3.0
+    model, source = constant_diffusion(np.eye(2)), zero_source(4)
     traj = Trajectory(times=np.array([0.0, h]), states=[np.zeros((4, 4)), u1],
-                      diagnostics=[], method="reference", start_sigma_r=math.nan)
+                      diagnostics=[], method="reference", model=model, source=source,
+                      start_sigma_r=math.nan)
     assert interpolant_gap(traj) == pytest.approx(h / 3.0 * 9.0, rel=1e-14)
     flat = Trajectory(times=np.array([0.0, h, 2 * h]),
-                      states=[u1, u1.copy(), u1.copy()],
-                      diagnostics=[], method="reference", start_sigma_r=math.nan)
+                      states=[u1, u1.copy(), u1.copy()], diagnostics=[], method="reference",
+                      model=model, source=source, start_sigma_r=math.nan)
     assert interpolant_gap(flat) == 0.0
 
 
@@ -416,9 +418,9 @@ def test_projection_ratios_scale_invariant():
     def ratios(state):
         y = to_dense(state)
         sig = singular_values(state)[-1]
-        vn = vn_f(op, y)
-        proj = vn_f(op, tangent_project(state, z)) / (
-            np.sqrt(1.0 + 3 * vn ** 2 / sig ** 2) * vn_f(op, z))
+        vn = vn_f(y)
+        proj = vn_f(tangent_project(state, z)) / (
+            np.sqrt(1.0 + 3 * vn ** 2 / sig ** 2) * vn_f(z))
         mixed = np.sqrt(np.sum(np.outer(lam, lam) * y * y)) / (3 * vn ** 2 / sig)
         return proj, mixed
 
@@ -437,9 +439,8 @@ def test_factor_regularity_explicit_single_mode():
     u = mode_state(6, [(0, 1.0)])
     semi = np.sqrt(np.sum(lam * u.u1_factors[:, 0] ** 2))
     assert semi == pytest.approx(np.pi, rel=1e-13)
-    assert v_norm(op, to_dense(u)) == pytest.approx(np.pi * np.sqrt(2.0), rel=1e-13)
-    assert semi / v_norm(op, to_dense(u)) == pytest.approx(1.0 / np.sqrt(2.0),
-                                                           rel=1e-13)
+    assert v_norm(to_dense(u)) == pytest.approx(np.pi * np.sqrt(2.0), rel=1e-13)
+    assert semi / v_norm(to_dense(u)) == pytest.approx(1.0 / np.sqrt(2.0), rel=1e-13)
 
 
 def test_tangency_explicit_single_mode():
@@ -587,8 +588,8 @@ def test_suites_are_reproducible():
 
 
 def test_property_report_passed_flag():
-    assert not PropertyReport(trials=5, violations=1, worst_ratio={}, seed=0).passed
-    assert PropertyReport(trials=5, violations=0, worst_ratio={}, seed=0).passed
+    assert not PropertyReport(trials=5, violations=1, worst_ratio={}).passed
+    assert PropertyReport(trials=5, violations=0, worst_ratio={}).passed
 
 
 # ---------------------------------------------------------------------------
@@ -655,7 +656,7 @@ def test_convergence_rank_axis_truncation_structure():
     u0 = mode_state(8, [(0, 1.0), (1, 0.6)])
     table = convergence_study("rank", u0, 0.1, model, zero_source(8), n_steps=50)
     errs = {int(row.parameter): row.error for row in table.rows}
-    exact = exact_diagonal_solution(build_operator(8), model, u0, 0.1)
+    exact = exact_diagonal_solution(model, u0, 0.1)
     sigma2 = singular_values(exact)[-1]
     assert errs[1] == pytest.approx(sigma2, rel=1e-6)
     assert errs[1] > 100 * errs[2]

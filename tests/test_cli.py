@@ -10,7 +10,7 @@ import pytest
 from lowrankpde.cli import (EXPERIMENTS, AlphaSpec, ConfigError, RunConfig, config_model,
                             config_source, main, parse_config, run,
                             serialize_config)
-from lowrankpde.galerkin import rhs_mean_factors
+from lowrankpde.galerkin import GalerkinOperator, rhs_mean_factors
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
@@ -357,6 +357,17 @@ def test_run_energy_audit_reference(tmp_path):
     assert "passed,true" in (out / "report.csv").read_text().splitlines()
 
 
+@pytest.mark.parametrize("text", [QUICK_HEAT, ROTATION], ids=["heat-diagonal", "energy-audit"])
+def test_trajectory_run_builds_one_operator(tmp_path, monkeypatch, text):
+    # integrate builds the run's one GalerkinOperator; the closed form, the
+    # audit and the trajectory writer read N from their input instead
+    built, init = [], GalerkinOperator.__init__
+    monkeypatch.setattr(GalerkinOperator, "__init__",
+                        lambda self, *args: built.append(1) or init(self, *args))
+    assert run(parse_config(text), tmp_path / "out", quiet=True) == 0
+    assert len(built) == 1
+
+
 @pytest.mark.parametrize("violations, rise, expected", [
     (["v_bound"], False, ("false", "true")),
     ([], True, ("false", "false")),
@@ -374,8 +385,7 @@ def test_energy_audit_rows_report_their_own_checks(tmp_path, monkeypatch, violat
         h_norms_sq = rep.h_norms_sq.copy()
         if rise:
             h_norms_sq[-1] = 4.0 * h_norms_sq[-2]
-        return dataclasses.replace(rep, h_norms_sq=h_norms_sq, violations=violations,
-                                   passed=not violations)
+        return dataclasses.replace(rep, h_norms_sq=h_norms_sq, violations=violations)
 
     monkeypatch.setattr(cli_mod, "energy_audit", patched_audit)
     out = tmp_path / "audit"

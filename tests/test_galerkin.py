@@ -262,21 +262,18 @@ def test_h_norm_is_l2_norm():
 
 def test_v_norm_is_gradient_l2():
     rng = np.random.default_rng(24)
-    op = build_operator(5)
     y = rng.standard_normal((5, 5))
     gx = eval_function(y, _NODES, _NODES, (1, 0))
     gy = eval_function(y, _NODES, _NODES, (0, 1))
-    assert v_norm(op, y) ** 2 == pytest.approx(quad_2d(gx ** 2 + gy ** 2), rel=1e-10)
+    assert v_norm(y) ** 2 == pytest.approx(quad_2d(gx ** 2 + gy ** 2), rel=1e-10)
 
 
 def test_norms_of_lowest_mode():
-    op = build_operator(4)
     e11 = np.zeros((4, 4))
     e11[0, 0] = 1.0
     assert h_norm(e11) == 1.0
-    assert v_norm(op, e11) == pytest.approx(np.pi * np.sqrt(2.0), rel=1e-13)
-    assert v_dual_norm(op, e11) == pytest.approx(1.0 / (np.pi * np.sqrt(2.0)),
-                                                 rel=1e-13)
+    assert v_norm(e11) == pytest.approx(np.pi * np.sqrt(2.0), rel=1e-13)
+    assert v_dual_norm(e11) == pytest.approx(1.0 / (np.pi * np.sqrt(2.0)), rel=1e-13)
 
 
 def random_state(rng, n, r):
@@ -290,11 +287,10 @@ def random_state(rng, n, r):
 def test_factored_norms_match_dense(n, r):
     # 2r > N for (5, 3) and (4, 4): the two factor blocks cannot be orthogonal
     rng = np.random.default_rng([27, n, r])
-    op = build_operator(n)
     a, b = random_state(rng, n, r), random_state(rng, n, max(1, r - 1))
     ya, yb = to_dense(a), to_dense(b)
     assert h_norm(a) == pytest.approx(np.linalg.norm(ya), rel=1e-14)
-    assert v_norm(op, a) == pytest.approx(v_norm(op, ya), rel=1e-14)
+    assert v_norm(a) == pytest.approx(v_norm(ya), rel=1e-14)
     assert h_distance(a, b) == pytest.approx(np.linalg.norm(ya - yb), rel=1e-13)
     # a dense operand on either side is densified and subtracted
     assert h_distance(a, yb) == pytest.approx(np.linalg.norm(ya - yb), rel=1e-14)
@@ -326,11 +322,10 @@ def test_factored_distance_of_identical_and_neighbouring_states():
 
 def test_factored_v_norm_of_a_stack():
     rng = np.random.default_rng(29)
-    op = build_operator(7)
     states = [random_state(rng, 7, 3) for _ in range(4)]
     stack = LowRankState(*(np.array([getattr(s, name) for s in states])
                            for name in ("u1_factors", "core", "u2_factors")))
-    np.testing.assert_allclose(v_norm(op, stack), [v_norm(op, to_dense(s)) for s in states],
+    np.testing.assert_allclose(v_norm(stack), [v_norm(to_dense(s)) for s in states],
                                rtol=1e-14)
 
 
@@ -340,12 +335,12 @@ def test_dual_norm_pairing_bound_and_attainment():
     f = rng.standard_normal((6, 6))
     y = rng.standard_normal((6, 6))
     pairing = float(np.sum(f * y))
-    assert abs(pairing) <= v_dual_norm(op, f) * v_norm(op, y) * (1 + 1e-12)
+    assert abs(pairing) <= v_dual_norm(f) * v_norm(y) * (1 + 1e-12)
     # the bound is attained at the weighted mirror of f
     lam = op.stiffness_diag
     ystar = f / (lam[:, None] + lam[None, :])
-    attained = float(np.sum(f * ystar)) / v_norm(op, ystar)
-    assert attained == pytest.approx(v_dual_norm(op, f), rel=1e-12)
+    attained = float(np.sum(f * ystar)) / v_norm(ystar)
+    assert attained == pytest.approx(v_dual_norm(f), rel=1e-12)
 
 
 def test_coercivity_and_boundedness_constants():
@@ -359,7 +354,7 @@ def test_coercivity_and_boundedness_constants():
     for _ in range(100):
         y = rng.standard_normal((6, 6))
         energy = bilinear_a(op, model, 0.0, y, y)
-        vv = v_norm(op, y) ** 2
+        vv = v_norm(y) ** 2
         assert model.mu * vv <= energy * (1 + 1e-10) + 1e-12
         assert energy <= model.beta * vv * (1 + 1e-10) + 1e-12
 
@@ -388,7 +383,7 @@ def test_constant_diagonal_is_the_steppers_test(model):
     # may change in time: the closed form does not apply
     assert model.constant_diagonal is False
     with pytest.raises(ValueError, match="constant diagonal"):
-        exact_diagonal_solution(build_operator(4), model, LowRankState(
+        exact_diagonal_solution(model, LowRankState(
             np.eye(4, 1), np.eye(1), np.eye(4, 1)), 0.1)
 
 
@@ -534,19 +529,18 @@ def test_exact_diagonal_solution_matches_expm():
     t = 0.7
     flow = expm(-t * operator_matrix(op, model.alpha(0.0)))
     oracle = (flow @ to_dense(u0).reshape(-1, order="F")).reshape((n, n), order="F")
-    np.testing.assert_allclose(to_dense(exact_diagonal_solution(op, model, u0, t)),
+    np.testing.assert_allclose(to_dense(exact_diagonal_solution(model, u0, t)),
                                oracle, atol=1e-12)
 
 
 def test_exact_diagonal_solution_mode_decay_rates():
-    op = build_operator(4)
     model = constant_diffusion(np.eye(2))
     t = 0.03
     # single lowest mode decays at rate 2 pi^2
     e11 = np.zeros((4, 4))
     e11[0, 0] = 1.0
     u0 = factorize(e11, 1)
-    np.testing.assert_allclose(to_dense(exact_diagonal_solution(op, model, u0, t)),
+    np.testing.assert_allclose(to_dense(exact_diagonal_solution(model, u0, t)),
                                np.exp(-2.0 * np.pi ** 2 * t) * e11, atol=1e-14)
     # two diagonal modes decay at 2 pi^2 and 8 pi^2
     two = np.zeros((4, 4))
@@ -556,13 +550,12 @@ def test_exact_diagonal_solution_mode_decay_rates():
     expected = np.zeros((4, 4))
     expected[0, 0] = np.exp(-2.0 * np.pi ** 2 * t)
     expected[1, 1] = np.exp(-8.0 * np.pi ** 2 * t)
-    np.testing.assert_allclose(to_dense(exact_diagonal_solution(op, model, u0, t)),
+    np.testing.assert_allclose(to_dense(exact_diagonal_solution(model, u0, t)),
                                expected, atol=1e-14)
 
 
 def test_exact_diagonal_solution_rejects_coupled_tensor():
-    op = build_operator(4)
     model = constant_diffusion([[1.0, 0.2], [0.2, 1.0]])
     u0 = factorize(np.eye(4), 2)
     with pytest.raises(ValueError):
-        exact_diagonal_solution(op, model, u0, 0.1)
+        exact_diagonal_solution(model, u0, 0.1)

@@ -74,9 +74,9 @@ def loop_projection(n, rank, trials, seed):
         z = rng.standard_normal((n, n))
         t = rng.uniform(0.0, 2.0 * math.pi)
         sig = float(singular_values(u)[-1])
-        vn = v_norm(op, y)
-        bound = math.sqrt(1.0 + rank * vn ** 2 / sig ** 2) * v_norm(op, z)
-        ratios = {"projection_v_bound": ratio(v_norm(op, tangent_project(u, z)), bound)}
+        vn = v_norm(y)
+        bound = math.sqrt(1.0 + rank * vn ** 2 / sig ** 2) * v_norm(z)
+        ratios = {"projection_v_bound": ratio(v_norm(tangent_project(u, z)), bound)}
         w1, svals, w2t = np.linalg.svd(u.core)
         left = u.u1_factors @ w1
         right = u.u2_factors @ w2t.T

@@ -788,6 +788,22 @@ def test_integrate_reference_matches_dense_oracle_each_step():
         assert np.linalg.norm(traj.states[k] - y) <= 1e-9 * max(np.linalg.norm(y), 1.0)
 
 
+def test_integrate_rejects_a_zero_core_start():
+    # an all-zero core has sigma_r = sigma_1 = 0: under the rank floor at the
+    # start, as factorize counts it, not a rank collapse inside step 1
+    start = LowRankState(np.eye(8, 2), np.zeros((2, 2)), np.eye(8, 2))
+    for method in ("als", "splitting"):
+        with pytest.raises(RankDeficiencyError, match="^initial state is already under"):
+            integrate(method, start, 0.1, 2, constant_diffusion(np.eye(2)), zero_source(8))
+
+
+def test_integrate_rejects_a_bool_final_time():
+    # as n_steps=True is rejected, T=True must not run as T = 1
+    with pytest.raises(ValueError, match="final time must be positive and finite, got True"):
+        integrate("als", mode_state(6, [(0, 1.0)]), True, 2, constant_diffusion(np.eye(2)),
+                  zero_source(6))
+
+
 def test_integrate_validation_errors():
     u0 = mode_state(6, [(0, 1.0)])
     model = constant_diffusion(np.eye(2))
