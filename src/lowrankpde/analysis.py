@@ -282,12 +282,6 @@ def _chunks(basis_dim: int, rank: int, trials: int, seed: int, groups: int = 1):
                           for k in range(start, min(start + step, trials), groups)]
 
 
-def _h_norms(stack: np.ndarray) -> np.ndarray:
-    """:func:`h_norm` of each matrix of a stack, one BLAS dot per matrix."""
-    flat = stack.reshape(len(stack), 1, -1)
-    return np.sqrt(flat @ flat.mT).ravel()
-
-
 def _spectral_distances(u: LowRankState, v: LowRankState) -> np.ndarray:
     """Spectral norm of u - v for two stacks of states: u - v = [U_u U_v]
     diag(S_u, -S_v) [V_u V_v]^T, the norm of a 2r-by-2r block of R factors."""
@@ -326,9 +320,9 @@ def curvature_suite(basis_dim: int, rank: int, trials: int, seed: int) -> Proper
         z = _each(rngs, lambda g: g.standard_normal((n, n)))
         du = to_dense(u) - to_dense(v)
         cols = (singular_values(u)[:, -1],
-                _h_norms(tangent_project(u, z) - tangent_project(v, z)), _h_norms(z),
-                _spectral_distances(u, v), _h_norms(du),
-                _h_norms(du - tangent_project(v, du)))
+                h_norm(tangent_project(u, z) - tangent_project(v, z)), h_norm(z),
+                _spectral_distances(u, v), h_norm(du),
+                h_norm(du - tangent_project(v, du)))
         _tally(report, [
             {"projector_diff_spectral": _ratio(lhs, 2.0 / sig * spec * zn),
              "projector_diff_frobenius": _ratio(lhs, 2.0 / sig * dn * zn),
@@ -367,7 +361,7 @@ def projection_regularity_suite(basis_dim: int, rank: int, trials: int,
                 np.sqrt(np.sum(lam * left ** 2, axis=-1)),
                 np.sqrt(np.sum(lam * right ** 2, axis=-1)),
                 np.sqrt(np.sum(mixed_w * y * y, axis=(-2, -1))),
-                a[:, 0, 1], _h_norms(apply_a2(op, a, y)))
+                a[:, 0, 1], h_norm(apply_a2(op, a, y)))
         rows = []
         for sig, vn, vz, vp, sv, semi1, semi2, mixed, a12, a2n in zip(
                 *(c.tolist() for c in cols)):
@@ -404,8 +398,8 @@ def tangency_suite(basis_dim: int, rank: int, trials: int, seed: int) -> Propert
         z = _each(rngs, lambda g: g.standard_normal((n, n)))
         y = to_dense(u)
         a1u = apply_a1(op, a, y)
-        cols = (_h_norms(a1u - tangent_project(u, a1u)), _h_norms(a1u),
-                _h_norms(tangent_project(u, y) - y), _h_norms(y),
+        cols = (h_norm(a1u - tangent_project(u, a1u)), h_norm(a1u),
+                h_norm(tangent_project(u, y) - y), h_norm(y),
                 np.sum(a1u * z, axis=(-2, -1)),
                 np.sum(a1u * tangent_project(u, z), axis=(-2, -1)))
         _tally(report, [

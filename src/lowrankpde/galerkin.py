@@ -206,23 +206,36 @@ def operator_matrix(op: GalerkinOperator, a: np.ndarray) -> np.ndarray:
     return mat
 
 
-def h_norm(state) -> float:
+def h_norm(state):
     """L2 norm of the represented function = Frobenius norm of coefficients,
-    the core's for a ``LowRankState`` (its factors are orthonormal)."""
-    return float(np.linalg.norm(state.core if isinstance(state, LowRankState) else state))
+    the core's for a ``LowRankState`` (its factors are orthonormal); an array
+    of them for a stack, one BLAS dot per matrix."""
+    coeffs = state.core if isinstance(state, LowRankState) else np.asarray(state)
+    if coeffs.ndim <= 2:
+        return float(np.linalg.norm(coeffs))
+    return np.sqrt(_squared_norms(coeffs))
 
 
-def h_distance(a, b) -> float:
-    """:func:`h_norm` of ``a - b``, each a ``LowRankState`` or a dense array.
+def _squared_norms(stack: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix of a stack, one BLAS dot each."""
+    flat = stack.reshape(*stack.shape[:-2], 1, -1)
+    return (flat @ flat.mT)[..., 0, 0]
+
+
+def h_distance(a, b):
+    """:func:`h_norm` of ``a - b``, each a ``LowRankState`` or a dense array
+    (an array of them for stacks).
     Two states are compared from their factors: with ``M = U_b^T U_a``,
     ``A - B = (U_a - U_b M) S_a V_a^T + U_b (M S_a V_a^T - S_b V_b^T)`` is an
     orthogonal sum, so its norm is that of an (N, r_a) and an (r_b, N) block.
     Any other pair is densified and subtracted."""
     if isinstance(a, LowRankState) and isinstance(b, LowRankState):
-        m = b.u1_factors.T @ a.u1_factors
+        m = b.u1_factors.mT @ a.u1_factors
         across = (a.u1_factors - b.u1_factors @ m) @ a.core
-        along = m @ a.core @ a.u2_factors.T - b.core @ b.u2_factors.T
-        return math.sqrt(np.vdot(across, across) + np.vdot(along, along))
+        along = m @ a.core @ a.u2_factors.mT - b.core @ b.u2_factors.mT
+        if across.ndim == 2:
+            return math.sqrt(np.vdot(across, across) + np.vdot(along, along))
+        return np.sqrt(_squared_norms(across) + _squared_norms(along))
     dense = [to_dense(x) if isinstance(x, LowRankState) else np.asarray(x) for x in (a, b)]
     return h_norm(dense[0] - dense[1])
 
@@ -305,11 +318,14 @@ def zero_source(basis_dim: int) -> SourceSpec:
 
 
 def separable_source(basis_dim: int, terms) -> SourceSpec:
-    """Build a source from (profile, p, q) triples of finite N-vectors."""
+    """Build a source from (TimeProfile, p, q) triples of finite N-vectors."""
     packed = []
     for k, (profile, p, q) in enumerate(terms):
         p = np.asarray(p, dtype=float)
         q = np.asarray(q, dtype=float)
+        if not isinstance(profile, TimeProfile):
+            raise TypeError(f"source profile of term {k} must be a TimeProfile, "
+                            f"got {type(profile).__name__}")
         if p.shape != (basis_dim,) or q.shape != (basis_dim,):
             raise ValueError("source factors must be N-vectors")
         for name, factor in (("p", p), ("q", q)):

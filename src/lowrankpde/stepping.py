@@ -16,9 +16,15 @@ a step costs O(N r^2) plus O(N^2 r) for applying the dense coupling G to
 with a diagonal tensor G is not even built.  At N up to hundreds and
 r <= 8 a half-sweep costs its number of numpy calls more than its flops,
 so it makes only the N-sized products it needs: one for the right-hand
-side, one with G per CG iteration, one QR, and those of the new frame.
-So ``_Step``, ``_state_change`` and ``_forward_splitting_step`` multiply
-2-D blocks with ``ndarray.dot``, not ``@``: the same BLAS gemm, so the same
+side, one with G per CG iteration, one QR, those of the new frame (basis^T
+L, its product with the basis, basis^T [U0 | P], and with the mixed term G
+basis and basis^T G basis), and one dot that gives F at its minimizer, so
+the sweep loop evaluates F only at the anchor and at the result.  The
+residual, once per step, makes one (r, N) product per term of U^T D and
+one (N, r) product per term of D V, each with a block the frames or the
+step already hold, plus U^T D V; it stacks no N-row blocks.  So
+``_Step``, ``_state_change`` and ``_forward_splitting_step`` multiply 2-D
+blocks with ``ndarray.dot``, not ``@``: the same BLAS gemm, so the same
 bits, without the matmul ufunc's dispatch, which costs about as much as the
 product (one Xeon core: 1.0 against 1.4 us for 8 x 8 blocks, 1.7 against
 2.9 us for (128, 8) by (8, 8)).  ``@`` stays where an operand may be a
@@ -106,10 +112,14 @@ class StepDiagnostics:
 
     objective_trace holds F at the start and after each half-sweep (for the
     reference step: before and after), so monotonicity of the alternating
-    solver is observable.  sigma_r and sigma_1 are the smallest and largest
-    singular values of the result, read by the rank monitor (NaN for the
-    reference step).  inner_iterations is the total number of
-    conjugate-gradient iterations of the step, 0 without a mixed term.
+    solver is observable.  Its first and last entries are F evaluated at
+    the anchor and at the result; the others are the minima the half-sweep
+    solves report, which differ from F at the swept state by at most
+    |<Y, r_CG>| / (2h) for the solve's CG residual r_CG, plus roundoff.
+    sigma_r and sigma_1 are the smallest and largest singular values of the
+    result, read by the rank monitor (NaN for the reference step).
+    inner_iterations is the total number of conjugate-gradient iterations of
+    the step, 0 without a mixed term.
     """
 
     sweeps_used: int
@@ -159,10 +169,12 @@ class Trajectory:
 
 class _Frame(NamedTuple):
     """An orthonormal (N, r) factor block of one axis with its compressions:
-    lam = basis^T L basis; g_basis = G basis and g = basis^T G basis (None
+    lam_t = basis^T L, the (r, N) block that lam = lam_t basis = basis^T L
+    basis is formed from; g_basis = G basis and g = basis^T G basis (None
     without a mixed term); overlap = basis^T [U0 | P] (axis 1: [V0 | Q])."""
 
     basis: np.ndarray
+    lam_t: np.ndarray
     lam: np.ndarray
     g_basis: Optional[np.ndarray]
     g: Optional[np.ndarray]
@@ -198,8 +210,8 @@ class _Step:
         if self.mixed != 0.0:
             g_basis = self.op.grad_coupling_1d.dot(basis)
             g = basis.T.dot(g_basis)
-        return _Frame(basis, (basis.T * self.op.stiffness_diag).dot(basis), g_basis, g,
-                      basis.T.dot(self.factors[axis]))
+        lam_t = basis.T * self.op.stiffness_diag
+        return _Frame(basis, lam_t, lam_t.dot(basis), g_basis, g, basis.T.dot(self.factors[axis]))
 
     def frames(self, u: LowRankState):
         """The frames (left, right) of the state's two factor blocks."""
@@ -222,22 +234,28 @@ class _Step:
 
     def residual(self, s: np.ndarray, left: _Frame, right: _Frame) -> float:
         """Norm of the defect D = (Y - Y0)/h + A Y - P Q^T projected onto the
-        tangent space at Y = U S V^T: |U^T D|^2 + |D V - U (U^T D) V|^2, with
-        U^T D = coefficients [V, L V, V0, Q (, G V)]^T and
-        D V = [U, L U, U0, P (, G U)] coefficients, one product each; the
-        anchor and source terms enter as -(U^T [U0 | P] diag(S0, h I)) / h."""
-        a, h, w = self.alpha, self.h, self.weights[0]
-        lam, u, v = self.op.stiffness_diag[:, None], left.basis, right.basis
-        ut_coef = [s / h + a[0, 0] * left.lam.dot(s), a[1, 1] * s, left.overlap.dot(w) / -h]
-        dv_coef = [s / h + a[1, 1] * s.dot(right.lam), a[0, 0] * s, w.dot(right.overlap.T) / -h]
-        ut_rows, dv_cols = [v, lam * v, self.factors[1]], [u, lam * u, self.factors[0]]
-        if self.mixed != 0.0:                  # G^T = -G, so V^T G = -(G V)^T
-            ut_coef.append(-self.mixed * left.g.dot(s))
-            ut_rows.append(right.g_basis)
-            dv_coef.append(self.mixed * s.dot(right.g))
-            dv_cols.append(left.g_basis)
-        ut_d = np.hstack(ut_coef).dot(np.hstack(ut_rows).T)
-        normal = np.hstack(dv_cols).dot(np.vstack(dv_coef)) - u.dot(ut_d.dot(v))
+        tangent space at Y = U S V^T: |U^T D|^2 + |D V - U (U^T D V)|^2.
+        U^T D (r, N) and D V (N, r) are each a sum of one product per term,
+        a small coefficient times a block the frames or the step hold:
+
+            U^T D = (S/h + a11 lam_U S) V^T + (a22 S) lam_t_V
+                    - (overlap_U diag(S0, h I) / h) [V0 | Q]^T - c (g_U S) (G V)^T,
+            D V   = U (S/h + a22 S lam_V) + lam_t_U^T (a11 S)
+                    - [U0 | P] (diag(S0, h I) overlap_V^T / h) + (G U) (c S g_V),
+
+        with c = a12 + a21 and G^T = -G; the projection U (U^T D V) folds into
+        U's coefficient."""
+        a, h, w, s_h = self.alpha, self.h, self.weights[0], s / self.h
+        u, v = left.basis, right.basis
+        ut_d = ((s_h + a[0, 0] * left.lam.dot(s)).dot(v.T) + (a[1, 1] * s).dot(right.lam_t)
+                - (left.overlap.dot(w) / h).dot(self.factors[1].T))
+        if self.mixed != 0.0:
+            ut_d -= (self.mixed * left.g.dot(s)).dot(right.g_basis.T)
+        normal = (u.dot(s_h + a[1, 1] * s.dot(right.lam) - ut_d.dot(v))
+                  + left.lam_t.T.dot(a[0, 0] * s)
+                  - self.factors[0].dot(w.dot(right.overlap.T) / h))
+        if self.mixed != 0.0:
+            normal += left.g_basis.dot(self.mixed * s.dot(right.g))
         return math.sqrt(np.vdot(ut_d, ut_d) + np.vdot(normal, normal))
 
     def half_sweep(self, own_axis: int, frozen: _Frame, own: _Frame, core: np.ndarray):
@@ -260,7 +278,10 @@ class _Step:
         product with G (a zero core starts it at zero).  Y = basis R by QR,
         so X = basis (R Q^T); a diagonal entry of R under
         ``_QR_COLLAPSE_REL`` times the largest raises RankDeficiencyError.
-        Returns (frame of the new basis, core R Q^T, CG iterations).
+        At the minimizer F = (|S0|^2 - <Y, rhs>) / (2h), one product of the
+        blocks at hand; after an inexact CG solve it is off from F at X by
+        <Y, r_CG> / (2h) for the CG residual r_CG.  Returns (frame of the new
+        basis, core R Q^T, CG iterations, F at the minimizer).
         """
         h, (evals, evecs) = self.h, np.linalg.eigh(frozen.lam)
         denom = self.own_diag[own_axis] + (h * self.alpha[1 - own_axis, 1 - own_axis]) * evals
@@ -276,7 +297,8 @@ class _Step:
         basis, r_block = np.linalg.qr(y)
         _check_qr_collapse(r_block.diagonal(), _QR_COLLAPSE_REL,
                            f"rank collapse during {('left', 'right')[own_axis]} refactorization")
-        return self.frame(basis, own_axis), r_block.dot(evecs.T), iterations
+        value = float((self.anchor_sq - np.vdot(y, rhs)) / (2.0 * h))
+        return self.frame(basis, own_axis), r_block.dot(evecs.T), iterations, value
 
 
 def step_objective(u: LowRankState, u_prev: LowRankState, h: float, t_next: float,
@@ -388,8 +410,10 @@ def _alternating_step(u_prev: LowRankState, h: float, t_next: float, f_factors,
     relative state change is at most ``_ALS_TOL``.  The conjugate gradient of
     a mixed term starts at the current factor-with-core (U0 S0 in the first
     sweep), where its quadratic equals the current F, so it cannot raise F
-    either.  Between half-sweeps the state is two frames and a core.
-    Returns (state, diagnostics).
+    either.  Between half-sweeps the state is two frames and a core.  The
+    trace records F at the anchor and at the result as evaluated by
+    ``_Step.objective``, and in between the minimum each half-sweep's solve
+    reports.  Returns (state, diagnostics).
     """
     step = _Step(op, model, h, t_next, u_prev, f_factors)
     left, right = step.frames(u_prev)
@@ -398,15 +422,15 @@ def _alternating_step(u_prev: LowRankState, h: float, t_next: float, f_factors,
     for sweeps in range(1, max_sweeps + 1):
         u, s, v = left.basis, core, right.basis
         # left half-sweep: unknown K = U S with the right basis frozen
-        left, r_k, its_k = step.half_sweep(0, right, left, core)
-        trace.append(step.objective(r_k, left, right))
+        left, r_k, its_k, f_k = step.half_sweep(0, right, left, core)
         # right half-sweep: unknown W = V S^T with the new left basis frozen
-        right, r_w, its_w = step.half_sweep(1, left, right, r_k.T)
+        right, r_w, its_w, f_w = step.half_sweep(1, left, right, r_k.T)
         core, iterations = r_w.T, iterations + its_k + its_w
-        trace.append(step.objective(core, left, right))
+        trace += [f_k, f_w]
         if sweeps < max_sweeps and _state_change(u, s, v, left.basis, r_k, right.basis, r_w) / max(
                 math.sqrt(np.vdot(core, core)), np.finfo(float).tiny) <= _ALS_TOL:
             break
+    trace[-1] = step.objective(core, left, right)
     state = LowRankState(left.basis, core, right.basis)
     svals = singular_values(state)
     return state, StepDiagnostics(sweeps, step.residual(core, left, right), float(svals[-1]),
@@ -456,12 +480,12 @@ def _forward_splitting_step(u_prev: LowRankState, h: float, t_next: float,
     anchored at U1 S0+ V0^T.  The independent check of the one-sweep step."""
     step, r = _Step(op, model, h, t_next, u_prev, f_factors), u_prev.rank
     own, right = step.frames(u_prev)
-    left, s1_plus, _ = step.half_sweep(0, right, own, np.zeros((r, r)))
+    left, s1_plus, _, _ = step.half_sweep(0, right, own, np.zeros((r, r)))
     s0_plus = (s1_plus + h * step.reduced(s1_plus, left, right)
                - h * left.overlap[:, r:].dot(right.overlap[:, r:].T))
     step = _Step(op, model, h, t_next, LowRankState(left.basis, s0_plus, u_prev.u2_factors),
                  f_factors)
-    right, r_w, _ = step.half_sweep(1, *step.frames(step.anchor), np.zeros((r, r)))
+    right, r_w, _, _ = step.half_sweep(1, *step.frames(step.anchor), np.zeros((r, r)))
     return LowRankState(left.basis, r_w.T, right.basis)
 
 

@@ -329,6 +329,29 @@ def test_factored_v_norm_of_a_stack():
                                rtol=1e-14)
 
 
+def test_factored_h_norm_and_distance_of_a_stack():
+    # one value per state, as a loop over the states gives; a single state
+    # stays a float
+    rng = np.random.default_rng(30)
+
+    def stacked(states):
+        return LowRankState(*(np.array([getattr(s, name) for s in states])
+                              for name in ("u1_factors", "core", "u2_factors")))
+
+    a_states = [random_state(rng, 6, 2) for _ in range(3)]
+    b_states = [random_state(rng, 6, 2) for _ in range(3)]
+    a, b = stacked(a_states), stacked(b_states)
+    assert np.shape(h_norm(a)) == np.shape(h_distance(a, b)) == (3,)
+    np.testing.assert_allclose(h_norm(a), [h_norm(s) for s in a_states], rtol=1e-15)
+    np.testing.assert_allclose(h_distance(a, b), [h_distance(x, y) for x, y in
+                                                  zip(a_states, b_states)], rtol=1e-14)
+    np.testing.assert_allclose(h_norm(to_dense(a)), [h_norm(to_dense(s)) for s in a_states],
+                               rtol=1e-14)
+    np.testing.assert_allclose(h_distance(a, to_dense(b)), h_distance(a, b), rtol=1e-13)
+    assert isinstance(h_norm(a_states[0]), float)
+    assert isinstance(h_distance(a_states[0], b_states[0]), float)
+
+
 def test_dual_norm_pairing_bound_and_attainment():
     rng = np.random.default_rng(25)
     op = build_operator(6)
@@ -415,6 +438,16 @@ def test_diffusion_models_reject_non_finite_input(build, args, message):
     # the same way, or as a failed SVD
     with pytest.raises(ValueError, match=message):
         build(*args)
+
+
+@pytest.mark.parametrize("profile", [2.0, "constant", None])
+def test_separable_source_rejects_a_profile_that_is_not_a_time_profile(profile):
+    # it would otherwise fail only at step 1, when the step takes its mean
+    terms = [(TimeProfile("constant", 1.0), np.ones(3), np.ones(3)),
+             (profile, np.ones(3), np.ones(3))]
+    with pytest.raises(TypeError, match="source profile of term 1 must be a TimeProfile, got "
+                                        + type(profile).__name__):
+        separable_source(3, terms)
 
 
 def test_rotating_diffusion_spectrum_and_lipschitz():

@@ -232,6 +232,28 @@ def test_als_warm_start_saves_inner_iterations(monkeypatch):
     assert np.all(np.diff(trace) <= 1e-12 * max(1.0, abs(trace[0])))
 
 
+def test_half_sweep_trace_entries_are_f_at_the_swept_states():
+    # between the evaluated first and last entries the trace holds the
+    # minimum each half-sweep's solve reports: after sweep k it is F at the
+    # state a run capped at k sweeps returns, and the trace stays monotone
+    rng = np.random.default_rng(51)
+    n, r, h = 32, 4, 0.01
+    op = build_operator(n)
+    model = rotating_diffusion(1.0, 0.3, 1.0)
+    u0 = smooth_state(rng, n, r, 1.0)
+    pair = (rng.standard_normal((n, 2)), rng.standard_normal((n, 2)))
+    _, diag = als_variational_step(u0, h, h, pair, op, model)
+    trace = np.asarray(diag.objective_trace)
+    assert diag.sweeps_used >= 4 and diag.inner_iterations > 0
+    assert trace.size == 2 * diag.sweeps_used + 1
+    for k in (1, 2, 3):
+        capped, _ = als_variational_step(u0, h, h, pair, op, model,
+                                         StepOptions(als_max_sweeps=k))
+        assert trace[2 * k] == pytest.approx(
+            step_objective(capped, u0, h, h, pair, op, model), rel=1e-12)
+    assert np.all(np.diff(trace) <= 1e-12 * max(1.0, abs(trace[0])))
+
+
 def test_splitting_warm_start_matches_a_cold_start(monkeypatch):
     # the splitting step's two solves start at U0 S0 and at the half-sweep's
     # V0 R^T, where CG's quadratic equals F: no more iterations than starts
@@ -334,12 +356,15 @@ def smooth_state(rng, n, r, scale):
     return LowRankState(q1, scale * rng.standard_normal((r, r)), q2)
 
 
-@pytest.mark.parametrize("n", [7, 40])
-def test_factored_objective_and_residual_match_dense_formulas(n):
+@pytest.mark.parametrize("n, a12", [
+    pytest.param(n, a12, id=f"{n}" + ("" if a12 else "-no-mixed-term"))
+    for a12 in (0.3, 0.0) for n in (7, 40)])
+def test_factored_objective_and_residual_match_dense_formulas(n, a12):
+    # both branches of the residual: with the mixed term's G blocks and without
     rng = np.random.default_rng(46 + n)
     r, h = 3, 0.05
     op = build_operator(n)
-    model = constant_diffusion([[1.0, 0.3], [0.3, 0.7]])
+    model = constant_diffusion([[1.0, a12], [a12, 0.7]])
     weight = np.arange(1, n + 1, dtype=float) ** -2.0
     src = separable_source(n, [(cosine_profile(0.5, 2.0), rng.standard_normal(n) * weight,
                                 rng.standard_normal(n) * weight),
@@ -430,7 +455,7 @@ def test_half_sweep_solve_matches_kronecker_oracle(own_axis, a12, warm):
     x0_basis, core = basis, np.zeros((r, r))
     if warm:
         x0_basis, core = np.linalg.qr(oracle + 1e-3 * rng.standard_normal((n, r)))
-    frame, core, _ = step.half_sweep(own_axis, frozen, step.frame(x0_basis, own_axis), core)
+    frame, core, _, _ = step.half_sweep(own_axis, frozen, step.frame(x0_basis, own_axis), core)
     assert np.linalg.norm(frame.basis @ core - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
@@ -536,7 +561,7 @@ def test_pcg_takes_the_same_iterations_in_the_eigenbasis(monkeypatch):
                                     np.zeros_like(rotated))
     assert iterations == want_iterations > 0
     assert np.linalg.norm(got @ evecs.T - want) <= 1e-13 * np.linalg.norm(want)
-    frame, core, its = step.half_sweep(0, frozen, own, np.zeros_like(core))
+    frame, core, its, _ = step.half_sweep(0, frozen, own, np.zeros_like(core))
     assert its == want_iterations
     assert np.linalg.norm(frame.basis @ core - want) <= 1e-13 * np.linalg.norm(want)
 
@@ -590,7 +615,7 @@ def test_warm_half_sweep_multiplies_by_g_once_per_iteration_and_frame():
     step, frozen, own, core, _ = left_half_sweep(55)
     counter = step.op.grad_coupling_1d
     counter.products = 0
-    _, _, iterations = step.half_sweep(0, frozen, own, core)
+    _, _, iterations, _ = step.half_sweep(0, frozen, own, core)
     assert iterations > 0
     assert counter.products == iterations + 1
 
