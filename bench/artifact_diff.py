@@ -41,14 +41,22 @@ _EXPERIMENTS = {
     "equivalence": "experiment = equivalence\n",
 }
 #: Configs besides those of perfbench/configs: the anisotropic config with
-#: the two other methods, and the experiments the benchmark does not run.
-VARIANTS = ["anisotropic-splitting", "anisotropic-reference", *_EXPERIMENTS]
+#: the two other methods, the energy-audit config without its source (the
+#: one run that reports h_norm_nonincreasing), and the experiments the
+#: benchmark does not run.
+VARIANTS = ["anisotropic-splitting", "anisotropic-reference", "energy-audit-homogeneous",
+            *_EXPERIMENTS]
 
 
 def variant_text(name: str) -> str:
     """The text of the variant config ``name``."""
     if name in _EXPERIMENTS:
         return _EXPERIMENTS[name]
+    if name == "energy-audit-homogeneous":
+        text = (PERFBENCH_CONFIGS / "energy-audit.cfg").read_text()
+        if "[source]\n" not in text:
+            raise ValueError("perfbench/configs/energy-audit.cfg no longer has a [source] section")
+        return text[:text.index("[source]\n")]          # [source] is its last section
     text = (PERFBENCH_CONFIGS / "anisotropic.cfg").read_text()
     if "method = als\n" not in text:
         raise ValueError("perfbench/configs/anisotropic.cfg no longer sets method = als")

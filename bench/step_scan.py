@@ -30,8 +30,9 @@ Each row records, for one (method, N, a12):
   peak far below that shows that no dense matrix was formed.
 - splitting rows only, ``post_ms`` and ``post_peak_traced_mb``: the same
   two measures of the post-processing of the scanned trajectory,
-  ``energy_audit`` plus ``interpolant_gap``, which read the trajectory
-  alone and build no operator.  With a source the audit's V* Gram sums over
+  ``energy_audit``, which reads the trajectory alone, builds no operator
+  and measures each step's increment once for the balance and the
+  interpolant gap.  With a source the audit's V* Gram sums over
   its N x N weights a chunk of at most ``analysis._CHUNK_BYTES`` of columns
   at a time.
 
@@ -50,7 +51,7 @@ import numpy as np
 from measuring import TIMING, measure, scan  # pins BLAS, puts src/ on the path
 
 from lowrankpde import (LowRankState, TimeProfile, constant_diffusion,  # noqa: E402
-                        energy_audit, integrate, interpolant_gap, separable_source)
+                        energy_audit, integrate, separable_source)
 
 RANK = 8
 SIZES = (128, 256, 512, 1024, 2048)
@@ -96,7 +97,7 @@ def scan_row(method: str, n: int, a12: float) -> dict:
            "peak_traced_mb": round(peak / 1e6, 4),
            "dense_matrix_mb": round(8.0 * n * n / 1e6, 4)}
     if method == "splitting":
-        _, post_s, post_peak = measure(lambda: (energy_audit(traj), interpolant_gap(traj)))
+        _, post_s, post_peak = measure(lambda: energy_audit(traj))
         row.update(post_ms=round(1e3 * post_s, 4), post_peak_traced_mb=round(post_peak / 1e6, 4))
     return row
 

@@ -37,7 +37,6 @@ __all__ = [
     "curvature_suite",
     "energy_audit",
     "equivalence_test",
-    "interpolant_gap",
     "projection_regularity_suite",
     "sample_nearby_state",
     "sample_spd_tensor",
@@ -129,11 +128,13 @@ class ConvergenceTable:
 
 @dataclass
 class EnergyReport:
-    """Per-step ledger plus the audited inequality slacks.
+    """Per-step ledger, the audited inequality slacks and the Rothe gap.
 
     Arrays are indexed by state (0..n) or by step (1..n).  ``slack`` maps
-    each audited estimate to max(0, lhs - rhs); an estimate passes when its
-    slack stays under the residual-based ``budget``.
+    each balance estimate to max(0, lhs - rhs); an estimate passes when its
+    slack stays under the residual-based ``budget``.  ``interpolant_gap``
+    is (h/3) sum |u_i - u_{i-1}|^2 and ``rothe_bound`` its cap, h/3 times
+    the balance's right-hand side.  ``violations`` holds (name, step, excess).
     """
 
     h_norms_sq: np.ndarray
@@ -145,6 +146,8 @@ class EnergyReport:
     objective_anchors: np.ndarray
     slack: dict
     budget: float
+    interpolant_gap: float
+    rothe_bound: float
     violations: list = field(default_factory=list)
 
     @property
@@ -163,9 +166,13 @@ def energy_audit(traj: Trajectory) -> EnergyReport:
     Checks, in order: the summed energy balance
         |u_n|^2 + sum |u_i - u_{i-1}|^2 + h mu sum |u_i|_V^2
             <= |u_0|^2 + (h/mu) sum |f_i|_{V*}^2,
-    per-step decrease of the implicit objective, and the uniform V-norm
+    per-step decrease of the implicit objective, the uniform V-norm
     bound  mu |u_i|_V^2 <= beta |u_0|_V^2 + Lh (|u_0|_V^2 + sum |u_j|_V^2)
-    + 2h sum |f_j|^2, for a run of any method.  The norms read each state as
+    + 2h sum |f_j|^2, for a run of any method, the Rothe bound (``rothe``)
+    on the interpolant gap, and without a source |u_i| <= |u_{i-1}| (1 + 1e-12)
+    (``h_norm_monotonicity``).  The gap is h/3 of a left-side term of the
+    balance and ``rothe`` gets h/3 of its budget, so ``rothe`` cannot fail
+    unless ``energy_sum`` does, up to roundoff.  The norms read each state as
     stored, so a rank-r run is audited from its factors.  A step decreases
     if its record says so (``StepDiagnostics.objective_decreased``).  The
     slack budget follows the measured tangent residuals: an inexact minimizer
@@ -180,7 +187,8 @@ def energy_audit(traj: Trajectory) -> EnergyReport:
     h, model, source = traj.step_size, traj.model, traj.source
     hn2 = np.array([h_norm(y) ** 2 for y in traj.states])
     vn2 = np.array([v_norm(y) ** 2 for y in traj.states])
-    dq2 = np.array([(h_distance(b, a) / h) ** 2 for a, b in zip(traj.states, traj.states[1:])])
+    steps = [h_distance(b, a) for a, b in zip(traj.states, traj.states[1:])]
+    dq2 = np.array([(d / h) ** 2 for d in steps])
     # step i's source mean is P diag(c_i) Q^T for the terms' profile means c_i,
     # so |f_i|^2 = c_i^T M c_i with the (m, m) Gram M of the terms in H or V*;
     # the V* Gram sums over the N x N weights 1 / (lam_a + lam_b), built in
@@ -232,25 +240,21 @@ def energy_audit(traj: Trajectory) -> EnergyReport:
     if slack_v > budget_v:
         violations.append(("v_bound", -1, slack_v))
 
+    # at t_{i-1} + s the interpolants differ by (1 - s/h)(u_{i-1} - u_i)
+    gap, bound = h / 3.0 * sum(d ** 2 for d in steps), h / 3.0 * rhs_energy
+    if gap > bound + h / 3.0 * budget:
+        violations.append(("rothe", -1, gap - bound))
+
+    hn = np.sqrt(hn2)       # without a source the H norm may not rise
+    violations += [("h_norm_monotonicity", i, float(hn[i] - hn[i - 1])) for i in range(1, len(hn))
+                   if not source.terms and hn[i] > hn[i - 1] * (1 + 1e-12)]
+
     return EnergyReport(h_norms_sq=hn2, v_norms_sq=vn2, diff_quotients_sq=dq2, f_dual_norms_sq=fd2,
                         f_h_norms_sq=fh2, objectives=objectives, objective_anchors=anchors,
                         slack={"energy_sum": slack_energy,
                                "objective_monotonicity": max(0.0, np.max(excess)),
-                               "v_bound": slack_v},
-                        budget=budget, violations=violations)
-
-
-def interpolant_gap(traj: Trajectory) -> float:
-    """Squared-L2-in-time gap between the piecewise-linear and the
-    right-continuous piecewise-constant interpolants of a trajectory.
-
-    At ``t_{i-1} + s`` the two differ by ``(1 - s/h) (u_{i-1} - u_i)``, so
-    the gap is ``(h/3) sum |u_i - u_{i-1}|^2``, read by :func:`h_distance`.
-    """
-    if len(traj.states) < 2:
-        raise ValueError("need at least two states")
-    return traj.step_size / 3.0 * sum(h_distance(b, a) ** 2
-                                       for a, b in zip(traj.states, traj.states[1:]))
+                               "v_bound": slack_v}, budget=budget,
+                        interpolant_gap=gap, rothe_bound=bound, violations=violations)
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +480,8 @@ def convergence_study(axis: str, u0: LowRankState, T: float, model: DiffusionMod
     """
     if axis not in ("step", "rank"):
         raise ValueError(f"unknown axis {axis!r}")
-    if axis == "step" and len(set(step_counts)) < len(step_counts):
-        raise ValueError(f"step_counts must be distinct, got {tuple(step_counts)}")
+    if axis == "step" and (len(step_counts) == 0 or len(set(step_counts)) < len(step_counts)):
+        raise ValueError(f"step_counts must be distinct and nonempty, got {tuple(step_counts)}")
     closed_form = model.constant_diagonal and not source.terms
     if closed_form:
         oracle = exact_diagonal_solution(model, u0, T)

@@ -80,11 +80,12 @@ def constant_diffusion(matrix) -> DiffusionModel:
     a = np.array(matrix, dtype=float)
     if a.shape != (2, 2):
         raise ValueError("diffusion tensor must be 2x2")
+    # entries first: the symmetry test below would compute inf - inf
+    eigs = np.linalg.eigvalsh(a) if np.all(np.isfinite(a)) else np.full(2, np.nan)
+    if not np.all(np.isfinite(eigs)):
+        raise ValueError(f"matrix must have finite entries and eigenvalues, got {a.tolist()}")
     if abs(a[0, 1] - a[1, 0]) > 1e-14 * max(1.0, np.abs(a).max()):
         raise ValueError("diffusion tensor must be symmetric")
-    eigs = np.linalg.eigvalsh(a)
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(eigs))):
-        raise ValueError(f"matrix must have finite entries and eigenvalues, got {a.tolist()}")
     if eigs[0] <= 0:
         raise ValueError("diffusion tensor is not positive definite")
     return DiffusionModel(alpha=lambda t, _a=a: _a, mu=float(eigs[0]),

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from lowrankpde.analysis import (curvature_suite, convergence_study, energy_audit,
-                                 equivalence_test, interpolant_gap,
+                                 equivalence_test,
                                  projection_regularity_suite, sample_spd_tensor,
                                  sample_state, tangency_suite)
 from lowrankpde.cli import main, parse_config
@@ -109,7 +109,7 @@ def test_criterion_4_interpolation_identity(rotating_trajectory):
         increments = sum(np.linalg.norm(b - a) ** 2
                          for a, b in zip(dense, dense[1:]))
         closed = h / 3.0 * increments
-        rel = abs(interpolant_gap(traj) - closed) / max(closed, np.finfo(float).tiny)
+        rel = abs(energy_audit(traj).interpolant_gap - closed) / max(closed, np.finfo(float).tiny)
         worst = max(worst, rel)
     _report(4, worst <= 1e-12,
             f"{len(trajs)} trajectories, worst relative identity gap {worst:.3e}")

@@ -15,7 +15,7 @@ import pytest
 from lowrankpde import analysis
 from lowrankpde.analysis import (PropertyReport, _spectral_distances, convergence_study,
                                  curvature_suite,
-                                 energy_audit, equivalence_test, interpolant_gap,
+                                 energy_audit, equivalence_test,
                                  projection_regularity_suite, sample_nearby_state,
                                  sample_spd_tensor, sample_state, tangency_suite)
 from lowrankpde.galerkin import (GalerkinOperator, TimeProfile, build_operator,
@@ -23,7 +23,7 @@ from lowrankpde.galerkin import (GalerkinOperator, TimeProfile, build_operator,
                                  rotating_diffusion, separable_source, v_dual_norm, v_norm,
                                  zero_source)
 from lowrankpde.manifold import LowRankState, singular_values, to_dense
-from lowrankpde.stepping import Trajectory, integrate
+from lowrankpde.stepping import StepDiagnostics, Trajectory, integrate
 
 
 def mode_state(n, entries):
@@ -191,8 +191,8 @@ def test_energy_audit_ledger_matches_dense_norms():
 
 
 def test_post_solve_reads_factors_without_dense_arrays():
-    # N = 1024, r = 8, 50 splitting steps, one source term: the audit, the
-    # interpolant gap and both norms of every state stay under 10 MB traced;
+    # N = 1024, r = 8, 50 splitting steps, one source term: the audit, with
+    # its interpolant gap, and both norms of every state stay under 10 MB traced;
     # one N x N array is 8.4 MB, and only the V* Gram of the source takes one:
     # its weights fit in one chunk of columns
     n, r = 1024, 8
@@ -209,14 +209,13 @@ def test_post_solve_reads_factors_without_dense_arrays():
     tracemalloc.start()
     try:
         rep = energy_audit(traj)
-        gap = interpolant_gap(traj)
         norms = [(h_norm(y), v_norm(y)) for y in traj.states]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 10e6, peak
     assert rep.passed, rep.violations
-    assert gap > 0.0 and len(norms) == 51
+    assert rep.interpolant_gap > 0.0 and len(norms) == 51
 
 
 def smooth_splitting_run(n, r, n_steps, src_terms, seed):
@@ -319,7 +318,7 @@ def test_interpolant_gap_equals_increment_sum():
     dense = [to_dense(s) for s in traj.states]
     increments = sum(np.linalg.norm(dense[k] - dense[k - 1]) ** 2
                      for k in range(1, len(dense)))
-    assert interpolant_gap(traj) == pytest.approx(h / 3.0 * increments, rel=1e-12)
+    assert energy_audit(traj).interpolant_gap == pytest.approx(h / 3.0 * increments, rel=1e-12)
 
 
 def test_interpolant_gap_matches_time_quadrature():
@@ -339,7 +338,17 @@ def test_interpolant_gap_matches_time_quadrature():
         for x, w in zip(nodes, weights):
             lin = dense[k - 1] + x * (dense[k] - dense[k - 1])
             total += h * w * np.linalg.norm(lin - dense[k]) ** 2
-    assert interpolant_gap(traj) == pytest.approx(total, rel=1e-12)
+    assert energy_audit(traj).interpolant_gap == pytest.approx(total, rel=1e-12)
+
+
+def hand_built(states, h):
+    """A reference trajectory of ``states`` at step ``h`` without a source,
+    each step recorded as exact (zero residual, F unchanged)."""
+    record = StepDiagnostics(0, 0.0, math.nan, math.nan, (0.0, 0.0))
+    return Trajectory(times=h * np.arange(len(states)), states=states,
+                      diagnostics=[record] * (len(states) - 1), method="reference",
+                      model=constant_diffusion(np.eye(2)), source=zero_source(len(states[0])),
+                      start_sigma_r=math.nan)
 
 
 def test_interpolant_gap_two_state_closed_form():
@@ -348,15 +357,39 @@ def test_interpolant_gap_two_state_closed_form():
     h = 0.05
     u1 = np.zeros((4, 4))
     u1[0, 0] = 3.0
-    model, source = constant_diffusion(np.eye(2)), zero_source(4)
-    traj = Trajectory(times=np.array([0.0, h]), states=[np.zeros((4, 4)), u1],
-                      diagnostics=[], method="reference", model=model, source=source,
-                      start_sigma_r=math.nan)
-    assert interpolant_gap(traj) == pytest.approx(h / 3.0 * 9.0, rel=1e-14)
-    flat = Trajectory(times=np.array([0.0, h, 2 * h]),
-                      states=[u1, u1.copy(), u1.copy()], diagnostics=[], method="reference",
-                      model=model, source=source, start_sigma_r=math.nan)
-    assert interpolant_gap(flat) == 0.0
+    traj = hand_built([np.zeros((4, 4)), u1], h)
+    assert energy_audit(traj).interpolant_gap == pytest.approx(h / 3.0 * 9.0, rel=1e-14)
+    flat = hand_built([u1, u1.copy(), u1.copy()], h)
+    assert energy_audit(flat).interpolant_gap == 0.0
+
+
+def test_rothe_check_fires_on_a_jump_from_zero():
+    # from the zero state without a source the energy balance's right side,
+    # and so the Rothe bound, is 0: any jump breaks it, and the balance too
+    u1 = np.zeros((4, 4))
+    u1[0, 0] = 3.0
+    rep = energy_audit(hand_built([np.zeros((4, 4)), u1], 0.05))
+    assert rep.rothe_bound == 0.0
+    assert [v for v in rep.violations if v[0] == "rothe"] == [("rothe", -1, rep.interpolant_gap)]
+    assert "energy_sum" in [name for name, _, _ in rep.violations]
+
+
+def test_h_norm_check_fires_on_a_homogeneous_rise():
+    # scaling the last core of a decaying homogeneous ALS run by 1.1 raises
+    # the H norm at the last step; with a source the check does not apply
+    n = 6
+    model = constant_diffusion(0.05 * np.eye(2))
+    traj = integrate("als", mode_state(n, [(0, 1.0), (1, 0.4)]), 0.1, 10, model,
+                     zero_source(n))
+    assert energy_audit(traj).passed
+    last = traj.states[-1]
+    risen = dataclasses.replace(traj, states=traj.states[:-1] + [
+        LowRankState(last.u1_factors, 1.1 * last.core, last.u2_factors)])
+    rises = [v for v in energy_audit(risen).violations if v[0] == "h_norm_monotonicity"]
+    assert [step for _, step, _ in rises] == [10] and rises[0][2] > 0.0
+    sourced = dataclasses.replace(risen, source=separable_source(
+        n, [(TimeProfile("constant", 1.0), np.ones(n), np.ones(n))]))
+    assert "h_norm_monotonicity" not in [name for name, _, _ in energy_audit(sourced).violations]
 
 
 def test_interpolant_gap_reference_trajectory():
@@ -367,7 +400,7 @@ def test_interpolant_gap_reference_trajectory():
     h = traj.step_size
     increments = sum(np.linalg.norm(traj.states[k] - traj.states[k - 1]) ** 2
                      for k in range(1, len(traj.states)))
-    assert interpolant_gap(traj) == pytest.approx(h / 3.0 * increments, rel=1e-12)
+    assert energy_audit(traj).interpolant_gap == pytest.approx(h / 3.0 * increments, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -693,6 +726,15 @@ def test_convergence_zero_horizon():
     u0 = mode_state(6, [(0, 1.0)])
     with pytest.raises(ValueError, match="final time must be positive"):
         convergence_study("step", u0, 0.0, model, zero_source(6), step_counts=(4, 8))
+
+
+def test_convergence_rejects_empty_step_counts():
+    # the same error whether the closed form or a reference run is the oracle
+    u0 = mode_state(6, [(0, 1.0)])
+    for model in (constant_diffusion(0.02 * np.eye(2)), rotating_diffusion(1.0, 0.5, 1.0)):
+        with pytest.raises(ValueError,
+                           match=r"^step_counts must be distinct and nonempty, got \(\)$"):
+            convergence_study("step", u0, 0.05, model, zero_source(6), step_counts=())
 
 
 def test_convergence_rejects_repeated_step_counts():

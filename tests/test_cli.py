@@ -1,14 +1,16 @@
 """Config parsing, artifact layout, and reproducibility of the runner."""
 
 import dataclasses
+import math
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from lowrankpde.cli import (EXPERIMENTS, AlphaSpec, ConfigError, RunConfig, config_model,
-                            config_source, main, parse_config, run,
+from lowrankpde import analysis
+from lowrankpde.cli import (EXPERIMENTS, AlphaSpec, ConfigError, RunConfig, SourceTermSpec,
+                            config_model, config_source, main, parse_config, run,
                             serialize_config)
 from lowrankpde.galerkin import GalerkinOperator, rhs_mean_factors
 
@@ -348,6 +350,16 @@ def test_trajectory_run_takes_one_svd_per_state(tmp_path, monkeypatch):
     assert float(rows[1].split(",")[4]) > 0.0
 
 
+def test_anisotropic_run_measures_each_increment_once(tmp_path, monkeypatch):
+    # the audit measures |u_i - u_{i-1}| once per step, for the energy
+    # balance and the interpolant gap alike; the CLI measures none itself
+    calls, distance = [], analysis.h_distance
+    monkeypatch.setattr(analysis, "h_distance", lambda *a: calls.append(1) or distance(*a))
+    cfg = parse_config("experiment = anisotropic\nN = 8\nr = 2\nT = 0.05\nn_steps = 5\n")
+    assert run(cfg, tmp_path / "out", quiet=True) == 0
+    assert len(calls) == 5
+
+
 def test_run_energy_audit_reference(tmp_path):
     # the audit reads F and the residual from each step's record, which the
     # dense reference step writes as well
@@ -368,12 +380,11 @@ def test_trajectory_run_builds_one_operator(tmp_path, monkeypatch, text):
     assert len(built) == 1
 
 
-@pytest.mark.parametrize("violations, rise, expected", [
-    (["v_bound"], False, ("false", "true")),
-    ([], True, ("false", "false")),
+@pytest.mark.parametrize("violations, expected", [
+    ([("v_bound", -1, 1.0)], ("false", "true")),
+    ([("h_norm_monotonicity", 10, 1.0)], ("false", "false")),
 ], ids=["audit-violation", "h-norm-rise"])
-def test_energy_audit_rows_report_their_own_checks(tmp_path, monkeypatch, violations, rise,
-                                                   expected):
+def test_energy_audit_rows_report_their_own_checks(tmp_path, monkeypatch, violations, expected):
     # on a homogeneous run each row reports its own check: an audit
     # violation leaves h_norm_nonincreasing true, and `passed` is true
     # exactly when the exit status is 0, also when only the h-norm rose
@@ -381,11 +392,7 @@ def test_energy_audit_rows_report_their_own_checks(tmp_path, monkeypatch, violat
     audit = cli_mod.energy_audit
 
     def patched_audit(*args):
-        rep = audit(*args)
-        h_norms_sq = rep.h_norms_sq.copy()
-        if rise:
-            h_norms_sq[-1] = 4.0 * h_norms_sq[-2]
-        return dataclasses.replace(rep, h_norms_sq=h_norms_sq, violations=violations)
+        return dataclasses.replace(audit(*args), violations=violations)
 
     monkeypatch.setattr(cli_mod, "energy_audit", patched_audit)
     out = tmp_path / "audit"
@@ -408,7 +415,22 @@ def test_energy_audit_rows_report_their_own_checks(tmp_path, monkeypatch, violat
      "unknown alpha kind 'foo'"),
     (RunConfig(experiment="anisotropic", N=8, r=2,
                alpha=AlphaSpec(kind="rotation", lambda1=-1.0)), "alpha is not positive definite"),
-], ids=["method", "trials", "experiment", "alpha-a11", "alpha-kind", "alpha-lambda1"])
+    (RunConfig(experiment="heat-diagonal", T=math.inf), "T must be positive and finite"),
+    (RunConfig(experiment="heat-diagonal", T=True), "T must be positive and finite"),
+    (RunConfig(experiment="heat-diagonal", n_steps=2.5), "n_steps must be an integer"),
+    (RunConfig(experiment="heat-diagonal", n_steps=True), "n_steps must be an integer"),
+    (RunConfig(experiment="anisotropic", N=8, r=2, source=(
+        SourceTermSpec("constant", math.inf, 0.0, ((1, 1.0),), ((1, 1.0),)),)),
+     "bad [source]: time profile scale must be finite, got inf"),
+    (RunConfig(experiment="anisotropic", N=8, r=2, source=(
+        SourceTermSpec("constant", 1.0, 0.0, ((1, math.nan),), ((1, 1.0),)),)),
+     "bad [source]: source factor p of term 0 must be finite"),
+    (RunConfig(experiment="anisotropic", N=8, r=2, source=(
+        SourceTermSpec("quadratic", 1.0, 0.0, ((1, 1.0),), ((1, 1.0),)),)),
+     "bad [source]: unknown time profile 'quadratic'; expected 'constant', 'linear' or 'cosine'"),
+], ids=["method", "trials", "experiment", "alpha-a11", "alpha-kind", "alpha-lambda1", "T-inf",
+        "T-bool", "n_steps-fraction", "n_steps-bool", "source-scale-inf", "source-coeff-nan",
+        "source-profile"])
 def test_run_validates_the_config(tmp_path, capsys, cfg, message):
     # a config built in code is checked like a parsed one: exit 2, even
     # when quiet, before the output directory is made

@@ -8,6 +8,7 @@ closed forms the module uses internally.
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -416,6 +417,9 @@ def test_constant_diagonal_is_the_steppers_test(model):
      "matrix must have finite entries"),
     (constant_diffusion, ([[1e308, 1e308], [1e308, 1e308]],),
      "matrix must have finite entries and eigenvalues"),
+    (constant_diffusion, ([[math.nan, 0.0], [0.0, 1.0]],), "matrix must have finite entries"),
+    (constant_diffusion, ([[1.0, math.inf], [math.inf, 1.0]],),
+     "matrix must have finite entries"),
     (rotating_diffusion, (math.nan, 1.0, 0.0), "lambda1 must be finite"),
     (rotating_diffusion, (1.0, math.inf, 0.0), "lambda2 must be finite"),
     (rotating_diffusion, (1.0, 0.5, math.nan), "omega must be finite"),
@@ -429,15 +433,18 @@ def test_constant_diagonal_is_the_steppers_test(model):
     (separable_source, (3, [(TimeProfile("constant", 1.0), np.ones(3), np.ones(3)),
                             (TimeProfile("constant", 1.0), np.ones(3), [0.0, 0.0, -math.inf])]),
      "source factor q of term 1 must be finite"),
-], ids=["inf-entry", "nan-entries", "inf-eigenvalue", "nan-lambda1", "inf-lambda2",
-        "nan-omega", "inf-omega", "nan-profile-scale", "inf-profile-omega",
-        "inf-linear-scale", "nan-source-p", "inf-source-q"])
+], ids=["inf-entry", "nan-entries", "inf-eigenvalue", "nan-diagonal", "inf-off-diagonal",
+        "nan-lambda1", "inf-lambda2", "nan-omega", "inf-omega", "nan-profile-scale",
+        "inf-profile-omega", "inf-linear-scale", "nan-source-p", "inf-source-q"])
 def test_diffusion_models_reject_non_finite_input(build, args, message):
     # a NaN tensor would otherwise pass the definiteness test and surface
     # only as a failed inner solve at step 1; a NaN source factor or profile
-    # the same way, or as a failed SVD
-    with pytest.raises(ValueError, match=message):
-        build(*args)
+    # the same way, or as a failed SVD.  The named error comes first, with
+    # no RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            build(*args)
 
 
 @pytest.mark.parametrize("profile", [2.0, "constant", None])
