@@ -9,12 +9,12 @@ absolute and relative difference of each numeric column that differs:
 
 ``--config`` restricts the run to the named configs.  The configs are the
 four files of ``perfbench/configs`` (read, never written) and the variants
-in ``VARIANTS``, which are written to a temporary directory with the
-artifacts.  Each run is a child process of ``measuring._child_row`` with
-BLAS on one thread; a CLI exit status other than 0, 1 or 3, or a
-traceback, stops the comparison with an error.  The exit status is 0 when
-every file of every config is byte-identical and both sides exit alike, 1
-otherwise.
+in ``VARIANTS``, written by ``cli.serialize_config`` to a temporary
+directory with the artifacts.  Each run is a child process of
+``measuring._child_row`` with BLAS on one thread; a CLI exit status other
+than 0, 1 or 3, or a traceback, stops the comparison with an error.  The
+exit status is 0 when every file of every config is byte-identical and both
+sides exit alike, 1 otherwise.
 """
 
 import argparse
@@ -22,48 +22,47 @@ import csv
 import math
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PERFBENCH_CONFIGS = ROOT / "perfbench" / "configs"
 
-_ROTATION = """
-[alpha]
-kind = rotation
-lambda1 = 1.0
-lambda2 = 0.1
-omega = 1.0
-"""
-_EXPERIMENTS = {
-    "heat-diagonal": "experiment = heat-diagonal\n",
-    "convergence-h": "experiment = convergence-h\nN = 16\nr = 3\nT = 0.2\nn_steps = 64\n"
-                     + _ROTATION + "\n[source]\nterm = cosine:0.5:2.0 | p = 1:1.0 | q = 2:1.0\n",
-    "equivalence": "experiment = equivalence\n",
+#: Configs besides those of perfbench/configs: a base config (a file there,
+#: or None for the defaults) and the ``RunConfig`` fields it changes, alpha
+#: as ``AlphaSpec`` keywords and source as ``SourceTermSpec`` field tuples.
+#: They are the anisotropic config with the two other methods, the energy-audit
+#: config without its source (the one run that reports h_norm_nonincreasing)
+#: and with splitting, and the experiments the benchmark does not run.
+VARIANTS = {
+    "anisotropic-splitting": ("anisotropic", {"method": "splitting"}),
+    "anisotropic-reference": ("anisotropic", {"method": "reference"}),
+    "energy-audit-homogeneous": ("energy-audit", {"source": ()}),
+    "energy-audit-splitting": ("energy-audit", {"method": "splitting"}),
+    "heat-diagonal": (None, {}),
+    "convergence-h": (None, {"experiment": "convergence-h", "N": 16, "r": 3, "T": 0.2,
+        "n_steps": 64, "alpha": {"kind": "rotation", "lambda1": 1.0, "lambda2": 0.1, "omega": 1.0},
+        "source": (("cosine", 0.5, 2.0, ((1, 1.0),), ((2, 1.0),)),)}),
+    "equivalence": (None, {"experiment": "equivalence"}),
 }
-#: Configs besides those of perfbench/configs: the anisotropic config with
-#: the two other methods, the energy-audit config without its source (the
-#: one run that reports h_norm_nonincreasing), and the experiments the
-#: benchmark does not run.
-VARIANTS = ["anisotropic-splitting", "anisotropic-reference", "energy-audit-homogeneous",
-            *_EXPERIMENTS]
 
 
 def variant_text(name: str) -> str:
-    """The text of the variant config ``name``."""
-    if name in _EXPERIMENTS:
-        return _EXPERIMENTS[name]
-    if name == "energy-audit-homogeneous":
-        text = (PERFBENCH_CONFIGS / "energy-audit.cfg").read_text()
-        if "[source]\n" not in text:
-            raise ValueError("perfbench/configs/energy-audit.cfg no longer has a [source] section")
-        return text[:text.index("[source]\n")]          # [source] is its last section
-    text = (PERFBENCH_CONFIGS / "anisotropic.cfg").read_text()
-    if "method = als\n" not in text:
-        raise ValueError("perfbench/configs/anisotropic.cfg no longer sets method = als")
-    return text.replace("method = als\n", f"method = {name.removeprefix('anisotropic-')}\n")
+    """The text of the variant config ``name``, written by ``serialize_config``."""
+    import measuring  # noqa: F401  (puts src/ on the path; here, as in run_cli)
+    from lowrankpde import cli
+
+    base, changes = VARIANTS[name]
+    cfg = cli.RunConfig() if base is None else \
+        cli.parse_config((PERFBENCH_CONFIGS / f"{base}.cfg").read_text())
+    if "alpha" in changes:
+        changes = changes | {"alpha": cli.AlphaSpec(**changes["alpha"])}
+    if "source" in changes:
+        changes = changes | {"source": tuple(cli.SourceTermSpec(*t) for t in changes["source"])}
+    return cli.serialize_config(replace(cfg, **changes))
 
 
-CONFIGS = [path.stem for path in sorted(PERFBENCH_CONFIGS.glob("*.cfg"))] + VARIANTS
+CONFIGS = [path.stem for path in sorted(PERFBENCH_CONFIGS.glob("*.cfg"))] + list(VARIANTS)
 
 
 def scan_row(config: str, out: str) -> int:

@@ -226,6 +226,8 @@ def parse_config(text: str) -> RunConfig:
 
 
 def _validate(cfg: RunConfig, alpha_line: int | None = None):
+    """Check every value of ``cfg``, read by the experiment or not; return the
+    model and source it runs (the zero source if it does not read ``[source]``)."""
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError(f"unknown experiment {cfg.experiment!r}")
     if cfg.method not in METHODS:
@@ -243,14 +245,16 @@ def _validate(cfg: RunConfig, alpha_line: int | None = None):
     if cfg.alpha.kind not in _ALPHA_KINDS:
         raise ConfigError(f"unknown alpha kind {cfg.alpha.kind!r}", alpha_line)
     try:
-        config_model(cfg)
-    except ValueError:
-        raise ConfigError("alpha is not positive definite", alpha_line) from None
+        model = config_model(cfg)
+    except ValueError as exc:
+        raise ConfigError(f"bad [alpha]: {exc}", alpha_line) from None
     try:
-        config_source(cfg)
+        source = config_source(cfg)
     except ValueError as exc:
         raise ConfigError(f"bad [source]: {exc}") from None
-    EXPERIMENTS[cfg.experiment].check(cfg)
+    exp = EXPERIMENTS[cfg.experiment]
+    exp.check(cfg, model)
+    return model, source if exp.source else zero_source(cfg.N)
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -291,7 +295,7 @@ def _fmt(x) -> str:
 
 
 def config_model(cfg: RunConfig) -> DiffusionModel:
-    """The model of ``cfg.alpha``; ValueError unless its tensor is positive definite."""
+    """The model of ``cfg.alpha``; ValueError, with the model's message, if it refuses."""
     a = cfg.alpha
     if a.kind == "constant":
         return constant_diffusion([[a.a11, a.a12], [a.a12, a.a22]])
@@ -299,14 +303,14 @@ def config_model(cfg: RunConfig) -> DiffusionModel:
 
 
 def config_source(cfg: RunConfig) -> SourceSpec:
-    """The source of ``cfg.source``; ValueError for a mode outside 1..N or a bad term."""
-    if not cfg.source:
-        return zero_source(cfg.N)
+    """The source of ``cfg.source``; ValueError for a bad mode or term."""
     terms = []
     for term in cfg.source:
         p, q = np.zeros(cfg.N), np.zeros(cfg.N)
         for vec, side in ((p, term.p), (q, term.q)):
             for mode, coeff in side:
+                if isinstance(mode, bool) or not isinstance(mode, (int, np.integer)):
+                    raise ValueError(f"source mode {mode!r} is not an integer")
                 if not 1 <= mode <= cfg.N:
                     raise ValueError(f"source mode {mode} outside 1..{cfg.N}")
                 vec[mode - 1] += coeff
@@ -359,18 +363,13 @@ def _write_diagnostics(out: Path, traj: Trajectory):
 # experiments
 
 
-def _problem(cfg: RunConfig):
-    """The model, source and start that the trajectory experiments run from."""
-    return config_model(cfg), config_source(cfg), initial_state(cfg)
-
-
 def _suite_rows(report, prefix):
     return [(f"{prefix}.{name}", report.trials, report.violations, report.worst_ratio[name])
             for name in sorted(report.worst_ratio)]
 
 
-def _heat_diagonal(cfg: RunConfig):
-    model, source, u0 = _problem(cfg)
+def _heat_diagonal(cfg: RunConfig, model: DiffusionModel, source: SourceSpec):
+    u0 = initial_state(cfg)
     traj = integrate(cfg.method, u0, cfg.T, cfg.n_steps, model, source)
     err = h_distance(traj.states[-1], exact_diagonal_solution(model, u0, cfg.T))
     threshold = 5e-3
@@ -382,9 +381,8 @@ def _heat_diagonal(cfg: RunConfig):
     return "key,value", rows, failures, traj
 
 
-def _anisotropic(cfg: RunConfig):
-    model, source, u0 = _problem(cfg)
-    traj = integrate(cfg.method, u0, cfg.T, cfg.n_steps, model, source)
+def _anisotropic(cfg: RunConfig, model: DiffusionModel, source: SourceSpec):
+    traj = integrate(cfg.method, initial_state(cfg), cfg.T, cfg.n_steps, model, source)
     rep = energy_audit(traj)
     gap, bound = rep.interpolant_gap, rep.rothe_bound
     failures = []
@@ -406,12 +404,11 @@ def _convergence_report(table, failures):
     return "parameter,error,observed_order", rows, failures, None
 
 
-def _convergence_h(cfg: RunConfig):
+def _convergence_h(cfg: RunConfig, model: DiffusionModel, source: SourceSpec):
     """Five step counts, n_steps / 16 up to n_steps; the observed order is
     gated where the closed form is the oracle."""
-    model, source, u0 = _problem(cfg)
     counts = tuple(cfg.n_steps // 2 ** k for k in range(4, -1, -1))
-    table = convergence_study("step", u0, cfg.T, model, source,
+    table = convergence_study("step", initial_state(cfg), cfg.T, model, source,
                               method=cfg.method, step_counts=counts)
     failures = []
     if table.closed_form:
@@ -421,15 +418,14 @@ def _convergence_h(cfg: RunConfig):
     return _convergence_report(table, failures)
 
 
-def _convergence_rank(cfg: RunConfig):
+def _convergence_rank(cfg: RunConfig, model: DiffusionModel, source: SourceSpec):
     """Ranks 1 .. r at fixed step."""
-    model, source, u0 = _problem(cfg)
-    table = convergence_study("rank", u0, cfg.T, model, source, method=cfg.method,
+    table = convergence_study("rank", initial_state(cfg), cfg.T, model, source, method=cfg.method,
                               n_steps=cfg.n_steps)
     return _convergence_report(table, [])
 
 
-def _equivalence(cfg: RunConfig):
+def _equivalence(cfg: RunConfig, model: DiffusionModel, source: SourceSpec):
     rep = equivalence_test(trials=cfg.trials, seed=cfg.seed)
     failures = []
     if not rep.passed:
@@ -437,9 +433,8 @@ def _equivalence(cfg: RunConfig):
     return "property,trials,violations,worst_ratio", _suite_rows(rep, "equivalence"), failures, None
 
 
-def _energy_audit(cfg: RunConfig):
-    model, source, u0 = _problem(cfg)
-    traj = integrate(cfg.method, u0, cfg.T, cfg.n_steps, model, source)
+def _energy_audit(cfg: RunConfig, model: DiffusionModel, source: SourceSpec):
+    traj = integrate(cfg.method, initial_state(cfg), cfg.T, cfg.n_steps, model, source)
     rep = energy_audit(traj)
     # gated on the estimates that carry a slack; rothe fails only where energy_sum does
     balance = [v for v in rep.violations if v[0] in rep.slack]
@@ -455,7 +450,7 @@ def _energy_audit(cfg: RunConfig):
     return "key,value", rows, failures, traj
 
 
-def _geometry_suites(cfg: RunConfig):
+def _geometry_suites(cfg: RunConfig, model: DiffusionModel, source: SourceSpec):
     curv = curvature_suite(cfg.N, cfg.r, cfg.trials, cfg.seed)
     proj = projection_regularity_suite(cfg.N, cfg.r, cfg.trials, cfg.seed)
     tang = tangency_suite(cfg.N, cfg.r, max(1, cfg.trials // 2), cfg.seed)
@@ -467,26 +462,26 @@ def _geometry_suites(cfg: RunConfig):
     return "property,trials,violations,worst_ratio", rows, failures, None
 
 
-def _diagonal_alpha(cfg: RunConfig):
-    if not config_model(cfg).constant_diagonal:
+def _diagonal_alpha(cfg: RunConfig, model: DiffusionModel):
+    if not model.constant_diagonal:
         raise ConfigError("heat-diagonal needs a constant diagonal alpha")
 
 
-def _distinct_step_counts(cfg: RunConfig):
+def _distinct_step_counts(cfg: RunConfig, model: DiffusionModel):
     if cfg.n_steps < 16:
         raise ConfigError("convergence-h needs n_steps >= 16 (it also runs n_steps / 16)")
 
 
 class Experiment(NamedTuple):
-    """What an experiment reads: ``run(cfg)`` returns (report header,
-    rows, failures, trajectory or None); ``reads`` maps each global key it
-    reads, besides ``experiment``, to its default; ``check`` raises
-    ConfigError for a config outside its own restrictions."""
+    """What an experiment reads: ``run(cfg, model, source)`` returns (report
+    header, rows, failures, trajectory or None); ``reads`` maps each global
+    key it reads, besides ``experiment``, to its default; ``check(cfg, model)``
+    raises ConfigError for a config outside its own restrictions."""
     run: Callable
     reads: dict
     alpha: bool = True
     source: bool = True
-    check: Callable = lambda cfg: None
+    check: Callable = lambda cfg, model: None
 
 
 def _reads(*keys, **defaults) -> dict:
@@ -529,14 +524,16 @@ class _WarningLog(logging.Handler):
 def run(cfg: RunConfig, out: str | Path = "out", quiet: bool = False) -> int:
     """Execute one experiment; writes artifacts into the directory ``out``.
 
-    Warnings the package logs during the run are written to run.log, and to
-    stderr unless ``quiet``; they do not propagate to other log handlers.
+    Every value of ``cfg`` is checked; the experiment runs what the check
+    built of what it reads, which is what run.log records.  Warnings the
+    package logs are written to run.log, and to stderr unless ``quiet``;
+    they do not propagate to other log handlers.
     Returns 2, and runs nothing, if the config fails validation or ``out``
     is empty (then nothing is made either) or if ``out`` cannot be made a
     directory.
     """
     try:
-        _validate(cfg)
+        model, source = _validate(cfg)
         if not str(out).strip():             # Path("") is the working directory
             raise ConfigError("the output directory must not be empty")
         out = Path(out)
@@ -554,7 +551,7 @@ def run(cfg: RunConfig, out: str | Path = "out", quiet: bool = False) -> int:
     logger.addHandler(warnings)
     logger.propagate = False
     try:
-        report_header, report_rows, failures, traj = EXPERIMENTS[cfg.experiment].run(cfg)
+        header, rows, failures, traj = EXPERIMENTS[cfg.experiment].run(cfg, model, source)
     except (RankDeficiencyError, InnerSolveError, np.linalg.LinAlgError) as exc:
         log_lines += warnings.lines
         log_lines.append(f"numerical failure: {exc}")
@@ -570,8 +567,8 @@ def run(cfg: RunConfig, out: str | Path = "out", quiet: bool = False) -> int:
     if traj is not None:
         _write_trajectory(out, traj)
         _write_diagnostics(out, traj)
-    _write_csv(out / "report.csv", report_header, report_rows)
-    for row in report_rows:
+    _write_csv(out / "report.csv", header, rows)
+    for row in rows:
         log_lines.append("  ".join(_fmt(x) for x in row))
     log_lines += warnings.lines
     status = 1 if failures else 0

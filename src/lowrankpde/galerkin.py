@@ -213,6 +213,8 @@ def h_norm(state):
     of them for a stack, one BLAS dot per matrix."""
     coeffs = state.core if isinstance(state, LowRankState) else np.asarray(state)
     if coeffs.ndim <= 2:
+        # norm sums in memory order, the stack path in index order: they round
+        # apart on a transposed core, as an ALS step's (r_w.T) is
         return float(np.linalg.norm(coeffs))
     return np.sqrt(_squared_norms(coeffs))
 

@@ -12,6 +12,7 @@ import pytest
 
 import lowrankpde
 from lowrankpde import analysis, galerkin, manifold, stepping
+from lowrankpde.cli import parse_config, serialize_config
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = (analysis, galerkin, manifold, stepping)
@@ -187,6 +188,25 @@ def test_artifact_diff_raises_on_a_rejected_config(tmp_path):
     assert done.returncode == 1 and done.stdout == ""
     assert "RuntimeError" in done.stderr and "config error: N must be >= 1" in done.stderr
     assert not (tmp_path / "out").exists()
+
+
+def test_artifact_diff_variants_are_serialized_configs():
+    # each variant is a RunConfig written by serialize_config, so its text
+    # parses back to itself; the module runs in a child because
+    # variant_text's import of measuring pins BLAS threads for the process
+    child = ("import json, sys; sys.path.insert(0, sys.argv[1]); import artifact_diff as d; "
+             "print(json.dumps([d.CONFIGS, {n: d.variant_text(n) for n in d.VARIANTS}]))")
+    done = subprocess.run([sys.executable, "-c", child, str(ROOT / "bench")],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    configs, texts = json.loads(done.stdout)
+    assert configs == ["anisotropic", "convergence-rank", "energy-audit", "geometry-suites",
+                       "anisotropic-splitting", "anisotropic-reference",
+                       "energy-audit-homogeneous", "energy-audit-splitting", "heat-diagonal",
+                       "convergence-h", "equivalence"]
+    assert list(texts) == configs[4:]
+    for name, text in texts.items():
+        assert serialize_config(parse_config(text)) == text, name
 
 
 def test_artifact_diff_reports_each_differing_column(tmp_path):

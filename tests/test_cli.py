@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from lowrankpde import analysis
-from lowrankpde.cli import (EXPERIMENTS, AlphaSpec, ConfigError, RunConfig, SourceTermSpec,
+from lowrankpde.cli import (EXPERIMENTS, METHODS, AlphaSpec, ConfigError, RunConfig, SourceTermSpec,
                             config_model, config_source, main, parse_config, run,
                             serialize_config)
 from lowrankpde.galerkin import GalerkinOperator, rhs_mean_factors
@@ -111,7 +111,7 @@ def test_alpha_accepted_only_if_the_model_accepts_it():
         try:
             cfg = parse_config(text)
         except ConfigError as err:
-            assert str(err) == "line 3: alpha is not positive definite"
+            assert str(err) == "line 3: bad [alpha]: diffusion tensor is not positive definite"
         else:
             config_model(cfg)
 
@@ -325,6 +325,14 @@ def test_run_writes_artifacts(tmp_path):
     assert "status: 0" in log and "passed" in log
 
 
+@pytest.mark.parametrize("method", METHODS)
+def test_heat_diagonal_runs_every_method(tmp_path, method):
+    # the closed form starts from the factored start, also where the
+    # reference method integrates its dense copy
+    cfg = dataclasses.replace(parse_config(QUICK_HEAT), method=method)
+    assert run(cfg, tmp_path / "out", quiet=True) == 0
+
+
 def test_run_anisotropic_reference(tmp_path):
     # the reference method keeps dense states, which the audit, the
     # interpolant gap and the trajectory writer read as they are
@@ -410,16 +418,23 @@ def test_energy_audit_rows_report_their_own_checks(tmp_path, monkeypatch, violat
     (RunConfig(experiment="geometry-suites", N=8, r=2, trials=0), "trials must be >= 1"),
     (RunConfig(experiment="heat-diagnoal"), "unknown experiment 'heat-diagnoal'"),
     (RunConfig(experiment="heat-diagonal", N=8, r=2, alpha=AlphaSpec(a11=-1.0)),
-     "alpha is not positive definite"),
+     "bad [alpha]: diffusion tensor is not positive definite"),
     (RunConfig(experiment="anisotropic", N=8, r=2, alpha=AlphaSpec(kind="foo")),
      "unknown alpha kind 'foo'"),
     (RunConfig(experiment="anisotropic", N=8, r=2,
-               alpha=AlphaSpec(kind="rotation", lambda1=-1.0)), "alpha is not positive definite"),
+               alpha=AlphaSpec(kind="rotation", lambda1=-1.0)),
+     "bad [alpha]: diffusion tensor is not positive definite"),
+    (RunConfig(experiment="anisotropic", N=8, r=2,
+               alpha=AlphaSpec(kind="rotation", omega=math.inf)),
+     "bad [alpha]: omega must be finite, got inf"),
     (RunConfig(experiment="heat-diagonal", T=math.inf), "T must be positive and finite"),
     (RunConfig(experiment="heat-diagonal", T=True), "T must be positive and finite"),
     (RunConfig(experiment="heat-diagonal", n_steps=2.5), "n_steps must be an integer"),
     (RunConfig(experiment="heat-diagonal", n_steps=True), "n_steps must be an integer"),
     (RunConfig(experiment="anisotropic", N=8, r=2, source=(
+        SourceTermSpec("constant", math.inf, 0.0, ((1, 1.0),), ((1, 1.0),)),)),
+     "bad [source]: time profile scale must be finite, got inf"),
+    (RunConfig(experiment="heat-diagonal", N=8, r=2, source=(
         SourceTermSpec("constant", math.inf, 0.0, ((1, 1.0),), ((1, 1.0),)),)),
      "bad [source]: time profile scale must be finite, got inf"),
     (RunConfig(experiment="anisotropic", N=8, r=2, source=(
@@ -428,9 +443,16 @@ def test_energy_audit_rows_report_their_own_checks(tmp_path, monkeypatch, violat
     (RunConfig(experiment="anisotropic", N=8, r=2, source=(
         SourceTermSpec("quadratic", 1.0, 0.0, ((1, 1.0),), ((1, 1.0),)),)),
      "bad [source]: unknown time profile 'quadratic'; expected 'constant', 'linear' or 'cosine'"),
-], ids=["method", "trials", "experiment", "alpha-a11", "alpha-kind", "alpha-lambda1", "T-inf",
-        "T-bool", "n_steps-fraction", "n_steps-bool", "source-scale-inf", "source-coeff-nan",
-        "source-profile"])
+    (RunConfig(experiment="anisotropic", N=8, r=2, source=(
+        SourceTermSpec("constant", 1.0, 0.0, ((1.5, 1.0),), ((1, 1.0),)),)),
+     "bad [source]: source mode 1.5 is not an integer"),
+    (RunConfig(experiment="anisotropic", N=8, r=2, source=(
+        SourceTermSpec("constant", 1.0, 0.0, ((1, 1.0),), ((True, 1.0),)),)),
+     "bad [source]: source mode True is not an integer"),
+], ids=["method", "trials", "experiment", "alpha-a11", "alpha-kind", "alpha-lambda1",
+        "alpha-omega-inf", "T-inf", "T-bool", "n_steps-fraction", "n_steps-bool",
+        "source-scale-inf", "source-unread-scale-inf", "source-coeff-nan", "source-profile",
+        "source-mode-fraction", "source-mode-bool"])
 def test_run_validates_the_config(tmp_path, capsys, cfg, message):
     # a config built in code is checked like a parsed one: exit 2, even
     # when quiet, before the output directory is made
@@ -438,6 +460,37 @@ def test_run_validates_the_config(tmp_path, capsys, cfg, message):
     assert run(cfg, out, quiet=True) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("text", [
+    QUICK_HEAT, "experiment = anisotropic\nN = 8\nr = 2\nT = 0.05\nn_steps = 5\n"
+                "[source]\nterm = constant:1.0 | p = 1:1.0 | q = 2:1.0\n"],
+    ids=["heat-diagonal", "anisotropic"])
+def test_run_builds_the_model_and_source_once(tmp_path, monkeypatch, text):
+    # run checks the config by building its model and source, and the
+    # experiment runs those: one build of each per run
+    import lowrankpde.cli as cli_mod
+    cfg = parse_config(text)
+    calls = []
+    for name in ("config_model", "config_source"):
+        build = getattr(cli_mod, name)
+        monkeypatch.setattr(cli_mod, name,
+                            lambda cfg, build=build, name=name: calls.append(name) or build(cfg))
+    assert run(cfg, tmp_path / "out", quiet=True) == 0
+    assert calls == ["config_model", "config_source"]
+
+
+def test_run_integrates_only_what_the_experiment_reads(tmp_path):
+    # heat-diagonal does not read [source]: a source term on a code-built
+    # config is checked (test_run_validates_the_config) but not run, so the
+    # artifacts, run.log included, are those of the config without it
+    cfg = parse_config(QUICK_HEAT)
+    term = SourceTermSpec("constant", 5.0, 0.0, ((1, 1.0),), ((1, 1.0),))
+    assert run(cfg, tmp_path / "plain", quiet=True) == 0
+    assert run(dataclasses.replace(cfg, source=(term,)), tmp_path / "source", quiet=True) == 0
+    for name in ("trajectory.csv", "diagnostics.csv", "report.csv", "run.log"):
+        assert (tmp_path / "plain" / name).read_bytes() == \
+            (tmp_path / "source" / name).read_bytes(), name
 
 
 def test_run_is_byte_reproducible(tmp_path):
