@@ -175,6 +175,11 @@ def _parse_term(value: str, line: int) -> SourceTermSpec:
 
 def parse_config(text: str) -> RunConfig:
     """Parse and validate a config; raises ConfigError with a line number."""
+    return _parse(text)[0]
+
+
+def _parse(text: str):
+    """:func:`parse_config`, returning ``(cfg, model, source)`` as ``_validate`` built them."""
     raw: dict = {None: {}, "alpha": {}}          # section -> {key: (text, line)}
     headers: dict = {}                           # section -> line of its first header
     terms: list = []
@@ -217,12 +222,12 @@ def parse_config(text: str) -> RunConfig:
 
     cfg = RunConfig(**{**exp.reads, **_convert(_GLOBALS, raw[None])},
                     alpha=AlphaSpec(**_convert(_ALPHA, raw["alpha"])), source=tuple(terms))
-    _validate(cfg, alpha_line=min((l for _, l in raw["alpha"].values()), default=None))
+    built = _validate(cfg, alpha_line=min((l for _, l in raw["alpha"].values()), default=None))
     for key, (_, lineno) in raw["alpha"].items():
         if key != "kind" and key not in _ALPHA_KINDS[cfg.alpha.kind]:
             raise ConfigError(f"{key!r} is not a parameter of alpha kind {cfg.alpha.kind!r}",
                               lineno)
-    return cfg
+    return (cfg, *built)
 
 
 def _validate(cfg: RunConfig, alpha_line: int | None = None):
@@ -532,8 +537,13 @@ def run(cfg: RunConfig, out: str | Path = "out", quiet: bool = False) -> int:
     is empty (then nothing is made either) or if ``out`` cannot be made a
     directory.
     """
+    return _run(cfg, lambda: _validate(cfg), out, quiet)
+
+
+def _run(cfg: RunConfig, build, out: str | Path, quiet: bool) -> int:
+    """:func:`run`, whose check ``build()`` returns the model and source or raises."""
     try:
-        model, source = _validate(cfg)
+        model, source = build()
         if not str(out).strip():             # Path("") is the working directory
             raise ConfigError("the output directory must not be empty")
         out = Path(out)
@@ -603,11 +613,11 @@ def main(argv=None) -> int:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
     try:
-        cfg = parse_config(text)
+        cfg, *built = _parse(text)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return run(cfg, args.out, args.quiet)
+    return _run(cfg, lambda: built, args.out, args.quiet)
 
 
 if __name__ == "__main__":

@@ -35,11 +35,9 @@ __all__ = [
     "exact_diagonal_solution",
     "h_distance",
     "h_norm",
-    "operator_matrix",
     "rhs_mean_factors",
     "rotating_diffusion",
     "separable_source",
-    "v_dual_norm",
     "v_norm",
     "zero_source",
 ]
@@ -193,20 +191,6 @@ def apply_operator(op: GalerkinOperator, a: np.ndarray, coeffs: np.ndarray) -> n
     return apply_a1(op, a, coeffs) + apply_a2(op, a, coeffs)
 
 
-def operator_matrix(op: GalerkinOperator, a: np.ndarray) -> np.ndarray:
-    """Dense N^2-by-N^2 matrix of :func:`apply_operator` for the (2, 2)
-    tensor ``a``, acting on column-major vectorized coefficients."""
-    n = op.basis_dim
-    eye = np.eye(n)
-    stiff = op.stiffness_1d
-    g = op.grad_coupling_1d
-    mat = a[0, 0] * np.kron(eye, stiff) + a[1, 1] * np.kron(stiff, eye)
-    c = a[0, 1] + a[1, 0]
-    if c != 0.0:
-        mat -= c * np.kron(g, g)   # vec(G Y G) = (G^T kron G) vec(Y), G skew
-    return mat
-
-
 def h_norm(state):
     """L2 norm of the represented function = Frobenius norm of coefficients,
     the core's for a ``LowRankState`` (its factors are orthonormal); an array
@@ -255,12 +239,6 @@ def v_norm(state):
     else:
         norms = np.sqrt(np.sum((lam[:, None] + lam) * state * state, axis=(-2, -1)))
     return float(norms) if norms.ndim == 0 else norms
-
-
-def v_dual_norm(coeffs: np.ndarray) -> float:
-    """Dual norm with reciprocal gradient weights."""
-    lam = _stiffness_diag(coeffs.shape[-1])
-    return float(np.sqrt(np.sum(coeffs * coeffs / (lam[:, None] + lam))))
 
 
 # ---------------------------------------------------------------------------

@@ -63,11 +63,9 @@ __all__ = [
     "StepOptions",
     "Trajectory",
     "als_variational_step",
-    "galerkin_residual",
     "integrate",
     "reference_step",
     "splitting_euler_step",
-    "step_objective",
 ]
 
 log = logging.getLogger(__name__)
@@ -299,27 +297,6 @@ class _Step:
                            f"rank collapse during {('left', 'right')[own_axis]} refactorization")
         value = float((self.anchor_sq - np.vdot(y, rhs)) / (2.0 * h))
         return self.frame(basis, own_axis), r_block.dot(evecs.T), iterations, value
-
-
-def step_objective(u: LowRankState, u_prev: LowRankState, h: float, t_next: float,
-                   f_factors, op: GalerkinOperator, model: DiffusionModel) -> float:
-    """Value of the implicit-step objective F at ``u`` anchored at ``u_prev``,
-    for the source mean ``P @ Q.T`` given as ``f_factors = (P, Q)``."""
-    step = _Step(op, model, h, t_next, u_prev, f_factors)
-    return step.objective(u.core, *step.frames(u))
-
-
-def galerkin_residual(u_next: LowRankState, u_prev: LowRankState, h: float,
-                      t_next: float, f_factors, op: GalerkinOperator,
-                      model: DiffusionModel) -> float:
-    """Norm of the step defect tested against the tangent space at u_next.
-
-    The defect (u_next - u_prev)/h + A(t_next) u_next - P Q^T is projected
-    onto the tangent space of the new state; its Frobenius norm equals the
-    norm of the residual functional in any orthonormal tangent basis.
-    """
-    step = _Step(op, model, h, t_next, u_prev, f_factors)
-    return step.residual(u_next.core, *step.frames(u_next))
 
 
 def _state_change(u, s, v, u_new, r_k, v_new, r_w) -> float:

@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from dense_oracles import mode_state
 from lowrankpde.analysis import (curvature_suite, convergence_study, energy_audit,
                                  equivalence_test,
                                  projection_regularity_suite, sample_spd_tensor,
@@ -18,7 +19,7 @@ from lowrankpde.analysis import (curvature_suite, convergence_study, energy_audi
 from lowrankpde.cli import main, parse_config
 from lowrankpde.galerkin import (TimeProfile, build_operator, constant_diffusion, h_norm,
                                  rotating_diffusion, separable_source, zero_source)
-from lowrankpde.manifold import DEFAULT_RANK_FLOOR, LowRankState, factorize, to_dense
+from lowrankpde.manifold import DEFAULT_RANK_FLOOR, factorize, to_dense
 from lowrankpde.stepping import (StepOptions, als_variational_step, integrate,
                                  reference_step)
 
@@ -26,18 +27,6 @@ from lowrankpde.stepping import (StepOptions, als_variational_step, integrate,
 def _report(criterion: int, passed: bool, detail: str):
     print(f"[criterion {criterion}] {'PASS' if passed else 'FAIL'} — {detail}")
     assert passed, f"criterion {criterion}: {detail}"
-
-
-def mode_state(n, entries):
-    r = len(entries)
-    u1 = np.zeros((n, r))
-    u2 = np.zeros((n, r))
-    core = np.zeros((r, r))
-    for k, (i, c) in enumerate(entries):
-        u1[i, k] = 1.0
-        u2[i, k] = 1.0
-        core[k, k] = c
-    return LowRankState(u1, core, u2)
 
 
 def test_criterion_1_single_sweep_equals_splitting():

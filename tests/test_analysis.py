@@ -12,6 +12,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from dense_oracles import mode_state, v_dual_norm
 from lowrankpde import analysis
 from lowrankpde.analysis import (PropertyReport, _spectral_distances, convergence_study,
                                  curvature_suite,
@@ -20,22 +21,9 @@ from lowrankpde.analysis import (PropertyReport, _spectral_distances, convergenc
                                  sample_spd_tensor, sample_state, tangency_suite)
 from lowrankpde.galerkin import (GalerkinOperator, TimeProfile, build_operator,
                                  constant_diffusion, cosine_profile, h_norm, rhs_mean_factors,
-                                 rotating_diffusion, separable_source, v_dual_norm, v_norm,
-                                 zero_source)
+                                 rotating_diffusion, separable_source, v_norm, zero_source)
 from lowrankpde.manifold import LowRankState, singular_values, to_dense
 from lowrankpde.stepping import StepDiagnostics, Trajectory, integrate
-
-
-def mode_state(n, entries):
-    r = len(entries)
-    u1 = np.zeros((n, r))
-    u2 = np.zeros((n, r))
-    core = np.zeros((r, r))
-    for k, (i, c) in enumerate(entries):
-        u1[i, k] = 1.0
-        u2[i, k] = 1.0
-        core[k, k] = c
-    return LowRankState(u1, core, u2)
 
 
 # ---------------------------------------------------------------------------
@@ -119,7 +107,7 @@ def test_energy_audit_inequality_recomputed_from_trajectory():
     rep = energy_audit(traj)
     assert rep.passed, rep.violations
 
-    from lowrankpde.galerkin import h_norm, rhs_mean_factors, v_dual_norm, v_norm
+    from lowrankpde.galerkin import h_norm, rhs_mean_factors, v_norm
     h = traj.step_size
     dense = [to_dense(s) for s in traj.states]
     lhs = h_norm(dense[-1]) ** 2

@@ -1,6 +1,7 @@
-"""The package's public surface: one export list, and the bench scripts that
-import it."""
+"""The package's public surface: one export list, each name of it read
+outside the tests, and the bench scripts that import it."""
 
+import ast
 import importlib.util
 import json
 import re
@@ -24,6 +25,27 @@ def test_package_exports_the_module_lists():
     for module in MODULES:
         for name in module.__all__:
             assert getattr(lowrankpde, name) is getattr(module, name), name
+
+
+#: The node fields that read a name: identifiers, attributes, imported names.
+READS = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+
+
+def test_every_export_has_a_reader_outside_the_tests():
+    """Each name in ``lowrankpde.__all__`` is read by the package's modules
+    (``__init__`` aside), the bench scripts or perfbench (its tests aside), as
+    an identifier, attribute or imported name; a string, such as an
+    ``__all__`` entry or a docstring, is no read.  A name only the tests read
+    is an oracle and belongs in ``tests/dense_oracles.py``.  The check goes
+    by name alone, so an unread function that shares its name with a read
+    attribute passes: it would have missed ``galerkin_residual``, which is
+    also a ``StepDiagnostics`` field."""
+    files = [path for path in (ROOT / "src" / "lowrankpde").glob("*.py")
+             if path.name != "__init__.py"]
+    files += [*(ROOT / "bench").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+    read = {getattr(node, READS[type(node)]) for path in files
+            for node in ast.walk(ast.parse(path.read_text())) if type(node) in READS}
+    assert [name for name in lowrankpde.__all__ if name not in read] == []
 
 
 #: The flags each bench script's ``--help`` lists.

@@ -462,21 +462,28 @@ def test_run_validates_the_config(tmp_path, capsys, cfg, message):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("text", [
-    QUICK_HEAT, "experiment = anisotropic\nN = 8\nr = 2\nT = 0.05\nn_steps = 5\n"
-                "[source]\nterm = constant:1.0 | p = 1:1.0 | q = 2:1.0\n"],
-    ids=["heat-diagonal", "anisotropic"])
-def test_run_builds_the_model_and_source_once(tmp_path, monkeypatch, text):
+@pytest.mark.parametrize("entry, text", [
+    ("run", QUICK_HEAT),
+    ("run", "experiment = anisotropic\nN = 8\nr = 2\nT = 0.05\nn_steps = 5\n"
+            "[source]\nterm = constant:1.0 | p = 1:1.0 | q = 2:1.0\n"),
+    ("main", QUICK_HEAT)],
+    ids=["heat-diagonal", "anisotropic", "main-heat-diagonal"])
+def test_run_builds_the_model_and_source_once(tmp_path, monkeypatch, entry, text):
     # run checks the config by building its model and source, and the
-    # experiment runs those: one build of each per run
+    # experiment runs those: one build of each per run; main runs what its
+    # parse of the file built, so it builds no more than run
     import lowrankpde.cli as cli_mod
     cfg = parse_config(text)
+    path = _write(tmp_path, text)
     calls = []
     for name in ("config_model", "config_source"):
         build = getattr(cli_mod, name)
         monkeypatch.setattr(cli_mod, name,
                             lambda cfg, build=build, name=name: calls.append(name) or build(cfg))
-    assert run(cfg, tmp_path / "out", quiet=True) == 0
+    if entry == "run":
+        assert run(cfg, tmp_path / "out", quiet=True) == 0
+    else:
+        assert main(["run", path, "--quiet", "--out", str(tmp_path / "out")]) == 0
     assert calls == ["config_model", "config_source"]
 
 

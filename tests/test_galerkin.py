@@ -15,11 +15,12 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
+from dense_oracles import operator_matrix, v_dual_norm
 from lowrankpde.galerkin import (DiffusionModel, TimeProfile, apply_a1, apply_a2,
                                  apply_operator, build_operator, constant_diffusion,
                                  cosine_profile, exact_diagonal_solution, h_distance, h_norm,
-                                 operator_matrix, rhs_mean_factors, rotating_diffusion,
-                                 separable_source, v_dual_norm, v_norm, zero_source)
+                                 rhs_mean_factors, rotating_diffusion, separable_source,
+                                 v_norm, zero_source)
 from lowrankpde.manifold import LowRankState, factorize, qr_nonneg, to_dense
 
 # one-dimensional Gauss nodes on (0, 1); 200 points integrate products of

@@ -13,28 +13,18 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import LinearOperator, cg
 
+from dense_oracles import galerkin_residual, mode_state, operator_matrix, step_objective
 from lowrankpde import manifold, stepping
+from lowrankpde.analysis import sample_state
 from lowrankpde.galerkin import (TimeProfile, build_operator, constant_diffusion,
-                                 cosine_profile, operator_matrix, rhs_mean_factors,
+                                 cosine_profile, rhs_mean_factors,
                                  rotating_diffusion, separable_source, zero_source)
 from lowrankpde.manifold import (DEFAULT_RANK_FLOOR, LowRankState, RankDeficiencyError,
                                  factorize, qr_nonneg, singular_values, tangent_project,
                                  to_dense)
 from lowrankpde.stepping import (METHODS, StepOptions, _forward_splitting_step, _state_change,
-                                 _Step, als_variational_step, galerkin_residual, integrate,
-                                 reference_step, splitting_euler_step, step_objective)
-
-def mode_state(n, entries):
-    """Rank-len(entries) state with coefficient c on the (i, i) mode pair."""
-    r = len(entries)
-    u1 = np.zeros((n, r))
-    u2 = np.zeros((n, r))
-    core = np.zeros((r, r))
-    for k, (i, c) in enumerate(entries):
-        u1[i, k] = 1.0
-        u2[i, k] = 1.0
-        core[k, k] = c
-    return LowRankState(u1, core, u2)
+                                 _Step, als_variational_step, integrate, reference_step,
+                                 splitting_euler_step)
 
 
 def random_state(rng, n, r):
@@ -313,6 +303,33 @@ def test_als_beats_anchor_objective():
     for opts in (StepOptions(), StepOptions(als_max_sweeps=1)):
         u1, _ = als_variational_step(u0, h, h, (f, np.eye(n)), op, model, opts)
         assert step_objective(u1, u0, h, h, (f, np.eye(n)), op, model) < start
+
+
+def test_als_step_can_stop_at_a_stationary_point_above_the_minimizer():
+    # ALS from the anchor guarantees F decrease and a stationary point, not
+    # the minimizer of F over the rank-r set (ROADMAP item 20).  On this
+    # strongly mixed step both the package's step and ALS from the rank-r
+    # truncation of the unconstrained step converge (residual at roundoff),
+    # and the package's F is the higher one; seed and h are those of the
+    # probe that found the case
+    n, r, h = 16, 3, 0.3
+    op, model = build_operator(n), constant_diffusion([[1.0, 0.45], [0.45, 0.5]])
+    u0 = sample_state(np.random.default_rng(1), n, r)
+    pair = rhs_mean_factors(zero_source(n), 0.0, h)
+    _, diag = als_variational_step(u0, h, h, pair, op, model)
+    y, _ = reference_step(to_dense(u0), h, h, np.zeros((n, n)), op, model)
+    step = _Step(op, model, h, h, u0, pair)
+    start = factorize(y, r)
+    (left, right), core = step.frames(start), start.core
+    for _ in range(2000):
+        left, r_k, _, _ = step.half_sweep(0, right, left, core)
+        right, r_w, _, _ = step.half_sweep(1, left, right, r_k.T)
+        core = r_w.T
+    value = step.objective(core, left, right)
+    assert diag.galerkin_residual <= 1e-10
+    assert step.residual(core, left, right) <= 1e-10
+    assert diag.sweeps_used < 100
+    assert (diag.objective_value - value) / abs(value) > 1e-5
 
 
 def test_galerkin_residual_is_projected_defect():
