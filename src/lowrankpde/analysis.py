@@ -193,9 +193,7 @@ def energy_audit(traj: Trajectory) -> EnergyReport:
     # so |f_i|^2 = c_i^T M c_i with the (m, m) Gram M of the terms in H or V*;
     # the V* Gram sums over the N x N weights 1 / (lam_a + lam_b), built in
     # place a chunk of columns (at most _CHUNK_BYTES) at a time
-    m, n = len(source.terms), source.basis_dim
-    p = np.array([term[1] for term in source.terms]).reshape(m, n)
-    q = np.array([term[2] for term in source.terms]).reshape(m, n)
+    (m, n), p, q = source.p.shape, source.p, source.q
     gram_dual = np.zeros((m, m))
     if m:
         lam, width = _stiffness_diag(n), max(1, _CHUNK_BYTES // (8 * n))
@@ -206,7 +204,7 @@ def energy_audit(traj: Trajectory) -> EnergyReport:
             parts.append(np.sum(pp[..., j:j + width] * (qq @ weights), axis=-1))
             del weights                 # so the next chunk is not built beside it
         gram_dual = np.add.reduce(parts)
-    means = np.array([[profile.mean(t_a, t_b) for profile, _, _ in source.terms]
+    means = np.array([[profile.mean(t_a, t_b) for profile in source.profiles]
                       for t_a, t_b in zip(traj.times, traj.times[1:])])
     fd2 = np.sum((means @ gram_dual) * means, axis=1)
     fh2 = np.sum((means @ ((p @ p.T) * (q @ q.T))) * means, axis=1)
@@ -247,7 +245,7 @@ def energy_audit(traj: Trajectory) -> EnergyReport:
 
     hn = np.sqrt(hn2)       # without a source the H norm may not rise
     violations += [("h_norm_monotonicity", i, float(hn[i] - hn[i - 1])) for i in range(1, len(hn))
-                   if not source.terms and hn[i] > hn[i - 1] * (1 + 1e-12)]
+                   if not source.profiles and hn[i] > hn[i - 1] * (1 + 1e-12)]
 
     return EnergyReport(h_norms_sq=hn2, v_norms_sq=vn2, diff_quotients_sq=dq2, f_dual_norms_sq=fd2,
                         f_h_norms_sq=fh2, objectives=objectives, objective_anchors=anchors,
@@ -482,7 +480,7 @@ def convergence_study(axis: str, u0: LowRankState, T: float, model: DiffusionMod
         raise ValueError(f"unknown axis {axis!r}")
     if axis == "step" and (len(step_counts) == 0 or len(set(step_counts)) < len(step_counts)):
         raise ValueError(f"step_counts must be distinct and nonempty, got {tuple(step_counts)}")
-    closed_form = model.constant_diagonal and not source.terms
+    closed_form = model.constant_diagonal and not source.profiles
     if closed_form:
         oracle = exact_diagonal_solution(model, u0, T)
     else:

@@ -450,7 +450,7 @@ def _energy_audit(cfg: RunConfig, model: DiffusionModel, source: SourceSpec):
     rows = [("experiment", cfg.experiment), ("method", cfg.method),
             *((f"slack_{name}", value) for name, value in rep.slack.items()),
             ("budget", rep.budget), ("passed", not failures)]
-    if not source.terms:
+    if not source.profiles:
         rows.append(("h_norm_nonincreasing", not rises))
     return "key,value", rows, failures, traj
 

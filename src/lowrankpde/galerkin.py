@@ -288,22 +288,27 @@ def cosine_profile(c: float, omega: float) -> TimeProfile:
 
 @dataclass(frozen=True, eq=False)
 class SourceSpec:
-    """Finite sum of separable terms ``profile(t) * outer(p, q)``."""
+    """Sum of the m separable terms ``profiles[k](t) * outer(p[k], q[k])``;
+    the blocks ``p`` and ``q`` are (m, N), read-only, term k in row k."""
 
-    basis_dim: int
-    terms: tuple
+    profiles: tuple
+    p: np.ndarray
+    q: np.ndarray
+
+    @property
+    def basis_dim(self) -> int:
+        return self.p.shape[1]
 
 
 def zero_source(basis_dim: int) -> SourceSpec:
-    return SourceSpec(basis_dim, ())
+    return separable_source(basis_dim, ())
 
 
 def separable_source(basis_dim: int, terms) -> SourceSpec:
     """Build a source from (TimeProfile, p, q) triples of finite N-vectors."""
     packed = []
     for k, (profile, p, q) in enumerate(terms):
-        p = np.asarray(p, dtype=float)
-        q = np.asarray(q, dtype=float)
+        p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)
         if not isinstance(profile, TimeProfile):
             raise TypeError(f"source profile of term {k} must be a TimeProfile, "
                             f"got {type(profile).__name__}")
@@ -313,20 +318,17 @@ def separable_source(basis_dim: int, terms) -> SourceSpec:
             if not np.isfinite(factor).all():
                 raise ValueError(f"source factor {name} of term {k} must be finite")
         packed.append((profile, p, q))
-    return SourceSpec(basis_dim, tuple(packed))
+    p, q = (np.array([term[j] for term in packed]).reshape(len(packed), basis_dim) for j in (1, 2))
+    p.flags.writeable = q.flags.writeable = False
+    return SourceSpec(tuple(term[0] for term in packed), p, q)
 
 
 def rhs_mean_factors(source: SourceSpec, t_a: float, t_b: float):
-    """Factor pair ``(P, Q)`` of the source's exact interval mean, which is
-    ``P @ Q.T``.  Both are (N, m) for m terms: column k of P is the left
-    vector of term k times its profile mean, column k of Q its right vector.
-    A source without terms gives (N, 0) factors."""
-    n, m = source.basis_dim, len(source.terms)
-    p_mat, q_mat = np.empty((n, m)), np.empty((n, m))
-    for k, (profile, p, q) in enumerate(source.terms):
-        p_mat[:, k] = profile.mean(t_a, t_b) * p
-        q_mat[:, k] = q
-    return p_mat, q_mat
+    """Factor pair ``(P, Q)`` of the source's exact interval mean ``P @ Q.T``:
+    (N, m) transposed views of the stored ``p``, row k scaled by profile k's
+    mean, and of the read-only ``q``; (N, 0) for a source without terms."""
+    means = np.array([profile.mean(t_a, t_b) for profile in source.profiles])
+    return (means[:, None] * source.p).T, source.q.T
 
 
 # ---------------------------------------------------------------------------

@@ -521,8 +521,8 @@ def integrate(method: str, u0, T: float, n_steps: int, model: DiffusionModel,
     diagnostics = []
     halted = None
     for i in range(n_steps):
-        t0, t1 = i * h, (i + 1) * h
-        f_pair = rhs_mean_factors(source, t0, t1)
+        t1 = (i + 1) * h
+        f_pair = rhs_mean_factors(source, i * h, t1)
         try:
             if method == "als":
                 state, diag = als_variational_step(states[-1], h, t1, f_pair, op, model, opts)

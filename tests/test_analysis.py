@@ -254,11 +254,10 @@ def test_energy_audit_source_gram_in_column_chunks(monkeypatch, width):
         f = p_mat @ q_mat.T
         assert rep.f_dual_norms_sq[k - 1] == pytest.approx(v_dual_norm(f) ** 2, rel=1e-12)
     if width == n:
-        p = np.array([term[1] for term in src.terms])
-        q = np.array([term[2] for term in src.terms])
+        p, q = src.p, src.q
         weights = 1.0 / np.add.outer(op.stiffness_diag, op.stiffness_diag)
         gram = np.sum((p[:, None] * p) * ((q[:, None] * q) @ weights), axis=-1)
-        means = np.array([[prof.mean(a, b) for prof, _, _ in src.terms]
+        means = np.array([[prof.mean(a, b) for prof in src.profiles]
                           for a, b in zip(traj.times, traj.times[1:])])
         assert np.array_equal(rep.f_dual_norms_sq, np.sum((means @ gram) * means, axis=1))
 

@@ -513,7 +513,7 @@ def test_source_value_and_mean():
     q = np.array([0.0, 1.0, 0.0, 0.0])
     src = separable_source(n, [(cosine_profile(1.5, 2.0), p, q)])
     t = 0.25
-    profile, p_term, q_term = src.terms[0]
+    (profile,), (p_term,), (q_term,) = src.profiles, src.p, src.q
     np.testing.assert_allclose(profile.value(t) * np.outer(p_term, q_term),
                                1.5 * np.cos(2.0 * t) * np.outer(p, q), atol=1e-13)
     a, b = 0.1, 0.4
@@ -537,9 +537,34 @@ def test_rhs_mean_factors_reproduce_the_interval_mean():
     np.testing.assert_allclose(p_mat @ q_mat.T, oracle, rtol=0, atol=1e-12)
 
 
+def test_rhs_mean_factors_scale_the_stored_rows_and_cannot_write_the_source():
+    # column k of P is c_k p_k bitwise for profile k's mean c_k, and column
+    # k of Q is q_k; writing into either factor cannot reach the source
+    rng = np.random.default_rng(5)
+    n = 7
+    profiles = [TimeProfile("constant", 1.3), TimeProfile("linear", 0.8),
+                cosine_profile(2.0, 3.5)]
+    vectors = [(rng.standard_normal(n), rng.standard_normal(n)) for _ in profiles]
+    src = separable_source(n, [(pr, p, q) for pr, (p, q) in zip(profiles, vectors)])
+    stored = src.p.copy(), src.q.copy()
+    p_mat, q_mat = rhs_mean_factors(src, 0.3, 0.9)
+    for k, (pr, (p, q)) in enumerate(zip(profiles, vectors)):
+        assert np.array_equal(p_mat[:, k], pr.mean(0.3, 0.9) * p)
+        assert np.array_equal(q_mat[:, k], q)
+    p_mat[...] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        q_mat[...] = 0.0
+    for block in (src.p, src.q):
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0] = 0.0
+    for p, q in vectors:             # nor can the vectors it was built from
+        p[:], q[:] = 0.0, 0.0
+    assert np.array_equal(src.p, stored[0]) and np.array_equal(src.q, stored[1])
+
+
 def test_zero_source():
     src = zero_source(5)
-    assert src.terms == ()
+    assert src.profiles == () and src.p.shape == src.q.shape == (0, 5)
     p_mat, q_mat = rhs_mean_factors(src, 0.0, 1.0)
     assert p_mat.shape == q_mat.shape == (5, 0)
     np.testing.assert_array_equal(p_mat @ q_mat.T, np.zeros((5, 5)))

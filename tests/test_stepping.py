@@ -388,7 +388,7 @@ def test_factored_objective_and_residual_match_dense_formulas(n, a12):
                                (TimeProfile("constant", 0.2), rng.standard_normal(n) * weight,
                                 rng.standard_normal(n) * weight)])
     pair = rhs_mean_factors(src, 0.0, h)
-    f = sum(prof.mean(0.0, h) * np.outer(p, q) for prof, p, q in src.terms)
+    f = sum(prof.mean(0.0, h) * np.outer(p, q) for prof, p, q in zip(src.profiles, src.p, src.q))
     u_prev = smooth_state(rng, n, r, 0.1)
     u = smooth_state(rng, n, r, 0.1)
     y, y_prev = to_dense(u), to_dense(u_prev)
