@@ -269,17 +269,19 @@ class TimeProfile:
         return self.scale * math.cos(self.omega * t)
 
     def mean(self, t_a: float, t_b: float) -> float:
-        """Exact average over [t_a, t_b] (midpoint value for linear)."""
+        """Exact average over [t_a, t_b] (midpoint value for linear).  The
+        cosine's is cos(omega m) sin(x) / x for the midpoint m and x = omega
+        (t_b - t_a) / 2, which keeps its relative accuracy as x -> 0, where
+        the difference of sines cancels; sin(x) / x is 1 once x rounds to 0."""
         if t_b <= t_a:
             raise ValueError("interval must have positive length")
         if self.kind == "constant":
             return self.scale
         if self.kind == "linear":
             return self.scale * 0.5 * (t_a + t_b)
-        if self.omega == 0.0:
-            return self.scale
-        return self.scale * (math.sin(self.omega * t_b) - math.sin(self.omega * t_a)) \
-            / (self.omega * (t_b - t_a))
+        x = 0.5 * self.omega * (t_b - t_a)
+        sinc = math.sin(x) / x if x != 0.0 else 1.0
+        return self.scale * math.cos(0.5 * self.omega * (t_a + t_b)) * sinc
 
 
 def cosine_profile(c: float, omega: float) -> TimeProfile:

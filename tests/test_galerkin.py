@@ -507,6 +507,17 @@ def test_profile_means_match_quadrature(profile, fn):
         assert profile.value(0.37) == pytest.approx(fn(0.37), rel=1e-12)
 
 
+@pytest.mark.parametrize("omega,a,h", [(1.0, 1.0, 1e-9), (10.0, 3.0, 1e-7), (1e-300, 0.0, 1e-30)])
+def test_cosine_mean_keeps_its_accuracy_on_short_intervals(omega, a, h):
+    # against the Taylor form c cos(omega m) (1 - x^2/6 + x^4/120) of the mean,
+    # x = omega h / 2: the difference of sines loses about eps / (omega h) on
+    # the first two intervals, and on the last omega h underflows to 0
+    b = a + h
+    x = 0.5 * omega * (b - a)
+    taylor = 1.5 * math.cos(0.5 * omega * (a + b)) * (1.0 - x * x / 6.0 + x ** 4 / 120.0)
+    assert cosine_profile(1.5, omega).mean(a, b) == pytest.approx(taylor, rel=1e-14, abs=0.0)
+
+
 def test_source_value_and_mean():
     n = 4
     p = np.array([1.0, 0.0, 2.0, 0.0])
