@@ -165,6 +165,15 @@ class Trajectory:
 # one implicit step on factored states
 
 
+def _finite_alpha(model: DiffusionModel, t: float) -> np.ndarray:
+    """The tensor at t, where a step evaluates it; ValueError naming t if an
+    entry is not finite, before any solve reads it."""
+    a = model.alpha(t)
+    if not np.isfinite(a).all():
+        raise ValueError(f"alpha(t = {t:.6g}) has a non-finite entry: {np.asarray(a).tolist()}")
+    return a
+
+
 class _Frame(NamedTuple):
     """An orthonormal (N, r) factor block of one axis with its compressions:
     lam_t = basis^T L, the (r, N) block that lam = lam_t basis = basis^T L
@@ -192,7 +201,7 @@ class _Step:
     def __init__(self, op: GalerkinOperator, model: DiffusionModel, h: float,
                  t_next: float, anchor: LowRankState, f_factors):
         self.op, self.h, self.anchor = op, h, anchor
-        self.alpha = a = model.alpha(t_next)
+        self.alpha = a = _finite_alpha(model, t_next)
         self.mixed = a[0, 1] + a[1, 0]
         (p, q), s0, r = f_factors, anchor.core, anchor.rank
         m = p.shape[1]
@@ -320,7 +329,8 @@ def _pcg(apply, denom: np.ndarray, rhs: np.ndarray, x0: np.ndarray, image: np.nd
     given with its ``image`` apply(x0) and updated in place.  Step for step
     the arithmetic of scipy's ``cg`` on the row-major flattened blocks
     (``vdot`` of C-ordered blocks is ``dot`` of their ``ravel()``), so a zero
-    start reproduces it bitwise.  Returns (X, iterations)."""
+    start reproduces it bitwise.  A residual norm that is not finite raises
+    InnerSolveError at once.  Returns (X, iterations)."""
     rhs_norm = math.sqrt(np.vdot(rhs, rhs))
     if rhs_norm == 0.0:
         return np.zeros_like(rhs), 0
@@ -329,8 +339,12 @@ def _pcg(apply, denom: np.ndarray, rhs: np.ndarray, x0: np.ndarray, image: np.nd
     maxiter = max(1000, 20 * rhs.size)
     p = rho_prev = None
     for iterations in range(maxiter):
-        if math.sqrt(np.vdot(r, r)) < stop:
+        r_norm = math.sqrt(np.vdot(r, r))
+        if r_norm < stop:
             return x, iterations
+        if not math.isfinite(r_norm):
+            raise InnerSolveError(f"conjugate gradient residual is {r_norm} at iteration "
+                                  f"{iterations}")
         z = r / denom
         rho = np.vdot(r, z)
         p = z if p is None else z + (rho / rho_prev) * p
@@ -356,9 +370,10 @@ def reference_step(y_prev: np.ndarray, h: float, t_next: float, f_mean: np.ndarr
     image Y_i + h A Y_i reuses the product F(Y_i) needs, so no iterate lies
     above F(Y_i); every operator application reads the tensor evaluated
     once.  Returns (state, diagnostics); the objective and the defect norm
-    are evaluated densely, and ``sigma_r`` and ``sigma_1`` are NaN.
+    are evaluated densely, and ``sigma_r`` and ``sigma_1`` are NaN.  A
+    tensor with a non-finite entry at t_next raises ValueError.
     """
-    alpha = model.alpha(t_next)
+    alpha = _finite_alpha(model, t_next)
     lam = op.stiffness_diag
     denom = 1.0 + h * (alpha[0, 0] * lam[:, None] + alpha[1, 1] * lam[None, :])
     y_prev = np.asarray(y_prev, dtype=float)
@@ -478,12 +493,16 @@ def integrate(method: str, u0, T: float, n_steps: int, model: DiffusionModel,
     manifold methods the trajectory monitor halts once the step record has
     sigma_r < DEFAULT_RANK_FLOOR * sigma_1, recording the halt index; the
     start must sit safely above that floor, with sigma_r > 0, and is one
-    state, not a stack, with finite entries.
+    state, not a stack, with finite entries.  ``opts`` is a StepOptions or
+    None.  A ValueError (a tensor that is not finite at t_next among them)
+    or InnerSolveError raised in a step gets the step index and t prefixed.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     if not isinstance(source, SourceSpec):
         raise TypeError("source must be a SourceSpec; pass zero_source(N) for no source")
+    if opts is not None and not isinstance(opts, StepOptions):
+        raise TypeError(f"opts must be a StepOptions or None, got {type(opts).__name__}")
     if isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral) or n_steps < 1:
         raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
     if isinstance(T, bool) or not 0 < T < math.inf:
@@ -531,7 +550,7 @@ def integrate(method: str, u0, T: float, n_steps: int, model: DiffusionModel,
             else:
                 state, diag = reference_step(states[-1], h, t1, f_pair[0] @ f_pair[1].T,
                                              op, model)
-        except (RankDeficiencyError, InnerSolveError) as exc:
+        except (ValueError, InnerSolveError) as exc:   # RankDeficiencyError is a ValueError
             exc.args = (f"step {i + 1} (t = {t1:.6g}): {exc.args[0] if exc.args else ''}",)
             raise
         times.append(t1)

@@ -16,7 +16,7 @@ from scipy.sparse.linalg import LinearOperator, cg
 from dense_oracles import galerkin_residual, mode_state, operator_matrix, step_objective
 from lowrankpde import manifold, stepping
 from lowrankpde.analysis import sample_state
-from lowrankpde.galerkin import (TimeProfile, build_operator, constant_diffusion,
+from lowrankpde.galerkin import (DiffusionModel, TimeProfile, build_operator, constant_diffusion,
                                  cosine_profile, rhs_mean_factors,
                                  rotating_diffusion, separable_source, zero_source)
 from lowrankpde.manifold import (DEFAULT_RANK_FLOOR, LowRankState, RankDeficiencyError,
@@ -953,6 +953,51 @@ def test_integrate_error_mentions_step(monkeypatch):
     monkeypatch.setattr(stepping, "DEFAULT_RANK_FLOOR", 0.0)   # disable the graceful monitor
     with pytest.raises(RankDeficiencyError, match="step .*rank collapse during"):
         integrate("als", u0, 40.0, 200, model, zero_source(8))
+
+
+def _alpha_turning_nan(a12, entries):
+    """A model whose tensor [[1, a12], [a12, 0.5]] has NaN ``entries`` after t = 0.25."""
+    def alpha(t):
+        a = np.array([[1.0, a12], [a12, 0.5]])
+        for i, j in entries if t > 0.25 else ():
+            a[i, j] = math.nan
+        return a
+    return DiffusionModel(alpha, mu=0.4, beta=1.1, lipschitz_t=1.0)
+
+
+@pytest.mark.parametrize("a12,entries", [(0.0, ((0, 0),)), (0.2, ((0, 1), (1, 0))),
+                                         (0.2, ((0, 0), (0, 1), (1, 0), (1, 1)))],
+                         ids=["diagonal", "mixed", "all"])
+@pytest.mark.parametrize("method", METHODS)
+def test_integrate_fails_the_step_that_reads_a_non_finite_tensor(method, a12, entries):
+    # step 3 is the first at t > 0.25: it fails naming its index and t before
+    # any solve reads the tensor, where the reference step would return NaN
+    # states, eigh would fail unnamed, and CG would run to its iteration cap
+    u0 = mode_state(8, [(0, 1.0), (1, 0.5)])
+    start = u0 if method != "reference" else to_dense(u0)
+    with pytest.raises(ValueError, match=r"step 3 \(t = 0\.3\): alpha\(t = 0\.3\) has a non-finite"):
+        integrate(method, start, 0.5, 5, _alpha_turning_nan(a12, entries), zero_source(8))
+
+
+def test_pcg_stops_at_a_residual_that_is_not_finite():
+    calls = []
+
+    def apply(x):
+        calls.append(1)
+        return np.full_like(x, math.nan)
+
+    rhs = np.ones((6, 2))
+    with pytest.raises(stepping.InnerSolveError, match="residual is nan at iteration 1"):
+        stepping._pcg(apply, np.ones_like(rhs), rhs, np.zeros_like(rhs), np.zeros_like(rhs))
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("method", METHODS)
+def test_integrate_rejects_options_that_are_not_step_options(method):
+    u0 = mode_state(6, [(0, 1.0)])
+    start = u0 if method != "reference" else to_dense(u0)
+    with pytest.raises(TypeError, match="opts must be a StepOptions or None, got int"):
+        integrate(method, start, 0.1, 2, constant_diffusion(np.eye(2)), zero_source(6), 5)
 
 
 def test_integrate_with_source_matches_reference_at_full_rank():
