@@ -170,7 +170,7 @@ def _finite_alpha(model: DiffusionModel, t: float) -> np.ndarray:
     entry is not finite, before any solve reads it."""
     a = model.alpha(t)
     if not np.isfinite(a).all():
-        raise ValueError(f"alpha(t = {t:.6g}) has a non-finite entry: {np.asarray(a).tolist()}")
+        raise ValueError(f"alpha(t = {t:.6g}) has a non-finite entry: {a.tolist()}")
     return a
 
 
