@@ -7,9 +7,11 @@ algebra on stacks of trials, a chunk at a time; numpy runs a stacked call
 slice by slice through the same LAPACK/BLAS routine, so a report is the same
 to the last bit for any chunking.  Norms stay one BLAS dot per trial, and a
 chunk of trials stays within a fixed memory budget (``_CHUNK_BYTES``).
-Reports carry the worst observed ratio (observed quantity over its proven
-bound); a passing suite has every ratio at most 1 up to a 1e-9 slack for
-roundoff.
+Each check is one array expression over a chunk's trials, its ratio
+(observed quantity over its proven bound) one entry per trial, and
+``_tally`` folds a chunk's ratio arrays into the report at once.  Reports
+carry each check's worst ratio and the count of ratios above 1 + 1e-9, the
+slack for roundoff; a passing suite has none.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ from typing import Optional
 
 import numpy as np
 
-from .galerkin import (DiffusionModel, SourceSpec, TimeProfile, _stiffness_diag, apply_a1,
-                       apply_a2, build_operator, constant_diffusion, exact_diagonal_solution,
-                       h_distance, h_norm, rhs_mean_factors, rotating_diffusion,
-                       separable_source, v_norm, zero_source)
+from .galerkin import (DiffusionModel, SourceSpec, TimeProfile, _check_integer, _stiffness_diag,
+                       apply_a1, apply_a2, build_operator, constant_diffusion,
+                       exact_diagonal_solution, h_distance, h_norm, rhs_mean_factors,
+                       rotating_diffusion, separable_source, v_norm, zero_source)
 from .manifold import (LowRankState, factorize, qr_nonneg, singular_values, tangent_project,
                        to_dense)
 from .stepping import Trajectory, _forward_splitting_step, integrate, splitting_euler_step
@@ -92,10 +94,11 @@ def sample_spd_tensor(rng: np.random.Generator) -> np.ndarray:
     return rot.T @ np.diag(lam) @ rot
 
 
-def _ratio(observed: float, bound: float) -> float:
-    if bound <= 0.0:
-        return 0.0 if observed <= 1e-14 else math.inf
-    return observed / bound
+def _ratio(observed, bound) -> np.ndarray:
+    """``observed / bound`` elementwise; where the bound is <= 0, 0 if the
+    observed value is at most 1e-14 and inf otherwise."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(bound <= 0.0, np.where(observed <= 1e-14, 0.0, math.inf), observed / bound)
 
 
 # ---------------------------------------------------------------------------
@@ -270,12 +273,12 @@ def _chunks(basis_dim: int, rank: int, trials: int, seed: int, groups: int = 1):
     """Check a geometry suite's arguments, then yield ``(group, rngs)`` over
     chunks of the trials k with k % groups == group; ``rngs`` holds each
     trial's stream ``default_rng([seed, k])``."""
-    if basis_dim < 1:
-        raise ValueError(f"basis_dim must be >= 1, got {basis_dim}")
-    if not 1 <= rank <= basis_dim:
+    _check_integer("basis_dim", basis_dim, 1)
+    _check_integer("rank", rank, 1)
+    if rank > basis_dim:
         raise ValueError(f"rank must lie in [1, basis_dim={basis_dim}], got {rank}")
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_integer("trials", trials, 1)
+    _check_integer("seed", seed, 0)
     per_trial = _STACKED_PER_TRIAL * 8 * basis_dim ** 2 + _TRIAL_BYTES
     step = groups * max(1, _CHUNK_BYTES // per_trial)
     for group in range(groups):
@@ -294,13 +297,15 @@ def _spectral_distances(u: LowRankState, v: LowRankState) -> np.ndarray:
     return np.linalg.norm(block, 2, axis=(-2, -1))
 
 
-def _tally(report: PropertyReport, rows: list) -> None:
-    """Fold per-trial ratio dicts into ``report``; max and count ignore trial order."""
-    for ratios in rows:
-        for name, r in ratios.items():
-            report.worst_ratio[name] = max(report.worst_ratio[name], r)
-            if r > 1.0 + _RATIO_SLACK:
-                report.violations += 1
+def _tally(report: PropertyReport, ratios: dict) -> PropertyReport:
+    """Fold ``{name: ratio array}`` into ``report`` and return it: each name's
+    worst ratio (from 0.0, so an empty array leaves it at 0.0) and one
+    violation per ratio above 1 + _RATIO_SLACK.  Max and count ignore trial
+    order."""
+    for name, r in ratios.items():
+        report.worst_ratio[name] = float(np.max(r, initial=report.worst_ratio.get(name, 0.0)))
+        report.violations += int(np.count_nonzero(r > 1.0 + _RATIO_SLACK))
+    return report
 
 
 def curvature_suite(basis_dim: int, rank: int, trials: int, seed: int) -> PropertyReport:
@@ -314,22 +319,18 @@ def curvature_suite(basis_dim: int, rank: int, trials: int, seed: int) -> Proper
     get tight, odd ones an independent second state.
     """
     n = basis_dim
-    report = PropertyReport(trials, 0, dict.fromkeys(
-        ("projector_diff_spectral", "projector_diff_frobenius", "normal_component"), 0.0))
+    report = PropertyReport(trials, 0, {})
     for odd, rngs in _chunks(n, rank, trials, seed, groups=2):
         u = sample_state(rngs, n, rank)
         v = sample_state(rngs, n, rank) if odd else sample_nearby_state(rngs, u)
         z = _each(rngs, lambda g: g.standard_normal((n, n)))
         du = to_dense(u) - to_dense(v)
-        cols = (singular_values(u)[:, -1],
-                h_norm(tangent_project(u, z) - tangent_project(v, z)), h_norm(z),
-                _spectral_distances(u, v), h_norm(du),
-                h_norm(du - tangent_project(v, du)))
-        _tally(report, [
-            {"projector_diff_spectral": _ratio(lhs, 2.0 / sig * spec * zn),
-             "projector_diff_frobenius": _ratio(lhs, 2.0 / sig * dn * zn),
-             "normal_component": _ratio(normal, dn ** 2 / sig)}
-            for sig, lhs, zn, spec, dn, normal in zip(*(c.tolist() for c in cols))])
+        sig, zn, dn = singular_values(u)[:, -1], h_norm(z), h_norm(du)
+        lhs = h_norm(tangent_project(u, z) - tangent_project(v, z))
+        _tally(report, {
+            "projector_diff_spectral": _ratio(lhs, 2.0 / sig * _spectral_distances(u, v) * zn),
+            "projector_diff_frobenius": _ratio(lhs, 2.0 / sig * dn * zn),
+            "normal_component": _ratio(h_norm(du - tangent_project(v, du)), dn ** 2 / sig)})
     return report
 
 
@@ -348,35 +349,27 @@ def projection_regularity_suite(basis_dim: int, rank: int, trials: int,
     model = rotating_diffusion(1.0, 0.25, 1.0)
     lam = op.stiffness_diag
     mixed_w = np.outer(lam, lam)
-    report = PropertyReport(trials, 0, dict.fromkeys(
-        ("projection_v_bound", "factor_regularity", "mixed_seminorm", "a2_h_norm"), 0.0))
+    report = PropertyReport(trials, 0, {})
     for _, rngs in _chunks(n, rank, trials, seed):
         u = sample_state(rngs, n, rank)
         y = to_dense(u)
         z = _each(rngs, lambda g: g.standard_normal((n, n)))
         a = np.array([model.alpha(g.uniform(0.0, 2.0 * math.pi)) for g in rngs])
-        # singular factors as rows, so each seminorm sums one contiguous row
+        # singular factors as rows (left or right, trial, triple, mode), copied
+        # contiguous so each seminorm sums its row in memory order
         w1, svals, w2t = np.linalg.svd(u.core)
-        left = np.ascontiguousarray((u.u1_factors @ w1).mT)
-        right = np.ascontiguousarray((u.u2_factors @ w2t.mT).mT)
-        cols = (svals[:, -1], v_norm(y), v_norm(z), v_norm(tangent_project(u, z)), svals,
-                np.sqrt(np.sum(lam * left ** 2, axis=-1)),
-                np.sqrt(np.sum(lam * right ** 2, axis=-1)),
-                np.sqrt(np.sum(mixed_w * y * y, axis=(-2, -1))),
-                a[:, 0, 1], h_norm(apply_a2(op, a, y)))
-        rows = []
-        for sig, vn, vz, vp, sv, semi1, semi2, mixed, a12, a2n in zip(
-                *(c.tolist() for c in cols)):
+        factors = np.ascontiguousarray(np.stack((u.u1_factors @ w1, u.u2_factors @ w2t.mT)).mT)
+        sig, vn, a12 = svals[:, -1], v_norm(y), a[:, 0, 1]
+        _tally(report, {
+            "projection_v_bound": _ratio(v_norm(tangent_project(u, z)),
+                                         np.sqrt(1.0 + rank * vn ** 2 / sig ** 2) * v_norm(z)),
             # per singular triple: gradient seminorm of the factor <= |u|_V / sigma_k
-            fr = max([0.0] + [_ratio(s, vn / sv[j]) for j in range(rank)
-                              for s in (semi1[j], semi2[j])])
-            rows.append({"projection_v_bound": _ratio(
-                             vp, math.sqrt(1.0 + rank * vn ** 2 / sig ** 2) * vz),
-                         "factor_regularity": fr,
-                         "mixed_seminorm": _ratio(mixed, rank * vn ** 2 / sig)})
-            if abs(a12) > 1e-12:
-                rows[-1]["a2_h_norm"] = _ratio(a2n, 2.0 * rank * abs(a12) / sig * vn ** 2)
-        _tally(report, rows)
+            "factor_regularity": np.max(_ratio(np.sqrt(np.sum(lam * factors ** 2, axis=-1)),
+                                               vn[:, None] / svals), axis=(0, 2)),
+            "mixed_seminorm": _ratio(np.sqrt(np.sum(mixed_w * y * y, axis=(-2, -1))),
+                                     rank * vn ** 2 / sig),
+            "a2_h_norm": _ratio(h_norm(apply_a2(op, a, y)),
+                                2.0 * rank * np.abs(a12) / sig * vn ** 2)[np.abs(a12) > 1e-12]})
     return report
 
 
@@ -392,23 +385,22 @@ def tangency_suite(basis_dim: int, rank: int, trials: int, seed: int) -> Propert
     n = basis_dim
     op = build_operator(n)
     model = rotating_diffusion(1.0, 0.25, 1.0)
-    report = PropertyReport(trials, 0, dict.fromkeys(
-        ("a1_tangency", "state_reproduction", "a1_projected_pairing"), 0.0))
+    report = PropertyReport(trials, 0, {})
     for _, rngs in _chunks(n, rank, trials, seed):
         u = sample_state(rngs, n, rank)
         a = np.array([model.alpha(g.uniform(0.0, 1.0)) for g in rngs])
         z = _each(rngs, lambda g: g.standard_normal((n, n)))
         y = to_dense(u)
         a1u = apply_a1(op, a, y)
-        cols = (h_norm(a1u - tangent_project(u, a1u)), h_norm(a1u),
-                h_norm(tangent_project(u, y) - y), h_norm(y),
-                np.sum(a1u * z, axis=(-2, -1)),
-                np.sum(a1u * tangent_project(u, z), axis=(-2, -1)))
-        _tally(report, [
-            {"a1_tangency": _ratio(defect / max(a1n, np.finfo(float).tiny), 1e-10),
-             "state_reproduction": _ratio(rep / max(yn, 1e-300), 1e-12),
-             "a1_projected_pairing": _ratio(abs(full - proj) / max(abs(full), 1e-300), 1e-10)}
-            for defect, a1n, rep, yn, full, proj in zip(*(c.tolist() for c in cols))])
+        full = np.sum(a1u * z, axis=(-2, -1))
+        proj = np.sum(a1u * tangent_project(u, z), axis=(-2, -1))
+        _tally(report, {
+            "a1_tangency": _ratio(h_norm(a1u - tangent_project(u, a1u))
+                                  / np.maximum(h_norm(a1u), np.finfo(float).tiny), 1e-10),
+            "state_reproduction": _ratio(h_norm(tangent_project(u, y) - y)
+                                         / np.maximum(h_norm(y), 1e-300), 1e-12),
+            "a1_projected_pairing": _ratio(np.abs(full - proj)
+                                           / np.maximum(np.abs(full), 1e-300), 1e-10)})
     return report
 
 
@@ -437,9 +429,9 @@ def equivalence_test(trials: int = 50, seed: int = 0) -> PropertyReport:
     relative Frobenius gap of 1e-10 per randomized configuration, read from
     the factors.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
-    report = PropertyReport(trials, 0, {"single_sweep_vs_splitting": 0.0})
+    _check_integer("trials", trials, 1)
+    _check_integer("seed", seed, 0)
+    gaps = np.empty(trials)
     for k in range(trials):
         rng = np.random.default_rng([seed, k])
         basis_dim = int(rng.integers(4, 17))
@@ -459,10 +451,9 @@ def equivalence_test(trials: int = 50, seed: int = 0) -> PropertyReport:
         f_pair = rhs_mean_factors(source, 0.0, t1)
         split_state, _ = splitting_euler_step(u0, h, t1, f_pair, op, model)
         forward_state = _forward_splitting_step(u0, h, t1, f_pair, op, model)
-        gap = h_distance(split_state, forward_state) / max(h_norm(forward_state),
-                                                            np.finfo(float).tiny)
-        _tally(report, [{"single_sweep_vs_splitting": _ratio(gap, 1e-10)}])
-    return report
+        gaps[k] = h_distance(split_state, forward_state) / max(h_norm(forward_state),
+                                                                np.finfo(float).tiny)
+    return _tally(PropertyReport(trials, 0, {}), {"single_sweep_vs_splitting": _ratio(gaps, 1e-10)})
 
 
 def convergence_study(axis: str, u0: LowRankState, T: float, model: DiffusionModel,

@@ -157,9 +157,17 @@ class GalerkinOperator:
 def build_operator(basis_dim: int) -> GalerkinOperator:
     """Operator for modes 1..basis_dim; only the stiffness vector is built
     here, the dense blocks on first read (see :class:`GalerkinOperator`)."""
-    if isinstance(basis_dim, bool) or not isinstance(basis_dim, numbers.Integral) or basis_dim < 1:
-        raise ValueError(f"basis_dim must be an integer >= 1, got {basis_dim!r}")
+    _check_integer("basis_dim", basis_dim, 1)
     return GalerkinOperator(basis_dim, _stiffness_diag(basis_dim))
+
+
+def _check_integer(name: str, value, low: int) -> None:
+    """Raise a ValueError naming ``name`` unless ``value`` is an integer (not
+    a bool) of at least ``low``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 def _stiffness_diag(basis_dim: int) -> np.ndarray:
@@ -261,13 +269,6 @@ class TimeProfile:
             if not math.isfinite(value):
                 raise ValueError(f"time profile {name} must be finite, got {value!r}")
 
-    def value(self, t: float) -> float:
-        if self.kind == "constant":
-            return self.scale
-        if self.kind == "linear":
-            return self.scale * t
-        return self.scale * math.cos(self.omega * t)
-
     def mean(self, t_a: float, t_b: float) -> float:
         """Exact average over [t_a, t_b] (midpoint value for linear).  The
         cosine's is cos(omega m) sin(x) / x for the midpoint m and x = omega
@@ -308,6 +309,7 @@ def zero_source(basis_dim: int) -> SourceSpec:
 
 def separable_source(basis_dim: int, terms) -> SourceSpec:
     """Build a source from (TimeProfile, p, q) triples of finite N-vectors."""
+    _check_integer("basis_dim", basis_dim, 1)
     packed = []
     for k, (profile, p, q) in enumerate(terms):
         p, q = np.asarray(p, dtype=float), np.asarray(q, dtype=float)

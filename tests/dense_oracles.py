@@ -1,11 +1,14 @@
 """Oracles the tests compare the package against: a diagonal mode state, the
-dense N^2-by-N^2 operator, the V* dual norm, and the step objective and
-tangent residual evaluated afresh from a state, which the steppers record in
-``StepDiagnostics`` from blocks they already hold."""
+dense N^2-by-N^2 operator, the V* dual norm, a time profile's pointwise value,
+and the step objective and tangent residual evaluated afresh from a state,
+which the steppers record in ``StepDiagnostics`` from blocks they already
+hold."""
+
+import math
 
 import numpy as np
 
-from lowrankpde.galerkin import DiffusionModel, GalerkinOperator, _stiffness_diag
+from lowrankpde.galerkin import DiffusionModel, GalerkinOperator, TimeProfile, _stiffness_diag
 from lowrankpde.manifold import LowRankState
 from lowrankpde.stepping import _Step
 
@@ -41,6 +44,15 @@ def v_dual_norm(coeffs: np.ndarray) -> float:
     """Dual norm with reciprocal gradient weights."""
     lam = _stiffness_diag(coeffs.shape[-1])
     return float(np.sqrt(np.sum(coeffs * coeffs / (lam[:, None] + lam))))
+
+
+def profile_value(profile: TimeProfile, t: float) -> float:
+    """Value at time ``t`` of the profile whose interval means the steppers read."""
+    if profile.kind == "constant":
+        return profile.scale
+    if profile.kind == "linear":
+        return profile.scale * t
+    return profile.scale * math.cos(profile.omega * t)
 
 
 def step_objective(u: LowRankState, u_prev: LowRankState, h: float, t_next: float,

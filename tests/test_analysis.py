@@ -612,6 +612,37 @@ def test_property_report_passed_flag():
     assert PropertyReport(trials=5, violations=0, worst_ratio={}).passed
 
 
+def test_ratio_applies_the_zero_bound_rule_elementwise():
+    # a bound <= 0 reads 0 up to an observed 1e-14 and inf above it
+    observed = np.array([0.0, 1e-14, 1e-14, 2e-14, 2e-14, 3.0])
+    bound = np.array([0.0, 0.0, -1.0, 0.0, -1.0, 2.0])
+    assert analysis._ratio(observed, bound).tolist() == [0.0, 0.0, 0.0, math.inf, math.inf, 1.5]
+
+
+def test_tally_keeps_the_worst_ratio_and_counts_each_ratio_above_the_slack():
+    slack = analysis._RATIO_SLACK
+    report = analysis._tally(PropertyReport(4, 0, {}), {
+        "a": np.array([0.5, 1.0 + slack, 1.0 + 4 * slack]), "b": np.array([])})
+    assert report.worst_ratio == {"a": 1.0 + 4 * slack, "b": 0.0} and report.violations == 1
+    analysis._tally(report, {"a": np.array([0.25]), "b": np.array([0.75, 3.0])})
+    assert list(report.worst_ratio) == ["a", "b"]
+    assert report.worst_ratio == {"a": 1.0 + 4 * slack, "b": 3.0} and report.violations == 2
+
+
+def test_projection_suite_without_a_mixed_term_leaves_a2_h_norm_at_zero(monkeypatch):
+    # a diagonal tensor gives every chunk an empty a2_h_norm mask; the draws
+    # and the other ratios stay those of the rotating tensor
+    rotating = projection_regularity_suite(8, 2, 40, seed=4)
+    monkeypatch.setattr(analysis, "rotating_diffusion",
+                        lambda *args: constant_diffusion(np.diag([1.0, 0.25])))
+    monkeypatch.setattr(analysis, "_CHUNK_BYTES", 1)          # one trial per chunk
+    diagonal = projection_regularity_suite(8, 2, 40, seed=4)
+    assert rotating.worst_ratio["a2_h_norm"] > 0.0
+    assert list(diagonal.worst_ratio) == list(rotating.worst_ratio)
+    assert diagonal.worst_ratio == {**rotating.worst_ratio, "a2_h_norm": 0.0}
+    assert diagonal.violations == rotating.violations == 0
+
+
 # ---------------------------------------------------------------------------
 # convergence studies
 

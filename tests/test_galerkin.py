@@ -15,7 +15,7 @@ import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
-from dense_oracles import operator_matrix, v_dual_norm
+from dense_oracles import operator_matrix, profile_value, v_dual_norm
 from lowrankpde.galerkin import (DiffusionModel, TimeProfile, apply_a1, apply_a2,
                                  apply_operator, build_operator, constant_diffusion,
                                  cosine_profile, exact_diagonal_solution, h_distance, h_norm,
@@ -148,6 +148,16 @@ def test_build_operator_rejects_non_integral_sizes():
             build_operator(size)
     op = build_operator(np.int64(4))
     assert op.basis_dim == 4 and op.stiffness_diag.shape == (4,)
+
+
+def test_sources_reject_a_bad_basis_dim():
+    # the check build_operator makes, with a message that names the argument
+    for size in (0, -1, True, 2.5):
+        with pytest.raises(ValueError, match="^basis_dim must be"):
+            zero_source(size)
+        with pytest.raises(ValueError, match="^basis_dim must be"):
+            separable_source(size, [(TimeProfile("constant", 1.0), [1.0], [1.0])])
+    assert zero_source(np.int64(3)).basis_dim == 3
 
 
 def test_grad_coupling_builds_without_full_size_temporaries():
@@ -504,7 +514,7 @@ def test_profile_means_match_quadrature(profile, fn):
     for (a, b) in [(0.0, 0.1), (0.3, 0.9), (1.0, 1.001)]:
         oracle = quad(fn, a, b)[0] / (b - a)
         assert profile.mean(a, b) == pytest.approx(oracle, rel=1e-9, abs=1e-12)
-        assert profile.value(0.37) == pytest.approx(fn(0.37), rel=1e-12)
+        assert profile_value(profile, 0.37) == pytest.approx(fn(0.37), rel=1e-12)
 
 
 @pytest.mark.parametrize("omega,a,h", [(1.0, 1.0, 1e-9), (10.0, 3.0, 1e-7), (1e-300, 0.0, 1e-30)])
@@ -525,7 +535,7 @@ def test_source_value_and_mean():
     src = separable_source(n, [(cosine_profile(1.5, 2.0), p, q)])
     t = 0.25
     (profile,), (p_term,), (q_term,) = src.profiles, src.p, src.q
-    np.testing.assert_allclose(profile.value(t) * np.outer(p_term, q_term),
+    np.testing.assert_allclose(profile_value(profile, t) * np.outer(p_term, q_term),
                                1.5 * np.cos(2.0 * t) * np.outer(p, q), atol=1e-13)
     a, b = 0.1, 0.4
     oracle = quad(lambda s: 1.5 * np.cos(2.0 * s), a, b)[0] / (b - a)
@@ -543,7 +553,7 @@ def test_rhs_mean_factors_reproduce_the_interval_mean():
     a, b = 0.3, 0.9
     p_mat, q_mat = rhs_mean_factors(src, a, b)
     assert p_mat.shape == q_mat.shape == (n, 3)
-    oracle = sum(quad(lambda t: pr.value(t), a, b)[0] / (b - a) * np.outer(p, q)
+    oracle = sum(quad(lambda t: profile_value(pr, t), a, b)[0] / (b - a) * np.outer(p, q)
                  for pr, (p, q) in zip(profiles, vectors))
     np.testing.assert_allclose(p_mat @ q_mat.T, oracle, rtol=0, atol=1e-12)
 

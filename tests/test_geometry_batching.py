@@ -9,6 +9,7 @@ any chunk size.
 """
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -123,6 +124,9 @@ CASES = {
     "curvature": ((8, 2, 80, 3), curvature_suite, loop_curvature),
     "projection": ((8, 3, 80, 4), projection_regularity_suite, loop_projection),
     "tangency": ((8, 2, 60, 5), tangency_suite, loop_tangency),
+    # at N = 16 the worst factor_regularity rounds apart if a seminorm sums a
+    # strided row instead of a contiguous one
+    "projection-16": ((16, 3, 40, 2), projection_regularity_suite, loop_projection),
 }
 
 
@@ -160,22 +164,28 @@ def test_sample_state_stack_equals_single_draws():
 
 
 SUITES = {
-    "curvature": lambda n, r, t: curvature_suite(n, r, t, 1),
-    "projection": lambda n, r, t: projection_regularity_suite(n, r, t, 1),
-    "tangency": lambda n, r, t: tangency_suite(n, r, t, 1),
+    "curvature": lambda n, r, t, seed=1: curvature_suite(n, r, t, seed),
+    "projection": lambda n, r, t, seed=1: projection_regularity_suite(n, r, t, seed),
+    "tangency": lambda n, r, t, seed=1: tangency_suite(n, r, t, seed),
 }
 
 
 @pytest.mark.parametrize("args, name", [((8, 2, 0), "trials"), ((8, 2, -3), "trials"),
                                         ((0, 1, 5), "basis_dim"), ((4, 6, 3), "rank"),
-                                        ((4, 0, 3), "rank")])
+                                        ((4, 0, 3), "rank"), ((8, 2, True), "trials"),
+                                        ((8.0, 2, 3), "basis_dim"), ((8, 2.5, 3), "rank"),
+                                        ((8, 2, 3, -1), "seed"), ((8, 2, 3, True), "seed"),
+                                        ((8, 2, 3, 1.0), "seed")])
 @pytest.mark.parametrize("suite", sorted(SUITES))
 def test_suites_reject_bad_arguments(suite, args, name):
-    with pytest.raises(ValueError, match=name):
+    with pytest.raises(ValueError, match=f"^{name} must ") as err:
         SUITES[suite](*args)
-    if name == "trials":                         # the equivalence harness says the same
-        with pytest.raises(ValueError, match=f"^trials must be >= 1, got {args[2]}$"):
-            equivalence_test(trials=args[2])
+    if name == "trials" and args[2] is not True:
+        assert str(err.value) == f"trials must be >= 1, got {args[2]}"
+    if name in ("trials", "seed"):               # the equivalence harness says the same
+        trials, seed = (*args, 1)[2:4]          # seed 1 unless given, as in SUITES
+        with pytest.raises(ValueError, match=f"^{re.escape(str(err.value))}$"):
+            equivalence_test(trials, seed)
 
 
 @pytest.mark.parametrize("n, trials", [(128, 24), (4, 6000)])
