@@ -134,10 +134,11 @@ class EnergyReport:
     """Per-step ledger, the audited inequality slacks and the Rothe gap.
 
     Arrays are indexed by state (0..n) or by step (1..n).  ``slack`` maps
-    each balance estimate to max(0, lhs - rhs); an estimate passes when its
-    slack stays under the residual-based ``budget``.  ``interpolant_gap``
-    is (h/3) sum |u_i - u_{i-1}|^2 and ``rothe_bound`` its cap, h/3 times
-    the balance's right-hand side.  ``violations`` holds (name, step, excess).
+    each balance estimate to max(0, lhs - rhs), NaN kept; an estimate passes
+    when its slack is at most the residual-based ``budget``, so NaN fails.
+    ``interpolant_gap`` is (h/3) sum |u_i - u_{i-1}|^2 and ``rothe_bound``
+    its cap, h/3 times the balance's right-hand side.  ``violations`` holds
+    (name, step, excess).
     """
 
     h_norms_sq: np.ndarray
@@ -225,8 +226,8 @@ def energy_audit(traj: Trajectory) -> EnergyReport:
     rhs_energy = hn2[0] + (h / model.mu) * float(np.sum(fd2))
     scale_energy = max(abs(lhs_energy), abs(rhs_energy), 1.0)
     budget = resid_term + 1e3 * np.finfo(float).eps * scale_energy
-    slack_energy = max(0.0, lhs_energy - rhs_energy)
-    if slack_energy > budget:
+    slack_energy = float(np.maximum(lhs_energy - rhs_energy, 0.0))   # NaN stays NaN
+    if not slack_energy <= budget:
         violations.append(("energy_sum", -1, slack_energy))
 
     excess = objectives - anchors
@@ -236,14 +237,14 @@ def energy_audit(traj: Trajectory) -> EnergyReport:
     lip = model.lipschitz_t
     rhs_v = model.beta * vn2[0] + lip * h * (vn2[0] + float(np.sum(vn2[1:]))) \
         + 2.0 * h * float(np.sum(fh2))
-    slack_v = max(0.0, np.max(model.mu * vn2 - rhs_v))
+    slack_v = float(np.maximum(np.max(model.mu * vn2 - rhs_v), 0.0))
     budget_v = resid_term + 1e3 * np.finfo(float).eps * max(rhs_v, 1.0)
-    if slack_v > budget_v:
+    if not slack_v <= budget_v:
         violations.append(("v_bound", -1, slack_v))
 
     # at t_{i-1} + s the interpolants differ by (1 - s/h)(u_{i-1} - u_i)
     gap, bound = h / 3.0 * sum(d ** 2 for d in steps), h / 3.0 * rhs_energy
-    if gap > bound + h / 3.0 * budget:
+    if not gap <= bound + h / 3.0 * budget:
         violations.append(("rothe", -1, gap - bound))
 
     hn = np.sqrt(hn2)       # without a source the H norm may not rise
@@ -253,7 +254,7 @@ def energy_audit(traj: Trajectory) -> EnergyReport:
     return EnergyReport(h_norms_sq=hn2, v_norms_sq=vn2, diff_quotients_sq=dq2, f_dual_norms_sq=fd2,
                         f_h_norms_sq=fh2, objectives=objectives, objective_anchors=anchors,
                         slack={"energy_sum": slack_energy,
-                               "objective_monotonicity": max(0.0, np.max(excess)),
+                               "objective_monotonicity": float(np.maximum(np.max(excess), 0.0)),
                                "v_bound": slack_v}, budget=budget,
                         interpolant_gap=gap, rothe_bound=bound, violations=violations)
 
@@ -300,11 +301,11 @@ def _spectral_distances(u: LowRankState, v: LowRankState) -> np.ndarray:
 def _tally(report: PropertyReport, ratios: dict) -> PropertyReport:
     """Fold ``{name: ratio array}`` into ``report`` and return it: each name's
     worst ratio (from 0.0, so an empty array leaves it at 0.0) and one
-    violation per ratio above 1 + _RATIO_SLACK.  Max and count ignore trial
-    order."""
+    violation per ratio not at most 1 + _RATIO_SLACK, so a NaN ratio is one.
+    Max and count ignore trial order."""
     for name, r in ratios.items():
         report.worst_ratio[name] = float(np.max(r, initial=report.worst_ratio.get(name, 0.0)))
-        report.violations += int(np.count_nonzero(r > 1.0 + _RATIO_SLACK))
+        report.violations += int(np.count_nonzero(~(r <= 1.0 + _RATIO_SLACK)))
     return report
 
 

@@ -132,7 +132,8 @@ class GalerkinOperator:
         i + j odd, 0 otherwise.
 
     A caller that reads only the vector, such as a rank-r step with a
-    diagonal tensor, never pays for the dense blocks.
+    diagonal tensor, never pays for the dense blocks.  Only :func:`_apply_g`
+    (G X for an (N, k) block) and :func:`apply_a2` know how G is stored.
     """
 
     basis_dim: int
@@ -184,8 +185,14 @@ def apply_a1(op: GalerkinOperator, a: np.ndarray, coeffs: np.ndarray) -> np.ndar
             + a[..., 1, 1, None, None] * coeffs * lam[None, :])
 
 
+def _apply_g(op: GalerkinOperator, x: np.ndarray) -> np.ndarray:
+    """G x for an (N, k) block x: the one product with G a rank-r step makes."""
+    return op.grad_coupling_1d.dot(x)
+
+
 def apply_a2(op: GalerkinOperator, a: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Mixed-derivative part ``(a12 + a21) G Y G``; stacked as in :func:`apply_a1`."""
+    """Mixed-derivative part ``(a12 + a21) G Y G``; stacked as in :func:`apply_a1`.
+    ``g @ Y @ g`` on stacks: -(G (G Y)^T)^T by :func:`_apply_g` rounds apart."""
     c = a[..., 0, 1, None, None] + a[..., 1, 0, None, None]
     if not c.any():
         return np.zeros_like(coeffs)
@@ -308,7 +315,8 @@ def zero_source(basis_dim: int) -> SourceSpec:
 
 
 def separable_source(basis_dim: int, terms) -> SourceSpec:
-    """Build a source from (TimeProfile, p, q) triples of finite N-vectors."""
+    """Build a source from (TimeProfile, p, q) triples of finite N-vectors
+    whose product of norms |p| |q| is finite."""
     _check_integer("basis_dim", basis_dim, 1)
     packed = []
     for k, (profile, p, q) in enumerate(terms):
@@ -321,6 +329,8 @@ def separable_source(basis_dim: int, terms) -> SourceSpec:
         for name, factor in (("p", p), ("q", q)):
             if not np.isfinite(factor).all():
                 raise ValueError(f"source factor {name} of term {k} must be finite")
+        if not math.isfinite(math.hypot(*p) * math.hypot(*q)):
+            raise ValueError(f"source term {k} overflows: |p| |q| is not finite")
         packed.append((profile, p, q))
     p, q = (np.array([term[j] for term in packed]).reshape(len(packed), basis_dim) for j in (1, 2))
     p.flags.writeable = q.flags.writeable = False

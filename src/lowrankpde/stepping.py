@@ -11,9 +11,11 @@ set for the manifold methods.  The tensor is frozen at t_next for the whole
 step, and f_mean is the exact interval mean of the source.  The manifold
 methods take f_mean as its factor pair, f_mean = P Q^T, and evaluate F, the
 Galerkin residual and the ALS stop test from factors and r-by-r blocks, so
-a step costs O(N r^2) plus O(N^2 r) for applying the dense coupling G to
-(N, r) blocks when the mixed term is on; no N-by-N matrix is formed, and
-with a diagonal tensor G is not even built.  At N up to hundreds and
+a step costs O(N r^2) plus the products of the coupling G with (N, r)
+blocks when the mixed term is on, each a call of ``galerkin._apply_g``,
+which alone in the step knows how G is stored (today dense, O(N^2 r));
+no N-by-N matrix is formed, and with a diagonal tensor G is not even
+built.  At N up to hundreds and
 r <= 8 a half-sweep costs its number of numpy calls more than its flops,
 so it makes only the N-sized products it needs: one for the right-hand
 side, one with G per CG iteration, one QR, those of the new frame (basis^T
@@ -45,14 +47,13 @@ from __future__ import annotations
 
 import logging
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .galerkin import (DiffusionModel, GalerkinOperator, SourceSpec, apply_operator,
-                       build_operator, h_norm, rhs_mean_factors)
+from .galerkin import (DiffusionModel, GalerkinOperator, SourceSpec, _apply_g, _check_integer,
+                       apply_operator, build_operator, h_norm, rhs_mean_factors)
 from .manifold import (DEFAULT_RANK_FLOOR, LowRankState, RankDeficiencyError,
                        _check_qr_collapse, singular_values, to_dense)
 
@@ -99,9 +100,7 @@ class StepOptions:
     als_max_sweeps: int = 100
 
     def __post_init__(self):
-        sweeps = self.als_max_sweeps
-        if isinstance(sweeps, bool) or not isinstance(sweeps, numbers.Integral) or sweeps < 1:
-            raise ValueError(f"als_max_sweeps must be an integer >= 1, got {sweeps!r}")
+        _check_integer("als_max_sweeps", self.als_max_sweeps, 1)
 
 
 @dataclass(frozen=True)
@@ -215,7 +214,7 @@ class _Step:
     def frame(self, basis: np.ndarray, axis: int) -> _Frame:
         g_basis = g = None
         if self.mixed != 0.0:
-            g_basis = self.op.grad_coupling_1d.dot(basis)
+            g_basis = _apply_g(self.op, basis)
             g = basis.T.dot(g_basis)
         lam_t = basis.T * self.op.stiffness_diag
         return _Frame(basis, lam_t, lam_t.dot(basis), g_basis, g, basis.T.dot(self.factors[axis]))
@@ -296,10 +295,10 @@ class _Step:
         if self.mixed == 0.0:
             y, iterations = rhs / denom, 0
         else:
-            g, gamma = self.op.grad_coupling_1d, (h * self.mixed) * evecs.T.dot(frozen.g).dot(evecs)
+            op, gamma = self.op, (h * self.mixed) * evecs.T.dot(frozen.g).dot(evecs)
             core_q = core.dot(evecs)
             x0 = own.basis.dot(core_q)
-            y, iterations = _pcg(lambda y: denom * y + g.dot(y).dot(gamma), denom, rhs,
+            y, iterations = _pcg(lambda y: denom * y + _apply_g(op, y).dot(gamma), denom, rhs,
                                  x0, denom * x0 + own.g_basis.dot(core_q).dot(gamma))
         basis, r_block = np.linalg.qr(y)
         _check_qr_collapse(r_block.diagonal(), _QR_COLLAPSE_REL,
@@ -503,8 +502,7 @@ def integrate(method: str, u0, T: float, n_steps: int, model: DiffusionModel,
         raise TypeError("source must be a SourceSpec; pass zero_source(N) for no source")
     if opts is not None and not isinstance(opts, StepOptions):
         raise TypeError(f"opts must be a StepOptions or None, got {type(opts).__name__}")
-    if isinstance(n_steps, bool) or not isinstance(n_steps, numbers.Integral) or n_steps < 1:
-        raise ValueError(f"n_steps must be an integer >= 1, got {n_steps!r}")
+    _check_integer("n_steps", n_steps, 1)
     if isinstance(T, bool) or not 0 < T < math.inf:
         raise ValueError(f"final time must be positive and finite, got {T!r}")
     manifold, factored = method != "reference", isinstance(u0, LowRankState)

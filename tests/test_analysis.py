@@ -131,6 +131,39 @@ def test_energy_audit_rejects_short_runs():
         energy_audit(traj)
 
 
+def short_als_run():
+    """Ten ALS steps at N = 8, r = 2 under a rotating tensor with a source."""
+    rng = np.random.default_rng(57)
+    n = 8
+    src = separable_source(n, [(cosine_profile(1.0, 2.0), rng.standard_normal(n),
+                                rng.standard_normal(n))])
+    return integrate("als", sample_state(rng, n, 2, sigma_range=(0.1, 1.0)), 0.05, 10,
+                     rotating_diffusion(1.0, 0.3, 1.0), src)
+
+
+def test_energy_audit_fails_a_nan_core():
+    # the NaN stays in the slacks (max(0.0, nan) would read 0.0) and every
+    # comparison is written so that NaN fails it
+    traj = short_als_run()
+    assert energy_audit(traj).passed
+    u = traj.states[4]
+    traj.states[4] = LowRankState(u.u1_factors, np.full_like(u.core, math.nan), u.u2_factors)
+    rep = energy_audit(traj)
+    assert {"energy_sum", "v_bound", "rothe"} <= {name for name, _, _ in rep.violations}
+    assert math.isnan(rep.slack["energy_sum"]) and math.isnan(rep.slack["v_bound"])
+    assert not rep.passed
+
+
+def test_energy_audit_fails_a_nan_residual():
+    # a NaN tangent residual makes the budget NaN, which no slack is within
+    traj = short_als_run()
+    traj.diagnostics[3] = dataclasses.replace(traj.diagnostics[3], galerkin_residual=math.nan)
+    rep = energy_audit(traj)
+    assert math.isnan(rep.budget)
+    assert {"energy_sum", "v_bound", "rothe"} <= {name for name, _, _ in rep.violations}
+    assert not rep.passed
+
+
 def test_energy_audit_builds_no_dense_coupling(monkeypatch):
     # F and the residual come from the step record and the audit takes no
     # operator, so auditing a mixed-term run constructs no GalerkinOperator
@@ -627,6 +660,14 @@ def test_tally_keeps_the_worst_ratio_and_counts_each_ratio_above_the_slack():
     analysis._tally(report, {"a": np.array([0.25]), "b": np.array([0.75, 3.0])})
     assert list(report.worst_ratio) == ["a", "b"]
     assert report.worst_ratio == {"a": 1.0 + 4 * slack, "b": 3.0} and report.violations == 2
+
+
+def test_tally_counts_a_nan_ratio_as_a_violation():
+    # NaN compares False against the slack, so the count asks "not within"
+    report = analysis._tally(PropertyReport(2, 0, {}),
+                             {"x": analysis._ratio(np.array([math.nan, 0.5]), 1.0)})
+    assert report.violations == 1 and not report.passed
+    assert math.isnan(report.worst_ratio["x"])
 
 
 def test_projection_suite_without_a_mixed_term_leaves_a2_h_norm_at_zero(monkeypatch):

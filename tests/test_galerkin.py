@@ -444,14 +444,19 @@ def test_constant_diagonal_is_the_steppers_test(model):
     (separable_source, (3, [(TimeProfile("constant", 1.0), np.ones(3), np.ones(3)),
                             (TimeProfile("constant", 1.0), np.ones(3), [0.0, 0.0, -math.inf])]),
      "source factor q of term 1 must be finite"),
+    (separable_source, (3, [(TimeProfile("constant", 1.0), np.ones(3), np.ones(3)),
+                            (TimeProfile("constant", 1.0), [1e200, 0.0, 0.0], [1e200, 0.0, 0.0])]),
+     r"source term 1 overflows: \|p\| \|q\| is not finite"),
 ], ids=["inf-entry", "nan-entries", "inf-eigenvalue", "nan-diagonal", "inf-off-diagonal",
         "nan-lambda1", "inf-lambda2", "nan-omega", "inf-omega", "nan-profile-scale",
-        "inf-profile-omega", "inf-linear-scale", "nan-source-p", "inf-source-q"])
+        "inf-profile-omega", "inf-linear-scale", "nan-source-p", "inf-source-q",
+        "overflowing-source-term"])
 def test_diffusion_models_reject_non_finite_input(build, args, message):
     # a NaN tensor would otherwise pass the definiteness test and surface
     # only as a failed inner solve at step 1; a NaN source factor or profile
-    # the same way, or as a failed SVD.  The named error comes first, with
-    # no RuntimeWarning on the way
+    # the same way, or as a failed SVD; a term with finite factors whose
+    # product overflows as a rank collapse or an infinite CG residual.  The
+    # named error comes first, with no RuntimeWarning on the way
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=message):

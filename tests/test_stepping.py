@@ -14,7 +14,7 @@ import pytest
 from scipy.sparse.linalg import LinearOperator, cg
 
 from dense_oracles import galerkin_residual, mode_state, operator_matrix, step_objective
-from lowrankpde import manifold, stepping
+from lowrankpde import galerkin, manifold, stepping
 from lowrankpde.analysis import sample_state
 from lowrankpde.galerkin import (DiffusionModel, TimeProfile, build_operator, constant_diffusion,
                                  cosine_profile, rhs_mean_factors,
@@ -476,30 +476,14 @@ def test_half_sweep_solve_matches_kronecker_oracle(own_axis, a12, warm):
     assert np.linalg.norm(frame.basis @ core - oracle) <= 1e-12 * np.linalg.norm(oracle)
 
 
-class CountingG:
-    """Stand-in for the dense G that counts the products the package makes
-    with it (``G.dot``); ``G @ x``, for the tests' own oracles, is not counted."""
-
-    def __init__(self, g):
-        self.g, self.products = g, 0
-
-    def dot(self, x):
-        self.products += 1
-        return self.g.dot(x)
-
-    def __matmul__(self, x):
-        return self.g @ x
-
-
 def left_half_sweep(seed):
-    """A left half-sweep with a12 = 0.3 at N = 60, r = 4, a two-term source
-    and G behind a ``CountingG``: the step, the frozen right frame, the
-    current left frame and core (CG's warm start is their product), and the
-    half-sweep's right-hand side in the original coordinates."""
+    """A left half-sweep with a12 = 0.3 at N = 60, r = 4 and a two-term
+    source: the step, the frozen right frame, the current left frame and core
+    (CG's warm start is their product), and the half-sweep's right-hand side
+    in the original coordinates."""
     rng = np.random.default_rng(seed)
     n, r, h = 60, 4, 0.01
     op = build_operator(n)
-    op.__dict__["grad_coupling_1d"] = CountingG(op.grad_coupling_1d)
     model = constant_diffusion([[1.0, 0.3], [0.3, 0.7]])
     u, v, w = (np.linalg.qr(rng.standard_normal((n, r)))[0] for _ in range(3))
     step = _Step(op, model, h, h, LowRankState(u, np.eye(r), v),
@@ -626,20 +610,20 @@ def test_warm_start_image_is_read_from_the_frame(monkeypatch):
     assert np.linalg.norm(image - want) <= 1e-13 * np.linalg.norm(want)
 
 
-def test_warm_half_sweep_multiplies_by_g_once_per_iteration_and_frame():
+def test_warm_half_sweep_multiplies_by_g_once_per_iteration_and_frame(monkeypatch):
     # the start's image costs no product with G: one per CG iteration, and
-    # one for the new frame's G U
+    # one for the new frame's G U, each through galerkin._apply_g
     step, frozen, own, core, _ = left_half_sweep(55)
-    counter = step.op.grad_coupling_1d
-    counter.products = 0
+    products, apply_g = [], stepping._apply_g
+    monkeypatch.setattr(stepping, "_apply_g", lambda *args: products.append(1) or apply_g(*args))
     _, _, iterations, _ = step.half_sweep(0, frozen, own, core)
     assert iterations > 0
-    assert counter.products == iterations + 1
+    assert len(products) == iterations + 1
 
 
 #: The functions of a rank-r step that run on every half-sweep or its stop test.
 HOT_PATH = (_Step.frame, _Step.reduced, _Step.objective, _Step.residual, _Step.half_sweep,
-            _state_change, _forward_splitting_step)
+            _state_change, _forward_splitting_step, galerkin._apply_g)
 
 
 def test_hot_path_multiplies_blocks_with_dot():
