@@ -36,12 +36,12 @@ from .analysis import (convergence_study, curvature_suite, energy_audit, equival
                        projection_regularity_suite, sample_state, tangency_suite)
 from .galerkin import (DiffusionModel, SourceSpec, TimeProfile, constant_diffusion,
                        exact_diagonal_solution, h_distance, h_norm, rotating_diffusion,
-                       separable_source, v_norm, zero_source)
+                       separable_source, v_norm)
 from .manifold import LowRankState, RankDeficiencyError
 from .stepping import METHODS, InnerSolveError, Trajectory, integrate
 
 __all__ = ["AlphaSpec", "ConfigError", "RunConfig", "SourceTermSpec", "main",
-           "parse_config", "run", "serialize_config"]
+           "parse_config", "serialize_config"]
 
 
 class ConfigError(ValueError):
@@ -230,22 +230,17 @@ def _parse(text: str):
     return (cfg, *built)
 
 
-def _validate(cfg: RunConfig, alpha_line: int | None = None):
-    """Check every value of ``cfg``, read by the experiment or not; return the
-    model and source it runs (the zero source if it does not read ``[source]``)."""
-    if cfg.experiment not in EXPERIMENTS:
-        raise ConfigError(f"unknown experiment {cfg.experiment!r}")
+def _validate(cfg: RunConfig, alpha_line: int | None):
+    """Check every value of the parsed ``cfg``, read by the experiment or not
+    (an unread one holds its default); return the model and source it runs."""
     if cfg.method not in METHODS:
         raise ConfigError(f"unknown method {cfg.method!r}")
     for name, low in (("N", 1), ("r", 1), ("n_steps", 1), ("seed", 0), ("trials", 1)):
-        value = getattr(cfg, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ConfigError(f"{name} must be an integer")
-        if value < low:
+        if getattr(cfg, name) < low:
             raise ConfigError(f"{name} must be >= {low}")
     if cfg.r > cfg.N:
         raise ConfigError("r must satisfy 1 <= r <= N")
-    if isinstance(cfg.T, bool) or not 0 < cfg.T < math.inf:
+    if cfg.T <= 0:
         raise ConfigError("T must be positive and finite")
     if cfg.alpha.kind not in _ALPHA_KINDS:
         raise ConfigError(f"unknown alpha kind {cfg.alpha.kind!r}", alpha_line)
@@ -257,9 +252,8 @@ def _validate(cfg: RunConfig, alpha_line: int | None = None):
         source = config_source(cfg)
     except ValueError as exc:
         raise ConfigError(f"bad [source]: {exc}") from None
-    exp = EXPERIMENTS[cfg.experiment]
-    exp.check(cfg, model)
-    return model, source if exp.source else zero_source(cfg.N)
+    EXPERIMENTS[cfg.experiment].check(cfg, model)
+    return model, source
 
 
 def serialize_config(cfg: RunConfig) -> str:
@@ -314,8 +308,6 @@ def config_source(cfg: RunConfig) -> SourceSpec:
         p, q = np.zeros(cfg.N), np.zeros(cfg.N)
         for vec, side in ((p, term.p), (q, term.q)):
             for mode, coeff in side:
-                if isinstance(mode, bool) or not isinstance(mode, (int, np.integer)):
-                    raise ValueError(f"source mode {mode!r} is not an integer")
                 if not 1 <= mode <= cfg.N:
                     raise ValueError(f"source mode {mode} outside 1..{cfg.N}")
                 vec[mode - 1] += coeff
@@ -526,25 +518,14 @@ class _WarningLog(logging.Handler):
             print(line, file=sys.stderr)
 
 
-def run(cfg: RunConfig, out: str | Path = "out", quiet: bool = False) -> int:
-    """Execute one experiment; writes artifacts into the directory ``out``.
-
-    Every value of ``cfg`` is checked; the experiment runs what the check
-    built of what it reads, which is what run.log records.  Warnings the
-    package logs are written to run.log, and to stderr unless ``quiet``;
-    they do not propagate to other log handlers.
-    Returns 2, and runs nothing, if the config fails validation or ``out``
-    is empty (then nothing is made either) or if ``out`` cannot be made a
-    directory.
-    """
-    return _run(cfg, lambda: _validate(cfg), out, quiet)
-
-
-def _run(cfg: RunConfig, build, out: str | Path, quiet: bool) -> int:
-    """:func:`run`, whose check ``build()`` returns the model and source or raises."""
+def _run(cfg: RunConfig, model: DiffusionModel, source: SourceSpec, out: str, quiet: bool) -> int:
+    """Execute ``cfg`` on the model and source its parse built, writing the
+    artifacts into the directory ``out``.  Warnings the package logs go to
+    run.log, and to stderr unless ``quiet``; they do not propagate to other
+    log handlers.  Returns 2, and runs nothing, if ``out`` is empty (then
+    nothing is made either) or cannot be made a directory."""
     try:
-        model, source = build()
-        if not str(out).strip():             # Path("") is the working directory
+        if not out.strip():                  # Path("") is the working directory
             raise ConfigError("the output directory must not be empty")
         out = Path(out)
         out.mkdir(parents=True, exist_ok=True)
@@ -617,7 +598,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return _run(cfg, lambda: built, args.out, args.quiet)
+    return _run(cfg, *built, args.out, args.quiet)
 
 
 if __name__ == "__main__":

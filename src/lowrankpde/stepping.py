@@ -495,6 +495,10 @@ def integrate(method: str, u0, T: float, n_steps: int, model: DiffusionModel,
     state, not a stack, with finite entries.  ``opts`` is a StepOptions or
     None.  A ValueError (a tensor that is not finite at t_next among them)
     or InnerSolveError raised in a step gets the step index and t prefixed.
+    Where a source drives a singular value through zero, past the time the
+    paper's existence theory covers, the march steps over the zero and
+    keeps rank r; only a step that lands on it exactly raises
+    RankDeficiencyError.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")

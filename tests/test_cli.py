@@ -1,7 +1,6 @@
 """Config parsing, artifact layout, and reproducibility of the runner."""
 
 import dataclasses
-import math
 import re
 from pathlib import Path
 
@@ -9,9 +8,8 @@ import numpy as np
 import pytest
 
 from lowrankpde import analysis
-from lowrankpde.cli import (EXPERIMENTS, METHODS, AlphaSpec, ConfigError, RunConfig, SourceTermSpec,
-                            config_model, config_source, main, parse_config, run,
-                            serialize_config)
+from lowrankpde.cli import (EXPERIMENTS, METHODS, AlphaSpec, ConfigError, RunConfig, config_model,
+                            config_source, main, parse_config, serialize_config)
 from lowrankpde.galerkin import GalerkinOperator, rhs_mean_factors
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -141,8 +139,8 @@ def test_heat_diagonal_preset_restrictions(tmp_path):
     rotation = "experiment = heat-diagonal\nN = 8\n[alpha]\nkind = rotation\nlambda1 = 1.0\n"
     with pytest.raises(ConfigError, match="diagonal"):
         parse_config(rotation + "lambda2 = 0.5\nomega = 1.0\n")
-    assert run(parse_config(rotation + "lambda2 = 0.5\nomega = 0.0\n"), tmp_path, quiet=True) == 0
-    assert "passed,true" in (tmp_path / "report.csv").read_text().splitlines()
+    assert _main(tmp_path, rotation + "lambda2 = 0.5\nomega = 0.0\n", tmp_path / "out") == 0
+    assert "passed,true" in (tmp_path / "out" / "report.csv").read_text().splitlines()
     with pytest.raises(ConfigError, match="line 2: \\[source\\] is not read by experiment"):
         parse_config("experiment = heat-diagonal\n[source]\n"
                      "term = constant:1.0 | p = 1:1.0 | q = 1:1.0\n")
@@ -309,12 +307,17 @@ def _write(tmp_path, text, name="run.cfg"):
     return str(path)
 
 
+def _main(tmp_path, text, out):
+    """``main`` on ``text``, written by ``_write``, quiet, with artifacts in ``out``."""
+    return main(["run", _write(tmp_path, text), "--out", str(out), "--quiet"])
+
+
 QUICK_HEAT = "experiment = heat-diagonal\nN = 8\nr = 2\nT = 0.05\nn_steps = 10\n"
 
 
 def test_run_writes_artifacts(tmp_path):
     out = tmp_path / "artifacts"
-    assert run(parse_config(QUICK_HEAT), out, quiet=True) == 0
+    assert _main(tmp_path, QUICK_HEAT, out) == 0
     for name in ("trajectory.csv", "diagnostics.csv", "report.csv", "run.log"):
         assert (out / name).exists(), name
     header = (out / "trajectory.csv").read_text().splitlines()[0]
@@ -330,16 +333,15 @@ def test_heat_diagonal_runs_every_method(tmp_path, method):
     # the closed form starts from the factored start, also where the
     # reference method integrates its dense copy
     cfg = dataclasses.replace(parse_config(QUICK_HEAT), method=method)
-    assert run(cfg, tmp_path / "out", quiet=True) == 0
+    assert _main(tmp_path, serialize_config(cfg), tmp_path / "out") == 0
 
 
 def test_run_anisotropic_reference(tmp_path):
     # the reference method keeps dense states, which the audit, the
     # interpolant gap and the trajectory writer read as they are
     out = tmp_path / "reference"
-    cfg = parse_config("experiment = anisotropic\nN = 8\nr = 2\nT = 0.05\nn_steps = 5\n"
-                       "method = reference\n")
-    assert run(cfg, out, quiet=True) == 0
+    text = "experiment = anisotropic\nN = 8\nr = 2\nT = 0.05\nn_steps = 5\nmethod = reference\n"
+    assert _main(tmp_path, text, out) == 0
     rows = (out / "trajectory.csv").read_text().splitlines()
     assert len(rows) == 7 and rows[1].split(",")[4] == "nan"     # no sigma_r when dense
 
@@ -350,8 +352,8 @@ def test_trajectory_run_takes_one_svd_per_state(tmp_path, monkeypatch):
     calls, svd = [], np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda *args, **kw: calls.append(1) or svd(*args, **kw))
     out = tmp_path / "anisotropic"
-    cfg = parse_config("experiment = anisotropic\nN = 8\nr = 2\nT = 0.05\nn_steps = 5\n")
-    assert run(cfg, out, quiet=True) == 0
+    assert _main(tmp_path, "experiment = anisotropic\nN = 8\nr = 2\nT = 0.05\nn_steps = 5\n",
+                 out) == 0
     assert len(calls) == 5 + 1
     monkeypatch.undo()
     rows = (out / "trajectory.csv").read_text().splitlines()
@@ -363,8 +365,8 @@ def test_anisotropic_run_measures_each_increment_once(tmp_path, monkeypatch):
     # balance and the interpolant gap alike; the CLI measures none itself
     calls, distance = [], analysis.h_distance
     monkeypatch.setattr(analysis, "h_distance", lambda *a: calls.append(1) or distance(*a))
-    cfg = parse_config("experiment = anisotropic\nN = 8\nr = 2\nT = 0.05\nn_steps = 5\n")
-    assert run(cfg, tmp_path / "out", quiet=True) == 0
+    assert _main(tmp_path, "experiment = anisotropic\nN = 8\nr = 2\nT = 0.05\nn_steps = 5\n",
+                 tmp_path / "out") == 0
     assert len(calls) == 5
 
 
@@ -384,7 +386,7 @@ def test_trajectory_run_builds_one_operator(tmp_path, monkeypatch, text):
     built, init = [], GalerkinOperator.__init__
     monkeypatch.setattr(GalerkinOperator, "__init__",
                         lambda self, *args: built.append(1) or init(self, *args))
-    assert run(parse_config(text), tmp_path / "out", quiet=True) == 0
+    assert _main(tmp_path, text, tmp_path / "out") == 0
     assert len(built) == 1
 
 
@@ -404,8 +406,8 @@ def test_energy_audit_rows_report_their_own_checks(tmp_path, monkeypatch, violat
 
     monkeypatch.setattr(cli_mod, "energy_audit", patched_audit)
     out = tmp_path / "audit"
-    cfg = parse_config("experiment = energy-audit\nN = 8\nr = 2\nT = 0.1\nn_steps = 10\n")
-    assert run(cfg, out, quiet=True) == 1
+    text = "experiment = energy-audit\nN = 8\nr = 2\nT = 0.1\nn_steps = 10\n"
+    assert _main(tmp_path, text, out) == 1
     rows = [line.split(",", 1) for line in (out / "report.csv").read_text().splitlines()[1:]]
     assert [key for key, _ in rows] == [
         "experiment", "method", "slack_energy_sum", "slack_objective_monotonicity",
@@ -413,97 +415,86 @@ def test_energy_audit_rows_report_their_own_checks(tmp_path, monkeypatch, violat
     assert (rows[-2][1], rows[-1][1]) == expected
 
 
-@pytest.mark.parametrize("cfg, message", [
-    (RunConfig(experiment="heat-diagonal", N=8, r=2, method="rk4"), "unknown method 'rk4'"),
-    (RunConfig(experiment="geometry-suites", N=8, r=2, trials=0), "trials must be >= 1"),
-    (RunConfig(experiment="heat-diagnoal"), "unknown experiment 'heat-diagnoal'"),
-    (RunConfig(experiment="heat-diagonal", N=8, r=2, alpha=AlphaSpec(a11=-1.0)),
-     "bad [alpha]: diffusion tensor is not positive definite"),
-    (RunConfig(experiment="anisotropic", N=8, r=2, alpha=AlphaSpec(kind="foo")),
-     "unknown alpha kind 'foo'"),
-    (RunConfig(experiment="anisotropic", N=8, r=2,
-               alpha=AlphaSpec(kind="rotation", lambda1=-1.0)),
-     "bad [alpha]: diffusion tensor is not positive definite"),
-    (RunConfig(experiment="anisotropic", N=8, r=2,
-               alpha=AlphaSpec(kind="rotation", omega=math.inf)),
-     "bad [alpha]: omega must be finite, got inf"),
-    (RunConfig(experiment="heat-diagonal", T=math.inf), "T must be positive and finite"),
-    (RunConfig(experiment="heat-diagonal", T=True), "T must be positive and finite"),
-    (RunConfig(experiment="heat-diagonal", n_steps=2.5), "n_steps must be an integer"),
-    (RunConfig(experiment="heat-diagonal", n_steps=True), "n_steps must be an integer"),
-    (RunConfig(experiment="anisotropic", N=8, r=2, source=(
-        SourceTermSpec("constant", math.inf, 0.0, ((1, 1.0),), ((1, 1.0),)),)),
-     "bad [source]: time profile scale must be finite, got inf"),
-    (RunConfig(experiment="heat-diagonal", N=8, r=2, source=(
-        SourceTermSpec("constant", math.inf, 0.0, ((1, 1.0),), ((1, 1.0),)),)),
-     "bad [source]: time profile scale must be finite, got inf"),
-    (RunConfig(experiment="anisotropic", N=8, r=2, source=(
-        SourceTermSpec("constant", 1.0, 0.0, ((1, math.nan),), ((1, 1.0),)),)),
-     "bad [source]: source factor p of term 0 must be finite"),
-    (RunConfig(experiment="anisotropic", N=8, r=2, source=(
-        SourceTermSpec("quadratic", 1.0, 0.0, ((1, 1.0),), ((1, 1.0),)),)),
-     "bad [source]: unknown time profile 'quadratic'; expected 'constant', 'linear' or 'cosine'"),
-    (RunConfig(experiment="anisotropic", N=8, r=2, source=(
-        SourceTermSpec("constant", 1.0, 0.0, ((1.5, 1.0),), ((1, 1.0),)),)),
-     "bad [source]: source mode 1.5 is not an integer"),
-    (RunConfig(experiment="anisotropic", N=8, r=2, source=(
-        SourceTermSpec("constant", 1.0, 0.0, ((1, 1.0),), ((True, 1.0),)),)),
-     "bad [source]: source mode True is not an integer"),
-], ids=["method", "trials", "experiment", "alpha-a11", "alpha-kind", "alpha-lambda1",
-        "alpha-omega-inf", "T-inf", "T-bool", "n_steps-fraction", "n_steps-bool",
-        "source-scale-inf", "source-unread-scale-inf", "source-coeff-nan", "source-profile",
-        "source-mode-fraction", "source-mode-bool"])
-def test_run_validates_the_config(tmp_path, capsys, cfg, message):
-    # a config built in code is checked like a parsed one: exit 2, even
-    # when quiet, before the output directory is made
+ANISOTROPIC = "experiment = anisotropic\n"
+SOURCE = "[source]\nterm = "
+
+
+@pytest.mark.parametrize("text, message", [
+    pytest.param("experiment = heat-diagonal\nmethod = rk4\n", "unknown method 'rk4'",
+                 id="method"),
+    pytest.param("experiment = geometry-suites\ntrials = 0\n", "trials must be >= 1",
+                 id="trials"),
+    pytest.param("experiment = heat-diagonal\nN = 8\nr = 9\n", "r must satisfy 1 <= r <= N",
+                 id="r-above-N"),
+    pytest.param("experiment = heat-diagonal\nT = -0.5\n", "T must be positive and finite",
+                 id="T-negative"),
+    pytest.param("experiment = heat-diagnoal\n", "line 1: unknown experiment 'heat-diagnoal'",
+                 id="experiment"),
+    pytest.param("experiment = heat-diagonal\n[alpha]\na11 = -1.0\n",
+                 "line 3: bad [alpha]: diffusion tensor is not positive definite", id="alpha-a11"),
+    pytest.param(ANISOTROPIC + "[alpha]\nkind = foo\n", "line 3: unknown alpha kind 'foo'",
+                 id="alpha-kind"),
+    pytest.param(ANISOTROPIC + "[alpha]\nkind = rotation\nlambda1 = -1.0\n",
+                 "line 3: bad [alpha]: diffusion tensor is not positive definite",
+                 id="alpha-lambda1"),
+    pytest.param(ANISOTROPIC + "[alpha]\nkind = rotation\nomega = inf\n",
+                 "line 4: bad value for omega: 'inf'", id="alpha-omega-inf"),
+    pytest.param("experiment = heat-diagonal\nT = inf\n", "line 2: bad value for T: 'inf'",
+                 id="T-inf"),
+    pytest.param("experiment = heat-diagonal\nT = true\n", "line 2: bad value for T: 'true'",
+                 id="T-bool"),
+    pytest.param("experiment = heat-diagonal\nn_steps = 2.5\n",
+                 "line 2: bad value for n_steps: '2.5'", id="n_steps-fraction"),
+    pytest.param("experiment = heat-diagonal\nn_steps = true\n",
+                 "line 2: bad value for n_steps: 'true'", id="n_steps-bool"),
+    pytest.param(ANISOTROPIC + SOURCE + "constant:inf | p = 1:1.0 | q = 1:1.0\n",
+                 "line 3: bad time profile 'constant:inf'", id="source-scale-inf"),
+    # the term fails on its line before the section fails on its header
+    pytest.param("experiment = heat-diagonal\n" + SOURCE + "constant:inf | p = 1:1.0 | q = 1:1.0\n",
+                 "line 3: bad time profile 'constant:inf'", id="source-unread-scale-inf"),
+    pytest.param(ANISOTROPIC + SOURCE + "constant:1.0 | p = 1:nan | q = 1:1.0\n",
+                 "line 3: bad mode entry '1:nan'", id="source-coeff-nan"),
+    pytest.param(ANISOTROPIC + SOURCE + "constant:1.0 | p = 1:1e300 | q = 1:1e300\n",
+                 "bad [source]: source term 0 overflows: |p| |q| is not finite",
+                 id="source-overflow"),
+    pytest.param(ANISOTROPIC + SOURCE + "quadratic:1.0 | p = 1:1.0 | q = 1:1.0\n",
+                 "line 3: bad time profile 'quadratic:1.0'", id="source-profile"),
+    pytest.param(ANISOTROPIC + SOURCE + "constant:1.0 | p = 1.5:1.0 | q = 1:1.0\n",
+                 "line 3: bad mode entry '1.5:1.0'", id="source-mode-fraction"),
+    pytest.param(ANISOTROPIC + SOURCE + "constant:1.0 | p = 1:1.0 | q = true:1.0\n",
+                 "line 3: bad mode entry 'true:1.0'", id="source-mode-bool"),
+])
+def test_run_validates_the_config(tmp_path, capsys, text, message):
+    # a config the parser or its checks refuse exits 2, even when quiet,
+    # before the output directory is made; a bool or a fraction where an
+    # integer belongs fails to convert, as inf fails the float converter
     out = tmp_path / "out"
-    assert run(cfg, out, quiet=True) == 2
+    assert _main(tmp_path, text, out) == 2
     assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 
 
-@pytest.mark.parametrize("entry, text", [
-    ("run", QUICK_HEAT),
-    ("run", "experiment = anisotropic\nN = 8\nr = 2\nT = 0.05\nn_steps = 5\n"
-            "[source]\nterm = constant:1.0 | p = 1:1.0 | q = 2:1.0\n"),
-    ("main", QUICK_HEAT)],
-    ids=["heat-diagonal", "anisotropic", "main-heat-diagonal"])
-def test_run_builds_the_model_and_source_once(tmp_path, monkeypatch, entry, text):
-    # run checks the config by building its model and source, and the
-    # experiment runs those: one build of each per run; main runs what its
-    # parse of the file built, so it builds no more than run
+@pytest.mark.parametrize("text", [
+    QUICK_HEAT,
+    "experiment = anisotropic\nN = 8\nr = 2\nT = 0.05\nn_steps = 5\n"
+    "[source]\nterm = constant:1.0 | p = 1:1.0 | q = 2:1.0\n"],
+    ids=["heat-diagonal", "anisotropic"])
+def test_run_builds_the_model_and_source_once(tmp_path, monkeypatch, text):
+    # the parse checks the config by building its model and source, and the
+    # experiment runs those: one build of each per run
     import lowrankpde.cli as cli_mod
-    cfg = parse_config(text)
-    path = _write(tmp_path, text)
     calls = []
     for name in ("config_model", "config_source"):
         build = getattr(cli_mod, name)
         monkeypatch.setattr(cli_mod, name,
                             lambda cfg, build=build, name=name: calls.append(name) or build(cfg))
-    if entry == "run":
-        assert run(cfg, tmp_path / "out", quiet=True) == 0
-    else:
-        assert main(["run", path, "--quiet", "--out", str(tmp_path / "out")]) == 0
+    assert _main(tmp_path, text, tmp_path / "out") == 0
     assert calls == ["config_model", "config_source"]
 
 
-def test_run_integrates_only_what_the_experiment_reads(tmp_path):
-    # heat-diagonal does not read [source]: a source term on a code-built
-    # config is checked (test_run_validates_the_config) but not run, so the
-    # artifacts, run.log included, are those of the config without it
-    cfg = parse_config(QUICK_HEAT)
-    term = SourceTermSpec("constant", 5.0, 0.0, ((1, 1.0),), ((1, 1.0),))
-    assert run(cfg, tmp_path / "plain", quiet=True) == 0
-    assert run(dataclasses.replace(cfg, source=(term,)), tmp_path / "source", quiet=True) == 0
-    for name in ("trajectory.csv", "diagnostics.csv", "report.csv", "run.log"):
-        assert (tmp_path / "plain" / name).read_bytes() == \
-            (tmp_path / "source" / name).read_bytes(), name
-
-
 def test_run_is_byte_reproducible(tmp_path):
-    cfg = parse_config(QUICK_HEAT)
-    assert run(cfg, tmp_path / "a", quiet=True) == 0
-    assert run(cfg, tmp_path / "b", quiet=True) == 0
+    assert _main(tmp_path, QUICK_HEAT, tmp_path / "a") == 0
+    assert _main(tmp_path, QUICK_HEAT, tmp_path / "b") == 0
     for name in ("trajectory.csv", "diagnostics.csv", "report.csv"):
         assert (tmp_path / "a" / name).read_bytes() == \
             (tmp_path / "b" / name).read_bytes(), name
@@ -513,7 +504,7 @@ def test_run_default_heat_preset_meets_bound(tmp_path):
     # the all-defaults run: N=32, r=2, T=0.1, 100 steps against the decayed
     # closed form, final error below 5e-3
     out = tmp_path / "preset"
-    assert run(parse_config(MINIMAL), out, quiet=True) == 0
+    assert _main(tmp_path, MINIMAL, out) == 0
     report = dict(line.split(",", 1)
                   for line in (out / "report.csv").read_text().splitlines()[1:])
     assert float(report["final_error"]) < 5e-3
@@ -529,7 +520,7 @@ def test_run_numerical_failure_exit_code(tmp_path, monkeypatch):
 
     monkeypatch.setattr(cli_mod, "integrate", explode)
     out = tmp_path / "broken"
-    assert run(parse_config(QUICK_HEAT), out, quiet=True) == 3
+    assert _main(tmp_path, QUICK_HEAT, out) == 3
     log = (out / "run.log").read_text()
     assert "status: 3" in log and "step 3" in log
     assert not (out / "trajectory.csv").exists()
@@ -548,7 +539,8 @@ def test_run_logs_package_warnings(tmp_path, monkeypatch, capsys, quiet):
 
     monkeypatch.setattr(cli_mod, "integrate", warn_then_integrate)
     out = tmp_path / "warned"
-    assert run(parse_config(QUICK_HEAT), out, quiet=quiet) == 0
+    argv = ["run", _write(tmp_path, QUICK_HEAT), "--out", str(out)]
+    assert main(argv + ["--quiet"] * quiet) == 0
     assert "warning: sweep cap 100 reached" in (out / "run.log").read_text().splitlines()
     err = capsys.readouterr().err
     assert ("sweep cap" in err) != quiet
@@ -559,8 +551,8 @@ def test_run_logs_package_warnings(tmp_path, monkeypatch, capsys, quiet):
 def test_run_detects_violation(tmp_path):
     # a single huge step cannot meet the preset error bound
     out = tmp_path / "coarse"
-    cfg = parse_config("experiment = heat-diagonal\nN = 8\nr = 2\nT = 0.1\nn_steps = 1\n")
-    assert run(cfg, out, quiet=True) == 1
+    assert _main(tmp_path, "experiment = heat-diagonal\nN = 8\nr = 2\nT = 0.1\nn_steps = 1\n",
+                 out) == 1
     log = (out / "run.log").read_text()
     assert "violation" in log and "status: 1" in log
 
@@ -655,8 +647,7 @@ def test_config_seed_changes_random_experiment(tmp_path):
 
 def test_equivalence_experiment_report(tmp_path):
     out = tmp_path / "eq"
-    cfg = parse_config("experiment = equivalence\ntrials = 6\nseed = 4\n")
-    assert run(cfg, out, quiet=True) == 0
+    assert _main(tmp_path, "experiment = equivalence\ntrials = 6\nseed = 4\n", out) == 0
     report = (out / "report.csv").read_text().splitlines()
     assert report[0] == "property,trials,violations,worst_ratio"
     assert any("single_sweep_vs_splitting" in line for line in report[1:])
@@ -666,8 +657,7 @@ def test_equivalence_experiment_report(tmp_path):
 
 def test_geometry_experiment_report(tmp_path):
     out = tmp_path / "geo"
-    cfg = parse_config("experiment = geometry-suites\nN = 6\nr = 2\ntrials = 20\n")
-    assert run(cfg, out, quiet=True) == 0
+    assert _main(tmp_path, "experiment = geometry-suites\nN = 6\nr = 2\ntrials = 20\n", out) == 0
     report = (out / "report.csv").read_text()
     for key in ("curvature.", "projection.", "tangency."):
         assert key in report
@@ -675,8 +665,8 @@ def test_geometry_experiment_report(tmp_path):
 
 def test_convergence_experiment_report(tmp_path):
     out = tmp_path / "conv"
-    cfg = parse_config("experiment = convergence-h\nN = 8\nr = 2\nT = 0.05\nn_steps = 32\n")
-    assert run(cfg, out, quiet=True) == 0
+    text = "experiment = convergence-h\nN = 8\nr = 2\nT = 0.05\nn_steps = 32\n"
+    assert _main(tmp_path, text, out) == 0
     lines = (out / "report.csv").read_text().splitlines()
     assert lines[0] == "parameter,error,observed_order"
     assert len(lines) == 6                       # five step counts

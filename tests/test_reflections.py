@@ -9,7 +9,12 @@ a12.  A sign flip is exact in floating point, so the reflected runs are the
 reflected base run to the bit: every dense state and every step record.
 The factors are not compared, since QR may pick a different gauge.
 Transposing (a11 <-> a22, Y -> Y^T, P <-> Q) is a symmetry too, but G Y G
-and G Y^T G round apart, so the reference run is compared to roundoff.
+and G Y^T G round apart, so the reference run is compared to roundoff and
+ALS, which meets its transpose only as far as its stop on the relative state
+change allows, to 1e3 times that stop's tolerance on runs no cap cut short;
+it sees a step that treats the two axes differently, such as a11 and a22
+swapped in one place.  Splitting is not gated: it runs its left half-sweep
+first, so its transposed run is a different scheme (a gap of 6.0e-2 here).
 """
 
 import numpy as np
@@ -19,7 +24,7 @@ from lowrankpde.analysis import sample_state
 from lowrankpde.galerkin import (DiffusionModel, cosine_profile, rotating_diffusion,
                                  separable_source)
 from lowrankpde.manifold import LowRankState, to_dense
-from lowrankpde.stepping import METHODS, integrate
+from lowrankpde.stepping import _ALS_TOL, METHODS, StepOptions, integrate
 
 N, R, T, STEPS, OMEGA, SEED = 24, 3, 0.05, 20, 1.0, 2024
 
@@ -71,16 +76,21 @@ def test_reflected_run_is_the_reflected_base_run_to_the_bit(method, reflection):
     assert sum(d.inner_iterations for d in base.diagnostics) > 0
 
 
-def test_transposed_reference_run_is_the_transposed_base_run():
+@pytest.mark.parametrize("method", ["reference", "als"])
+def test_transposed_run_is_the_transposed_base_run(method):
     u0, p, q = problem()
     model = rotating_diffusion(1.0, 0.1, OMEGA)
     # a11 <-> a22 with a12 kept: reverse both axes of the tensor
     swapped = DiffusionModel(alpha=lambda t: model.alpha(t)[::-1, ::-1].copy(),
                              mu=model.mu, beta=model.beta, lipschitz_t=model.lipschitz_t)
     profile = cosine_profile(1.0, 3.0)
-    base = integrate("reference", u0, T, STEPS, model, separable_source(N, [(profile, p, q)]))
-    transposed = integrate("reference", LowRankState(u0.u2_factors, u0.core.T, u0.u1_factors),
+    base = integrate(method, u0, T, STEPS, model, separable_source(N, [(profile, p, q)]))
+    transposed = integrate(method, LowRankState(u0.u2_factors, u0.core.T, u0.u1_factors),
                            T, STEPS, swapped, separable_source(N, [(profile, q, p)]))
     assert sum(d.inner_iterations for d in base.diagnostics) > 0
+    cap = StepOptions().als_max_sweeps
+    assert all(d.sweeps_used < cap for traj in (base, transposed) for d in traj.diagnostics)
+    tol = 1e-14 if method == "reference" else 1e3 * _ALS_TOL
     for a, b in zip(base.states, transposed.states):
-        assert np.linalg.norm(a.T - b) <= 1e-14 * np.linalg.norm(a)
+        a, b = dense(a), dense(b)
+        assert np.linalg.norm(a.T - b) <= tol * np.linalg.norm(a)

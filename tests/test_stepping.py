@@ -929,6 +929,41 @@ def test_integrate_halts_on_rank_collapse():
     assert len(traj.states) == traj.halted_early + 1
 
 
+@pytest.mark.parametrize("method", ["als", "splitting"])
+def test_source_drives_a_singular_value_through_zero(method):
+    # where the paper's existence theory stops: a source -2 on mode (2, 2)
+    # drives that coefficient of a mode-diagonal state through zero.  Each
+    # mode decays in closed form, so the coefficient steps over zero and
+    # the state keeps rank 2, far above the rank floor
+    h, e2 = 1e-3, np.eye(8)[1]
+    source = separable_source(8, [(TimeProfile("constant", -2.0), e2, e2)])
+    u0 = LowRankState(np.eye(8, 2), np.diag([1.0, 0.25]), np.eye(8, 2))
+    model = constant_diffusion(np.eye(2))
+    traj = integrate(method, u0, 300 * h, 300, model, source)
+    assert traj.halted_early is None and len(traj.states) == 301
+    diagonal = [np.array([1.0, 0.25])]
+    for _ in range(300):
+        y = diagonal[-1]
+        diagonal.append(np.array([y[0], y[1] - 2.0 * h])
+                        / (1.0 + np.array([2.0, 8.0]) * np.pi ** 2 * h))
+    for state, y in zip(traj.states, diagonal):
+        expected = np.zeros((8, 8))
+        expected[[0, 1], [0, 1]] = y
+        np.testing.assert_allclose(to_dense(state), expected, rtol=0, atol=1e-14)
+    assert to_dense(traj.states[-1])[1, 1] == pytest.approx(-0.0253, abs=5e-5)
+    ratio = min(d.sigma_r / d.sigma_1 for d in traj.diagnostics)
+    assert ratio == pytest.approx(1.42e-3, rel=5e-3)
+    # one step of h = 0.125 lands the coefficient exactly on 0.25 - 2 h = 0
+    with pytest.raises(RankDeficiencyError) as err:
+        integrate(method, u0, 0.125, 1, model, source)
+    assert str(err.value) == "step 1 (t = 0.125): rank collapse during left refactorization"
+    # a rotating tensor couples the modes, and the same step runs on
+    traj = integrate(method, u0, 0.125, 1, rotating_diffusion(1.0, 0.5, 1.0), source)
+    step = traj.diagnostics[0]
+    assert traj.halted_early is None
+    assert step.sigma_r / step.sigma_1 == pytest.approx(1.36e-2, rel=5e-3)
+
+
 def test_integrate_error_mentions_step(monkeypatch):
     # force an inner failure partway: sigma collapse below the in-step hard
     # floor triggers a wrapped error naming the step
