@@ -33,7 +33,8 @@ PERFBENCH_CONFIGS = ROOT / "perfbench" / "configs"
 #: as ``AlphaSpec`` keywords and source as ``SourceTermSpec`` field tuples.
 #: They are the anisotropic config with the two other methods, the energy-audit
 #: config without its source (the one run that reports h_norm_nonincreasing)
-#: and with splitting, and the experiments the benchmark does not run.
+#: and with splitting, the experiments the benchmark does not run, and a
+#: heat-diagonal run that the rank monitor halts before T (at step 607 of 1000).
 VARIANTS = {
     "anisotropic-splitting": ("anisotropic", {"method": "splitting"}),
     "anisotropic-reference": ("anisotropic", {"method": "reference"}),
@@ -44,6 +45,8 @@ VARIANTS = {
         "n_steps": 64, "alpha": {"kind": "rotation", "lambda1": 1.0, "lambda2": 0.1, "omega": 1.0},
         "source": (("cosine", 0.5, 2.0, ((1, 1.0),), ((2, 1.0),)),)}),
     "equivalence": (None, {"experiment": "equivalence"}),
+    "heat-diagonal-halted": (None, {"N": 8, "r": 2, "T": 0.8, "n_steps": 1000,
+        "alpha": {"kind": "constant", "a11": 1.0, "a22": 1.0}}),
 }
 
 

@@ -26,8 +26,8 @@ from .galerkin import (DiffusionModel, SourceSpec, TimeProfile, _check_integer, 
                        apply_a1, apply_a2, build_operator, constant_diffusion,
                        exact_diagonal_solution, h_distance, h_norm, rhs_mean_factors,
                        rotating_diffusion, separable_source, v_norm, zero_source)
-from .manifold import (LowRankState, factorize, qr_nonneg, singular_values, tangent_project,
-                       to_dense)
+from .manifold import (LowRankState, RankDeficiencyError, factorize, qr_nonneg, singular_values,
+                       tangent_project, to_dense)
 from .stepping import Trajectory, _forward_splitting_step, integrate, splitting_euler_step
 
 __all__ = [
@@ -131,32 +131,21 @@ class ConvergenceTable:
 
 @dataclass
 class EnergyReport:
-    """Per-step ledger, the audited inequality slacks and the Rothe gap.
+    """The audited inequality slacks and the Rothe gap of a trajectory.
 
-    Arrays are indexed by state (0..n) or by step (1..n).  ``slack`` maps
-    each balance estimate to max(0, lhs - rhs), NaN kept; an estimate passes
-    when its slack is at most the residual-based ``budget``, so NaN fails.
-    ``interpolant_gap`` is (h/3) sum |u_i - u_{i-1}|^2 and ``rothe_bound``
-    its cap, h/3 times the balance's right-hand side.  ``violations`` holds
-    (name, step, excess).
+    ``slack`` maps each balance estimate to max(0, lhs - rhs), NaN kept; an
+    estimate passes when its slack is at most the residual-based ``budget``,
+    so NaN fails.  ``interpolant_gap`` is (h/3) sum |u_i - u_{i-1}|^2 and
+    ``rothe_bound`` its cap, h/3 times the balance's right-hand side.
+    ``violations`` holds (name, step, excess); the audit passes when it is
+    empty.
     """
 
-    h_norms_sq: np.ndarray
-    v_norms_sq: np.ndarray
-    diff_quotients_sq: np.ndarray
-    f_dual_norms_sq: np.ndarray
-    f_h_norms_sq: np.ndarray
-    objectives: np.ndarray
-    objective_anchors: np.ndarray
     slack: dict
     budget: float
     interpolant_gap: float
     rothe_bound: float
     violations: list = field(default_factory=list)
-
-    @property
-    def passed(self) -> bool:
-        return not self.violations
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +240,7 @@ def energy_audit(traj: Trajectory) -> EnergyReport:
     violations += [("h_norm_monotonicity", i, float(hn[i] - hn[i - 1])) for i in range(1, len(hn))
                    if not source.profiles and hn[i] > hn[i - 1] * (1 + 1e-12)]
 
-    return EnergyReport(h_norms_sq=hn2, v_norms_sq=vn2, diff_quotients_sq=dq2, f_dual_norms_sq=fd2,
-                        f_h_norms_sq=fh2, objectives=objectives, objective_anchors=anchors,
-                        slack={"energy_sum": slack_energy,
+    return EnergyReport(slack={"energy_sum": slack_energy,
                                "objective_monotonicity": float(np.maximum(np.max(excess), 0.0)),
                                "v_bound": slack_v}, budget=budget,
                         interpolant_gap=gap, rothe_bound=bound, violations=violations)
@@ -467,6 +454,8 @@ def convergence_study(axis: str, u0: LowRankState, T: float, model: DiffusionMod
     full-rank reference trajectory is used.  Orders are base-2 logarithms
     of consecutive error ratios along the step axis; the rank axis runs
     ranks 1 .. u0.rank from the best rank-k approximations of the start.
+    A run that the rank monitor halts before T has no final-time error: it
+    raises RankDeficiencyError naming its step count or rank.
     """
     if axis not in ("step", "rank"):
         raise ValueError(f"unknown axis {axis!r}")
@@ -480,11 +469,18 @@ def convergence_study(axis: str, u0: LowRankState, T: float, model: DiffusionMod
         ref = integrate("reference", to_dense(u0), T, fine, model, source)
         oracle = ref.states[-1]
 
+    def error(traj: Trajectory, run: str) -> float:
+        if traj.halted_early is not None:
+            raise RankDeficiencyError(f"the rank monitor halted the {run} run at step "
+                                      f"{traj.halted_early} (t = {traj.times[-1]:.6g}), "
+                                      f"before T = {T:.6g}")
+        return h_distance(traj.states[-1], oracle)
+
     rows = []
     if axis == "step":
         for count in step_counts:
             traj = integrate(method, u0, T, count, model, source)
-            rows.append(ConvergenceRow(T / count, h_distance(traj.states[-1], oracle)))
+            rows.append(ConvergenceRow(T / count, error(traj, f"{count}-step")))
         for i in range(1, len(rows)):
             e0, e1 = rows[i - 1].error, rows[i].error
             h0, h1 = rows[i - 1].parameter, rows[i].parameter
@@ -497,5 +493,5 @@ def convergence_study(axis: str, u0: LowRankState, T: float, model: DiffusionMod
             u0_k = LowRankState(best.u1_factors[:, :k].copy(), best.core[:k, :k].copy(),
                                 best.u2_factors[:, :k].copy())
             traj = integrate(method, u0_k, T, n_steps, model, source)
-            rows.append(ConvergenceRow(float(k), h_distance(traj.states[-1], oracle)))
+            rows.append(ConvergenceRow(float(k), error(traj, f"rank-{k}")))
     return ConvergenceTable(closed_form, rows)

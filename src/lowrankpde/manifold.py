@@ -20,7 +20,6 @@ __all__ = [
     "RankDeficiencyError",
     "factorize",
     "qr_nonneg",
-    "reorthonormalize",
     "singular_values",
     "tangent_project",
     "to_dense",
@@ -34,17 +33,8 @@ _TINY = float(np.finfo(float).tiny)
 
 
 class RankDeficiencyError(ValueError):
-    """A factorization (or refactorization) lost numerical rank.
-
-    Carries the offending singular value / floor so callers can report the
-    failure without re-decomposing anything.
-    """
-
-    def __init__(self, message="", *, rank=None, sigma=None, floor=None):
-        super().__init__(message)
-        self.rank = rank
-        self.sigma = sigma
-        self.floor = floor
+    """A factorization (or refactorization) lost numerical rank; the message
+    names the offending singular value or R entry and its floor."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -88,13 +78,15 @@ def qr_nonneg(a: np.ndarray):
 
 
 def _check_qr_collapse(diag: np.ndarray, rel: float, message: str):
-    """Raise RankDeficiencyError(message) if an entry of ``diag``, the diagonal
-    of a QR factor R, is under ``rel`` times its largest (the block lost rank).
+    """Raise RankDeficiencyError if an entry of ``diag``, the diagonal of a QR
+    factor R, is under ``rel`` times its largest (the block lost rank); its
+    text is ``message`` with the rank, the least |R_kk| and the floor.
     Compared as Python floats, cheaper than numpy's reductions at r <= 8."""
     mags = [abs(d) for d in diag.tolist()]
     low, high = min(mags), max(mags)
     if low < rel * max(high, _TINY) and not math.isnan(sum(mags)):  # as numpy's NaN min/max
-        raise RankDeficiencyError(message, rank=len(mags), sigma=low, floor=rel * high)
+        raise RankDeficiencyError(f"{message} (rank {len(mags)}: least |R_kk| = {low:.3e} "
+                                  f"under the floor {rel * high:.3e})")
 
 
 def _fix_svd_signs(u, v):
@@ -130,9 +122,7 @@ def factorize(coeffs: np.ndarray, rank: int) -> LowRankState:
     low = np.flatnonzero((sigma <= 0.0) | (sigma < floor))
     if low.size:
         sigma, floor = sigma.flat[low[0]], floor.flat[low[0]]
-        raise RankDeficiencyError(
-            f"sigma_{rank} = {sigma:.3e} under the rank floor {floor:.3e}",
-            rank=rank, sigma=float(sigma), floor=float(floor))
+        raise RankDeficiencyError(f"sigma_{rank} = {sigma:.3e} under the rank floor {floor:.3e}")
     u, v = _fix_svd_signs(u[..., :rank].copy(), vt[..., :rank, :].mT.copy())
     return LowRankState(u, s[..., :rank, None] * np.eye(rank), v)
 
@@ -162,18 +152,3 @@ def singular_values(state: LowRankState) -> np.ndarray:
     set.  A stack of states gives one row per state."""
     return np.linalg.svd(state.core, compute_uv=False)
 
-
-def reorthonormalize(state: LowRankState) -> LowRankState:
-    """Restore orthonormal factor columns by QR on both sides.
-
-    The R blocks are absorbed into the core, so the dense value is
-    unchanged up to roundoff.  Fails if either R has a diagonal entry under
-    ``DEFAULT_RANK_FLOOR`` relative to its largest one (loss of factor rank).
-    """
-    q1, r1 = qr_nonneg(state.u1_factors)
-    q2, r2 = qr_nonneg(state.u2_factors)
-    for r_block in (r1, r2):
-        for diag in r_block.diagonal(0, -2, -1).reshape(-1, state.rank):
-            _check_qr_collapse(diag, DEFAULT_RANK_FLOOR,
-                               "factor block lost rank during reorthonormalization")
-    return LowRankState(q1, r1 @ state.core @ r2.mT, q2)

@@ -141,7 +141,7 @@ class StepDiagnostics:
 @dataclass
 class Trajectory:
     """The states at ``times``, each step's record, and the problem they
-    solve: the method, ``model`` and ``source``.  ``start_sigma_r`` is the
+    solve: ``model`` and ``source``.  ``start_sigma_r`` is the
     start's smallest singular value (NaN for the reference method), as
     ``StepDiagnostics.sigma_r`` is each step's.  ``halted_early`` is the
     index of the step at which the rank monitor halted, or None."""
@@ -149,7 +149,6 @@ class Trajectory:
     times: np.ndarray
     states: list
     diagnostics: list
-    method: str
     model: DiffusionModel
     source: SourceSpec
     start_sigma_r: float
@@ -528,9 +527,9 @@ def integrate(method: str, u0, T: float, n_steps: int, model: DiffusionModel,
         svals = singular_values(u0)
         start_sigma_r = float(svals[-1])
         if svals[-1] <= 0.0 or svals[-1] < DEFAULT_RANK_FLOOR * svals[0]:
-            raise RankDeficiencyError("initial state is already under the rank floor",
-                                      rank=u0.rank, sigma=start_sigma_r,
-                                      floor=float(DEFAULT_RANK_FLOOR * svals[0]))
+            raise RankDeficiencyError(
+                f"initial state is already under the rank floor: sigma_{u0.rank} = "
+                f"{start_sigma_r:.3e}, floor {DEFAULT_RANK_FLOOR * svals[0]:.3e}")
     n = shape[0]
     if source.basis_dim != n:
         raise ValueError("source and state disagree on the basis dimension")
@@ -561,5 +560,5 @@ def integrate(method: str, u0, T: float, n_steps: int, model: DiffusionModel,
         if manifold and diag.sigma_r < DEFAULT_RANK_FLOOR * diag.sigma_1:
             halted = i + 1
             break
-    return Trajectory(times=np.array(times), states=states, diagnostics=diagnostics, method=method,
-                      model=model, source=source, start_sigma_r=start_sigma_r, halted_early=halted)
+    return Trajectory(times=np.array(times), states=states, diagnostics=diagnostics, model=model,
+                      source=source, start_sigma_r=start_sigma_r, halted_early=halted)

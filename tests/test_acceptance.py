@@ -73,7 +73,7 @@ def test_criterion_3_energy_ledger(rotating_trajectory):
     monotone = all(d.objective_decreased for d in traj.diagnostics)
     norms = [h_norm(to_dense(s)) for s in traj.states]
     nonincreasing = all(b <= a * (1 + 1e-12) for a, b in zip(norms, norms[1:]))
-    ok = rep.passed and worst_slack < 1e-7 and monotone and nonincreasing
+    ok = not rep.violations and worst_slack < 1e-7 and monotone and nonincreasing
     _report(3, ok, f"worst slack {worst_slack:.3e} (< 1e-7), "
             f"objective monotone: {monotone}, h-norm nonincreasing: {nonincreasing}")
 

@@ -20,9 +20,10 @@ from lowrankpde.analysis import (PropertyReport, _spectral_distances, convergenc
                                  projection_regularity_suite, sample_nearby_state,
                                  sample_spd_tensor, sample_state, tangency_suite)
 from lowrankpde.galerkin import (GalerkinOperator, TimeProfile, build_operator,
-                                 constant_diffusion, cosine_profile, h_norm, rhs_mean_factors,
-                                 rotating_diffusion, separable_source, v_norm, zero_source)
-from lowrankpde.manifold import LowRankState, singular_values, to_dense
+                                 constant_diffusion, cosine_profile, h_distance, h_norm,
+                                 rhs_mean_factors, rotating_diffusion, separable_source, v_norm,
+                                 zero_source)
+from lowrankpde.manifold import LowRankState, RankDeficiencyError, singular_values, to_dense
 from lowrankpde.stepping import StepDiagnostics, Trajectory, integrate
 
 
@@ -70,8 +71,9 @@ def test_sample_spd_tensor():
 
 def test_energy_audit_single_mode_closed_form():
     # u0 = (1,1) mode, alpha = a I: each backward step of every method
-    # divides the coefficient by 1 + 2 a pi^2 h, so every ledger column has
-    # an explicit formula
+    # divides the coefficient by 1 + 2 a pi^2 h, so every norm, increment and
+    # objective the audit reads from the trajectory has an explicit formula,
+    # and without a source the Rothe bound is h/3 |u_0|^2
     a, n_steps, T, n = 0.02, 25, 0.25, 6
     h = T / n_steps
     rho = 1.0 / (1.0 + 2.0 * a * np.pi ** 2 * h)
@@ -84,13 +86,15 @@ def test_energy_audit_single_mode_closed_form():
         traj = integrate(method, mode_state(n, [(0, 1.0)]), T, n_steps, model,
                          zero_source(n))
         rep = energy_audit(traj)
-        np.testing.assert_allclose(rep.h_norms_sq, rho ** (2 * i), rtol=1e-10)
-        np.testing.assert_allclose(rep.v_norms_sq, 2.0 * np.pi ** 2 * rho ** (2 * i),
-                                   rtol=1e-10)
-        np.testing.assert_allclose(rep.diff_quotients_sq, dq ** 2, rtol=1e-10)
-        np.testing.assert_array_equal(rep.f_dual_norms_sq, np.zeros(n_steps))
-        np.testing.assert_allclose(rep.objectives, obj, rtol=1e-9)
-        assert rep.passed and not rep.violations
+        states = traj.states
+        np.testing.assert_allclose([h_norm(y) ** 2 for y in states], rho ** (2 * i), rtol=1e-10)
+        np.testing.assert_allclose([v_norm(y) ** 2 for y in states],
+                                   2.0 * np.pi ** 2 * rho ** (2 * i), rtol=1e-10)
+        np.testing.assert_allclose([(h_distance(b, a) / h) ** 2 for a, b in zip(states, states[1:])],
+                                   dq ** 2, rtol=1e-10)
+        assert rep.rothe_bound == h / 3.0 * h_norm(states[0]) ** 2
+        np.testing.assert_allclose([d.objective_value for d in traj.diagnostics], obj, rtol=1e-9)
+        assert not rep.violations
         assert traj.step_size == pytest.approx(h)
 
 
@@ -105,9 +109,8 @@ def test_energy_audit_inequality_recomputed_from_trajectory():
     u0 = sample_state(rng, n, r, sigma_range=(0.1, 1.0))
     traj = integrate("als", u0, 0.3, 60, model, src)
     rep = energy_audit(traj)
-    assert rep.passed, rep.violations
+    assert not rep.violations
 
-    from lowrankpde.galerkin import h_norm, rhs_mean_factors, v_norm
     h = traj.step_size
     dense = [to_dense(s) for s in traj.states]
     lhs = h_norm(dense[-1]) ** 2
@@ -125,7 +128,7 @@ def test_energy_audit_rejects_short_runs():
     n = 6
     model = constant_diffusion(0.05 * np.eye(2))
     traj = Trajectory(times=np.array([0.0]), states=[mode_state(n, [(0, 1.0)])],
-                      diagnostics=[], method="als", model=model, source=zero_source(n),
+                      diagnostics=[], model=model, source=zero_source(n),
                       start_sigma_r=1.0)
     with pytest.raises(ValueError, match="need at least one step"):
         energy_audit(traj)
@@ -145,13 +148,12 @@ def test_energy_audit_fails_a_nan_core():
     # the NaN stays in the slacks (max(0.0, nan) would read 0.0) and every
     # comparison is written so that NaN fails it
     traj = short_als_run()
-    assert energy_audit(traj).passed
+    assert not energy_audit(traj).violations
     u = traj.states[4]
     traj.states[4] = LowRankState(u.u1_factors, np.full_like(u.core, math.nan), u.u2_factors)
     rep = energy_audit(traj)
     assert {"energy_sum", "v_bound", "rothe"} <= {name for name, _, _ in rep.violations}
     assert math.isnan(rep.slack["energy_sum"]) and math.isnan(rep.slack["v_bound"])
-    assert not rep.passed
 
 
 def test_energy_audit_fails_a_nan_residual():
@@ -161,7 +163,6 @@ def test_energy_audit_fails_a_nan_residual():
     rep = energy_audit(traj)
     assert math.isnan(rep.budget)
     assert {"energy_sum", "v_bound", "rothe"} <= {name for name, _, _ in rep.violations}
-    assert not rep.passed
 
 
 def test_energy_audit_builds_no_dense_coupling(monkeypatch):
@@ -178,14 +179,36 @@ def test_energy_audit_builds_no_dense_coupling(monkeypatch):
     monkeypatch.setattr(GalerkinOperator, "__init__",
                         lambda self, *args: built.append(1) or init(self, *args))
     rep = energy_audit(traj)
-    assert rep.passed, rep.violations
+    assert not rep.violations, rep.violations
     assert "grad_coupling_1d" not in op.__dict__
     assert not built
 
 
+def source_bound(traj):
+    """The Rothe bound the audit gives ``traj`` restarted from a zero state,
+    h/3 (h/mu) sum |f_i|^2_{V*}: the source part of the balance's right side
+    alone, through the V* Gram of the source blocks."""
+    u = traj.states[0]
+    zero = LowRankState(u.u1_factors, np.zeros_like(u.core), u.u2_factors)
+    return energy_audit(dataclasses.replace(traj, states=[zero, *traj.states[1:]])).rothe_bound
+
+
+def step_sources(traj):
+    """The dense source mean P Q^T of each step of ``traj``."""
+    return [p_mat @ q_mat.T for p_mat, q_mat in
+            (rhs_mean_factors(traj.source, a, b) for a, b in zip(traj.times, traj.times[1:]))]
+
+
+def dense_source_bound(traj):
+    """:func:`source_bound` from the dense V* norms of the step sources."""
+    h = traj.step_size
+    return h / 3.0 * (h / traj.model.mu) * sum(v_dual_norm(f) ** 2 for f in step_sources(traj))
+
+
 def test_energy_audit_ledger_matches_dense_norms():
-    # the factored state norms and the source Grams against dense oracles,
-    # per state and per step, with two terms of different profiles
+    # the factored state norms and increments against dense oracles, per
+    # state and per step, and the Rothe bound, with the V* Gram of two terms
+    # of different profiles, against the dense dual norms
     rng = np.random.default_rng(56)
     n, r = 9, 3
     model = rotating_diffusion(1.0, 0.3, 2.0)
@@ -195,20 +218,38 @@ def test_energy_audit_ledger_matches_dense_norms():
                                 rng.standard_normal(n))])
     traj = integrate("als", sample_state(rng, n, r, sigma_range=(0.1, 1.0)), 0.2, 20,
                      model, src)
-    rep = energy_audit(traj)
     dense = [to_dense(s) for s in traj.states]
-    np.testing.assert_allclose(rep.h_norms_sq, [h_norm(y) ** 2 for y in dense], rtol=1e-13)
-    np.testing.assert_allclose(rep.v_norms_sq, [v_norm(y) ** 2 for y in dense],
-                               rtol=1e-13)
+    np.testing.assert_allclose([h_norm(y) ** 2 for y in traj.states],
+                               [h_norm(y) ** 2 for y in dense], rtol=1e-13)
+    np.testing.assert_allclose([v_norm(y) ** 2 for y in traj.states],
+                               [v_norm(y) ** 2 for y in dense], rtol=1e-13)
     h = traj.step_size
-    np.testing.assert_allclose(rep.diff_quotients_sq,
+    np.testing.assert_allclose([(h_distance(b, a) / h) ** 2
+                                for a, b in zip(traj.states, traj.states[1:])],
                                [h_norm((b - a) / h) ** 2 for a, b in zip(dense, dense[1:])],
                                rtol=1e-10)
-    for k in range(1, len(dense)):
-        p_mat, q_mat = rhs_mean_factors(src, traj.times[k - 1], traj.times[k])
-        f = p_mat @ q_mat.T
-        assert rep.f_dual_norms_sq[k - 1] == pytest.approx(v_dual_norm(f) ** 2, rel=1e-12)
-        assert rep.f_h_norms_sq[k - 1] == pytest.approx(h_norm(f) ** 2, rel=1e-12)
+    assert source_bound(traj) == pytest.approx(dense_source_bound(traj), rel=1e-12)
+    assert energy_audit(traj).rothe_bound == pytest.approx(
+        h / 3.0 * h_norm(dense[0]) ** 2 + dense_source_bound(traj), rel=1e-12)
+
+
+def test_energy_audit_h_gram_matches_dense_source_norms():
+    # the H Gram of the same two-term source, read through the v_bound slack
+    # of a hand-built run from zero: mu = beta = 1 and no time dependence,
+    # so the slack is max_i |u_i|_V^2 - 2h sum |f_i|^2, here half the peak
+    rng = np.random.default_rng(56)
+    n, h = 9, 0.02
+    src = separable_source(n, [(cosine_profile(0.7, 4.0), rng.standard_normal(n),
+                                rng.standard_normal(n)),
+                               (TimeProfile("linear", -1.3), rng.standard_normal(n),
+                                rng.standard_normal(n))])
+    shapes = [rng.standard_normal((n, n)) for _ in range(4)]
+    traj = dataclasses.replace(hand_built([np.zeros((n, n))] + shapes, h), source=src)
+    f_part = 2.0 * h * sum(h_norm(f) ** 2 for f in step_sources(traj))
+    scale = math.sqrt(2.0 * f_part / max(v_norm(y) ** 2 for y in shapes))
+    traj.states[1:] = [scale * y for y in shapes]
+    assert max(v_norm(y) ** 2 for y in traj.states) == pytest.approx(2.0 * f_part, rel=1e-14)
+    assert energy_audit(traj).slack["v_bound"] == pytest.approx(f_part, rel=1e-12)
 
 
 def test_post_solve_reads_factors_without_dense_arrays():
@@ -235,7 +276,7 @@ def test_post_solve_reads_factors_without_dense_arrays():
     finally:
         tracemalloc.stop()
     assert peak < 10e6, peak
-    assert rep.passed, rep.violations
+    assert not rep.violations, rep.violations
     assert rep.interpolant_gap > 0.0 and len(norms) == 51
 
 
@@ -267,32 +308,33 @@ def test_energy_audit_source_gram_stays_under_one_dense_array():
     finally:
         tracemalloc.stop()
     assert peak < 8 * n * n, peak
-    assert rep.passed, rep.violations
-    p_mat, q_mat = rhs_mean_factors(src, traj.times[0], traj.times[1])
-    assert rep.f_dual_norms_sq[0] == pytest.approx(v_dual_norm(p_mat @ q_mat.T) ** 2,
-                                                   rel=1e-12)
+    assert not rep.violations, rep.violations
+    assert source_bound(traj) == pytest.approx(dense_source_bound(traj), rel=1e-12)
 
 
 @pytest.mark.parametrize("width", [1, 4, 9])
 def test_energy_audit_source_gram_in_column_chunks(monkeypatch, width):
     # chunks of 1, 4 (4 + 4 + 1) and all 9 columns of the V* weights agree
-    # with the dense dual norm; one chunk is the arithmetic of a whole array
+    # with the dense dual norms, and give the Rothe bound of the default
+    # budget (one chunk at N = 9) to the bit; one chunk is the arithmetic of
+    # a whole array
     n = 9
-    traj, src, _ = smooth_splitting_run(n, 3, 4, 2, 60)
-    op = build_operator(n)
+    traj, src, model = smooth_splitting_run(n, 3, 4, 2, 60)
+    whole, whole_source = energy_audit(traj).rothe_bound, source_bound(traj)
     monkeypatch.setattr(analysis, "_CHUNK_BYTES", 8 * n * width)
-    rep = energy_audit(traj)
-    for k in range(1, len(traj.states)):
-        p_mat, q_mat = rhs_mean_factors(src, traj.times[k - 1], traj.times[k])
-        f = p_mat @ q_mat.T
-        assert rep.f_dual_norms_sq[k - 1] == pytest.approx(v_dual_norm(f) ** 2, rel=1e-12)
+    assert energy_audit(traj).rothe_bound == whole
+    assert source_bound(traj) == whole_source
+    assert whole_source == pytest.approx(dense_source_bound(traj), rel=1e-12)
     if width == n:
-        p, q = src.p, src.q
-        weights = 1.0 / np.add.outer(op.stiffness_diag, op.stiffness_diag)
-        gram = np.sum((p[:, None] * p) * ((q[:, None] * q) @ weights), axis=-1)
+        p, q, h = src.p, src.q, traj.step_size
+        lam = build_operator(n).stiffness_diag
+        gram = np.sum((p[:, None] * p) * ((q[:, None] * q) @ (1.0 / np.add.outer(lam, lam))),
+                      axis=-1)
         means = np.array([[prof.mean(a, b) for prof in src.profiles]
                           for a, b in zip(traj.times, traj.times[1:])])
-        assert np.array_equal(rep.f_dual_norms_sq, np.sum((means @ gram) * means, axis=1))
+        f_dual_sq = np.sum((means @ gram) * means, axis=1)
+        assert whole == h / 3.0 * (h_norm(traj.states[0]) ** 2
+                                   + (h / model.mu) * float(np.sum(f_dual_sq)))
 
 
 SAMPLERS = {
@@ -310,16 +352,16 @@ def test_samplers_reject_bad_ranges(sampler, name, value):
 
 
 def test_energy_audit_objective_anchors():
-    # the anchor column stores F evaluated at the previous state, which is
-    # where monotonicity is measured from
+    # each step's record anchors F at the previous state (the first entry of
+    # its trace), which is where the audit measures monotonicity from
     n = 6
     model = constant_diffusion(0.05 * np.eye(2))
     traj = integrate("als", mode_state(n, [(0, 1.0), (1, 0.4)]), 0.1, 10, model,
                      zero_source(n))
     rep = energy_audit(traj)
-    assert len(rep.objective_anchors) == len(rep.objectives)
-    assert np.all(np.asarray(rep.objectives)
-                  <= np.asarray(rep.objective_anchors) + 1e-11)
+    excess = [d.objective_value - d.objective_trace[0] for d in traj.diagnostics]
+    assert len(excess) == 10 and max(excess) <= 1e-11
+    assert rep.slack["objective_monotonicity"] == max(max(excess), 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +408,7 @@ def hand_built(states, h):
     each step recorded as exact (zero residual, F unchanged)."""
     record = StepDiagnostics(0, 0.0, math.nan, math.nan, (0.0, 0.0))
     return Trajectory(times=h * np.arange(len(states)), states=states,
-                      diagnostics=[record] * (len(states) - 1), method="reference",
+                      diagnostics=[record] * (len(states) - 1),
                       model=constant_diffusion(np.eye(2)), source=zero_source(len(states[0])),
                       start_sigma_r=math.nan)
 
@@ -401,7 +443,7 @@ def test_h_norm_check_fires_on_a_homogeneous_rise():
     model = constant_diffusion(0.05 * np.eye(2))
     traj = integrate("als", mode_state(n, [(0, 1.0), (1, 0.4)]), 0.1, 10, model,
                      zero_source(n))
-    assert energy_audit(traj).passed
+    assert not energy_audit(traj).violations
     last = traj.states[-1]
     risen = dataclasses.replace(traj, states=traj.states[:-1] + [
         LowRankState(last.u1_factors, 1.1 * last.core, last.u2_factors)])
@@ -785,6 +827,23 @@ def test_convergence_zero_horizon():
     u0 = mode_state(6, [(0, 1.0)])
     with pytest.raises(ValueError, match="final time must be positive"):
         convergence_study("step", u0, 0.0, model, zero_source(6), step_counts=(4, 8))
+
+
+def test_convergence_refuses_a_halted_run():
+    # under the identity tensor the (2, 2) mode of a mode-diagonal start
+    # decays 6 pi^2 faster than the (1, 1) mode, so at h = 8e-3 the rank
+    # monitor halts at step 81 (t = 0.648): its last state is no state at
+    # T = 0.8, and the study names the run instead of tabulating an error;
+    # the 10-step run before it (h = 0.08) reaches T
+    u0 = LowRankState(np.eye(8, 2), np.eye(2), np.eye(8, 2))
+    model = constant_diffusion(np.eye(2))
+    halt = "at step 81 (t = 0.648), before T = 0.8"
+    with pytest.raises(RankDeficiencyError) as err:
+        convergence_study("step", u0, 0.8, model, zero_source(8), step_counts=(10, 100))
+    assert str(err.value) == f"the rank monitor halted the 100-step run {halt}"
+    with pytest.raises(RankDeficiencyError) as err:
+        convergence_study("rank", u0, 0.8, model, zero_source(8), n_steps=100)
+    assert str(err.value) == f"the rank monitor halted the rank-2 run {halt}"
 
 
 def test_convergence_rejects_empty_step_counts():

@@ -2,6 +2,8 @@
 outside the tests, and the bench scripts that import it."""
 
 import ast
+import dataclasses
+import functools
 import importlib.util
 import json
 import re
@@ -31,6 +33,20 @@ def test_package_exports_the_module_lists():
 READS = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
 
 
+def reads(files, kinds=READS):
+    """The names that the nodes of ``kinds`` read in ``files``; an
+    identifier or attribute counts only in Load context, so an assignment
+    such as ``self.line = line`` reads ``line`` the local, not the attribute."""
+    return {getattr(node, kinds[type(node)]) for path in files
+            for node in ast.walk(ast.parse(path.read_text()))
+            if type(node) in kinds and isinstance(getattr(node, "ctx", ast.Load()), ast.Load)}
+
+
+PACKAGE = [path for path in (ROOT / "src" / "lowrankpde").glob("*.py")
+           if path.name != "__init__.py"]
+BENCH = [*(ROOT / "bench").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
+
+
 def test_every_export_has_a_reader_outside_the_tests():
     """Each name in ``lowrankpde.__all__`` and in ``lowrankpde.cli.__all__``
     is read by the package's modules (``__init__`` aside), the bench scripts
@@ -42,12 +58,39 @@ def test_every_export_has_a_reader_outside_the_tests():
     have missed ``galerkin_residual``, which is also a ``StepDiagnostics``
     field, and it could not have caught the test-only ``cli.run``, whose
     name bench's ``subprocess.run`` and perfbench's ``workload.run`` read."""
-    files = [path for path in (ROOT / "src" / "lowrankpde").glob("*.py")
-             if path.name != "__init__.py"]
-    files += [*(ROOT / "bench").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]
-    read = {getattr(node, READS[type(node)]) for path in files
-            for node in ast.walk(ast.parse(path.read_text())) if type(node) in READS}
+    read = reads(PACKAGE + BENCH)
     assert [name for name in lowrankpde.__all__ + cli.__all__ if name not in read] == []
+
+
+def exported_attributes():
+    """``(class, attribute)`` for each dataclass field, property and
+    exception attribute (what an instance made from a message holds) of
+    each class in ``lowrankpde.__all__`` and ``lowrankpde.cli.__all__``."""
+    classes = [obj for module, names in ((lowrankpde, lowrankpde.__all__), (cli, cli.__all__))
+               for obj in (getattr(module, name) for name in names) if isinstance(obj, type)]
+    for cls in classes:
+        names = [f.name for f in dataclasses.fields(cls)] if dataclasses.is_dataclass(cls) else []
+        names += [name for name, value in vars(cls).items()
+                  if isinstance(value, (property, functools.cached_property))]
+        if issubclass(cls, BaseException):
+            names += list(vars(cls("message")))
+        yield from ((cls.__name__, name) for name in names)
+
+
+def test_every_exported_attribute_has_a_reader_outside_the_tests():
+    """Each attribute of :func:`exported_attributes` is read as an attribute
+    (``obj.name`` in Load context) by the package's modules, the bench
+    scripts, perfbench or perfbench's tests, whose oracle reads
+    ``GalerkinOperator.stiffness_1d``.  An attribute only the package tests
+    read copies what its object already gives them, or is an oracle.  The
+    check goes by name alone, so an unread attribute that shares its name
+    with a read one passes: it could not have caught ``Trajectory.method``,
+    ``EnergyReport.passed`` or ``RankDeficiencyError.rank``, whose names
+    perfbench's ``self.method``, the CLI's ``PropertyReport.passed`` and
+    ``LowRankState.rank`` read."""
+    read = reads(PACKAGE + BENCH + [*(ROOT / "perfbench" / "tests").glob("*.py")],
+                 {ast.Attribute: "attr"})
+    assert [f"{cls}.{name}" for cls, name in exported_attributes() if name not in read] == []
 
 
 #: The flags each bench script's ``--help`` lists.
@@ -227,7 +270,7 @@ def test_artifact_diff_variants_are_serialized_configs():
     assert configs == ["anisotropic", "convergence-rank", "energy-audit", "geometry-suites",
                        "anisotropic-splitting", "anisotropic-reference",
                        "energy-audit-homogeneous", "energy-audit-splitting", "heat-diagonal",
-                       "convergence-h", "equivalence"]
+                       "convergence-h", "equivalence", "heat-diagonal-halted"]
     assert list(texts) == configs[4:]
     for name, text in texts.items():
         assert serialize_config(parse_config(text)) == text, name

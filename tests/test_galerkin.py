@@ -646,6 +646,19 @@ def test_exact_diagonal_solution_mode_decay_rates():
                                expected, atol=1e-14)
 
 
+def test_exact_diagonal_solution_keeps_rank_past_the_floor():
+    # at t = 1 under the identity tensor mode 4 has decayed exp(-30 pi^2),
+    # about 1e-129, relative to mode 1, far under any rank floor: the closed
+    # form still has rank 4 and equals the dense mode-by-mode decay
+    n, r, t = 40, 4, 1.0
+    u0 = LowRankState(np.eye(n, r), np.eye(r), np.eye(n, r))
+    decay = np.exp(-t * (np.arange(1, n + 1) * np.pi) ** 2)
+    dense = decay[:, None] * to_dense(u0) * decay
+    state = exact_diagonal_solution(constant_diffusion(np.eye(2)), u0, t)
+    assert state.rank == r
+    assert h_distance(state, dense) <= 1e-15 * h_norm(dense)
+
+
 def test_exact_diagonal_solution_rejects_coupled_tensor():
     model = constant_diffusion([[1.0, 0.2], [0.2, 1.0]])
     u0 = factorize(np.eye(4), 2)

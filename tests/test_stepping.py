@@ -776,7 +776,6 @@ def test_integrate_bookkeeping():
     u0 = mode_state(8, [(0, 1.0), (1, 0.5)])
     model = constant_diffusion([[0.02, 0.0], [0.0, 0.02]])
     traj = integrate("als", u0, 0.1, 10, model, zero_source(8))
-    assert traj.method == "als"
     assert len(traj.states) == 11
     assert len(traj.diagnostics) == 10
     np.testing.assert_allclose(traj.times, np.linspace(0.0, 0.1, 11), atol=1e-15)
@@ -816,11 +815,15 @@ def test_integrate_reference_matches_dense_oracle_each_step():
 
 def test_integrate_rejects_a_zero_core_start():
     # an all-zero core has sigma_r = sigma_1 = 0: under the rank floor at the
-    # start, as factorize counts it, not a rank collapse inside step 1
-    start = LowRankState(np.eye(8, 2), np.zeros((2, 2)), np.eye(8, 2))
-    for method in ("als", "splitting"):
-        with pytest.raises(RankDeficiencyError, match="^initial state is already under"):
-            integrate(method, start, 0.1, 2, constant_diffusion(np.eye(2)), zero_source(8))
+    # start, as factorize counts it, not a rank collapse inside step 1; the
+    # message names sigma_r and the floor, also for a start just under it
+    for core, numbers in ((np.zeros((2, 2)), "sigma_2 = 0.000e+00, floor 0.000e+00"),
+                          (np.diag([2.0, 1.9e-12]), "sigma_2 = 1.900e-12, floor 2.000e-12")):
+        start = LowRankState(np.eye(8, 2), core, np.eye(8, 2))
+        for method in ("als", "splitting"):
+            with pytest.raises(RankDeficiencyError) as err:
+                integrate(method, start, 0.1, 2, constant_diffusion(np.eye(2)), zero_source(8))
+            assert str(err.value) == f"initial state is already under the rank floor: {numbers}"
 
 
 def test_integrate_rejects_a_bool_final_time():
@@ -956,7 +959,8 @@ def test_source_drives_a_singular_value_through_zero(method):
     # one step of h = 0.125 lands the coefficient exactly on 0.25 - 2 h = 0
     with pytest.raises(RankDeficiencyError) as err:
         integrate(method, u0, 0.125, 1, model, source)
-    assert str(err.value) == "step 1 (t = 0.125): rank collapse during left refactorization"
+    assert str(err.value) == ("step 1 (t = 0.125): rank collapse during left refactorization "
+                              "(rank 2: least |R_kk| = 0.000e+00 under the floor 6.404e-14)")
     # a rotating tensor couples the modes, and the same step runs on
     traj = integrate(method, u0, 0.125, 1, rotating_diffusion(1.0, 0.5, 1.0), source)
     step = traj.diagnostics[0]
