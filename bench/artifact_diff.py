@@ -33,8 +33,11 @@ PERFBENCH_CONFIGS = ROOT / "perfbench" / "configs"
 #: as ``AlphaSpec`` keywords and source as ``SourceTermSpec`` field tuples.
 #: They are the anisotropic config with the two other methods, the energy-audit
 #: config without its source (the one run that reports h_norm_nonincreasing)
-#: and with splitting, the experiments the benchmark does not run, and a
-#: heat-diagonal run that the rank monitor halts before T (at step 607 of 1000).
+#: and with splitting, the experiments the benchmark does not run, a
+#: heat-diagonal run that the rank monitor halts before T (at step 607 of 1000)
+#: and one on the reference method (no mixed term, so no CG), a convergence-h
+#: run whose 64-step run the monitor halts (the numerical failure, exit 3) and
+#: one that the closed form checks, through the order gate.
 VARIANTS = {
     "anisotropic-splitting": ("anisotropic", {"method": "splitting"}),
     "anisotropic-reference": ("anisotropic", {"method": "reference"}),
@@ -47,6 +50,11 @@ VARIANTS = {
     "equivalence": (None, {"experiment": "equivalence"}),
     "heat-diagonal-halted": (None, {"N": 8, "r": 2, "T": 0.8, "n_steps": 1000,
         "alpha": {"kind": "constant", "a11": 1.0, "a22": 1.0}}),
+    "heat-diagonal-reference": (None, {"method": "reference"}),
+    "convergence-h-halted": (None, {"experiment": "convergence-h", "N": 8, "r": 2, "T": 0.8,
+        "n_steps": 64, "alpha": {"kind": "constant", "a11": 1.0, "a22": 1.0}}),
+    "convergence-h-closed-form": (None, {"experiment": "convergence-h", "N": 8, "r": 2,
+        "T": 0.1, "n_steps": 64, "alpha": {"kind": "constant", "a11": 1.0, "a22": 0.5}}),
 }
 
 

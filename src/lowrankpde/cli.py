@@ -367,7 +367,8 @@ def _suite_rows(report, prefix):
 def _heat_diagonal(cfg: RunConfig, model: DiffusionModel, source: SourceSpec):
     u0 = initial_state(cfg)
     traj = integrate(cfg.method, u0, cfg.T, cfg.n_steps, model, source)
-    err = h_distance(traj.states[-1], exact_diagonal_solution(model, u0, cfg.T))
+    t_end = cfg.T if traj.halted_early is None else traj.times[-1]   # where a halted run ends
+    err = h_distance(traj.states[-1], exact_diagonal_solution(model, u0, t_end))
     threshold = 5e-3
     failures = []
     if traj.halted_early is not None:       # its last state is no state at T
@@ -520,24 +521,13 @@ class _WarningLog(logging.Handler):
             print(line, file=sys.stderr)
 
 
-def _run(cfg: RunConfig, model: DiffusionModel, source: SourceSpec, out: str, quiet: bool) -> int:
-    """Execute ``cfg`` on the model and source its parse built, writing the
-    artifacts into the directory ``out``.  Warnings the package logs go to
-    run.log, and to stderr unless ``quiet``; they do not propagate to other
-    log handlers.  Returns 2, and runs nothing, if ``out`` is empty (then
-    nothing is made either) or cannot be made a directory."""
-    try:
-        if not out.strip():                  # Path("") is the working directory
-            raise ConfigError("the output directory must not be empty")
-        out = Path(out)
-        out.mkdir(parents=True, exist_ok=True)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"cannot make the output directory: {exc}", file=sys.stderr)
-        return 2
-    log_lines = ["config:"] + ["  " + line for line in serialize_config(cfg).strip().splitlines()]
+def _run(cfg: RunConfig, model: DiffusionModel, source: SourceSpec, out: Path, quiet: bool) -> int:
+    """Execute ``cfg`` on the model and source its parse built and report the
+    outcome (status 0, 1 or 3) once, into the existing directory ``out``:
+    report.csv and the trajectory artifacts unless status 3, run.log, then,
+    unless ``quiet``, the notes to stderr and, unless status 3, a summary to
+    stdout.  The package's warnings go to run.log, and to stderr as they come
+    unless ``quiet``; they do not propagate to other log handlers."""
     logger = logging.getLogger(__package__)
     warnings = _WarningLog(quiet)
     propagate = logger.propagate
@@ -545,34 +535,27 @@ def _run(cfg: RunConfig, model: DiffusionModel, source: SourceSpec, out: str, qu
     logger.propagate = False
     try:
         header, rows, failures, traj = EXPERIMENTS[cfg.experiment].run(cfg, model, source)
+        notes, status = [f"violation: {f}" for f in failures], 1 if failures else 0
     except (RankDeficiencyError, InnerSolveError, np.linalg.LinAlgError) as exc:
-        log_lines += warnings.lines
-        log_lines.append(f"numerical failure: {exc}")
-        log_lines.append("status: 3")
-        (out / "run.log").write_text("\n".join(log_lines) + "\n")
-        if not quiet:
-            print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
+        rows, notes, status = [], [f"numerical failure: {exc}"], 3
     finally:
         logger.removeHandler(warnings)
         logger.propagate = propagate
 
-    if traj is not None:
-        _write_trajectory(out, traj)
-        _write_diagnostics(out, traj)
-    _write_csv(out / "report.csv", header, rows)
-    for row in rows:
-        log_lines.append("  ".join(_fmt(x) for x in row))
-    log_lines += warnings.lines
-    status = 1 if failures else 0
-    for f in failures:
-        log_lines.append(f"violation: {f}")
-    log_lines.append(f"status: {status}")
-    (out / "run.log").write_text("\n".join(log_lines) + "\n")
+    if status != 3:
+        if traj is not None:
+            _write_trajectory(out, traj)
+            _write_diagnostics(out, traj)
+        _write_csv(out / "report.csv", header, rows)
+    config = ["  " + line for line in serialize_config(cfg).strip().splitlines()]
+    (out / "run.log").write_text("\n".join(
+        ["config:", *config, *("  ".join(_fmt(x) for x in row) for row in rows),
+         *warnings.lines, *notes, f"status: {status}"]) + "\n")
     if not quiet:
-        for f in failures:
-            print(f"violation: {f}", file=sys.stderr)
-        print(f"{cfg.experiment}: {'ok' if status == 0 else 'FAILED'} (artifacts in {out})")
+        for note in notes:
+            print(note, file=sys.stderr)
+        if status != 3:
+            print(f"{cfg.experiment}: {'ok' if status == 0 else 'FAILED'} (artifacts in {out})")
     return status
 
 
@@ -591,16 +574,23 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        text = Path(args.config).read_text()
+        cfg, *built = _parse(Path(args.config).read_text())
     except OSError as exc:
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
-    try:
-        cfg, *built = _parse(text)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    return _run(cfg, *built, args.out, args.quiet)
+    if not args.out.strip():                 # Path("") is the working directory
+        print("config error: the output directory must not be empty", file=sys.stderr)
+        return 2
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot make the output directory: {exc}", file=sys.stderr)
+        return 2
+    return _run(cfg, *built, out, args.quiet)
 
 
 if __name__ == "__main__":

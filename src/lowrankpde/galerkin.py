@@ -66,11 +66,12 @@ class DiffusionModel:
 
     @property
     def constant_diagonal(self) -> bool:
-        """Whether alpha is constant (``lipschitz_t == 0``) with exactly zero
-        off-diagonal entries, the steppers' own test for no mixed term: the
-        case :func:`exact_diagonal_solution` solves in closed form."""
+        """Whether alpha is constant (``lipschitz_t == 0``) with a mixed
+        coefficient ``a12 + a21`` of exactly zero, the steppers' own test for
+        no mixed term: the case :func:`exact_diagonal_solution` solves in
+        closed form."""
         a = self.alpha(0.0)
-        return bool(self.lipschitz_t == 0.0 and a[0, 1] == 0.0 and a[1, 0] == 0.0)
+        return bool(self.lipschitz_t == 0.0 and a[0, 1] + a[1, 0] == 0.0)
 
 
 def constant_diffusion(matrix) -> DiffusionModel:

@@ -9,7 +9,6 @@ immutable values and all operations are pure functions of their inputs.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,8 +27,6 @@ __all__ = [
 #: Relative floor of sigma_r / sigma_1 under which a rank-r state counts as degenerate;
 #: also the floor of the integration monitor in ``stepping.integrate``.
 DEFAULT_RANK_FLOOR = 1e-12
-
-_TINY = float(np.finfo(float).tiny)
 
 
 class RankDeficiencyError(ValueError):
@@ -75,18 +72,6 @@ def qr_nonneg(a: np.ndarray):
     q, r = np.linalg.qr(a)
     signs = np.where(r.diagonal(0, -2, -1) < 0.0, -1.0, 1.0)
     return q * signs[..., None, :], signs[..., None] * r
-
-
-def _check_qr_collapse(diag: np.ndarray, rel: float, message: str):
-    """Raise RankDeficiencyError if an entry of ``diag``, the diagonal of a QR
-    factor R, is under ``rel`` times its largest (the block lost rank); its
-    text is ``message`` with the rank, the least |R_kk| and the floor.
-    Compared as Python floats, cheaper than numpy's reductions at r <= 8."""
-    mags = [abs(d) for d in diag.tolist()]
-    low, high = min(mags), max(mags)
-    if low < rel * max(high, _TINY) and not math.isnan(sum(mags)):  # as numpy's NaN min/max
-        raise RankDeficiencyError(f"{message} (rank {len(mags)}: least |R_kk| = {low:.3e} "
-                                  f"under the floor {rel * high:.3e})")
 
 
 def _fix_svd_signs(u, v):

@@ -270,7 +270,9 @@ def test_artifact_diff_variants_are_serialized_configs():
     assert configs == ["anisotropic", "convergence-rank", "energy-audit", "geometry-suites",
                        "anisotropic-splitting", "anisotropic-reference",
                        "energy-audit-homogeneous", "energy-audit-splitting", "heat-diagonal",
-                       "convergence-h", "equivalence", "heat-diagonal-halted"]
+                       "convergence-h", "equivalence", "heat-diagonal-halted",
+                       "heat-diagonal-reference", "convergence-h-halted",
+                       "convergence-h-closed-form"]
     assert list(texts) == configs[4:]
     for name, text in texts.items():
         assert serialize_config(parse_config(text)) == text, name

@@ -12,8 +12,10 @@ import pytest
 
 from lowrankpde import analysis
 from lowrankpde.cli import (EXPERIMENTS, METHODS, AlphaSpec, ConfigError, RunConfig, config_model,
-                            config_source, main, parse_config, serialize_config)
-from lowrankpde.galerkin import GalerkinOperator, rhs_mean_factors
+                            config_source, initial_state, main, parse_config, serialize_config)
+from lowrankpde.galerkin import (GalerkinOperator, exact_diagonal_solution, h_distance,
+                                 rhs_mean_factors)
+from lowrankpde.stepping import integrate
 
 ROOT = Path(__file__).resolve().parent.parent
 README = (ROOT / "README.md").read_text()
@@ -528,6 +530,45 @@ def test_run_numerical_failure_exit_code(tmp_path, monkeypatch):
     assert not (out / "trajectory.csv").exists()
 
 
+#: convergence-h under the identity tensor: the 64-step run of the study
+#: reaches the rank floor before T, which no report row can stand for
+CONVERGENCE_HALTED = ("experiment = convergence-h\nN = 8\nr = 2\nT = 0.8\nn_steps = 64\n"
+                      "[alpha]\nkind = constant\na11 = 1\na22 = 1\n")
+_TRAJECTORY_FILES = ["diagnostics.csv", "report.csv", "run.log", "trajectory.csv"]
+
+
+@pytest.mark.parametrize("text, status, summary, notes, log_tail, files", [
+    pytest.param(QUICK_HEAT, 0, "heat-diagonal: ok", [],
+                 ["final_error  0.00028721542016960929", "error_threshold  0.0050000000000000001",
+                  "passed  true", "status: 0"], _TRAJECTORY_FILES, id="exit-0"),
+    pytest.param(QUICK_HEAT.replace("T = 0.05\nn_steps = 10", "T = 0.1\nn_steps = 1"), 1,
+                 "heat-diagonal: FAILED", ["violation: final error 9.726e-03 above 5.0e-03"],
+                 ["passed  false", "violation: final error 9.726e-03 above 5.0e-03", "status: 1"],
+                 _TRAJECTORY_FILES, id="exit-1"),
+    pytest.param(CONVERGENCE_HALTED, 3, None,
+                 ["numerical failure: the rank monitor halted the 64-step run at step 60 "
+                  "(t = 0.75), before T = 0.8"],
+                 ["  a22 = 1", "numerical failure: the rank monitor halted the 64-step run at "
+                  "step 60 (t = 0.75), before T = 0.8", "status: 3"], ["run.log"], id="exit-3"),
+])
+@pytest.mark.parametrize("quiet", [False, True], ids=["loud", "quiet"])
+def test_run_outcome_is_reported_once(tmp_path, capsys, text, status, summary, notes, log_tail,
+                                      files, quiet):
+    # each outcome writes its artifacts, a run.log ending in its notes and
+    # status, its notes to stderr and, unless it failed numerically, one
+    # summary line to stdout; --quiet silences both streams
+    out = tmp_path / "out"
+    argv = ["run", _write(tmp_path, text), "--out", str(out)]
+    assert main(argv + ["--quiet"] * quiet) == status
+    captured = capsys.readouterr()
+    stdout = "" if quiet or summary is None else f"{summary} (artifacts in {out})\n"
+    stderr = "" if quiet else "".join(f"{note}\n" for note in notes)
+    assert (captured.out, captured.err) == (stdout, stderr)
+    log = (out / "run.log").read_text().splitlines()
+    assert log[0] == "config:" and log[-len(log_tail):] == log_tail
+    assert sorted(p.name for p in out.iterdir()) == files
+
+
 @pytest.mark.parametrize("quiet", [True, False])
 def test_run_logs_package_warnings(tmp_path, monkeypatch, capsys, quiet):
     import logging
@@ -574,7 +615,8 @@ HALTED = "experiment = heat-diagonal\n{}\n[alpha]\nkind = constant\na11 = 1.0\na
 ])
 def test_heat_diagonal_fails_a_halted_run(tmp_path, text, halt):
     # a run the rank monitor halted has no final state at T to compare with
-    # the closed form: it fails, naming the halt step and its time
+    # the closed form: it fails, naming the halt step and its time, and its
+    # final_error is measured against the closed form at the halt time
     out = tmp_path / "halted"
     assert _main(tmp_path, text, out) == 1
     step, t, T = halt
@@ -583,6 +625,12 @@ def test_heat_diagonal_fails_a_halted_run(tmp_path, text, halt):
                         f"before T = {T}", "status: 1"]
     report = dict(line.split(",", 1) for line in (out / "report.csv").read_text().splitlines())
     assert report["passed"] == "false"
+    cfg = parse_config(text)
+    model, u0 = config_model(cfg), initial_state(cfg)
+    traj = integrate(cfg.method, u0, cfg.T, cfg.n_steps, model, config_source(cfg))
+    err = h_distance(traj.states[-1], exact_diagonal_solution(model, u0, traj.times[-1]))
+    assert float(report["final_error"]) == err
+    assert f"final_error  {report['final_error']}" in log
     last = (out / "trajectory.csv").read_text().splitlines()[-1].split(",")
     assert int(last[0]) == step and float(last[1]) == pytest.approx(float(t), rel=1e-12)
 

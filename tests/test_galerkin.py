@@ -422,6 +422,28 @@ def test_constant_diagonal_is_the_steppers_test(model):
             np.eye(4, 1), np.eye(1), np.eye(4, 1)), 0.1)
 
 
+def test_constant_diagonal_reads_the_mixed_coefficient():
+    # an antisymmetric off-diagonal pair passes the symmetry check and has a
+    # mixed coefficient a12 + a21 of exactly zero: the steppers run it with
+    # no CG iteration and the states of diag(2, 3), bit for bit, so the
+    # closed form applies
+    from lowrankpde.stepping import integrate
+
+    skew = constant_diffusion([[2.0, 5e-15], [-5e-15, 3.0]])
+    diagonal = constant_diffusion([[2.0, 0.0], [0.0, 3.0]])
+    assert skew.constant_diagonal is True
+    u0 = factorize(np.random.default_rng(7).standard_normal((6, 6)), 2)
+    for method in ("als", "splitting", "reference"):
+        runs = [integrate(method, u0, 0.05, 4, model, zero_source(6))
+                for model in (skew, diagonal)]
+        assert all(d.inner_iterations == 0 for d in runs[0].diagnostics), method
+        for a, b in zip(runs[0].states, runs[1].states):     # reference: dense arrays
+            assert np.array_equal(*(y if isinstance(y, np.ndarray) else to_dense(y)
+                                    for y in (a, b))), method
+    expected = exact_diagonal_solution(diagonal, u0, 0.05)
+    assert np.array_equal(to_dense(exact_diagonal_solution(skew, u0, 0.05)), to_dense(expected))
+
+
 @pytest.mark.parametrize("build, args, message", [
     (constant_diffusion, ([[math.inf, 0.0], [0.0, 1.0]],), "matrix must have finite entries"),
     (constant_diffusion, ([[1.0, math.nan], [math.nan, 1.0]],),

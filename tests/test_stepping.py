@@ -978,6 +978,36 @@ def test_integrate_error_mentions_step(monkeypatch):
         integrate("als", u0, 40.0, 200, model, zero_source(8))
 
 
+def numpy_collapse_check(diag):
+    """The collapse check by numpy reductions: None, or (rank, sigma, floor)."""
+    diag, rel = np.abs(diag), stepping._QR_COLLAPSE_REL
+    if diag.min() < rel * max(diag.max(), np.finfo(float).tiny):
+        return diag.size, float(diag.min()), float(rel * diag.max())
+    return None
+
+
+_FLOOR = stepping._QR_COLLAPSE_REL      # the in-step floor relative to the largest |R_kk|
+
+
+@pytest.mark.parametrize("diag", [[1.0], [0.0], [-0.0, 0.0], [2.0, -1e-13, 0.5], [3.0, -3e-15],
+                                  [1.0, _FLOOR], [1.0, np.nextafter(_FLOOR, 0.0)],
+                                  [-1e-300, 1e-310, 4e-300], [5e-324, 5e-324],
+                                  [1.0, np.nan, 1e-20], [np.nan, 1e-20, 1.0], [1.0, np.inf]])
+def test_qr_collapse_check_agrees_with_numpy_reductions(diag):
+    # the float comparison raises exactly where the numpy one does, and its
+    # message names the same rank, sigma and floor
+    diag = np.diagonal(np.diag(diag))               # a strided view, as R.diagonal() is
+    want = numpy_collapse_check(diag)
+    if want is None:
+        stepping._check_qr_collapse(diag, "lost rank")
+        return
+    with pytest.raises(RankDeficiencyError) as err:
+        stepping._check_qr_collapse(diag, "lost rank")
+    rank, sigma, floor = want
+    assert str(err.value) == (f"lost rank (rank {rank}: least |R_kk| = {sigma:.3e} "
+                              f"under the floor {floor:.3e})")
+
+
 def _alpha_turning_nan(a12, entries):
     """A model whose tensor [[1, a12], [a12, 0.5]] has NaN ``entries`` after t = 0.25."""
     def alpha(t):
