@@ -334,25 +334,22 @@ def _write_csv(path: Path, header: str, rows):
     path.write_text("\n".join(lines) + "\n")
 
 
-def _write_trajectory(out: Path, traj: Trajectory):
-    rows = []
-    for i, (t, y) in enumerate(zip(traj.times, traj.states)):
-        if i == 0:
-            resid, obj, sigma = math.nan, math.nan, traj.start_sigma_r
-        else:
-            d = traj.diagnostics[i - 1]
-            resid, obj, sigma = d.galerkin_residual, d.objective_value, d.sigma_r
-        rows.append((i, float(t), h_norm(y), v_norm(y), sigma, resid, obj))
+def _write_steps(out: Path, traj: Trajectory):
+    """trajectory.csv (one row per state, row 0 the start) and diagnostics.csv
+    (one row per step) from one pass over the step records."""
+    y0, steps = traj.states[0], []
+    states = [(0, float(traj.times[0]), h_norm(y0), v_norm(y0), traj.start_sigma_r, math.nan,
+               math.nan)]
+    for i, (t, y, d) in enumerate(zip(traj.times[1:], traj.states[1:], traj.diagnostics), 1):
+        states.append((i, float(t), h_norm(y), v_norm(y), d.sigma_r, d.galerkin_residual,
+                       d.objective_value))
+        steps.append((i, d.sweeps_used, d.galerkin_residual, d.objective_value, d.sigma_r,
+                      d.objective_decreased))
     _write_csv(out / "trajectory.csv",
-               "step,t,h_norm,v_norm,sigma_r,galerkin_residual,objective", rows)
-
-
-def _write_diagnostics(out: Path, traj: Trajectory):
-    rows = [(i + 1, d.sweeps_used, d.galerkin_residual, d.objective_value, d.sigma_r,
-             d.objective_decreased) for i, d in enumerate(traj.diagnostics)]
+               "step,t,h_norm,v_norm,sigma_r,galerkin_residual,objective", states)
     _write_csv(out / "diagnostics.csv",
                "step,sweeps_used,galerkin_residual,objective_value,sigma_r,objective_decreased",
-               rows)
+               steps)
 
 
 # ---------------------------------------------------------------------------
@@ -544,8 +541,7 @@ def _run(cfg: RunConfig, model: DiffusionModel, source: SourceSpec, out: Path, q
 
     if status != 3:
         if traj is not None:
-            _write_trajectory(out, traj)
-            _write_diagnostics(out, traj)
+            _write_steps(out, traj)
         _write_csv(out / "report.csv", header, rows)
     config = ["  " + line for line in serialize_config(cfg).strip().splitlines()]
     (out / "run.log").write_text("\n".join(
@@ -570,7 +566,8 @@ def main(argv=None) -> int:
     runp = sub.add_parser("run", help="execute a config file")
     runp.add_argument("config", help="path to a key = value config file")
     runp.add_argument("--out", default="out", help="output directory (default: out)")
-    runp.add_argument("--quiet", action="store_true", help="suppress stdout chatter")
+    runp.add_argument("--quiet", action="store_true",
+                      help="no summary on stdout; the notes and warnings go to run.log only")
     args = parser.parse_args(argv)
 
     try:

@@ -225,21 +225,25 @@ def _squared_norms(stack: np.ndarray) -> np.ndarray:
     return (flat @ flat.mT)[..., 0, 0]
 
 
-def h_distance(a, b):
-    """:func:`h_norm` of ``a - b``, each a ``LowRankState`` or a dense array
-    (an array of them for stacks).
+def h_distance(a, b) -> float:
+    """:func:`h_norm` of ``a - b``, each one ``LowRankState`` or one dense
+    (N, N) array; a stack of either raises ValueError.
     Two states are compared from their factors: with ``M = U_b^T U_a``,
     ``A - B = (U_a - U_b M) S_a V_a^T + U_b (M S_a V_a^T - S_b V_b^T)`` is an
-    orthogonal sum, so its norm is that of an (N, r_a) and an (r_b, N) block.
-    Any other pair is densified and subtracted."""
+    orthogonal sum, so its norm is that of an (N, r_a) and an (r_b, N) block
+    and keeps its error at roundoff of |A| + |B| however close the states
+    are (a difference of squared norms would leave sqrt(eps) |A|), which
+    ALS's stop test needs.  Any other pair is densified and subtracted."""
     if isinstance(a, LowRankState) and isinstance(b, LowRankState):
-        m = b.u1_factors.mT @ a.u1_factors
-        across = (a.u1_factors - b.u1_factors @ m) @ a.core
-        along = m @ a.core @ a.u2_factors.mT - b.core @ b.u2_factors.mT
-        if across.ndim == 2:
-            return math.sqrt(np.vdot(across, across) + np.vdot(along, along))
-        return np.sqrt(_squared_norms(across) + _squared_norms(along))
+        if a.core.ndim != 2 or b.core.ndim != 2:
+            raise ValueError("h_distance compares two states, not stacks")
+        m = b.u1_factors.T.dot(a.u1_factors)
+        across = (a.u1_factors - b.u1_factors.dot(m)).dot(a.core)
+        along = m.dot(a.core).dot(a.u2_factors.T) - b.core.dot(b.u2_factors.T)
+        return math.sqrt(np.vdot(across, across) + np.vdot(along, along))
     dense = [to_dense(x) if isinstance(x, LowRankState) else np.asarray(x) for x in (a, b)]
+    if dense[0].ndim != 2 or dense[1].ndim != 2:
+        raise ValueError("h_distance compares two states, not stacks")
     return h_norm(dense[0] - dense[1])
 
 

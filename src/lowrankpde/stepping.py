@@ -24,13 +24,15 @@ basis and basis^T G basis), and one dot that gives F at its minimizer, so
 the sweep loop evaluates F only at the anchor and at the result.  The
 residual, once per step, makes one (r, N) product per term of U^T D and
 one (N, r) product per term of D V, each with a block the frames or the
-step already hold, plus U^T D V; it stacks no N-row blocks.  So
-``_Step``, ``_state_change`` and ``_forward_splitting_step`` multiply 2-D
-blocks with ``ndarray.dot``, not ``@``: the same BLAS gemm, so the same
-bits, without the matmul ufunc's dispatch, which costs about as much as the
-product (one Xeon core: 1.0 against 1.4 us for 8 x 8 blocks, 1.7 against
-2.9 us for (128, 8) by (8, 8)).  ``@`` stays where an operand may be a
-stack (manifold, analysis, the Galerkin applies) or is N x N (reference).
+step already hold, plus U^T D V; it stacks no N-row blocks.  The stop
+test after each sweep is ``galerkin.h_distance`` between the states before
+and after it.  So ``_Step``, ``_forward_splitting_step`` and
+``h_distance`` multiply 2-D blocks with ``ndarray.dot``, not ``@``: the
+same BLAS gemm, so the same bits, without the matmul ufunc's dispatch,
+which costs about as much as the product (one Xeon core: 1.0 against
+1.4 us for 8 x 8 blocks, 1.7 against 2.9 us for (128, 8) by (8, 8)).
+``@`` stays where an operand may be a stack (manifold, analysis, the
+Galerkin applies) or is N x N (reference).
 
 One object, ``_Step``, owns a rank-r step: it holds the anchor, the tensor
 at t_next, h and the source factors, evaluates F and the residual, and runs
@@ -53,7 +55,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .galerkin import (DiffusionModel, GalerkinOperator, SourceSpec, _apply_g, _check_integer,
-                       apply_operator, build_operator, h_norm, rhs_mean_factors)
+                       apply_operator, build_operator, h_distance, h_norm, rhs_mean_factors)
 from .manifold import (DEFAULT_RANK_FLOOR, LowRankState, RankDeficiencyError,
                        singular_values, to_dense)
 
@@ -74,7 +76,8 @@ log = logging.getLogger(__name__)
 #: The integrators :func:`integrate` runs.
 METHODS = ("als", "splitting", "reference")
 
-# Relative state change at which ALS stops sweeping.
+# Distance between the states before and after a sweep, relative to the
+# new state's norm, at which ALS stops sweeping.
 _ALS_TOL = 1e-11
 
 # Residual at which the inner conjugate gradient stops, relative to the norm
@@ -320,17 +323,6 @@ def _check_qr_collapse(diag: np.ndarray, message: str):
                                   f"under the floor {_QR_COLLAPSE_REL * high:.3e})")
 
 
-def _state_change(u, s, v, u_new, r_k, v_new, r_w) -> float:
-    """Frobenius distance between the states U S V^T and U' R_w^T V'^T of a
-    sweep, through its half-sweep state U' R_k V^T: both increments are the
-    (N, r) blocks dk = U' R_k - U S and dw = V' R_w - V R_k^T, so it keeps its
-    relative accuracy however close the states are."""
-    dk = u_new.dot(r_k) - u.dot(s)
-    dw = v_new.dot(r_w) - v.dot(r_k.T)
-    cross = np.vdot(v.T.dot(dw), u_new.T.dot(dk).T)
-    return math.sqrt(max(np.vdot(dk, dk) + np.vdot(dw, dw) + 2.0 * cross, 0.0))
-
-
 # ---------------------------------------------------------------------------
 # the inner conjugate gradient
 
@@ -411,7 +403,8 @@ def _alternating_step(u_prev: LowRankState, h: float, t_next: float, f_factors,
     over the left factor-with-core (right basis frozen), then over the right
     one (new left basis frozen); the anchor stays fixed, so no half-sweep
     raises F.  A sweep that another may follow stops the step once the
-    relative state change is at most ``_ALS_TOL``.  The conjugate gradient of
+    :func:`h_distance` between the states before and after it is at most
+    ``_ALS_TOL`` times the new core's norm.  The conjugate gradient of
     a mixed term starts at the current factor-with-core (U0 S0 in the first
     sweep), where its quadratic equals the current F, so it cannot raise F
     either.  Between half-sweeps the state is two frames and a core.  The
@@ -421,24 +414,23 @@ def _alternating_step(u_prev: LowRankState, h: float, t_next: float, f_factors,
     """
     step = _Step(op, model, h, t_next, u_prev, f_factors)
     left, right = step.frames(u_prev)
-    core, sweeps, iterations = u_prev.core, 0, 0
-    trace = [step.objective(core, left, right)]
+    state, sweeps, iterations = u_prev, 0, 0
+    trace = [step.objective(state.core, left, right)]
     for sweeps in range(1, max_sweeps + 1):
-        u, s, v = left.basis, core, right.basis
+        start = state
         # left half-sweep: unknown K = U S with the right basis frozen
-        left, r_k, its_k, f_k = step.half_sweep(0, right, left, core)
+        left, r_k, its_k, f_k = step.half_sweep(0, right, left, start.core)
         # right half-sweep: unknown W = V S^T with the new left basis frozen
         right, r_w, its_w, f_w = step.half_sweep(1, left, right, r_k.T)
-        core, iterations = r_w.T, iterations + its_k + its_w
+        state = LowRankState(left.basis, r_w.T, right.basis)
+        iterations += its_k + its_w
         trace += [f_k, f_w]
-        if sweeps < max_sweeps and _state_change(u, s, v, left.basis, r_k, right.basis, r_w) / max(
-                math.sqrt(np.vdot(core, core)), np.finfo(float).tiny) <= _ALS_TOL:
+        if sweeps < max_sweeps and h_distance(state, start) <= _ALS_TOL * h_norm(state):
             break
-    trace[-1] = step.objective(core, left, right)
-    state = LowRankState(left.basis, core, right.basis)
+    trace[-1] = step.objective(state.core, left, right)
     svals = singular_values(state)
-    return state, StepDiagnostics(sweeps, step.residual(core, left, right), float(svals[-1]),
-                                  float(svals[0]), tuple(trace), iterations)
+    return state, StepDiagnostics(sweeps, step.residual(state.core, left, right),
+                                  float(svals[-1]), float(svals[0]), tuple(trace), iterations)
 
 
 def als_variational_step(u_prev: LowRankState, h: float, t_next: float,
@@ -446,10 +438,11 @@ def als_variational_step(u_prev: LowRankState, h: float, t_next: float,
                          opts: Optional[StepOptions] = None):
     """Rank-constrained backward-Euler step by alternating half-sweeps.
 
-    Sweeps until the relative state change drops under ``_ALS_TOL`` or at the
-    sweep cap, which is flagged in the log unless the residual is at
-    roundoff.  The source mean is ``P @ Q.T`` for ``f_factors = (P, Q)``.
-    Returns (state, diagnostics).
+    Sweeps until a sweep moves the state by at most ``_ALS_TOL`` relative to
+    its norm, as measured by :func:`h_distance`, or to the sweep cap, which
+    is flagged in the log unless the residual is at roundoff.  The source
+    mean is ``P @ Q.T`` for ``f_factors = (P, Q)``.  Returns (state,
+    diagnostics).
     """
     opts = opts or StepOptions()
     state, diag = _alternating_step(u_prev, h, t_next, f_factors, op, model, opts.als_max_sweeps)

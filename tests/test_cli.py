@@ -591,6 +591,17 @@ def test_run_logs_package_warnings(tmp_path, monkeypatch, capsys, quiet):
     assert logger.propagate and not logger.handlers
 
 
+def test_run_help_says_what_quiet_keeps_off_both_streams(capsys):
+    # --quiet drops the stdout summary and the stderr notes and warnings,
+    # which run.log still records (test_run_outcome_is_reported_once)
+    with pytest.raises(SystemExit) as exit_:
+        main(["run", "--help"])
+    assert exit_.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())      # as wrapped to any width
+    assert ("--quiet no summary on stdout; the notes and warnings go to run.log only"
+            in text)
+
+
 def test_run_detects_violation(tmp_path):
     # a single huge step cannot meet the preset error bound
     out = tmp_path / "coarse"

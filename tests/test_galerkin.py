@@ -342,8 +342,9 @@ def test_factored_v_norm_of_a_stack():
 
 
 def test_factored_h_norm_and_distance_of_a_stack():
-    # one value per state, as a loop over the states gives; a single state
-    # stays a float
+    # h_norm gives one value per state, as a loop over the states gives; a
+    # single state stays a float.  h_distance compares two states only: a
+    # stack on either side, factored or dense, raises
     rng = np.random.default_rng(30)
 
     def stacked(states):
@@ -353,15 +354,16 @@ def test_factored_h_norm_and_distance_of_a_stack():
     a_states = [random_state(rng, 6, 2) for _ in range(3)]
     b_states = [random_state(rng, 6, 2) for _ in range(3)]
     a, b = stacked(a_states), stacked(b_states)
-    assert np.shape(h_norm(a)) == np.shape(h_distance(a, b)) == (3,)
+    assert np.shape(h_norm(a)) == (3,)
     np.testing.assert_allclose(h_norm(a), [h_norm(s) for s in a_states], rtol=1e-15)
-    np.testing.assert_allclose(h_distance(a, b), [h_distance(x, y) for x, y in
-                                                  zip(a_states, b_states)], rtol=1e-14)
     np.testing.assert_allclose(h_norm(to_dense(a)), [h_norm(to_dense(s)) for s in a_states],
                                rtol=1e-14)
-    np.testing.assert_allclose(h_distance(a, to_dense(b)), h_distance(a, b), rtol=1e-13)
     assert isinstance(h_norm(a_states[0]), float)
     assert isinstance(h_distance(a_states[0], b_states[0]), float)
+    for pair in ((a, b), (a, b_states[0]), (a_states[0], b), (a, to_dense(b)),
+                 (to_dense(a), to_dense(b_states[0]))):
+        with pytest.raises(ValueError, match="not stacks"):
+            h_distance(*pair)
 
 
 def test_dual_norm_pairing_bound_and_attainment():

@@ -17,13 +17,13 @@ from dense_oracles import galerkin_residual, mode_state, operator_matrix, step_o
 from lowrankpde import galerkin, manifold, stepping
 from lowrankpde.analysis import sample_state
 from lowrankpde.galerkin import (DiffusionModel, TimeProfile, build_operator, constant_diffusion,
-                                 cosine_profile, rhs_mean_factors,
+                                 cosine_profile, h_distance, rhs_mean_factors,
                                  rotating_diffusion, separable_source, zero_source)
 from lowrankpde.manifold import (DEFAULT_RANK_FLOOR, LowRankState, RankDeficiencyError,
                                  factorize, qr_nonneg, singular_values, tangent_project,
                                  to_dense)
-from lowrankpde.stepping import (METHODS, StepOptions, _forward_splitting_step, _state_change,
-                                 _Step, als_variational_step, integrate, reference_step,
+from lowrankpde.stepping import (METHODS, StepOptions, _forward_splitting_step, _Step,
+                                 als_variational_step, integrate, reference_step,
                                  splitting_euler_step)
 
 
@@ -407,9 +407,10 @@ def test_factored_objective_and_residual_match_dense_formulas(n, a12):
 
 
 def test_sweep_change_resolves_nearby_states():
-    # old -> mid changes the left factor-with-core, mid -> new the right one;
-    # the states are 1e-13 apart relative to their norm, where a difference
-    # of squared norms only sees roundoff of order sqrt(eps) |Y|
+    # the ALS stop test's distance between the states before and after a
+    # sweep: old -> mid changes the left factor-with-core, mid -> new the
+    # right one; the states are 1e-13 apart relative to their norm, where a
+    # difference of squared norms only sees roundoff of order sqrt(eps) |Y|
     rng = np.random.default_rng(47)
     n, r, delta = 12, 3, 1e-13
     old = random_state(rng, n, r)
@@ -426,7 +427,7 @@ def test_sweep_change_resolves_nearby_states():
     gap = exact_dense(new) - exact_dense(old)
     oracle = math.sqrt(float(np.sum(gap * gap)))
     assert 1e-14 < oracle / np.linalg.norm(old.core) < 1e-12
-    assert _state_change(u, s, v, u_new, r_k, v_new, r_w) == pytest.approx(oracle, rel=1e-2)
+    assert h_distance(new, old) == pytest.approx(oracle, rel=1e-2)
 
 
 def test_step_linearity_under_scaling():
@@ -623,7 +624,7 @@ def test_warm_half_sweep_multiplies_by_g_once_per_iteration_and_frame(monkeypatc
 
 #: The functions of a rank-r step that run on every half-sweep or its stop test.
 HOT_PATH = (_Step.frame, _Step.reduced, _Step.objective, _Step.residual, _Step.half_sweep,
-            _state_change, _forward_splitting_step, galerkin._apply_g)
+            galerkin.h_distance, _forward_splitting_step, galerkin._apply_g)
 
 
 def test_hot_path_multiplies_blocks_with_dot():
