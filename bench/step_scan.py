@@ -1,8 +1,9 @@
-"""Per-step cost scan of the rank-r integrators.
+"""Per-step cost scan of the rank-r integrators against the full-rank reference.
 
-Times ``integrate`` for the ALS and splitting methods at rank r = 8 over a
-grid of basis sizes N and mixed coefficients a12, and writes the result as
-JSON (default ``BENCH_step_scan.json`` at the repository root):
+Times ``integrate`` for the ALS and splitting methods at rank r = 8, and for
+the reference method from the same start, over a grid of basis sizes N and
+mixed coefficients a12, and writes the result as JSON (default
+``BENCH_step_scan.json`` at the repository root):
 
     python3 bench/step_scan.py [--out PATH] [--method M ...] [--N N ...] [--a12 A ...]
                                [--against DIR]
@@ -21,10 +22,14 @@ Each row records, for one (method, N, a12):
   ``build_operator``, as it does for every caller.  CPU time leaves out the
   time the process waits for a core on a shared host; BLAS runs on one
   thread, so it is the time of that thread.
-- ``sweeps_per_step`` and ``ms_per_sweep`` (ALS sweeps; 1 for splitting).
-- ``inner_iterations_per_half_sweep``: conjugate-gradient iterations of the
-  half-sweep solves (``StepDiagnostics.inner_iterations``) over the two
-  half-sweeps of every sweep; 0 without a mixed term.
+- rank-r rows, ``sweeps_per_step`` and ``ms_per_sweep`` (ALS sweeps; 1 for
+  splitting), and ``inner_iterations_per_half_sweep``: conjugate-gradient
+  iterations of the half-sweep solves (``StepDiagnostics.inner_iterations``)
+  over the two half-sweeps of every sweep; 0 without a mixed term.
+- reference rows, in their place, ``inner_iterations_per_step``: the
+  conjugate-gradient iterations of the dense step solve; 0 without a mixed
+  term, where the step is one division.  Their ``r`` is null: the reference
+  starts from the same rank-r state, but its states have full rank.
 - ``peak_traced_mb``: peak allocation traced by ``tracemalloc`` over one
   further, untimed call.  An N x N array of floats is 8 N^2 bytes, so a
   peak far below that shows that no dense matrix was formed.
@@ -40,15 +45,15 @@ Inputs are seeded: a smooth rank-r start (Gaussian factor blocks weighted
 by n^-2, orthonormalised, singular values geometric from 1 to 1e-2) and two
 smooth separable cosine sources.  BLAS is pinned to one thread.  The timings
 are not deterministic: they vary from run to run and machine to machine,
-which is why the JSON records the machine and the clock.  ALS with a12 != 0 stops at
-N = 1024, where one call already takes seconds.
+which is why the JSON records the machine and the clock.  ALS with a12 != 0 and
+the reference stop at N = 1024, where one call already takes seconds.
 """
 
 import sys
 
-import numpy as np
-
 from measuring import TIMING, measure, scan  # pins BLAS, puts src/ on the path
+
+import numpy as np  # noqa: E402  (after measuring, which pins BLAS before numpy loads it)
 
 from lowrankpde import (LowRankState, TimeProfile, constant_diffusion,  # noqa: E402
                         energy_audit, integrate, separable_source)
@@ -56,9 +61,9 @@ from lowrankpde import (LowRankState, TimeProfile, constant_diffusion,  # noqa: 
 RANK = 8
 SIZES = (128, 256, 512, 1024, 2048)
 MIXED = (0.0, 0.25)
-METHODS = ("als", "splitting")
-#: Largest N scanned for ALS with a mixed term.
-ALS_MIXED_MAX_N = 1024
+METHODS = ("als", "splitting", "reference")
+#: Largest N scanned for ALS with a mixed term, and for the reference.
+ALS_MIXED_MAX_N = REFERENCE_MAX_N = 1024
 STEP = 1e-3
 N_STEPS = 5
 SEED = 2020
@@ -89,13 +94,14 @@ def scan_row(method: str, n: int, a12: float) -> dict:
     sweeps = sum(d.sweeps_used for d in traj.diagnostics) / steps
     iterations = sum(d.inner_iterations for d in traj.diagnostics) / steps
     ms_per_step = 1e3 * cpu_s / steps
-    row = {"method": method, "N": n, "r": RANK, "a12": a12,
-           "ms_per_step": round(ms_per_step, 4),
-           "sweeps_per_step": sweeps,
-           "ms_per_sweep": round(ms_per_step / sweeps, 4),
-           "inner_iterations_per_half_sweep": round(iterations / (2.0 * sweeps), 4),
-           "peak_traced_mb": round(peak / 1e6, 4),
-           "dense_matrix_mb": round(8.0 * n * n / 1e6, 4)}
+    row = {"method": method, "N": n, "r": None if method == "reference" else RANK, "a12": a12,
+           "ms_per_step": round(ms_per_step, 4)}
+    if method == "reference":
+        row["inner_iterations_per_step"] = iterations
+    else:
+        row.update(sweeps_per_step=sweeps, ms_per_sweep=round(ms_per_step / sweeps, 4),
+                   inner_iterations_per_half_sweep=round(iterations / (2.0 * sweeps), 4))
+    row.update(peak_traced_mb=round(peak / 1e6, 4), dense_matrix_mb=round(8.0 * n * n / 1e6, 4))
     if method == "splitting":
         _, post_s, post_peak = measure(lambda: energy_audit(traj))
         row.update(post_ms=round(1e3 * post_s, 4), post_peak_traced_mb=round(post_peak / 1e6, 4))
@@ -106,11 +112,12 @@ def main(argv=None) -> int:
     return scan(
         sys.modules[__name__], argv, {"method": METHODS, "N": SIZES, "a12": MIXED},
         ("method", "a12", "N"), "ms_per_step",
-        "ms/step of integrate for the rank-r methods over N and a12, "
+        "ms/step of integrate for the rank-r methods and the reference over N and a12, "
         "and ms of post-processing the splitting runs",
         {"rank": RANK, "h": STEP, "n_steps": N_STEPS, **TIMING, "seed": SEED,
-         "als_mixed_max_n": ALS_MIXED_MAX_N},
-        keep=lambda method, n, a12: not (method == "als" and a12 != 0.0 and n > ALS_MIXED_MAX_N))
+         "als_mixed_max_n": ALS_MIXED_MAX_N, "reference_max_n": REFERENCE_MAX_N},
+        keep=lambda method, n, a12: not (method == "als" and a12 != 0.0 and n > ALS_MIXED_MAX_N
+                                         or method == "reference" and n > REFERENCE_MAX_N))
 
 
 if __name__ == "__main__":

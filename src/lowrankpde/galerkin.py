@@ -133,8 +133,8 @@ class GalerkinOperator:
         i + j odd, 0 otherwise.
 
     A caller that reads only the vector, such as a rank-r step with a
-    diagonal tensor, never pays for the dense blocks.  Only :func:`_apply_g`
-    (G X for an (N, k) block) and :func:`apply_a2` know how G is stored.
+    diagonal tensor, never pays for the dense blocks.  G has one reader,
+    :func:`_apply_g` (G X for an (N, k) block), the one place that knows how G is stored.
     """
 
     basis_dim: int
@@ -187,18 +187,18 @@ def apply_a1(op: GalerkinOperator, a: np.ndarray, coeffs: np.ndarray) -> np.ndar
 
 
 def _apply_g(op: GalerkinOperator, x: np.ndarray) -> np.ndarray:
-    """G x for an (N, k) block x: the one product with G a rank-r step makes."""
+    """G x for an (N, k) block x: G's one reader, so every product with G."""
     return op.grad_coupling_1d.dot(x)
 
 
 def apply_a2(op: GalerkinOperator, a: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """Mixed-derivative part ``(a12 + a21) G Y G``; stacked as in :func:`apply_a1`.
-    ``g @ Y @ g`` on stacks: -(G (G Y)^T)^T by :func:`_apply_g` rounds apart."""
+    """Mixed-derivative part ``(a12 + a21) G Y G = -(a12 + a21) G (G Y^T)^T`` (G is skew),
+    by :func:`_apply_g` matrix by matrix; stacked as in :func:`apply_a1`."""
     c = a[..., 0, 1, None, None] + a[..., 1, 0, None, None]
     if not c.any():
         return np.zeros_like(coeffs)
-    g = op.grad_coupling_1d
-    return c * (g @ coeffs @ g)
+    gyg = [_apply_g(op, _apply_g(op, y.T).T) for y in coeffs.reshape(-1, *coeffs.shape[-2:])]
+    return -c * (gyg[0] if coeffs.ndim == 2 else np.reshape(gyg, coeffs.shape))
 
 
 def apply_operator(op: GalerkinOperator, a: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -286,8 +286,7 @@ class TimeProfile:
         cosine's is cos(omega m) sin(x) / x for the midpoint m and x = omega
         (t_b - t_a) / 2, which keeps its relative accuracy as x -> 0, where
         the difference of sines cancels; sin(x) / x is 1 once x rounds to 0."""
-        if t_b <= t_a:
-            raise ValueError("interval must have positive length")
+        _check_interval(t_a, t_b)
         if self.kind == "constant":
             return self.scale
         if self.kind == "linear":
@@ -295,6 +294,13 @@ class TimeProfile:
         x = 0.5 * self.omega * (t_b - t_a)
         sinc = math.sin(x) / x if x != 0.0 else 1.0
         return self.scale * math.cos(0.5 * self.omega * (t_a + t_b)) * sinc
+
+
+def _check_interval(t_a: float, t_b: float) -> None:
+    """Raise a ValueError unless both ends are finite and t_a < t_b."""
+    if not (math.isfinite(t_a) and math.isfinite(t_b) and t_a < t_b):
+        raise ValueError("interval must have finite ends and positive length, "
+                         f"got ({t_a!r}, {t_b!r})")
 
 
 def cosine_profile(c: float, omega: float) -> TimeProfile:
@@ -345,7 +351,9 @@ def separable_source(basis_dim: int, terms) -> SourceSpec:
 def rhs_mean_factors(source: SourceSpec, t_a: float, t_b: float):
     """Factor pair ``(P, Q)`` of the source's exact interval mean ``P @ Q.T``:
     (N, m) transposed views of the stored ``p``, row k scaled by profile k's
-    mean, and of the read-only ``q``; (N, 0) for a source without terms."""
+    mean, and of the read-only ``q``; (N, 0) for a source without terms.  The
+    interval [t_a, t_b] is checked as :meth:`TimeProfile.mean` checks it."""
+    _check_interval(t_a, t_b)
     means = np.array([profile.mean(t_a, t_b) for profile in source.profiles])
     return (means[:, None] * source.p).T, source.q.T
 
@@ -362,8 +370,11 @@ def exact_diagonal_solution(model: DiffusionModel, u0: LowRankState, t: float) -
     reorthonormalized by QR on both sides, the R blocks absorbed into the
     core.  No rank floor applies, so the rank is preserved for any t, up to
     a singular value that underflows to 0.0 (at N = 40, r = 4, unit tensor,
-    the fourth one does by t = 3).
+    the fourth one does by t = 3).  A t that is not finite and >= 0 raises
+    ValueError.
     """
+    if not (math.isfinite(t) and t >= 0.0):
+        raise ValueError(f"t must be finite and >= 0, got {t!r}")
     if not model.constant_diagonal:
         raise ValueError("closed form requires a constant diagonal tensor")
     a, lam = model.alpha(0.0), _stiffness_diag(u0.basis_dim)

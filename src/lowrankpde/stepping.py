@@ -13,18 +13,18 @@ methods take f_mean as its factor pair, f_mean = P Q^T, and evaluate F, the
 Galerkin residual and the ALS stop test from factors and r-by-r blocks, so
 a step costs O(N r^2) plus the products of the coupling G with (N, r)
 blocks when the mixed term is on, each a call of ``galerkin._apply_g``,
-which alone in the step knows how G is stored (today dense, O(N^2 r));
-no N-by-N matrix is formed, and with a diagonal tensor G is not even
-built.  At N up to hundreds and
-r <= 8 a half-sweep costs its number of numpy calls more than its flops,
-so it makes only the N-sized products it needs: one for the right-hand
-side, one with G per CG iteration, one QR, those of the new frame (basis^T
-L, its product with the basis, basis^T [U0 | P], and with the mixed term G
-basis and basis^T G basis), and one dot that gives F at its minimizer, so
-the sweep loop evaluates F only at the anchor and at the result.  The
-residual, once per step, makes one (r, N) product per term of U^T D and
-one (N, r) product per term of D V, each with a block the frames or the
-step already hold, plus U^T D V; it stacks no N-row blocks.  The stop
+G's one reader, which alone knows how G is stored (today dense, O(N^2 r);
+the reference's ``apply_a2`` multiplies through it too); no N-by-N matrix
+is formed, and with a diagonal tensor G is not even built.  At N up to
+hundreds and r <= 8 a half-sweep costs its number of numpy calls more than
+its flops, so it makes only the N-sized products it needs: one for the
+right-hand side, one with G per CG iteration, one QR, those of the new
+frame (basis^T L, its product with the basis, basis^T [U0 | P], and with
+the mixed term G basis and basis^T G basis), and one dot that gives F at
+its minimizer, so the sweep loop evaluates F only at the anchor and at the
+result.  The residual, once per step, makes one (r, N) product per term of
+U^T D and one (N, r) product per term of D V, each with a block the frames
+or the step already hold, plus U^T D V; it stacks no N-row blocks.  The stop
 test after each sweep is ``galerkin.h_distance`` between the states before
 and after it.  So ``_Step``, ``_forward_splitting_step`` and
 ``h_distance`` multiply 2-D blocks with ``ndarray.dot``, not ``@``: the
@@ -32,7 +32,7 @@ same BLAS gemm, so the same bits, without the matmul ufunc's dispatch,
 which costs about as much as the product (one Xeon core: 1.0 against
 1.4 us for 8 x 8 blocks, 1.7 against 2.9 us for (128, 8) by (8, 8)).
 ``@`` stays where an operand may be a stack (manifold, analysis, the
-Galerkin applies) or is N x N (reference).
+Galerkin norms) or is N x N (reference).
 
 One object, ``_Step``, owns a rank-r step: it holds the anchor, the tensor
 at t_next, h and the source factors, evaluates F and the residual, and runs

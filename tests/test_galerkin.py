@@ -6,15 +6,18 @@ Gauss-Legendre quadrature of the defining integrals, never through the
 closed forms the module uses internally.
 """
 
+import ast
 import math
 import tracemalloc
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.integrate import quad
 from scipy.linalg import expm
 
+import lowrankpde
 from dense_oracles import operator_matrix, profile_value, v_dual_norm
 from lowrankpde.galerkin import (DiffusionModel, TimeProfile, apply_a1, apply_a2,
                                  apply_operator, build_operator, constant_diffusion,
@@ -140,6 +143,28 @@ def test_dense_blocks_are_built_once():
     op = build_operator(5)
     for name in ("stiffness_1d", "grad_coupling_1d"):
         assert getattr(op, name) is getattr(op, name), name
+
+
+def _attribute_reads(node, attr: str, scope: str):
+    """(scope, line) of each ``.attr`` or ``"attr"`` under ``node``, the scope
+    being the dotted names of the enclosing classes and functions."""
+    for child in ast.iter_child_nodes(node):
+        inner = scope
+        if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+            inner = f"{scope}.{child.name}"
+        if (isinstance(child, ast.Attribute) and child.attr == attr
+                or isinstance(child, ast.Constant) and child.value == attr):
+            yield inner, child.lineno
+        yield from _attribute_reads(child, attr, inner)
+
+
+def test_grad_coupling_has_one_reader():
+    # every product with G goes through galerkin._apply_g, so how G is
+    # stored (dense today) is that one function's business
+    readers = [read for path in sorted(Path(lowrankpde.__file__).parent.glob("*.py"))
+               for read in _attribute_reads(ast.parse(path.read_text()), "grad_coupling_1d",
+                                            path.stem)]
+    assert [scope for scope, _ in readers] == ["galerkin._apply_g"], readers
 
 
 def test_build_operator_rejects_non_integral_sizes():
@@ -446,6 +471,10 @@ def test_constant_diagonal_reads_the_mixed_coefficient():
     assert np.array_equal(to_dense(exact_diagonal_solution(skew, u0, 0.05)), to_dense(expected))
 
 
+_ONE_MODE = LowRankState(np.eye(4, 1), np.eye(1), np.eye(4, 1))
+_BAD_INTERVAL = "^interval must have finite ends and positive length, got "
+
+
 @pytest.mark.parametrize("build, args, message", [
     (constant_diffusion, ([[math.inf, 0.0], [0.0, 1.0]],), "matrix must have finite entries"),
     (constant_diffusion, ([[1.0, math.nan], [math.nan, 1.0]],),
@@ -471,16 +500,29 @@ def test_constant_diagonal_reads_the_mixed_coefficient():
     (separable_source, (3, [(TimeProfile("constant", 1.0), np.ones(3), np.ones(3)),
                             (TimeProfile("constant", 1.0), [1e200, 0.0, 0.0], [1e200, 0.0, 0.0])]),
      r"source term 1 overflows: \|p\| \|q\| is not finite"),
+    (exact_diagonal_solution, (constant_diffusion(np.eye(2)), _ONE_MODE, math.nan),
+     "^t must be finite and >= 0, got nan$"),
+    (exact_diagonal_solution, (constant_diffusion(np.eye(2)), _ONE_MODE, -1.0),
+     "^t must be finite and >= 0, got -1.0$"),
+    (TimeProfile("linear", 1.0).mean, (0.0, math.nan), _BAD_INTERVAL + r"\(0.0, nan\)"),
+    (cosine_profile(1.0, 2.0).mean, (0.0, math.nan), _BAD_INTERVAL + r"\(0.0, nan\)"),
+    (cosine_profile(1.0, 2.0).mean, (0.0, math.inf), _BAD_INTERVAL + r"\(0.0, inf\)"),
+    (rhs_mean_factors, (zero_source(4), 1.0, 0.5), _BAD_INTERVAL + r"\(1.0, 0.5\)"),
 ], ids=["inf-entry", "nan-entries", "inf-eigenvalue", "nan-diagonal", "inf-off-diagonal",
         "nan-lambda1", "inf-lambda2", "nan-omega", "inf-omega", "nan-profile-scale",
         "inf-profile-omega", "inf-linear-scale", "nan-source-p", "inf-source-q",
-        "overflowing-source-term"])
+        "overflowing-source-term", "nan-closed-form-time", "negative-closed-form-time",
+        "nan-linear-mean-end", "nan-cosine-mean-end", "inf-cosine-mean-end",
+        "reversed-interval-without-terms"])
 def test_diffusion_models_reject_non_finite_input(build, args, message):
     # a NaN tensor would otherwise pass the definiteness test and surface
     # only as a failed inner solve at step 1; a NaN source factor or profile
     # the same way, or as a failed SVD; a term with finite factors whose
-    # product overflows as a rank collapse or an infinite CG residual.  The
-    # named error comes first, with no RuntimeWarning on the way
+    # product overflows as a rank collapse or an infinite CG residual.  A
+    # bad time would give a NaN state, or at t = -1 one grown by
+    # exp((n pi)^2), and a bad interval a NaN mean, a bare "math domain
+    # error" or, for a source without terms, empty factors.  The named
+    # error comes first, with no RuntimeWarning on the way
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=message):
